@@ -61,14 +61,6 @@ def _report(command, status, verified_order, first_violation=None,
     return rep
 
 
-def _violation_obj(diff):
-    if diff is None:
-        return None
-    (p, q), lhs, rhs = diff
-    return {"exponent": [p, q], "lhs": io.format_rational(lhs),
-            "rhs": io.format_rational(rhs)}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -101,7 +93,7 @@ def cmd_check_law(args) -> int:
     _emit(_report(f"check-law {args.law}",
                   "holds" if report.holds else "violated",
                   report.verified_order,
-                  _violation_obj(report.first_violation)), args)
+                  laws.violation_obj(report.first_violation)), args)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
 
@@ -166,7 +158,7 @@ def cmd_dilative(args) -> int:
     report = valuation.check_dilative(spec, args.delta, m_list, polys)
     cases = [{"m": c.m, "polygon": io.polygon_to_obj(c.polygon),
               "holds": c.holds,
-              "first_violation": _violation_obj(c.first_violation)}
+              "first_violation": laws.violation_obj(c.first_violation)}
              for c in report.cases]
     _emit(_report(f"dilative delta={args.delta}",
                   "holds" if report.holds else "violated",
@@ -267,14 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "power series values.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def out(p):
         p.add_argument("--out", help="write JSON output to this file")
-        p.add_argument("--format", choices=("json", "table"), default="json")
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        common(p)
+        out(p)
         return p
 
     p = sub.add_parser("vd", help="solution-space bases and dimensions")
@@ -283,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     basis = vdsub.add_parser("basis")
     basis.add_argument("--degree", type=int, required=True)
     basis.add_argument("--coords", choices=("xy", "st"), default="xy")
-    common(basis)
+    out(basis)
     dims = vdsub.add_parser("dims")
     dims.add_argument("--max", type=int, required=True)
-    common(dims)
+    dims.add_argument("--format", choices=("json", "table"), default="json")
+    out(dims)
 
     p = add("check-law", cmd_check_law, help="verify a functional equation")
     p.add_argument("--law", required=True)

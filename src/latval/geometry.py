@@ -274,10 +274,6 @@ def _boundary_chain(points):
     return chain
 
 
-def triangle_area2(a: Point, b: Point, c: Point) -> int:
-    return abs(_cross(a, b, c))
-
-
 def split_pairs(P: LatticePolygon, count=None):
     """Chord splittings of P into two full-dimensional lattice polygons.
 

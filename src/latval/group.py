@@ -154,14 +154,6 @@ def is_d4_invariant(f: Series2):
     return True, None
 
 
-def is_gl2z_invariant(f: Series2):
-    """Invariance under the standard generating set of GL(2, Z)."""
-    for g in GL2Z_GENERATORS:
-        if not linear_substitute(f, g).eq_up_to(f):
-            return False, g
-    return True, None
-
-
 def complete_primitive(w) -> AffineUnimodular:
     """A determinant-one matrix with first column the primitive vector w.
 

@@ -7,6 +7,9 @@ A valuation's triangle value f2 and its parameter series rho are linked by
 
 and every displayed functional equation is available as a machine check
 returning a structured report (a violated law is a report, not an error).
+``law_sides`` is the one place where a law is written out (``f0gl2z`` is
+checked against the generators of GL(2, Z) instead); the solution spaces
+of ``vspace`` are built from it.
 """
 
 from __future__ import annotations
@@ -106,27 +109,41 @@ class LawReport:
     first_violation: tuple | None   # ((p, q), lhs, rhs)
 
     def as_dict(self):
-        fv = None
-        if self.first_violation is not None:
-            (p, q), lhs, rhs = self.first_violation
-            fv = {"exponent": [p, q], "lhs": str(lhs), "rhs": str(rhs)}
         return {"law": self.law, "holds": self.holds,
                 "verified_order": self.verified_order,
-                "first_violation": fv}
+                "first_violation": violation_obj(self.first_violation)}
+
+
+def violation_obj(diff):
+    """A first difference ((p, q), lhs, rhs) with exact rational text, or
+    None for no difference."""
+    if diff is None:
+        return None
+    (p, q), lhs, rhs = diff
+    return {"exponent": [p, q], "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def violation_text(diff) -> str:
+    """The same first difference as one line of exact text."""
+    if diff is None:
+        return "an unlocated coefficient"
+    (p, q), lhs, rhs = diff
+    return f"exponent [{p}, {q}]: lhs {lhs!s}, rhs {rhs!s}"
 
 
 def _e(f, first, second):
     return f.subst_linear(first, second)
 
 
-def _law_sides(law: str, f: Series2):
+def law_sides(law: str, f: Series2):
+    """Both sides (lhs, rhs) of the named functional equation on f."""
     x, y = (1, 0), (0, 1)
     if law in ("A", "f23up"):
         return (f + mul_exp_linear(_e(f, (-1, 1), y), 1, 0),
                 _e(f, x, (1, 1)) + _e(f, y, (1, 1)))
     if law == "B":
         return f, _e(f, y, x)
-    if law in ("C", "f2simple1"):
+    if law == "C":
         return _e(f, (-1, 1), (-1, 0)), mul_exp_linear(f, -1, 0)
     if law == "f2simple2":
         return (f + mul_exp_linear(_e(f, (-1, 0), (0, -1)), 1, 1),
@@ -174,6 +191,9 @@ LAW_IDS = ("A", "B", "C", "f2simple2", "f23up", "Aprime",
            "rho_sym2", "rho_sym3", "Adoubleprime", "f1shift", "f1period",
            "f1neg", "f0gl2z")
 
+# the laws that make a series a valid parameter rho
+RHO_LAWS = ("Aprime", "E")
+
 
 def check_law(law: str, f: Series2) -> LawReport:
     """Assemble both sides of the named functional equation exactly and
@@ -185,7 +205,7 @@ def check_law(law: str, f: Series2) -> LawReport:
             if diff is not None:
                 return LawReport(law, False, f.order, diff)
         return LawReport(law, True, f.order, None)
-    lhs, rhs = _law_sides(law, f)
+    lhs, rhs = law_sides(law, f)
     order = min(lhs.order, rhs.order)
     diff = lhs.first_difference(rhs, order)
     return LawReport(law, diff is None, order, diff)

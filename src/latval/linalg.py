@@ -74,10 +74,3 @@ def solve(matrix, rhs):
         x[pc] = m[r][ncols]
     return x
 
-
-def in_span(vectors, target):
-    """Whether target lies in the rational span of the given vectors."""
-    if not vectors:
-        return all(x == 0 for x in target)
-    cols = list(zip(*vectors))
-    return solve([list(c) for c in cols], list(target)) is not None

@@ -105,10 +105,6 @@ class Series1:
     def truncate(self, order: int) -> "Series1":
         return Series1(self._c, min(self.order, order))
 
-    def as_order(self, order: int) -> "Series1":
-        """Re-declare the order.  Raising it is sound only for exact polynomials."""
-        return Series1(self._c, order)
-
     def eq_up_to(self, other: "Series1", order=None) -> bool:
         n = min(self.order, other.order)
         if order is not None:
@@ -231,10 +227,6 @@ class Series2:
 
     def truncate(self, order: int) -> "Series2":
         return Series2(self._c, min(self.order, order))
-
-    def as_order(self, order: int) -> "Series2":
-        """Re-declare the order.  Raising it is sound only for exact polynomials."""
-        return Series2(self._c, order)
 
     def scale_variables(self, m) -> "Series2":
         """Substitute (x, y) -> (m*x, m*y)."""
@@ -386,17 +378,6 @@ def divide_x_minus_y(f: Series2) -> Series2:
         if f.coeff(0, n) != -prev:
             raise NotDivisible("antidiagonal consistency failed at degree %d" % n)
     return Series2(out, f.order - 1)
-
-
-def divide(f: Series2, g: Series2, mode: str) -> Series2:
-    """Division front door: mode in {'by-unit', 'by-x', 'by-y'}."""
-    if mode == "by-unit":
-        return divide_unit(f, g)
-    if mode == "by-x":
-        return divide_x(f)
-    if mode == "by-y":
-        return divide_y(f)
-    raise ValueError(f"unknown division mode {mode!r}")
 
 
 def homogeneous_part(f: Series2, d: int) -> Series2:

@@ -25,7 +25,7 @@ from .geometry import (LatticePolygon, NotSegment, hull_normalize,
                        unimodular_triangulation)
 from .group import AffineUnimodular, act_on_series, complete_primitive, \
     triangle_frame
-from .laws import check_law, dagger
+from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
                      divide_unit, divide_x, divide_x_minus_y, divide_y,
                      exp_linear, series1_in_x, series1_in_y, special_series)
@@ -39,8 +39,8 @@ class ValuationError(Exception):
 
 class InvalidRho(ValuationError):
     def __init__(self, report):
-        super().__init__(f"parameter series violates {report.law}: "
-                         f"{report.first_violation}")
+        super().__init__(f"parameter series violates {report.law} at "
+                         f"{violation_text(report.first_violation)}")
         self.report = report
 
 
@@ -50,7 +50,8 @@ class NotSimpleSpec(ValuationError):
 
 class LawViolation(ValuationError):
     def __init__(self, report):
-        super().__init__(f"law {report.law} fails at {report.first_violation}")
+        super().__init__(f"law {report.law} fails at "
+                         f"{violation_text(report.first_violation)}")
         self.report = report
 
 
@@ -104,7 +105,7 @@ class ValuationSpec:
             object.__setattr__(self, "g", Series1.zero(self.order))
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
-        for law in ("Aprime", "E"):
+        for law in RHO_LAWS:
             report = check_law(law, self.rho)
             if not report.holds:
                 raise InvalidRho(report)
@@ -341,7 +342,8 @@ def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
         else:
             first = next(c.first_violation for c in rep_t.cases + rep_s.cases
                          if not c.holds)
-            findings.append(f"kappa = {kappa} violates dilativity at {first}")
+            findings.append(f"kappa = {kappa!s} violates dilativity at "
+                            f"{violation_text(first)}")
     if not passing:
         raise NoCandidatePasses("; ".join(findings))
     if len(passing) > 1:
@@ -371,12 +373,13 @@ def dilative_decompose(spec: ValuationSpec, delta_max=None,
     alpha0 picks off the 0-dilative generator (1, cosh-type, kappa); the
     remaining g expands uniquely in the triangular odd family b_delta; the
     remaining rho splits into homogeneous parts, degree d sitting at
-    delta = d - 2.
+    delta = d - 2.  kappa defaults to calibrate_val0(order), or to 0 when
+    alpha0 = 0, since kappa only enters as alpha0 * kappa.
     """
     n = spec.order
-    if kappa is None:
-        kappa = calibrate_val0(n)
     alpha0 = spec.c
+    if kappa is None:
+        kappa = calibrate_val0(n) if alpha0 != 0 else Q(0)
     g_res = spec.g - cosh_type_g(spec.g.order).scalar_mul(alpha0)
     odd = {}
     for low in range(g_res.order + 1):

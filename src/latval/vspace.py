@@ -1,14 +1,23 @@
 """Exact solver for the homogeneous-degree-d parameter spaces.
 
 A degree-d homogeneous polynomial rho(x, y) = sum_k a_k x^{d-k} y^k is a
-valid parameter exactly when it satisfies the two linear laws
+valid parameter exactly when it satisfies the laws ``laws.RHO_LAWS``:
 
     (A')  (x + y) rho(x, y - x) = y rho(x, y) + x rho(y, x)
     (E)   rho(x, -2x - y) = rho(x, y)
 
-The space is computed as the kernel of the stacked coefficient matrix over
-Q, with a canonical reduced-echelon basis in the monomial order
-x^d > x^{d-1} y > ... > y^d.
+In the coordinates s = 2x + y, t = y the same space is cut out by
+``ST_LAWS``: the transported law (A''), the reflection sigma(s, t) =
+sigma(s, -t), which is law ``f1neg``, and the swap sigma(s, t) =
+sigma(t, s), which is law ``B``.  The swap stands in for the reflection
+sigma(s, t) = sigma(-t, -s): a homogeneous polynomial of even degree is
+even, so on even degrees the two agree, and on odd degrees either one
+together with ``f1neg`` forces sigma = -sigma, so both spaces are zero.
+
+Both spaces are kernels of the stacked residual coefficients of these
+named laws, taken over Q, with a canonical reduced-echelon basis in the
+monomial order x^d > x^{d-1} y > ... > y^d.  The laws themselves are
+written only in ``laws``.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import laws, linalg
 from .series import Series2, homogeneous_part
 
-Q = Fraction
+ST_LAWS = ("Adoubleprime", "f1neg", "B")
 
 
 def monomials(d: int):
@@ -38,24 +47,23 @@ def to_coefficients(rho: Series2, d: int):
     return [rho.coeff(d - k, k) for k in range(d + 1)]
 
 
-def constraint_matrix(d: int):
-    """Rows: one per residual coefficient of (A') in degree d + 1 and of
-    (E) in degree d; columns: the d + 1 monomial coefficients."""
-    rows = []
-    for k in range(d + 1):
-        basis = from_coefficients([Q(int(i == k)) for i in range(d + 1)], d)
-        # (A') residual, homogeneous of degree d + 1
-        lhs = basis.subst_linear((1, 0), (-1, 1)).mul_linear(1, 1)
-        rhs = basis.mul_linear(0, 1) \
-            + basis.subst_linear((0, 1), (1, 0)).mul_linear(1, 0)
-        res_a = lhs - rhs
-        # (E) residual, homogeneous of degree d
-        res_e = basis.subst_linear((1, 0), (-2, -1)) - basis
-        col = [res_a.coeff(d + 1 - j, j) for j in range(d + 2)]
-        col += [res_e.coeff(d - j, j) for j in range(d + 1)]
-        rows.append(col)
-    # rows currently hold columns; transpose
-    return [list(r) for r in zip(*rows)]
+def constraint_matrix(d: int, law_ids):
+    """Rows: the residual lhs - rhs of each named law, one row per residual
+    coefficient; columns: the d + 1 monomial coefficients.
+
+    The laws must be homogeneous: linear substitutions, optionally times a
+    linear factor.  The residual on a degree-d monomial is then homogeneous
+    of degree res.order, which is d, or d + 1 with a linear factor."""
+    cols = []
+    for p, q in monomials(d):
+        mono = Series2.monomial(1, p, q, d)
+        col = []
+        for law in law_ids:
+            lhs, rhs = laws.law_sides(law, mono)
+            res = lhs - rhs
+            col += [res.coeff(res.order - j, j) for j in range(res.order + 1)]
+        cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,16 @@ class VdBasis:
         return [from_coefficients(v, self.degree, order) for v in self.vectors]
 
 
-def vd_basis(d: int) -> VdBasis:
-    """Canonical basis of the degree-d solution space."""
+def _kernel_basis(d: int, law_ids) -> VdBasis:
     if d < 0:
         raise ValueError("degree must be non-negative")
-    mat = constraint_matrix(d)
-    kernel = linalg.nullspace(mat, d + 1)
+    kernel = linalg.nullspace(constraint_matrix(d, law_ids), d + 1)
     return VdBasis(d, tuple(tuple(v) for v in kernel))
+
+
+def vd_basis(d: int) -> VdBasis:
+    """Canonical basis of the degree-d solution space of (A') and (E)."""
+    return _kernel_basis(d, laws.RHO_LAWS)
 
 
 def predicted_dim(d: int) -> int:
@@ -98,16 +109,6 @@ def dims_table(d_max: int):
     return out
 
 
-def is_solution(rho: Series2) -> bool:
-    """Whether a (not necessarily homogeneous) series satisfies (A') and (E)
-    up to its valid order."""
-    lhs = rho.subst_linear((1, 0), (-1, 1)).mul_linear(1, 1)
-    rhs = rho.mul_linear(0, 1) + rho.subst_linear((0, 1), (1, 0)).mul_linear(1, 0)
-    if not lhs.eq_up_to(rhs):
-        return False
-    return rho.subst_linear((1, 0), (-2, -1)).eq_up_to(rho)
-
-
 def homogeneous_solution_components(rho: Series2):
     """Split a solution series into its homogeneous degree parts, each of
     which is itself a solution; returns [(d, coefficient vector)]."""
@@ -123,33 +124,6 @@ def homogeneous_solution_components(rho: Series2):
 # the (s, t)-coordinate picture
 
 
-def st_constraint_matrix(d: int):
-    """Constraints on sigma(s, t) of degree d: the transported law
-
-        (A'')  (s + t) sigma(s + t, t - s) = s sigma(s + 2t, s)
-                                             + t sigma(2s + t, t)
-
-    together with the reflection invariances sigma(s, t) = sigma(s, -t)
-    and sigma(s, t) = sigma(-t, -s)."""
-    rows = []
-    for k in range(d + 1):
-        basis = from_coefficients([Q(int(i == k)) for i in range(d + 1)], d)
-        lhs = basis.subst_linear((1, 1), (-1, 1)).mul_linear(1, 1)
-        rhs = basis.subst_linear((1, 2), (1, 0)).mul_linear(1, 0) \
-            + basis.subst_linear((2, 1), (0, 1)).mul_linear(0, 1)
-        res_a = lhs - rhs
-        res_1 = basis.subst_linear((1, 0), (0, -1)) - basis
-        res_2 = basis.subst_linear((0, -1), (-1, 0)) - basis
-        col = [res_a.coeff(d + 1 - j, j) for j in range(d + 2)]
-        col += [res_1.coeff(d - j, j) for j in range(d + 1)]
-        col += [res_2.coeff(d - j, j) for j in range(d + 1)]
-        rows.append(col)
-    return [list(r) for r in zip(*rows)]
-
-
 def st_basis(d: int) -> VdBasis:
     """Canonical basis in the (s, t) coordinates s = 2x + y, t = y."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    kernel = linalg.nullspace(st_constraint_matrix(d), d + 1)
-    return VdBasis(d, tuple(tuple(v) for v in kernel))
+    return _kernel_basis(d, ST_LAWS)

@@ -9,7 +9,7 @@ from latval import cli, io
 from latval.geometry import hull_normalize
 from latval.group import AffineUnimodular
 from latval.series import Series1, Series2
-from latval.valuation import ValuationSpec
+from latval.valuation import ValuationSpec, dilative_decompose, reassemble
 
 
 def run(capsys, *argv):
@@ -218,6 +218,35 @@ def test_decompose(tmp_path, capsys):
     data = json.loads(out)
     assert data["alpha0"] == "0"
     assert list(data["even_simple"]) == ["-2"]
+
+
+def test_decompose_simple_spec_auto_kappa(tmp_path, capsys):
+    # alpha0 = c = 0, so kappa needs no calibration and is recorded as 0
+    rho1 = {"vars": ["x", "y"], "order": 8, "terms": [{"e": [0, 0], "c": "1"}]}
+    spec_obj = {"c": "0", "rho": rho1, "order": 8}
+    spath = write(tmp_path, "spec.json", spec_obj)
+    code, out = run(capsys, "decompose", "--spec", spath)
+    assert code == 0
+    data = json.loads(out)
+    assert data["kappa"] == "0" and data["alpha0"] == "0"
+    spec = io.spec_from_obj(spec_obj)
+    back = reassemble(dilative_decompose(spec))
+    assert back.key() == spec.key()
+
+
+def test_violations_render_exact_rationals(tmp_path, capsys):
+    spec = {"c": "0", "rho": {"vars": ["x", "y"], "order": 8,
+                              "terms": [{"e": [2, 0], "c": "1"}]},
+            "order": 8}
+    code = cli.main(["evaluate", "--spec", write(tmp_path, "spec.json", spec),
+                     "--polygon", write(tmp_path, "T.json", T_POLY)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Fraction(" not in err and "exponent [1, 2]: lhs 0, rhs 1" in err
+    code, out = run(capsys, "calibrate", "--order", "8")
+    assert code == 2
+    finding = json.loads(out)["finding"]
+    assert "Fraction(" not in finding and "lhs 3, rhs 3/2" in finding
 
 
 def test_calibrate_reports_finding(capsys):

@@ -11,7 +11,8 @@ from latval.geometry import (EmptyInput, NoValidChord,
                              contains, hull_normalize, lattice_length,
                              lattice_points, on_boundary, scale_polygon,
                              segment_lattice_points, split_pairs,
-                             triangle_area2, unimodular_triangulation)
+                             unimodular_triangulation)
+from latval.group import triangle_frame
 
 T = hull_normalize([(0, 0), (1, 0), (0, 1)])
 SQUARE = hull_normalize([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -116,8 +117,7 @@ def test_triangulation_invariants(P, insertion):
     assert set(tri.points) == set(lattice_points(P))
     total = 0
     for t in tri.triangles:
-        a, b, c = tri.triangle_points(t)
-        assert triangle_area2(a, b, c) == 1
+        triangle_frame(*tri.triangle_points(t))   # raises unless unimodular
         total += 1
     assert total == area2(P)
     # Euler relation

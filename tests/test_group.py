@@ -9,9 +9,8 @@ from latval.geometry import area2, hull_normalize
 from latval.group import (AffineUnimodular, D4_GENERATORS, IDENTITY,
                           NotPrimitive, NotUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, complete_primitive,
-                          d4_elements, det, is_d4_invariant,
-                          is_gl2z_invariant, mat_inverse, mat_mul,
-                          triangle_frame)
+                          d4_elements, det, is_d4_invariant, mat_inverse,
+                          mat_mul, triangle_frame)
 from latval.series import Series2, exp_linear
 
 
@@ -112,11 +111,6 @@ def test_d4_invariant_generators():
     assert is_d4_invariant(p1) == (True, None)
     ok, witness = is_d4_invariant(Series2.monomial(1, 1, 0, 8))
     assert not ok and witness in D4_GENERATORS
-
-
-def test_gl2z_invariance():
-    assert is_gl2z_invariant(Series2.constant(5, 6))[0]
-    assert not is_gl2z_invariant(Series2({(2, 0): 2, (1, 1): 2, (0, 2): 1}, 6))[0]
 
 
 def test_complete_primitive():

@@ -8,7 +8,7 @@ import pytest
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, DivisionByNonUnit,
                            NotDivisible, Series1, Series2, bernoulli_numbers,
-                           compose_univariate, divide, divide_unit, divide_x,
+                           compose_univariate, divide_unit, divide_x,
                            divide_x_minus_y, divide_y, exp_linear,
                            homogeneous_part, linear_substitute,
                            mul_exp_linear, series1_in_x, series1_in_y,
@@ -127,13 +127,6 @@ def test_divide_x_minus_y():
         divide_x_minus_y(x * y)
     with pytest.raises(NotDivisible):
         divide_x_minus_y(Series2.constant(1, 6))
-
-
-def test_divide_dispatch():
-    f = Series2({(1, 0): 2}, 4)
-    assert divide(f, None, "by-x").coeff(0, 0) == 2
-    with pytest.raises(ValueError):
-        divide(f, None, "by-z")
 
 
 def test_homogeneous_part():
