@@ -42,6 +42,20 @@ def default_order() -> int:
     return order
 
 
+def _at_least(name: str, value: int, minimum: int) -> int:
+    if value < minimum:
+        raise io.MalformedInput(f"{name} {value} is out of range: "
+                                f"it must be >= {minimum}")
+    return value
+
+
+def _order(args, minimum: int) -> int:
+    """--order if given, else default_order(); at least `minimum`."""
+    if args.order is not None:
+        return _at_least("--order", args.order, minimum)
+    return _at_least("LATVAL_ORDER", default_order(), minimum)
+
+
 def _emit(obj, args) -> None:
     text = io.dumps(obj)
     if getattr(args, "out", None):
@@ -67,7 +81,7 @@ def _report(command, status, verified_order, first_violation=None,
 
 def cmd_vd(args) -> int:
     if args.vd_command == "dims":
-        table = vspace.dims_table(args.max)
+        table = vspace.dims_table(_at_least("--max", args.max, 0))
         ok = all(c == p for _, c, p in table)
         if args.format == "table":
             sys.stdout.write("d\tcomputed\tpredicted\n")
@@ -79,7 +93,7 @@ def cmd_vd(args) -> int:
                    "all_match": ok}, args)
         return EXIT_OK if ok else EXIT_VIOLATED
     basis = (vspace.st_basis if args.coords == "st"
-             else vspace.vd_basis)(args.degree)
+             else vspace.vd_basis)(_at_least("--degree", args.degree, 0))
     _emit([io.series2_to_obj(p) for p in basis.polynomials()], args)
     return EXIT_OK
 
@@ -126,8 +140,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_laplace(args) -> int:
     P = io.polygon_from_obj(io.load_json(args.polygon))
-    order = args.order if args.order is not None else default_order()
-    _emit(io.series2_to_obj(laplace.laplace_plus(P, order)), args)
+    _emit(io.series2_to_obj(laplace.laplace_plus(P, _order(args, 0))), args)
     return EXIT_OK
 
 
@@ -181,7 +194,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    order = args.order if args.order is not None else default_order()
+    order = _order(args, 4)
     try:
         kappa = valuation.calibrate_val0(order)
     except (NoCandidatePasses, BothPass) as exc:
@@ -193,7 +206,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    order = args.order if args.order is not None else default_order()
+    order = _order(args, 1)
     checks = []
 
     def record(name, ok):

@@ -10,7 +10,7 @@ valid order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 Q = Fraction
 
@@ -39,6 +39,16 @@ class DegreeExceedsOrder(SeriesError):
 
 def _q(value) -> Q:
     return value if isinstance(value, Q) else Q(value)
+
+
+def _linear_powers(a: int, b: int, n: int) -> list:
+    """Integer rows of (a*x + b*y)^k for k = 0..n: row k lists the
+    coefficients C(k, i) a^i b^(k-i) of x^i y^(k-i), for i = 0..k."""
+    rows = [[1]]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append([b * u + a * w for u, w in zip(prev + [0], [0] + prev)])
+    return rows
 
 
 class Series1:
@@ -238,23 +248,39 @@ class Series2:
         """Return f(a1*x + b1*y, a2*x + b2*y) for first=(a1,b1), second=(a2,b2).
 
         Coefficients may be rational; order is preserved since degree-n terms
-        map to degree-n terms.
+        map to degree-n terms.  The work is done in integers: with L the lcm
+        of the four entries' denominators, (a1 x + b1 y)^p is the integer row
+        of (L a1 x + L b1 y)^p divided by L^p.  The coefficients of each total
+        degree d are brought to one common denominator den, so every output
+        coefficient of degree d is an exact integer sum over den * L^d.
         """
         a1, b1 = _q(first[0]), _q(first[1])
         a2, b2 = _q(second[0]), _q(second[1])
-        out = {}
+        scale = lcm(a1.denominator, b1.denominator,
+                    a2.denominator, b2.denominator)
+        rows1 = _linear_powers(int(a1 * scale), int(b1 * scale), self.order)
+        rows2 = _linear_powers(int(a2 * scale), int(b2 * scale), self.order)
+        by_degree = {}
         for (p, q), v in self._c.items():
-            # (a1 x + b1 y)^p expanded via the binomial theorem, same for q
-            for i in range(p + 1):
-                ci = comb(p, i) * a1 ** i * b1 ** (p - i)
-                if ci == 0:
-                    continue
-                for j in range(q + 1):
-                    cj = comb(q, j) * a2 ** j * b2 ** (q - j)
-                    if cj == 0:
-                        continue
-                    e = (i + j, (p - i) + (q - j))
-                    out[e] = out.get(e, Q(0)) + v * ci * cj
+            by_degree.setdefault(p + q, []).append((p, q, v))
+        out = {}
+        for d, items in by_degree.items():
+            den = lcm(*(v.denominator for _, _, v in items))
+            acc = [0] * (d + 1)
+            for p, q, v in items:
+                s = v.numerator * (den // v.denominator)
+                row2 = rows2[q]
+                # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
+                for i, ci in enumerate(rows1[p]):
+                    if ci:
+                        ci *= s
+                        for j, cj in enumerate(row2):
+                            if cj:
+                                acc[i + j] += ci * cj
+            den *= scale ** d
+            for i, num in enumerate(acc):
+                if num:
+                    out[(i, d - i)] = Q(num, den)
         return Series2(out, self.order)
 
     def first_difference(self, other: "Series2", order=None):
@@ -314,8 +340,47 @@ def exp_linear(alpha, beta, order: int) -> Series2:
 
 
 def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
-    """f multiplied by the truncation of exp(alpha*x + beta*y)."""
-    return f * exp_linear(alpha, beta, f.order)
+    """f multiplied by the truncation of exp(alpha*x + beta*y).
+
+    Exact integer method: write alpha = an/ad and beta = bn/bd, and scale
+    f[p, q] to the integer F[p, q] = den * p! * q! * f[p, q] over the common
+    denominator den.  In that scaling the product with the exponential is
+    two binomial convolutions, first in x, then in y:
+
+        H[p, q] = sum_i C(p, i) an^i ad^(p-i) F[p-i, q]
+        G[p, q] = sum_j C(q, j) bn^j bd^(q-j) H[p, q-j]
+
+    and the result is G[p, q] / (den * p! * q! * ad^p * bd^q).  Every step
+    is integer arithmetic, so the result equals f * exp_linear(alpha, beta,
+    f.order) exactly, in O(order^3) instead of O(order^4) operations.
+    """
+    alpha, beta = _q(alpha), _q(beta)
+    n = f.order
+    fact = [factorial(k) for k in range(n + 1)]
+    den = lcm(*(v.denominator for v in f._c.values()))
+    rows_x = _linear_powers(alpha.numerator, alpha.denominator, n)
+    rows_y = _linear_powers(beta.numerator, beta.denominator, n)
+    # h[p][q]: convolution in x of F; row_k[k - m] = C(k, m) an^(k-m) ad^m
+    h = [[0] * (n + 1 - p) for p in range(n + 1)]
+    for (m, q), v in f._c.items():
+        s = v.numerator * (den // v.denominator) * fact[m] * fact[q]
+        for k in range(m, n + 1 - q):
+            c = rows_x[k][k - m]
+            if c:
+                h[k][q] += c * s
+    out = {}
+    for p in range(n + 1):
+        hp = h[p]
+        for q in range(n + 1 - p):
+            s = 0
+            row = rows_y[q]
+            for m in range(q + 1):
+                if hp[m]:
+                    s += row[q - m] * hp[m]
+            if s:
+                out[(p, q)] = Q(s, den * fact[p] * fact[q]
+                                * alpha.denominator ** p * beta.denominator ** q)
+    return Series2(out, n)
 
 
 def divide_unit(f: Series2, g: Series2) -> Series2:

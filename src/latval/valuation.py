@@ -16,6 +16,7 @@ engine outputs carry order N - 1 for a spec of order N.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -209,14 +210,21 @@ class Evaluator:
         return total
 
 
-_EVALUATORS: dict = {}
+# Shared evaluators, least recently used first; at most EVALUATORS_MAX.
+EVALUATORS_MAX = 32
+_EVALUATORS: OrderedDict = OrderedDict()
 
 
 def evaluator_for(spec: ValuationSpec, insertion: str = "lex") -> Evaluator:
     key = (spec.key(), insertion)
-    if key not in _EVALUATORS:
-        _EVALUATORS[key] = Evaluator(spec, insertion)
-    return _EVALUATORS[key]
+    ev = _EVALUATORS.get(key)
+    if ev is None:
+        ev = _EVALUATORS[key] = Evaluator(spec, insertion)
+        if len(_EVALUATORS) > EVALUATORS_MAX:
+            _EVALUATORS.popitem(last=False)
+    else:
+        _EVALUATORS.move_to_end(key)
+    return ev
 
 
 def z_point(spec: ValuationSpec, p) -> Series2:

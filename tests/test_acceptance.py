@@ -27,7 +27,7 @@ SQUARE = UNIT_SQUARE
 CORPUS = [
     T, scale_polygon(T, 2), scale_polygon(T, 3), SQUARE,
     scale_polygon(SQUARE, 2),
-    hull_normalize([(0, 0), (2, 0), (0, 2), (0, 1)]),       # trapezoid
+    hull_normalize([(0, 0), (2, 0), (1, 1), (0, 1)]),       # trapezoid
     hull_normalize([(0, 0), (3, 0), (1, 2), (0, 2)]),       # trapezoid
     hull_normalize([(0, 0), (2, 1), (3, 3), (1, 3), (-1, 1)]),
     hull_normalize([(0, 0), (4, 1), (2, 3)]),

@@ -274,3 +274,29 @@ def test_selftest(capsys):
     report = json.loads(out)
     assert report["status"] == "holds"
     assert all(c["holds"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["laplace", "--polygon", None, "--order", "-1"], None,
+     "--order -1 is out of range: it must be >= 0"),
+    (["calibrate", "--order", "2"], None,
+     "--order 2 is out of range: it must be >= 4"),
+    (["calibrate"], "2", "LATVAL_ORDER 2 is out of range: it must be >= 4"),
+    (["selftest", "--order", "0"], None,
+     "--order 0 is out of range: it must be >= 1"),
+    (["vd", "basis", "--degree", "-2"], None,
+     "--degree -2 is out of range: it must be >= 0"),
+    (["vd", "dims", "--max", "-1"], None,
+     "--max -1 is out of range: it must be >= 0"),
+], ids=["laplace-order", "calibrate-order", "calibrate-env-order",
+        "selftest-order", "vd-basis-degree", "vd-dims-max"])
+def test_out_of_range_order_or_degree(tmp_path, capsys, monkeypatch,
+                                      argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("LATVAL_ORDER", env)
+    argv = [write(tmp_path, "T.json", T_POLY) if a is None else a
+            for a in argv]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

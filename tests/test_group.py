@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latval.geometry import area2, hull_normalize
-from latval.group import (AffineUnimodular, D4_GENERATORS, IDENTITY,
-                          NotPrimitive, NotUnimodular, NotUnimodularTriangle,
-                          act_on_polygon, act_on_series, complete_primitive,
-                          d4_elements, det, is_d4_invariant, mat_inverse,
-                          mat_mul, triangle_frame)
+from latval.group import (AffineUnimodular, D4_GENERATORS, GL2Z_GENERATORS,
+                          IDENTITY, NotPrimitive, NotUnimodular,
+                          NotUnimodularTriangle, act_on_polygon,
+                          act_on_series, complete_primitive, d4_elements,
+                          det, is_d4_invariant, mat_inverse, mat_mul,
+                          triangle_frame)
 from latval.series import Series2, exp_linear
 
 
@@ -72,14 +75,33 @@ def test_action_substitution_convention():
     assert h.coeff(1, 0) == 1 and h.coeff(0, 1) == 1
 
 
-def test_group_action_law_on_series():
-    rng = random.Random(2)
-    for _ in range(12):
-        a, b = random_unimodular(rng), random_unimodular(rng)
-        f = random_series(rng)
-        lhs = act_on_series(a.compose(b), f)
-        rhs = act_on_series(a, act_on_series(b, f))
-        assert lhs == rhs
+@st.composite
+def affine_unimodulars(draw):
+    """A random element of GL(2, Z) semidirect Z^2: a word in the GL(2, Z)
+    generators and their inverses, and a translation."""
+    gens = [AffineUnimodular.linear(g) for g in GL2Z_GENERATORS]
+    gens += [g.inverse() for g in gens]
+    xi = AffineUnimodular.translation((draw(st.integers(-3, 3)),
+                                       draw(st.integers(-3, 3))))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=5)):
+        xi = xi.compose(g)
+    return xi
+
+
+@st.composite
+def series2s(draw, max_order=12):
+    order = draw(st.integers(0, max_order))
+    exps = st.tuples(st.integers(0, order), st.integers(0, order)) \
+        .filter(lambda e: e[0] + e[1] <= order)
+    coeffs = st.builds(Q, st.integers(-9, 9), st.integers(1, 12))
+    return Series2(draw(st.dictionaries(exps, coeffs, max_size=20)), order)
+
+
+@settings(max_examples=60)
+@given(affine_unimodulars(), affine_unimodulars(), series2s())
+def test_group_action_law_on_series(a, b, f):
+    lhs = act_on_series(a.compose(b), f)
+    assert lhs.key() == act_on_series(a, act_on_series(b, f)).key()
 
 
 def test_action_inverse_restores():

@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, DivisionByNonUnit,
@@ -183,3 +185,54 @@ def test_linear_substitute():
     f = Series2({(1, 0): 1}, 4)     # f = x
     g = linear_substitute(f, ((1, 2), (3, 4)))   # x -> a*x + c*y = x + 3y
     assert g.coeff(1, 0) == 1 and g.coeff(0, 1) == 3
+
+
+# ---------------------------------------------------------------------------
+# property tests of the substitution and exponential-shift kernels
+
+small_ints = st.integers(-4, 4)
+rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 12))
+entries = st.one_of(small_ints, rationals)
+
+
+@st.composite
+def series2s(draw, max_order=12):
+    order = draw(st.integers(0, max_order))
+    exps = st.tuples(st.integers(0, order), st.integers(0, order)) \
+        .filter(lambda e: e[0] + e[1] <= order)
+    return Series2(draw(st.dictionaries(exps, rationals, max_size=30)), order)
+
+
+@st.composite
+def matrices(draw):
+    """Rows (a1, b1), (a2, b2); one in four is singular (second row a
+    multiple of the first)."""
+    first = (draw(entries), draw(entries))
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(entries)
+        return first, (k * first[0], k * first[1])
+    return first, (draw(entries), draw(entries))
+
+
+def evaluate(f, x0, y0):
+    return sum((v * x0 ** p * y0 ** q for (p, q), v in f.terms()), Q(0))
+
+
+@settings(max_examples=150)
+@given(series2s(), matrices(), rationals, rationals)
+def test_subst_linear_matches_point_evaluation(f, m, x0, y0):
+    # f has degree <= order and the substitution keeps degrees, so nothing
+    # is truncated and the values at every rational point agree exactly
+    (a1, b1), (a2, b2) = m
+    g = f.subst_linear((a1, b1), (a2, b2))
+    assert g.order == f.order
+    assert evaluate(g, x0, y0) == evaluate(f, a1 * x0 + b1 * y0,
+                                           a2 * x0 + b2 * y0)
+
+
+@settings(max_examples=150)
+@given(series2s(), st.one_of(st.just(0), entries),
+       st.one_of(st.just(0), entries))
+def test_mul_exp_linear_equals_product(f, alpha, beta):
+    expected = f * exp_linear(alpha, beta, f.order)
+    assert mul_exp_linear(f, alpha, beta).key() == expected.key()

@@ -11,6 +11,7 @@ from latval.geometry import (chord_of_split, hull_normalize, scale_polygon,
                              split_pairs)
 from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
 from latval.series import Series2
+from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
                               LawViolation, NoCandidatePasses, NotSimpleSpec,
                               UNIT_SQUARE, UNIT_TRIANGLE, ValuationSpec,
@@ -398,3 +399,19 @@ def test_evaluator_caching():
     assert evaluator_for(spec) is ev
     first = ev.z_polygon(SQUARE)
     assert ev.z_polygon(SQUARE) is first
+
+
+def test_evaluator_registry_is_bounded():
+    bound = valuation.EVALUATORS_MAX
+    specs = [ValuationSpec(0, None, Series2.constant(k, 2), 2)
+             for k in range(1, bound + 6)]
+    kept = evaluator_for(specs[0])
+    second = evaluator_for(specs[1])
+    for spec in specs[2:]:
+        ev = evaluator_for(spec)
+        assert evaluator_for(spec) is ev
+        assert evaluator_for(specs[0]) is kept      # used, so never dropped
+        assert len(valuation._EVALUATORS) <= bound
+    assert len(valuation._EVALUATORS) == bound
+    # specs[1] went unused longest, so it was dropped and is built anew
+    assert evaluator_for(specs[1]) is not second
