@@ -2,9 +2,11 @@
 
 Subcommands: vd, check-law, transform, construct, evaluate, laplace,
 dilative, decompose, calibrate, selftest.  Exit codes: 0 success / law
-holds, 2 law or dilativity violated, 3 malformed input, 1 internal error.
-The default working order is 12, overridable by the LATVAL_ORDER
-environment variable or a per-command --order flag.
+holds, 2 law or dilativity violated, 3 malformed input or an unwritable
+--out path, 1 internal error.  Spec and series files carry their own order.
+The commands that take no such file (laplace, calibrate, selftest) work at
+order 12, overridable by the LATVAL_ORDER environment variable or their
+--order flag.
 """
 
 from __future__ import annotations
@@ -59,8 +61,12 @@ def _order(args, minimum: int) -> int:
 def _emit(obj, args) -> None:
     text = io.dumps(obj)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise io.MalformedInput(
+                f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -335,9 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (io.MalformedInput, valuation.InvalidRho) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .series import Series2, linear_substitute, mul_exp_linear
+from .series import Series2, mul_exp_linear
 
 
 class GroupError(Exception):
@@ -114,7 +114,8 @@ IDENTITY = AffineUnimodular()
 
 def act_on_series(xi: AffineUnimodular, f: Series2) -> Series2:
     """exp(alpha*x + beta*y) * f(a*x + c*y, b*x + d*y)."""
-    g = linear_substitute(f, xi.m)
+    (a, b), (c, d) = xi.m
+    g = f.subst_linear((a, c), (b, d))
     if xi.v == (0, 0):
         return g
     return mul_exp_linear(g, xi.v[0], xi.v[1])
@@ -149,7 +150,7 @@ def is_d4_invariant(f: Series2):
     suffices for the whole group.
     """
     for g in D4_GENERATORS:
-        if not linear_substitute(f, g).eq_up_to(f):
+        if not act_on_series(AffineUnimodular.linear(g), f).eq_up_to(f):
             return False, g
     return True, None
 

@@ -3,9 +3,10 @@
 Formats:
     Series:  {"vars": ["x", "y"], "order": N,
               "terms": [{"e": [p, q], "c": "num/den"}]}
-             (univariate uses "vars": ["x"] and single-entry exponents)
+             (a series in x alone, such as g, uses "vars": ["x"] and
+             single-entry exponents)
     Polygon: {"vertices": [[x, y], ...]}
-    Spec:    {"c": "1", "g": {Series1}, "rho": {Series2}, "order": 12}
+    Spec:    {"c": "1", "g": {series in x}, "rho": {series}, "order": 12}
     Affine:  {"m": [[a, b], [c, d]], "v": [alpha, beta]}
 
 Dumps are canonical: sorted terms, stable key order, rationals rendered as
@@ -51,10 +52,11 @@ def series2_to_obj(f: Series2) -> dict:
                       for (p, q), v in f.terms()]}
 
 
-def series1_to_obj(f: Series1) -> dict:
+def series1_to_obj(f: Series2) -> dict:
+    """The univariate form of a series in x alone."""
     return {"vars": ["x"], "order": f.order,
-            "terms": [{"e": [n], "c": format_rational(v)}
-                      for n, v in f.terms()]}
+            "terms": [{"e": [p], "c": format_rational(v)}
+                      for (p, _), v in f.terms()]}
 
 
 def _load_terms(obj, nvars):
@@ -90,7 +92,7 @@ def series2_from_obj(obj) -> Series2:
     return Series2(terms, order)
 
 
-def series1_from_obj(obj) -> Series1:
+def series1_from_obj(obj) -> Series2:
     terms, order = _load_terms(obj, 1)
     return Series1({e[0]: c for e, c in terms.items()}, order)
 
@@ -122,7 +124,7 @@ def spec_from_obj(obj) -> ValuationSpec:
     if not isinstance(order, int) or order < 1:
         raise MalformedInput(f"bad order {order!r}")
     c = parse_rational(obj.get("c", "0"))
-    g = series1_from_obj(obj["g"]) if "g" in obj else Series1.zero(order)
+    g = series1_from_obj(obj["g"]) if "g" in obj else Series2.zero(order)
     rho = series2_from_obj(obj["rho"]) if "rho" in obj else Series2.zero(order)
     try:
         return ValuationSpec(c, g, rho, order)

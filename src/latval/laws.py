@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .group import GL2Z_GENERATORS, is_d4_invariant
+from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
+                    is_d4_invariant)
 from .series import (Series2, compose_univariate, divide_x_minus_y, divide_y,
-                     homogeneous_part, linear_substitute, mul_exp_linear,
-                     series1_in_x, series1_in_y, special_series)
+                     homogeneous_part, mul_exp_linear, special_series)
 
 Q = Fraction
 
@@ -55,11 +55,10 @@ def sharp(f: Series2) -> Series2:
     """f-sharp; order preserved (only unit divisions are involved)."""
     n = f.order
     bern = special_series("t_over_expm1", n)
-    bx = series1_in_x(bern, n)
     bxy = compose_univariate(bern, Series2({(1, 0): 1, (0, 1): 1}, n))
     bracket = f.subst_linear((1, 0), (1, 1)) \
         + mul_exp_linear(f.subst_linear((0, 1), (1, 1)), 1, 0)
-    return bx * bxy * bracket
+    return bern * bxy * bracket
 
 
 def dagger(rho: Series2) -> Series2:
@@ -70,7 +69,7 @@ def dagger(rho: Series2) -> Series2:
     """
     n = rho.order
     dde = special_series("divided_diff_exp", n)
-    e1x = series1_in_x(special_series("expm1_over_t", n), n)
+    e1x = special_series("expm1_over_t", n)
     bracket = dde * rho.subst_linear((-1, 1), (1, 0)) \
         - e1x * rho.subst_linear((1, 0), (-1, 1))
     return divide_y(bracket)
@@ -80,8 +79,8 @@ def diamond(rho: Series2) -> Series2:
     """The antisymmetric variant: equals dagger(rho) whenever rho satisfies
     the (B')-type laws; loses one order to the division by x - y."""
     n = rho.order
-    e1x = series1_in_x(special_series("expm1_over_t", n), n)
-    e1y = series1_in_y(special_series("expm1_over_t", n), n)
+    e1x = special_series("expm1_over_t", n)
+    e1y = e1x.subst_linear((0, 1), (1, 0))
     bracket = e1x * rho.subst_linear((1, 0), (0, -1)) \
         - e1y * rho.subst_linear((0, 1), (-1, 0))
     return divide_x_minus_y(bracket)
@@ -131,58 +130,54 @@ def violation_text(diff) -> str:
     return f"exponent [{p}, {q}]: lhs {lhs!s}, rhs {rhs!s}"
 
 
-def _e(f, first, second):
-    return f.subst_linear(first, second)
-
-
 def law_sides(law: str, f: Series2):
     """Both sides (lhs, rhs) of the named functional equation on f."""
     x, y = (1, 0), (0, 1)
     if law in ("A", "f23up"):
-        return (f + mul_exp_linear(_e(f, (-1, 1), y), 1, 0),
-                _e(f, x, (1, 1)) + _e(f, y, (1, 1)))
+        return (f + mul_exp_linear(f.subst_linear((-1, 1), y), 1, 0),
+                f.subst_linear(x, (1, 1)) + f.subst_linear(y, (1, 1)))
     if law == "B":
-        return f, _e(f, y, x)
+        return f, f.subst_linear(y, x)
     if law == "C":
-        return _e(f, (-1, 1), (-1, 0)), mul_exp_linear(f, -1, 0)
+        return f.subst_linear((-1, 1), (-1, 0)), mul_exp_linear(f, -1, 0)
     if law == "f2simple2":
-        return (f + mul_exp_linear(_e(f, (-1, 0), (0, -1)), 1, 1),
-                _e(f, x, (1, 1)) + _e(f, (1, 1), y))
+        return (f + mul_exp_linear(f.subst_linear((-1, 0), (0, -1)), 1, 1),
+                f.subst_linear(x, (1, 1)) + f.subst_linear((1, 1), y))
     if law == "Aprime":
-        return (_e(f, x, (-1, 1)).mul_linear(1, 1),
-                f.mul_linear(0, 1) + _e(f, y, x).mul_linear(1, 0))
+        return (f.subst_linear(x, (-1, 1)).mul_linear(1, 1),
+                f.mul_linear(0, 1) + f.subst_linear(y, x).mul_linear(1, 0))
     if law == "Bprime":
-        return (_e(f, x, (-1, 1)).mul_linear(1, -1),
-                _e(f, y, (-1, 0)).mul_linear(1, 0)
-                - _e(f, x, (0, -1)).mul_linear(0, 1))
+        return (f.subst_linear(x, (-1, 1)).mul_linear(1, -1),
+                f.subst_linear(y, (-1, 0)).mul_linear(1, 0)
+                - f.subst_linear(x, (0, -1)).mul_linear(0, 1))
     if law == "Cprime":
-        return (_e(f, (-1, 0), (1, -1)).mul_linear(1, -1),
-                _e(f, y, (-1, 0)).mul_linear(1, 0)
-                - _e(f, x, (0, -1)).mul_linear(0, 1))
+        return (f.subst_linear((-1, 0), (1, -1)).mul_linear(1, -1),
+                f.subst_linear(y, (-1, 0)).mul_linear(1, 0)
+                - f.subst_linear(x, (0, -1)).mul_linear(0, 1))
     if law == "D":
-        return _e(f, (-1, 0), (0, -1)), f
+        return f.subst_linear((-1, 0), (0, -1)), f
     if law == "E":
-        return _e(f, x, (-2, -1)), f
+        return f.subst_linear(x, (-2, -1)), f
     if law == "rhoformula":
         return (f.mul_linear(2, 1),
-                _e(f, x, (1, 1)).mul_linear(1, 1)
-                + _e(f, (1, 1), x).mul_linear(1, 0))
+                f.subst_linear(x, (1, 1)).mul_linear(1, 1)
+                + f.subst_linear((1, 1), x).mul_linear(1, 0))
     if law == "rho_sym1":
-        return _e(f, x, (-1, 1)), _e(f, y, (1, -1))
+        return f.subst_linear(x, (-1, 1)), f.subst_linear(y, (1, -1))
     if law == "rho_sym2":
-        return _e(f, y, (-1, 0)), _e(f, (-1, 1), x)
+        return f.subst_linear(y, (-1, 0)), f.subst_linear((-1, 1), x)
     if law == "rho_sym3":
-        return f, _e(f, (1, 1), (0, -1))
+        return f, f.subst_linear((1, 1), (0, -1))
     if law == "Adoubleprime":
-        return (_e(f, (1, 1), (-1, 1)).mul_linear(1, 1),
-                _e(f, (1, 2), (1, 0)).mul_linear(1, 0)
-                + _e(f, (2, 1), (0, 1)).mul_linear(0, 1))
+        return (f.subst_linear((1, 1), (-1, 1)).mul_linear(1, 1),
+                f.subst_linear((1, 2), (1, 0)).mul_linear(1, 0)
+                + f.subst_linear((2, 1), (0, 1)).mul_linear(0, 1))
     if law == "f1shift":
-        return _e(f, (-1, 0), (0, -1)), mul_exp_linear(f, -1, 0)
+        return f.subst_linear((-1, 0), (0, -1)), mul_exp_linear(f, -1, 0)
     if law == "f1period":
-        return f, _e(f, x, (1, 1))
+        return f, f.subst_linear(x, (1, 1))
     if law == "f1neg":
-        return f, _e(f, x, (0, -1))
+        return f, f.subst_linear(x, (0, -1))
     raise ValueError(f"unknown law {law!r}")
 
 
@@ -200,7 +195,7 @@ def check_law(law: str, f: Series2) -> LawReport:
     compare up to the common valid order."""
     if law == "f0gl2z":
         for g in GL2Z_GENERATORS:
-            sub = linear_substitute(f, g)
+            sub = act_on_series(AffineUnimodular.linear(g), f)
             diff = sub.first_difference(f)
             if diff is not None:
                 return LawReport(law, False, f.order, diff)

@@ -1,10 +1,12 @@
-"""Truncated formal power series over Q, in one and two variables.
+"""Truncated formal power series over Q in two variables, x and y.
 
 Every series carries an explicit ``order``: coefficients are exact for all
 total degrees <= order, and nothing is known beyond it.  Binary operations
 return the minimum of the operand orders; division by a monomial (or by
 x - y) loses one order.  Equality is only ever asserted up to the common
-valid order.
+valid order.  A series in one variable is a ``Series2`` in x alone
+(``Series1`` builds one); its image in y is the swap
+``subst_linear((0, 1), (1, 0))``.
 """
 
 from __future__ import annotations
@@ -51,94 +53,6 @@ def _linear_powers(a: int, b: int, n: int) -> list:
     return rows
 
 
-class Series1:
-    """Univariate truncated series: exact coefficients for degrees 0..order."""
-
-    __slots__ = ("order", "_c")
-
-    def __init__(self, coeffs=None, order: int = DEFAULT_ORDER):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        self.order = order
-        c = {}
-        if coeffs:
-            for n, v in coeffs.items():
-                v = _q(v)
-                if n <= order and v != 0:
-                    c[n] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "Series1":
-        return cls({}, order)
-
-    @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER) -> "Series1":
-        return cls({0: _q(value)}, order)
-
-    def coeff(self, n: int) -> Q:
-        return self._c.get(n, Q(0))
-
-    def terms(self):
-        return sorted(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __add__(self, other: "Series1") -> "Series1":
-        order = min(self.order, other.order)
-        c = dict(self._c)
-        for n, v in other._c.items():
-            c[n] = c.get(n, Q(0)) + v
-        return Series1(c, order)
-
-    def __sub__(self, other: "Series1") -> "Series1":
-        return self + (-other)
-
-    def __neg__(self) -> "Series1":
-        return Series1({n: -v for n, v in self._c.items()}, self.order)
-
-    def scalar_mul(self, s) -> "Series1":
-        s = _q(s)
-        return Series1({n: s * v for n, v in self._c.items()}, self.order)
-
-    def mul(self, other: "Series1") -> "Series1":
-        order = min(self.order, other.order)
-        c = {}
-        for n, a in self._c.items():
-            for m, b in other._c.items():
-                if n + m <= order:
-                    k = n + m
-                    c[k] = c.get(k, Q(0)) + a * b
-        return Series1(c, order)
-
-    def truncate(self, order: int) -> "Series1":
-        return Series1(self._c, min(self.order, order))
-
-    def eq_up_to(self, other: "Series1", order=None) -> bool:
-        n = min(self.order, other.order)
-        if order is not None:
-            n = min(n, order)
-        for k in set(self._c) | set(other._c):
-            if k <= n and self.coeff(k) != other.coeff(k):
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self.eq_up_to(other)
-
-    __hash__ = None
-
-    def key(self):
-        return (self.order, tuple(self.terms()))
-
-    def __repr__(self):
-        body = " + ".join(f"({v})*x^{n}" for n, v in self.terms()) or "0"
-        return f"Series1[{body}; order {self.order}]"
-
-
 class Series2:
     """Bivariate truncated series with exact rational coefficients.
 
@@ -172,7 +86,7 @@ class Series2:
     def monomial(cls, value, p: int, q: int, order: int = DEFAULT_ORDER) -> "Series2":
         return cls({(p, q): _q(value)}, order)
 
-    def coeff(self, p: int, q: int) -> Q:
+    def coeff(self, p: int, q: int = 0) -> Q:
         return self._c.get((p, q), Q(0))
 
     def terms(self):
@@ -314,14 +228,14 @@ class Series2:
         return f"Series2[{body}; order {self.order}]"
 
 
+def Series1(coeffs=None, order: int = DEFAULT_ORDER) -> Series2:
+    """A series in x alone, from {n: coefficient of x^n}: the form of g and
+    of the univariate special series."""
+    return Series2({(n, 0): v for n, v in (coeffs or {}).items()}, order)
+
+
 # ---------------------------------------------------------------------------
 # ring/convenience operations
-
-
-def linear_substitute(f: Series2, matrix) -> Series2:
-    """f(a*x + c*y, b*x + d*y) for matrix [[a, b], [c, d]]."""
-    (a, b), (c, d) = matrix
-    return f.subst_linear((a, c), (b, d))
 
 
 def exp_linear(alpha, beta, order: int) -> Series2:
@@ -451,8 +365,9 @@ def homogeneous_part(f: Series2, d: int) -> Series2:
     return Series2({(p, q): v for (p, q), v in f._c.items() if p + q == d}, f.order)
 
 
-def compose_univariate(g: Series1, inner: Series2) -> Series2:
-    """g(inner) for inner with zero constant term, truncated to inner's order.
+def compose_univariate(g: Series2, inner: Series2) -> Series2:
+    """g(inner) for a series g in x alone and inner with zero constant term,
+    truncated to inner's order.
 
     If g is only known to degree M and inner has lowest degree L, the result
     is additionally capped at (M + 1) * L - 1.
@@ -495,11 +410,11 @@ def bernoulli_numbers(n_max: int):
 def special_series(kind: str, order: int):
     """The named series the formulas rely on.
 
-    kinds: 'expm1_over_t'   -> sum t^n / (n+1)!            (Series1)
-           't_over_expm1'   -> sum B_n / n! t^n            (Series1)
-           'exp_t'          -> sum t^n / n!                (Series1)
+    kinds: 'expm1_over_t'   -> sum x^n / (n+1)!            (in x alone)
+           't_over_expm1'   -> sum B_n / n! x^n            (in x alone)
+           'exp_t'          -> sum x^n / n!                (in x alone)
            'divided_diff_exp' -> (e^y - e^x)/(y - x) built directly as
-                                 sum_{i,j} x^i y^j / (i+j+1)!   (Series2)
+                                 sum_{i,j} x^i y^j / (i+j+1)!
     """
     if kind == "expm1_over_t":
         return Series1({n: Q(1, factorial(n + 1)) for n in range(order + 1)}, order)
@@ -515,16 +430,3 @@ def special_series(kind: str, order: int):
                 c[(p, q)] = Q(1, factorial(p + q + 1))
         return Series2(c, order)
     raise ValueError(f"unknown special series {kind!r}")
-
-
-def series1_in_x(g: Series1, order=None) -> Series2:
-    """View a univariate series as a Series2 in the variable x."""
-    if order is None:
-        order = g.order
-    return Series2({(n, 0): v for n, v in g._c.items() if n <= order}, order)
-
-
-def series1_in_y(g: Series1, order=None) -> Series2:
-    if order is None:
-        order = g.order
-    return Series2({(0, n): v for n, v in g._c.items() if n <= order}, order)

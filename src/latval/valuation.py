@@ -29,7 +29,7 @@ from .group import AffineUnimodular, act_on_series, complete_primitive, \
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
                      divide_unit, divide_x, divide_x_minus_y, divide_y,
-                     exp_linear, series1_in_x, series1_in_y, special_series)
+                     exp_linear, mul_exp_linear, special_series)
 
 Q = Fraction
 
@@ -72,13 +72,13 @@ class DecompositionError(ValuationError):
 # parameter families for g
 
 
-def cosh_type_g(order: int = DEFAULT_ORDER) -> Series1:
+def cosh_type_g(order: int = DEFAULT_ORDER) -> Series2:
     """g with g(x^2) = cosh(x/2): coefficient of x^k is 1/(4^k (2k)!)."""
     return Series1({k: Q(1, 4 ** k * factorial(2 * k))
                     for k in range(order + 1)}, order)
 
 
-def odd_basis_g(delta: int, order: int = DEFAULT_ORDER) -> Series1:
+def odd_basis_g(delta: int, order: int = DEFAULT_ORDER) -> Series2:
     """The triangular odd-family basis series b_delta, for odd delta >= -1:
     g with g(x^2) = x^delta sinh(x/2), coefficient of x^{(delta+1)/2 + k}
     equal to 1/(2 * 4^k * (2k+1)!)."""
@@ -96,14 +96,18 @@ def odd_basis_g(delta: int, order: int = DEFAULT_ORDER) -> Series1:
 @dataclass(frozen=True)
 class ValuationSpec:
     c: Fraction = Q(0)
-    g: Series1 = None
+    g: Series2 = None   # a series in x alone
     rho: Series2 = None
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         object.__setattr__(self, "c", Q(self.c))
         if self.g is None:
-            object.__setattr__(self, "g", Series1.zero(self.order))
+            object.__setattr__(self, "g", Series2.zero(self.order))
+        for (p, q), _ in self.g.terms():
+            if q != 0:
+                raise ValueError(f"g must be a series in x alone; it has "
+                                 f"the term x^{p}*y^{q}")
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
         for law in RHO_LAWS:
@@ -134,13 +138,11 @@ class TriangleData:
 def build_triangle_data(spec: ValuationSpec) -> TriangleData:
     n = spec.order
     x_sq = Series2.monomial(1, 2, 0, n)
-    f1 = compose_univariate(spec.g, x_sq) * exp_linear(Q(1, 2), 0, n)
+    f1 = mul_exp_linear(compose_univariate(spec.g, x_sq), Q(1, 2), 0)
     f2 = dagger(spec.rho)
-    half = Q(1, 2)
-    zT = f2 \
-        + f1.scalar_mul(half) \
-        + f1.subst_linear((0, 1), (-1, 0)).scalar_mul(half) \
-        + (f1.subst_linear((-1, 1), (-1, 0)) * exp_linear(1, 0, n)).scalar_mul(half)
+    zT = f2 + (f1 + f1.subst_linear((0, 1), (-1, 0))
+               + mul_exp_linear(f1.subst_linear((-1, 1), (-1, 0)), 1, 0)
+               ).scalar_mul(Q(1, 2))
     eff = zT.order
     return TriangleData(Series2.constant(spec.c, eff), f1.truncate(eff),
                         f2.truncate(eff), zT, eff)
@@ -181,7 +183,7 @@ class Evaluator:
         n = self.order
         inner = Series2.zero(n)
         for k in range(ell):
-            inner = inner + exp_linear(k, 0, n) * self.data.f1
+            inner = inner + mul_exp_linear(self.data.f1, k, 0)
         for k in range(1, ell):
             inner = inner - exp_linear(k, 0, n).scalar_mul(self.spec.c)
         frame = AffineUnimodular(complete_primitive(w).m, (int(a[0]), int(a[1])))
@@ -263,14 +265,15 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
     if form != "closed":
         raise ValueError(f"unknown form {form!r}")
     n = order + 3
-    num = exp_linear(1, 1, n) * (exp_linear(m + 1, 0, n) - exp_linear(0, m + 1, n)) \
+    num = mul_exp_linear(exp_linear(m + 1, 0, n) - exp_linear(0, m + 1, n),
+                         1, 1) \
         - (exp_linear(m + 2, 0, n) - exp_linear(0, m + 2, n)) \
         + exp_linear(1, 0, n) - exp_linear(0, 1, n)
     # denominator (e^x - e^y)(e^x - 1)(e^y - 1) factored into units and
     # the exact factors x, y, x - y
     e1 = special_series("expm1_over_t", n)
-    num = divide_unit(num, series1_in_x(e1, n))
-    num = divide_unit(num, series1_in_y(e1, n))
+    num = divide_unit(num, e1)
+    num = divide_unit(num, e1.subst_linear((0, 1), (1, 0)))
     num = divide_unit(num, special_series("divided_diff_exp", n))
     return divide_x_minus_y(divide_y(divide_x(num)))
 
@@ -287,8 +290,8 @@ def z_mT_closed(spec: ValuationSpec, m: int) -> Series2:
     f = data.zT
     out = g_m(m - 1, n) * f
     if m >= 2:
-        out = out + exp_linear(1, 1, n) * g_m(m - 2, n) \
-            * f.subst_linear((-1, 0), (0, -1))
+        out = out + mul_exp_linear(
+            g_m(m - 2, n) * f.subst_linear((-1, 0), (0, -1)), 1, 1)
     return out
 
 
@@ -449,13 +452,13 @@ def surface_formula_check(spec: ValuationSpec, P: LatticePolygon) -> SurfaceRepo
     return SurfaceReport(diff is None, diff)
 
 
-def extract_g(f1: Series2) -> Series1:
+def extract_g(f1: Series2) -> Series2:
     """Recover g from a unit-segment series f1 = g(x^2) * exp(x/2)."""
     for law in ("f1shift", "f1period", "f1neg"):
         report = check_law(law, f1)
         if not report.holds:
             raise LawViolation(report)
-    h = f1 * exp_linear(Q(-1, 2), 0, f1.order)
+    h = mul_exp_linear(f1, Q(-1, 2), 0)
     coeffs = {}
     for (p, q), v in h.terms():
         if q != 0 or p % 2 == 1:

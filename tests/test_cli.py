@@ -300,3 +300,28 @@ def test_out_of_range_order_or_degree(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "dilative"])
+def test_unwritable_out_is_malformed(tmp_path, capsys, command):
+    spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
+    tpath = write(tmp_path, "T.json", T_POLY)
+    argv = {"evaluate": ["evaluate", "--spec", spath, "--polygon", tpath],
+            "dilative": ["dilative", "--spec", spath, "--delta", "-2",
+                         "--m", "2", "--polygons", tpath]}[command]
+    target = str(tmp_path / "missing" / "x.json")
+    assert cli.main(argv + ["--out", target]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {target}: "
+                            f"No such file or directory\n")
+
+
+def test_out_does_not_stick_between_calls(tmp_path, capsys):
+    tpath = write(tmp_path, "T.json", T_POLY)
+    out = tmp_path / "out.json"
+    assert cli.main(["laplace", "--polygon", tpath, "--order", "2",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    code, text = run(capsys, "laplace", "--polygon", tpath, "--order", "2")
+    assert code == 0 and text == out.read_text(encoding="utf-8")

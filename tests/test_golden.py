@@ -65,6 +65,17 @@ def _cases():
         cases.append((f"laplace_{poly}",
                       ["laplace", "--polygon", _input(poly),
                        "--order", "8"], 0))
+    cases.append(("decompose_general_kappa_-1",
+                  ["decompose", "--spec", _input("spec_general"),
+                   "--kappa", "-1"], 0))
+    cases.append(("decompose_odd_g",
+                  ["decompose", "--spec", _input("spec_odd_g")], 0))
+    cases.append(("dilative_two_t_delta_0",
+                  ["dilative", "--spec", _input("spec_general"),
+                   "--delta", "0", "--m", "2",
+                   "--polygons", _input("two_t")], 2))
+    cases.append(("calibrate_6", ["calibrate", "--order", "6"], 2))
+    cases.append(("selftest_6", ["selftest", "--order", "6"], 0))
     return cases
 
 

@@ -12,9 +12,7 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            NotDivisible, Series1, Series2, bernoulli_numbers,
                            compose_univariate, divide_unit, divide_x,
                            divide_x_minus_y, divide_y, exp_linear,
-                           homogeneous_part, linear_substitute,
-                           mul_exp_linear, series1_in_x, series1_in_y,
-                           special_series)
+                           homogeneous_part, mul_exp_linear, special_series)
 
 
 def test_default_order():
@@ -148,7 +146,7 @@ def test_special_series_inverse_pair():
     n = 10
     e1 = special_series("expm1_over_t", n)
     bern = special_series("t_over_expm1", n)
-    prod = e1.mul(bern)
+    prod = e1 * bern
     assert prod.coeff(0) == 1
     assert all(prod.coeff(k) == 0 for k in range(1, n + 1))
 
@@ -176,14 +174,17 @@ def test_compose_univariate_order_cap():
 
 
 def test_series1_embeddings():
+    # a univariate series is a Series2 in x alone; its image in y is the swap
     g = Series1({0: 1, 2: 5}, 6)
-    assert series1_in_x(g).coeff(2, 0) == 5
-    assert series1_in_y(g).coeff(0, 2) == 5
+    assert g == Series2({(0, 0): 1, (2, 0): 5}, 6) and g.order == 6
+    assert g.coeff(2) == g.coeff(2, 0) == 5
+    assert g.subst_linear((0, 1), (1, 0)).terms() == [((0, 0), 1),
+                                                     ((0, 2), 5)]
 
 
 def test_linear_substitute():
     f = Series2({(1, 0): 1}, 4)     # f = x
-    g = linear_substitute(f, ((1, 2), (3, 4)))   # x -> a*x + c*y = x + 3y
+    g = f.subst_linear((1, 3), (2, 4))   # x -> x + 3y
     assert g.coeff(1, 0) == 1 and g.coeff(0, 1) == 3
 
 

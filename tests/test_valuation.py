@@ -5,10 +5,12 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latval import vspace
-from latval.geometry import (chord_of_split, hull_normalize, scale_polygon,
-                             split_pairs)
+from latval.geometry import (NoValidChord, chord_of_split, hull_normalize,
+                             scale_polygon, split_pairs)
 from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
 from latval.series import Series2
 from latval import valuation
@@ -20,6 +22,7 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, extract_g, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
                               z_point, z_polygon, z_segment)
+from test_group import affine_unimodulars
 
 T = UNIT_TRIANGLE
 SQUARE = UNIT_SQUARE
@@ -54,6 +57,11 @@ def test_invalid_rho_rejected():
     with pytest.raises(InvalidRho) as err:
         ValuationSpec(0, None, Series2.monomial(1, 2, 0, 12), 12)
     assert err.value.report.law in ("Aprime", "E")
+
+
+def test_g_with_a_y_term_rejected():
+    with pytest.raises(ValueError, match=r"x\^1\*y\^1"):
+        ValuationSpec(0, Series2.monomial(1, 1, 1, 8), None, 8)
 
 
 def test_spec_defaults_and_simplicity():
@@ -182,6 +190,58 @@ def test_equivariance():
                 lhs = ev.z_polygon(act_on_polygon(xi, P))
                 rhs = act_on_series(xi, ev.z_polygon(P))
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# properties on random convex lattice polygons, at order 6
+
+PROPERTY_SPECS = {
+    "laplace": laplace_spec(6),
+    "general": ValuationSpec(1, cosh_type_g(6) + odd_basis_g(1, 6),
+                             Series2.constant(-1, 6)
+                             + vd_spec(4, order=6).rho, 6),
+}
+
+
+@st.composite
+def lattice_polygons(draw):
+    """The convex hull of 3 to 6 points of [0, 3]^2, full-dimensional."""
+    point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    P = hull_normalize(draw(st.lists(point, min_size=3, max_size=6)))
+    assume(P.dim == 2)
+    return P
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPECS)
+@settings(max_examples=25)
+@given(P=lattice_polygons(), data=st.data())
+def test_valuation_axiom_on_random_polygons(name, P, data):
+    try:
+        pairs = split_pairs(P)
+    except NoValidChord:        # only three boundary points: no chord
+        return
+    P1, P2 = data.draw(st.sampled_from(pairs))
+    ev = evaluator_for(PROPERTY_SPECS[name])
+    chord = chord_of_split(P1, P2)
+    parts = ev.z_polygon(P1) + ev.z_polygon(P2) - ev.z_segment(*chord.vertices)
+    assert ev.z_polygon(P) == parts
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPECS)
+@settings(max_examples=25)
+@given(P=lattice_polygons(), xi=affine_unimodulars())
+def test_equivariance_on_random_polygons(name, P, xi):
+    ev = evaluator_for(PROPERTY_SPECS[name])
+    lhs = ev.z_polygon(act_on_polygon(xi, P))
+    assert lhs == act_on_series(xi, ev.z_polygon(P))
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPECS)
+@settings(max_examples=25)
+@given(P=lattice_polygons())
+def test_insertion_orders_agree_on_random_polygons(name, P):
+    spec = PROPERTY_SPECS[name]
+    assert z_polygon(spec, P, "lex") == z_polygon(spec, P, "alt")
 
 
 def test_simple_specs_vanish_on_lower_faces():
