@@ -179,9 +179,10 @@ def cmd_dilative(args) -> int:
               "holds": c.holds,
               "first_violation": laws.violation_obj(c.first_violation)}
              for c in report.cases]
+    first = next((c["first_violation"] for c in cases if not c["holds"]), None)
     _emit(_report(f"dilative delta={args.delta}",
                   "holds" if report.holds else "violated",
-                  spec.effective_order, cases=cases), args)
+                  spec.effective_order, first, cases=cases), args)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
 
@@ -204,8 +205,9 @@ def cmd_calibrate(args) -> int:
     try:
         kappa = valuation.calibrate_val0(order)
     except (NoCandidatePasses, BothPass) as exc:
+        first = getattr(exc, "first_violation", None)   # None on BothPass
         _emit(_report("calibrate", "violated", order - 1,
-                      finding=str(exc)), args)
+                      laws.violation_obj(first), finding=str(exc)), args)
         return EXIT_VIOLATED
     _emit({"kappa": io.format_rational(kappa), "order": order}, args)
     return EXIT_OK
@@ -233,7 +235,8 @@ def cmd_selftest(args) -> int:
     case3 = ValuationSpec(1, cosh_type_g(order),
                           Series2.constant(-1, order), order)
     from .geometry import chord_of_split, split_pairs
-    for spec in (lap_spec, case3):
+    specs = {"Laplace spec": lap_spec, "case-3 spec": case3}
+    for label, spec in specs.items():
         ev = valuation.evaluator_for(spec)
         ok = True
         for P1, P2 in split_pairs(scale_polygon(T, 2), 3):
@@ -242,13 +245,13 @@ def cmd_selftest(args) -> int:
             parts = ev.z_polygon(P1) + ev.z_polygon(P2) \
                 - ev.z_segment(*seg.vertices)
             ok = ok and whole.eq_up_to(parts)
-        record("valuation axiom on 2T splits", ok)
+        record(f"valuation axiom on 2T splits, {label}", ok)
 
     xi = io.affine_from_obj({"m": [[2, 1], [1, 1]], "v": [1, -1]})
-    for spec in (lap_spec, case3):
+    for label, spec in specs.items():
         lhs = valuation.z_polygon(spec, act_on_polygon(xi, square))
         rhs = act_on_series(xi, valuation.z_polygon(spec, square))
-        record("equivariance on the unit square", lhs.eq_up_to(rhs))
+        record(f"equivariance on the unit square, {label}", lhs.eq_up_to(rhs))
 
     rho = Series2({(0, 0): 1, (2, 0): 2, (1, 1): 2, (0, 2): 1}, order)
     record("dagger then sharp round-trip",

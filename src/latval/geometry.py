@@ -143,11 +143,7 @@ def lattice_points(P: LatticePolygon) -> list[Point]:
     if P.dim == 0:
         return [v[0]]
     if P.dim == 1:
-        a, b = v
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        g = gcd(abs(dx), abs(dy))
-        sx, sy = dx // g, dy // g
-        return sorted((a[0] + k * sx, a[1] + k * sy) for k in range(g + 1))
+        return sorted(segment_lattice_points(*v))
     xs = [p[0] for p in v]
     ys = [p[1] for p in v]
     out = []

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
                     is_d4_invariant)
-from .series import (Series2, compose_univariate, divide_x_minus_y, divide_y,
+from .series import (Series2, compose_univariate, divide_linear,
                      homogeneous_part, mul_exp_linear, special_series)
 
 Q = Fraction
@@ -72,7 +72,7 @@ def dagger(rho: Series2) -> Series2:
     e1x = special_series("expm1_over_t", n)
     bracket = dde * rho.subst_linear((-1, 1), (1, 0)) \
         - e1x * rho.subst_linear((1, 0), (-1, 1))
-    return divide_y(bracket)
+    return divide_linear(bracket, 0, 1)
 
 
 def diamond(rho: Series2) -> Series2:
@@ -83,7 +83,7 @@ def diamond(rho: Series2) -> Series2:
     e1y = e1x.subst_linear((0, 1), (1, 0))
     bracket = e1x * rho.subst_linear((1, 0), (0, -1)) \
         - e1y * rho.subst_linear((0, 1), (-1, 0))
-    return divide_x_minus_y(bracket)
+    return divide_linear(bracket, 1, -1)
 
 
 def to_st(rho: Series2) -> Series2:
@@ -280,19 +280,6 @@ def d4_decompose(h: Series2) -> Series2:
     if not ok:
         raise NotInvariant(f"not invariant under generator {witness}")
     n = h.order
-    gen_a, gen_b = invariant_generators(n)
-    powers = {}
-
-    def basis_poly(i, j):
-        if (i, j) not in powers:
-            p = Series2.constant(1, n)
-            for _ in range(i):
-                p = p * gen_a
-            for _ in range(j):
-                p = p * gen_b
-            powers[(i, j)] = p
-        return powers[(i, j)]
-
     out = {}
     for deg in range(n + 1):
         part = homogeneous_part(h, deg)
@@ -301,26 +288,14 @@ def d4_decompose(h: Series2) -> Series2:
                 raise NotInvariant("odd-degree terms present")
             continue
         monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
-        if not monos and part.is_zero():
-            continue
-        row_exps = _degree_exponents(deg)
-        cols = []
-        for (i, j) in monos:
-            bp = basis_poly(i, j)
-            cols.append([bp.coeff(p, q) for (p, q) in row_exps])
-        matrix = [list(r) for r in zip(*cols)] if cols else []
-        rhs = [part.coeff(p, q) for (p, q) in row_exps]
-        sol = linalg.solve(matrix, rhs) if cols else (None if any(rhs) else [])
+        polys = [d4_compose(Series2.monomial(1, i, j, n), n) for i, j in monos]
+        matrix = [[g.coeff(p, deg - p) for g in polys] for p in range(deg + 1)]
+        rhs = [part.coeff(p, deg - p) for p in range(deg + 1)]
+        sol = linalg.solve(matrix, rhs)
         if sol is None:
             raise NoRepresentation(f"degree {deg} part not in the invariant ring")
-        for (i, j), c in zip(monos, sol):
-            if c != 0:
-                out[(i, j)] = c
+        out.update(zip(monos, sol))
     return Series2(out, n)
-
-
-def _degree_exponents(deg):
-    return [(p, deg - p) for p in range(deg + 1)]
 
 
 def d4_compose(g: Series2, order: int) -> Series2:

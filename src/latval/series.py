@@ -2,8 +2,8 @@
 
 Every series carries an explicit ``order``: coefficients are exact for all
 total degrees <= order, and nothing is known beyond it.  Binary operations
-return the minimum of the operand orders; division by a monomial (or by
-x - y) loses one order.  Equality is only ever asserted up to the common
+return the minimum of the operand orders; division by any linear form
+a*x + b*y loses one order.  Equality is only ever asserted up to the common
 valid order.  A series in one variable is a ``Series2`` in x alone
 (``Series1`` builds one); its image in y is the swap
 ``subst_linear((0, 1), (1, 0))``.
@@ -51,6 +51,20 @@ def _linear_powers(a: int, b: int, n: int) -> list:
         prev = rows[-1]
         rows.append([b * u + a * w for u, w in zip(prev + [0], [0] + prev)])
     return rows
+
+
+def _integer_degrees(f) -> dict:
+    """f's coefficients grouped by total degree d, each degree over one
+    common denominator: {d: (den, {p: s})} with f[p, d - p] = s / den."""
+    by_degree = {}
+    for (p, q), v in f._c.items():
+        by_degree.setdefault(p + q, {})[p] = v
+    out = {}
+    for d, coeffs in by_degree.items():
+        den = lcm(*(v.denominator for v in coeffs.values()))
+        out[d] = (den, {p: v.numerator * (den // v.denominator)
+                        for p, v in coeffs.items()})
+    return out
 
 
 class Series2:
@@ -174,15 +188,11 @@ class Series2:
                     a2.denominator, b2.denominator)
         rows1 = _linear_powers(int(a1 * scale), int(b1 * scale), self.order)
         rows2 = _linear_powers(int(a2 * scale), int(b2 * scale), self.order)
-        by_degree = {}
-        for (p, q), v in self._c.items():
-            by_degree.setdefault(p + q, []).append((p, q, v))
         out = {}
-        for d, items in by_degree.items():
-            den = lcm(*(v.denominator for _, _, v in items))
+        for d, (den, nums) in _integer_degrees(self).items():
             acc = [0] * (d + 1)
-            for p, q, v in items:
-                s = v.numerator * (den // v.denominator)
+            for p, s in nums.items():
+                q = d - p
                 row2 = rows2[q]
                 # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
                 for i, ci in enumerate(rows1[p]):
@@ -316,46 +326,41 @@ def divide_unit(f: Series2, g: Series2) -> Series2:
     return Series2(h, order)
 
 
-def divide_x(f: Series2) -> Series2:
-    """Exact quotient f / x; every nonzero term must contain x."""
-    c = {}
-    for (p, q), v in f._c.items():
-        if p == 0:
-            raise NotDivisible(f"term x^{p}*y^{q} lacks the factor x")
-        c[(p - 1, q)] = v
-    return Series2(c, f.order - 1)
+def divide_linear(f: Series2, a, b) -> Series2:
+    """Exact quotient f / (a*x + b*y) for rationals a, b not both zero;
+    loses one order.
 
-
-def divide_y(f: Series2) -> Series2:
-    """Exact quotient f / y; every nonzero term must contain y."""
-    c = {}
-    for (p, q), v in f._c.items():
-        if q == 0:
-            raise NotDivisible(f"term x^{p}*y^{q} lacks the factor y")
-        c[(p, q - 1)] = v
-    return Series2(c, f.order - 1)
-
-
-def divide_x_minus_y(f: Series2) -> Series2:
-    """Exact quotient f / (x - y), solved degree by degree.
-
-    Raises NotDivisible when f is not a multiple of x - y (detected by a
-    failed consistency coefficient on each antidiagonal).
+    Solved per total degree n in integers: with L the lcm of the
+    denominators of a and b, A = L*a, B = L*b, and the degree-n coefficients
+    F[p] of x^p y^(n-p) over one common denominator den, the quotient's
+    coefficient of x^p y^(n-1-p) is L*N[p] / (den*B^(p+1)), where
+    N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple exactly when
+    F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero constant term);
+    otherwise NotDivisible is raised.  When B = 0, f is read with x and y
+    swapped.
     """
-    if f.coeff(0, 0) != 0:
-        raise NotDivisible("nonzero constant term")
+    a, b = _q(a), _q(b)
+    if a == 0 and b == 0:
+        raise ValueError("the linear form is zero")
+    scale = lcm(a.denominator, b.denominator)
+    A, B = int(a * scale), int(b * scale)
+    swap = B == 0
+    if swap:
+        A, B = B, A
+    powers = [B ** k for k in range(f.order + 2)]
     out = {}
-    for n in range(1, f.order + 1):
-        # h = (x - y) q  =>  h[p, n-p] = q[p-1, n-p] - q[p, n-p-1]
-        prev = f.coeff(n, 0)          # q[n-1, 0]
-        if prev != 0:
-            out[(n - 1, 0)] = prev
-        for j in range(1, n):
-            prev = f.coeff(n - j, j) + prev   # q[n-1-j, j]
-            if prev != 0:
-                out[(n - 1 - j, j)] = prev
-        if f.coeff(0, n) != -prev:
-            raise NotDivisible("antidiagonal consistency failed at degree %d" % n)
+    for n, (den, nums) in _integer_degrees(f).items():
+        if swap:
+            nums = {n - p: s for p, s in nums.items()}
+        prev = 0
+        for p in range(n):
+            prev = nums.get(p, 0) * powers[p] - A * prev
+            if prev:
+                e = (n - 1 - p, p) if swap else (p, n - 1 - p)
+                out[e] = Q(scale * prev, den * powers[p + 1])
+        if nums.get(n, 0) * powers[n] != A * prev:
+            raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
+                               f"degree {n} fails the consistency check")
     return Series2(out, f.order - 1)
 
 

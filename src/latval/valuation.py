@@ -28,8 +28,8 @@ from .group import AffineUnimodular, act_on_series, complete_primitive, \
     triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_unit, divide_x, divide_x_minus_y, divide_y,
-                     exp_linear, mul_exp_linear, special_series)
+                     divide_linear, divide_unit, exp_linear, mul_exp_linear,
+                     special_series)
 
 Q = Fraction
 
@@ -57,7 +57,9 @@ class LawViolation(ValuationError):
 
 
 class NoCandidatePasses(ValuationError):
-    pass
+    def __init__(self, finding, first_violation):
+        super().__init__(finding)
+        self.first_violation = first_violation   # that of kappa = 0
 
 
 class BothPass(ValuationError):
@@ -275,7 +277,8 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
     num = divide_unit(num, e1)
     num = divide_unit(num, e1.subst_linear((0, 1), (1, 0)))
     num = divide_unit(num, special_series("divided_diff_exp", n))
-    return divide_x_minus_y(divide_y(divide_x(num)))
+    return divide_linear(divide_linear(divide_linear(num, 1, 0), 0, 1),
+                         1, -1)
 
 
 def z_mT_closed(spec: ValuationSpec, m: int) -> Series2:
@@ -342,7 +345,7 @@ def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
     if order < 4:
         raise ValueError("order must be >= 4")
     passing = []
-    findings = []
+    violations = {}
     for kappa in (Q(0), Q(-1)):
         spec = ValuationSpec(1, cosh_type_g(order),
                              Series2.constant(kappa, order), order)
@@ -351,12 +354,12 @@ def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
         if rep_t.holds and rep_s.holds:
             passing.append(kappa)
         else:
-            first = next(c.first_violation for c in rep_t.cases + rep_s.cases
-                         if not c.holds)
-            findings.append(f"kappa = {kappa!s} violates dilativity at "
-                            f"{violation_text(first)}")
+            violations[kappa] = next(c.first_violation for c in
+                                     rep_t.cases + rep_s.cases if not c.holds)
     if not passing:
-        raise NoCandidatePasses("; ".join(findings))
+        raise NoCandidatePasses("; ".join(
+            f"kappa = {k!s} violates dilativity at {violation_text(v)}"
+            for k, v in violations.items()), violations[Q(0)])
     if len(passing) > 1:
         raise BothPass("both kappa candidates are 0-dilative")
     return passing[0]

@@ -203,6 +203,21 @@ def test_dilative_holds_and_violated(tmp_path, capsys):
     assert code == 2 and json.loads(out)["status"] == "violated"
 
 
+def test_dilative_reports_first_violation(tmp_path, capsys):
+    spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
+    tpath = write(tmp_path, "T.json", T_POLY)
+    code, out = run(capsys, "dilative", "--spec", spath, "--delta", "-2",
+                    "--m", "2", "--polygons", tpath)
+    assert code == 0 and json.loads(out)["first_violation"] is None
+    code, out = run(capsys, "dilative", "--spec", spath, "--delta", "0",
+                    "--m", "3,2", "--polygons", tpath)
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "violated"
+    failing = [c for c in report["cases"] if not c["holds"]]
+    assert report["first_violation"] == failing[0]["first_violation"]
+    assert report["first_violation"] is not None
+
+
 def test_dilative_bad_m(tmp_path, capsys):
     spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
     tpath = write(tmp_path, "T.json", T_POLY)
@@ -257,6 +272,17 @@ def test_calibrate_reports_finding(capsys):
     assert "kappa" in report["finding"]
 
 
+def test_calibrate_reports_first_violation(capsys):
+    code, out = run(capsys, "calibrate", "--order", "8")
+    report = json.loads(out)
+    # the violation that opens the finding: kappa = 0 at the constant term
+    assert code == 2
+    assert report["first_violation"] == {"exponent": [0, 0], "lhs": "3",
+                                         "rhs": "3/2"}
+    assert report["finding"].startswith("kappa = 0 violates dilativity at "
+                                        "exponent [0, 0]: lhs 3, rhs 3/2")
+
+
 def test_env_order(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LATVAL_ORDER", "6")
     tpath = write(tmp_path, "T.json", T_POLY)
@@ -274,6 +300,14 @@ def test_selftest(capsys):
     report = json.loads(out)
     assert report["status"] == "holds"
     assert all(c["holds"] for c in report["checks"])
+
+
+def test_selftest_check_names_are_unique(capsys):
+    code, out = run(capsys, "selftest", "--order", "6")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0 and len(names) == len(set(names))
+    assert "valuation axiom on 2T splits, Laplace spec" in names
+    assert "equivariance on the unit square, case-3 spec" in names
 
 
 @pytest.mark.parametrize("argv, env, message", [

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, DivisionByNonUnit,
                            NotDivisible, Series1, Series2, bernoulli_numbers,
-                           compose_univariate, divide_unit, divide_x,
-                           divide_x_minus_y, divide_y, exp_linear,
+                           compose_univariate, divide_linear, divide_unit,
+                           exp_linear,
                            homogeneous_part, mul_exp_linear, special_series)
 
 
@@ -107,26 +107,26 @@ def test_divide_unit():
 
 def test_divide_x_y():
     f = Series2({(2, 1): 6}, 5)
-    assert divide_x(f).coeff(1, 1) == 6
-    assert divide_x(f).order == 4
-    assert divide_y(f).coeff(2, 0) == 6
+    assert divide_linear(f, 1, 0).coeff(1, 1) == 6
+    assert divide_linear(f, 1, 0).order == 4
+    assert divide_linear(f, 0, 1).coeff(2, 0) == 6
     with pytest.raises(NotDivisible):
-        divide_x(Series2({(0, 1): 1}, 5))
+        divide_linear(Series2({(0, 1): 1}, 5), 1, 0)
     with pytest.raises(NotDivisible):
-        divide_y(Series2({(1, 0): 1}, 5))
+        divide_linear(Series2({(1, 0): 1}, 5), 0, 1)
 
 
 def test_divide_x_minus_y():
     x = Series2.monomial(1, 1, 0, 6)
     y = Series2.monomial(1, 0, 1, 6)
     f = (x - y) * (x * y + y * y + Series2.constant(7, 6))
-    q = divide_x_minus_y(f)
+    q = divide_linear(f, 1, -1)
     assert q.order == 5
     assert q.coeff(1, 1) == 1 and q.coeff(0, 2) == 1 and q.coeff(0, 0) == 7
     with pytest.raises(NotDivisible):
-        divide_x_minus_y(x * y)
+        divide_linear(x * y, 1, -1)
     with pytest.raises(NotDivisible):
-        divide_x_minus_y(Series2.constant(1, 6))
+        divide_linear(Series2.constant(1, 6), 1, -1)
 
 
 def test_homogeneous_part():
@@ -189,7 +189,7 @@ def test_linear_substitute():
 
 
 # ---------------------------------------------------------------------------
-# property tests of the substitution and exponential-shift kernels
+# property tests of the substitution, exponential-shift and division kernels
 
 small_ints = st.integers(-4, 4)
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 12))
@@ -237,3 +237,20 @@ def test_subst_linear_matches_point_evaluation(f, m, x0, y0):
 def test_mul_exp_linear_equals_product(f, alpha, beta):
     expected = f * exp_linear(alpha, beta, f.order)
     assert mul_exp_linear(f, alpha, beta).key() == expected.key()
+
+
+@settings(max_examples=150)
+@given(series2s(), st.one_of(st.just(0), entries),
+       st.one_of(st.just(0), entries), st.integers(0, 13),
+       st.integers(0, 13), rationals.filter(lambda c: c != 0))
+def test_divide_linear_inverts_mul_linear(g, a, b, p, q, c):
+    if a == 0 and b == 0:
+        b = 1
+    f = g.mul_linear(a, b)
+    h = divide_linear(f, a, b)
+    assert h.order == g.order and h.key() == g.key()
+    # x^p y^q is a multiple of a*x + b*y only if the form is x or y and
+    # the monomial contains it; x^0 y^0 never is
+    if p + q <= f.order and not ((b == 0 and p > 0) or (a == 0 and q > 0)):
+        with pytest.raises(NotDivisible):
+            divide_linear(f + Series2.monomial(c, p, q, f.order), a, b)
