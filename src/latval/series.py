@@ -67,6 +67,130 @@ def _integer_degrees(f) -> dict:
     return out
 
 
+def _power_terms(a: int, b: int, n: int) -> list:
+    """The nonzero entries (i, c) of each row of _linear_powers(a, b, n)."""
+    return [[(i, c) for i, c in enumerate(row) if c]
+            for row in _linear_powers(a, b, n)]
+
+
+def _subst_degree(nums, d, terms1, terms2) -> list:
+    """The substitution of one total degree d, in integers: acc[i] is the
+    coefficient of x^i y^(d-i) in sum_p nums[p] * P1^p * P2^(d-p), where
+    terms1 and terms2 are the _power_terms of the linear forms P1, P2."""
+    acc = [0] * (d + 1)
+    for p, s in nums.items():
+        row2 = terms2[d - p]
+        # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
+        for i, ci in terms1[p]:
+            ci *= s
+            for j, cj in row2:
+                acc[i + j] += ci * cj
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# divided-power tables
+#
+# A table t over the denominator D stands for the series with coefficients
+# f[p, q] = t[p][q] / (D * p! * q!), for p + q <= n with n = len(t) - 1.
+# Substitution of an integer matrix and multiplication by exp(a*x + b*y)
+# with integer a, b map integer tables to integer tables, so a sum of such
+# images (a polygon's faces) is built in integers and made into Fractions
+# once, by _dp_series.
+
+
+def _zero_table(n: int) -> list:
+    return [[0] * (n + 1 - p) for p in range(n + 1)]
+
+
+def _dp_denominator(f: "Series2") -> int:
+    """The least D for which f's divided-power table is integral: the lcm
+    of the denominators of p! * q! * f[p, q]."""
+    fact = [factorial(k) for k in range(f.order + 1)]
+    return lcm(*((v * fact[p] * fact[q]).denominator
+                 for (p, q), v in f._c.items()))
+
+
+def _dp_table(f: "Series2", den: int) -> list:
+    """f's divided-power table over den (den * p! * q! * f[p, q])."""
+    fact = [factorial(k) for k in range(f.order + 1)]
+    t = _zero_table(f.order)
+    for (p, q), v in f._c.items():
+        t[p][q] = v.numerator * den * fact[p] * fact[q] // v.denominator
+    return t
+
+
+def _dp_series(t, den: int) -> "Series2":
+    """The series of the divided-power table t over den."""
+    n = len(t) - 1
+    fact = [factorial(k) for k in range(n + 1)]
+    return Series2({(p, q): Q(s, den * fact[p] * fact[q])
+                    for p, row in enumerate(t) for q, s in enumerate(row)
+                    if s}, n)
+
+
+def _dp_subst_into(out, t, first, second) -> None:
+    """Add to the table out the table of t(a1*x + b1*y, a2*x + b2*y), for
+    integer first = (a1, b1) and second = (a2, b2).
+
+    Degree d is weighted by C(d, p) into the plain coefficients times d!,
+    substituted by _subst_degree, and divided by C(d, r) back into divided
+    powers; the division is exact, since P1^p/p! * P2^q/q! has the
+    integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!."""
+    n = len(t) - 1
+    terms1 = _power_terms(first[0], first[1], n)
+    terms2 = _power_terms(second[0], second[1], n)
+    for d in range(n + 1):
+        nums = {p: t[p][d - p] * comb(d, p) for p in range(d + 1)
+                if t[p][d - p]}
+        if nums:
+            for r, s in enumerate(_subst_degree(nums, d, terms1, terms2)):
+                if s:
+                    out[r][d - r] += s // comb(d, r)
+
+
+def _dp_twist_into(out, t, alpha, beta) -> None:
+    """Add to the table out the table of exp(alpha*x + beta*y) * t, for
+    integers or Fractions alpha = an/ad, beta = bn/bd; the added entry
+    [p][q] carries the extra factor ad^p * bd^q.
+
+    Two binomial convolutions, first in x, then in y:
+
+        H[p][q] = sum_i C(p, i) an^i ad^(p-i) t[p-i][q]
+        G[p][q] = sum_j C(q, j) bn^j bd^(q-j) H[p][q-j]
+
+    A zero alpha or beta skips its convolution."""
+    n = len(t) - 1
+    h = t
+    if alpha:
+        # rows_x[k][k - m] = C(k, m) an^(k-m) ad^m
+        rows_x = _linear_powers(alpha.numerator, alpha.denominator, n)
+        h = _zero_table(n)
+        for m, row in enumerate(t):
+            for q, s in enumerate(row):
+                if s:
+                    for k in range(m, n + 1 - q):
+                        c = rows_x[k][k - m]
+                        if c:
+                            h[k][q] += c * s
+    if not beta:
+        for p, row in enumerate(h):
+            op = out[p]
+            for q, s in enumerate(row):
+                op[q] += s
+        return
+    rows_y = _linear_powers(beta.numerator, beta.denominator, n)
+    for p, hp in enumerate(h):
+        op = out[p]
+        for q in range(n + 1 - p):
+            row = rows_y[q]
+            s = 0
+            for m in range(q + 1):
+                if hp[m]:
+                    s += row[q - m] * hp[m]
+            op[q] += s
+
+
 class Series2:
     """Bivariate truncated series with exact rational coefficients.
 
@@ -186,23 +310,12 @@ class Series2:
         a2, b2 = _q(second[0]), _q(second[1])
         scale = lcm(a1.denominator, b1.denominator,
                     a2.denominator, b2.denominator)
-        rows1 = _linear_powers(int(a1 * scale), int(b1 * scale), self.order)
-        rows2 = _linear_powers(int(a2 * scale), int(b2 * scale), self.order)
+        terms1 = _power_terms(int(a1 * scale), int(b1 * scale), self.order)
+        terms2 = _power_terms(int(a2 * scale), int(b2 * scale), self.order)
         out = {}
         for d, (den, nums) in _integer_degrees(self).items():
-            acc = [0] * (d + 1)
-            for p, s in nums.items():
-                q = d - p
-                row2 = rows2[q]
-                # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
-                for i, ci in enumerate(rows1[p]):
-                    if ci:
-                        ci *= s
-                        for j, cj in enumerate(row2):
-                            if cj:
-                                acc[i + j] += ci * cj
             den *= scale ** d
-            for i, num in enumerate(acc):
+            for i, num in enumerate(_subst_degree(nums, d, terms1, terms2)):
                 if num:
                     out[(i, d - i)] = Q(num, den)
         return Series2(out, self.order)
@@ -266,45 +379,23 @@ def exp_linear(alpha, beta, order: int) -> Series2:
 def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     """f multiplied by the truncation of exp(alpha*x + beta*y).
 
-    Exact integer method: write alpha = an/ad and beta = bn/bd, and scale
-    f[p, q] to the integer F[p, q] = den * p! * q! * f[p, q] over the common
-    denominator den.  In that scaling the product with the exponential is
-    two binomial convolutions, first in x, then in y:
-
-        H[p, q] = sum_i C(p, i) an^i ad^(p-i) F[p-i, q]
-        G[p, q] = sum_j C(q, j) bn^j bd^(q-j) H[p, q-j]
-
-    and the result is G[p, q] / (den * p! * q! * ad^p * bd^q).  Every step
-    is integer arithmetic, so the result equals f * exp_linear(alpha, beta,
-    f.order) exactly, in O(order^3) instead of O(order^4) operations.
+    Exact integer method: with alpha = an/ad and beta = bn/bd, take f's
+    divided-power table over den = _dp_denominator(f); _dp_twist_into
+    multiplies it by the exponential as two binomial convolutions, and
+    entry [p][q] of the result is over den * p! * q! * ad^p * bd^q.  Every
+    step is integer arithmetic, so the result equals f * exp_linear(alpha,
+    beta, f.order) exactly, in O(order^3) instead of O(order^4) operations.
     """
     alpha, beta = _q(alpha), _q(beta)
     n = f.order
+    den = _dp_denominator(f)
+    out = _zero_table(n)
+    _dp_twist_into(out, _dp_table(f, den), alpha, beta)
     fact = [factorial(k) for k in range(n + 1)]
-    den = lcm(*(v.denominator for v in f._c.values()))
-    rows_x = _linear_powers(alpha.numerator, alpha.denominator, n)
-    rows_y = _linear_powers(beta.numerator, beta.denominator, n)
-    # h[p][q]: convolution in x of F; row_k[k - m] = C(k, m) an^(k-m) ad^m
-    h = [[0] * (n + 1 - p) for p in range(n + 1)]
-    for (m, q), v in f._c.items():
-        s = v.numerator * (den // v.denominator) * fact[m] * fact[q]
-        for k in range(m, n + 1 - q):
-            c = rows_x[k][k - m]
-            if c:
-                h[k][q] += c * s
-    out = {}
-    for p in range(n + 1):
-        hp = h[p]
-        for q in range(n + 1 - p):
-            s = 0
-            row = rows_y[q]
-            for m in range(q + 1):
-                if hp[m]:
-                    s += row[q - m] * hp[m]
-            if s:
-                out[(p, q)] = Q(s, den * fact[p] * fact[q]
-                                * alpha.denominator ** p * beta.denominator ** q)
-    return Series2(out, n)
+    ad, bd = alpha.denominator, beta.denominator
+    return Series2({(p, q): Q(s, den * fact[p] * fact[q] * ad ** p * bd ** q)
+                    for p, row in enumerate(out) for q, s in enumerate(row)
+                    if s}, n)
 
 
 def divide_unit(f: Series2, g: Series2) -> Series2:
@@ -337,7 +428,8 @@ def divide_linear(f: Series2, a, b) -> Series2:
     N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple exactly when
     F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero constant term);
     otherwise NotDivisible is raised.  When B = 0, f is read with x and y
-    swapped.
+    swapped.  When then A = 0, the divisor is b*y (or a*x) and the quotient
+    is f shifted down one degree in that variable, by _divide_variable.
     """
     a, b = _q(a), _q(b)
     if a == 0 and b == 0:
@@ -347,6 +439,8 @@ def divide_linear(f: Series2, a, b) -> Series2:
     swap = B == 0
     if swap:
         A, B = B, A
+    if A == 0:
+        return _divide_variable(f, a, b, Q(B, scale), swap)
     powers = [B ** k for k in range(f.order + 2)]
     out = {}
     for n, (den, nums) in _integer_degrees(f).items():
@@ -362,6 +456,28 @@ def divide_linear(f: Series2, a, b) -> Series2:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
     return Series2(out, f.order - 1)
+
+
+def _divide_variable(f: Series2, a, b, s: Q, swap: bool) -> Series2:
+    """f / (s*y), or f / (s*x) when swap: the case A = 0 of divide_linear,
+    with the same result and the same failing degree.  f is a multiple
+    exactly when the pure powers of the other variable are zero; the
+    stored Fractions are reused when s = +-1."""
+    bad = {p + q for p, q in f._c if (p if swap else q) == 0}
+    if bad:
+        # divide_linear checks the degrees in the order they first occur
+        n = next(p + q for p, q in f._c if p + q in bad)
+        raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
+                           f"degree {n} fails the consistency check")
+    dp, dq = (1, 0) if swap else (0, 1)
+    items = f._c.items()
+    if s == 1:
+        c = {(p - dp, q - dq): v for (p, q), v in items}
+    elif s == -1:
+        c = {(p - dp, q - dq): -v for (p, q), v in items}
+    else:
+        c = {(p - dp, q - dq): v / s for (p, q), v in items}
+    return Series2(c, f.order - 1)
 
 
 def homogeneous_part(f: Series2, d: int) -> Series2:

@@ -10,8 +10,18 @@ A spec (c, g, rho) determines the values on the basic faces:
 
 and every other polygon value follows by equivariance and the valuation
 axiom, realized here through an inclusion-exclusion over the unimodular
-triangulation on all lattice points.  Since dagger loses one order, all
-engine outputs carry order N - 1 for a spec of order N.
+triangulation on all lattice points: zT in the frame of each triangle,
+minus f1 in the frame of each interior edge, plus c * e^{v.z} at each
+interior point v.  Since dagger loses one order, all engine outputs carry
+order N - 1 for a spec of order N.
+
+The sum is taken in integers.  zT, f1 and c are kept in divided-power form,
+f[p, q] = A[p][q] / (D * p! * q!), over one denominator D per evaluator.
+In that form the substitution of an integer matrix and the twist by
+e^{v.z} for an integer v map integer tables to integer tables, so all
+faces of a polygon are added into one table of integers, grouped by
+translation so that each vertex costs one twist, and the Fractions are
+made once, at the end.
 """
 
 from __future__ import annotations
@@ -19,17 +29,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .geometry import (LatticePolygon, NotSegment, hull_normalize,
                        lattice_length, scale_polygon,
                        unimodular_triangulation)
-from .group import AffineUnimodular, act_on_series, complete_primitive, \
-    triangle_frame
+from .group import AffineUnimodular, complete_primitive, triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
-from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, divide_unit, exp_linear, mul_exp_linear,
-                     special_series)
+from .series import (DEFAULT_ORDER, Series1, Series2, _dp_denominator,
+                     _dp_series, _dp_subst_into, _dp_table, _dp_twist_into,
+                     _zero_table, compose_univariate, divide_linear,
+                     divide_unit, exp_linear, mul_exp_linear, special_series)
 
 Q = Fraction
 
@@ -155,14 +165,25 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 
 
 class Evaluator:
-    """Evaluates one spec on many polygons, caching per-face results."""
+    """Evaluates one spec on many polygons, caching per-face results; the
+    sums are taken in divided-power tables, as the module docstring says."""
 
     def __init__(self, spec: ValuationSpec, insertion: str = "lex"):
         self.spec = spec
         self.insertion = insertion
         self.data = build_triangle_data(spec)
-        self._segments = {}
-        self._polygons = {}
+        # zT, f1, -f1 and c at the origin, as divided-power tables over the
+        # least D that makes them integral
+        self._den = lcm(_dp_denominator(self.data.zT),
+                        _dp_denominator(self.data.f1), spec.c.denominator)
+        self._zT = _dp_table(self.data.zT, self._den)
+        self._f1 = _dp_table(self.data.f1, self._den)
+        self._minus_f1 = [[-s for s in row] for row in self._f1]
+        self._cD = int(spec.c * self._den)
+        self._point = _zero_table(self.order)
+        self._point[0][0] = self._cD
+        self._segments = OrderedDict()
+        self._polygons = OrderedDict()
 
     @property
     def order(self) -> int:
@@ -173,29 +194,24 @@ class Evaluator:
 
     def z_segment(self, a, b) -> Series2:
         key = tuple(sorted((tuple(a), tuple(b))))
-        if key not in self._segments:
-            self._segments[key] = self._z_segment(*key)
-        return self._segments[key]
+        return _lru(self._segments, key, FACES_MAX,
+                    lambda: self._z_segment(*key))
 
     def _z_segment(self, a, b) -> Series2:
-        ell = lattice_length(a, b)
-        if ell == 0:
-            raise NotSegment("endpoints coincide")
-        w = ((b[0] - a[0]) // ell, (b[1] - a[1]) // ell)
-        n = self.order
-        inner = Series2.zero(n)
+        ell, frame = _segment_frame(a, b)
+        # sum_k e^{kx} f1 - c sum_k e^{kx} over the unit segments and inner
+        # points of [0, ell*e1], then moved into the segment's frame
+        inner = _zero_table(self.order)
         for k in range(ell):
-            inner = inner + mul_exp_linear(self.data.f1, k, 0)
+            _dp_twist_into(inner, self._f1, k, 0)
         for k in range(1, ell):
-            inner = inner - exp_linear(k, 0, n).scalar_mul(self.spec.c)
-        frame = AffineUnimodular(complete_primitive(w).m, (int(a[0]), int(a[1])))
-        return act_on_series(frame, inner)
+            for p, row in enumerate(inner):
+                row[0] -= self._cD * k ** p
+        return _dp_series(_face_sum([(inner, frame)]), self._den)
 
     def z_polygon(self, P: LatticePolygon) -> Series2:
-        key = P.key()
-        if key not in self._polygons:
-            self._polygons[key] = self._z_polygon(P)
-        return self._polygons[key]
+        return _lru(self._polygons, P.key(), FACES_MAX,
+                    lambda: self._z_polygon(P))
 
     def _z_polygon(self, P: LatticePolygon) -> Series2:
         if P.dim == 0:
@@ -203,32 +219,70 @@ class Evaluator:
         if P.dim == 1:
             return self.z_segment(*P.vertices)
         tri = unimodular_triangulation(P, self.insertion)
-        total = Series2.zero(self.order)
-        for t in tri.triangles:
-            frame = triangle_frame(*tri.triangle_points(t))
-            total = total + act_on_series(frame, self.data.zT)
-        for e in tri.interior_edges:
-            total = total - self.z_segment(*tri.edge_points(e))
-        for i in tri.interior_vertices:
-            total = total + self.z_point(tri.points[i])
-        return total
+        faces = [(self._zT, triangle_frame(*tri.triangle_points(t)))
+                 for t in tri.triangles]
+        # every lattice point is a vertex, so each edge is a unit segment
+        faces += [(self._minus_f1, _segment_frame(*tri.edge_points(e))[1])
+                  for e in tri.interior_edges]
+        if self._cD:
+            faces += [(self._point,
+                       AffineUnimodular.translation(tri.points[i]))
+                      for i in tri.interior_vertices]
+        return _dp_series(_face_sum(faces), self._den)
+
+
+def _segment_frame(a, b):
+    """(lattice length, frame) of the segment [a, b]: the frame maps
+    [0, ell*e1] onto it, starting at a."""
+    ell = lattice_length(a, b)
+    if ell == 0:
+        raise NotSegment("endpoints coincide")
+    w = ((b[0] - a[0]) // ell, (b[1] - a[1]) // ell)
+    return ell, AffineUnimodular(complete_primitive(w).m,
+                                 (int(a[0]), int(a[1])))
+
+
+def _face_sum(faces) -> list:
+    """The divided-power table of the sum of act_on_series(xi, t) over the
+    faces (t, xi).  The substituted tables are summed by translation first,
+    so each translation costs one exponential twist."""
+    n = len(faces[0][0]) - 1
+    by_v = {}
+    for t, xi in faces:
+        (a, b), (c, d) = xi.m
+        if xi.v not in by_v:
+            by_v[xi.v] = _zero_table(n)
+        _dp_subst_into(by_v[xi.v], t, (a, c), (b, d))
+    acc = _zero_table(n)
+    for v, g in by_v.items():
+        _dp_twist_into(acc, g, *v)
+    return acc
+
+
+def _lru(cache: OrderedDict, key, bound: int, build):
+    """cache[key], built on a miss; keeps the bound most recently used."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > bound:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
 
 
 # Shared evaluators, least recently used first; at most EVALUATORS_MAX.
 EVALUATORS_MAX = 32
 _EVALUATORS: OrderedDict = OrderedDict()
+# Segment and polygon values each evaluator keeps, least recently used
+# first; at most FACES_MAX of each.
+FACES_MAX = 1024
 
 
 def evaluator_for(spec: ValuationSpec, insertion: str = "lex") -> Evaluator:
     key = (spec.key(), insertion)
-    ev = _EVALUATORS.get(key)
-    if ev is None:
-        ev = _EVALUATORS[key] = Evaluator(spec, insertion)
-        if len(_EVALUATORS) > EVALUATORS_MAX:
-            _EVALUATORS.popitem(last=False)
-    else:
-        _EVALUATORS.move_to_end(key)
-    return ev
+    return _lru(_EVALUATORS, key, EVALUATORS_MAX,
+                lambda: Evaluator(spec, insertion))
 
 
 def z_point(spec: ValuationSpec, p) -> Series2:

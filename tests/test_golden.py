@@ -33,7 +33,9 @@ HOLDS_ON = {"A": "f2", "B": "f2", "C": "f2", "f2simple2": "f2", "f23up": "f2",
 VIOLATED_ON = {"E": "sigma", "f1period": "rho", "f1neg": "rho"}
 TRANSFORM_INPUT = {"sharp": "f2", "dagger": "rho", "diamond": "rho",
                    "to-st": "rho", "from-st": "sigma"}
-POLYGONS = ("two_t", "skew_quad")
+POLYGONS = ("two_t", "skew_quad", "four_t")
+# specs beside spec_general under which every polygon is evaluated
+EVALUATE_SPECS = ("simple", "odd_g")
 
 
 def _cases():
@@ -65,6 +67,10 @@ def _cases():
         cases.append((f"laplace_{poly}",
                       ["laplace", "--polygon", _input(poly),
                        "--order", "8"], 0))
+        for spec in EVALUATE_SPECS:
+            cases.append((f"evaluate_{poly}_{spec}",
+                          ["evaluate", "--spec", _input("spec_" + spec),
+                           "--polygon", _input(poly)], 0))
     cases.append(("decompose_general_kappa_-1",
                   ["decompose", "--spec", _input("spec_general"),
                    "--kappa", "-1"], 0))

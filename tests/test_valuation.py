@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from latval import vspace
 from latval.geometry import (NoValidChord, chord_of_split, hull_normalize,
-                             scale_polygon, split_pairs)
-from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
-from latval.series import Series2
+                             scale_polygon, split_pairs,
+                             unimodular_triangulation)
+from latval.group import (AffineUnimodular, act_on_polygon, act_on_series,
+                          complete_primitive, det, triangle_frame)
+from latval.series import Series1, Series2
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
                               LawViolation, NoCandidatePasses, NotSimpleSpec,
@@ -244,6 +246,71 @@ def test_insertion_orders_agree_on_random_polygons(name, P):
     assert z_polygon(spec, P, "lex") == z_polygon(spec, P, "alt")
 
 
+FACE_SUM_SPECS = {
+    "general": PROPERTY_SPECS["general"],
+    "vd4": vd_spec(4, order=6),
+    "odd_g": ValuationSpec(0, Series1({0: Q(1, 2), 1: -3, 2: Q(5, 7),
+                                       4: Q(1, 9)}, 6),
+                           Series2.constant(1, 6) + vd_spec(4, order=6).rho,
+                           6),
+}
+
+
+def _unit_segment(data, a, w):
+    """f1 in the frame of the unit segment [a, a + w], by act_on_series."""
+    return act_on_series(AffineUnimodular(complete_primitive(w).m, a), data.f1)
+
+
+@st.composite
+def polygons_with_interior_points(draw):
+    """The convex hull of 3 to 6 points of [0, 4]^2 with a lattice point
+    in its interior."""
+    point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    P = hull_normalize(draw(st.lists(point, min_size=3, max_size=6)))
+    assume(P.dim == 2 and unimodular_triangulation(P).interior_vertices)
+    return P
+
+
+@pytest.mark.parametrize("name", FACE_SUM_SPECS)
+@settings(max_examples=20)
+@given(P=polygons_with_interior_points())
+def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
+    # the inclusion-exclusion over the triangulation, from Series2 pieces
+    ev = evaluator_for(FACE_SUM_SPECS[name])
+    tri = unimodular_triangulation(P, ev.insertion)
+    total = Series2.zero(ev.order)
+    for t in tri.triangles:
+        total = total + act_on_series(triangle_frame(*tri.triangle_points(t)),
+                                      ev.data.zT)
+    for e in tri.interior_edges:
+        a, b = tri.edge_points(e)
+        total = total - _unit_segment(ev.data, a, (b[0] - a[0], b[1] - a[1]))
+    for i in tri.interior_vertices:
+        total = total + ev.z_point(tri.points[i])
+    assert ev.z_polygon(P).key() == total.key()
+
+
+@st.composite
+def primitive_vectors(draw):
+    w = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    assume(gcd(*w) == 1)
+    return w
+
+
+@settings(max_examples=30)
+@given(a=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       w=primitive_vectors(), ell=st.integers(2, 5))
+def test_long_segment_is_sum_of_unit_segments(a, w, ell):
+    ev = evaluator_for(PROPERTY_SPECS["general"])
+    points = [(a[0] + k * w[0], a[1] + k * w[1]) for k in range(ell + 1)]
+    total = Series2.zero(ev.order)
+    for p in points[:-1]:
+        total = total + _unit_segment(ev.data, p, w)
+    for p in points[1:-1]:
+        total = total - ev.z_point(p)
+    assert ev.z_segment(points[0], points[-1]).key() == total.key()
+
+
 def test_simple_specs_vanish_on_lower_faces():
     for spec in (laplace_spec(), vd_spec(4), vd_spec(6)):
         assert z_point(spec, (3, -1)).is_zero()
@@ -459,6 +526,26 @@ def test_evaluator_caching():
     assert evaluator_for(spec) is ev
     first = ev.z_polygon(SQUARE)
     assert ev.z_polygon(SQUARE) is first
+
+
+def test_evaluator_face_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(valuation, "FACES_MAX", 3)
+    ev = valuation.Evaluator(laplace_spec(6))
+    polygons = [scale_polygon(T, m) for m in range(1, 6)]
+    kept = ev.z_polygon(polygons[0])
+    second = ev.z_polygon(polygons[1])
+    segments = [((0, 0), (m, 1)) for m in range(5)]
+    kept_segment = ev.z_segment(*segments[0])
+    for P, seg in zip(polygons[2:], segments[2:]):
+        assert ev.z_polygon(P) is ev.z_polygon(P)
+        assert ev.z_polygon(polygons[0]) is kept    # used, so never dropped
+        ev.z_segment(*seg)
+        assert ev.z_segment(*segments[0]) is kept_segment
+        assert len(ev._polygons) <= 3 and len(ev._segments) <= 3
+    assert len(ev._polygons) == 3 and len(ev._segments) == 3
+    # polygons[1] went unused longest, so it was dropped and is built anew
+    assert ev.z_polygon(polygons[1]) is not second
+    assert ev.z_polygon(polygons[1]) == second
 
 
 def test_evaluator_registry_is_bounded():
