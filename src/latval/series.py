@@ -12,7 +12,7 @@ valid order.  A series in one variable is a ``Series2`` in x alone
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 Q = Fraction
 
@@ -67,24 +67,20 @@ def _integer_degrees(f) -> dict:
     return out
 
 
-def _power_terms(a: int, b: int, n: int) -> list:
-    """The nonzero entries (i, c) of each row of _linear_powers(a, b, n)."""
-    return [[(i, c) for i, c in enumerate(row) if c]
-            for row in _linear_powers(a, b, n)]
-
-
-def _subst_degree(nums, d, terms1, terms2) -> list:
+def _subst_degree(nums, d, rows1, rows2) -> list:
     """The substitution of one total degree d, in integers: acc[i] is the
     coefficient of x^i y^(d-i) in sum_p nums[p] * P1^p * P2^(d-p), where
-    terms1 and terms2 are the _power_terms of the linear forms P1, P2."""
+    rows1 and rows2 are the _linear_powers of the linear forms P1, P2."""
     acc = [0] * (d + 1)
     for p, s in nums.items():
-        row2 = terms2[d - p]
+        row2 = rows2[d - p]
         # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
-        for i, ci in terms1[p]:
-            ci *= s
-            for j, cj in row2:
-                acc[i + j] += ci * cj
+        for i, ci in enumerate(rows1[p]):
+            if ci:
+                ci *= s
+                for j, cj in enumerate(row2):
+                    if cj:
+                        acc[i + j] += ci * cj
     return acc
 
 
@@ -95,8 +91,8 @@ def _subst_degree(nums, d, terms1, terms2) -> list:
 # f[p, q] = t[p][q] / (D * p! * q!), for p + q <= n with n = len(t) - 1.
 # Substitution of an integer matrix and multiplication by exp(a*x + b*y)
 # with integer a, b map integer tables to integer tables, so a sum of such
-# images (a polygon's faces) is built in integers and made into Fractions
-# once, by _dp_series.
+# images (a polygon's faces) is built in integers, by sum_of_images, and
+# made into Fractions once, by from_divided_powers.
 
 
 def _zero_table(n: int) -> list:
@@ -107,7 +103,7 @@ def _dp_denominator(f: "Series2") -> int:
     """The least D for which f's divided-power table is integral: the lcm
     of the denominators of p! * q! * f[p, q]."""
     fact = [factorial(k) for k in range(f.order + 1)]
-    return lcm(*((v * fact[p] * fact[q]).denominator
+    return lcm(*(v.denominator // gcd(v.denominator, fact[p] * fact[q])
                  for (p, q), v in f._c.items()))
 
 
@@ -120,7 +116,14 @@ def _dp_table(f: "Series2", den: int) -> list:
     return t
 
 
-def _dp_series(t, den: int) -> "Series2":
+def to_divided_powers(fs) -> tuple:
+    """(D, tables): the divided-power tables of the series fs, all of one
+    order, over the least D that makes every one of them integral."""
+    den = lcm(*(_dp_denominator(f) for f in fs))
+    return den, [_dp_table(f, den) for f in fs]
+
+
+def from_divided_powers(t, den: int) -> "Series2":
     """The series of the divided-power table t over den."""
     n = len(t) - 1
     fact = [factorial(k) for k in range(n + 1)]
@@ -138,13 +141,13 @@ def _dp_subst_into(out, t, first, second) -> None:
     powers; the division is exact, since P1^p/p! * P2^q/q! has the
     integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!."""
     n = len(t) - 1
-    terms1 = _power_terms(first[0], first[1], n)
-    terms2 = _power_terms(second[0], second[1], n)
+    rows1 = _linear_powers(first[0], first[1], n)
+    rows2 = _linear_powers(second[0], second[1], n)
     for d in range(n + 1):
         nums = {p: t[p][d - p] * comb(d, p) for p in range(d + 1)
                 if t[p][d - p]}
         if nums:
-            for r, s in enumerate(_subst_degree(nums, d, terms1, terms2)):
+            for r, s in enumerate(_subst_degree(nums, d, rows1, rows2)):
                 if s:
                     out[r][d - r] += s // comb(d, r)
 
@@ -189,6 +192,25 @@ def _dp_twist_into(out, t, alpha, beta) -> None:
                 if hp[m]:
                     s += row[q - m] * hp[m]
             op[q] += s
+
+
+def sum_of_images(faces) -> list:
+    """The divided-power table of the sum of exp(v.z) * t(M z) over the
+    faces (t, xi), for tables t of one order and frames xi with integer
+    matrix xi.m = M and translation xi.v = v, acting as in
+    group.act_on_series.  The substituted tables are summed by translation
+    first, so each translation costs one exponential twist."""
+    n = len(faces[0][0]) - 1
+    by_v = {}
+    for t, xi in faces:
+        (a, b), (c, d) = xi.m
+        if xi.v not in by_v:
+            by_v[xi.v] = _zero_table(n)
+        _dp_subst_into(by_v[xi.v], t, (a, c), (b, d))
+    out = _zero_table(n)
+    for v, g in by_v.items():
+        _dp_twist_into(out, g, *v)
+    return out
 
 
 class Series2:
@@ -310,12 +332,12 @@ class Series2:
         a2, b2 = _q(second[0]), _q(second[1])
         scale = lcm(a1.denominator, b1.denominator,
                     a2.denominator, b2.denominator)
-        terms1 = _power_terms(int(a1 * scale), int(b1 * scale), self.order)
-        terms2 = _power_terms(int(a2 * scale), int(b2 * scale), self.order)
+        rows1 = _linear_powers(int(a1 * scale), int(b1 * scale), self.order)
+        rows2 = _linear_powers(int(a2 * scale), int(b2 * scale), self.order)
         out = {}
         for d, (den, nums) in _integer_degrees(self).items():
             den *= scale ** d
-            for i, num in enumerate(_subst_degree(nums, d, terms1, terms2)):
+            for i, num in enumerate(_subst_degree(nums, d, rows1, rows2)):
                 if num:
                     out[(i, d - i)] = Q(num, den)
         return Series2(out, self.order)
@@ -428,8 +450,7 @@ def divide_linear(f: Series2, a, b) -> Series2:
     N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple exactly when
     F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero constant term);
     otherwise NotDivisible is raised.  When B = 0, f is read with x and y
-    swapped.  When then A = 0, the divisor is b*y (or a*x) and the quotient
-    is f shifted down one degree in that variable, by _divide_variable.
+    swapped.
     """
     a, b = _q(a), _q(b)
     if a == 0 and b == 0:
@@ -439,8 +460,6 @@ def divide_linear(f: Series2, a, b) -> Series2:
     swap = B == 0
     if swap:
         A, B = B, A
-    if A == 0:
-        return _divide_variable(f, a, b, Q(B, scale), swap)
     powers = [B ** k for k in range(f.order + 2)]
     out = {}
     for n, (den, nums) in _integer_degrees(f).items():
@@ -456,28 +475,6 @@ def divide_linear(f: Series2, a, b) -> Series2:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
     return Series2(out, f.order - 1)
-
-
-def _divide_variable(f: Series2, a, b, s: Q, swap: bool) -> Series2:
-    """f / (s*y), or f / (s*x) when swap: the case A = 0 of divide_linear,
-    with the same result and the same failing degree.  f is a multiple
-    exactly when the pure powers of the other variable are zero; the
-    stored Fractions are reused when s = +-1."""
-    bad = {p + q for p, q in f._c if (p if swap else q) == 0}
-    if bad:
-        # divide_linear checks the degrees in the order they first occur
-        n = next(p + q for p, q in f._c if p + q in bad)
-        raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
-                           f"degree {n} fails the consistency check")
-    dp, dq = (1, 0) if swap else (0, 1)
-    items = f._c.items()
-    if s == 1:
-        c = {(p - dp, q - dq): v for (p, q), v in items}
-    elif s == -1:
-        c = {(p - dp, q - dq): -v for (p, q), v in items}
-    else:
-        c = {(p - dp, q - dq): v / s for (p, q), v in items}
-    return Series2(c, f.order - 1)
 
 
 def homogeneous_part(f: Series2, d: int) -> Series2:

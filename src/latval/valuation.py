@@ -29,17 +29,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .geometry import (LatticePolygon, NotSegment, hull_normalize,
                        lattice_length, scale_polygon,
                        unimodular_triangulation)
 from .group import AffineUnimodular, complete_primitive, triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
-from .series import (DEFAULT_ORDER, Series1, Series2, _dp_denominator,
-                     _dp_series, _dp_subst_into, _dp_table, _dp_twist_into,
-                     _zero_table, compose_univariate, divide_linear,
-                     divide_unit, exp_linear, mul_exp_linear, special_series)
+from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
+                     divide_linear, divide_unit, exp_linear,
+                     from_divided_powers, mul_exp_linear, special_series,
+                     sum_of_images, to_divided_powers)
 
 Q = Fraction
 
@@ -172,16 +172,12 @@ class Evaluator:
         self.spec = spec
         self.insertion = insertion
         self.data = build_triangle_data(spec)
-        # zT, f1, -f1 and c at the origin, as divided-power tables over the
-        # least D that makes them integral
-        self._den = lcm(_dp_denominator(self.data.zT),
-                        _dp_denominator(self.data.f1), spec.c.denominator)
-        self._zT = _dp_table(self.data.zT, self._den)
-        self._f1 = _dp_table(self.data.f1, self._den)
-        self._minus_f1 = [[-s for s in row] for row in self._f1]
-        self._cD = int(spec.c * self._den)
-        self._point = _zero_table(self.order)
-        self._point[0][0] = self._cD
+        # zT, f1, -f1, c and -c at the origin, as divided-power tables over
+        # the least D that makes them integral
+        c = Series2.constant(spec.c, self.order)
+        self._den, (self._zT, self._f1, self._minus_f1, self._c,
+                    self._minus_c) = to_divided_powers(
+            [self.data.zT, self.data.f1, -self.data.f1, c, -c])
         self._segments = OrderedDict()
         self._polygons = OrderedDict()
 
@@ -199,15 +195,14 @@ class Evaluator:
 
     def _z_segment(self, a, b) -> Series2:
         ell, frame = _segment_frame(a, b)
-        # sum_k e^{kx} f1 - c sum_k e^{kx} over the unit segments and inner
-        # points of [0, ell*e1], then moved into the segment's frame
-        inner = _zero_table(self.order)
-        for k in range(ell):
-            _dp_twist_into(inner, self._f1, k, 0)
-        for k in range(1, ell):
-            for p, row in enumerate(inner):
-                row[0] -= self._cD * k ** p
-        return _dp_series(_face_sum([(inner, frame)]), self._den)
+        # f1 on the unit segments of [0, ell*e1] minus c at its inner
+        # points, then moved into the segment's frame
+        steps = [AffineUnimodular.translation((k, 0)) for k in range(ell)]
+        faces = [(self._f1, xi) for xi in steps]
+        if self.spec.c:
+            faces += [(self._minus_c, xi) for xi in steps[1:]]
+        inner = sum_of_images(faces)
+        return from_divided_powers(sum_of_images([(inner, frame)]), self._den)
 
     def z_polygon(self, P: LatticePolygon) -> Series2:
         return _lru(self._polygons, P.key(), FACES_MAX,
@@ -224,11 +219,10 @@ class Evaluator:
         # every lattice point is a vertex, so each edge is a unit segment
         faces += [(self._minus_f1, _segment_frame(*tri.edge_points(e))[1])
                   for e in tri.interior_edges]
-        if self._cD:
-            faces += [(self._point,
-                       AffineUnimodular.translation(tri.points[i]))
+        if self.spec.c:
+            faces += [(self._c, AffineUnimodular.translation(tri.points[i]))
                       for i in tri.interior_vertices]
-        return _dp_series(_face_sum(faces), self._den)
+        return from_divided_powers(sum_of_images(faces), self._den)
 
 
 def _segment_frame(a, b):
@@ -240,23 +234,6 @@ def _segment_frame(a, b):
     w = ((b[0] - a[0]) // ell, (b[1] - a[1]) // ell)
     return ell, AffineUnimodular(complete_primitive(w).m,
                                  (int(a[0]), int(a[1])))
-
-
-def _face_sum(faces) -> list:
-    """The divided-power table of the sum of act_on_series(xi, t) over the
-    faces (t, xi).  The substituted tables are summed by translation first,
-    so each translation costs one exponential twist."""
-    n = len(faces[0][0]) - 1
-    by_v = {}
-    for t, xi in faces:
-        (a, b), (c, d) = xi.m
-        if xi.v not in by_v:
-            by_v[xi.v] = _zero_table(n)
-        _dp_subst_into(by_v[xi.v], t, (a, c), (b, d))
-    acc = _zero_table(n)
-    for v, g in by_v.items():
-        _dp_twist_into(acc, g, *v)
-    return acc
 
 
 def _lru(cache: OrderedDict, key, bound: int, build):
