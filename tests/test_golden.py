@@ -33,7 +33,7 @@ HOLDS_ON = {"A": "f2", "B": "f2", "C": "f2", "f2simple2": "f2", "f23up": "f2",
 VIOLATED_ON = {"E": "sigma", "f1period": "rho", "f1neg": "rho"}
 TRANSFORM_INPUT = {"sharp": "f2", "dagger": "rho", "diamond": "rho",
                    "to-st": "rho", "from-st": "sigma"}
-POLYGONS = ("two_t", "skew_quad", "four_t")
+POLYGONS = ("two_t", "skew_quad", "four_t", "thin_t")
 # specs beside spec_general under which every polygon is evaluated
 EVALUATE_SPECS = ("simple", "odd_g")
 
