@@ -2,15 +2,15 @@
 triangulations, and chord splittings.
 
 Polygons are canonical: counterclockwise strictly convex vertex lists
-starting at the lexicographically smallest vertex.  Triangulations insert
-every lattice point of the polygon, which forces all triangles to be
-unimodular (an empty lattice triangle has twice-area one).
+starting at the lexicographically smallest vertex.  Triangulations come
+from one monotone sweep over every lattice point of the polygon, which
+forces all triangles to be unimodular (an empty lattice triangle has
+twice-area one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -104,8 +104,8 @@ def area2(P: LatticePolygon) -> int:
 
 
 def contains(P: LatticePolygon, point) -> bool:
-    """Membership test, exact; accepts rational coordinates."""
-    x, y = Fraction(point[0]), Fraction(point[1])
+    """Membership test, exact on integer and rational coordinates."""
+    x, y = point
     v = P.vertices
     if P.dim == 0:
         return (x, y) == v[0]
@@ -183,7 +183,6 @@ def boundary_lattice_points(P: LatticePolygon) -> list[Point]:
 class Triangulation:
     points: tuple[Point, ...]
     triangles: tuple[tuple[int, int, int], ...]
-    boundary_edges: tuple[tuple[int, int], ...]
     interior_edges: tuple[tuple[int, int], ...]
     interior_vertices: tuple[int, ...]
 
@@ -194,80 +193,50 @@ class Triangulation:
         return (self.points[e[0]], self.points[e[1]])
 
 
-# insertion orders for the incremental triangulation; each is a sort key on
-# points and keeps the "new point is never inside the current hull" invariant
-_INSERTION_KEYS = {
-    "lex": lambda p: (p[0], p[1]),
-    "alt": lambda p: (p[1], p[0]),
-}
-
-
 def unimodular_triangulation(P: LatticePolygon, insertion: str = "lex") -> Triangulation:
     """Deterministic unimodular triangulation using all lattice points of P.
 
-    Points are inserted in sorted order; each new point is fanned to the
-    hull edges visible from it.  Because every lattice point participates,
-    each triangle is lattice-point free and hence has twice-area one.
+    One monotone sweep (Andrew's monotone chain with collinear points kept
+    on the chains): the points are taken in sorted order, and each new point
+    pops every edge of the lower and of the upper chain that it strictly
+    sees, making one triangle with each, before it joins both chains.
+    ``insertion`` is the order: "lex" sorts by (x, y), "alt" by (y, x).
+    Because every lattice point participates, each triangle is
+    lattice-point free and hence has twice-area one.  The points left on
+    the chains are the boundary points of P; the others are the interior
+    vertices.
     """
     if P.dim != 2:
         raise NotFullDimensional(f"dim {P.dim}")
-    key = _INSERTION_KEYS[insertion]
-    pts = sorted(lattice_points(P), key=key)
-    index = {p: i for i, p in enumerate(pts)}
+    if insertion not in ("lex", "alt"):
+        raise ValueError(f"unknown insertion order {insertion!r}")
+    pts = lattice_points(P)            # lexicographic
+    if insertion == "alt":             # sweep the mirror image x <-> y
+        pts = sorted((y, x) for x, y in pts)
 
     triangles = []
-    processed = []
-    collinear_prefix = True
-    boundary = []   # CCW chain of boundary points of the processed hull
-
-    for p in pts:
-        if collinear_prefix:
-            processed.append(p)
-            if len(processed) >= 3 and _cross(processed[0], processed[1], p) != 0:
-                collinear_prefix = False
-                # the prefix is a chain of collinear lattice points
-                chain = processed[:-1]
-                for a, b in zip(chain, chain[1:]):
-                    triangles.append((index[a], index[b], index[p]))
-                boundary = _boundary_chain(processed)
-            continue
-        n = len(boundary)
-        for i in range(n):
-            a, b = boundary[i], boundary[(i + 1) % n]
-            if _cross(a, b, p) < 0:   # edge visible from p
-                triangles.append((index[a], index[b], index[p]))
-        processed.append(p)
-        boundary = _boundary_chain(processed)
-
-    if collinear_prefix:
+    lower, upper = [], []              # indices into pts, left to right
+    for k, p in enumerate(pts):
+        while len(lower) >= 2 and _cross(pts[lower[-2]], pts[lower[-1]], p) < 0:
+            triangles.append((lower[-2], lower.pop(), k))
+        lower.append(k)
+        while len(upper) >= 2 and _cross(pts[upper[-2]], pts[upper[-1]], p) > 0:
+            triangles.append((upper[-2], upper.pop(), k))
+        upper.append(k)
+    if not triangles:
         raise NotFullDimensional("all lattice points collinear")
+    if insertion == "alt":
+        pts = [(x, y) for y, x in pts]
 
     edge_count = {}
-    for t in triangles:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-            e = (min(e), max(e))
+    for a, b, c in triangles:
+        for e in ((a, b), (b, c), (a, c)):
             edge_count[e] = edge_count.get(e, 0) + 1
-    interior_edges = tuple(sorted(e for e, c in edge_count.items() if c == 2))
-    boundary_edges = tuple(sorted(e for e, c in edge_count.items() if c == 1))
-    interior_vertices = tuple(i for i, p in enumerate(pts) if not on_boundary(P, p))
-    return Triangulation(tuple(pts),
-                         tuple(tuple(sorted(t)) for t in triangles),
-                         boundary_edges, interior_edges, interior_vertices)
-
-
-def _boundary_chain(points):
-    """CCW boundary chain of conv(points), keeping collinear lattice points."""
-    hull = _strict_hull(points)
-    if len(hull) <= 2:
-        return hull
-    pset = set(points)
-    chain = []
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        for q in segment_lattice_points(a, b)[:-1]:
-            if q in pset or q == a:
-                chain.append(q)
-    return chain
+    interior_edges = tuple(sorted(e for e, n in edge_count.items() if n == 2))
+    on_chains = set(lower) | set(upper)
+    interior_vertices = tuple(i for i in range(len(pts)) if i not in on_chains)
+    return Triangulation(tuple(pts), tuple(triangles), interior_edges,
+                         interior_vertices)
 
 
 def split_pairs(P: LatticePolygon, count=None):

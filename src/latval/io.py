@@ -39,7 +39,14 @@ def format_rational(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; booleans, which Python counts as ints, are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_rational(s) -> Fraction:
+    if isinstance(s, bool):
+        raise MalformedInput(f"bad rational {s!r}: not a number")
     try:
         return Q(s)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -67,17 +74,19 @@ def _load_terms(obj, nvars):
     if len(obj["vars"]) != nvars:
         raise MalformedInput(f"expected {nvars} variable(s)")
     order = obj.get("order", DEFAULT_ORDER)
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise MalformedInput(f"bad order {order!r}")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise MalformedInput(f"terms must be a list, not {terms!r}")
     seen = {}
-    for term in obj.get("terms", []):
+    for term in terms:
         try:
             exps = tuple(term["e"])
             coeff = parse_rational(term["c"])
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad term {term!r}: {exc}") from None
-        if len(exps) != nvars or any(not isinstance(e, int) or e < 0
-                                     for e in exps):
+        if len(exps) != nvars or any(not _is_int(e) or e < 0 for e in exps):
             raise MalformedInput(f"bad exponents {exps!r}")
         if exps in seen:
             raise MalformedInput(f"duplicate exponent {list(exps)}")
@@ -107,7 +116,7 @@ def polygon_from_obj(obj) -> LatticePolygon:
     pts = obj["vertices"]
     if (not isinstance(pts, list) or not pts
             or any(not isinstance(p, list) or len(p) != 2
-                   or any(not isinstance(c, int) for c in p) for p in pts)):
+                   or any(not _is_int(c) for c in p) for p in pts)):
         raise MalformedInput("vertices must be a nonempty list of integer pairs")
     return hull_normalize([tuple(p) for p in pts])
 
@@ -121,7 +130,7 @@ def spec_from_obj(obj) -> ValuationSpec:
     if not isinstance(obj, dict):
         raise MalformedInput("spec must be a JSON object")
     order = obj.get("order", DEFAULT_ORDER)
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise MalformedInput(f"bad order {order!r}")
     c = parse_rational(obj.get("c", "0"))
     g = series1_from_obj(obj["g"]) if "g" in obj else Series2.zero(order)
@@ -145,9 +154,9 @@ def affine_from_obj(obj) -> AffineUnimodular:
     v = obj.get("v", [0, 0])
     if (not isinstance(m, list) or len(m) != 2
             or any(not isinstance(r, list) or len(r) != 2
-                   or any(not isinstance(e, int) for e in r) for r in m)
+                   or any(not _is_int(e) for e in r) for r in m)
             or not isinstance(v, list) or len(v) != 2
-            or any(not isinstance(e, int) for e in v)):
+            or any(not _is_int(e) for e in v)):
         raise MalformedInput("matrix must be 2x2 integer, translation length 2")
     try:
         return AffineUnimodular((tuple(m[0]), tuple(m[1])), tuple(v))

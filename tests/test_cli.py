@@ -60,6 +60,8 @@ def test_bad_rational_rejected():
         io.parse_rational("1/0")
     with pytest.raises(io.MalformedInput):
         io.parse_rational("pi")
+    with pytest.raises(io.MalformedInput):
+        io.parse_rational(False)
 
 
 def test_polygon_round_trip():
@@ -83,6 +85,11 @@ def test_affine_round_trip():
     assert io.affine_from_obj(io.affine_to_obj(xi)) == xi
     with pytest.raises(io.MalformedInput):
         io.affine_from_obj({"m": [[2, 0], [0, 1]], "v": [0, 0]})
+    # JSON booleans are not integers
+    with pytest.raises(io.MalformedInput):
+        io.affine_from_obj({"m": [[True, False], [False, True]], "v": [0, 0]})
+    with pytest.raises(io.MalformedInput):
+        io.affine_from_obj({"m": [[1, 0], [0, 1]], "v": [True, 0]})
 
 
 def test_format_rational():
@@ -156,6 +163,37 @@ def test_invalid_rho_exit_code(tmp_path, capsys):
     tpath = write(tmp_path, "T.json", T_POLY)
     code, _ = run(capsys, "evaluate", "--spec", path, "--polygon", tpath)
     assert code == 3
+
+
+SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
+
+
+# "terms" must be a list, and a JSON boolean is neither an integer nor a
+# rational, though Python counts it as an int
+@pytest.mark.parametrize("spec,polygon,series,message", [
+    (None, None, dict(SERIES_B, terms=5), "terms must be a list, not 5"),
+    (None, None, dict(SERIES_B, order=True), "bad order True"),
+    (None, None, dict(SERIES_B, terms=[{"e": [True, False], "c": "1"}]),
+     "bad exponents (True, False)"),
+    (dict(LAPLACE_SPEC, order=True), T_POLY, None, "bad order True"),
+    (dict(LAPLACE_SPEC, c=True), T_POLY, None,
+     "bad rational True: not a number"),
+    (LAPLACE_SPEC, {"vertices": [[True, False], [2, 0], [0, 2]]}, None,
+     "vertices must be a nonempty list of integer pairs"),
+], ids=["terms-not-list", "series-order-bool", "exponents-bool",
+        "spec-order-bool", "c-bool", "vertex-bool"])
+def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
+                                     series, message):
+    if series is not None:
+        argv = ["check-law", "--law", "B",
+                "--input", write(tmp_path, "f.json", series)]
+    else:
+        argv = ["evaluate", "--spec", write(tmp_path, "spec.json", spec),
+                "--polygon", write(tmp_path, "P.json", polygon)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_transform_dagger(tmp_path, capsys):

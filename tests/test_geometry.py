@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latval.geometry import (EmptyInput, NoValidChord,
                              NotFullDimensional, NotSegment, area2,
@@ -125,24 +127,75 @@ def test_triangulation_invariants(P, insertion):
         + len(tri.interior_vertices) == 1
 
 
+def _faces_containing(tri, z):
+    """Triangles minus interior edges plus interior vertices that hold z."""
+    total = 0
+    for t in tri.triangles:
+        if contains(hull_normalize(tri.triangle_points(t)), z):
+            total += 1
+    for e in tri.interior_edges:
+        if contains(hull_normalize(tri.edge_points(e)), z):
+            total -= 1
+    for i in tri.interior_vertices:
+        if z == tri.points[i]:
+            total += 1
+    return total
+
+
 @pytest.mark.parametrize("P", CORPUS[:6], ids=lambda P: str(list(P.vertices)))
 def test_indicator_inclusion_exclusion(P):
     rng = random.Random(11)
     tri = unimodular_triangulation(P)
     for _ in range(20):
         z = (Q(rng.randint(-8, 12), 4), Q(rng.randint(-8, 12), 4))
-        total = 0
+        assert _faces_containing(tri, z) == (1 if contains(P, z) else 0)
+
+
+@st.composite
+def hulls(draw):
+    """Random lattice hulls: general ones in a small box, thin ones with a
+    long edge, and ones whose first lattice column is a vertical run of
+    collinear points."""
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["box", "thin", "column"]))
+    if kind == "box":
+        pts = draw(st.lists(st.tuples(small, small), min_size=3, max_size=7))
+    elif kind == "thin":
+        a = draw(st.tuples(small, small))
+        d = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+        off = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        pts = [a, (a[0] + d[0], a[1] + d[1]),
+               (a[0] + d[0] // 2 + off[0], a[1] + d[1] // 2 + off[1])]
+    else:
+        h = draw(st.integers(1, 5))
+        right = st.tuples(st.integers(1, 6), st.integers(-3, 6))
+        pts = [(0, 0), (0, h)] + draw(st.lists(right, min_size=1, max_size=3))
+    P = hull_normalize(pts)
+    assume(P.dim == 2)
+    return P
+
+
+@settings(max_examples=60)
+@given(P=hulls(), seed=st.integers(0, 2**16))
+def test_triangulation_invariants_on_random_polygons(P, seed):
+    xs = [v[0] for v in P.vertices]
+    ys = [v[1] for v in P.vertices]
+    rng = random.Random(seed)
+    zs = [(Q(rng.randint(4 * min(xs) - 2, 4 * max(xs) + 2), 4),
+           Q(rng.randint(4 * min(ys) - 2, 4 * max(ys) + 2), 4))
+          for _ in range(10)]
+    for insertion in ("lex", "alt"):
+        tri = unimodular_triangulation(P, insertion)
+        assert sorted(tri.points) == lattice_points(P)
         for t in tri.triangles:
-            a, b, c = tri.triangle_points(t)
-            if contains(hull_normalize([a, b, c]), z):
-                total += 1
-        for e in tri.interior_edges:
-            if contains(hull_normalize(list(tri.edge_points(e))), z):
-                total -= 1
-        for i in tri.interior_vertices:
-            if z == tri.points[i]:
-                total += 1
-        assert total == (1 if contains(P, z) else 0)
+            triangle_frame(*tri.triangle_points(t))   # raises unless unimodular
+        assert len(tri.triangles) == area2(P)
+        assert list(tri.interior_vertices) == [
+            i for i, p in enumerate(tri.points) if not on_boundary(P, p)]
+        assert len(tri.triangles) - len(tri.interior_edges) \
+            + len(tri.interior_vertices) == 1
+        for z in zs:
+            assert _faces_containing(tri, z) == (1 if contains(P, z) else 0)
 
 
 def test_split_pairs():
