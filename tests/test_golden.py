@@ -71,6 +71,11 @@ def _cases():
             cases.append((f"evaluate_{poly}_{spec}",
                           ["evaluate", "--spec", _input("spec_" + spec),
                            "--polygon", _input(poly)], 0))
+    # order 14 pins the moments over the larger common denominator 16!
+    for poly in ("thin_t", "skew_quad"):
+        cases.append((f"laplace_{poly}_14",
+                      ["laplace", "--polygon", _input(poly),
+                       "--order", "14"], 0))
     cases.append(("decompose_general_kappa_-1",
                   ["decompose", "--spec", _input("spec_general"),
                    "--kappa", "-1"], 0))
