@@ -138,19 +138,32 @@ def _between(a: Point, b: Point, p: Point) -> bool:
 
 
 def lattice_points(P: LatticePolygon) -> list[Point]:
-    """All integer points of P in lexicographic order."""
+    """All integer points of P in lexicographic order.
+
+    Each column x runs from its lower to its upper boundary.  P is
+    counterclockwise, so the edges going right bound it below and those
+    going left bound it above; vertical edges bound no column of P.
+    """
     v = P.vertices
     if P.dim == 0:
         return [v[0]]
     if P.dim == 1:
         return sorted(segment_lattice_points(*v))
     xs = [p[0] for p in v]
-    ys = [p[1] for p in v]
+    edges = list(zip(v, v[1:] + v[:1]))
+    # each edge as (a, b) with a_x < b_x
+    lower = [(a, b) for a, b in edges if a[0] < b[0]]
+    upper = [(b, a) for a, b in edges if a[0] > b[0]]
+
+    def rise(a, b, x):
+        """(b_x - a_x) times the height of the line ab at x."""
+        return a[1] * (b[0] - a[0]) + (b[1] - a[1]) * (x - a[0])
+
     out = []
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if contains(P, (x, y)):
-                out.append((x, y))
+        lo = max(-(-rise(a, b, x) // (b[0] - a[0])) for a, b in lower)
+        hi = min(rise(a, b, x) // (b[0] - a[0]) for a, b in upper)
+        out.extend((x, y) for y in range(lo, hi + 1))
     return out
 
 

@@ -198,6 +198,44 @@ def test_triangulation_invariants_on_random_polygons(P, seed):
             assert _faces_containing(tri, z) == (1 if contains(P, z) else 0)
 
 
+@st.composite
+def point_hulls(draw):
+    """Hulls of every dimension for lattice point enumeration: the random
+    polygons above, long thin diagonal ones, axis-parallel ones with
+    vertical and horizontal edges, ones spanning only two columns, and
+    vertical segments and points, which take a single column."""
+    kind = draw(st.sampled_from(["hull", "diagonal", "axis", "narrow",
+                                 "column"]))
+    coord = st.integers(-40, 40)
+    if kind == "hull":
+        return draw(hulls())
+    x, y = draw(coord), draw(coord)
+    if kind == "diagonal":
+        d = draw(st.integers(5, 60))
+        s = draw(st.sampled_from([1, -1]))
+        pts = [(x, y), (x + d, y + s * (d + 1)), (x + d + 1, y + s * d)]
+    elif kind == "axis":
+        w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        cut = draw(st.integers(0, h))
+        pts = [(x, y), (x + w, y), (x + w, y + h - cut), (x, y + h)]
+    elif kind == "narrow":
+        pts = [(x, y + draw(st.integers(-9, 9))) for _ in range(2)] \
+            + [(x + 1, y + draw(st.integers(-9, 9))) for _ in range(2)]
+    else:
+        pts = [(x, y), (x, y + draw(st.integers(0, 9)))]
+    return hull_normalize(pts)
+
+
+@settings(max_examples=150)
+@given(P=point_hulls())
+def test_lattice_points_match_box_scan(P):
+    xs = [v[0] for v in P.vertices]
+    ys = [v[1] for v in P.vertices]
+    scan = [(x, y) for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1) if contains(P, (x, y))]
+    assert lattice_points(P) == scan
+
+
 def test_split_pairs():
     pairs = split_pairs(SQUARE)
     assert len(pairs) == 2   # the two diagonals

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as Q
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latval.geometry import (NotFullDimensional, hull_normalize,
                              scale_polygon, split_pairs)
@@ -51,6 +53,18 @@ def test_polygon_moments_square_separable():
             assert table.moment(a, b) == Q(1, (a + 1) * (b + 1))
 
 
+def test_moment_outside_table_raises():
+    table = polygon_moments(T, 3)
+    assert table.moment(1, 2) == triangle_moment(1, 2)
+    # never computed, and nonzero on T
+    with pytest.raises(ValueError):
+        table.moment(2, 2)
+    with pytest.raises(ValueError):
+        table.moment(-1, 0)
+    with pytest.raises(ValueError):
+        table.moment(0, -1)
+
+
 def test_moment_zero_is_area():
     from latval.geometry import area2
     for P in CORPUS:
@@ -62,6 +76,50 @@ def test_moments_triangulation_independent():
         a = polygon_moments(P, 6, "lex")
         b = polygon_moments(P, 6, "alt")
         assert a.values == b.values
+
+
+@st.composite
+def lattice_hulls(draw):
+    """Random full-dimensional hulls: points in a small box, or thin
+    triangles with a long edge."""
+    small = st.integers(-4, 4)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(small, small), min_size=3, max_size=6))
+    else:
+        a = draw(st.tuples(small, small))
+        d = draw(st.tuples(st.integers(-15, 15), st.integers(-15, 15)))
+        off = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        pts = [a, (a[0] + d[0], a[1] + d[1]),
+               (a[0] + d[0] // 2 + off[0], a[1] + d[1] // 2 + off[1])]
+    P = hull_normalize(pts)
+    assume(P.dim == 2)
+    return P
+
+
+def _green_moment(P, a, b):
+    """mu(a, b) from the boundary alone, by Green's formula: 1/(a+1) times
+    the integral of s^(a+1) t^b dt counterclockwise around P.  On the edge
+    p + tau (q - p) each power is expanded binomially in tau, and
+    int_0^1 tau^k dtau = 1/(k+1)."""
+    v = P.vertices
+    total = Q(0)
+    for (ps, pt), (qs, qt) in zip(v, v[1:] + v[:1]):
+        ds, dt = qs - ps, qt - pt
+        for k in range(a + 2):
+            for m in range(b + 1):
+                total += Q(comb(a + 1, k) * ps ** (a + 1 - k) * ds ** k
+                           * comb(b, m) * pt ** (b - m) * dt ** (m + 1),
+                           k + m + 1)
+    return total / (a + 1)
+
+
+@settings(max_examples=100)
+@given(P=lattice_hulls(), n=st.integers(0, 10))
+def test_moments_match_green_formula(P, n):
+    expected = {(a, b): _green_moment(P, a, b)
+                for a in range(n + 1) for b in range(n + 1 - a)}
+    for insertion in ("lex", "alt"):
+        assert polygon_moments(P, n, insertion).values == expected
 
 
 def test_laplace_plus_T_coefficients():
