@@ -71,6 +71,11 @@ def _cases():
             cases.append((f"evaluate_{poly}_{spec}",
                           ["evaluate", "--spec", _input("spec_" + spec),
                            "--polygon", _input(poly)], 0))
+    # a segment of lattice length 3 and a point, off the origin
+    for cell in ("segment_3", "point"):
+        cases.append((f"evaluate_{cell}",
+                      ["evaluate", "--spec", _input("spec_general"),
+                       "--polygon", _input(cell)], 0))
     # order 14 pins the moments over the larger common denominator 16!
     for poly in ("thin_t", "skew_quad"):
         cases.append((f"laplace_{poly}_14",
