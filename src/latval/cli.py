@@ -59,7 +59,11 @@ def _order(args, minimum: int) -> int:
 
 
 def _emit(obj, args) -> None:
-    text = io.dumps(obj)
+    _write(io.dumps(obj), args)
+
+
+def _write(text: str, args) -> None:
+    """text to the --out file if one is given, else to stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -90,9 +94,8 @@ def cmd_vd(args) -> int:
         table = vspace.dims_table(_at_least("--max", args.max, 0))
         ok = all(c == p for _, c, p in table)
         if args.format == "table":
-            sys.stdout.write("d\tcomputed\tpredicted\n")
-            for d, c, p in table:
-                sys.stdout.write(f"{d}\t{c}\t{p}\n")
+            _write("d\tcomputed\tpredicted\n" + "".join(
+                f"{d}\t{c}\t{p}\n" for d, c, p in table), args)
         else:
             _emit({"dims": [{"d": d, "computed": c, "predicted": p}
                             for d, c, p in table],
@@ -182,7 +185,8 @@ def cmd_dilative(args) -> int:
     first = next((c["first_violation"] for c in cases if not c["holds"]), None)
     _emit(_report(f"dilative delta={args.delta}",
                   "holds" if report.holds else "violated",
-                  spec.effective_order, first, cases=cases), args)
+                  valuation.evaluator_for(spec).order, first, cases=cases),
+          args)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
 
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def out(p):
-        p.add_argument("--out", help="write JSON output to this file")
+        p.add_argument("--out", help="write the output to this file")
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)

@@ -3,9 +3,10 @@ triangulations, and chord splittings.
 
 Polygons are canonical: counterclockwise strictly convex vertex lists
 starting at the lexicographically smallest vertex.  Triangulations come
-from one monotone sweep over every lattice point of the polygon, which
-forces all triangles to be unimodular (an empty lattice triangle has
-twice-area one).
+from one monotone sweep over every lattice point of the polygon in
+lexicographic order, which forces all triangles to be unimodular (an
+empty lattice triangle has twice-area one); the (y, x) sweep is the (x, y)
+sweep of the mirror image.
 """
 
 from __future__ import annotations
@@ -206,26 +207,21 @@ class Triangulation:
         return (self.points[e[0]], self.points[e[1]])
 
 
-def unimodular_triangulation(P: LatticePolygon, insertion: str = "lex") -> Triangulation:
+def unimodular_triangulation(P: LatticePolygon) -> Triangulation:
     """Deterministic unimodular triangulation using all lattice points of P.
 
     One monotone sweep (Andrew's monotone chain with collinear points kept
-    on the chains): the points are taken in sorted order, and each new point
-    pops every edge of the lower and of the upper chain that it strictly
-    sees, making one triangle with each, before it joins both chains.
-    ``insertion`` is the order: "lex" sorts by (x, y), "alt" by (y, x).
-    Because every lattice point participates, each triangle is
+    on the chains): the points are taken in lexicographic order, and each
+    new point pops every edge of the lower and of the upper chain that it
+    strictly sees, making one triangle with each, before it joins both
+    chains.  Because every lattice point participates, each triangle is
     lattice-point free and hence has twice-area one.  The points left on
     the chains are the boundary points of P; the others are the interior
     vertices.
     """
     if P.dim != 2:
         raise NotFullDimensional(f"dim {P.dim}")
-    if insertion not in ("lex", "alt"):
-        raise ValueError(f"unknown insertion order {insertion!r}")
     pts = lattice_points(P)            # lexicographic
-    if insertion == "alt":             # sweep the mirror image x <-> y
-        pts = sorted((y, x) for x, y in pts)
 
     triangles = []
     lower, upper = [], []              # indices into pts, left to right
@@ -238,8 +234,6 @@ def unimodular_triangulation(P: LatticePolygon, insertion: str = "lex") -> Trian
         upper.append(k)
     if not triangles:
         raise NotFullDimensional("all lattice points collinear")
-    if insertion == "alt":
-        pts = [(x, y) for y, x in pts]
 
     edge_count = {}
     for a, b, c in triangles:

@@ -60,13 +60,13 @@ def _binomial_powers(v0, c1, c2, n_max):
             for e in range(n_max + 1)]
 
 
-def _moment_numerators(P: LatticePolygon, n_max: int, insertion: str):
+def _moment_numerators(P: LatticePolygon, n_max: int):
     """(num, K) with mu(a, b) = num[(a, b)] / K for a + b <= n_max, where
     K = (n_max + 2)!, summed over a unimodular triangulation (each frame
     has Jacobian 1)."""
     if P.dim != 2:
         raise NotFullDimensional(f"dim {P.dim}")
-    tri = unimodular_triangulation(P, insertion)
+    tri = unimodular_triangulation(P)
     K = factorial(n_max + 2)
     # base[i][j] = K * triangle_moment(i, j), an integer for i + j <= n_max
     base = [[factorial(i) * factorial(j) * (K // factorial(i + j + 2))
@@ -93,18 +93,16 @@ def _moment_numerators(P: LatticePolygon, n_max: int, insertion: str):
     return num, K
 
 
-def polygon_moments(P: LatticePolygon, n_max: int,
-                    insertion: str = "lex") -> MomentTable:
+def polygon_moments(P: LatticePolygon, n_max: int) -> MomentTable:
     """All moments mu(a, b), a + b <= n_max."""
-    num, K = _moment_numerators(P, n_max, insertion)
+    num, K = _moment_numerators(P, n_max)
     return MomentTable(P, n_max, {e: Q(v, K) for e, v in num.items()})
 
 
-def laplace_plus(P: LatticePolygon, order: int = DEFAULT_ORDER,
-                 insertion: str = "lex") -> Series2:
+def laplace_plus(P: LatticePolygon, order: int = DEFAULT_ORDER) -> Series2:
     """The transform as a truncated series; zero on points and segments."""
     if P.dim < 2:
         return Series2.zero(order)
-    num, K = _moment_numerators(P, order, insertion)
+    num, K = _moment_numerators(P, order)
     return Series2({(a, b): Q(v, K * factorial(a) * factorial(b))
                     for (a, b), v in num.items()}, order)

@@ -123,11 +123,14 @@ def to_divided_powers(fs) -> tuple:
     return den, [_dp_table(f, den) for f in fs]
 
 
-def from_divided_powers(t, den: int) -> "Series2":
-    """The series of the divided-power table t over den."""
+def from_divided_powers(t, den: int, ad: int = 1, bd: int = 1) -> "Series2":
+    """The series of the divided-power table t over den, whose entry
+    [p][q] carries the extra factor ad^p * bd^q (as a twist by
+    exp(alpha*x + beta*y) with denominators ad, bd leaves it)."""
     n = len(t) - 1
-    fact = [factorial(k) for k in range(n + 1)]
-    return Series2({(p, q): Q(s, den * fact[p] * fact[q])
+    fx = [factorial(k) * ad ** k for k in range(n + 1)]
+    fy = [factorial(k) * bd ** k for k in range(n + 1)]
+    return Series2({(p, q): Q(s, den * fx[p] * fy[q])
                     for p, row in enumerate(t) for q, s in enumerate(row)
                     if s}, n)
 
@@ -409,15 +412,10 @@ def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     beta, f.order) exactly, in O(order^3) instead of O(order^4) operations.
     """
     alpha, beta = _q(alpha), _q(beta)
-    n = f.order
     den = _dp_denominator(f)
-    out = _zero_table(n)
+    out = _zero_table(f.order)
     _dp_twist_into(out, _dp_table(f, den), alpha, beta)
-    fact = [factorial(k) for k in range(n + 1)]
-    ad, bd = alpha.denominator, beta.denominator
-    return Series2({(p, q): Q(s, den * fact[p] * fact[q] * ad ** p * bd ** q)
-                    for p, row in enumerate(out) for q, s in enumerate(row)
-                    if s}, n)
+    return from_divided_powers(out, den, alpha.denominator, beta.denominator)
 
 
 def divide_unit(f: Series2, g: Series2) -> Series2:

@@ -8,20 +8,24 @@ A spec (c, g, rho) determines the values on the basic faces:
     unit triangle:  zT = f2 + (f1(x,y) + f1(y,-x) + e^x f1(-x+y,-x)) / 2
                     with f2 = dagger(rho)
 
-and every other polygon value follows by equivariance and the valuation
-axiom, realized here through an inclusion-exclusion over the unimodular
-triangulation on all lattice points: zT in the frame of each triangle,
-minus f1 in the frame of each interior edge, plus c * e^{v.z} at each
-interior point v.  Since dagger loses one order, all engine outputs carry
-order N - 1 for a spec of order N.
+and every other value follows by equivariance and the valuation axiom,
+realized here through one inclusion-exclusion for points, segments and
+polygons: the sum over the unit cells of P that are not in P's relative
+boundary, each value in the cell's own frame, with the sign
+(-1)^(dim P - dim cell).  For a polygon these are the triangles (+zT),
+interior edges (-f1) and interior points (+c) of its unimodular
+triangulation on all lattice points; for a segment its unit segments (+f1)
+and inner lattice points (-c); for a point the point itself (+c).  Since
+dagger loses one order, all engine outputs carry order N - 1 for a spec
+of order N (less when g or rho is known to a lower order).
 
 The sum is taken in integers.  zT, f1 and c are kept in divided-power form,
 f[p, q] = A[p][q] / (D * p! * q!), over one denominator D per evaluator.
 In that form the substitution of an integer matrix and the twist by
 e^{v.z} for an integer v map integer tables to integer tables, so all
-faces of a polygon are added into one table of integers, grouped by
-translation so that each vertex costs one twist, and the Fractions are
-made once, at the end.
+cells are added into one table of integers, grouped by translation so
+that each lattice point costs one twist, and the Fractions are made once,
+at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (LatticePolygon, NotSegment, hull_normalize,
-                       lattice_length, scale_polygon,
+                       scale_polygon, segment_lattice_points,
                        unimodular_triangulation)
 from .group import AffineUnimodular, complete_primitive, triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
@@ -127,10 +131,6 @@ class ValuationSpec:
             if not report.holds:
                 raise InvalidRho(report)
 
-    @property
-    def effective_order(self) -> int:
-        return self.order - 1
-
     def is_simple(self) -> bool:
         return self.c == 0 and self.g.is_zero()
 
@@ -165,75 +165,74 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 
 
 class Evaluator:
-    """Evaluates one spec on many polygons, caching per-face results; the
-    sums are taken in divided-power tables, as the module docstring says."""
+    """Evaluates one spec on points, segments and polygons, keeping the
+    values in one cache; the sums are taken in divided-power tables, as
+    the module docstring says."""
 
-    def __init__(self, spec: ValuationSpec, insertion: str = "lex"):
+    def __init__(self, spec: ValuationSpec):
         self.spec = spec
-        self.insertion = insertion
         self.data = build_triangle_data(spec)
-        # zT, f1, -f1, c and -c at the origin, as divided-power tables over
-        # the least D that makes them integral
+        # the unit cell of each dimension at the origin (c, f1, zT), with
+        # the signs each can take, as divided-power tables over the least D
+        # that makes them integral
         c = Series2.constant(spec.c, self.order)
-        self._den, (self._zT, self._f1, self._minus_f1, self._c,
-                    self._minus_c) = to_divided_powers(
-            [self.data.zT, self.data.f1, -self.data.f1, c, -c])
-        self._segments = OrderedDict()
-        self._polygons = OrderedDict()
+        self._den, (c, minus_c, f1, minus_f1, zT) = to_divided_powers(
+            [c, -c, self.data.f1, -self.data.f1, self.data.zT])
+        self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
+        self._values = OrderedDict()
 
     @property
     def order(self) -> int:
         return self.data.effective_order
 
     def z_point(self, p) -> Series2:
-        return exp_linear(p[0], p[1], self.order).scalar_mul(self.spec.c)
+        return self._value(hull_normalize([p]))
 
     def z_segment(self, a, b) -> Series2:
-        key = tuple(sorted((tuple(a), tuple(b))))
-        return _lru(self._segments, key, FACES_MAX,
-                    lambda: self._z_segment(*key))
-
-    def _z_segment(self, a, b) -> Series2:
-        ell, frame = _segment_frame(a, b)
-        # f1 on the unit segments of [0, ell*e1] minus c at its inner
-        # points, then moved into the segment's frame
-        steps = [AffineUnimodular.translation((k, 0)) for k in range(ell)]
-        faces = [(self._f1, xi) for xi in steps]
-        if self.spec.c:
-            faces += [(self._minus_c, xi) for xi in steps[1:]]
-        inner = sum_of_images(faces)
-        return from_divided_powers(sum_of_images([(inner, frame)]), self._den)
+        seg = hull_normalize([a, b])
+        if seg.dim == 0:
+            raise NotSegment("endpoints coincide")
+        return self._value(seg)
 
     def z_polygon(self, P: LatticePolygon) -> Series2:
-        return _lru(self._polygons, P.key(), FACES_MAX,
-                    lambda: self._z_polygon(P))
+        return self._value(P)
 
-    def _z_polygon(self, P: LatticePolygon) -> Series2:
-        if P.dim == 0:
-            return self.z_point(P.vertices[0])
-        if P.dim == 1:
-            return self.z_segment(*P.vertices)
-        tri = unimodular_triangulation(P, self.insertion)
-        faces = [(self._zT, triangle_frame(*tri.triangle_points(t)))
-                 for t in tri.triangles]
-        # every lattice point is a vertex, so each edge is a unit segment
-        faces += [(self._minus_f1, _segment_frame(*tri.edge_points(e))[1])
-                  for e in tri.interior_edges]
-        if self.spec.c:
-            faces += [(self._c, AffineUnimodular.translation(tri.points[i]))
-                      for i in tri.interior_vertices]
+    def _value(self, P: LatticePolygon) -> Series2:
+        return _lru(self._values, P.key(), FACES_MAX, lambda: self._sum(P))
+
+    def _sum(self, P: LatticePolygon) -> Series2:
+        # each open cell with the sign (-1)^(dim P - dim cell)
+        faces = [(self._cells[d][(P.dim - d) % 2], xi)
+                 for d, xi in _open_cells(P)]
         return from_divided_powers(sum_of_images(faces), self._den)
 
 
-def _segment_frame(a, b):
-    """(lattice length, frame) of the segment [a, b]: the frame maps
-    [0, ell*e1] onto it, starting at a."""
-    ell = lattice_length(a, b)
-    if ell == 0:
-        raise NotSegment("endpoints coincide")
-    w = ((b[0] - a[0]) // ell, (b[1] - a[1]) // ell)
-    return ell, AffineUnimodular(complete_primitive(w).m,
-                                 (int(a[0]), int(a[1])))
+def _open_cells(P: LatticePolygon) -> list:
+    """(dim, frame) for each unit cell of P that is not in P's relative
+    boundary; the frame maps the origin, [0, e1] or the unit triangle onto
+    the cell.  For a polygon these are the triangles, interior edges and
+    interior vertices of its unimodular triangulation; for a segment its
+    unit segments and inner lattice points; for a point the point."""
+    if P.dim == 0:
+        return [(0, AffineUnimodular.translation(P.vertices[0]))]
+    if P.dim == 1:
+        pts = segment_lattice_points(*P.vertices)
+        return ([(1, _unit_segment_frame(a, b)) for a, b in zip(pts, pts[1:])]
+                + [(0, AffineUnimodular.translation(p)) for p in pts[1:-1]])
+    tri = unimodular_triangulation(P)
+    # every lattice point is a vertex, so each edge is a unit segment
+    return ([(2, triangle_frame(*tri.triangle_points(t)))
+             for t in tri.triangles]
+            + [(1, _unit_segment_frame(*tri.edge_points(e)))
+               for e in tri.interior_edges]
+            + [(0, AffineUnimodular.translation(tri.points[i]))
+               for i in tri.interior_vertices])
+
+
+def _unit_segment_frame(a, b) -> AffineUnimodular:
+    """The frame that maps [0, e1] onto the unit segment [a, b]."""
+    return AffineUnimodular(complete_primitive((b[0] - a[0], b[1] - a[1])).m,
+                            a)
 
 
 def _lru(cache: OrderedDict, key, bound: int, build):
@@ -251,15 +250,14 @@ def _lru(cache: OrderedDict, key, bound: int, build):
 # Shared evaluators, least recently used first; at most EVALUATORS_MAX.
 EVALUATORS_MAX = 32
 _EVALUATORS: OrderedDict = OrderedDict()
-# Segment and polygon values each evaluator keeps, least recently used
-# first; at most FACES_MAX of each.
+# Point, segment and polygon values each evaluator keeps, least recently
+# used first; at most FACES_MAX in all.
 FACES_MAX = 1024
 
 
-def evaluator_for(spec: ValuationSpec, insertion: str = "lex") -> Evaluator:
-    key = (spec.key(), insertion)
-    return _lru(_EVALUATORS, key, EVALUATORS_MAX,
-                lambda: Evaluator(spec, insertion))
+def evaluator_for(spec: ValuationSpec) -> Evaluator:
+    return _lru(_EVALUATORS, spec.key(), EVALUATORS_MAX,
+                lambda: Evaluator(spec))
 
 
 def z_point(spec: ValuationSpec, p) -> Series2:
@@ -272,9 +270,8 @@ def z_segment(spec: ValuationSpec, seg: LatticePolygon) -> Series2:
     return evaluator_for(spec).z_segment(*seg.vertices)
 
 
-def z_polygon(spec: ValuationSpec, P: LatticePolygon,
-              insertion: str = "lex") -> Series2:
-    return evaluator_for(spec, insertion).z_polygon(P)
+def z_polygon(spec: ValuationSpec, P: LatticePolygon) -> Series2:
+    return evaluator_for(spec).z_polygon(P)
 
 
 # ---------------------------------------------------------------------------

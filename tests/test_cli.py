@@ -115,6 +115,15 @@ def test_vd_dims_table_format(capsys):
     assert out.splitlines()[0].split() == ["d", "computed", "predicted"]
 
 
+def test_vd_dims_table_format_writes_out(tmp_path, capsys):
+    code, shown = run(capsys, "vd", "dims", "--max", "4", "--format", "table")
+    path = tmp_path / "dims.tsv"
+    code, out = run(capsys, "vd", "dims", "--max", "4", "--format", "table",
+                    "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == shown
+
+
 def test_vd_basis(capsys):
     code, out = run(capsys, "vd", "basis", "--degree", "4")
     assert code == 0
@@ -254,6 +263,17 @@ def test_dilative_reports_first_violation(tmp_path, capsys):
     failing = [c for c in report["cases"] if not c["holds"]]
     assert report["first_violation"] == failing[0]["first_violation"]
     assert report["first_violation"] is not None
+
+
+def test_dilative_verified_order_is_the_evaluators(tmp_path, capsys):
+    # rho known to order 4 caps every value at order 3, below order - 1
+    rho4 = {"vars": ["x", "y"], "order": 4,
+            "terms": [{"e": [0, 0], "c": "1"}]}
+    spath = write(tmp_path, "spec.json", {"c": "0", "rho": rho4, "order": 12})
+    tpath = write(tmp_path, "T.json", T_POLY)
+    code, out = run(capsys, "dilative", "--spec", spath, "--delta", "-2",
+                    "--m", "2", "--polygons", tpath)
+    assert code == 0 and json.loads(out)["verified_order"] == 3
 
 
 def test_dilative_bad_m(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for lattice polygons, triangulations, and chord splittings."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -112,10 +113,21 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("insertion", ["lex", "alt"])
+def _sweep(P, order):
+    """P's triangulation with its points swept in (x, y) order ("lex"), or
+    in (y, x) order ("alt"): the triangulation of the mirror image
+    (x, y) -> (y, x), mapped back."""
+    if order == "lex":
+        return unimodular_triangulation(P)
+    tri = unimodular_triangulation(hull_normalize([(y, x) for x, y
+                                                   in P.vertices]))
+    return replace(tri, points=tuple((x, y) for y, x in tri.points))
+
+
+@pytest.mark.parametrize("order", ["lex", "alt"])
 @pytest.mark.parametrize("P", CORPUS, ids=lambda P: str(list(P.vertices)))
-def test_triangulation_invariants(P, insertion):
-    tri = unimodular_triangulation(P, insertion)
+def test_triangulation_invariants(P, order):
+    tri = _sweep(P, order)
     assert set(tri.points) == set(lattice_points(P))
     total = 0
     for t in tri.triangles:
@@ -184,8 +196,8 @@ def test_triangulation_invariants_on_random_polygons(P, seed):
     zs = [(Q(rng.randint(4 * min(xs) - 2, 4 * max(xs) + 2), 4),
            Q(rng.randint(4 * min(ys) - 2, 4 * max(ys) + 2), 4))
           for _ in range(10)]
-    for insertion in ("lex", "alt"):
-        tri = unimodular_triangulation(P, insertion)
+    for order in ("lex", "alt"):
+        tri = _sweep(P, order)
         assert sorted(tri.points) == lattice_points(P)
         for t in tri.triangles:
             triangle_frame(*tri.triangle_points(t))   # raises unless unimodular

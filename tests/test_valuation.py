@@ -14,7 +14,7 @@ from latval.geometry import (NoValidChord, chord_of_split, hull_normalize,
                              unimodular_triangulation)
 from latval.group import (AffineUnimodular, act_on_polygon, act_on_series,
                           complete_primitive, det, triangle_frame)
-from latval.series import Series1, Series2
+from latval.series import Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
                               LawViolation, NoCandidatePasses, NotSimpleSpec,
@@ -69,7 +69,7 @@ def test_g_with_a_y_term_rejected():
 def test_spec_defaults_and_simplicity():
     spec = laplace_spec()
     assert spec.is_simple()
-    assert spec.effective_order == 11
+    assert evaluator_for(spec).order == 11
     assert not case3_spec().is_simple()
 
 
@@ -98,7 +98,6 @@ def test_triangle_data_zero_spec():
 
 
 def test_z_point():
-    from latval.series import exp_linear
     spec = case3_spec()
     assert z_point(spec, (0, 0)).coeff(0, 0) == 1
     assert z_point(spec, (1, 0)) == exp_linear(1, 0, 11)
@@ -114,7 +113,6 @@ def test_z_segment_unit():
 
 def test_z_segment_odd_delta_one():
     # g with g(x^2) = x sinh(x/2) gives Z([0, 2e1]) = x (e^{2x} - 1)/2
-    from latval.series import exp_linear
     spec = odd_spec(1)
     seg = hull_normalize([(0, 0), (2, 0)])
     expected = (exp_linear(2, 0, 11) - Series2.constant(1, 11)).mul_linear(1, 0) \
@@ -123,7 +121,6 @@ def test_z_segment_odd_delta_one():
 
 
 def test_z_segment_case3_length_two():
-    from latval.series import exp_linear
     spec = case3_spec()
     seg = hull_normalize([(0, 0), (2, 0)])
     expected = (exp_linear(2, 0, 11) + Series2.constant(1, 11)).scalar_mul(Q(1, 2))
@@ -151,11 +148,20 @@ def test_z_polygon_constant_terms():
     assert z_polygon(spec, scale_polygon(T, 2)).coeff(0, 0) == 3
 
 
+MIRROR = AffineUnimodular(((0, 1), (1, 0)))
+
+
+def z_polygon_mirrored(spec, P):
+    """Z(P) by way of the mirror image (x, y) -> (y, x), whose triangulation
+    sweeps P's points in (y, x) order instead of (x, y) order."""
+    return act_on_series(MIRROR, z_polygon(spec, act_on_polygon(MIRROR, P)))
+
+
 def test_z_polygon_triangulation_independent():
     for spec in SPECS:
         for P in (scale_polygon(T, 2), scale_polygon(SQUARE, 2),
                   hull_normalize([(0, 0), (3, 0), (1, 2), (0, 2)])):
-            assert z_polygon(spec, P, "lex") == z_polygon(spec, P, "alt")
+            assert z_polygon(spec, P) == z_polygon_mirrored(spec, P)
 
 
 def test_valuation_axiom():
@@ -243,7 +249,7 @@ def test_equivariance_on_random_polygons(name, P, xi):
 @given(P=lattice_polygons())
 def test_insertion_orders_agree_on_random_polygons(name, P):
     spec = PROPERTY_SPECS[name]
-    assert z_polygon(spec, P, "lex") == z_polygon(spec, P, "alt")
+    assert z_polygon(spec, P) == z_polygon_mirrored(spec, P)
 
 
 FACE_SUM_SPECS = {
@@ -259,6 +265,11 @@ FACE_SUM_SPECS = {
 def _unit_segment(data, a, w):
     """f1 in the frame of the unit segment [a, a + w], by act_on_series."""
     return act_on_series(AffineUnimodular(complete_primitive(w).m, a), data.f1)
+
+
+def _point(ev, p):
+    """c * e^{p.z}, built apart from the evaluator."""
+    return exp_linear(*p, ev.order).scalar_mul(ev.spec.c)
 
 
 @st.composite
@@ -277,7 +288,7 @@ def polygons_with_interior_points(draw):
 def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
     # the inclusion-exclusion over the triangulation, from Series2 pieces
     ev = evaluator_for(FACE_SUM_SPECS[name])
-    tri = unimodular_triangulation(P, ev.insertion)
+    tri = unimodular_triangulation(P)
     total = Series2.zero(ev.order)
     for t in tri.triangles:
         total = total + act_on_series(triangle_frame(*tri.triangle_points(t)),
@@ -286,7 +297,7 @@ def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
         a, b = tri.edge_points(e)
         total = total - _unit_segment(ev.data, a, (b[0] - a[0], b[1] - a[1]))
     for i in tri.interior_vertices:
-        total = total + ev.z_point(tri.points[i])
+        total = total + _point(ev, tri.points[i])
     assert ev.z_polygon(P).key() == total.key()
 
 
@@ -307,7 +318,7 @@ def test_long_segment_is_sum_of_unit_segments(a, w, ell):
     for p in points[:-1]:
         total = total + _unit_segment(ev.data, p, w)
     for p in points[1:-1]:
-        total = total - ev.z_point(p)
+        total = total - _point(ev, p)
     assert ev.z_segment(points[0], points[-1]).key() == total.key()
 
 
@@ -507,14 +518,12 @@ def test_extract_g_round_trip():
 
 def test_extract_g_examples():
     # f1 = (e^x + 1)/2 recovers the cosh-type series
-    from latval.series import exp_linear
     f1 = (exp_linear(1, 0, 12) + Series2.constant(1, 12)).scalar_mul(Q(1, 2))
     g = extract_g(f1)
     assert g.coeff(0) == 1 and g.coeff(1) == Q(1, 8) and g.coeff(2) == Q(1, 384)
 
 
 def test_extract_g_rejects_bad_f1():
-    from latval.series import exp_linear
     with pytest.raises(LawViolation) as err:
         extract_g(exp_linear(1, 0, 12))
     assert err.value.report.law == "f1shift"
@@ -529,23 +538,26 @@ def test_evaluator_caching():
 
 
 def test_evaluator_face_caches_are_bounded(monkeypatch):
-    monkeypatch.setattr(valuation, "FACES_MAX", 3)
-    ev = valuation.Evaluator(laplace_spec(6))
-    polygons = [scale_polygon(T, m) for m in range(1, 6)]
-    kept = ev.z_polygon(polygons[0])
-    second = ev.z_polygon(polygons[1])
-    segments = [((0, 0), (m, 1)) for m in range(5)]
-    kept_segment = ev.z_segment(*segments[0])
-    for P, seg in zip(polygons[2:], segments[2:]):
-        assert ev.z_polygon(P) is ev.z_polygon(P)
-        assert ev.z_polygon(polygons[0]) is kept    # used, so never dropped
-        ev.z_segment(*seg)
-        assert ev.z_segment(*segments[0]) is kept_segment
-        assert len(ev._polygons) <= 3 and len(ev._segments) <= 3
-    assert len(ev._polygons) == 3 and len(ev._segments) == 3
-    # polygons[1] went unused longest, so it was dropped and is built anew
-    assert ev.z_polygon(polygons[1]) is not second
-    assert ev.z_polygon(polygons[1]) == second
+    # points, segments and polygons share one cache of FACES_MAX values
+    monkeypatch.setattr(valuation, "FACES_MAX", 4)
+    ev = valuation.Evaluator(case3_spec(6))
+    first = ev.z_polygon(SQUARE)
+    kept = (ev.z_polygon(T), ev.z_segment((0, 0), (2, 1)), ev.z_point((1, -1)))
+    others = [(ev.z_polygon, [scale_polygon(T, 2)]),
+              (ev.z_segment, [(0, 0), (0, 3)]), (ev.z_point, [(4, 2)]),
+              (ev.z_polygon, [scale_polygon(SQUARE, 2)]),
+              (ev.z_segment, [(1, 1), (4, 3)]), (ev.z_point, [(0, 0)])]
+    for value, args in others:
+        assert value(*args) is value(*args)
+        # used, so never dropped; a segment is the same either way round
+        assert ev.z_polygon(T) is kept[0]
+        assert ev.z_segment((2, 1), (0, 0)) is kept[1]
+        assert ev.z_point((1, -1)) is kept[2]
+        assert len(ev._values) <= 4
+    assert len(ev._values) == 4
+    # SQUARE went unused longest, so it was dropped and is built anew
+    assert ev.z_polygon(SQUARE) is not first
+    assert ev.z_polygon(SQUARE) == first
 
 
 def test_evaluator_registry_is_bounded():
