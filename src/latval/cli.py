@@ -278,8 +278,13 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # exit 3, not 2; subparsers share the class
+        raise io.MalformedInput(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latval",
         description="Exact valuations on lattice polygons with truncated "
                     "power series values.")
@@ -353,8 +358,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (io.MalformedInput, valuation.InvalidRho) as exc:
         sys.stderr.write(f"error: {exc}\n")

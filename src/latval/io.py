@@ -11,8 +11,10 @@ Formats:
 
 Dumps are canonical: sorted terms, stable key order, rationals rendered as
 "num/den" (or a plain integer string), so identical inputs produce
-byte-identical output.  Loads validate shape and reject duplicate
-exponents; all load errors raise MalformedInput.
+byte-identical output.  Loads take a rational from a JSON integer or a
+string such as "-3/7", never from a float, which is already rounded to
+binary; they validate shape and reject duplicate exponents.  Every load
+error raises MalformedInput, an unreadable file or bad UTF-8 or JSON too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .geometry import LatticePolygon, hull_normalize
 from .group import AffineUnimodular, NotUnimodular
 from .series import DEFAULT_ORDER, Series1, Series2
-from .valuation import InvalidRho, ValuationSpec
+from .valuation import ValuationSpec
 
 Q = Fraction
 
@@ -47,6 +49,9 @@ def _is_int(v) -> bool:
 def parse_rational(s) -> Fraction:
     if isinstance(s, bool):
         raise MalformedInput(f"bad rational {s!r}: not a number")
+    if isinstance(s, float):   # also NaN and Infinity; rounded to binary
+        raise MalformedInput(f"bad rational {s!r}: give an integer or a "
+                             '"num/den" string, not a float')
     try:
         return Q(s)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -137,8 +142,6 @@ def spec_from_obj(obj) -> ValuationSpec:
     rho = series2_from_obj(obj["rho"]) if "rho" in obj else Series2.zero(order)
     try:
         return ValuationSpec(c, g, rho, order)
-    except InvalidRho:
-        raise
     except ValueError as exc:
         raise MalformedInput(str(exc)) from None
 
@@ -173,5 +176,5 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or UTF-8
         raise MalformedInput(f"{path}: {exc}") from None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
                     is_d4_invariant)
-from .series import (Series2, compose_univariate, divide_linear,
+from .series import (Series2, divide_linear,
                      homogeneous_part, mul_exp_linear, special_series)
 
 Q = Fraction
@@ -55,7 +55,7 @@ def sharp(f: Series2) -> Series2:
     """f-sharp; order preserved (only unit divisions are involved)."""
     n = f.order
     bern = special_series("t_over_expm1", n)
-    bxy = compose_univariate(bern, Series2({(1, 0): 1, (0, 1): 1}, n))
+    bxy = bern.subst_linear((1, 1), (0, 0))
     bracket = f.subst_linear((1, 0), (1, 1)) \
         + mul_exp_linear(f.subst_linear((0, 1), (1, 1)), 1, 0)
     return bern * bxy * bracket

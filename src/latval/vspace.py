@@ -1,4 +1,4 @@
-"""Exact solver for the homogeneous-degree-d parameter spaces.
+"""Exact solver for the homogeneous-degree-d parameter space V_d.
 
 A degree-d homogeneous polynomial rho(x, y) = sum_k a_k x^{d-k} y^k is a
 valid parameter exactly when it satisfies the laws ``laws.RHO_LAWS``:
@@ -6,18 +6,12 @@ valid parameter exactly when it satisfies the laws ``laws.RHO_LAWS``:
     (A')  (x + y) rho(x, y - x) = y rho(x, y) + x rho(y, x)
     (E)   rho(x, -2x - y) = rho(x, y)
 
-In the coordinates s = 2x + y, t = y the same space is cut out by
-``ST_LAWS``: the transported law (A''), the reflection sigma(s, t) =
-sigma(s, -t), which is law ``f1neg``, and the swap sigma(s, t) =
-sigma(t, s), which is law ``B``.  The swap stands in for the reflection
-sigma(s, t) = sigma(-t, -s): a homogeneous polynomial of even degree is
-even, so on even degrees the two agree, and on odd degrees either one
-together with ``f1neg`` forces sigma = -sigma, so both spaces are zero.
-
-Both spaces are kernels of the stacked residual coefficients of these
-named laws, taken over Q, with a canonical reduced-echelon basis in the
-monomial order x^d > x^{d-1} y > ... > y^d.  The laws themselves are
-written only in ``laws``.
+V_d is the kernel of the stacked residual coefficients of these laws,
+taken over Q, with the canonical reduced-echelon basis in the monomial
+order x^d > x^{d-1} y > ... > y^d.  The basis in the coordinates
+s = 2x + y, t = y is the image of that one solve under ``laws.to_st``,
+brought to reduced echelon form.  The laws themselves are written only
+in ``laws``.
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ from fractions import Fraction
 
 from . import laws, linalg
 from .series import Series2, homogeneous_part
-
-ST_LAWS = ("Adoubleprime", "f1neg", "B")
 
 
 def monomials(d: int):
@@ -79,16 +71,12 @@ class VdBasis:
         return [from_coefficients(v, self.degree, order) for v in self.vectors]
 
 
-def _kernel_basis(d: int, law_ids) -> VdBasis:
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    kernel = linalg.nullspace(constraint_matrix(d, law_ids), d + 1)
-    return VdBasis(d, tuple(tuple(v) for v in kernel))
-
-
 def vd_basis(d: int) -> VdBasis:
     """Canonical basis of the degree-d solution space of (A') and (E)."""
-    return _kernel_basis(d, laws.RHO_LAWS)
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    kernel = linalg.nullspace(constraint_matrix(d, laws.RHO_LAWS), d + 1)
+    return VdBasis(d, tuple(tuple(v) for v in kernel))
 
 
 def predicted_dim(d: int) -> int:
@@ -125,5 +113,8 @@ def homogeneous_solution_components(rho: Series2):
 
 
 def st_basis(d: int) -> VdBasis:
-    """Canonical basis in the (s, t) coordinates s = 2x + y, t = y."""
-    return _kernel_basis(d, ST_LAWS)
+    """Canonical basis in the (s, t) coordinates s = 2x + y, t = y: the
+    reduced echelon form of the images of ``vd_basis(d)`` under to_st."""
+    images = [to_coefficients(laws.to_st(p), d)
+              for p in vd_basis(d).polynomials()]
+    return VdBasis(d, tuple(tuple(r) for r in linalg.rref(images)[0]))

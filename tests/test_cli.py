@@ -177,8 +177,12 @@ def test_invalid_rho_exit_code(tmp_path, capsys):
 SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 
 
-# "terms" must be a list, and a JSON boolean is neither an integer nor a
-# rational, though Python counts it as an int
+FLOAT = 'bad rational %s: give an integer or a "num/den" string, not a float'
+
+
+# "terms" must be a list, a JSON boolean is neither an integer nor a
+# rational, though Python counts it as an int, and a JSON float is no exact
+# rational
 @pytest.mark.parametrize("spec,polygon,series,message", [
     (None, None, dict(SERIES_B, terms=5), "terms must be a list, not 5"),
     (None, None, dict(SERIES_B, order=True), "bad order True"),
@@ -189,8 +193,14 @@ SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
      "bad rational True: not a number"),
     (LAPLACE_SPEC, {"vertices": [[True, False], [2, 0], [0, 2]]}, None,
      "vertices must be a nonempty list of integer pairs"),
+    (dict(LAPLACE_SPEC, c=0.1), T_POLY, None, FLOAT % "0.1"),
+    (dict(LAPLACE_SPEC, c=float("-inf")), T_POLY, None, FLOAT % "-inf"),
+    (dict(LAPLACE_SPEC, c=float("nan")), T_POLY, None, FLOAT % "nan"),
+    (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": 1.0}]),
+     FLOAT % "1.0"),
 ], ids=["terms-not-list", "series-order-bool", "exponents-bool",
-        "spec-order-bool", "c-bool", "vertex-bool"])
+        "spec-order-bool", "c-bool", "vertex-bool", "c-float", "c-infinity",
+        "c-nan", "term-float"])
 def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
                                      series, message):
     if series is not None:
@@ -203,6 +213,57 @@ def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# argparse usage errors are malformed input: exit 3 from main, no SystemExit
+@pytest.mark.parametrize("argv, message", [
+    (["laplace", "--polygon", None, "--order", "abc"],
+     "latval laplace: argument --order: invalid int value: 'abc'"),
+    (["evaluate", "--polygon", None],
+     "latval evaluate: the following arguments are required: --spec"),
+    (["decompose", "--spec", None, "--kappa", "5"],
+     "latval decompose: argument --kappa: invalid choice: '5'"),
+    (["vd", "basis"],
+     "latval vd basis: the following arguments are required: --degree"),
+    ([], "latval: the following arguments are required: command"),
+], ids=["order-not-int", "missing-spec", "kappa-choice", "missing-degree",
+        "no-command"])
+def test_usage_errors_exit_3(tmp_path, capsys, argv, message):
+    argv = [write(tmp_path, "T.json", T_POLY) if a is None else a
+            for a in argv]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latval evaluate")
+
+
+# text that is not UTF-8, and a number literal that overflows to a float
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"c": 1e400, "order": 3}', FLOAT % "inf"),
+], ids=["utf16-bom", "c-overflow"])
+def test_malformed_spec_files_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(text)
+    assert cli.main(["construct", "--spec", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_string_rationals_load_exactly():
+    assert io.parse_rational("1/10") == Q(1, 10)
+    assert io.parse_rational("0.1") == Q(1, 10)
+    assert io.parse_rational(-7) == -7
 
 
 def test_transform_dagger(tmp_path, capsys):
