@@ -197,8 +197,9 @@ def _bezout_column(w1: int, w2: int) -> tuple[int, int]:
 
 
 def triangle_frame(v0, v1, v2) -> AffineUnimodular:
-    """Xi with Xi([e1, e2, o]) = [v0, v1, v2]: translation v0 and linear
-    columns v1 - v0, v2 - v0.  Requires the triangle to be unimodular."""
+    """Xi with Xi(o) = v0, Xi(e1) = v1 and Xi(e2) = v2: translation v0 and
+    linear columns v1 - v0, v2 - v0.  Requires the triangle to be
+    unimodular."""
     c1 = (v1[0] - v0[0], v1[1] - v0[1])
     c2 = (v2[0] - v0[0], v2[1] - v0[1])
     d = c1[0] * c2[1] - c1[1] * c2[0]

@@ -12,14 +12,20 @@ Formats:
 Dumps are canonical: sorted terms, stable key order, rationals rendered as
 "num/den" (or a plain integer string), so identical inputs produce
 byte-identical output.  Loads take a rational from a JSON integer or a
-string such as "-3/7", never from a float, which is already rounded to
-binary; they validate shape and reject duplicate exponents.  Every load
-error raises MalformedInput, an unreadable file or bad UTF-8 or JSON too.
+string, never from a float, which is already rounded to binary.  A string
+is an optionally signed integer with an optional "/den" ("-3/7"), or a
+decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
+"2.5E-3"), with surrounding whitespace allowed; its numerator and
+denominator may have at most 4300 digits, the most that Python turns
+back into text.  Loads validate shape and reject duplicate exponents.
+Every load error raises MalformedInput, an unreadable file or bad UTF-8,
+JSON nested too deep or bad JSON too.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .geometry import LatticePolygon, hull_normalize
@@ -32,6 +38,13 @@ Q = Fraction
 
 class MalformedInput(Exception):
     pass
+
+
+_RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
+                       r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?)"
+                       r"\s*", re.ASCII)
+_MAX_DIGITS = 4300   # Python's limit for turning an int into text
+_TOO_LONG = 10 ** _MAX_DIGITS
 
 
 def format_rational(v) -> str:
@@ -47,15 +60,27 @@ def _is_int(v) -> bool:
 
 
 def parse_rational(s) -> Fraction:
+    """A rational from a JSON integer or from a string of the grammar in
+    the module docstring."""
+    if _is_int(s):
+        return Q(s)
     if isinstance(s, bool):
         raise MalformedInput(f"bad rational {s!r}: not a number")
     if isinstance(s, float):   # also NaN and Infinity; rounded to binary
         raise MalformedInput(f"bad rational {s!r}: give an integer or a "
                              '"num/den" string, not a float')
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise MalformedInput(f'bad rational {s!r}: give an integer, "num/den"'
+                             " or a decimal with an exponent of at most 4 "
+                             "digits")
     try:
-        return Q(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        v = Q(s)
+    except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}: {exc}") from None
+    if max(abs(v.numerator), v.denominator) >= _TOO_LONG:
+        raise MalformedInput(f"bad rational {s!r}: more than {_MAX_DIGITS} "
+                             "digits")
+    return v
 
 
 def series2_to_obj(f: Series2) -> dict:
@@ -176,5 +201,7 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:   # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8; RecursionError: arrays or objects
+    # nested too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"{path}: {exc}") from None

@@ -52,7 +52,9 @@ def invariant_generators(order: int):
 
 
 def sharp(f: Series2) -> Series2:
-    """f-sharp; order preserved (only unit divisions are involved)."""
+    """f-sharp; order preserved.  The unit factors x/(e^x - 1) and
+    (x+y)/(e^{x+y} - 1) are the Bernoulli series B(t) = t/(e^t - 1) at
+    t = x and t = x + y, so f-sharp is a product and divides by nothing."""
     n = f.order
     bern = special_series("t_over_expm1", n)
     bxy = bern.subst_linear((1, 1), (0, 0))
@@ -212,10 +214,6 @@ class Implication:
     applicable: bool
     confirmed: bool
 
-    def as_dict(self):
-        return {"name": self.name, "applicable": self.applicable,
-                "confirmed": self.confirmed}
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -224,10 +222,6 @@ class EquivalenceReport:
     @property
     def all_confirmed(self) -> bool:
         return all(i.confirmed for i in self.implications if i.applicable)
-
-    def as_dict(self):
-        return {"implications": [i.as_dict() for i in self.implications],
-                "all_confirmed": self.all_confirmed}
 
 
 def equivalence_suite_rho(rho: Series2) -> EquivalenceReport:

@@ -23,10 +23,6 @@ class SeriesError(Exception):
     pass
 
 
-class DivisionByNonUnit(SeriesError):
-    pass
-
-
 class NotDivisible(SeriesError):
     pass
 
@@ -418,25 +414,6 @@ def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     return from_divided_powers(out, den, alpha.denominator, beta.denominator)
 
 
-def divide_unit(f: Series2, g: Series2) -> Series2:
-    """Exact quotient f / g for a unit g (nonzero constant term)."""
-    g0 = g.constant_term()
-    if g0 == 0:
-        raise DivisionByNonUnit("divisor has zero constant term")
-    order = min(f.order, g.order)
-    h = {}
-    for n in range(order + 1):
-        for p in range(n + 1):
-            q = n - p
-            s = f.coeff(p, q)
-            for (i, j), hv in h.items():
-                if i <= p and j <= q and (i, j) != (p, q):
-                    s -= hv * g.coeff(p - i, q - j)
-            if s != 0:
-                h[(p, q)] = s / g0
-    return Series2(h, order)
-
-
 def divide_linear(f: Series2, a, b) -> Series2:
     """Exact quotient f / (a*x + b*y) for rationals a, b not both zero;
     loses one order.
@@ -528,7 +505,6 @@ def special_series(kind: str, order: int):
 
     kinds: 'expm1_over_t'   -> sum x^n / (n+1)!            (in x alone)
            't_over_expm1'   -> sum B_n / n! x^n            (in x alone)
-           'exp_t'          -> sum x^n / n!                (in x alone)
            'divided_diff_exp' -> (e^y - e^x)/(y - x) built directly as
                                  sum_{i,j} x^i y^j / (i+j+1)!
     """
@@ -537,8 +513,6 @@ def special_series(kind: str, order: int):
     if kind == "t_over_expm1":
         bern = bernoulli_numbers(order)
         return Series1({n: bern[n] / factorial(n) for n in range(order + 1)}, order)
-    if kind == "exp_t":
-        return Series1({n: Q(1, factorial(n)) for n in range(order + 1)}, order)
     if kind == "divided_diff_exp":
         c = {}
         for p in range(order + 1):

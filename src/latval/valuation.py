@@ -41,7 +41,7 @@ from .geometry import (LatticePolygon, NotSegment, hull_normalize,
 from .group import AffineUnimodular, complete_primitive, triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, divide_unit, exp_linear,
+                     divide_linear, exp_linear,
                      from_divided_powers, mul_exp_linear, special_series,
                      sum_of_images, to_divided_powers)
 
@@ -175,9 +175,9 @@ class Evaluator:
         # the unit cell of each dimension at the origin (c, f1, zT), with
         # the signs each can take, as divided-power tables over the least D
         # that makes them integral
-        c = Series2.constant(spec.c, self.order)
+        d = self.data
         self._den, (c, minus_c, f1, minus_f1, zT) = to_divided_powers(
-            [c, -c, self.data.f1, -self.data.f1, self.data.zT])
+            [d.f0, -d.f0, d.f1, -d.f1, d.zT])
         self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
         self._values = OrderedDict()
 
@@ -282,7 +282,10 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
     """sum of exp(s*x + t*y) over lattice points of the m-fold unit triangle.
 
     form 'direct' sums the exponentials; 'closed' evaluates the rational
-    closed form using only unit divisions plus the exact factors x, y, x - y.
+    closed form, whose denominator (e^x - e^y)(e^x - 1)(e^y - 1) is
+    x * y * (x - y) times the units E(x), E(y) and e^x E(y - x), with
+    E(t) = (e^t - 1)/t.  The units are inverted by the Bernoulli series
+    B(t) = t/(e^t - 1) = 1/E(t), so the only divisions are by x, y, x - y.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -299,12 +302,10 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
                          1, 1) \
         - (exp_linear(m + 2, 0, n) - exp_linear(0, m + 2, n)) \
         + exp_linear(1, 0, n) - exp_linear(0, 1, n)
-    # denominator (e^x - e^y)(e^x - 1)(e^y - 1) factored into units and
-    # the exact factors x, y, x - y
-    e1 = special_series("expm1_over_t", n)
-    num = divide_unit(num, e1)
-    num = divide_unit(num, e1.subst_linear((0, 1), (1, 0)))
-    num = divide_unit(num, special_series("divided_diff_exp", n))
+    # times B(x), B(y) and e^{-x} B(y - x), the inverses of the units
+    bern = special_series("t_over_expm1", n)
+    num = num * bern * bern.subst_linear((0, 1), (1, 0)) \
+        * mul_exp_linear(bern.subst_linear((-1, 1), (0, 0)), -1, 0)
     return divide_linear(divide_linear(divide_linear(num, 1, 0), 0, 1),
                          1, -1)
 

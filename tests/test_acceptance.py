@@ -175,7 +175,7 @@ def test_criterion_07_dilativity():
                 assert z_mT_closed(spec, m) \
                     == z_polygon(spec, scale_polygon(T, m)), (d, m)
     for m in range(7):
-        assert g_m(m, 11, "closed") == g_m(m, 11, "direct"), m
+        assert g_m(m, 11, "closed").key() == g_m(m, 11, "direct").key(), m
 
 
 @report(8, "odd-family specs are delta-dilative and satisfy the edge formula")

@@ -178,11 +178,16 @@ SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 
 
 FLOAT = 'bad rational %s: give an integer or a "num/den" string, not a float'
+GRAMMAR = ('bad rational %r: give an integer, "num/den" or a decimal with an '
+           "exponent of at most 4 digits")
 
 
 # "terms" must be a list, a JSON boolean is neither an integer nor a
 # rational, though Python counts it as an int, and a JSON float is no exact
-# rational
+# rational; a string rational follows one grammar on every Python, which
+# leaves out underscores (read by Fraction since 3.11), spaces around "/"
+# (since 3.12) and exponents of more than 4 digits, and its text may not
+# exceed Python's 4300 digits
 @pytest.mark.parametrize("spec,polygon,series,message", [
     (None, None, dict(SERIES_B, terms=5), "terms must be a list, not 5"),
     (None, None, dict(SERIES_B, order=True), "bad order True"),
@@ -198,9 +203,19 @@ FLOAT = 'bad rational %s: give an integer or a "num/den" string, not a float'
     (dict(LAPLACE_SPEC, c=float("nan")), T_POLY, None, FLOAT % "nan"),
     (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": 1.0}]),
      FLOAT % "1.0"),
+    (dict(LAPLACE_SPEC, c="1_000"), T_POLY, None, GRAMMAR % "1_000"),
+    (dict(LAPLACE_SPEC, c="3 / 4"), T_POLY, None, GRAMMAR % "3 / 4"),
+    (dict(LAPLACE_SPEC, c="1e200000"), T_POLY, None, GRAMMAR % "1e200000"),
+    (dict(LAPLACE_SPEC, c="1e10000"), T_POLY, None, GRAMMAR % "1e10000"),
+    (dict(LAPLACE_SPEC, c="1e9999"), T_POLY, None,
+     "bad rational '1e9999': more than 4300 digits"),
+    (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": "1e-4300"}]),
+     "bad rational '1e-4300': more than 4300 digits"),
 ], ids=["terms-not-list", "series-order-bool", "exponents-bool",
         "spec-order-bool", "c-bool", "vertex-bool", "c-float", "c-infinity",
-        "c-nan", "term-float"])
+        "c-nan", "term-float", "c-underscore", "c-spaced-slash",
+        "c-exponent-6-digits", "c-exponent-5-digits", "c-numerator-too-long",
+        "term-denominator-too-long"])
 def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
                                      series, message):
     if series is not None:
@@ -245,11 +260,13 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: latval evaluate")
 
 
-# text that is not UTF-8, and a number literal that overflows to a float
+# text that is not UTF-8, a number literal that overflows to a float, and
+# arrays nested deeper than the JSON decoder recurses
 @pytest.mark.parametrize("text, message", [
     (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
     (b'{"c": 1e400, "order": 3}', FLOAT % "inf"),
-], ids=["utf16-bom", "c-overflow"])
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+], ids=["utf16-bom", "c-overflow", "deep-nesting"])
 def test_malformed_spec_files_exit_3(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"
     path.write_bytes(text)
@@ -264,6 +281,10 @@ def test_string_rationals_load_exactly():
     assert io.parse_rational("1/10") == Q(1, 10)
     assert io.parse_rational("0.1") == Q(1, 10)
     assert io.parse_rational(-7) == -7
+    assert io.parse_rational("1e5") == 100000
+    assert io.parse_rational("-3/7") == Q(-3, 7)
+    assert io.parse_rational(" 3/4 ") == Q(3, 4)
+    assert io.parse_rational("2.5E-3") == Q(1, 400)
 
 
 def test_transform_dagger(tmp_path, capsys):

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
-                           DegreeExceedsOrder, DivisionByNonUnit,
-                           NotDivisible, Series1, Series2, bernoulli_numbers,
-                           compose_univariate, divide_linear, divide_unit,
-                           exp_linear,
-                           homogeneous_part, mul_exp_linear, special_series)
+                           DegreeExceedsOrder, NotDivisible, Series1, Series2,
+                           bernoulli_numbers, compose_univariate,
+                           divide_linear, exp_linear, homogeneous_part,
+                           mul_exp_linear, special_series)
 
 
 def test_default_order():
@@ -97,14 +96,6 @@ def test_mul_exp_linear_inverse():
     assert g == f
 
 
-def test_divide_unit():
-    one = Series2.constant(1, 8)
-    e = exp_linear(1, 1, 8)
-    assert divide_unit(one, e) == exp_linear(-1, -1, 8)
-    with pytest.raises(DivisionByNonUnit):
-        divide_unit(one, Series2.monomial(1, 1, 0, 8))
-
-
 def test_divide_x_y():
     f = Series2({(2, 1): 6}, 5)
     assert divide_linear(f, 1, 0).coeff(1, 1) == 6
@@ -149,6 +140,15 @@ def test_special_series_inverse_pair():
     prod = e1 * bern
     assert prod.coeff(0) == 1
     assert all(prod.coeff(k) == 0 for k in range(1, n + 1))
+    # the inverses g_m's closed form multiplies by: B(y) = 1/E(y), and
+    # e^{-x} B(y - x) = (y - x)/(e^y - e^x)
+    one = Series2.constant(1, n)
+    swap = ((0, 1), (1, 0))
+    assert (bern.subst_linear(*swap) * e1.subst_linear(*swap)).key() \
+        == one.key()
+    inv_dde = mul_exp_linear(bern.subst_linear((-1, 1), (0, 0)), -1, 0)
+    assert (special_series("divided_diff_exp", n) * inv_dde).key() \
+        == one.key()
 
 
 def test_divided_diff_exp():
@@ -160,7 +160,7 @@ def test_divided_diff_exp():
 
 
 def test_compose_univariate():
-    exp_t = special_series("exp_t", 8)
+    exp_t = exp_linear(1, 0, 8)
     xy = Series2.monomial(1, 1, 0, 8) + Series2.monomial(1, 0, 1, 8)
     assert compose_univariate(exp_t, xy) == exp_linear(1, 1, 8)
     with pytest.raises(ConstantTermNotZero):

@@ -338,7 +338,9 @@ def test_g_m_values():
     assert g1.coeff(0, 0) == 3 and g1.coeff(1, 0) == 1 and g1.coeff(0, 1) == 1
     for m in range(7):
         assert g_m(m, 8).coeff(0, 0) == (m + 1) * (m + 2) // 2
-        assert g_m(m, 8, "closed") == g_m(m, 8, "direct")
+        for order in (4, 8, 14):   # criterion 7 covers order 11
+            assert g_m(m, order, "closed").key() \
+                == g_m(m, order, "direct").key(), (m, order)
     with pytest.raises(ValueError):
         g_m(-1, 8)
     with pytest.raises(ValueError):
