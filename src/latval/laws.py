@@ -274,6 +274,9 @@ def d4_decompose(h: Series2) -> Series2:
     if not ok:
         raise NotInvariant(f"not invariant under generator {witness}")
     n = h.order
+    powers = _generator_powers(
+        [(i, j) for j in range(n // 4 + 1) for i in range((n - 4 * j) // 2 + 1)],
+        n)
     out = {}
     for deg in range(n + 1):
         part = homogeneous_part(h, deg)
@@ -282,7 +285,7 @@ def d4_decompose(h: Series2) -> Series2:
                 raise NotInvariant("odd-degree terms present")
             continue
         monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
-        polys = [d4_compose(Series2.monomial(1, i, j, n), n) for i, j in monos]
+        polys = [powers[e] for e in monos]
         matrix = [[g.coeff(p, deg - p) for g in polys] for p in range(deg + 1)]
         rhs = [part.coeff(p, deg - p) for p in range(deg + 1)]
         sol = linalg.solve(matrix, rhs)
@@ -294,13 +297,25 @@ def d4_decompose(h: Series2) -> Series2:
 
 def d4_compose(g: Series2, order: int) -> Series2:
     """Evaluate g(a, b) back at the generator polynomials."""
-    gen_a, gen_b = invariant_generators(order)
+    terms = g.terms()
+    powers = _generator_powers([e for e, _ in terms], order)
     out = Series2.zero(order)
-    for (i, j), c in g.terms():
-        p = Series2.constant(c, order)
-        for _ in range(i):
-            p = p * gen_a
-        for _ in range(j):
-            p = p * gen_b
-        out = out + p
+    for e, c in terms:
+        out = out + powers[e].scalar_mul(c)
     return out
+
+
+def _generator_powers(exponents, order: int) -> dict:
+    """{(i, j): a^i * b^j} for the generator polynomials a, b at the given
+    exponents.  Each power is one product with a neighbour made before it:
+    a^i * b^j = (a^i * b^(j-1)) * b and a^i = a^(i-1) * a."""
+    gen_a, gen_b = invariant_generators(order)
+    powers = {(0, 0): Series2.constant(1, order)}
+
+    def power(i, j):
+        if (i, j) not in powers:
+            powers[(i, j)] = (power(i, j - 1) * gen_b if j
+                              else power(i - 1, 0) * gen_a)
+        return powers[(i, j)]
+
+    return {e: power(*e) for e in exponents}

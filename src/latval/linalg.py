@@ -1,40 +1,76 @@
 """Exact rational Gaussian elimination: RREF, kernels, and linear solves.
 
-Matrices are lists of lists of Fractions.  Pivoting is deterministic
-(first nonzero entry in column order), so outputs are reproducible.
+Matrices come in as lists of equal-length rows of rationals (ints,
+Fractions, or anything ``Fraction`` accepts); ragged rows raise
+``ValueError``.  The elimination is fraction-free: each row is scaled to
+integers by the lcm of its denominators, a row is cleared in a pivot column
+by the integer combination pv*row - f*pivot_row and divided by the gcd of
+its entries, so no ``Fraction`` is built per intermediate term.  The result
+rows are made ``Fraction``s once, at the end, each divided by its pivot.
+Since the reduced row echelon form is unique, this gives the same output as
+elimination over Q.  Pivoting is deterministic (first nonzero entry in
+column order), so outputs are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
 
+def _width(matrix) -> int:
+    """The common row length of a non-empty matrix; ValueError if ragged."""
+    ncols = len(matrix[0])
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, "
+                             f"row 0 has {ncols}")
+    return ncols
+
+
+def _primitive(ints) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
+def _integer_row(row) -> list:
+    """The row scaled to integers by the lcm of its denominators."""
+    row = [x if isinstance(x, (int, Q)) else Q(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
 def rref(matrix):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols)."""
-    m = [[Q(x) for x in row] for row in matrix]
-    if not m:
+    """Reduced row echelon form; returns (rows, pivot_cols), with rows
+    Fractions and as many rows as the input, zero rows last."""
+    if not matrix:
         return [], []
-    rows, cols = len(m), len(m[0])
+    ncols = _width(matrix)
+    m = [_integer_row(row) for row in matrix]
+    nrows = len(m)
     pivots = []
     r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m, pivots
+    out = [[Q(a, row[c]) for a in row] for row, c in zip(m, pivots)]
+    out += [[Q(0)] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
 def nullspace(matrix, ncols=None):
@@ -45,6 +81,9 @@ def nullspace(matrix, ncols=None):
         ncols = len(matrix[0])
     if not matrix:
         matrix = [[Q(0)] * ncols]
+    if _width(matrix) != ncols:
+        raise ValueError(f"rows have {len(matrix[0])} entries, "
+                         f"ncols is {ncols}")
     m, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -62,15 +101,16 @@ def nullspace(matrix, ncols=None):
 
 def solve(matrix, rhs):
     """One exact solution of matrix * x = rhs, or None if inconsistent."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"rhs has {len(rhs)} entries, matrix has "
+                         f"{len(matrix)} rows")
     if not matrix:
-        return [] if all(b == 0 for b in rhs) else None
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    m, pivots = rref(aug)
+        return []
+    ncols = _width(matrix)
+    m, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
         return None
     x = [Q(0)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
     return x
-

@@ -11,6 +11,7 @@ valid order.  A series in one variable is a ``Series2`` in x alone
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -78,6 +79,16 @@ def _subst_degree(nums, d, rows1, rows2) -> list:
                     if cj:
                         acc[i + j] += ci * cj
     return acc
+
+
+def _flat_numerators(f, w: int):
+    """(den, terms): f's coefficients of total degree < w as integer
+    numerators s over one common denominator den, each term
+    (p + q, p*w + q, s), sorted by total degree."""
+    kept = [(p, q, v) for (p, q), v in f._c.items() if p + q < w]
+    den = lcm(*(v.denominator for _, _, v in kept))
+    return den, sorted((p + q, p * w + q, v.numerator * (den // v.denominator))
+                       for p, q, v in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +292,23 @@ class Series2:
         return Series2({e: s * v for e, v in self._c.items()}, self.order)
 
     def __mul__(self, other: "Series2") -> "Series2":
+        """The truncated product, in integers: each operand's coefficients
+        are numerators over one common denominator, the exponent (p, q) is
+        the flat index p*w + q with w = order + 1 (so adding indices
+        multiplies monomials), and one Fraction is made per output
+        coefficient."""
         order = min(self.order, other.order)
-        c = {}
-        for (p1, q1), a in self._c.items():
-            for (p2, q2), b in other._c.items():
-                p, q = p1 + p2, q1 + q2
-                if p + q <= order:
-                    e = (p, q)
-                    c[e] = c.get(e, Q(0)) + a * b
-        return Series2(c, order)
+        w = order + 1
+        da, ta = _flat_numerators(self, w)
+        db, tb = _flat_numerators(other, w)
+        degrees_b = [d for d, _, _ in tb]
+        acc = [0] * (w * w)
+        for d, i, a in ta:
+            for _, j, b in tb[:bisect_right(degrees_b, order - d)]:
+                acc[i + j] += a * b
+        den = da * db
+        return Series2({divmod(k, w): Q(s, den) for k, s in enumerate(acc)
+                        if s}, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y.

@@ -194,14 +194,16 @@ def test_linear_substitute():
 small_ints = st.integers(-4, 4)
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 12))
 entries = st.one_of(small_ints, rationals)
+large_rationals = st.builds(Q, st.integers(-10**40, 10**40),
+                            st.integers(1, 10**30))
 
 
 @st.composite
-def series2s(draw, max_order=12):
+def series2s(draw, max_order=12, coeffs=rationals):
     order = draw(st.integers(0, max_order))
     exps = st.tuples(st.integers(0, order), st.integers(0, order)) \
         .filter(lambda e: e[0] + e[1] <= order)
-    return Series2(draw(st.dictionaries(exps, rationals, max_size=30)), order)
+    return Series2(draw(st.dictionaries(exps, coeffs, max_size=30)), order)
 
 
 @st.composite
@@ -254,3 +256,35 @@ def test_divide_linear_inverts_mul_linear(g, a, b, p, q, c):
     if p + q <= f.order and not ((b == 0 and p > 0) or (a == 0 and q > 0)):
         with pytest.raises(NotDivisible):
             divide_linear(f + Series2.monomial(c, p, q, f.order), a, b)
+
+
+def naive_product(f, g):
+    """The truncated product by a plain Fraction double loop (the oracle)."""
+    order = min(f.order, g.order)
+    c = {}
+    for (p1, q1), a in f.terms():
+        for (p2, q2), b in g.terms():
+            if p1 + q1 + p2 + q2 <= order:
+                e = (p1 + p2, q1 + q2)
+                c[e] = c.get(e, Q(0)) + a * b
+    return Series2(c, order)
+
+
+@settings(max_examples=200)
+@given(series2s(coeffs=entries | large_rationals),
+       series2s(coeffs=entries | large_rationals))
+def test_mul_matches_fraction_double_loop(f, g):
+    # independent orders, so one operand's top terms are cut off by the
+    # other's order; empty dictionaries give zero series
+    expected = naive_product(f, g).key()
+    assert (f * g).key() == expected
+    assert (g * f).key() == expected
+
+
+def test_mul_of_dense_series_matches_fraction_double_loop():
+    f = Series2({(p, d - p): Q(d + 1, p + 2) - p for d in range(16)
+                 for p in range(d + 1)}, 15)
+    g = Series2({(p, d - p): Q(3 - p, d + 5) for d in range(21)
+                 for p in range(d + 1)}, 20)
+    assert (f * g).key() == naive_product(f, g).key()
+    assert (g * Series2.zero(9)).key() == (9, ())
