@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .geometry import LatticePolygon, hull_normalize
 from .group import AffineUnimodular, NotUnimodular
@@ -111,11 +112,12 @@ def _load_terms(obj, nvars):
         raise MalformedInput(f"terms must be a list, not {terms!r}")
     seen = {}
     for term in terms:
-        try:
-            exps = tuple(term["e"])
-            coeff = parse_rational(term["c"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput(f"bad term {term!r}: {exc}") from None
+        if (not isinstance(term, dict) or not isinstance(term.get("e"), list)
+                or "c" not in term):
+            raise MalformedInput(f"bad term {json.dumps(term)}: a term is "
+                                 '{"e": [exponents], "c": rational}')
+        exps = tuple(term["e"])
+        coeff = parse_rational(term["c"])
         if len(exps) != nvars or any(not _is_int(e) or e < 0 for e in exps):
             raise MalformedInput(f"bad exponents {exps!r}")
         if exps in seen:
@@ -193,8 +195,60 @@ def affine_from_obj(obj) -> AffineUnimodular:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text (stable key order, newline-terminated)."""
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Canonical JSON text (stable key order, newline-terminated): the
+    text of json.dumps(obj, indent=2) + "\n", for obj made of dicts with
+    string keys, lists, strings, ints, booleans and None, the only values
+    the library emits; anything else raises TypeError.  Written out here
+    because json.dumps with an indent runs the pure-Python encoder, about
+    twice as slow as this one."""
+    parts = []
+    _encode(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj, newline: str, parts: list) -> None:
+    """Append the JSON text of obj to parts, laid out as json.dumps with
+    indent=2 lays it out at the indent of newline."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep)
+            parts.append(_encode_str(key))
+            parts.append(": ")
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        "serializable")
 
 
 def load_json(path):

@@ -7,6 +7,16 @@ a*x + b*y loses one order.  Equality is only ever asserted up to the common
 valid order.  A series in one variable is a ``Series2`` in x alone
 (``Series1`` builds one); its image in y is the swap
 ``subst_linear((0, 1), (1, 0))``.
+
+Linear substitution, the largest cost of evaluation, is a Kronecker
+substitution on Python ints.  A homogeneous polynomial of degree d,
+sum_i c_i x^i y^(d-i), is packed into the integer sum_i c_i 2^(k*i), its
+value at x = 2^k, y = 1.  The linear form a*x + b*y packs to
+u = (a << k) + b, so products of powers of two forms are plain int
+products, and the packed image of a degree is one integer sum.  Its
+coefficients are read back as balanced digits of width k; the bound in
+``_packed_subst`` keeps each within (-2^(k-1), 2^(k-1)), so they are read
+exactly.
 """
 
 from __future__ import annotations
@@ -64,21 +74,69 @@ def _integer_degrees(f) -> dict:
     return out
 
 
-def _subst_degree(nums, d, rows1, rows2) -> list:
-    """The substitution of one total degree d, in integers: acc[i] is the
-    coefficient of x^i y^(d-i) in sum_p nums[p] * P1^p * P2^(d-p), where
-    rows1 and rows2 are the _linear_powers of the linear forms P1, P2."""
-    acc = [0] * (d + 1)
-    for p, s in nums.items():
-        row2 = rows2[d - p]
-        # x^i y^(p-i) of the first power times x^j y^(q-j) of the second
-        for i, ci in enumerate(rows1[p]):
-            if ci:
-                ci *= s
-                for j, cj in enumerate(row2):
-                    if cj:
-                        acc[i + j] += ci * cj
-    return acc
+def _packed_powers(a: int, b: int, n: int, k: int) -> list:
+    """[u^0, ..., u^n] for u = (a << k) + b: the linear form a*x + b*y
+    packed at x = 2^k, y = 1, so that u^p packs (a*x + b*y)^p."""
+    u = (a << k) + b
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * u)
+    return powers
+
+
+def _packed_cell(degrees) -> tuple:
+    """What the packed substitution needs of homogeneous integer parts:
+    (degrees, bits, top1, top2) for degrees a list of (d, nums) sorted by
+    d, each nums a nonempty list of (p, s) with s != 0 standing for
+    s * x^p * y^(d-p); bits is the largest bit length of an s, and top1
+    and top2 are the highest powers p and d - p that any term needs."""
+    terms = [(d, p, s) for d, nums in degrees for p, s in nums]
+    return (degrees,
+            max((abs(s).bit_length() for _, _, s in terms), default=0),
+            max((p for _, p, _ in terms), default=0),
+            max((d - p for d, p, _ in terms), default=0))
+
+
+def _packed_subst(cell, first, second):
+    """Yield (d, acc) for each degree d of the _packed_cell cell, where
+    acc[i] is the coefficient of x^i y^(d-i) in sum_p s * P1^p * P2^(d-p)
+    for the linear forms P1 = a1*x + b1*y, P2 = a2*x + b2*y with integer
+    first = (a1, b1) and second = (a2, b2).
+
+    Kronecker substitution: packed at x = 2^k, y = 1, each degree is one
+    integer sum h = sum_p s * U^p * V^(d-p) of the _packed_powers U, V of
+    the two forms, and acc is read back as d + 1 balanced digits of width
+    k.  With l = bitlen(max(|a1| + |b1|, |a2| + |b2|)),
+    |acc[i]| <= sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
+    < 2^(bits + d*l + bitlen(d + 1)), so the width
+    k = bits + n*l + bitlen(n + 1) + 2 for the top degree n keeps every
+    digit of every degree within (-2^(k-1), 2^(k-1)), where it is read
+    exactly.  One width for all degrees lets the powers be made once."""
+    degrees, bits, top1, top2 = cell
+    if not degrees:
+        return
+    n = degrees[-1][0]
+    (a1, b1), (a2, b2) = first, second
+    ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
+    k = bits + n * ell + (n + 1).bit_length() + 2
+    us = _packed_powers(a1, b1, top1, k)
+    vs = _packed_powers(a2, b2, top2, k)
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    # offsets[d]: half in each of the digits 0..d, which makes them all
+    # nonnegative, so each is read with one mask and one shift
+    offsets = [half]
+    for _ in range(n):
+        offsets.append((offsets[-1] << k) | half)
+    for d, nums in degrees:
+        h = offsets[d]
+        for p, s in nums:
+            h += s * us[p] * vs[d - p]
+        acc = []
+        for _ in range(d + 1):
+            acc.append((h & mask) - half)
+            h >>= k
+        yield d, acc
 
 
 def _flat_numerators(f, w: int):
@@ -142,24 +200,38 @@ def from_divided_powers(t, den: int, ad: int = 1, bd: int = 1) -> "Series2":
                     if s}, n)
 
 
-def _dp_subst_into(out, t, first, second) -> None:
-    """Add to the table out the table of t(a1*x + b1*y, a2*x + b2*y), for
-    integer first = (a1, b1) and second = (a2, b2).
-
-    Degree d is weighted by C(d, p) into the plain coefficients times d!,
-    substituted by _subst_degree, and divided by C(d, r) back into divided
-    powers; the division is exact, since P1^p/p! * P2^q/q! has the
-    integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!."""
+def _dp_cell(t) -> tuple:
+    """The _packed_cell of the divided-power table t: degree d carries
+    the numerators t[p][d - p] * C(d, p) of the plain coefficients times
+    d!."""
     n = len(t) - 1
-    rows1 = _linear_powers(first[0], first[1], n)
-    rows2 = _linear_powers(second[0], second[1], n)
+    degrees = []
     for d in range(n + 1):
-        nums = {p: t[p][d - p] * comb(d, p) for p in range(d + 1)
-                if t[p][d - p]}
+        nums = [(p, t[p][d - p] * comb(d, p)) for p in range(d + 1)
+                if t[p][d - p]]
         if nums:
-            for r, s in enumerate(_subst_degree(nums, d, rows1, rows2)):
-                if s:
-                    out[r][d - r] += s // comb(d, r)
+            degrees.append((d, nums))
+    return _packed_cell(degrees)
+
+
+def _dp_subst_into(out, cell, first, second) -> None:
+    """Add to the table out the table of t(a1*x + b1*y, a2*x + b2*y), for
+    the _dp_cell cell of a table t and integer first = (a1, b1) and
+    second = (a2, b2).
+
+    Degree d of the cell holds the plain coefficients times d!; it is
+    substituted by _packed_subst, as one packed integer sum read back as
+    d + 1 digits of width k = bits + n*l + bitlen(n + 1) + 2 (bits from
+    the cell's weighted numerators, n its top degree, l the bit length
+    of the larger |a| + |b| of the two forms), and divided by C(d, r)
+    back into divided powers.  The division is exact, since
+    P1^p/p! * P2^q/q! has the integer coefficients C(r, i) * C(s, p - i)
+    on x^r/r! * y^s/s!.  A constant cell needs no powers, and a cell in x
+    alone none of the second form."""
+    for d, acc in _packed_subst(cell, first, second):
+        for r, s in enumerate(acc):
+            if s:
+                out[r][d - r] += s // comb(d, r)
 
 
 def _dp_twist_into(out, t, alpha, beta) -> None:
@@ -208,15 +280,19 @@ def sum_of_images(faces) -> list:
     """The divided-power table of the sum of exp(v.z) * t(M z) over the
     faces (t, xi), for tables t of one order and frames xi with integer
     matrix xi.m = M and translation xi.v = v, acting as in
-    group.act_on_series.  The substituted tables are summed by translation
-    first, so each translation costs one exponential twist."""
+    group.act_on_series.  Each distinct table is made a _dp_cell once per
+    call; the substituted tables are summed by translation first, so each
+    translation costs one exponential twist."""
     n = len(faces[0][0]) - 1
+    cells = {}
     by_v = {}
     for t, xi in faces:
         (a, b), (c, d) = xi.m
+        if id(t) not in cells:
+            cells[id(t)] = _dp_cell(t)
         if xi.v not in by_v:
             by_v[xi.v] = _zero_table(n)
-        _dp_subst_into(by_v[xi.v], t, (a, c), (b, d))
+        _dp_subst_into(by_v[xi.v], cells[id(t)], (a, c), (b, d))
     out = _zero_table(n)
     for v, g in by_v.items():
         _dp_twist_into(out, g, *v)
@@ -341,21 +417,27 @@ class Series2:
 
         Coefficients may be rational; order is preserved since degree-n terms
         map to degree-n terms.  The work is done in integers: with L the lcm
-        of the four entries' denominators, (a1 x + b1 y)^p is the integer row
-        of (L a1 x + L b1 y)^p divided by L^p.  The coefficients of each total
-        degree d are brought to one common denominator den, so every output
-        coefficient of degree d is an exact integer sum over den * L^d.
+        of the four entries' denominators, (a1 x + b1 y)^p is (L a1 x +
+        L b1 y)^p divided by L^p.  The coefficients of each total degree d
+        are brought to one common denominator den, and _packed_subst turns
+        their numerators into those of the image as one packed integer per
+        degree (Kronecker substitution, with the digit width bound given
+        there), so every output coefficient of degree d is an exact integer
+        over den * L^d.
         """
         a1, b1 = _q(first[0]), _q(first[1])
         a2, b2 = _q(second[0]), _q(second[1])
         scale = lcm(a1.denominator, b1.denominator,
                     a2.denominator, b2.denominator)
-        rows1 = _linear_powers(int(a1 * scale), int(b1 * scale), self.order)
-        rows2 = _linear_powers(int(a2 * scale), int(b2 * scale), self.order)
+        degrees = sorted(_integer_degrees(self).items())
+        cell = _packed_cell([(d, list(nums.items()))
+                             for d, (_, nums) in degrees])
+        dens = {d: den for d, (den, _) in degrees}
         out = {}
-        for d, (den, nums) in _integer_degrees(self).items():
-            den *= scale ** d
-            for i, num in enumerate(_subst_degree(nums, d, rows1, rows2)):
+        for d, acc in _packed_subst(cell, (int(a1 * scale), int(b1 * scale)),
+                                    (int(a2 * scale), int(b2 * scale))):
+            den = dens[d] * scale ** d
+            for i, num in enumerate(acc):
                 if num:
                     out[(i, d - i)] = Q(num, den)
         return Series2(out, self.order)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latval import cli, io
 from latval.geometry import hull_normalize
@@ -97,6 +99,31 @@ def test_format_rational():
     assert io.format_rational(Q(-2, 5)) == "-2/5"
 
 
+# strings with quotes, backslashes, control and non-ASCII characters
+# (escaped as \uXXXX, astral ones as surrogate pairs) and integers of more
+# than 100 digits, nested in lists and objects, empty ones among them
+json_text = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10**120, 10**120) | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30)
+
+
+@given(json_values)
+def test_dumps_equals_json_dumps_indent_2(obj):
+    assert io.dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [0.5, [Q(1, 2)], {"a": (1, 2)},
+                                 {1: "key not a string"}])
+def test_dumps_rejects_values_the_library_does_not_emit(obj):
+    with pytest.raises(TypeError):
+        io.dumps(obj)
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 
@@ -180,6 +207,7 @@ SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 FLOAT = 'bad rational %s: give an integer or a "num/den" string, not a float'
 GRAMMAR = ('bad rational %r: give an integer, "num/den" or a decimal with an '
            "exponent of at most 4 digits")
+TERM_SHAPE = 'a term is {"e": [exponents], "c": rational}'
 
 
 # "terms" must be a list, a JSON boolean is neither an integer nor a
@@ -187,7 +215,8 @@ GRAMMAR = ('bad rational %r: give an integer, "num/den" or a decimal with an '
 # rational; a string rational follows one grammar on every Python, which
 # leaves out underscores (read by Fraction since 3.11), spaces around "/"
 # (since 3.12) and exponents of more than 4 digits, and its text may not
-# exceed Python's 4300 digits
+# exceed Python's 4300 digits; a term that is not {"e": [...], "c": ...}
+# is named as JSON text with the shape it should have
 @pytest.mark.parametrize("spec,polygon,series,message", [
     (None, None, dict(SERIES_B, terms=5), "terms must be a list, not 5"),
     (None, None, dict(SERIES_B, order=True), "bad order True"),
@@ -211,11 +240,18 @@ GRAMMAR = ('bad rational %r: give an integer, "num/den" or a decimal with an '
      "bad rational '1e9999': more than 4300 digits"),
     (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": "1e-4300"}]),
      "bad rational '1e-4300': more than 4300 digits"),
+    (None, None, dict(SERIES_B, terms=[{"e": [0, 0]}]),
+     'bad term {"e": [0, 0]}: ' + TERM_SHAPE),
+    (None, None, dict(SERIES_B, terms=[[[0, 0], "1"]]),
+     'bad term [[0, 0], "1"]: ' + TERM_SHAPE),
+    (None, None, dict(SERIES_B, terms=[{"e": 5, "c": "1"}]),
+     'bad term {"e": 5, "c": "1"}: ' + TERM_SHAPE),
 ], ids=["terms-not-list", "series-order-bool", "exponents-bool",
         "spec-order-bool", "c-bool", "vertex-bool", "c-float", "c-infinity",
         "c-nan", "term-float", "c-underscore", "c-spaced-slash",
         "c-exponent-6-digits", "c-exponent-5-digits", "c-numerator-too-long",
-        "term-denominator-too-long"])
+        "term-denominator-too-long", "term-without-c", "term-not-object",
+        "exponents-not-list"])
 def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
                                      series, message):
     if series is not None:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, NotDivisible, Series1, Series2,
                            bernoulli_numbers, compose_univariate,
                            divide_linear, exp_linear, homogeneous_part,
-                           mul_exp_linear, special_series)
+                           mul_exp_linear, special_series, sum_of_images)
 
 
 def test_default_order():
@@ -288,3 +289,119 @@ def test_mul_of_dense_series_matches_fraction_double_loop():
                  for p in range(d + 1)}, 20)
     assert (f * g).key() == naive_product(f, g).key()
     assert (g * Series2.zero(9)).key() == (9, ())
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker) substitution kernel against plain Fraction loops
+
+
+def naive_subst(f, first, second):
+    """f(a1*x + b1*y, a2*x + b2*y), the powers of each form expanded by
+    plain Fraction loops (the oracle)."""
+    def powers(a, b):   # row k: {i: coefficient of x^i y^(k-i)}
+        rows = [{0: 1}]
+        for _ in range(f.order):
+            nxt = {}
+            for i, c in rows[-1].items():
+                nxt[i + 1] = nxt.get(i + 1, 0) + c * a
+                nxt[i] = nxt.get(i, 0) + c * b
+            rows.append(nxt)
+        return rows
+
+    rows1, rows2 = powers(*first), powers(*second)
+    c = {}
+    for (p, q), v in f.terms():
+        for i, u in rows1[p].items():
+            for j, w in rows2[q].items():
+                e = (i + j, p + q - i - j)
+                c[e] = c.get(e, Q(0)) + v * (u * w)
+    return Series2(c, f.order)
+
+
+forty_digits = st.integers(-10**40, 10**40)
+
+
+@st.composite
+def dense_series2s(draw, max_order=20):
+    """Every coefficient up to the order nonzero, with numerators of up to
+    40 digits."""
+    order = draw(st.integers(0, max_order))
+    a, b = draw(forty_digits), draw(forty_digits)
+    den = draw(st.integers(1, 10**12))
+    return Series2({(p, d - p): Q(a * (p + 1) - b * d + 1, den + p * d)
+                    for d in range(order + 1) for p in range(d + 1)}, order)
+
+
+big = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def integer_frames(draw):
+    """Integer rows (a1, b1), (a2, b2) with entries up to 10^6 in size; one
+    in three has a1 = -b1, whose packed form a1 * (2^k - 1) borrows
+    across every digit."""
+    a1, b1, a2, b2 = (draw(big) for _ in range(4))
+    if draw(st.integers(0, 2)) == 0:
+        b1 = -a1
+    return (a1, b1), (a2, b2)
+
+
+any_series = st.one_of(
+    series2s(max_order=20, coeffs=entries | large_rationals),
+    dense_series2s())
+
+
+@settings(max_examples=100)
+@given(any_series, st.one_of(matrices(), integer_frames()))
+def test_subst_linear_matches_fraction_expansion(f, m):
+    # rational, singular and large integer matrices on sparse and dense
+    # series of orders 0-20
+    assert f.subst_linear(*m).key() == naive_subst(f, *m).key()
+
+
+@st.composite
+def tables(draw, order):
+    """A divided-power table of the given order with 40-digit entries:
+    dense, nonzero only at the constant (a point cell) or in x alone."""
+    kind = draw(st.sampled_from(["dense", "point", "x"]))
+    t = [[0] * (order + 1 - p) for p in range(order + 1)]
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            if kind == "dense" or (kind == "x" and q == 0) or p == q == 0:
+                t[p][q] = draw(forty_digits)
+    return t
+
+
+@st.composite
+def face_lists(draw):
+    """One to four faces (t, xi) of one order whose tables repeat, with
+    integer frames, among them singular and large ones, and small
+    translations."""
+    order = draw(st.integers(0, 20))
+    pool = draw(st.lists(tables(order), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        (a, c), (b, d) = draw(st.one_of(integer_frames(), matrices().filter(
+            lambda m: all(v == int(v) for row in m for v in row))))
+        v = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        xi = SimpleNamespace(m=((int(a), int(b)), (int(c), int(d))), v=v)
+        out.append((draw(st.sampled_from(pool)), xi))
+    return out
+
+
+@settings(max_examples=60)
+@given(face_lists())
+def test_sum_of_images_matches_fraction_expansion(faces):
+    n = len(faces[0][0]) - 1
+    expected = Series2.zero(n)
+    for t, xi in faces:
+        f = Series2({(p, q): Q(s, factorial(p) * factorial(q))
+                     for p, row in enumerate(t) for q, s in enumerate(row)}, n)
+        (a, b), (c, d) = xi.m
+        expected = expected + naive_product(naive_subst(f, (a, c), (b, d)),
+                                            exp_linear(*xi.v, n))
+    got = sum_of_images(faces)
+    assert [len(row) for row in got] == list(range(n + 1, 0, -1))
+    assert Series2({(p, q): Q(s, factorial(p) * factorial(q))
+                    for p, row in enumerate(got) for q, s in enumerate(row)},
+                   n).key() == expected.key()
