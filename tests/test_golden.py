@@ -71,6 +71,10 @@ def _cases():
             cases.append((f"evaluate_{poly}_{spec}",
                           ["evaluate", "--spec", _input("spec_" + spec),
                            "--polygon", _input(poly)], 0))
+    # 12T: 144 triangles sharing vertices, so many cells per translation
+    cases.append(("evaluate_twelve_t",
+                  ["evaluate", "--spec", _input("spec_general"),
+                   "--polygon", _input("twelve_t")], 0))
     # a segment of lattice length 3 and a point, off the origin
     for cell in ("segment_3", "point"):
         cases.append((f"evaluate_{cell}",
