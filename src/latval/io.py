@@ -16,10 +16,12 @@ string, never from a float, which is already rounded to binary.  A string
 is an optionally signed integer with an optional "/den" ("-3/7"), or a
 decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
 "2.5E-3"), with surrounding whitespace allowed; its numerator and
-denominator may have at most 4300 digits, the most that Python turns
-back into text.  Loads validate shape and reject duplicate exponents.
-Every load error raises MalformedInput, an unreadable file or bad UTF-8,
-JSON nested too deep or bad JSON too.
+denominator may have at most 4300 digits, the most that Python reads
+from text by default.  Loads validate shape and reject duplicate
+exponents.  Every load error raises MalformedInput, an unreadable file or
+bad UTF-8, JSON nested too deep or bad JSON too; its message shows the
+offending value as JSON text.  Rationals are written with any number of
+digits.
 """
 
 from __future__ import annotations
@@ -44,15 +46,39 @@ class MalformedInput(Exception):
 _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
                        r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?)"
                        r"\s*", re.ASCII)
-_MAX_DIGITS = 4300   # Python's limit for turning an int into text
+_MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
+# str() writes an int below this under any setting of Python's limit on
+# the digits of an int written as text (at least 640 unless switched off)
+_SHORT = 10 ** 600
 
 
 def format_rational(v) -> str:
     v = Q(v)
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _int_text(v.numerator)
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, however many: a long n is split at a
+    power of 10 below half its digits, and each part is written apart."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    low_digits = n.bit_length() * 3 // 20   # 0.15 < log10(2) / 2
+    high, low = divmod(n, 10 ** low_digits)
+    return _int_text(high) + _int_text(low).zfill(low_digits)
+
+
+def _json_text(value) -> str:
+    """A value read from JSON, as JSON text for a message; a value that
+    JSON text cannot hold, passed in by a caller, is named by its type."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return f"a {type(value).__name__}"
 
 
 def _is_int(v) -> bool:
@@ -66,21 +92,21 @@ def parse_rational(s) -> Fraction:
     if _is_int(s):
         return Q(s)
     if isinstance(s, bool):
-        raise MalformedInput(f"bad rational {s!r}: not a number")
+        raise MalformedInput(f"bad rational {_json_text(s)}: not a number")
     if isinstance(s, float):   # also NaN and Infinity; rounded to binary
-        raise MalformedInput(f"bad rational {s!r}: give an integer or a "
-                             '"num/den" string, not a float')
+        raise MalformedInput(f"bad rational {_json_text(s)}: give an integer "
+                             'or a "num/den" string, not a float')
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise MalformedInput(f'bad rational {s!r}: give an integer, "num/den"'
-                             " or a decimal with an exponent of at most 4 "
-                             "digits")
+        raise MalformedInput(f"bad rational {_json_text(s)}: give an integer, "
+                             '"num/den" or a decimal with an exponent of at '
+                             "most 4 digits")
     try:
         v = Q(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad rational {s!r}: {exc}") from None
+        raise MalformedInput(f"bad rational {_json_text(s)}: {exc}") from None
     if max(abs(v.numerator), v.denominator) >= _TOO_LONG:
-        raise MalformedInput(f"bad rational {s!r}: more than {_MAX_DIGITS} "
-                             "digits")
+        raise MalformedInput(f"bad rational {_json_text(s)}: more than "
+                             f"{_MAX_DIGITS} digits")
     return v
 
 
@@ -101,25 +127,25 @@ def _load_terms(obj, nvars):
     if not isinstance(obj, dict):
         raise MalformedInput("series must be a JSON object")
     if obj.get("vars") not in (["x"], ["x", "y"]):
-        raise MalformedInput(f"bad vars {obj.get('vars')!r}")
+        raise MalformedInput(f"bad vars {_json_text(obj.get('vars'))}")
     if len(obj["vars"]) != nvars:
         raise MalformedInput(f"expected {nvars} variable(s)")
     order = obj.get("order", DEFAULT_ORDER)
     if not _is_int(order) or order < 0:
-        raise MalformedInput(f"bad order {order!r}")
+        raise MalformedInput(f"bad order {_json_text(order)}")
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
-        raise MalformedInput(f"terms must be a list, not {terms!r}")
+        raise MalformedInput(f"terms must be a list, not {_json_text(terms)}")
     seen = {}
     for term in terms:
         if (not isinstance(term, dict) or not isinstance(term.get("e"), list)
                 or "c" not in term):
-            raise MalformedInput(f"bad term {json.dumps(term)}: a term is "
+            raise MalformedInput(f"bad term {_json_text(term)}: a term is "
                                  '{"e": [exponents], "c": rational}')
         exps = tuple(term["e"])
         coeff = parse_rational(term["c"])
         if len(exps) != nvars or any(not _is_int(e) or e < 0 for e in exps):
-            raise MalformedInput(f"bad exponents {exps!r}")
+            raise MalformedInput(f"bad exponents {_json_text(exps)}")
         if exps in seen:
             raise MalformedInput(f"duplicate exponent {list(exps)}")
         if sum(exps) > order:
@@ -163,7 +189,7 @@ def spec_from_obj(obj) -> ValuationSpec:
         raise MalformedInput("spec must be a JSON object")
     order = obj.get("order", DEFAULT_ORDER)
     if not _is_int(order) or order < 1:
-        raise MalformedInput(f"bad order {order!r}")
+        raise MalformedInput(f"bad order {_json_text(order)}")
     c = parse_rational(obj.get("c", "0"))
     g = series1_from_obj(obj["g"]) if "g" in obj else Series2.zero(order)
     rho = series2_from_obj(obj["rho"]) if "rho" in obj else Series2.zero(order)

@@ -13,10 +13,10 @@ substitution on Python ints.  A homogeneous polynomial of degree d,
 sum_i c_i x^i y^(d-i), is packed into the integer sum_i c_i 2^(k*i), its
 value at x = 2^k, y = 1.  The linear form a*x + b*y packs to
 u = (a << k) + b, so products of powers of two forms are plain int
-products, and the packed image of a degree is one integer sum.  Its
-coefficients are read back as balanced digits of width k; the bound in
-``_packed_subst`` keeps each within (-2^(k-1), 2^(k-1)), so they are read
-exactly.
+products, and the packed image of a degree is one integer sum, as is
+the sum of the images of many cells.  Its coefficients are read back as
+balanced digits of width k; the bound in ``_packed_sum`` keeps each within
+(-2^(k-1), 2^(k-1)), so they are read exactly.
 """
 
 from __future__ import annotations
@@ -97,41 +97,53 @@ def _packed_cell(degrees) -> tuple:
             max((d - p for d, p, _ in terms), default=0))
 
 
-def _packed_subst(cell, first, second):
-    """Yield (d, acc) for each degree d of the _packed_cell cell, where
-    acc[i] is the coefficient of x^i y^(d-i) in sum_p s * P1^p * P2^(d-p)
-    for the linear forms P1 = a1*x + b1*y, P2 = a2*x + b2*y with integer
-    first = (a1, b1) and second = (a2, b2).
+def _packed_sum(images):
+    """Yield (d, acc) for each degree d that a cell of the images has,
+    where acc[i] is the coefficient of x^i y^(d-i) in the sum over the
+    images (cell, first, second) of sum_p s * P1^p * P2^(d-p), for the
+    _packed_cell cell and the linear forms P1 = a1*x + b1*y,
+    P2 = a2*x + b2*y with integer first = (a1, b1) and second = (a2, b2).
 
     Kronecker substitution: packed at x = 2^k, y = 1, each degree is one
-    integer sum h = sum_p s * U^p * V^(d-p) of the _packed_powers U, V of
-    the two forms, and acc is read back as d + 1 balanced digits of width
-    k.  With l = bitlen(max(|a1| + |b1|, |a2| + |b2|)),
+    integer sum h of the terms s * U^p * V^(d-p), for U, V the
+    _packed_powers of an image's two forms, and acc is read back as d + 1
+    balanced digits of width k.  For one image with top degree n and
+    l = bitlen(max(|a1| + |b1|, |a2| + |b2|)),
     |acc[i]| <= sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
-    < 2^(bits + d*l + bitlen(d + 1)), so the width
-    k = bits + n*l + bitlen(n + 1) + 2 for the top degree n keeps every
-    digit of every degree within (-2^(k-1), 2^(k-1)), where it is read
-    exactly.  One width for all degrees lets the powers be made once."""
-    degrees, bits, top1, top2 = cell
-    if not degrees:
+    < 2^(bits + d*l + bitlen(d + 1)) = 2^(k1 - 2)
+    for k1 = bits + n*l + bitlen(n + 1) + 2; a sum of m images stays
+    below m * 2^(max k1 - 2) < 2^(k - 2) for k = max k1 + bitlen(m),
+    which keeps every digit within (-2^(k-1), 2^(k-1)), where it is read
+    exactly.  One width for all degrees and images lets the powers be
+    made once per image, and each degree is read back once."""
+    k = 0
+    for (degrees, bits, _, _), (a1, b1), (a2, b2) in images:
+        if degrees:
+            n = degrees[-1][0]
+            ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
+            k = max(k, bits + n * ell + (n + 1).bit_length() + 2)
+    if not k:
         return
-    n = degrees[-1][0]
-    (a1, b1), (a2, b2) = first, second
-    ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
-    k = bits + n * ell + (n + 1).bit_length() + 2
-    us = _packed_powers(a1, b1, top1, k)
-    vs = _packed_powers(a2, b2, top2, k)
+    k += len(images).bit_length()
+    sums = {}
+    for (degrees, _, top1, top2), (a1, b1), (a2, b2) in images:
+        us = _packed_powers(a1, b1, top1, k)
+        vs = _packed_powers(a2, b2, top2, k)
+        for d, nums in degrees:
+            h = sums.get(d, 0)
+            for p, s in nums:
+                h += s * us[p] * vs[d - p]
+            sums[d] = h
     mask = (1 << k) - 1
     half = 1 << (k - 1)
-    # offsets[d]: half in each of the digits 0..d, which makes them all
+    # offset: half in each of the digits 0..d, which makes them all
     # nonnegative, so each is read with one mask and one shift
-    offsets = [half]
-    for _ in range(n):
-        offsets.append((offsets[-1] << k) | half)
-    for d, nums in degrees:
-        h = offsets[d]
-        for p, s in nums:
-            h += s * us[p] * vs[d - p]
+    offset, done = half, 0
+    for d in sorted(sums):
+        for _ in range(d - done):
+            offset = (offset << k) | half
+        done = d
+        h = sums[d] + offset
         acc = []
         for _ in range(d + 1):
             acc.append((h & mask) - half)
@@ -200,10 +212,10 @@ def from_divided_powers(t, den: int, ad: int = 1, bd: int = 1) -> "Series2":
                     if s}, n)
 
 
-def _dp_cell(t) -> tuple:
-    """The _packed_cell of the divided-power table t: degree d carries
-    the numerators t[p][d - p] * C(d, p) of the plain coefficients times
-    d!."""
+def dp_cell(t) -> tuple:
+    """The divided-power table t packed for sum_of_images: the
+    _packed_cell whose degree d carries the numerators
+    t[p][d - p] * C(d, p) of the plain coefficients times d!."""
     n = len(t) - 1
     degrees = []
     for d in range(n + 1):
@@ -212,26 +224,6 @@ def _dp_cell(t) -> tuple:
         if nums:
             degrees.append((d, nums))
     return _packed_cell(degrees)
-
-
-def _dp_subst_into(out, cell, first, second) -> None:
-    """Add to the table out the table of t(a1*x + b1*y, a2*x + b2*y), for
-    the _dp_cell cell of a table t and integer first = (a1, b1) and
-    second = (a2, b2).
-
-    Degree d of the cell holds the plain coefficients times d!; it is
-    substituted by _packed_subst, as one packed integer sum read back as
-    d + 1 digits of width k = bits + n*l + bitlen(n + 1) + 2 (bits from
-    the cell's weighted numerators, n its top degree, l the bit length
-    of the larger |a| + |b| of the two forms), and divided by C(d, r)
-    back into divided powers.  The division is exact, since
-    P1^p/p! * P2^q/q! has the integer coefficients C(r, i) * C(s, p - i)
-    on x^r/r! * y^s/s!.  A constant cell needs no powers, and a cell in x
-    alone none of the second form."""
-    for d, acc in _packed_subst(cell, first, second):
-        for r, s in enumerate(acc):
-            if s:
-                out[r][d - r] += s // comb(d, r)
 
 
 def _dp_twist_into(out, t, alpha, beta) -> None:
@@ -276,25 +268,32 @@ def _dp_twist_into(out, t, alpha, beta) -> None:
             op[q] += s
 
 
-def sum_of_images(faces) -> list:
-    """The divided-power table of the sum of exp(v.z) * t(M z) over the
-    faces (t, xi), for tables t of one order and frames xi with integer
-    matrix xi.m = M and translation xi.v = v, acting as in
-    group.act_on_series.  Each distinct table is made a _dp_cell once per
-    call; the substituted tables are summed by translation first, so each
-    translation costs one exponential twist."""
-    n = len(faces[0][0]) - 1
-    cells = {}
+def sum_of_images(faces, n: int) -> list:
+    """The divided-power table of order n of the sum of exp(v.z) * t(M z)
+    over the faces (cell, xi), for cells dp_cell(t) of tables t of order
+    n and frames xi with integer matrix xi.m = M and translation
+    xi.v = v, acting as in group.act_on_series.
+
+    The faces are summed by translation.  The substituted cells of one
+    translation are added by _packed_sum into one packed integer per
+    degree, read back once and divided by C(d, r) once into divided
+    powers.  The division is exact, since P1^p/p! * P2^q/q! has the
+    integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!.  Then
+    each translation costs one exponential twist."""
     by_v = {}
-    for t, xi in faces:
-        (a, b), (c, d) = xi.m
-        if id(t) not in cells:
-            cells[id(t)] = _dp_cell(t)
-        if xi.v not in by_v:
-            by_v[xi.v] = _zero_table(n)
-        _dp_subst_into(by_v[xi.v], cells[id(t)], (a, c), (b, d))
+    for cell, xi in faces:
+        if cell[0]:     # a zero table, such as c = 0, adds nothing
+            (a, b), (c, d) = xi.m
+            by_v.setdefault(xi.v, []).append((cell, (a, c), (b, d)))
+    binomials = _linear_powers(1, 1, n)
     out = _zero_table(n)
-    for v, g in by_v.items():
+    for v, images in by_v.items():
+        g = _zero_table(n)
+        for d, acc in _packed_sum(images):
+            row = binomials[d]
+            for r, s in enumerate(acc):
+                if s:
+                    g[r][d - r] = s // row[r]
         _dp_twist_into(out, g, *v)
     return out
 
@@ -419,7 +418,7 @@ class Series2:
         map to degree-n terms.  The work is done in integers: with L the lcm
         of the four entries' denominators, (a1 x + b1 y)^p is (L a1 x +
         L b1 y)^p divided by L^p.  The coefficients of each total degree d
-        are brought to one common denominator den, and _packed_subst turns
+        are brought to one common denominator den, and _packed_sum turns
         their numerators into those of the image as one packed integer per
         degree (Kronecker substitution, with the digit width bound given
         there), so every output coefficient of degree d is an exact integer
@@ -434,8 +433,8 @@ class Series2:
                              for d, (_, nums) in degrees])
         dens = {d: den for d, (den, _) in degrees}
         out = {}
-        for d, acc in _packed_subst(cell, (int(a1 * scale), int(b1 * scale)),
-                                    (int(a2 * scale), int(b2 * scale))):
+        for d, acc in _packed_sum([(cell, (int(a1 * scale), int(b1 * scale)),
+                                    (int(a2 * scale), int(b2 * scale)))]):
             den = dens[d] * scale ** d
             for i, num in enumerate(acc):
                 if num:

@@ -23,9 +23,13 @@ The sum is taken in integers.  zT, f1 and c are kept in divided-power form,
 f[p, q] = A[p][q] / (D * p! * q!), over one denominator D per evaluator.
 In that form the substitution of an integer matrix and the twist by
 e^{v.z} for an integer v map integer tables to integer tables, so all
-cells are added into one table of integers, grouped by translation so
-that each lattice point costs one twist, and the Fractions are made once,
-at the end.
+cells are added into one table of integers, and the Fractions are made
+once, at the end.  The cells are summed by translation, and each
+translation costs one twist, so each cell's frame is taken at an anchor,
+a vertex it shares with other cells (_anchored): the interior points
+first, then the vertices with the most incident cells.  Any vertex will
+do, since zT is invariant under the affine symmetries of the unit
+triangle and f1 under the flip of the unit segment.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .geometry import (LatticePolygon, NotSegment, hull_normalize,
 from .group import AffineUnimodular, complete_primitive, triangle_frame
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, exp_linear,
+                     divide_linear, dp_cell, exp_linear,
                      from_divided_powers, mul_exp_linear, special_series,
                      sum_of_images, to_divided_powers)
 
@@ -174,10 +178,11 @@ class Evaluator:
         self.data = build_triangle_data(spec)
         # the unit cell of each dimension at the origin (c, f1, zT), with
         # the signs each can take, as divided-power tables over the least D
-        # that makes them integral
+        # that makes them integral, packed once for sum_of_images
         d = self.data
-        self._den, (c, minus_c, f1, minus_f1, zT) = to_divided_powers(
+        self._den, tables = to_divided_powers(
             [d.f0, -d.f0, d.f1, -d.f1, d.zT])
+        c, minus_c, f1, minus_f1, zT = (dp_cell(t) for t in tables)
         self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
         self._values = OrderedDict()
 
@@ -204,29 +209,56 @@ class Evaluator:
         # each open cell with the sign (-1)^(dim P - dim cell)
         faces = [(self._cells[d][(P.dim - d) % 2], xi)
                  for d, xi in _open_cells(P)]
-        return from_divided_powers(sum_of_images(faces), self._den)
+        return from_divided_powers(sum_of_images(faces, self.order),
+                                   self._den)
 
 
 def _open_cells(P: LatticePolygon) -> list:
     """(dim, frame) for each unit cell of P that is not in P's relative
     boundary; the frame maps the origin, [0, e1] or the unit triangle onto
-    the cell.  For a polygon these are the triangles, interior edges and
-    interior vertices of its unimodular triangulation; for a segment its
-    unit segments and inner lattice points; for a point the point."""
+    the cell, with the origin onto the cell's anchor (see _anchored).  For a
+    polygon these are the triangles, interior edges and interior vertices
+    of its unimodular triangulation; for a segment its unit segments and
+    inner lattice points; for a point the point."""
     if P.dim == 0:
         return [(0, AffineUnimodular.translation(P.vertices[0]))]
     if P.dim == 1:
         pts = segment_lattice_points(*P.vertices)
-        return ([(1, _unit_segment_frame(a, b)) for a, b in zip(pts, pts[1:])]
-                + [(0, AffineUnimodular.translation(p)) for p in pts[1:-1]])
-    tri = unimodular_triangulation(P)
-    # every lattice point is a vertex, so each edge is a unit segment
-    return ([(2, triangle_frame(*tri.triangle_points(t)))
-             for t in tri.triangles]
-            + [(1, _unit_segment_frame(*tri.edge_points(e)))
-               for e in tri.interior_edges]
-            + [(0, AffineUnimodular.translation(tri.points[i]))
-               for i in tri.interior_vertices])
+        cells = list(zip(pts, pts[1:]))
+        inner = pts[1:-1]
+    else:
+        tri = unimodular_triangulation(P)
+        # every lattice point is a vertex, so each edge is a unit segment
+        cells = ([tri.triangle_points(t) for t in tri.triangles]
+                 + [tri.edge_points(e) for e in tri.interior_edges])
+        inner = [tri.points[i] for i in tri.interior_vertices]
+    return ([(2, triangle_frame(*c)) if len(c) == 3
+             else (1, _unit_segment_frame(*c))
+             for c in _anchored(cells, inner)]
+            + [(0, AffineUnimodular.translation(p)) for p in inner])
+
+
+def _anchored(cells, inner) -> list:
+    """The cells (tuples of lattice points), each rotated so that its
+    anchor, the vertex at which its frame is taken, comes first.  Each
+    anchor is a translation, which costs sum_of_images one exponential
+    twist, so the anchors are shared vertices: the inner points, which are
+    translations anyway, then, in one greedy pass, for a cell with no
+    anchored vertex, the vertex with the most incident cells, ties broken
+    by the larger point.  A cell with several anchored vertices takes the
+    first in that same order."""
+    incident = {}
+    for cell in cells:
+        for p in cell:
+            incident[p] = incident.get(p, 0) + 1
+    anchored = set(inner)
+    out = []
+    for cell in cells:
+        i = max(range(len(cell)), key=lambda i: (
+            cell[i] in anchored, incident[cell[i]], cell[i]))
+        anchored.add(cell[i])
+        out.append(cell[i:] + cell[:i])
+    return out
 
 
 def _unit_segment_frame(a, b) -> AffineUnimodular:

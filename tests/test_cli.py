@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latval import cli, io
 from latval.geometry import hull_normalize
 from latval.group import AffineUnimodular
+from latval.laws import dagger
 from latval.series import Series1, Series2
 from latval.valuation import ValuationSpec, dilative_decompose, reassemble
 
@@ -64,6 +65,9 @@ def test_bad_rational_rejected():
         io.parse_rational("pi")
     with pytest.raises(io.MalformedInput):
         io.parse_rational(False)
+    # a value no JSON text holds, passed by a caller, is named by its type
+    with pytest.raises(io.MalformedInput, match="^bad rational a Fraction: "):
+        io.parse_rational(Q(1, 2))
 
 
 def test_polygon_round_trip():
@@ -97,6 +101,47 @@ def test_affine_round_trip():
 def test_format_rational():
     assert io.format_rational(Q(3, 1)) == "3"
     assert io.format_rational(Q(-2, 5)) == "-2/5"
+
+
+def _long_int(text):
+    """An int from decimal text of any length, read 1000 digits at a time,
+    under the int-from-text limit."""
+    digits = text.lstrip("-")
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text.startswith("-") else n
+
+
+@pytest.mark.parametrize("n", [
+    10**599, 10**600 - 1, 10**600, 10**4300, -(3 * 10**4301 + 11),
+    7 ** 12000, 10**9000 + 10**4000 + 1,
+], ids=["600-digits", "600-nines", "601-digits", "4301-digits",
+        "minus-4302-digits", "7-to-the-12000", "inner-zeros"])
+def test_format_rational_past_the_int_text_limit(n):
+    # Python refuses str() of an int of more than 4300 digits by default
+    text = io.format_rational(n)
+    assert text[0] in "-123456789" and text.lstrip("-").isdigit()
+    assert _long_int(text) == n
+    num, den = io.format_rational(Q(n, 10**4400 + 1)).split("/")
+    assert (_long_int(num), _long_int(den)) == (n, 10**4400 + 1)
+
+
+def test_transform_writes_coefficients_of_any_length(tmp_path, capsys):
+    # a 4299-digit numerator and denominator load, and dagger multiplies
+    # them past 4300 digits
+    num, den = 10**4298 + 1, 10**4298 + 3
+    F = {"vars": ["x", "y"], "order": 6,
+         "terms": [{"e": [2, 0], "c": f"{num}/{den}"}]}
+    path = write(tmp_path, "F.json", F)
+    code, out = run(capsys, "transform", "--op", "dagger", "--input", path)
+    assert code == 0
+    expected = dagger(io.series2_from_obj(F))
+    got = {tuple(t["e"]): Q(*map(_long_int, t["c"].split("/")))
+           for t in json.loads(out)["terms"]}
+    assert got == dict(expected.terms())
+    assert len(out) > 2 * 4300
 
 
 # strings with quotes, backslashes, control and non-ASCII characters
@@ -205,8 +250,8 @@ SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 
 
 FLOAT = 'bad rational %s: give an integer or a "num/den" string, not a float'
-GRAMMAR = ('bad rational %r: give an integer, "num/den" or a decimal with an '
-           "exponent of at most 4 digits")
+GRAMMAR = ('bad rational "%s": give an integer, "num/den" or a decimal with '
+           "an exponent of at most 4 digits")
 TERM_SHAPE = 'a term is {"e": [exponents], "c": rational}'
 
 
@@ -216,20 +261,21 @@ TERM_SHAPE = 'a term is {"e": [exponents], "c": rational}'
 # leaves out underscores (read by Fraction since 3.11), spaces around "/"
 # (since 3.12) and exponents of more than 4 digits, and its text may not
 # exceed Python's 4300 digits; a term that is not {"e": [...], "c": ...}
-# is named as JSON text with the shape it should have
+# is named as JSON text with the shape it should have; every offending
+# value is shown as JSON text, never as a Python repr
 @pytest.mark.parametrize("spec,polygon,series,message", [
     (None, None, dict(SERIES_B, terms=5), "terms must be a list, not 5"),
-    (None, None, dict(SERIES_B, order=True), "bad order True"),
+    (None, None, dict(SERIES_B, order=True), "bad order true"),
     (None, None, dict(SERIES_B, terms=[{"e": [True, False], "c": "1"}]),
-     "bad exponents (True, False)"),
-    (dict(LAPLACE_SPEC, order=True), T_POLY, None, "bad order True"),
+     "bad exponents [true, false]"),
+    (dict(LAPLACE_SPEC, order=True), T_POLY, None, "bad order true"),
     (dict(LAPLACE_SPEC, c=True), T_POLY, None,
-     "bad rational True: not a number"),
+     "bad rational true: not a number"),
     (LAPLACE_SPEC, {"vertices": [[True, False], [2, 0], [0, 2]]}, None,
      "vertices must be a nonempty list of integer pairs"),
     (dict(LAPLACE_SPEC, c=0.1), T_POLY, None, FLOAT % "0.1"),
-    (dict(LAPLACE_SPEC, c=float("-inf")), T_POLY, None, FLOAT % "-inf"),
-    (dict(LAPLACE_SPEC, c=float("nan")), T_POLY, None, FLOAT % "nan"),
+    (dict(LAPLACE_SPEC, c=float("-inf")), T_POLY, None, FLOAT % "-Infinity"),
+    (dict(LAPLACE_SPEC, c=float("nan")), T_POLY, None, FLOAT % "NaN"),
     (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": 1.0}]),
      FLOAT % "1.0"),
     (dict(LAPLACE_SPEC, c="1_000"), T_POLY, None, GRAMMAR % "1_000"),
@@ -237,21 +283,22 @@ TERM_SHAPE = 'a term is {"e": [exponents], "c": rational}'
     (dict(LAPLACE_SPEC, c="1e200000"), T_POLY, None, GRAMMAR % "1e200000"),
     (dict(LAPLACE_SPEC, c="1e10000"), T_POLY, None, GRAMMAR % "1e10000"),
     (dict(LAPLACE_SPEC, c="1e9999"), T_POLY, None,
-     "bad rational '1e9999': more than 4300 digits"),
+     'bad rational "1e9999": more than 4300 digits'),
     (None, None, dict(SERIES_B, terms=[{"e": [0, 0], "c": "1e-4300"}]),
-     "bad rational '1e-4300': more than 4300 digits"),
+     'bad rational "1e-4300": more than 4300 digits'),
     (None, None, dict(SERIES_B, terms=[{"e": [0, 0]}]),
      'bad term {"e": [0, 0]}: ' + TERM_SHAPE),
     (None, None, dict(SERIES_B, terms=[[[0, 0], "1"]]),
      'bad term [[0, 0], "1"]: ' + TERM_SHAPE),
     (None, None, dict(SERIES_B, terms=[{"e": 5, "c": "1"}]),
      'bad term {"e": 5, "c": "1"}: ' + TERM_SHAPE),
+    (None, None, dict(SERIES_B, vars=["x", None]), 'bad vars ["x", null]'),
 ], ids=["terms-not-list", "series-order-bool", "exponents-bool",
         "spec-order-bool", "c-bool", "vertex-bool", "c-float", "c-infinity",
         "c-nan", "term-float", "c-underscore", "c-spaced-slash",
         "c-exponent-6-digits", "c-exponent-5-digits", "c-numerator-too-long",
         "term-denominator-too-long", "term-without-c", "term-not-object",
-        "exponents-not-list"])
+        "exponents-not-list", "vars-with-null"])
 def test_malformed_json_values_exit_3(tmp_path, capsys, spec, polygon,
                                      series, message):
     if series is not None:
@@ -300,7 +347,7 @@ def test_help_still_exits_0(capsys):
 # arrays nested deeper than the JSON decoder recurses
 @pytest.mark.parametrize("text, message", [
     (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
-    (b'{"c": 1e400, "order": 3}', FLOAT % "inf"),
+    (b'{"c": 1e400, "order": 3}', FLOAT % "Infinity"),
     (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
 ], ids=["utf16-bom", "c-overflow", "deep-nesting"])
 def test_malformed_spec_files_exit_3(tmp_path, capsys, text, message):

@@ -5,14 +5,15 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, NotDivisible, Series1, Series2,
                            bernoulli_numbers, compose_univariate,
                            divide_linear, exp_linear, homogeneous_part,
-                           mul_exp_linear, special_series, sum_of_images)
+                           dp_cell, mul_exp_linear, special_series,
+                           sum_of_images)
 
 
 def test_default_order():
@@ -389,19 +390,56 @@ def face_lists(draw):
     return out
 
 
+@st.composite
+def faces_on_one_translation(draw):
+    """Up to 16 faces (t, xi) of one order on one translation, from a pool
+    of up to three tables with 40-digit entries, with frames whose entries
+    are up to 10^6 in size: one packed sum must hold all their images."""
+    order = draw(st.integers(0, 8))
+    # one table in two draws: images of one sign, whose sum is largest
+    pool = draw(st.lists(tables(order), min_size=1,
+                         max_size=draw(st.sampled_from([1, 3]))))
+    v = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    out = []
+    for _ in range(draw(st.integers(1, 16))):
+        (a, c), (b, d) = draw(integer_frames())
+        out.append((draw(st.sampled_from(pool)),
+                    SimpleNamespace(m=((a, b), (c, d)), v=v)))
+    return out
+
+
+def _dp_series(t):
+    n = len(t) - 1
+    return Series2({(p, q): Q(s, factorial(p) * factorial(q))
+                    for p, row in enumerate(t) for q, s in enumerate(row)}, n)
+
+
+def _check_sum_of_images(faces):
+    n = len(faces[0][0]) - 1
+    images = {}
+    for t, xi in faces:
+        (a, b), (c, d) = xi.m
+        images[xi.v] = images.get(xi.v, Series2.zero(n)) \
+            + naive_subst(_dp_series(t), (a, c), (b, d))
+    expected = Series2.zero(n)
+    for v, f in images.items():
+        expected = expected + naive_product(f, exp_linear(*v, n))
+    got = sum_of_images([(dp_cell(t), xi) for t, xi in faces], n)
+    assert [len(row) for row in got] == list(range(n + 1, 0, -1))
+    assert _dp_series(got).key() == expected.key()
+
+
 @settings(max_examples=60)
 @given(face_lists())
 def test_sum_of_images_matches_fraction_expansion(faces):
-    n = len(faces[0][0]) - 1
-    expected = Series2.zero(n)
-    for t, xi in faces:
-        f = Series2({(p, q): Q(s, factorial(p) * factorial(q))
-                     for p, row in enumerate(t) for q, s in enumerate(row)}, n)
-        (a, b), (c, d) = xi.m
-        expected = expected + naive_product(naive_subst(f, (a, c), (b, d)),
-                                            exp_linear(*xi.v, n))
-    got = sum_of_images(faces)
-    assert [len(row) for row in got] == list(range(n + 1, 0, -1))
-    assert Series2({(p, q): Q(s, factorial(p) * factorial(q))
-                    for p, row in enumerate(got) for q, s in enumerate(row)},
-                   n).key() == expected.key()
+    _check_sum_of_images(faces)
+
+
+@settings(max_examples=40)
+@given(faces_on_one_translation())
+@example([([[10**40 - 1]], SimpleNamespace(m=((1, 0), (0, 1)), v=(0, 0)))]
+         * 16)
+def test_sum_of_images_on_one_translation(faces):
+    # the images of one translation are read back from one packed sum,
+    # whose width must leave room for the number of faces
+    _check_sum_of_images(faces)

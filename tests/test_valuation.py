@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import permutations
 from math import factorial, gcd
 
 import pytest
@@ -262,6 +263,29 @@ FACE_SUM_SPECS = {
 }
 
 
+# each spec the tests evaluate: the five acceptance families, then the
+# property specs and the face-sum specs
+CELL_SPECS = {
+    **dict(zip(("laplace", "vd4", "vd6", "odd1", "case3"), SPECS)),
+    **{f"property_{name}": spec for name, spec in PROPERTY_SPECS.items()},
+    **{f"face_sum_{name}": spec for name, spec in FACE_SUM_SPECS.items()},
+}
+# the six affine maps of the unit triangle onto itself, and the flip
+# p -> e1 - p of the unit segment
+TRIANGLE_SYMMETRIES = [triangle_frame(*v)
+                       for v in permutations([(0, 0), (1, 0), (0, 1)])]
+SEGMENT_FLIP = AffineUnimodular(((-1, 0), (0, -1)), (1, 0))
+
+
+@pytest.mark.parametrize("name", CELL_SPECS)
+def test_unit_cells_are_invariant_under_their_symmetries(name):
+    # so the evaluator may take a cell's frame at any vertex of the cell
+    data = build_triangle_data(CELL_SPECS[name])
+    for xi in TRIANGLE_SYMMETRIES:
+        assert act_on_series(xi, data.zT).key() == data.zT.key()
+    assert act_on_series(SEGMENT_FLIP, data.f1).key() == data.f1.key()
+
+
 def _unit_segment(data, a, w):
     """f1 in the frame of the unit segment [a, a + w], by act_on_series."""
     return act_on_series(AffineUnimodular(complete_primitive(w).m, a), data.f1)
@@ -282,11 +306,25 @@ def polygons_with_interior_points(draw):
     return P
 
 
+@st.composite
+def polygons_without_interior_points(draw):
+    """The hull of 3 or 4 points on two adjacent lattice lines, in a random
+    affine frame: triangles and quadrilaterals, many of them long and thin,
+    with no interior lattice point, so no cell starts out anchored."""
+    point = st.tuples(st.integers(-2, 5), st.integers(0, 1))
+    P = hull_normalize(draw(st.lists(point, min_size=3, max_size=4)))
+    assume(P.dim == 2)
+    return act_on_polygon(draw(affine_unimodulars()), P)
+
+
 @pytest.mark.parametrize("name", FACE_SUM_SPECS)
-@settings(max_examples=20)
-@given(P=polygons_with_interior_points())
+@settings(max_examples=30)
+@given(P=st.one_of(polygons_with_interior_points(),
+                   polygons_without_interior_points()))
 def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
-    # the inclusion-exclusion over the triangulation, from Series2 pieces
+    # the inclusion-exclusion over the triangulation, from Series2 pieces,
+    # each cell in the frame taken at its first vertex, whatever anchor
+    # the evaluator takes
     ev = evaluator_for(FACE_SUM_SPECS[name])
     tri = unimodular_triangulation(P)
     total = Series2.zero(ev.order)
