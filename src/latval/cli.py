@@ -12,12 +12,14 @@ order 12, overridable by the LATVAL_ORDER environment variable or their
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
 
 from . import io, laplace, laws, valuation, vspace
-from .geometry import GeometryError, hull_normalize, scale_polygon
+from .geometry import (GeometryError, chord_of_split, scale_polygon,
+                       split_pairs)
 from .group import GroupError, act_on_polygon, act_on_series, d4_elements
 from .series import DEFAULT_ORDER, Series2, SeriesError
 from .valuation import (BothPass, NoCandidatePasses, ValuationError,
@@ -38,7 +40,8 @@ def default_order() -> int:
     try:
         order = int(env)
     except ValueError:
-        raise io.MalformedInput(f"LATVAL_ORDER={env!r} is not an integer")
+        raise io.MalformedInput(f"LATVAL_ORDER={json.dumps(env)} is not "
+                                "an integer")
     if order < 1:
         raise io.MalformedInput(f"LATVAL_ORDER={order} must be >= 1")
     return order
@@ -110,7 +113,7 @@ def cmd_vd(args) -> int:
 def cmd_check_law(args) -> int:
     f = io.series2_from_obj(io.load_json(args.input))
     if args.law not in laws.LAW_IDS:
-        raise io.MalformedInput(f"unknown law {args.law!r}; "
+        raise io.MalformedInput(f"unknown law {json.dumps(args.law)}; "
                                 f"known: {', '.join(laws.LAW_IDS)}")
     report = laws.check_law(args.law, f)
     _emit(_report(f"check-law {args.law}",
@@ -172,7 +175,7 @@ def cmd_dilative(args) -> int:
     try:
         m_list = [int(m) for m in args.m.split(",")]
     except ValueError:
-        raise io.MalformedInput(f"bad --m list {args.m!r}")
+        raise io.MalformedInput(f"bad --m list {json.dumps(args.m)}")
     if any(m < 2 for m in m_list):
         raise io.MalformedInput("all m must be >= 2")
     polys = [io.polygon_from_obj(io.load_json(p))
@@ -228,8 +231,7 @@ def cmd_selftest(args) -> int:
     record("dimension table d <= 12", all(c == p for _, c, p in dims))
     record("D4 has 8 elements", len(d4_elements()) == 8)
 
-    T = hull_normalize([(0, 0), (1, 0), (0, 1)])
-    square = hull_normalize([(0, 0), (1, 0), (0, 1), (1, 1)])
+    T, square = valuation.UNIT_TRIANGLE, valuation.UNIT_SQUARE
     lap_spec = ValuationSpec(0, None, Series2.constant(1, order), order)
     for P in (T, square, scale_polygon(T, 2)):
         ok = valuation.z_polygon(lap_spec, P).eq_up_to(
@@ -238,7 +240,6 @@ def cmd_selftest(args) -> int:
 
     case3 = ValuationSpec(1, cosh_type_g(order),
                           Series2.constant(-1, order), order)
-    from .geometry import chord_of_split, split_pairs
     specs = {"Laplace spec": lap_spec, "case-3 spec": case3}
     for label, spec in specs.items():
         ev = valuation.evaluator_for(spec)

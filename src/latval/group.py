@@ -12,7 +12,6 @@ for Xi with linear part [[a, b], [c, d]] and translation (alpha, beta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .series import Series2, mul_exp_linear
 
@@ -22,10 +21,6 @@ class GroupError(Exception):
 
 
 class NotUnimodular(GroupError):
-    pass
-
-
-class NotPrimitive(GroupError):
     pass
 
 
@@ -153,47 +148,6 @@ def is_d4_invariant(f: Series2):
         if not act_on_series(AffineUnimodular.linear(g), f).eq_up_to(f):
             return False, g
     return True, None
-
-
-def complete_primitive(w) -> AffineUnimodular:
-    """A determinant-one matrix with first column the primitive vector w.
-
-    The second column is the Bezout solution with minimal |u1| + |u2|,
-    ties broken lexicographically.
-    """
-    w1, w2 = int(w[0]), int(w[1])
-    if gcd(abs(w1), abs(w2)) != 1:
-        raise NotPrimitive(f"{(w1, w2)} is not primitive")
-    # solve w1*u2 - w2*u1 = 1; one solution from the extended euclid pair
-    u1, u2 = _bezout_column(w1, w2)
-    # general solution: (u1 + t*w1, u2 + t*w2)
-    nn = w1 * w1 + w2 * w2
-    t0 = round(-(w1 * u1 + w2 * u2) / nn)
-    best = None
-    for t in range(t0 - 2, t0 + 3):
-        cand = (u1 + t * w1, u2 + t * w2)
-        score = (abs(cand[0]) + abs(cand[1]), cand)
-        if best is None or score < best[0]:
-            best = (score, cand)
-    u1, u2 = best[1]
-    return AffineUnimodular(((w1, u1), (w2, u2)))
-
-
-def _bezout_column(w1: int, w2: int) -> tuple[int, int]:
-    # extended gcd for a*w1 + b*w2 = 1, rearranged to w1*u2 - w2*u1 = 1
-    old_r, r = w1, w2
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    # old_s*w1 + old_t*w2 = old_r = +-gcd = +-1
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    # w1*u2 - w2*u1 = 1 with u2 = old_s, u1 = -old_t
-    return (-old_t, old_s)
 
 
 def triangle_frame(v0, v1, v2) -> AffineUnimodular:

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .geometry import LatticePolygon, hull_normalize
 from .group import AffineUnimodular, NotUnimodular
-from .series import DEFAULT_ORDER, Series1, Series2
+from .series import DEFAULT_ORDER, Series1, Series2, format_rational
 from .valuation import ValuationSpec
 
 Q = Fraction
@@ -48,28 +48,6 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
                        r"\s*", re.ASCII)
 _MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
-# str() writes an int below this under any setting of Python's limit on
-# the digits of an int written as text (at least 640 unless switched off)
-_SHORT = 10 ** 600
-
-
-def format_rational(v) -> str:
-    v = Q(v)
-    if v.denominator == 1:
-        return _int_text(v.numerator)
-    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
-
-
-def _int_text(n: int) -> str:
-    """The decimal digits of n, however many: a long n is split at a
-    power of 10 below half its digits, and each part is written apart."""
-    if -_SHORT < n < _SHORT:
-        return str(n)
-    if n < 0:
-        return "-" + _int_text(-n)
-    low_digits = n.bit_length() * 3 // 20   # 0.15 < log10(2) / 2
-    high, low = divmod(n, 10 ** low_digits)
-    return _int_text(high) + _int_text(low).zfill(low_digits)
 
 
 def _json_text(value) -> str:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
                     is_d4_invariant)
-from .series import (Series2, divide_linear,
+from .series import (Series2, divide_linear, format_rational,
                      homogeneous_part, mul_exp_linear, special_series)
 
 Q = Fraction
@@ -121,7 +121,8 @@ def violation_obj(diff):
     if diff is None:
         return None
     (p, q), lhs, rhs = diff
-    return {"exponent": [p, q], "lhs": str(lhs), "rhs": str(rhs)}
+    return {"exponent": [p, q], "lhs": format_rational(lhs),
+            "rhs": format_rational(rhs)}
 
 
 def violation_text(diff) -> str:
@@ -129,7 +130,8 @@ def violation_text(diff) -> str:
     if diff is None:
         return "an unlocated coefficient"
     (p, q), lhs, rhs = diff
-    return f"exponent [{p}, {q}]: lhs {lhs!s}, rhs {rhs!s}"
+    return (f"exponent [{p}, {q}]: lhs {format_rational(lhs)}, "
+            f"rhs {format_rational(rhs)}")
 
 
 def law_sides(law: str, f: Series2):

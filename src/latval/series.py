@@ -50,6 +50,32 @@ def _q(value) -> Q:
     return value if isinstance(value, Q) else Q(value)
 
 
+# str() writes an int below this under any setting of Python's limit on
+# the digits of an int written as text (at least 640 unless switched off)
+_SHORT = 10 ** 600
+
+
+def format_rational(v) -> str:
+    """v as exact text, "num/den" or an integer, with any number of
+    digits."""
+    v = Q(v)
+    if v.denominator == 1:
+        return _int_text(v.numerator)
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, however many: a long n is split at a
+    power of 10 below half its digits, and each part is written apart."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    low_digits = n.bit_length() * 3 // 20   # 0.15 < log10(2) / 2
+    high, low = divmod(n, 10 ** low_digits)
+    return _int_text(high) + _int_text(low).zfill(low_digits)
+
+
 def _linear_powers(a: int, b: int, n: int) -> list:
     """Integer rows of (a*x + b*y)^k for k = 0..n: row k lists the
     coefficients C(k, i) a^i b^(k-i) of x^i y^(k-i), for i = 0..k."""
@@ -269,10 +295,11 @@ def _dp_twist_into(out, t, alpha, beta) -> None:
 
 
 def sum_of_images(faces, n: int) -> list:
-    """The divided-power table of order n of the sum of exp(v.z) * t(M z)
-    over the faces (cell, xi), for cells dp_cell(t) of tables t of order
-    n and frames xi with integer matrix xi.m = M and translation
-    xi.v = v, acting as in group.act_on_series.
+    """The divided-power table of order n of the sum of
+    exp(v.z) * t(u1.z, u2.z) over the faces (cell, v, u1, u2), for cells
+    dp_cell(t) of tables t of order n and integer vectors v, u1 and u2:
+    the image of t under the affine map with translation v and edge
+    vectors u1, u2 (the images of e1 and e2), as in group.act_on_series.
 
     The faces are summed by translation.  The substituted cells of one
     translation are added by _packed_sum into one packed integer per
@@ -281,10 +308,9 @@ def sum_of_images(faces, n: int) -> list:
     integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!.  Then
     each translation costs one exponential twist."""
     by_v = {}
-    for cell, xi in faces:
+    for cell, v, u1, u2 in faces:
         if cell[0]:     # a zero table, such as c = 0, adds nothing
-            (a, b), (c, d) = xi.m
-            by_v.setdefault(xi.v, []).append((cell, (a, c), (b, d)))
+            by_v.setdefault(v, []).append((cell, u1, u2))
     binomials = _linear_powers(1, 1, n)
     out = _zero_table(n)
     for v, images in by_v.items():

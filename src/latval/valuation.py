@@ -11,7 +11,7 @@ A spec (c, g, rho) determines the values on the basic faces:
 and every other value follows by equivariance and the valuation axiom,
 realized here through one inclusion-exclusion for points, segments and
 polygons: the sum over the unit cells of P that are not in P's relative
-boundary, each value in the cell's own frame, with the sign
+boundary, each value moved onto the cell, with the sign
 (-1)^(dim P - dim cell).  For a polygon these are the triangles (+zT),
 interior edges (-f1) and interior points (+c) of its unimodular
 triangulation on all lattice points; for a segment its unit segments (+f1)
@@ -19,17 +19,25 @@ and inner lattice points (-c); for a point the point itself (+c).  Since
 dagger loses one order, all engine outputs carry order N - 1 for a spec
 of order N (less when g or rho is known to a lower order).
 
+A cell is its anchor v, a vertex, and its edge vectors u1 and u2 from v:
+the affine map with translation v that sends e1 to u1 and e2 to u2 takes
+the unit cell onto it, and moves the unit cell's value f to
+e^{v.z} * f(u1.z, u2.z).  A segment's u2 and a point's u1 and u2 are
+(0, 0): f1 and c are series in x alone, so their values do not depend on
+the edges that the unit cell lacks, and no edge is completed to a
+unimodular frame.
+
 The sum is taken in integers.  zT, f1 and c are kept in divided-power form,
 f[p, q] = A[p][q] / (D * p! * q!), over one denominator D per evaluator.
-In that form the substitution of an integer matrix and the twist by
+In that form the substitution of integer edge vectors and the twist by
 e^{v.z} for an integer v map integer tables to integer tables, so all
 cells are added into one table of integers, and the Fractions are made
 once, at the end.  The cells are summed by translation, and each
-translation costs one twist, so each cell's frame is taken at an anchor,
-a vertex it shares with other cells (_anchored): the interior points
-first, then the vertices with the most incident cells.  Any vertex will
-do, since zT is invariant under the affine symmetries of the unit
-triangle and f1 under the flip of the unit segment.
+translation costs one twist, so each cell is anchored at a vertex it
+shares with other cells (_anchored): the interior points first, then the
+vertices with the most incident cells.  Any vertex will do, since zT is
+invariant under the affine symmetries of the unit triangle and f1 under
+the flip of the unit segment.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from math import factorial
 from .geometry import (LatticePolygon, NotSegment, hull_normalize,
                        scale_polygon, segment_lattice_points,
                        unimodular_triangulation)
-from .group import AffineUnimodular, complete_primitive, triangle_frame
+from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
                      divide_linear, dp_cell, exp_linear,
@@ -207,21 +215,27 @@ class Evaluator:
 
     def _sum(self, P: LatticePolygon) -> Series2:
         # each open cell with the sign (-1)^(dim P - dim cell)
-        faces = [(self._cells[d][(P.dim - d) % 2], xi)
-                 for d, xi in _open_cells(P)]
+        faces = [(self._cells[d][(P.dim - d) % 2], v, u1, u2)
+                 for d, v, u1, u2 in _open_cells(P)]
         return from_divided_powers(sum_of_images(faces, self.order),
                                    self._den)
 
 
+_ZERO = (0, 0)
+
+
 def _open_cells(P: LatticePolygon) -> list:
-    """(dim, frame) for each unit cell of P that is not in P's relative
-    boundary; the frame maps the origin, [0, e1] or the unit triangle onto
-    the cell, with the origin onto the cell's anchor (see _anchored).  For a
-    polygon these are the triangles, interior edges and interior vertices
-    of its unimodular triangulation; for a segment its unit segments and
-    inner lattice points; for a point the point."""
+    """(dim, v, u1, u2) for each unit cell of P that is not in P's relative
+    boundary: the affine map with translation v and edge vectors u1, u2
+    (the images of e1 and e2) takes the origin, [0, e1] or the unit
+    triangle onto the cell, with the origin onto the cell's anchor v (see
+    _anchored).  A segment's u2 and a point's u1 and u2 are (0, 0), as the
+    module docstring says.  For a polygon the cells are the triangles,
+    interior edges and interior vertices of its unimodular triangulation;
+    for a segment its unit segments and inner lattice points; for a point
+    the point."""
     if P.dim == 0:
-        return [(0, AffineUnimodular.translation(P.vertices[0]))]
+        return [(0, P.vertices[0], _ZERO, _ZERO)]
     if P.dim == 1:
         pts = segment_lattice_points(*P.vertices)
         cells = list(zip(pts, pts[1:]))
@@ -232,21 +246,27 @@ def _open_cells(P: LatticePolygon) -> list:
         cells = ([tri.triangle_points(t) for t in tri.triangles]
                  + [tri.edge_points(e) for e in tri.interior_edges])
         inner = [tri.points[i] for i in tri.interior_vertices]
-    return ([(2, triangle_frame(*c)) if len(c) == 3
-             else (1, _unit_segment_frame(*c))
-             for c in _anchored(cells, inner)]
-            + [(0, AffineUnimodular.translation(p)) for p in inner])
+    out = []
+    for v, *ends in _anchored(cells, inner):
+        dim = len(ends)
+        u1, u2 = ([(p[0] - v[0], p[1] - v[1]) for p in ends]
+                  + [_ZERO] * (2 - dim))
+        d = u1[0] * u2[1] - u1[1] * u2[0]
+        if dim == 2 and abs(d) != 1:
+            raise NotUnimodularTriangle(f"twice-area {abs(d)}")
+        out.append((dim, v, u1, u2))
+    return out + [(0, p, _ZERO, _ZERO) for p in inner]
 
 
 def _anchored(cells, inner) -> list:
     """The cells (tuples of lattice points), each rotated so that its
-    anchor, the vertex at which its frame is taken, comes first.  Each
-    anchor is a translation, which costs sum_of_images one exponential
-    twist, so the anchors are shared vertices: the inner points, which are
-    translations anyway, then, in one greedy pass, for a cell with no
-    anchored vertex, the vertex with the most incident cells, ties broken
-    by the larger point.  A cell with several anchored vertices takes the
-    first in that same order."""
+    anchor, the vertex from which its edge vectors are taken, comes
+    first.  Each anchor is a translation, which costs sum_of_images one
+    exponential twist, so the anchors are shared vertices: the inner
+    points, which are translations anyway, then, in one greedy pass, for
+    a cell with no anchored vertex, the vertex with the most incident
+    cells, ties broken by the larger point.  A cell with several anchored
+    vertices takes the first in that same order."""
     incident = {}
     for cell in cells:
         for p in cell:
@@ -259,12 +279,6 @@ def _anchored(cells, inner) -> list:
         anchored.add(cell[i])
         out.append(cell[i:] + cell[:i])
     return out
-
-
-def _unit_segment_frame(a, b) -> AffineUnimodular:
-    """The frame that maps [0, e1] onto the unit segment [a, b]."""
-    return AffineUnimodular(complete_primitive((b[0] - a[0], b[1] - a[1])).m,
-                            a)
 
 
 def _lru(cache: OrderedDict, key, bound: int, build):

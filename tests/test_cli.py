@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latval import cli, io
+from latval import cli, io, laws
 from latval.geometry import hull_normalize
 from latval.group import AffineUnimodular
 from latval.laws import dagger
@@ -144,6 +144,39 @@ def test_transform_writes_coefficients_of_any_length(tmp_path, capsys):
     assert len(out) > 2 * 4300
 
 
+def _long_rational(text):
+    return Q(*map(_long_int, text.split("/")))
+
+
+def test_violations_of_any_length_are_reported(tmp_path, capsys):
+    # 4299-digit numerators and denominators load; the law sides multiply
+    # them past the 4300 digits that str() writes, and a violation still
+    # shows them exactly
+    big = 10**4298
+    F = {"vars": ["x", "y"], "order": 6,
+         "terms": [{"e": [2, 0], "c": f"{big + 7}/{big + 9}"},
+                   {"e": [1, 1], "c": f"{big + 11}/{big + 13}"}]}
+    path = write(tmp_path, "F.json", F)
+    f = io.series2_from_obj(F)
+    for law in ("Aprime", "rho_sym1"):
+        code, out = run(capsys, "check-law", "--law", law, "--input", path)
+        (p, q), lhs, rhs = laws.check_law(law, f).first_violation
+        got = json.loads(out)["first_violation"]
+        assert code == 2 and got["exponent"] == [p, q]
+        assert (_long_rational(got["lhs"]), _long_rational(got["rhs"])) \
+            == (lhs, rhs)
+    assert max(len(got["lhs"]), len(got["rhs"])) > 4300
+    spec = write(tmp_path, "spec.json", {"c": "0", "rho": F, "order": 6})
+    code = cli.main(["evaluate", "--spec", spec,
+                     "--polygon", write(tmp_path, "T.json", T_POLY)])
+    err = capsys.readouterr().err
+    (p, q), lhs, rhs = laws.check_law("Aprime", f).first_violation
+    head = f"error: parameter series violates Aprime at exponent [{p}, {q}]: "
+    assert code == 3 and err.startswith(head + "lhs ") and err.endswith("\n")
+    lhs_text, rhs_text = err[len(head) + 4:-1].split(", rhs ")
+    assert (_long_rational(lhs_text), _long_rational(rhs_text)) == (lhs, rhs)
+
+
 # strings with quotes, backslashes, control and non-ASCII characters
 # (escaped as \uXXXX, astral ones as surrogate pairs) and integers of more
 # than 100 digits, nested in lists and objects, empty ones among them
@@ -225,8 +258,9 @@ def test_check_law_violated(tmp_path, capsys):
 
 def test_check_law_unknown(tmp_path, capsys):
     path = write(tmp_path, "rho.json", RHO1)
-    code, _ = run(capsys, "check-law", "--law", "bogus", "--input", path)
-    assert code == 3
+    assert cli.main(["check-law", "--law", "bogus", "--input", path]) == 3
+    assert capsys.readouterr().err == (f'error: unknown law "bogus"; known: '
+                                       f'{", ".join(laws.LAW_IDS)}\n')
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -447,6 +481,9 @@ def test_dilative_bad_m(tmp_path, capsys):
     code, _ = run(capsys, "dilative", "--spec", spath, "--delta", "0",
                   "--m", "1", "--polygons", tpath)
     assert code == 3
+    assert cli.main(["dilative", "--spec", spath, "--delta", "0",
+                     "--m", '2,"3"', "--polygons", tpath]) == 3
+    assert capsys.readouterr().err == 'error: bad --m list "2,\\"3\\""\n'
 
 
 def test_decompose(tmp_path, capsys):
@@ -513,8 +550,9 @@ def test_env_order(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["order"] == 6
     monkeypatch.setenv("LATVAL_ORDER", "zero")
-    code, _ = run(capsys, "laplace", "--polygon", tpath)
-    assert code == 3
+    assert cli.main(["laplace", "--polygon", tpath]) == 3
+    assert capsys.readouterr().err == ('error: LATVAL_ORDER="zero" is not an '
+                                       'integer\n')
 
 
 def test_selftest(capsys):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from latval.geometry import area2, hull_normalize
 from latval.group import (AffineUnimodular, D4_GENERATORS, GL2Z_GENERATORS,
-                          IDENTITY, NotPrimitive, NotUnimodular,
-                          NotUnimodularTriangle, act_on_polygon,
-                          act_on_series, complete_primitive, d4_elements,
-                          det, is_d4_invariant, mat_inverse, mat_mul,
+                          IDENTITY, NotUnimodular, NotUnimodularTriangle,
+                          act_on_polygon, act_on_series, d4_elements, det,
+                          is_d4_invariant, mat_inverse, mat_mul,
                           triangle_frame)
 from latval.series import Series2, exp_linear
 
@@ -133,17 +132,6 @@ def test_d4_invariant_generators():
     assert is_d4_invariant(p1) == (True, None)
     ok, witness = is_d4_invariant(Series2.monomial(1, 1, 0, 8))
     assert not ok and witness in D4_GENERATORS
-
-
-def test_complete_primitive():
-    assert complete_primitive((1, 0)).m == ((1, 0), (0, 1))
-    assert complete_primitive((2, 3)).m == ((2, -1), (3, -1))
-    for w in [(1, 0), (0, 1), (-1, 0), (5, 3), (-7, 4), (3, -8), (-2, -9)]:
-        m = complete_primitive(w).m
-        assert (m[0][0], m[1][0]) == w
-        assert det(m) == 1
-    with pytest.raises(NotPrimitive):
-        complete_primitive((2, 4))
 
 
 def test_triangle_frame():

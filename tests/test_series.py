@@ -2,7 +2,6 @@
 
 from fractions import Fraction as Q
 from math import factorial
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -375,26 +374,27 @@ def tables(draw, order):
 
 @st.composite
 def face_lists(draw):
-    """One to four faces (t, xi) of one order whose tables repeat, with
-    integer frames, among them singular and large ones, and small
-    translations."""
+    """One to four faces (t, v, u1, u2) of one order whose tables repeat,
+    with integer edge vectors u1, u2, among them singular and large pairs,
+    and small translations v."""
     order = draw(st.integers(0, 20))
     pool = draw(st.lists(tables(order), min_size=1, max_size=3))
     out = []
     for _ in range(draw(st.integers(1, 4))):
-        (a, c), (b, d) = draw(st.one_of(integer_frames(), matrices().filter(
+        u1, u2 = draw(st.one_of(integer_frames(), matrices().filter(
             lambda m: all(v == int(v) for row in m for v in row))))
         v = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-        xi = SimpleNamespace(m=((int(a), int(b)), (int(c), int(d))), v=v)
-        out.append((draw(st.sampled_from(pool)), xi))
+        out.append((draw(st.sampled_from(pool)), v,
+                    tuple(map(int, u1)), tuple(map(int, u2))))
     return out
 
 
 @st.composite
 def faces_on_one_translation(draw):
-    """Up to 16 faces (t, xi) of one order on one translation, from a pool
-    of up to three tables with 40-digit entries, with frames whose entries
-    are up to 10^6 in size: one packed sum must hold all their images."""
+    """Up to 16 faces (t, v, u1, u2) of one order on one translation v,
+    from a pool of up to three tables with 40-digit entries, with edge
+    vectors whose entries are up to 10^6 in size: one packed sum must hold
+    all their images."""
     order = draw(st.integers(0, 8))
     # one table in two draws: images of one sign, whose sum is largest
     pool = draw(st.lists(tables(order), min_size=1,
@@ -402,9 +402,8 @@ def faces_on_one_translation(draw):
     v = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
     out = []
     for _ in range(draw(st.integers(1, 16))):
-        (a, c), (b, d) = draw(integer_frames())
-        out.append((draw(st.sampled_from(pool)),
-                    SimpleNamespace(m=((a, b), (c, d)), v=v)))
+        u1, u2 = draw(integer_frames())
+        out.append((draw(st.sampled_from(pool)), v, u1, u2))
     return out
 
 
@@ -417,14 +416,14 @@ def _dp_series(t):
 def _check_sum_of_images(faces):
     n = len(faces[0][0]) - 1
     images = {}
-    for t, xi in faces:
-        (a, b), (c, d) = xi.m
-        images[xi.v] = images.get(xi.v, Series2.zero(n)) \
-            + naive_subst(_dp_series(t), (a, c), (b, d))
+    for t, v, u1, u2 in faces:
+        images[v] = images.get(v, Series2.zero(n)) \
+            + naive_subst(_dp_series(t), u1, u2)
     expected = Series2.zero(n)
     for v, f in images.items():
         expected = expected + naive_product(f, exp_linear(*v, n))
-    got = sum_of_images([(dp_cell(t), xi) for t, xi in faces], n)
+    got = sum_of_images([(dp_cell(t), v, u1, u2) for t, v, u1, u2 in faces],
+                        n)
     assert [len(row) for row in got] == list(range(n + 1, 0, -1))
     assert _dp_series(got).key() == expected.key()
 
@@ -437,8 +436,7 @@ def test_sum_of_images_matches_fraction_expansion(faces):
 
 @settings(max_examples=40)
 @given(faces_on_one_translation())
-@example([([[10**40 - 1]], SimpleNamespace(m=((1, 0), (0, 1)), v=(0, 0)))]
-         * 16)
+@example([([[10**40 - 1]], (0, 0), (1, 0), (0, 1))] * 16)
 def test_sum_of_images_on_one_translation(faces):
     # the images of one translation are read back from one packed sum,
     # whose width must leave room for the number of faces

@@ -6,15 +6,16 @@ from itertools import permutations
 from math import factorial, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latval import vspace
-from latval.geometry import (NoValidChord, chord_of_split, hull_normalize,
-                             scale_polygon, split_pairs,
+from latval.geometry import (NoValidChord, Triangulation, chord_of_split,
+                             hull_normalize, scale_polygon, split_pairs,
                              unimodular_triangulation)
-from latval.group import (AffineUnimodular, act_on_polygon, act_on_series,
-                          complete_primitive, det, triangle_frame)
+from latval.group import (AffineUnimodular, NotUnimodularTriangle,
+                          act_on_polygon, act_on_series, det,
+                          triangle_frame)
 from latval.series import Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
@@ -277,18 +278,61 @@ TRIANGLE_SYMMETRIES = [triangle_frame(*v)
 SEGMENT_FLIP = AffineUnimodular(((-1, 0), (0, -1)), (1, 0))
 
 
-@pytest.mark.parametrize("name", CELL_SPECS)
-def test_unit_cells_are_invariant_under_their_symmetries(name):
-    # so the evaluator may take a cell's frame at any vertex of the cell
-    data = build_triangle_data(CELL_SPECS[name])
+thirty_digits = st.integers(-10**30, 10**30)
+rationals = st.builds(Q, thirty_digits, st.integers(1, 10**30))
+
+
+@st.composite
+def random_specs(draw, max_order=6):
+    """A spec of order at most max_order: c a random rational; g a random
+    series in x, sparse or dense, with entries of up to 30 digits; rho a
+    random rational combination of the vd_basis(d) vectors of even
+    degree d, valid by construction."""
+    order = draw(st.integers(1, max_order))
+    if draw(st.booleans()):
+        g = draw(st.dictionaries(st.integers(0, order), rationals,
+                                 max_size=2))
+    else:
+        g = {k: draw(rationals) for k in range(order + 1)}
+    rho = Series2.zero(order)
+    for d in range(0, order + 1, 2):
+        for vector in vspace.vd_basis(d).vectors:
+            part = vspace.from_coefficients(vector, d, order)
+            rho = rho + part.scalar_mul(draw(rationals))
+    return ValuationSpec(draw(rationals), Series1(g, order), rho, order)
+
+
+def _assert_unit_cells_invariant(spec):
+    # so the evaluator may anchor a cell at any of its vertices
+    data = build_triangle_data(spec)
     for xi in TRIANGLE_SYMMETRIES:
         assert act_on_series(xi, data.zT).key() == data.zT.key()
     assert act_on_series(SEGMENT_FLIP, data.f1).key() == data.f1.key()
 
 
+@pytest.mark.parametrize("name", CELL_SPECS)
+def test_unit_cells_are_invariant_under_their_symmetries(name):
+    _assert_unit_cells_invariant(CELL_SPECS[name])
+
+
+@settings(max_examples=25)
+@given(random_specs())
+def test_unit_cells_are_invariant_under_their_symmetries_on_random_specs(
+        spec):
+    _assert_unit_cells_invariant(spec)
+
+
 def _unit_segment(data, a, w):
-    """f1 in the frame of the unit segment [a, a + w], by act_on_series."""
-    return act_on_series(AffineUnimodular(complete_primitive(w).m, a), data.f1)
+    """f1 moved onto the unit segment [a, a + w] by act_on_series, in the
+    unimodular frame with columns w and a completion u of it, solved here
+    from det(w, u) = w1*u2 - w2*u1 = 1."""
+    w1, w2 = w
+    if w2 == 0:                     # w = (+-1, 0)
+        u1, u2 = 0, w1
+    else:
+        u2 = pow(w1, -1, abs(w2))   # w1*u2 = 1 modulo w2
+        u1 = (w1 * u2 - 1) // w2
+    return act_on_series(AffineUnimodular(((w1, u1), (w2, u2)), a), data.f1)
 
 
 def _point(ev, p):
@@ -339,6 +383,18 @@ def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
     assert ev.z_polygon(P).key() == total.key()
 
 
+def test_non_unimodular_triangle_is_rejected(monkeypatch):
+    # the evaluator checks each triangle's twice-area itself, whatever
+    # triangulation it is handed
+    P = hull_normalize([(0, 0), (2, 0), (0, 1)])
+    fake = Triangulation(P.vertices, ((0, 1, 2),), (), ())
+    monkeypatch.setattr(valuation, "unimodular_triangulation",
+                        lambda _: fake)
+    ev = valuation.Evaluator(PROPERTY_SPECS["laplace"])
+    with pytest.raises(NotUnimodularTriangle, match="^twice-area 2$"):
+        ev.z_polygon(P)
+
+
 @st.composite
 def primitive_vectors(draw):
     w = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
@@ -347,10 +403,12 @@ def primitive_vectors(draw):
 
 
 @settings(max_examples=30)
-@given(a=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+@given(spec=random_specs(), a=st.tuples(st.integers(-3, 3),
+                                        st.integers(-3, 3)),
        w=primitive_vectors(), ell=st.integers(2, 5))
-def test_long_segment_is_sum_of_unit_segments(a, w, ell):
-    ev = evaluator_for(PROPERTY_SPECS["general"])
+@example(spec=PROPERTY_SPECS["general"], a=(1, -2), w=(-3, 2), ell=4)
+def test_long_segment_is_sum_of_unit_segments(spec, a, w, ell):
+    ev = evaluator_for(spec)
     points = [(a[0] + k * w[0], a[1] + k * w[1]) for k in range(ell + 1)]
     total = Series2.zero(ev.order)
     for p in points[:-1]:
