@@ -111,15 +111,8 @@ def contains(P: LatticePolygon, point) -> bool:
     if P.dim == 0:
         return (x, y) == v[0]
     if P.dim == 1:
-        (x0, y0), (x1, y1) = v
-        if (x1 - x0) * (y - y0) != (y1 - y0) * (x - x0):
-            return False
-        return min(x0, x1) <= x <= max(x0, x1) and min(y0, y1) <= y <= max(y0, y1)
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        if (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) < 0:
-            return False
-    return True
+        return _cross(v[0], v[1], point) == 0 and _between(v[0], v[1], point)
+    return all(_cross(v[i - 1], v[i], point) >= 0 for i in range(len(v)))
 
 
 def on_boundary(P: LatticePolygon, p: Point) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import hull_normalize
 from .series import Series2, mul_exp_linear
 
 
@@ -118,7 +119,6 @@ def act_on_series(xi: AffineUnimodular, f: Series2) -> Series2:
 
 def act_on_polygon(xi: AffineUnimodular, P):
     """Image polygon with vertices M p + v, re-normalized."""
-    from .geometry import hull_normalize
     return hull_normalize([xi.apply_point(p) for p in P.vertices])
 
 
@@ -148,16 +148,3 @@ def is_d4_invariant(f: Series2):
         if not act_on_series(AffineUnimodular.linear(g), f).eq_up_to(f):
             return False, g
     return True, None
-
-
-def triangle_frame(v0, v1, v2) -> AffineUnimodular:
-    """Xi with Xi(o) = v0, Xi(e1) = v1 and Xi(e2) = v2: translation v0 and
-    linear columns v1 - v0, v2 - v0.  Requires the triangle to be
-    unimodular."""
-    c1 = (v1[0] - v0[0], v1[1] - v0[1])
-    c2 = (v2[0] - v0[0], v2[1] - v0[1])
-    d = c1[0] * c2[1] - c1[1] * c2[0]
-    if abs(d) != 1:
-        raise NotUnimodularTriangle(f"twice-area {abs(d)}")
-    return AffineUnimodular(((c1[0], c2[0]), (c1[1], c2[1])),
-                            (int(v0[0]), int(v0[1])))

@@ -202,28 +202,22 @@ def _zero_table(n: int) -> list:
     return [[0] * (n + 1 - p) for p in range(n + 1)]
 
 
-def _dp_denominator(f: "Series2") -> int:
-    """The least D for which f's divided-power table is integral: the lcm
-    of the denominators of p! * q! * f[p, q]."""
-    fact = [factorial(k) for k in range(f.order + 1)]
-    return lcm(*(v.denominator // gcd(v.denominator, fact[p] * fact[q])
-                 for (p, q), v in f._c.items()))
-
-
-def _dp_table(f: "Series2", den: int) -> list:
-    """f's divided-power table over den (den * p! * q! * f[p, q])."""
-    fact = [factorial(k) for k in range(f.order + 1)]
-    t = _zero_table(f.order)
-    for (p, q), v in f._c.items():
-        t[p][q] = v.numerator * den * fact[p] * fact[q] // v.denominator
-    return t
-
-
 def to_divided_powers(fs) -> tuple:
     """(D, tables): the divided-power tables of the series fs, all of one
-    order, over the least D that makes every one of them integral."""
-    den = lcm(*(_dp_denominator(f) for f in fs))
-    return den, [_dp_table(f, den) for f in fs]
+    order, over the least D that makes every one of them integral: the lcm
+    of the denominators of p! * q! * f[p, q].  Each f enters as
+    D * p! * q! * f[p, q]."""
+    n = fs[0].order
+    fact = [factorial(k) for k in range(n + 1)]
+    den = lcm(*(v.denominator // gcd(v.denominator, fact[p] * fact[q])
+                for f in fs for (p, q), v in f._c.items()))
+    tables = []
+    for f in fs:
+        t = _zero_table(n)
+        for (p, q), v in f._c.items():
+            t[p][q] = v.numerator * den * fact[p] * fact[q] // v.denominator
+        tables.append(t)
+    return den, tables
 
 
 def from_divided_powers(t, den: int, ad: int = 1, bd: int = 1) -> "Series2":
@@ -412,21 +406,14 @@ class Series2:
                         if s}, order)
 
     def mul_linear(self, a, b) -> "Series2":
-        """Multiply by the exact linear form a*x + b*y.
+        """Multiply by the exact linear form a*x + b*y: the product with
+        the form, one order beyond self.order.
 
-        The factor is an exact polynomial, so the product is valid one degree
-        beyond self.order (the new top coefficients depend only on stored ones).
-        """
-        a, b = _q(a), _q(b)
-        c = {}
-        for (p, q), v in self._c.items():
-            if a != 0:
-                e = (p + 1, q)
-                c[e] = c.get(e, Q(0)) + a * v
-            if b != 0:
-                e = (p, q + 1)
-                c[e] = c.get(e, Q(0)) + b * v
-        return Series2(c, self.order + 1)
+        Lifting self to that order is exact: the form has no constant
+        term, so self's unknown degree self.order + 1 meets it only in
+        degrees the product drops."""
+        n = self.order + 1
+        return Series2(self._c, n) * Series2({(1, 0): a, (0, 1): b}, n)
 
     def truncate(self, order: int) -> "Series2":
         return Series2(self._c, min(self.order, order))
@@ -527,16 +514,16 @@ def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     """f multiplied by the truncation of exp(alpha*x + beta*y).
 
     Exact integer method: with alpha = an/ad and beta = bn/bd, take f's
-    divided-power table over den = _dp_denominator(f); _dp_twist_into
+    divided-power table over den from to_divided_powers; _dp_twist_into
     multiplies it by the exponential as two binomial convolutions, and
     entry [p][q] of the result is over den * p! * q! * ad^p * bd^q.  Every
     step is integer arithmetic, so the result equals f * exp_linear(alpha,
     beta, f.order) exactly, in O(order^3) instead of O(order^4) operations.
     """
     alpha, beta = _q(alpha), _q(beta)
-    den = _dp_denominator(f)
+    den, (t,) = to_divided_powers([f])
     out = _zero_table(f.order)
-    _dp_twist_into(out, _dp_table(f, den), alpha, beta)
+    _dp_twist_into(out, t, alpha, beta)
     return from_divided_powers(out, den, alpha.denominator, beta.denominator)
 
 

@@ -358,18 +358,19 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
 
 def z_mT_closed(spec: ValuationSpec, m: int) -> Series2:
     """Closed form for Z on the m-fold unit triangle, valid for simple specs:
-    g_{m-1} * zT + e^{x+y} * g_{m-2} * zT(-x, -y)."""
+    g_{m-1} * zT + e^{x+y} * g_{m-2} * zT(-x, -y), each g_k in its closed
+    form."""
     if not spec.is_simple():
         raise NotSimpleSpec("closed form requires c = 0 and g = 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    data = build_triangle_data(spec)
+    data = evaluator_for(spec).data
     n = data.effective_order
     f = data.zT
-    out = g_m(m - 1, n) * f
+    out = g_m(m - 1, n, "closed") * f
     if m >= 2:
         out = out + mul_exp_linear(
-            g_m(m - 2, n) * f.subst_linear((-1, 0), (0, -1)), 1, 1)
+            g_m(m - 2, n, "closed") * f.subst_linear((-1, 0), (0, -1)), 1, 1)
     return out
 
 

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from latval.geometry import area2, hull_normalize
 from latval.group import (AffineUnimodular, D4_GENERATORS, GL2Z_GENERATORS,
-                          IDENTITY, NotUnimodular, NotUnimodularTriangle,
-                          act_on_polygon, act_on_series, d4_elements, det,
-                          is_d4_invariant, mat_inverse, mat_mul,
-                          triangle_frame)
+                          NotUnimodular, act_on_polygon, act_on_series,
+                          d4_elements, det, is_d4_invariant, mat_inverse,
+                          mat_mul)
 from latval.series import Series2, exp_linear
 
 
@@ -132,18 +131,6 @@ def test_d4_invariant_generators():
     assert is_d4_invariant(p1) == (True, None)
     ok, witness = is_d4_invariant(Series2.monomial(1, 1, 0, 8))
     assert not ok and witness in D4_GENERATORS
-
-
-def test_triangle_frame():
-    assert triangle_frame((0, 0), (1, 0), (0, 1)) == IDENTITY
-    xi = triangle_frame((1, 1), (0, 1), (1, 0))
-    assert xi.v == (1, 1) and xi.m == ((-1, 0), (0, -1))
-    with pytest.raises(NotUnimodularTriangle):
-        triangle_frame((0, 0), (2, 0), (0, 1))
-    # frame maps the standard triangle onto the given one
-    xi = triangle_frame((2, 3), (3, 5), (1, 2))
-    images = {xi.apply_point(p) for p in [(0, 0), (1, 0), (0, 1)]}
-    assert images == {(2, 3), (3, 5), (1, 2)}
 
 
 def test_act_on_polygon():

@@ -359,6 +359,34 @@ def test_subst_linear_matches_fraction_expansion(f, m):
     assert f.subst_linear(*m).key() == naive_subst(f, *m).key()
 
 
+def naive_mul_linear(f, a, b):
+    """f * (a*x + b*y) by a plain Fraction loop over f's terms (the
+    oracle), one order beyond f's."""
+    c = {}
+    for (p, q), v in f.terms():
+        if a != 0:
+            c[(p + 1, q)] = c.get((p + 1, q), Q(0)) + a * v
+        if b != 0:
+            c[(p, q + 1)] = c.get((p, q + 1), Q(0)) + b * v
+    return Series2(c, f.order + 1)
+
+
+form_entries = entries | large_rationals
+linear_forms = st.one_of(st.tuples(form_entries, form_entries),
+                         st.tuples(st.just(0), form_entries),
+                         st.tuples(form_entries, st.just(0)),
+                         st.just((0, 0)))
+
+
+@settings(max_examples=150)
+@given(any_series, linear_forms)
+def test_mul_linear_matches_fraction_loop(f, form):
+    # the product keeps self's top degree: f is lifted one order up
+    g = f.mul_linear(*form)
+    assert g.order == f.order + 1
+    assert g.key() == naive_mul_linear(f, *form).key()
+
+
 @st.composite
 def tables(draw, order):
     """A divided-power table of the given order with 40-digit entries:

@@ -14,8 +14,7 @@ from latval.geometry import (NoValidChord, Triangulation, chord_of_split,
                              hull_normalize, scale_polygon, split_pairs,
                              unimodular_triangulation)
 from latval.group import (AffineUnimodular, NotUnimodularTriangle,
-                          act_on_polygon, act_on_series, det,
-                          triangle_frame)
+                          act_on_polygon, act_on_series, det)
 from latval.series import Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
@@ -271,9 +270,18 @@ CELL_SPECS = {
     **{f"property_{name}": spec for name, spec in PROPERTY_SPECS.items()},
     **{f"face_sum_{name}": spec for name, spec in FACE_SUM_SPECS.items()},
 }
+
+
+def _frame(v0, v1, v2):
+    """The affine map taking o, e1, e2 to v0, v1, v2; its constructor
+    rejects a triangle that is not unimodular."""
+    return AffineUnimodular(((v1[0] - v0[0], v2[0] - v0[0]),
+                             (v1[1] - v0[1], v2[1] - v0[1])), v0)
+
+
 # the six affine maps of the unit triangle onto itself, and the flip
 # p -> e1 - p of the unit segment
-TRIANGLE_SYMMETRIES = [triangle_frame(*v)
+TRIANGLE_SYMMETRIES = [_frame(*v)
                        for v in permutations([(0, 0), (1, 0), (0, 1)])]
 SEGMENT_FLIP = AffineUnimodular(((-1, 0), (0, -1)), (1, 0))
 
@@ -373,7 +381,7 @@ def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
     tri = unimodular_triangulation(P)
     total = Series2.zero(ev.order)
     for t in tri.triangles:
-        total = total + act_on_series(triangle_frame(*tri.triangle_points(t)),
+        total = total + act_on_series(_frame(*tri.triangle_points(t)),
                                       ev.data.zT)
     for e in tri.interior_edges:
         a, b = tri.edge_points(e)
