@@ -58,13 +58,12 @@ def mat_apply(m: Matrix, p) -> tuple[int, int]:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    d = det(m)
-    if abs(d) != 1:
-        raise NotUnimodular(f"determinant {d}")
-    (a, b), (c, d0) = m
-    # adjugate over the +-1 determinant stays integral
     s = det(m)
-    return ((d0 * s, -b * s), (-c * s, a * s))
+    if abs(s) != 1:
+        raise NotUnimodular(f"determinant {s}")
+    (a, b), (c, d) = m
+    # the adjugate over the +-1 determinant stays integral
+    return ((d * s, -b * s), (-c * s, a * s))
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,6 @@ class AffineUnimodular:
 
     def is_identity(self) -> bool:
         return self.m == IDENTITY_MATRIX and self.v == (0, 0)
-
-
-IDENTITY = AffineUnimodular()
 
 
 def act_on_series(xi: AffineUnimodular, f: Series2) -> Series2:

@@ -71,10 +71,6 @@ class InvalidRho(ValuationError):
         self.report = report
 
 
-class NotSimpleSpec(ValuationError):
-    pass
-
-
 class LawViolation(ValuationError):
     def __init__(self, report):
         super().__init__(f"law {report.law} fails at "
@@ -306,16 +302,6 @@ def evaluator_for(spec: ValuationSpec) -> Evaluator:
                 lambda: Evaluator(spec))
 
 
-def z_point(spec: ValuationSpec, p) -> Series2:
-    return evaluator_for(spec).z_point(p)
-
-
-def z_segment(spec: ValuationSpec, seg: LatticePolygon) -> Series2:
-    if seg.dim != 1:
-        raise NotSegment(f"dim {seg.dim}")
-    return evaluator_for(spec).z_segment(*seg.vertices)
-
-
 def z_polygon(spec: ValuationSpec, P: LatticePolygon) -> Series2:
     return evaluator_for(spec).z_polygon(P)
 
@@ -324,25 +310,16 @@ def z_polygon(spec: ValuationSpec, P: LatticePolygon) -> Series2:
 # the dilation series g_m and the closed triangle formula
 
 
-def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
-    """sum of exp(s*x + t*y) over lattice points of the m-fold unit triangle.
-
-    form 'direct' sums the exponentials; 'closed' evaluates the rational
-    closed form, whose denominator (e^x - e^y)(e^x - 1)(e^y - 1) is
-    x * y * (x - y) times the units E(x), E(y) and e^x E(y - x), with
-    E(t) = (e^t - 1)/t.  The units are inverted by the Bernoulli series
-    B(t) = t/(e^t - 1) = 1/E(t), so the only divisions are by x, y, x - y.
+def g_m(m: int, order: int = DEFAULT_ORDER) -> Series2:
+    """sum of exp(s*x + t*y) over lattice points of the m-fold unit triangle,
+    by its rational closed form, whose denominator
+    (e^x - e^y)(e^x - 1)(e^y - 1) is x * y * (x - y) times the units E(x),
+    E(y) and e^x E(y - x), with E(t) = (e^t - 1)/t.  The units are inverted
+    by the Bernoulli series B(t) = t/(e^t - 1) = 1/E(t), so the only
+    divisions are by x, y, x - y.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if form == "direct":
-        total = Series2.zero(order)
-        for s in range(m + 1):
-            for t in range(m + 1 - s):
-                total = total + exp_linear(s, t, order)
-        return total
-    if form != "closed":
-        raise ValueError(f"unknown form {form!r}")
     n = order + 3
     num = mul_exp_linear(exp_linear(m + 1, 0, n) - exp_linear(0, m + 1, n),
                          1, 1) \
@@ -357,20 +334,29 @@ def g_m(m: int, order: int = DEFAULT_ORDER, form: str = "direct") -> Series2:
 
 
 def z_mT_closed(spec: ValuationSpec, m: int) -> Series2:
-    """Closed form for Z on the m-fold unit triangle, valid for simple specs:
-    g_{m-1} * zT + e^{x+y} * g_{m-2} * zT(-x, -y), each g_k in its closed
-    form."""
-    if not spec.is_simple():
-        raise NotSimpleSpec("closed form requires c = 0 and g = 0")
+    """Z on the m-fold unit triangle mT, for every spec.  The grid
+    subdivides mT into its up triangles, down triangles, interior edges of
+    the three directions and interior points; with g_k = g_m(k, n), and
+    g_k = 0 for k < 0, their sums are the terms of
+
+        Z(mT) = g_{m-1} * zT
+                + g_{m-2} * (e^{x+y} zT(-x, -y) - e^y f1(x) - e^x f1(y)
+                             - e^x f1(y - x))
+                + c * e^{x+y} * g_{m-3}.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     data = evaluator_for(spec).data
-    n = data.effective_order
-    f = data.zT
-    out = g_m(m - 1, n, "closed") * f
+    n, zT, f1 = data.effective_order, data.zT, data.f1
+    out = g_m(m - 1, n) * zT
     if m >= 2:
-        out = out + mul_exp_linear(
-            g_m(m - 2, n, "closed") * f.subst_linear((-1, 0), (0, -1)), 1, 1)
+        out = out + g_m(m - 2, n) * (
+            mul_exp_linear(zT.subst_linear((-1, 0), (0, -1)), 1, 1)
+            - mul_exp_linear(f1, 0, 1)
+            - mul_exp_linear(f1.subst_linear((0, 1), (0, 0))
+                             + f1.subst_linear((-1, 1), (0, 0)), 1, 0))
+    if m >= 3:
+        out = out + mul_exp_linear(g_m(m - 3, n).scalar_mul(spec.c), 1, 1)
     return out
 
 

@@ -20,6 +20,7 @@ from latval.valuation import (UNIT_SQUARE, UNIT_TRIANGLE,
                               cosh_type_g, dilative_decompose, evaluator_for,
                               g_m, odd_basis_g, reassemble,
                               surface_formula_check, z_mT_closed, z_polygon)
+from test_valuation import g_m_direct
 
 T = UNIT_TRIANGLE
 SQUARE = UNIT_SQUARE
@@ -175,7 +176,7 @@ def test_criterion_07_dilativity():
                 assert z_mT_closed(spec, m) \
                     == z_polygon(spec, scale_polygon(T, m)), (d, m)
     for m in range(7):
-        assert g_m(m, 11, "closed").key() == g_m(m, 11, "direct").key(), m
+        assert g_m(m, 11).key() == g_m_direct(m, 11).key(), m
 
 
 @report(8, "odd-family specs are delta-dilative and satisfy the edge formula")

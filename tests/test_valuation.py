@@ -18,13 +18,13 @@ from latval.group import (AffineUnimodular, NotUnimodularTriangle,
 from latval.series import Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
-                              LawViolation, NoCandidatePasses, NotSimpleSpec,
+                              LawViolation, NoCandidatePasses,
                               UNIT_SQUARE, UNIT_TRIANGLE, ValuationSpec,
                               build_triangle_data, calibrate_val0,
                               check_dilative, cosh_type_g, dilative_decompose,
                               evaluator_for, extract_g, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
-                              z_point, z_polygon, z_segment)
+                              z_polygon)
 from test_group import affine_unimodulars
 
 T = UNIT_TRIANGLE
@@ -99,17 +99,17 @@ def test_triangle_data_zero_spec():
 
 
 def test_z_point():
-    spec = case3_spec()
-    assert z_point(spec, (0, 0)).coeff(0, 0) == 1
-    assert z_point(spec, (1, 0)) == exp_linear(1, 0, 11)
-    assert z_point(laplace_spec(), (2, 5)).is_zero()
+    ev = evaluator_for(case3_spec())
+    assert ev.z_point((0, 0)).coeff(0, 0) == 1
+    assert ev.z_point((1, 0)) == exp_linear(1, 0, 11)
+    assert evaluator_for(laplace_spec()).z_point((2, 5)).is_zero()
 
 
 def test_z_segment_unit():
     spec = case3_spec()
     seg = hull_normalize([(0, 0), (1, 0)])
     data = build_triangle_data(spec)
-    assert z_segment(spec, seg) == data.f1
+    assert z_polygon(spec, seg) == data.f1
 
 
 def test_z_segment_odd_delta_one():
@@ -118,14 +118,14 @@ def test_z_segment_odd_delta_one():
     seg = hull_normalize([(0, 0), (2, 0)])
     expected = (exp_linear(2, 0, 11) - Series2.constant(1, 11)).mul_linear(1, 0) \
         .scalar_mul(Q(1, 2)).truncate(11)
-    assert z_segment(spec, seg) == expected
+    assert z_polygon(spec, seg) == expected
 
 
 def test_z_segment_case3_length_two():
     spec = case3_spec()
     seg = hull_normalize([(0, 0), (2, 0)])
     expected = (exp_linear(2, 0, 11) + Series2.constant(1, 11)).scalar_mul(Q(1, 2))
-    assert z_segment(spec, seg) == expected
+    assert z_polygon(spec, seg) == expected
 
 
 def test_z_segment_direction_independent():
@@ -139,7 +139,7 @@ def test_z_polygon_dispatches_on_dim():
     spec = case3_spec()
     assert z_polygon(spec, hull_normalize([(1, 1)])).coeff(0, 0) == 1
     seg = hull_normalize([(0, 0), (1, 0)])
-    assert z_polygon(spec, seg) == z_segment(spec, seg)
+    assert z_polygon(spec, seg) == evaluator_for(spec).z_segment(*seg.vertices)
 
 
 def test_z_polygon_constant_terms():
@@ -221,28 +221,36 @@ def lattice_polygons(draw):
     return P
 
 
-@pytest.mark.parametrize("name", PROPERTY_SPECS)
-@settings(max_examples=25)
-@given(P=lattice_polygons(), data=st.data())
-def test_valuation_axiom_on_random_polygons(name, P, data):
+def _assert_axiom_on_drawn_split(spec, P, data):
     try:
         pairs = split_pairs(P)
     except NoValidChord:        # only three boundary points: no chord
         return
     P1, P2 = data.draw(st.sampled_from(pairs))
-    ev = evaluator_for(PROPERTY_SPECS[name])
+    ev = evaluator_for(spec)
     chord = chord_of_split(P1, P2)
     parts = ev.z_polygon(P1) + ev.z_polygon(P2) - ev.z_segment(*chord.vertices)
     assert ev.z_polygon(P) == parts
+
+
+def _assert_equivariant(spec, P, xi):
+    ev = evaluator_for(spec)
+    lhs = ev.z_polygon(act_on_polygon(xi, P))
+    assert lhs == act_on_series(xi, ev.z_polygon(P))
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPECS)
+@settings(max_examples=25)
+@given(P=lattice_polygons(), data=st.data())
+def test_valuation_axiom_on_random_polygons(name, P, data):
+    _assert_axiom_on_drawn_split(PROPERTY_SPECS[name], P, data)
 
 
 @pytest.mark.parametrize("name", PROPERTY_SPECS)
 @settings(max_examples=25)
 @given(P=lattice_polygons(), xi=affine_unimodulars())
 def test_equivariance_on_random_polygons(name, P, xi):
-    ev = evaluator_for(PROPERTY_SPECS[name])
-    lhs = ev.z_polygon(act_on_polygon(xi, P))
-    assert lhs == act_on_series(xi, ev.z_polygon(P))
+    _assert_equivariant(PROPERTY_SPECS[name], P, xi)
 
 
 @pytest.mark.parametrize("name", PROPERTY_SPECS)
@@ -328,6 +336,36 @@ def test_unit_cells_are_invariant_under_their_symmetries(name):
 def test_unit_cells_are_invariant_under_their_symmetries_on_random_specs(
         spec):
     _assert_unit_cells_invariant(spec)
+
+
+# the properties above on random polygons, under random specs
+
+@settings(max_examples=20)
+@given(spec=random_specs(), P=lattice_polygons(), data=st.data())
+def test_valuation_axiom_on_random_specs(spec, P, data):
+    _assert_axiom_on_drawn_split(spec, P, data)
+
+
+@settings(max_examples=20)
+@given(spec=random_specs(), P=lattice_polygons(), xi=affine_unimodulars())
+def test_equivariance_on_random_specs(spec, P, xi):
+    _assert_equivariant(spec, P, xi)
+
+
+@settings(max_examples=20)
+@given(spec=random_specs(), P=lattice_polygons())
+def test_insertion_orders_agree_on_random_specs(spec, P):
+    assert z_polygon(spec, P).key() == z_polygon_mirrored(spec, P).key()
+
+
+@settings(max_examples=20)
+@given(spec=random_specs(), kappa=st.sampled_from([Q(0), Q(-1)]))
+def test_decompose_then_reassemble_gives_the_spec_on_random_specs(spec,
+                                                                  kappa):
+    # kappa is passed: with c != 0, calibrate_val0 finds no constant
+    # candidate (criterion 9)
+    back = reassemble(dilative_decompose(spec, kappa=kappa))
+    assert back.key() == spec.key()
 
 
 def _unit_segment(data, a, w):
@@ -428,12 +466,22 @@ def test_long_segment_is_sum_of_unit_segments(spec, a, w, ell):
 
 def test_simple_specs_vanish_on_lower_faces():
     for spec in (laplace_spec(), vd_spec(4), vd_spec(6)):
-        assert z_point(spec, (3, -1)).is_zero()
-        assert z_segment(spec, hull_normalize([(0, 0), (2, 3)])).is_zero()
+        assert z_polygon(spec, hull_normalize([(3, -1)])).is_zero()
+        assert z_polygon(spec, hull_normalize([(0, 0), (2, 3)])).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # g_m and the closed triangle formula
+
+
+def g_m_direct(m, order):
+    """g_m as the direct sum of exp(s*x + t*y) over the lattice points of
+    the m-fold unit triangle: the oracle of its closed form."""
+    total = Series2.zero(order)
+    for s in range(m + 1):
+        for t in range(m + 1 - s):
+            total = total + exp_linear(s, t, order)
+    return total
 
 
 def test_g_m_values():
@@ -443,28 +491,29 @@ def test_g_m_values():
     for m in range(7):
         assert g_m(m, 8).coeff(0, 0) == (m + 1) * (m + 2) // 2
         for order in (4, 8, 14):   # criterion 7 covers order 11
-            assert g_m(m, order, "closed").key() \
-                == g_m(m, order, "direct").key(), (m, order)
+            assert g_m(m, order).key() == g_m_direct(m, order).key(), \
+                (m, order)
     with pytest.raises(ValueError):
         g_m(-1, 8)
-    with pytest.raises(ValueError):
-        g_m(2, 8, "magic")
 
 
 def test_z_mT_closed_matches_polygon_evaluation():
-    for spec in (laplace_spec(), vd_spec(4), vd_spec(6)):
+    for spec in (laplace_spec(), vd_spec(4), vd_spec(6), case3_spec(),
+                 odd_spec(1)):
         for m in (1, 2, 3, 4):
             assert z_mT_closed(spec, m) == z_polygon(spec, scale_polygon(T, m))
+
+
+@settings(max_examples=20)
+@given(spec=random_specs(), m=st.integers(1, 4))
+def test_z_mT_closed_matches_polygon_on_random_specs(spec, m):
+    assert z_mT_closed(spec, m).key() \
+        == z_polygon(spec, scale_polygon(T, m)).key()
 
 
 def test_z_mT_closed_m1_is_zT():
     spec = laplace_spec()
     assert z_mT_closed(spec, 1) == build_triangle_data(spec).zT
-
-
-def test_z_mT_closed_requires_simple():
-    with pytest.raises(NotSimpleSpec):
-        z_mT_closed(case3_spec(), 2)
 
 
 # ---------------------------------------------------------------------------
