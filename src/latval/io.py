@@ -148,7 +148,7 @@ def polygon_to_obj(P: LatticePolygon) -> dict:
 
 def polygon_from_obj(obj) -> LatticePolygon:
     if not isinstance(obj, dict) or "vertices" not in obj:
-        raise MalformedInput("polygon must be {'vertices': [[x, y], ...]}")
+        raise MalformedInput('polygon must be {"vertices": [[x, y], ...]}')
     pts = obj["vertices"]
     if (not isinstance(pts, list) or not pts
             or any(not isinstance(p, list) or len(p) != 2
@@ -183,7 +183,8 @@ def affine_to_obj(xi: AffineUnimodular) -> dict:
 
 def affine_from_obj(obj) -> AffineUnimodular:
     if not isinstance(obj, dict) or "m" not in obj:
-        raise MalformedInput("affine element must be {'m': [[..]], 'v': [..]}")
+        raise MalformedInput('affine element must be '
+                             '{"m": [[a, b], [c, d]], "v": [alpha, beta]}')
     m = obj["m"]
     v = obj.get("v", [0, 0])
     if (not isinstance(m, list) or len(m) != 2

@@ -14,9 +14,11 @@ sum_i c_i x^i y^(d-i), is packed into the integer sum_i c_i 2^(k*i), its
 value at x = 2^k, y = 1.  The linear form a*x + b*y packs to
 u = (a << k) + b, so products of powers of two forms are plain int
 products, and the packed image of a degree is one integer sum, as is
-the sum of the images of many cells.  Its coefficients are read back as
-balanced digits of width k; the bound in ``_packed_sum`` keeps each within
-(-2^(k-1), 2^(k-1)), so they are read exactly.
+the sum of the images of many cells, and so is their product with
+exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
+coefficients are read back as balanced digits of width k; the width set
+in ``_packed_sum`` keeps each within (-2^(k-1), 2^(k-1)), so they are
+read exactly.
 """
 
 from __future__ import annotations
@@ -76,16 +78,6 @@ def _int_text(n: int) -> str:
     return _int_text(high) + _int_text(low).zfill(low_digits)
 
 
-def _linear_powers(a: int, b: int, n: int) -> list:
-    """Integer rows of (a*x + b*y)^k for k = 0..n: row k lists the
-    coefficients C(k, i) a^i b^(k-i) of x^i y^(k-i), for i = 0..k."""
-    rows = [[1]]
-    for _ in range(n):
-        prev = rows[-1]
-        rows.append([b * u + a * w for u, w in zip(prev + [0], [0] + prev)])
-    return rows
-
-
 def _integer_degrees(f) -> dict:
     """f's coefficients grouped by total degree d, each degree over one
     common denominator: {d: (den, {p: s})} with f[p, d - p] = s / den."""
@@ -123,34 +115,30 @@ def _packed_cell(degrees) -> tuple:
             max((d - p for d, p, _ in terms), default=0))
 
 
-def _packed_sum(images):
-    """Yield (d, acc) for each degree d that a cell of the images has,
-    where acc[i] is the coefficient of x^i y^(d-i) in the sum over the
-    images (cell, first, second) of sum_p s * P1^p * P2^(d-p), for the
-    _packed_cell cell and the linear forms P1 = a1*x + b1*y,
-    P2 = a2*x + b2*y with integer first = (a1, b1) and second = (a2, b2).
+def _packed_sum(images, spare: int = 0) -> tuple:
+    """(k, sums): sums[d], for each degree d that a cell of the images
+    has, packs at x = 2^k, y = 1 the sum over the images (cell, first,
+    second) of sum_p s * P1^p * P2^(d-p), for the _packed_cell cell and
+    the linear forms P1 = a1*x + b1*y, P2 = a2*x + b2*y with integer
+    first = (a1, b1) and second = (a2, b2).  It is one integer sum of the
+    terms s * U^p * V^(d-p), for U, V the _packed_powers of an image's two
+    forms.
 
-    Kronecker substitution: packed at x = 2^k, y = 1, each degree is one
-    integer sum h of the terms s * U^p * V^(d-p), for U, V the
-    _packed_powers of an image's two forms, and acc is read back as d + 1
-    balanced digits of width k.  For one image with top degree n and
-    l = bitlen(max(|a1| + |b1|, |a2| + |b2|)),
-    |acc[i]| <= sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
-    < 2^(bits + d*l + bitlen(d + 1)) = 2^(k1 - 2)
-    for k1 = bits + n*l + bitlen(n + 1) + 2; a sum of m images stays
-    below m * 2^(max k1 - 2) < 2^(k - 2) for k = max k1 + bitlen(m),
-    which keeps every digit within (-2^(k-1), 2^(k-1)), where it is read
-    exactly.  One width for all degrees and images lets the powers be
-    made once per image, and each degree is read back once."""
+    For one image with top degree n and
+    l = bitlen(max(|a1| + |b1|, |a2| + |b2|)), each coefficient of degree d
+    is at most sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
+    < 2^(bits + n*l + bitlen(n + 1)); a sum of m images stays below 2^B
+    for B = max (bits + n*l + bitlen(n + 1)) + bitlen(m).  The width is
+    k = B + spare + 2: the caller may multiply the coefficients by up to
+    2^spare before _read_back reads them.  One width for all degrees and
+    images lets the powers be made once per image."""
     k = 0
     for (degrees, bits, _, _), (a1, b1), (a2, b2) in images:
         if degrees:
             n = degrees[-1][0]
             ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
-            k = max(k, bits + n * ell + (n + 1).bit_length() + 2)
-    if not k:
-        return
-    k += len(images).bit_length()
+            k = max(k, bits + n * ell + (n + 1).bit_length())
+    k += len(images).bit_length() + spare + 2
     sums = {}
     for (degrees, _, top1, top2), (a1, b1), (a2, b2) in images:
         us = _packed_powers(a1, b1, top1, k)
@@ -160,16 +148,24 @@ def _packed_sum(images):
             for p, s in nums:
                 h += s * us[p] * vs[d - p]
             sums[d] = h
+    return k, sums
+
+
+def _read_back(packed, k: int):
+    """Yield (d, acc) for each (d, h) of packed, in increasing d, where
+    acc[i] is the coefficient of x^i y^(d-i) packed in h: the d + 1
+    balanced digits of width k of h, exact while every coefficient is
+    below 2^(k-2) in size, as _packed_sum's width keeps it."""
     mask = (1 << k) - 1
     half = 1 << (k - 1)
     # offset: half in each of the digits 0..d, which makes them all
     # nonnegative, so each is read with one mask and one shift
     offset, done = half, 0
-    for d in sorted(sums):
+    for d, h in packed:
         for _ in range(d - done):
             offset = (offset << k) | half
         done = d
-        h = sums[d] + offset
+        h += offset
         acc = []
         for _ in range(d + 1):
             acc.append((h & mask) - half)
@@ -188,133 +184,93 @@ def _flat_numerators(f, w: int):
 
 
 # ---------------------------------------------------------------------------
-# divided-power tables
+# degree tables
 #
 # A table t over the denominator D stands for the series with coefficients
-# f[p, q] = t[p][q] / (D * p! * q!), for p + q <= n with n = len(t) - 1.
-# Substitution of an integer matrix and multiplication by exp(a*x + b*y)
-# with integer a, b map integer tables to integer tables, so a sum of such
-# images (a polygon's faces) is built in integers, by sum_of_images, and
-# made into Fractions once, by from_divided_powers.
+# f[p, d - p] = t[d][p] / (D * d!), for d <= n with n = len(t) - 1: row d
+# is degree d.  A linear substitution keeps each total degree, and
+# exp(v.z) carries degree d into degree s with the factor
+# C(s, d) * (v.z)^(s-d) once both are times their d! and s!, so integer
+# substitutions and twists by integer v map integer tables to integer
+# tables.  A sum of such images (a polygon's faces, or the one face of
+# mul_exp_linear) is built in integers, by sum_of_images, and made into
+# Fractions once, by from_degree_table.
 
 
-def _zero_table(n: int) -> list:
-    return [[0] * (n + 1 - p) for p in range(n + 1)]
-
-
-def to_divided_powers(fs) -> tuple:
-    """(D, tables): the divided-power tables of the series fs, all of one
-    order, over the least D that makes every one of them integral: the lcm
-    of the denominators of p! * q! * f[p, q].  Each f enters as
-    D * p! * q! * f[p, q]."""
+def to_degree_tables(fs) -> tuple:
+    """(D, tables): the degree tables of the series fs, all of one order,
+    over the least D that makes every one of them integral: the lcm of the
+    denominators of d! * f[p, d - p].  Each f enters as
+    t[d][p] = D * d! * f[p, d - p]."""
     n = fs[0].order
-    fact = [factorial(k) for k in range(n + 1)]
-    den = lcm(*(v.denominator // gcd(v.denominator, fact[p] * fact[q])
+    fact = [factorial(d) for d in range(n + 1)]
+    den = lcm(*(v.denominator // gcd(v.denominator, fact[p + q])
                 for f in fs for (p, q), v in f._c.items()))
     tables = []
     for f in fs:
-        t = _zero_table(n)
+        t = [[0] * (d + 1) for d in range(n + 1)]
         for (p, q), v in f._c.items():
-            t[p][q] = v.numerator * den * fact[p] * fact[q] // v.denominator
+            t[p + q][p] = v.numerator * den * fact[p + q] // v.denominator
         tables.append(t)
     return den, tables
 
 
-def from_divided_powers(t, den: int, ad: int = 1, bd: int = 1) -> "Series2":
-    """The series of the divided-power table t over den, whose entry
-    [p][q] carries the extra factor ad^p * bd^q (as a twist by
-    exp(alpha*x + beta*y) with denominators ad, bd leaves it)."""
-    n = len(t) - 1
-    fx = [factorial(k) * ad ** k for k in range(n + 1)]
-    fy = [factorial(k) * bd ** k for k in range(n + 1)]
-    return Series2({(p, q): Q(s, den * fx[p] * fy[q])
-                    for p, row in enumerate(t) for q, s in enumerate(row)
-                    if s}, n)
+def from_degree_table(t, den: int, scale: int = 1) -> "Series2":
+    """The series of the degree table t over den, read at z / scale: its
+    coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d)."""
+    out = {}
+    for d, row in enumerate(t):
+        dd = den * factorial(d) * scale ** d
+        for p, s in enumerate(row):
+            if s:
+                out[(p, d - p)] = Q(s, dd)
+    return Series2(out, len(t) - 1)
 
 
 def dp_cell(t) -> tuple:
-    """The divided-power table t packed for sum_of_images: the
-    _packed_cell whose degree d carries the numerators
-    t[p][d - p] * C(d, p) of the plain coefficients times d!."""
-    n = len(t) - 1
+    """The degree table t packed for sum_of_images: the _packed_cell of
+    its nonzero entries, t[d][p] on x^p y^(d-p)."""
     degrees = []
-    for d in range(n + 1):
-        nums = [(p, t[p][d - p] * comb(d, p)) for p in range(d + 1)
-                if t[p][d - p]]
+    for d, row in enumerate(t):
+        nums = [(p, s) for p, s in enumerate(row) if s]
         if nums:
             degrees.append((d, nums))
     return _packed_cell(degrees)
 
 
-def _dp_twist_into(out, t, alpha, beta) -> None:
-    """Add to the table out the table of exp(alpha*x + beta*y) * t, for
-    integers or Fractions alpha = an/ad, beta = bn/bd; the added entry
-    [p][q] carries the extra factor ad^p * bd^q.
-
-    Two binomial convolutions, first in x, then in y:
-
-        H[p][q] = sum_i C(p, i) an^i ad^(p-i) t[p-i][q]
-        G[p][q] = sum_j C(q, j) bn^j bd^(q-j) H[p][q-j]
-
-    A zero alpha or beta skips its convolution."""
-    n = len(t) - 1
-    h = t
-    if alpha:
-        # rows_x[k][k - m] = C(k, m) an^(k-m) ad^m
-        rows_x = _linear_powers(alpha.numerator, alpha.denominator, n)
-        h = _zero_table(n)
-        for m, row in enumerate(t):
-            for q, s in enumerate(row):
-                if s:
-                    for k in range(m, n + 1 - q):
-                        c = rows_x[k][k - m]
-                        if c:
-                            h[k][q] += c * s
-    if not beta:
-        for p, row in enumerate(h):
-            op = out[p]
-            for q, s in enumerate(row):
-                op[q] += s
-        return
-    rows_y = _linear_powers(beta.numerator, beta.denominator, n)
-    for p, hp in enumerate(h):
-        op = out[p]
-        for q in range(n + 1 - p):
-            row = rows_y[q]
-            s = 0
-            for m in range(q + 1):
-                if hp[m]:
-                    s += row[q - m] * hp[m]
-            op[q] += s
-
-
 def sum_of_images(faces, n: int) -> list:
-    """The divided-power table of order n of the sum of
+    """The degree table of order n of the sum of
     exp(v.z) * t(u1.z, u2.z) over the faces (cell, v, u1, u2), for cells
-    dp_cell(t) of tables t of order n and integer vectors v, u1 and u2:
-    the image of t under the affine map with translation v and edge
+    dp_cell(t) of degree tables t of order n and integer vectors v, u1 and
+    u2: the image of t under the affine map with translation v and edge
     vectors u1, u2 (the images of e1 and e2), as in group.act_on_series.
 
     The faces are summed by translation.  The substituted cells of one
-    translation are added by _packed_sum into one packed integer per
-    degree, read back once and divided by C(d, r) once into divided
-    powers.  The division is exact, since P1^p/p! * P2^q/q! has the
-    integer coefficients C(r, i) * C(s, p - i) on x^r/r! * y^s/s!.  Then
-    each translation costs one exponential twist."""
+    translation v add up, by _packed_sum, to one packed integer h[d] per
+    degree.  The twist by exp(v.z) makes degree s, times s!, the sum
+    sum_d C(s, d) * (v.z)^(s-d) * h[d]: a Taylor shift of h, made in
+    packed form, with w = (v0 << k) + v1 for v.z, by the n passes
+    h[i] += w * h[i-1], i falling.  With l = |v0| + |v1| it grows the
+    coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s
+    <= 2^(n * bitlen(l)), the spare bits of this translation's width, so
+    each translation is read back once."""
     by_v = {}
     for cell, v, u1, u2 in faces:
         if cell[0]:     # a zero table, such as c = 0, adds nothing
             by_v.setdefault(v, []).append((cell, u1, u2))
-    binomials = _linear_powers(1, 1, n)
-    out = _zero_table(n)
-    for v, images in by_v.items():
-        g = _zero_table(n)
-        for d, acc in _packed_sum(images):
-            row = binomials[d]
-            for r, s in enumerate(acc):
-                if s:
-                    g[r][d - r] = s // row[r]
-        _dp_twist_into(out, g, *v)
+    out = [[0] * (d + 1) for d in range(n + 1)]
+    for (v0, v1), images in by_v.items():
+        k, sums = _packed_sum(images, n * (abs(v0) + abs(v1)).bit_length())
+        h = [sums.get(d, 0) for d in range(n + 1)]
+        w = (v0 << k) + v1
+        if w:
+            for j in range(1, n + 1):
+                for i in range(n, j - 1, -1):
+                    h[i] += w * h[i - 1]
+        for s, acc in _read_back(enumerate(h), k):
+            row = out[s]
+            for i, c in enumerate(acc):
+                row[i] += c
     return out
 
 
@@ -445,9 +401,10 @@ class Series2:
         cell = _packed_cell([(d, list(nums.items()))
                              for d, (_, nums) in degrees])
         dens = {d: den for d, (den, _) in degrees}
+        k, sums = _packed_sum([(cell, (int(a1 * scale), int(b1 * scale)),
+                                (int(a2 * scale), int(b2 * scale)))])
         out = {}
-        for d, acc in _packed_sum([(cell, (int(a1 * scale), int(b1 * scale)),
-                                    (int(a2 * scale), int(b2 * scale)))]):
+        for d, acc in _read_back(sorted(sums.items()), k):
             den = dens[d] * scale ** d
             for i, num in enumerate(acc):
                 if num:
@@ -513,18 +470,19 @@ def exp_linear(alpha, beta, order: int) -> Series2:
 def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     """f multiplied by the truncation of exp(alpha*x + beta*y).
 
-    Exact integer method: with alpha = an/ad and beta = bn/bd, take f's
-    divided-power table over den from to_divided_powers; _dp_twist_into
-    multiplies it by the exponential as two binomial convolutions, and
-    entry [p][q] of the result is over den * p! * q! * ad^p * bd^q.  Every
-    step is integer arithmetic, so the result equals f * exp_linear(alpha,
-    beta, f.order) exactly, in O(order^3) instead of O(order^4) operations.
+    With L the lcm of the denominators of alpha and beta,
+    f(L*z) * exp(L*alpha*x + L*beta*y) is the image of f's degree table
+    under the affine map with the integer translation (L*alpha, L*beta)
+    and edge vectors (L, 0), (0, L): one face of sum_of_images, read back
+    at z / L.  Every step is integer arithmetic, so the result equals
+    f * exp_linear(alpha, beta, f.order) exactly.
     """
     alpha, beta = _q(alpha), _q(beta)
-    den, (t,) = to_divided_powers([f])
-    out = _zero_table(f.order)
-    _dp_twist_into(out, t, alpha, beta)
-    return from_divided_powers(out, den, alpha.denominator, beta.denominator)
+    scale = lcm(alpha.denominator, beta.denominator)
+    den, (t,) = to_degree_tables([f])
+    face = (dp_cell(t), (int(alpha * scale), int(beta * scale)),
+            (scale, 0), (0, scale))
+    return from_degree_table(sum_of_images([face], f.order), den, scale)
 
 
 def divide_linear(f: Series2, a, b) -> Series2:

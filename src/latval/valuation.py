@@ -27,12 +27,12 @@ e^{v.z} * f(u1.z, u2.z).  A segment's u2 and a point's u1 and u2 are
 the edges that the unit cell lacks, and no edge is completed to a
 unimodular frame.
 
-The sum is taken in integers.  zT, f1 and c are kept in divided-power form,
-f[p, q] = A[p][q] / (D * p! * q!), over one denominator D per evaluator.
-In that form the substitution of integer edge vectors and the twist by
-e^{v.z} for an integer v map integer tables to integer tables, so all
-cells are added into one table of integers, and the Fractions are made
-once, at the end.  The cells are summed by translation, and each
+The sum is taken in integers.  zT, f1 and c are kept as tables by total
+degree, f[p, d - p] = t[d][p] / (D * d!), over one denominator D per
+evaluator.  In that form the substitution of integer edge vectors and the
+twist by e^{v.z} for an integer v map integer tables to integer tables,
+so all cells are added into one table of integers, and the Fractions are
+made once, at the end.  The cells are summed by translation, and each
 translation costs one twist, so each cell is anchored at a vertex it
 shares with other cells (_anchored): the interior points first, then the
 vertices with the most incident cells.  Any vertex will do, since zT is
@@ -47,15 +47,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (LatticePolygon, NotSegment, hull_normalize,
-                       scale_polygon, segment_lattice_points,
-                       unimodular_triangulation)
+from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
+                       hull_normalize, scale_polygon,
+                       segment_lattice_points, unimodular_triangulation)
 from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, dp_cell, exp_linear,
-                     from_divided_powers, mul_exp_linear, special_series,
-                     sum_of_images, to_divided_powers)
+                     divide_linear, dp_cell, exp_linear, from_degree_table,
+                     mul_exp_linear, special_series, sum_of_images,
+                     to_degree_tables)
 
 Q = Fraction
 
@@ -139,9 +139,6 @@ class ValuationSpec:
             if not report.holds:
                 raise InvalidRho(report)
 
-    def is_simple(self) -> bool:
-        return self.c == 0 and self.g.is_zero()
-
     def key(self):
         return (self.c, self.g.key(), self.rho.key(), self.order)
 
@@ -174,17 +171,19 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 
 class Evaluator:
     """Evaluates one spec on points, segments and polygons, keeping the
-    values in one cache; the sums are taken in divided-power tables, as
-    the module docstring says."""
+    values in one cache; the sums are taken in integer tables by total
+    degree, t[d][p] = D * d! * f[p, d - p], as the module docstring
+    says."""
 
     def __init__(self, spec: ValuationSpec):
         self.spec = spec
         self.data = build_triangle_data(spec)
         # the unit cell of each dimension at the origin (c, f1, zT), with
-        # the signs each can take, as divided-power tables over the least D
-        # that makes them integral, packed once for sum_of_images
+        # the signs each can take, as degree tables D * d! * f[p, d - p]
+        # over the least D that makes them integral, packed once for
+        # sum_of_images
         d = self.data
-        self._den, tables = to_divided_powers(
+        self._den, tables = to_degree_tables(
             [d.f0, -d.f0, d.f1, -d.f1, d.zT])
         c, minus_c, f1, minus_f1, zT = (dp_cell(t) for t in tables)
         self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
@@ -213,8 +212,8 @@ class Evaluator:
         # each open cell with the sign (-1)^(dim P - dim cell)
         faces = [(self._cells[d][(P.dim - d) % 2], v, u1, u2)
                  for d, v, u1, u2 in _open_cells(P)]
-        return from_divided_powers(sum_of_images(faces, self.order),
-                                   self._den)
+        return from_degree_table(sum_of_images(faces, self.order),
+                                 self._den)
 
 
 _ZERO = (0, 0)
@@ -507,7 +506,7 @@ class SurfaceReport:
 def surface_formula_check(spec: ValuationSpec, P: LatticePolygon) -> SurfaceReport:
     """Compare Z(P) with half the sum of Z over the edges of P."""
     if P.dim != 2:
-        raise NotSegment("polygon must be two-dimensional")
+        raise NotFullDimensional(f"dim {P.dim}")
     ev = evaluator_for(spec)
     v = P.vertices
     edge_sum = Series2.zero(ev.order)

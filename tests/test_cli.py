@@ -77,6 +77,10 @@ def test_polygon_round_trip():
         io.polygon_from_obj({"vertices": [[0.5, 0], [1, 0]]})
     with pytest.raises(io.MalformedInput):
         io.polygon_from_obj({"vertices": []})
+    # the expected shape is given as JSON text
+    with pytest.raises(io.MalformedInput) as err:
+        io.polygon_from_obj([[0, 0], [1, 0]])
+    assert str(err.value) == 'polygon must be {"vertices": [[x, y], ...]}'
 
 
 def test_spec_round_trip():
@@ -96,6 +100,10 @@ def test_affine_round_trip():
         io.affine_from_obj({"m": [[True, False], [False, True]], "v": [0, 0]})
     with pytest.raises(io.MalformedInput):
         io.affine_from_obj({"m": [[1, 0], [0, 1]], "v": [True, 0]})
+    with pytest.raises(io.MalformedInput) as err:
+        io.affine_from_obj({"v": [0, 0]})
+    assert str(err.value) == ('affine element must be '
+                              '{"m": [[a, b], [c, d]], "v": [alpha, beta]}')
 
 
 def test_format_rational():

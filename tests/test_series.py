@@ -234,10 +234,20 @@ def test_subst_linear_matches_point_evaluation(f, m, x0, y0):
                                            a2 * x0 + b2 * y0)
 
 
+six_digit_rationals = st.builds(Q, st.integers(-10**6, 10**6),
+                                st.integers(1, 10**6))
+exponents = st.one_of(st.just(0), entries, six_digit_rationals)
+
+
 @settings(max_examples=150)
-@given(series2s(), st.one_of(st.just(0), entries),
-       st.one_of(st.just(0), entries))
+@given(st.one_of(series2s(), series2s(max_order=20, coeffs=large_rationals)),
+       exponents, exponents)
+@example(Series2({(p, d - p): Q(10**40 - p, 10**30 + d) for d in range(21)
+                  for p in range(d + 1)}, 20),
+         Q(999999, 1000000), Q(-654321, 999983))
 def test_mul_exp_linear_equals_product(f, alpha, beta):
+    # rational alpha, beta are read back at z / L, for L the lcm of their
+    # denominators
     expected = f * exp_linear(alpha, beta, f.order)
     assert mul_exp_linear(f, alpha, beta).key() == expected.key()
 
@@ -389,14 +399,15 @@ def test_mul_linear_matches_fraction_loop(f, form):
 
 @st.composite
 def tables(draw, order):
-    """A divided-power table of the given order with 40-digit entries:
-    dense, nonzero only at the constant (a point cell) or in x alone."""
+    """A degree table of the given order, row d the entries of degree d,
+    with 40-digit entries: dense, nonzero only at the constant (a point
+    cell) or in x alone."""
     kind = draw(st.sampled_from(["dense", "point", "x"]))
-    t = [[0] * (order + 1 - p) for p in range(order + 1)]
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            if kind == "dense" or (kind == "x" and q == 0) or p == q == 0:
-                t[p][q] = draw(forty_digits)
+    t = [[0] * (d + 1) for d in range(order + 1)]
+    for d in range(order + 1):
+        for p in range(d + 1):
+            if kind == "dense" or (kind == "x" and p == d) or d == 0:
+                t[d][p] = draw(forty_digits)
     return t
 
 
@@ -404,14 +415,15 @@ def tables(draw, order):
 def face_lists(draw):
     """One to four faces (t, v, u1, u2) of one order whose tables repeat,
     with integer edge vectors u1, u2, among them singular and large pairs,
-    and small translations v."""
+    and translations v, small or with entries up to 10^6 in size."""
     order = draw(st.integers(0, 20))
     pool = draw(st.lists(tables(order), min_size=1, max_size=3))
+    shifts = st.one_of(st.integers(-3, 3), big)
     out = []
     for _ in range(draw(st.integers(1, 4))):
         u1, u2 = draw(st.one_of(integer_frames(), matrices().filter(
             lambda m: all(v == int(v) for row in m for v in row))))
-        v = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        v = (draw(shifts), draw(shifts))
         out.append((draw(st.sampled_from(pool)), v,
                     tuple(map(int, u1)), tuple(map(int, u2))))
     return out
@@ -437,8 +449,8 @@ def faces_on_one_translation(draw):
 
 def _dp_series(t):
     n = len(t) - 1
-    return Series2({(p, q): Q(s, factorial(p) * factorial(q))
-                    for p, row in enumerate(t) for q, s in enumerate(row)}, n)
+    return Series2({(p, d - p): Q(s, factorial(d))
+                    for d, row in enumerate(t) for p, s in enumerate(row)}, n)
 
 
 def _check_sum_of_images(faces):
@@ -452,13 +464,17 @@ def _check_sum_of_images(faces):
         expected = expected + naive_product(f, exp_linear(*v, n))
     got = sum_of_images([(dp_cell(t), v, u1, u2) for t, v, u1, u2 in faces],
                         n)
-    assert [len(row) for row in got] == list(range(n + 1, 0, -1))
+    assert [len(row) for row in got] == list(range(1, n + 2))
     assert _dp_series(got).key() == expected.key()
 
 
 @settings(max_examples=60)
 @given(face_lists())
+@example([([[10**40 - 1] * (d + 1) for d in range(21)], (10**6, 10**6),
+           (1, 0), (0, 1))])
 def test_sum_of_images_matches_fraction_expansion(faces):
+    # the twist by exp(v.z) grows the coefficients with |v0| + |v1|, and
+    # each translation's width must leave room for it
     _check_sum_of_images(faces)
 
 

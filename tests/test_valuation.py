@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latval import vspace
-from latval.geometry import (NoValidChord, Triangulation, chord_of_split,
-                             hull_normalize, scale_polygon, split_pairs,
+from latval.geometry import (NotFullDimensional, NoValidChord,
+                             Triangulation, chord_of_split, hull_normalize,
+                             scale_polygon, split_pairs,
                              unimodular_triangulation)
 from latval.group import (AffineUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, det)
@@ -69,9 +70,10 @@ def test_g_with_a_y_term_rejected():
 
 def test_spec_defaults_and_simplicity():
     spec = laplace_spec()
-    assert spec.is_simple()
+    assert spec.c == 0 and spec.g.is_zero()
     assert evaluator_for(spec).order == 11
-    assert not case3_spec().is_simple()
+    case3 = case3_spec()
+    assert case3.c != 0 and not case3.g.is_zero()
 
 
 def test_triangle_data_case3():
@@ -647,6 +649,12 @@ def test_surface_formula_odd_specs():
     for delta in (-1, 1, 3):
         for P in (T, SQUARE, scale_polygon(T, 2)):
             assert surface_formula_check(odd_spec(delta), P).holds
+
+
+def test_surface_formula_rejects_points_and_segments():
+    for P in (hull_normalize([(1, 2)]), hull_normalize([(0, 0), (2, 1)])):
+        with pytest.raises(NotFullDimensional, match=f"^dim {P.dim}$"):
+            surface_formula_check(laplace_spec(), P)
 
 
 def test_surface_formula_fails_for_laplace():
