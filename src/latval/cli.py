@@ -106,7 +106,7 @@ def cmd_vd(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATED
     basis = (vspace.st_basis if args.coords == "st"
              else vspace.vd_basis)(_at_least("--degree", args.degree, 0))
-    _emit([io.series2_to_obj(p) for p in basis.polynomials()], args)
+    _emit(basis.polynomials(), args)
     return EXIT_OK
 
 
@@ -128,31 +128,28 @@ def cmd_transform(args) -> int:
     ops = {"sharp": laws.sharp, "dagger": laws.dagger,
            "diamond": laws.diamond, "to-st": laws.to_st,
            "from-st": laws.from_st}
-    _emit(io.series2_to_obj(ops[args.op](f)), args)
+    _emit(ops[args.op](f), args)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
     spec = io.spec_from_obj(io.load_json(args.spec))
     data = valuation.build_triangle_data(spec)
-    _emit({"effective_order": data.effective_order,
-           "f0": io.series2_to_obj(data.f0),
-           "f1": io.series2_to_obj(data.f1),
-           "f2": io.series2_to_obj(data.f2),
-           "zT": io.series2_to_obj(data.zT)}, args)
+    _emit({"effective_order": data.effective_order, "f0": data.f0,
+           "f1": data.f1, "f2": data.f2, "zT": data.zT}, args)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     spec = io.spec_from_obj(io.load_json(args.spec))
     P = io.polygon_from_obj(io.load_json(args.polygon))
-    _emit(io.series2_to_obj(valuation.z_polygon(spec, P)), args)
+    _emit(valuation.z_polygon(spec, P), args)
     return EXIT_OK
 
 
 def cmd_laplace(args) -> int:
     P = io.polygon_from_obj(io.load_json(args.polygon))
-    _emit(io.series2_to_obj(laplace.laplace_plus(P, _order(args, 0))), args)
+    _emit(laplace.laplace_plus(P, _order(args, 0)), args)
     return EXIT_OK
 
 
@@ -196,19 +193,21 @@ def cmd_dilative(args) -> int:
 def cmd_decompose(args) -> int:
     spec = io.spec_from_obj(io.load_json(args.spec))
     kappa = None if args.kappa == "auto" else Q(args.kappa)
+    if kappa is None and spec.c != 0:   # then kappa is calibrated
+        _at_least("with --kappa auto, the spec order", spec.order,
+                  valuation.CALIBRATE_MIN_ORDER)
     comps = valuation.dilative_decompose(spec, args.delta_max, kappa)
     _emit({"alpha0": io.format_rational(comps.alpha0),
            "kappa": io.format_rational(comps.kappa),
            "odd": {str(d): io.format_rational(v)
                    for d, v in sorted(comps.odd.items())},
-           "even_simple": {str(d): io.series2_to_obj(part)
-                           for d, part in comps.even_simple.items()},
+           "even_simple": {str(d): p for d, p in comps.even_simple.items()},
            "order": comps.order}, args)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    order = _order(args, 4)
+    order = _order(args, valuation.CALIBRATE_MIN_ORDER)
     try:
         kappa = valuation.calibrate_val0(order)
     except (NoCandidatePasses, BothPass) as exc:

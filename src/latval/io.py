@@ -11,17 +11,18 @@ Formats:
 
 Dumps are canonical: sorted terms, stable key order, rationals rendered as
 "num/den" (or a plain integer string), so identical inputs produce
-byte-identical output.  Loads take a rational from a JSON integer or a
-string, never from a float, which is already rounded to binary.  A string
-is an optionally signed integer with an optional "/den" ("-3/7"), or a
-decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
+byte-identical output; a Series2 given to ``dumps`` anywhere in a tree is
+written in the series format.  Loads take a rational from a JSON integer
+or a string, never from a float, which is already rounded to binary.  A
+string is an optionally signed integer with an optional "/den" ("-3/7"),
+or a decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
 "2.5E-3"), with surrounding whitespace allowed; its numerator and
 denominator may have at most 4300 digits, the most that Python reads
 from text by default.  Loads validate shape and reject duplicate
-exponents.  Every load error raises MalformedInput, an unreadable file or
-bad UTF-8, JSON nested too deep or bad JSON too; its message shows the
-offending value as JSON text.  Rationals are written with any number of
-digits.
+exponents and an order above MAX_ORDER.  Every load error raises
+MalformedInput, an unreadable file or bad UTF-8, JSON nested too deep or
+bad JSON too; its message shows the offending value as JSON text.
+Rationals are written with any number of digits.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
                        r"\s*", re.ASCII)
 _MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
+MAX_ORDER = 1000     # the highest order a series or spec file may carry
 
 
 def _json_text(value) -> str:
@@ -101,6 +103,15 @@ def series1_to_obj(f: Series2) -> dict:
                       for (p, _), v in f.terms()]}
 
 
+def _order(obj, minimum: int) -> int:
+    order = obj.get("order", DEFAULT_ORDER)
+    if not _is_int(order) or order < minimum:
+        raise MalformedInput(f"bad order {_json_text(order)}")
+    if order > MAX_ORDER:
+        raise MalformedInput(f"order {order} is above the limit {MAX_ORDER}")
+    return order
+
+
 def _load_terms(obj, nvars):
     if not isinstance(obj, dict):
         raise MalformedInput("series must be a JSON object")
@@ -108,9 +119,7 @@ def _load_terms(obj, nvars):
         raise MalformedInput(f"bad vars {_json_text(obj.get('vars'))}")
     if len(obj["vars"]) != nvars:
         raise MalformedInput(f"expected {nvars} variable(s)")
-    order = obj.get("order", DEFAULT_ORDER)
-    if not _is_int(order) or order < 0:
-        raise MalformedInput(f"bad order {_json_text(order)}")
+    order = _order(obj, 0)
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
         raise MalformedInput(f"terms must be a list, not {_json_text(terms)}")
@@ -165,9 +174,7 @@ def spec_to_obj(spec: ValuationSpec) -> dict:
 def spec_from_obj(obj) -> ValuationSpec:
     if not isinstance(obj, dict):
         raise MalformedInput("spec must be a JSON object")
-    order = obj.get("order", DEFAULT_ORDER)
-    if not _is_int(order) or order < 1:
-        raise MalformedInput(f"bad order {_json_text(order)}")
+    order = _order(obj, 1)
     c = parse_rational(obj.get("c", "0"))
     g = series1_from_obj(obj["g"]) if "g" in obj else Series2.zero(order)
     rho = series2_from_obj(obj["rho"]) if "rho" in obj else Series2.zero(order)
@@ -203,9 +210,9 @@ def dumps(obj) -> str:
     """Canonical JSON text (stable key order, newline-terminated): the
     text of json.dumps(obj, indent=2) + "\n", for obj made of dicts with
     string keys, lists, strings, ints, booleans and None, the only values
-    the library emits; anything else raises TypeError.  Written out here
-    because json.dumps with an indent runs the pure-Python encoder, about
-    twice as slow as this one."""
+    the library emits, and Series2, written as its series2_to_obj; anything
+    else raises TypeError.  Written out here because json.dumps with an
+    indent runs the pure-Python encoder, about twice as slow as this one."""
     parts = []
     _encode(obj, "\n", parts)
     parts.append("\n")
@@ -225,6 +232,14 @@ def _encode(obj, newline: str, parts: list) -> None:
         parts.append("false")
     elif isinstance(obj, int):
         parts.append(int.__repr__(obj))
+    elif isinstance(obj, Series2):   # as series2_to_obj, a string per term
+        i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
+        terms = [f'{{{i3}"e": [{i4}{p},{i4}{q}{i3}],{i3}"c": '
+                 f'"{format_rational(v)}"{i2}}}' for (p, q), v in obj.terms()]
+        parts.append(f'{{{i1}"vars": [{i2}"x",{i2}"y"{i1}],{i1}"order": '
+                     f'{obj.order},{i1}"terms": ')
+        parts.append(f"[{i2}{(',' + i2).join(terms)}{i1}]" if terms else "[]")
+        parts.append(newline + "}")
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")

@@ -36,7 +36,7 @@ def _primitive(ints) -> list:
     return [a // g for a in ints] if g > 1 else ints
 
 
-def _integer_row(row) -> list:
+def integer_row(row) -> list:
     """The row scaled to integers by the lcm of its denominators."""
     row = [x if isinstance(x, (int, Q)) else Q(x) for x in row]
     den = lcm(*(x.denominator for x in row))
@@ -49,7 +49,7 @@ def rref(matrix):
     if not matrix:
         return [], []
     ncols = _width(matrix)
-    m = [_integer_row(row) for row in matrix]
+    m = [integer_row(row) for row in matrix]
     nrows = len(m)
     pivots = []
     r = 0

@@ -58,9 +58,8 @@ _SHORT = 10 ** 600
 
 
 def format_rational(v) -> str:
-    """v as exact text, "num/den" or an integer, with any number of
-    digits."""
-    v = Q(v)
+    """v, a Fraction or an int, as exact text, "num/den" or an integer,
+    with any number of digits."""
     if v.denominator == 1:
         return _int_text(v.numerator)
     return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"

@@ -52,10 +52,12 @@ from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
                        segment_lattice_points, unimodular_triangulation)
 from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
+from .linalg import integer_row
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
                      divide_linear, dp_cell, exp_linear, from_degree_table,
                      mul_exp_linear, special_series, sum_of_images,
                      to_degree_tables)
+from .vspace import constraint_matrix, homogeneous_solution_components
 
 Q = Fraction
 
@@ -134,13 +136,31 @@ class ValuationSpec:
                                  f"the term x^{p}*y^{q}")
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
-        for law in RHO_LAWS:
-            report = check_law(law, self.rho)
-            if not report.holds:
-                raise InvalidRho(report)
+        if not _rho_in_kernel(self.rho):
+            for law in RHO_LAWS:   # the first violation, for the report
+                report = check_law(law, self.rho)
+                if not report.holds:
+                    raise InvalidRho(report)
 
     def key(self):
         return (self.c, self.g.key(), self.rho.key(), self.order)
+
+
+RHO_ROWS_MAX = 64   # _rho_in_kernel keeps the rows of this many degrees
+_RHO_ROWS: OrderedDict = OrderedDict()
+
+
+def _rho_in_kernel(rho: Series2) -> bool:
+    """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
+    does when each homogeneous part (rho[d - k, k])_k, scaled to integers,
+    is in the kernel of constraint_matrix(d, RHO_LAWS)."""
+    for d, part in homogeneous_solution_components(rho):
+        nums = integer_row(part)
+        rows = _lru(_RHO_ROWS, d, RHO_ROWS_MAX, lambda: [
+            integer_row(r) for r in constraint_matrix(d, RHO_LAWS) if any(r)])
+        if any(sum(a * b for a, b in zip(row, nums)) for row in rows):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -397,14 +417,15 @@ def check_dilative(spec: ValuationSpec, delta: int, m_list, P_list) -> DilativeR
 
 UNIT_TRIANGLE = hull_normalize([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull_normalize([(0, 0), (1, 0), (0, 1), (1, 1)])
+CALIBRATE_MIN_ORDER = 4   # the lowest order at which calibrate_val0 decides
 
 
 def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
     """Decide the constant rho-part kappa of the 0-dilative generator
     empirically: kappa in {0, -1} is accepted when the spec
     (c, g, rho) = (1, cosh-type, kappa) is 0-dilative on reference polygons."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
+    if order < CALIBRATE_MIN_ORDER:
+        raise ValueError(f"order must be >= {CALIBRATE_MIN_ORDER}")
     passing = []
     violations = {}
     for kappa in (Q(0), Q(-1)):

@@ -98,14 +98,10 @@ def dims_table(d_max: int):
 
 
 def homogeneous_solution_components(rho: Series2):
-    """Split a solution series into its homogeneous degree parts, each of
-    which is itself a solution; returns [(d, coefficient vector)]."""
-    out = []
-    for d in range(rho.order + 1):
-        part = homogeneous_part(rho, d)
-        if not part.is_zero():
-            out.append((d, tuple(to_coefficients(part, d))))
-    return out
+    """Split a series into its nonzero homogeneous parts, each of which is
+    a solution if rho is; returns [(d, coefficient vector)] by degree."""
+    return [(d, tuple(to_coefficients(homogeneous_part(rho, d), d)))
+            for d in sorted({p + q for (p, q), _ in rho.terms()})]
 
 
 # ---------------------------------------------------------------------------

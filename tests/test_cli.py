@@ -2,9 +2,10 @@
 
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latval import cli, io, laws
@@ -27,6 +28,7 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 RHO1 = {"vars": ["x", "y"], "order": 12,
         "terms": [{"e": [0, 0], "c": "1"}]}
 LAPLACE_SPEC = {"c": "0", "rho": RHO1, "order": 12}
@@ -201,6 +203,51 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_equals_json_dumps_indent_2(obj):
     assert io.dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# coefficients with numerators of more than 600 digits, which _int_text
+# writes in parts, and negative ones
+numerators = (st.integers(-9, 9) | st.integers(10**600, 10**700)
+              | st.integers(-10**700, -10**600))
+coefficients = st.builds(Q, numerators, st.integers(1, 10**6))
+
+
+@st.composite
+def series_values(draw):
+    order = draw(st.integers(0, 5))
+    exponents = [(p, d - p) for d in range(order + 1) for p in range(d + 1)]
+    return Series2(draw(st.dictionaries(st.sampled_from(exponents),
+                                        coefficients, max_size=6)), order)
+
+
+def _series_as_objs(tree):
+    """tree with each Series2 in it replaced by its series2_to_obj."""
+    if isinstance(tree, Series2):
+        return io.series2_to_obj(tree)
+    if isinstance(tree, dict):
+        return {key: _series_as_objs(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_series_as_objs(value) for value in tree]
+    return tree
+
+
+BIG = Q(-10**650 - 1, 7)
+
+
+# a series alone (evaluate), in an object (construct) and in a list (vd
+# basis), among other values
+@given(st.recursive(series_values() | st.integers() | json_text,
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(json_text, inner, max_size=3),
+                    max_leaves=6))
+@example(Series2.zero(0))
+@example({"effective_order": 3, "f0": Series2.constant(-2, 3),
+          "f1": Series2({(1, 0): BIG, (0, 2): Q(1, 2)}, 3),
+          "zT": Series2.zero(3)})
+@example([Series2({(0, 0): BIG}, 0), Series2.zero(2), []])
+def test_dumps_writes_a_series_as_its_series2_to_obj(tree):
+    assert io.dumps(tree) == json.dumps(_series_as_objs(tree),
+                                        indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [0.5, [Q(1, 2)], {"a": (1, 2)},
@@ -515,6 +562,39 @@ def test_decompose_simple_spec_auto_kappa(tmp_path, capsys):
     spec = io.spec_from_obj(spec_obj)
     back = reassemble(dilative_decompose(spec))
     assert back.key() == spec.key()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_decompose_auto_kappa_below_order_4_exits_3(tmp_path, capsys, order):
+    # c != 0, so --kappa auto calibrates kappa, which needs order >= 4
+    spec = json.loads((INPUTS / "spec_general.json").read_text())
+    spath = write(tmp_path, "spec.json", dict(spec, order=order))
+    assert cli.main(["decompose", "--spec", spath]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: with --kappa auto, the spec order "
+                            f"{order} is out of range: it must be >= 4\n")
+    code, out = run(capsys, "decompose", "--spec", spath, "--kappa", "-1")
+    assert code == 0 and json.loads(out)["order"] == order
+
+
+def test_order_above_the_limit_exits_3(tmp_path, capsys):
+    rho = json.loads((INPUTS / "rho.json").read_text())
+    assert io.series2_from_obj(dict(rho, order=io.MAX_ORDER)).order \
+        == io.MAX_ORDER
+    for order in (io.MAX_ORDER + 1, 10**20):
+        path = write(tmp_path, "rho.json", dict(rho, order=order))
+        assert cli.main(["check-law", "--law", "Aprime", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: order {order} is above the limit "
+                                f"{io.MAX_ORDER}\n")
+    spath = write(tmp_path, "spec.json",
+                  dict(LAPLACE_SPEC, order=io.MAX_ORDER + 1))
+    assert cli.main(["evaluate", "--spec", spath,
+                     "--polygon", write(tmp_path, "T.json", T_POLY)]) == 3
+    assert capsys.readouterr().err == (f"error: order {io.MAX_ORDER + 1} is "
+                                       f"above the limit {io.MAX_ORDER}\n")
 
 
 def test_violations_render_exact_rationals(tmp_path, capsys):

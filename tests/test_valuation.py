@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latval import vspace
+from latval import linalg, vspace
 from latval.geometry import (NotFullDimensional, NoValidChord,
                              Triangulation, chord_of_split, hull_normalize,
                              scale_polygon, split_pairs,
                              unimodular_triangulation)
 from latval.group import (AffineUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, det)
+from latval.laws import RHO_LAWS, check_law
 from latval.series import Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
@@ -60,7 +61,8 @@ SPECS = [laplace_spec(), vd_spec(4), vd_spec(6), odd_spec(1), case3_spec()]
 def test_invalid_rho_rejected():
     with pytest.raises(InvalidRho) as err:
         ValuationSpec(0, None, Series2.monomial(1, 2, 0, 12), 12)
-    assert err.value.report.law in ("Aprime", "E")
+    report = err.value.report
+    assert (report.law, report.first_violation) == ("Aprime", ((1, 2), 0, 1))
 
 
 def test_g_with_a_y_term_rejected():
@@ -318,6 +320,57 @@ def random_specs(draw, max_order=6):
             part = vspace.from_coefficients(vector, d, order)
             rho = rho + part.scalar_mul(draw(rationals))
     return ValuationSpec(draw(rationals), Series1(g, order), rho, order)
+
+
+BASES = {d: vspace.vd_basis(d) for d in range(15)}
+# the kernel of each law of RHO_LAWS alone, degree by degree
+LAW_KERNELS = {(law, d): linalg.nullspace(vspace.constraint_matrix(d, [law]),
+                                          d + 1)
+               for law in RHO_LAWS for d in range(15)}
+
+
+@st.composite
+def candidate_rhos(draw):
+    """A random rational combination of some vd_basis(d) vectors of each
+    degree d up to an order of at most 14, and half of the time one more
+    homogeneous part, of the highest degree first: a random monomial, or
+    a random combination of the kernel vectors of one law, which may
+    violate the other."""
+    order = draw(st.integers(0, 14))
+    rho = Series2.zero(order)
+    for d in range(order + 1):
+        for vector in BASES[d].vectors:
+            if draw(st.booleans()):
+                part = vspace.from_coefficients(vector, d, order)
+                rho = rho + part.scalar_mul(draw(rationals))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(range(order, -1, -1)))
+        kind = draw(st.sampled_from(("monomial",) + RHO_LAWS))
+        if kind == "monomial":
+            k = draw(st.integers(0, d))
+            vectors = [[int(j == k) for j in range(d + 1)]]
+        else:
+            vectors = LAW_KERNELS[kind, d]
+        for vector in vectors:
+            part = vspace.from_coefficients(vector, d, order)
+            rho = rho + part.scalar_mul(draw(rationals.filter(bool)))
+    return rho
+
+
+@given(candidate_rhos())
+def test_spec_accepts_exactly_the_rho_that_satisfy_the_laws(rho):
+    # the kernel check agrees with check_law, and a rejection reports the
+    # first law that check_law finds violated, at the same exponent
+    failed = next((report for report in (check_law(law, rho)
+                                         for law in RHO_LAWS)
+                   if not report.holds), None)
+    assert valuation._rho_in_kernel(rho) == (failed is None)
+    if failed is None:
+        ValuationSpec(0, None, rho, rho.order)
+    else:
+        with pytest.raises(InvalidRho) as err:
+            ValuationSpec(0, None, rho, rho.order)
+        assert err.value.report == failed
 
 
 def _assert_unit_cells_invariant(spec):
