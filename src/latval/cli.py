@@ -177,6 +177,11 @@ def cmd_dilative(args) -> int:
         raise io.MalformedInput("all m must be >= 2")
     polys = [io.polygon_from_obj(io.load_json(p))
              for p in _polygon_paths(args.polygons)]
+    for P in polys:
+        vertices = json.dumps(io.polygon_to_obj(P)["vertices"])
+        for m in m_list:
+            io.bounded_polygon(scale_polygon(P, m),
+                               f"the dilate {m}P of P = {vertices}")
     report = valuation.check_dilative(spec, args.delta, m_list, polys)
     cases = [{"m": c.m, "polygon": io.polygon_to_obj(c.polygon),
               "holds": c.holds,
@@ -289,6 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact valuations on lattice polygons with truncated "
                     "power series values.")
     sub = parser.add_subparsers(dest="command", required=True)
+    series_help = f"series JSON file, of order at most {io.MAX_ORDER}"
+    spec_help = f"spec JSON file, of order at most {io.MAX_ORDER}"
+    polygon_help = (f"polygon JSON file, with at most "
+                    f"{io.MAX_LATTICE_POINTS} lattice points")
 
     def out(p):
         p.add_argument("--out", help="write the output to this file")
@@ -313,33 +322,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check-law", cmd_check_law, help="verify a functional equation")
     p.add_argument("--law", required=True)
-    p.add_argument("--input", required=True, help="series JSON file")
+    p.add_argument("--input", required=True, help=series_help)
 
     p = add("transform", cmd_transform, help="apply a series transform")
     p.add_argument("--op", required=True,
                    choices=("sharp", "dagger", "diamond", "to-st", "from-st"))
-    p.add_argument("--input", required=True, help="series JSON file")
+    p.add_argument("--input", required=True, help=series_help)
 
     p = add("construct", cmd_construct, help="build triangle data for a spec")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
 
     p = add("evaluate", cmd_evaluate, help="evaluate a spec on a polygon")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--polygon", required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
+    p.add_argument("--polygon", required=True, help=polygon_help)
 
     p = add("laplace", cmd_laplace, help="positive Laplace transform")
-    p.add_argument("--polygon", required=True)
+    p.add_argument("--polygon", required=True, help=polygon_help)
     p.add_argument("--order", type=int)
 
     p = add("dilative", cmd_dilative, help="test delta-dilativity")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--m", default="2,3", help="comma-separated dilation factors")
     p.add_argument("--polygons", nargs="+", required=True,
-                   help="polygon JSON files or directories")
+                   help=f"polygon JSON files or directories; each dilate "
+                        f"mP may have at most {io.MAX_LATTICE_POINTS} "
+                        f"lattice points")
 
     p = add("decompose", cmd_decompose, help="dilative decomposition")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
     p.add_argument("--delta-max", type=int, default=None, dest="delta_max")
     p.add_argument("--kappa", choices=("auto", "0", "-1"), default="auto")
 

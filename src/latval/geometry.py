@@ -165,6 +165,18 @@ def lattice_length(a: Point, b: Point) -> int:
     return gcd(abs(b[0] - a[0]), abs(b[1] - a[1]))
 
 
+def lattice_point_count(P: LatticePolygon) -> int:
+    """The number of integer points of P, enumerating none: by Pick's
+    theorem, (area2 + B) / 2 + 1 for a polygon with B boundary points."""
+    v = P.vertices
+    if P.dim == 0:
+        return 1
+    if P.dim == 1:
+        return lattice_length(*v) + 1
+    boundary = sum(lattice_length(v[i - 1], v[i]) for i in range(len(v)))
+    return (area2(P) + boundary) // 2 + 1
+
+
 def segment_lattice_points(a: Point, b: Point) -> list[Point]:
     """Lattice points of [a, b] walking from a to b."""
     g = lattice_length(a, b)

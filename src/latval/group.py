@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import hull_normalize
-from .series import Series2, mul_exp_linear
+from .series import (Series2, dp_cell, from_degree_table, sum_of_images,
+                     to_degree_tables)
 
 
 class GroupError(Exception):
@@ -95,22 +96,15 @@ class AffineUnimodular:
         return AffineUnimodular(mat_mul(self.m, other.m),
                                 (w[0] + self.v[0], w[1] + self.v[1]))
 
-    def inverse(self) -> "AffineUnimodular":
-        mi = mat_inverse(self.m)
-        w = mat_apply(mi, self.v)
-        return AffineUnimodular(mi, (-w[0], -w[1]))
-
-    def is_identity(self) -> bool:
-        return self.m == IDENTITY_MATRIX and self.v == (0, 0)
-
 
 def act_on_series(xi: AffineUnimodular, f: Series2) -> Series2:
-    """exp(alpha*x + beta*y) * f(a*x + c*y, b*x + d*y)."""
+    """exp(alpha*x + beta*y) * f(a*x + c*y, b*x + d*y): f's degree table
+    as the one face of sum_of_images with translation (alpha, beta) and
+    edge vectors (a, c), (b, d), made into a series once."""
     (a, b), (c, d) = xi.m
-    g = f.subst_linear((a, c), (b, d))
-    if xi.v == (0, 0):
-        return g
-    return mul_exp_linear(g, xi.v[0], xi.v[1])
+    den, (t,) = to_degree_tables([f])
+    face = (dp_cell(t), tuple(xi.v), (a, c), (b, d))
+    return from_degree_table(sum_of_images([face], f.order), den)
 
 
 def act_on_polygon(xi: AffineUnimodular, P):

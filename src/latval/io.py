@@ -19,7 +19,8 @@ or a decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
 "2.5E-3"), with surrounding whitespace allowed; its numerator and
 denominator may have at most 4300 digits, the most that Python reads
 from text by default.  Loads validate shape and reject duplicate
-exponents and an order above MAX_ORDER.  Every load error raises
+exponents, an order above MAX_ORDER and a polygon with more than
+MAX_LATTICE_POINTS lattice points.  Every load error raises
 MalformedInput, an unreadable file or bad UTF-8, JSON nested too deep or
 bad JSON too; its message shows the offending value as JSON text.
 Rationals are written with any number of digits.
@@ -32,7 +33,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .geometry import LatticePolygon, hull_normalize
+from .geometry import LatticePolygon, hull_normalize, lattice_point_count
 from .group import AffineUnimodular, NotUnimodular
 from .series import DEFAULT_ORDER, Series1, Series2, format_rational
 from .valuation import ValuationSpec
@@ -50,6 +51,8 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
 _MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
 MAX_ORDER = 1000     # the highest order a series or spec file may carry
+# the most lattice points of a polygon that one evaluation triangulates
+MAX_LATTICE_POINTS = 100000
 
 
 def _json_text(value) -> str:
@@ -163,7 +166,17 @@ def polygon_from_obj(obj) -> LatticePolygon:
             or any(not isinstance(p, list) or len(p) != 2
                    or any(not _is_int(c) for c in p) for p in pts)):
         raise MalformedInput("vertices must be a nonempty list of integer pairs")
-    return hull_normalize([tuple(p) for p in pts])
+    return bounded_polygon(hull_normalize([tuple(p) for p in pts]))
+
+
+def bounded_polygon(P: LatticePolygon, name: str = "polygon"):
+    """P, if it has at most MAX_LATTICE_POINTS lattice points, counted
+    without enumerating them; name is P in the message."""
+    n = lattice_point_count(P)
+    if n > MAX_LATTICE_POINTS:
+        raise MalformedInput(f"{name} has {n} lattice points, above the "
+                             f"limit {MAX_LATTICE_POINTS}")
+    return P
 
 
 def spec_to_obj(spec: ValuationSpec) -> dict:

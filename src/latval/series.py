@@ -19,6 +19,14 @@ exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
 coefficients are read back as balanced digits of width k; the width set
 in ``_packed_sum`` keeps each within (-2^(k-1), 2^(k-1)), so they are
 read exactly.
+
+The kernels (sum, negation, scalar and series products, substitution,
+the exponential twist, division, truncation, homogeneous parts and
+``from_degree_table``) build their results with ``Series2._of``, with no
+second pass over the coefficients: each makes every coefficient an exact
+nonzero Fraction on an exponent of total degree <= order, the invariant
+that the public constructor ``Series2(...)`` checks and enforces on what
+callers and files give it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 Q = Fraction
+_ZERO = Q(0)
 
 DEFAULT_ORDER = 12
 
@@ -223,7 +232,7 @@ def from_degree_table(t, den: int, scale: int = 1) -> "Series2":
         for p, s in enumerate(row):
             if s:
                 out[(p, d - p)] = Q(s, dd)
-    return Series2(out, len(t) - 1)
+    return Series2._of(out, len(t) - 1)
 
 
 def dp_cell(t) -> tuple:
@@ -277,7 +286,9 @@ class Series2:
     """Bivariate truncated series with exact rational coefficients.
 
     Sparse map (p, q) -> coefficient; stored exponents satisfy p + q <= order
-    and zero coefficients are pruned.
+    and zero coefficients are pruned.  The constructor converts, prunes and
+    drops what it is given; the kernels below build their results with
+    _of, which takes the map as it is.
     """
 
     __slots__ = ("order", "_c")
@@ -295,6 +306,15 @@ class Series2:
         self._c = c
 
     @classmethod
+    def _of(cls, c: dict, order: int) -> "Series2":
+        """The series with the map c, unchecked: every value of c must be a
+        nonzero Fraction, and every exponent of total degree <= order."""
+        f = object.__new__(cls)
+        f.order = order
+        f._c = c
+        return f
+
+    @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "Series2":
         return cls({}, order)
 
@@ -307,7 +327,7 @@ class Series2:
         return cls({(p, q): _q(value)}, order)
 
     def coeff(self, p: int, q: int = 0) -> Q:
-        return self._c.get((p, q), Q(0))
+        return self._c.get((p, q), _ZERO)
 
     def terms(self):
         return sorted(self._c.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]))
@@ -328,18 +348,21 @@ class Series2:
         order = min(self.order, other.order)
         c = dict(self._c)
         for e, v in other._c.items():
-            c[e] = c.get(e, Q(0)) + v
-        return Series2(c, order)
+            c[e] = c.get(e, _ZERO) + v
+        return Series2._of({e: v for e, v in c.items()
+                            if v and e[0] + e[1] <= order}, order)
 
     def __sub__(self, other: "Series2") -> "Series2":
         return self + (-other)
 
     def __neg__(self) -> "Series2":
-        return Series2({e: -v for e, v in self._c.items()}, self.order)
+        return Series2._of({e: -v for e, v in self._c.items()}, self.order)
 
     def scalar_mul(self, s) -> "Series2":
         s = _q(s)
-        return Series2({e: s * v for e, v in self._c.items()}, self.order)
+        if not s:
+            return Series2._of({}, self.order)
+        return Series2._of({e: s * v for e, v in self._c.items()}, self.order)
 
     def __mul__(self, other: "Series2") -> "Series2":
         """The truncated product, in integers: each operand's coefficients
@@ -357,8 +380,8 @@ class Series2:
             for _, j, b in tb[:bisect_right(degrees_b, order - d)]:
                 acc[i + j] += a * b
         den = da * db
-        return Series2({divmod(k, w): Q(s, den) for k, s in enumerate(acc)
-                        if s}, order)
+        return Series2._of({divmod(k, w): Q(s, den)
+                            for k, s in enumerate(acc) if s}, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -368,10 +391,14 @@ class Series2:
         term, so self's unknown degree self.order + 1 meets it only in
         degrees the product drops."""
         n = self.order + 1
-        return Series2(self._c, n) * Series2({(1, 0): a, (0, 1): b}, n)
+        return Series2._of(self._c, n) * Series2({(1, 0): a, (0, 1): b}, n)
 
     def truncate(self, order: int) -> "Series2":
-        return Series2(self._c, min(self.order, order))
+        order = min(self.order, order)
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        return Series2._of({e: v for e, v in self._c.items()
+                            if e[0] + e[1] <= order}, order)
 
     def scale_variables(self, m) -> "Series2":
         """Substitute (x, y) -> (m*x, m*y)."""
@@ -408,7 +435,7 @@ class Series2:
             for i, num in enumerate(acc):
                 if num:
                     out[(i, d - i)] = Q(num, den)
-        return Series2(out, self.order)
+        return Series2._of(out, self.order)
 
     def first_difference(self, other: "Series2", order=None):
         """First exponent pair (by total degree, then x-degree) where the two
@@ -416,12 +443,15 @@ class Series2:
         n = min(self.order, other.order)
         if order is not None:
             n = min(n, order)
-        exps = [e for e in set(self._c) | set(other._c) if e[0] + e[1] <= n]
-        for e in sorted(exps, key=lambda e: (e[0] + e[1], e[0])):
-            a, b = self.coeff(*e), other.coeff(*e)
-            if a != b:
-                return (e, a, b)
-        return None
+        a, b = self._c, other._c
+        # no stored value is zero, so a key in only one map is a difference
+        diff = [e for e, v in a.items()
+                if e[0] + e[1] <= n and (e not in b or b[e] != v)]
+        diff += [e for e in b if e[0] + e[1] <= n and e not in a]
+        if not diff:
+            return None
+        e = min(diff, key=lambda e: (e[0] + e[1], e[0]))
+        return (e, self.coeff(*e), other.coeff(*e))
 
     def eq_up_to(self, other: "Series2", order=None) -> bool:
         return self.first_difference(other, order) is None
@@ -519,13 +549,16 @@ def divide_linear(f: Series2, a, b) -> Series2:
         if nums.get(n, 0) * powers[n] != A * prev:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
-    return Series2(out, f.order - 1)
+    if f.order == 0:
+        raise ValueError("order must be non-negative")
+    return Series2._of(out, f.order - 1)
 
 
 def homogeneous_part(f: Series2, d: int) -> Series2:
     if d > f.order:
         raise DegreeExceedsOrder(f"degree {d} exceeds order {f.order}")
-    return Series2({(p, q): v for (p, q), v in f._c.items() if p + q == d}, f.order)
+    return Series2._of({(p, q): v for (p, q), v in f._c.items() if p + q == d},
+                       f.order)
 
 
 def compose_univariate(g: Series2, inner: Series2) -> Series2:

@@ -455,12 +455,6 @@ class DilativeComponents:
     kappa: Fraction
     order: int
 
-    def deltas(self):
-        out = set(self.odd) | set(self.even_simple)
-        if self.alpha0 != 0:
-            out.add(0)
-        return sorted(out)
-
 
 def dilative_decompose(spec: ValuationSpec, delta_max=None,
                        kappa=None) -> DilativeComponents:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and JSON serialization."""
 
 import json
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latval import cli, io, laws
-from latval.geometry import hull_normalize
+from latval.geometry import hull_normalize, scale_polygon
 from latval.group import AffineUnimodular
 from latval.laws import dagger
 from latval.series import Series1, Series2
@@ -595,6 +596,55 @@ def test_order_above_the_limit_exits_3(tmp_path, capsys):
                      "--polygon", write(tmp_path, "T.json", T_POLY)]) == 3
     assert capsys.readouterr().err == (f"error: order {io.MAX_ORDER + 1} is "
                                        f"above the limit {io.MAX_ORDER}\n")
+
+
+HUGE_POLY = {"vertices": [[0, 0], [2, 0], [0, 10**20]]}
+
+
+def test_lattice_points_above_the_limit_exit_3(tmp_path, capsys):
+    # counted by Pick's theorem, without enumerating the 1.5 * 10^20 points
+    path = write(tmp_path, "huge.json", HUGE_POLY)
+    n = 15 * 10**19 + 3
+    for argv in (["evaluate", "--spec", write(tmp_path, "spec.json",
+                                              LAPLACE_SPEC)],
+                 ["laplace"]):
+        start = time.perf_counter()
+        assert cli.main(argv + ["--polygon", path]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: polygon has {n} lattice points, "
+                                f"above the limit {io.MAX_LATTICE_POINTS}\n")
+
+
+def test_dilates_above_the_lattice_point_limit_exit_3(tmp_path, capsys):
+    # T has 3 lattice points; its dilate mT has (m + 1)(m + 2) / 2
+    m = 446
+    assert (m + 1) * (m + 2) // 2 > io.MAX_LATTICE_POINTS \
+        >= m * (m + 1) // 2
+    argv = ["dilative", "--spec", write(tmp_path, "spec.json", LAPLACE_SPEC),
+            "--delta", "-2", "--polygons", write(tmp_path, "T.json", T_POLY)]
+    assert cli.main(argv + ["--m", f"2,{m}"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the dilate {m}P of P = [[0, 0], [1, 0], [0, 1]] has "
+        f"{(m + 1) * (m + 2) // 2} lattice points, above the limit "
+        f"{io.MAX_LATTICE_POINTS}\n")
+    assert io.bounded_polygon(scale_polygon(io.polygon_from_obj(T_POLY),
+                                            m - 1)).dim == 2
+
+
+@pytest.mark.parametrize("command, limits", [
+    ("check-law", ("MAX_ORDER",)), ("transform", ("MAX_ORDER",)),
+    ("construct", ("MAX_ORDER",)), ("decompose", ("MAX_ORDER",)),
+    ("evaluate", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
+    ("dilative", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
+    ("laplace", ("MAX_LATTICE_POINTS",))])
+def test_help_states_the_limits(capsys, command, limits):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name in limits:
+        assert str(getattr(io, name)) in text
 
 
 def test_violations_render_exact_rationals(tmp_path, capsys):

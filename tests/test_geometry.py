@@ -12,7 +12,8 @@ from latval.geometry import (EmptyInput, NoValidChord,
                              NotFullDimensional, NotSegment, area2,
                              boundary_lattice_points, chord_of_split,
                              contains, hull_normalize, lattice_length,
-                             lattice_points, on_boundary, scale_polygon,
+                             lattice_point_count, lattice_points,
+                             on_boundary, scale_polygon,
                              segment_lattice_points, split_pairs,
                              unimodular_triangulation)
 
@@ -245,6 +246,7 @@ def test_lattice_points_match_box_scan(P):
     scan = [(x, y) for x in range(min(xs), max(xs) + 1)
             for y in range(min(ys), max(ys) + 1) if contains(P, (x, y))]
     assert lattice_points(P) == scan
+    assert lattice_point_count(P) == len(scan)
 
 
 def test_split_pairs():

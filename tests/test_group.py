@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 
 from latval.geometry import area2, hull_normalize
 from latval.group import (AffineUnimodular, D4_GENERATORS, GL2Z_GENERATORS,
-                          NotUnimodular, act_on_polygon, act_on_series,
-                          d4_elements, det, is_d4_invariant, mat_inverse,
-                          mat_mul)
-from latval.series import Series2, exp_linear
+                          IDENTITY_MATRIX, NotUnimodular, act_on_polygon,
+                          act_on_series, d4_elements, det, is_d4_invariant,
+                          mat_apply, mat_inverse, mat_mul)
+from latval.series import Series2, exp_linear, mul_exp_linear
+
+
+def inverse(xi):
+    """The inverse element: p -> M^-1 (p - v)."""
+    mi = mat_inverse(xi.m)
+    w = mat_apply(mi, xi.v)
+    return AffineUnimodular(mi, (-w[0], -w[1]))
+
+
+def is_identity(xi):
+    return xi.m == IDENTITY_MATRIX and xi.v == (0, 0)
 
 
 def random_unimodular(rng):
@@ -46,8 +57,8 @@ def test_compose_and_inverse():
         ab = a.compose(b)
         p = (rng.randint(-5, 5), rng.randint(-5, 5))
         assert ab.apply_point(p) == a.apply_point(b.apply_point(p))
-        assert a.compose(a.inverse()).is_identity()
-        assert a.inverse().compose(a).is_identity()
+        assert is_identity(a.compose(inverse(a)))
+        assert is_identity(inverse(a).compose(a))
         assert abs(det(ab.m)) == 1
 
 
@@ -78,7 +89,7 @@ def affine_unimodulars(draw):
     """A random element of GL(2, Z) semidirect Z^2: a word in the GL(2, Z)
     generators and their inverses, and a translation."""
     gens = [AffineUnimodular.linear(g) for g in GL2Z_GENERATORS]
-    gens += [g.inverse() for g in gens]
+    gens += [inverse(g) for g in gens]
     xi = AffineUnimodular.translation((draw(st.integers(-3, 3)),
                                        draw(st.integers(-3, 3))))
     for g in draw(st.lists(st.sampled_from(gens), max_size=5)):
@@ -102,12 +113,41 @@ def test_group_action_law_on_series(a, b, f):
     assert lhs.key() == act_on_series(a, act_on_series(b, f)).key()
 
 
+big_rationals = st.builds(Q, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**30))
+
+
+@st.composite
+def dense_series2s(draw, max_order=16):
+    """Every coefficient up to the order nonzero, with numerators of up to
+    40 digits."""
+    order = draw(st.integers(0, max_order))
+    return Series2({(p, d - p): draw(big_rationals.filter(bool))
+                    for d in range(order + 1) for p in range(d + 1)}, order)
+
+
+@settings(max_examples=80)
+@given(affine_unimodulars(), st.one_of(series2s(), dense_series2s()),
+       st.one_of(st.just(None), st.tuples(st.integers(-10**6, 10**6),
+                                          st.integers(-10**6, 10**6))))
+def test_act_on_series_is_substitution_then_twist(xi, f, v):
+    # one face of sum_of_images against the two kernels it replaces
+    if v is not None:
+        xi = AffineUnimodular(xi.m, v)
+    (a, b), (c, d) = xi.m
+    got = act_on_series(xi, f)
+    assert got.key() == mul_exp_linear(f.subst_linear((a, c), (b, d)),
+                                       *xi.v).key()
+    assert all(type(c) is Q for c in got._c.values())
+    assert got._c == Series2(got._c, got.order)._c
+
+
 def test_action_inverse_restores():
     rng = random.Random(3)
     for _ in range(8):
         a = random_unimodular(rng)
         f = random_series(rng)
-        assert act_on_series(a.inverse(), act_on_series(a, f)) == f
+        assert act_on_series(inverse(a), act_on_series(a, f)) == f
 
 
 def test_d4_has_eight_elements():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            DegreeExceedsOrder, NotDivisible, Series1, Series2,
                            bernoulli_numbers, compose_univariate,
-                           divide_linear, exp_linear, homogeneous_part,
-                           dp_cell, mul_exp_linear, special_series,
-                           sum_of_images)
+                           divide_linear, exp_linear, from_degree_table,
+                           homogeneous_part, dp_cell, mul_exp_linear,
+                           special_series, sum_of_images, to_degree_tables)
 
 
 def test_default_order():
@@ -485,3 +485,78 @@ def test_sum_of_images_on_one_translation(faces):
     # the images of one translation are read back from one packed sum,
     # whose width must leave room for the number of faces
     _check_sum_of_images(faces)
+
+
+# ---------------------------------------------------------------------------
+# kernel results are built unchecked; they must be what the checking
+# constructor makes of them
+
+
+def assert_checked(f):
+    """f's map is the one Series2(...) makes of it: Fraction values, none
+    of them zero, every exponent within the order."""
+    assert f.order >= 0
+    assert all(type(v) is Q for v in f._c.values())
+    assert f._c == Series2(f._c, f.order)._c
+
+
+@settings(max_examples=100)
+@given(any_series, series2s(max_order=20, coeffs=entries | large_rationals),
+       entries, st.integers(0, 20), matrices(), linear_forms,
+       exponents, exponents)
+def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
+                                             alpha, beta):
+    # g has its own order, so sums and products cut one operand's top
+    # degrees; f - f cancels every term
+    assert (f - f).is_zero() and (f - f).order == f.order
+    den, (t,) = to_degree_tables([f])
+    results = [f + g, g + f, f - g, f - f, -f, f * g, f.scalar_mul(s),
+               f.scalar_mul(0), f.truncate(d), f.mul_linear(*form),
+               f.subst_linear(*m), mul_exp_linear(f, alpha, beta),
+               from_degree_table(t, den), from_degree_table(t, den, 3)]
+    if d <= f.order:
+        results.append(homogeneous_part(f, d))
+    if form != (0, 0):
+        results.append(divide_linear(f.mul_linear(*form), *form))
+    for r in results:
+        assert_checked(r)
+    assert from_degree_table(t, den).key() == f.key()
+
+
+def sorted_scan_difference(f, g, order=None):
+    """first_difference by a scan of the sorted union of the exponents,
+    two coeff lookups per exponent (the oracle)."""
+    n = min(f.order, g.order)
+    if order is not None:
+        n = min(n, order)
+    exps = [e for e in set(f._c) | set(g._c) if e[0] + e[1] <= n]
+    for e in sorted(exps, key=lambda e: (e[0] + e[1], e[0])):
+        a, b = f.coeff(*e), g.coeff(*e)
+        if a != b:
+            return (e, a, b)
+    return None
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series that differ in a few terms, or in their orders alone,
+    or are unrelated."""
+    f = draw(any_series)
+    kind = draw(st.sampled_from(["near", "truncated", "unrelated"]))
+    if kind == "near":
+        h = draw(series2s(max_order=20))
+        return f, f + h if draw(st.booleans()) else h + f
+    if kind == "truncated":
+        return f, f.truncate(draw(st.integers(0, 20)))
+    return f, draw(any_series)
+
+
+@settings(max_examples=150)
+@given(series_pairs(), st.one_of(st.none(), st.integers(0, 20)))
+def test_first_difference_matches_sorted_scan(pair, order):
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        got = a.first_difference(b, order)
+        assert got == sorted_scan_difference(a, b, order)
+        if got is not None:
+            assert type(got[1]) is Q and type(got[2]) is Q
