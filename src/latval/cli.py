@@ -128,6 +128,8 @@ def cmd_transform(args) -> int:
     ops = {"sharp": laws.sharp, "dagger": laws.dagger,
            "diamond": laws.diamond, "to-st": laws.to_st,
            "from-st": laws.from_st}
+    if args.op in ("dagger", "diamond"):   # a division, which loses one order
+        _at_least(f"for --op {args.op}, the series order", f.order, 1)
     _emit(ops[args.op](f), args)
     return EXIT_OK
 

@@ -115,17 +115,6 @@ def contains(P: LatticePolygon, point) -> bool:
     return all(_cross(v[i - 1], v[i], point) >= 0 for i in range(len(v)))
 
 
-def on_boundary(P: LatticePolygon, p: Point) -> bool:
-    if P.dim < 2:
-        return contains(P, p)
-    v = P.vertices
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        if _cross(a, b, p) == 0 and _between(a, b, p):
-            return True
-    return False
-
-
 def _between(a: Point, b: Point, p: Point) -> bool:
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))

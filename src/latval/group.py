@@ -58,15 +58,6 @@ def mat_apply(m: Matrix, p) -> tuple[int, int]:
     return (a * p[0] + b * p[1], c * p[0] + d * p[1])
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    s = det(m)
-    if abs(s) != 1:
-        raise NotUnimodular(f"determinant {s}")
-    (a, b), (c, d) = m
-    # the adjugate over the +-1 determinant stays integral
-    return ((d * s, -b * s), (-c * s, a * s))
-
-
 @dataclass(frozen=True)
 class AffineUnimodular:
     """Element of Z^2 semidirect GL(2, Z): p -> M p + v."""

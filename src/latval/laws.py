@@ -21,7 +21,7 @@ from . import linalg
 from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
                     is_d4_invariant)
 from .series import (Series2, divide_linear, format_rational,
-                     homogeneous_part, mul_exp_linear, special_series)
+                     mul_exp_linear, special_series)
 
 Q = Fraction
 
@@ -279,21 +279,23 @@ def d4_decompose(h: Series2) -> Series2:
     powers = _generator_powers(
         [(i, j) for j in range(n // 4 + 1) for i in range((n - 4 * j) // 2 + 1)],
         n)
+    den, c = h.numerators()
     out = {}
     for deg in range(n + 1):
-        part = homogeneous_part(h, deg)
+        rhs = [c.get((p, deg - p), 0) for p in range(deg + 1)]
         if deg % 2 == 1:
-            if not part.is_zero():
+            if any(rhs):
                 raise NotInvariant("odd-degree terms present")
             continue
         monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
-        polys = [powers[e] for e in monos]
-        matrix = [[g.coeff(p, deg - p) for g in polys] for p in range(deg + 1)]
-        rhs = [part.coeff(p, deg - p) for p in range(deg + 1)]
+        # products of the integer generators: their denominators are 1
+        polys = [powers[e].numerators()[1] for e in monos]
+        matrix = [[g.get((p, deg - p), 0) for g in polys]
+                  for p in range(deg + 1)]
         sol = linalg.solve(matrix, rhs)
         if sol is None:
             raise NoRepresentation(f"degree {deg} part not in the invariant ring")
-        out.update(zip(monos, sol))
+        out.update((e, x / den) for e, x in zip(monos, sol))
     return Series2(out, n)
 
 

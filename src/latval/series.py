@@ -20,13 +20,13 @@ coefficients are read back as balanced digits of width k; the width set
 in ``_packed_sum`` keeps each within (-2^(k-1), 2^(k-1)), so they are
 read exactly.
 
-The kernels (sum, negation, scalar and series products, substitution,
-the exponential twist, division, truncation, homogeneous parts and
-``from_degree_table``) build their results with ``Series2._of``, with no
-second pass over the coefficients: each makes every coefficient an exact
-nonzero Fraction on an exponent of total degree <= order, the invariant
-that the public constructor ``Series2(...)`` checks and enforces on what
-callers and files give it.
+A series holds nonzero int numerators {(p, q): s} over one int den >= 1,
+canonical: gcd(den, *s) = 1 and every p + q <= order, so equal series of
+one order hold equal state.  ``Series2(...)`` checks what it is given and
+brings it over one lcm; the kernels build their results with
+``Series2._of``, which reduces by one gcd, so no ``Fraction`` is made
+between kernels.  ``coeff``, ``terms`` and ``first_difference`` return
+``Fraction``s, and ``Series2.numerators`` gives the integers.
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ def _q(value) -> Q:
 _SHORT = 10 ** 600
 
 
-def format_rational(v) -> str:
-    """v, a Fraction or an int, as exact text, "num/den" or an integer,
-    with any number of digits."""
-    if v.denominator == 1:
-        return _int_text(v.numerator)
-    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
+def format_rational(v, den: int = 1) -> str:
+    """v / den as exact text, "num/den" in lowest terms or an integer, with
+    any number of digits: v a Fraction or an int, den a positive int."""
+    num, den = v.numerator, v.denominator * den
+    g = gcd(num, den)
+    text = _int_text(num // g)
+    return text if den == g else f"{text}/{_int_text(den // g)}"
 
 
 def _int_text(n: int) -> str:
@@ -84,20 +85,6 @@ def _int_text(n: int) -> str:
     low_digits = n.bit_length() * 3 // 20   # 0.15 < log10(2) / 2
     high, low = divmod(n, 10 ** low_digits)
     return _int_text(high) + _int_text(low).zfill(low_digits)
-
-
-def _integer_degrees(f) -> dict:
-    """f's coefficients grouped by total degree d, each degree over one
-    common denominator: {d: (den, {p: s})} with f[p, d - p] = s / den."""
-    by_degree = {}
-    for (p, q), v in f._c.items():
-        by_degree.setdefault(p + q, {})[p] = v
-    out = {}
-    for d, coeffs in by_degree.items():
-        den = lcm(*(v.denominator for v in coeffs.values()))
-        out[d] = (den, {p: v.numerator * (den // v.denominator)
-                        for p, v in coeffs.items()})
-    return out
 
 
 def _packed_powers(a: int, b: int, n: int, k: int) -> list:
@@ -181,14 +168,11 @@ def _read_back(packed, k: int):
         yield d, acc
 
 
-def _flat_numerators(f, w: int):
-    """(den, terms): f's coefficients of total degree < w as integer
-    numerators s over one common denominator den, each term
+def _flat(c: dict, w: int) -> list:
+    """The terms of the numerator map c of total degree < w as
     (p + q, p*w + q, s), sorted by total degree."""
-    kept = [(p, q, v) for (p, q), v in f._c.items() if p + q < w]
-    den = lcm(*(v.denominator for _, _, v in kept))
-    return den, sorted((p + q, p * w + q, v.numerator * (den // v.denominator))
-                       for p, q, v in kept)
+    return sorted((p + q, p * w + q, s) for (p, q), s in c.items()
+                  if p + q < w)
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +185,43 @@ def _flat_numerators(f, w: int):
 # C(s, d) * (v.z)^(s-d) once both are times their d! and s!, so integer
 # substitutions and twists by integer v map integer tables to integer
 # tables.  A sum of such images (a polygon's faces, or the one face of
-# mul_exp_linear) is built in integers, by sum_of_images, and made into
-# Fractions once, by from_degree_table.
+# mul_exp_linear) is built in integers, by sum_of_images, and brought over
+# one denominator, by from_degree_table.
 
 
 def to_degree_tables(fs) -> tuple:
     """(D, tables): the degree tables of the series fs, all of one order,
-    over the least D that makes every one of them integral: the lcm of the
-    denominators of d! * f[p, d - p].  Each f enters as
-    t[d][p] = D * d! * f[p, d - p]."""
+    over the least D that makes every one of them integral.  Each f, with
+    numerators s over den, enters as t[d][p] = D * d! * s / den; the least
+    D for f alone is den / gcd(den, the d! * s), and D is their lcm."""
     n = fs[0].order
     fact = [factorial(d) for d in range(n + 1)]
-    den = lcm(*(v.denominator // gcd(v.denominator, fact[p + q])
-                for f in fs for (p, q), v in f._c.items()))
+    scaled = [(f._den, [(p + q, p, fact[p + q] * s)
+                        for (p, q), s in f._c.items()]) for f in fs]
+    den = lcm(*(d // gcd(d, *(s for _, _, s in terms)) for d, terms in scaled))
     tables = []
-    for f in fs:
-        t = [[0] * (d + 1) for d in range(n + 1)]
-        for (p, q), v in f._c.items():
-            t[p + q][p] = v.numerator * den * fact[p + q] // v.denominator
+    for d, terms in scaled:
+        t = [[0] * (k + 1) for k in range(n + 1)]
+        for k, p, s in terms:
+            t[k][p] = s * den // d
         tables.append(t)
     return den, tables
 
 
 def from_degree_table(t, den: int, scale: int = 1) -> "Series2":
     """The series of the degree table t over den, read at z / scale: its
-    coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d)."""
+    coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d): t[d][p] * w[d]
+    over den * w[0], for w[d] = n!/d! * scale^(n-d) and n the top row."""
+    n = len(t) - 1
+    w = [1] * (n + 1)
+    for d in range(n, 0, -1):
+        w[d - 1] = w[d] * d * scale
     out = {}
     for d, row in enumerate(t):
-        dd = den * factorial(d) * scale ** d
         for p, s in enumerate(row):
             if s:
-                out[(p, d - p)] = Q(s, dd)
-    return Series2._of(out, len(t) - 1)
+                out[(p, d - p)] = s * w[d]
+    return Series2._of(out, den * w[0], n)
 
 
 def dp_cell(t) -> tuple:
@@ -285,33 +274,35 @@ def sum_of_images(faces, n: int) -> list:
 class Series2:
     """Bivariate truncated series with exact rational coefficients.
 
-    Sparse map (p, q) -> coefficient; stored exponents satisfy p + q <= order
-    and zero coefficients are pruned.  The constructor converts, prunes and
-    drops what it is given; the kernels below build their results with
-    _of, which takes the map as it is.
+    The coefficients are the int numerators _c over _den, canonical as the
+    module docstring says.  The constructor converts, prunes and drops
+    what it is given; the kernels build their results with _of.
     """
 
-    __slots__ = ("order", "_c")
+    __slots__ = ("order", "_den", "_c")
 
     def __init__(self, coeffs=None, order: int = DEFAULT_ORDER):
         if order < 0:
             raise ValueError("order must be non-negative")
-        self.order = order
         c = {}
         if coeffs:
             for (p, q), v in coeffs.items():
-                v = _q(v)
+                v = v if isinstance(v, int) else _q(v)
                 if p + q <= order and v != 0:
                     c[(p, q)] = v
-        self._c = c
+        self.order, self._den = order, lcm(*(v.denominator for v in c.values()))
+        self._c = {e: v.numerator * (self._den // v.denominator)
+                   for e, v in c.items()}
 
     @classmethod
-    def _of(cls, c: dict, order: int) -> "Series2":
-        """The series with the map c, unchecked: every value of c must be a
-        nonzero Fraction, and every exponent of total degree <= order."""
+    def _of(cls, c: dict, den: int, order: int) -> "Series2":
+        """The series c / den, reduced by one gcd and otherwise unchecked:
+        every value of c must be a nonzero int, every exponent of total
+        degree <= order, and den >= 1."""
+        g = gcd(den, *c.values())
         f = object.__new__(cls)
-        f.order = order
-        f._c = c
+        f.order, f._den = order, den // g
+        f._c = c if g == 1 else {e: s // g for e, s in c.items()}
         return f
 
     @classmethod
@@ -320,17 +311,24 @@ class Series2:
 
     @classmethod
     def constant(cls, value, order: int = DEFAULT_ORDER) -> "Series2":
-        return cls({(0, 0): _q(value)}, order)
+        return cls({(0, 0): value}, order)
 
     @classmethod
     def monomial(cls, value, p: int, q: int, order: int = DEFAULT_ORDER) -> "Series2":
-        return cls({(p, q): _q(value)}, order)
+        return cls({(p, q): value}, order)
 
     def coeff(self, p: int, q: int = 0) -> Q:
-        return self._c.get((p, q), _ZERO)
+        s = self._c.get((p, q))
+        return Q(s, self._den) if s else _ZERO
 
     def terms(self):
-        return sorted(self._c.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]))
+        return [(e, Q(s, self._den)) for e, s in
+                sorted(self._c.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]))]
+
+    def numerators(self) -> tuple:
+        """(den, c): the coefficients c[(p, q)] / den in lowest terms; c is
+        the series' own map, to be read and not changed."""
+        return self._den, self._c
 
     def is_zero(self) -> bool:
         return not self._c
@@ -345,43 +343,48 @@ class Series2:
         return min(p + q for p, q in self._c)
 
     def __add__(self, other: "Series2") -> "Series2":
-        order = min(self.order, other.order)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, _ZERO) + v
-        return Series2._of({e: v for e, v in c.items()
-                            if v and e[0] + e[1] <= order}, order)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Series2") -> "Series2":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Series2", sign: int) -> "Series2":
+        """self + sign * other, over the lcm of the two denominators."""
+        order = min(self.order, other.order)
+        den = lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den * sign
+        c = {e: s * ma for e, s in self._c.items() if e[0] + e[1] <= order}
+        for e, s in other._c.items():
+            if e[0] + e[1] <= order:
+                c[e] = c.get(e, 0) + s * mb
+        return Series2._of({e: s for e, s in c.items() if s}, den, order)
 
     def __neg__(self) -> "Series2":
-        return Series2._of({e: -v for e, v in self._c.items()}, self.order)
+        return Series2._of({e: -s for e, s in self._c.items()}, self._den,
+                           self.order)
 
     def scalar_mul(self, s) -> "Series2":
         s = _q(s)
         if not s:
-            return Series2._of({}, self.order)
-        return Series2._of({e: s * v for e, v in self._c.items()}, self.order)
+            return Series2._of({}, 1, self.order)
+        return Series2._of({e: v * s.numerator for e, v in self._c.items()},
+                           self._den * s.denominator, self.order)
 
     def __mul__(self, other: "Series2") -> "Series2":
-        """The truncated product, in integers: each operand's coefficients
-        are numerators over one common denominator, the exponent (p, q) is
-        the flat index p*w + q with w = order + 1 (so adding indices
-        multiplies monomials), and one Fraction is made per output
-        coefficient."""
+        """The truncated product of the numerators, over the product of the
+        denominators: the exponent (p, q) is the flat index p*w + q with
+        w = order + 1, so adding indices multiplies monomials."""
         order = min(self.order, other.order)
         w = order + 1
-        da, ta = _flat_numerators(self, w)
-        db, tb = _flat_numerators(other, w)
+        ta, tb = _flat(self._c, w), _flat(other._c, w)
         degrees_b = [d for d, _, _ in tb]
         acc = [0] * (w * w)
         for d, i, a in ta:
             for _, j, b in tb[:bisect_right(degrees_b, order - d)]:
                 acc[i + j] += a * b
-        den = da * db
-        return Series2._of({divmod(k, w): Q(s, den)
-                            for k, s in enumerate(acc) if s}, order)
+        return Series2._of({(p, q): s for p in range(w) for q, s in
+                            enumerate(acc[p * w:(p + 1) * w - p]) if s},
+                           self._den * other._den, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -391,20 +394,23 @@ class Series2:
         term, so self's unknown degree self.order + 1 meets it only in
         degrees the product drops."""
         n = self.order + 1
-        return Series2._of(self._c, n) * Series2({(1, 0): a, (0, 1): b}, n)
+        return Series2._of(self._c, self._den, n) \
+            * Series2({(1, 0): a, (0, 1): b}, n)
 
     def truncate(self, order: int) -> "Series2":
         order = min(self.order, order)
         if order < 0:
             raise ValueError("order must be non-negative")
-        return Series2._of({e: v for e, v in self._c.items()
-                            if e[0] + e[1] <= order}, order)
+        return Series2._of({e: s for e, s in self._c.items()
+                            if e[0] + e[1] <= order}, self._den, order)
 
     def scale_variables(self, m) -> "Series2":
-        """Substitute (x, y) -> (m*x, m*y)."""
-        m = _q(m)
-        return Series2({(p, q): v * m ** (p + q) for (p, q), v in self._c.items()},
-                       self.order)
+        """Substitute (x, y) -> (m*x, m*y): for m = a/b, degree d is times
+        a^d * b^(n-d) over b^n, n the order."""
+        m, n = _q(m), self.order
+        w = [m.numerator ** d * m.denominator ** (n - d) for d in range(n + 1)]
+        return Series2._of({(p, q): s * w[p + q] for (p, q), s in self._c.items()
+                            if w[p + q]}, self._den * w[0], n)
 
     def subst_linear(self, first, second) -> "Series2":
         """Return f(a1*x + b1*y, a2*x + b2*y) for first=(a1,b1), second=(a2,b2).
@@ -412,41 +418,42 @@ class Series2:
         Coefficients may be rational; order is preserved since degree-n terms
         map to degree-n terms.  The work is done in integers: with L the lcm
         of the four entries' denominators, (a1 x + b1 y)^p is (L a1 x +
-        L b1 y)^p divided by L^p.  The coefficients of each total degree d
-        are brought to one common denominator den, and _packed_sum turns
-        their numerators into those of the image as one packed integer per
-        degree (Kronecker substitution, with the digit width bound given
-        there), so every output coefficient of degree d is an exact integer
-        over den * L^d.
+        L b1 y)^p divided by L^p.  _packed_sum turns the numerators of each
+        total degree d into those of the image as one packed integer
+        (Kronecker substitution, with the digit width bound given there), an
+        exact integer over den * L^d, which is times L^(n-d) over
+        den * L^n for n the top degree.
         """
         a1, b1 = _q(first[0]), _q(first[1])
         a2, b2 = _q(second[0]), _q(second[1])
         scale = lcm(a1.denominator, b1.denominator,
                     a2.denominator, b2.denominator)
-        degrees = sorted(_integer_degrees(self).items())
-        cell = _packed_cell([(d, list(nums.items()))
-                             for d, (_, nums) in degrees])
-        dens = {d: den for d, (den, _) in degrees}
-        k, sums = _packed_sum([(cell, (int(a1 * scale), int(b1 * scale)),
+        by_degree = {}
+        for (p, q), s in self._c.items():
+            by_degree.setdefault(p + q, []).append((p, s))
+        k, sums = _packed_sum([(_packed_cell(sorted(by_degree.items())),
+                                (int(a1 * scale), int(b1 * scale)),
                                 (int(a2 * scale), int(b2 * scale)))])
+        n = max(sums, default=0)
         out = {}
         for d, acc in _read_back(sorted(sums.items()), k):
-            den = dens[d] * scale ** d
-            for i, num in enumerate(acc):
-                if num:
-                    out[(i, d - i)] = Q(num, den)
-        return Series2._of(out, self.order)
+            m = scale ** (n - d)
+            for i, s in enumerate(acc):
+                if s:
+                    out[(i, d - i)] = s * m
+        return Series2._of(out, self._den * scale ** n, self.order)
 
     def first_difference(self, other: "Series2", order=None):
         """First exponent pair (by total degree, then x-degree) where the two
-        series differ up to the common valid order, or None."""
+        series differ up to the common valid order, or None.  The numerators
+        are compared across the two denominators."""
         n = min(self.order, other.order)
         if order is not None:
             n = min(n, order)
-        a, b = self._c, other._c
+        a, b, da, db = self._c, other._c, self._den, other._den
         # no stored value is zero, so a key in only one map is a difference
-        diff = [e for e, v in a.items()
-                if e[0] + e[1] <= n and (e not in b or b[e] != v)]
+        diff = [e for e, s in a.items()
+                if e[0] + e[1] <= n and s * db != b.get(e, 0) * da]
         diff += [e for e in b if e[0] + e[1] <= n and e not in a]
         if not diff:
             return None
@@ -463,8 +470,8 @@ class Series2:
 
     __hash__ = None
 
-    def key(self):
-        return (self.order, tuple(self.terms()))
+    def key(self):   # equal orders and coefficients: the state is canonical
+        return (self.order, self._den, frozenset(self._c.items()))
 
     def __repr__(self):
         body = " + ".join(f"({v})*x^{p}*y^{q}" for (p, q), v in self.terms()) or "0"
@@ -519,13 +526,13 @@ def divide_linear(f: Series2, a, b) -> Series2:
     loses one order.
 
     Solved per total degree n in integers: with L the lcm of the
-    denominators of a and b, A = L*a, B = L*b, and the degree-n coefficients
-    F[p] of x^p y^(n-p) over one common denominator den, the quotient's
-    coefficient of x^p y^(n-1-p) is L*N[p] / (den*B^(p+1)), where
-    N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple exactly when
-    F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero constant term);
-    otherwise NotDivisible is raised.  When B = 0, f is read with x and y
-    swapped.
+    denominators of a and b, A = L*a, B = L*b (both negated if B < 0), and
+    f's numerators F[p] of x^p y^(n-p) over den, the quotient's coefficient
+    of x^p y^(n-1-p) is L*N[p]*B^(t-1-p) over den*B^t, t f's top degree,
+    where N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple
+    exactly when F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero
+    constant term); otherwise NotDivisible is raised.  When B = 0, f is
+    read with x and y swapped.
     """
     a, b = _q(a), _q(b)
     if a == 0 and b == 0:
@@ -535,30 +542,34 @@ def divide_linear(f: Series2, a, b) -> Series2:
     swap = B == 0
     if swap:
         A, B = B, A
-    powers = [B ** k for k in range(f.order + 2)]
+    if B < 0:
+        A, B, scale = -A, -B, -scale
+    by_degree = {}
+    for (p, q), s in f._c.items():
+        by_degree.setdefault(p + q, {})[q if swap else p] = s
+    top = max(by_degree, default=0)
+    powers = [B ** k for k in range(top + 1)]
     out = {}
-    for n, (den, nums) in _integer_degrees(f).items():
-        if swap:
-            nums = {n - p: s for p, s in nums.items()}
+    for n, nums in by_degree.items():
         prev = 0
         for p in range(n):
             prev = nums.get(p, 0) * powers[p] - A * prev
             if prev:
                 e = (n - 1 - p, p) if swap else (p, n - 1 - p)
-                out[e] = Q(scale * prev, den * powers[p + 1])
+                out[e] = scale * prev * powers[top - 1 - p]
         if nums.get(n, 0) * powers[n] != A * prev:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
     if f.order == 0:
         raise ValueError("order must be non-negative")
-    return Series2._of(out, f.order - 1)
+    return Series2._of(out, f._den * powers[top], f.order - 1)
 
 
 def homogeneous_part(f: Series2, d: int) -> Series2:
     if d > f.order:
         raise DegreeExceedsOrder(f"degree {d} exceeds order {f.order}")
-    return Series2._of({(p, q): v for (p, q), v in f._c.items() if p + q == d},
-                       f.order)
+    return Series2._of({(p, q): s for (p, q), s in f._c.items() if p + q == d},
+                       f._den, f.order)
 
 
 def compose_univariate(g: Series2, inner: Series2) -> Series2:

@@ -130,7 +130,7 @@ class ValuationSpec:
         object.__setattr__(self, "c", Q(self.c))
         if self.g is None:
             object.__setattr__(self, "g", Series2.zero(self.order))
-        for (p, q), _ in self.g.terms():
+        for p, q in self.g.numerators()[1]:
             if q != 0:
                 raise ValueError(f"g must be a series in x alone; it has "
                                  f"the term x^{p}*y^{q}")

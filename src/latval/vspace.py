@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laws, linalg
-from .series import Series2, homogeneous_part
+from .series import Series2
 
 
 def monomials(d: int):
@@ -36,7 +36,8 @@ def from_coefficients(coeffs, d: int, order=None) -> Series2:
 
 
 def to_coefficients(rho: Series2, d: int):
-    return [rho.coeff(d - k, k) for k in range(d + 1)]
+    den, c = rho.numerators()
+    return [Fraction(c.get((d - k, k), 0), den) for k in range(d + 1)]
 
 
 def constraint_matrix(d: int, law_ids):
@@ -53,7 +54,7 @@ def constraint_matrix(d: int, law_ids):
         for law in law_ids:
             lhs, rhs = laws.law_sides(law, mono)
             res = lhs - rhs
-            col += [res.coeff(res.order - j, j) for j in range(res.order + 1)]
+            col += to_coefficients(res, res.order)
         cols.append(col)
     return [list(r) for r in zip(*cols)]
 
@@ -100,8 +101,8 @@ def dims_table(d_max: int):
 def homogeneous_solution_components(rho: Series2):
     """Split a series into its nonzero homogeneous parts, each of which is
     a solution if rho is; returns [(d, coefficient vector)] by degree."""
-    return [(d, tuple(to_coefficients(homogeneous_part(rho, d), d)))
-            for d in sorted({p + q for (p, q), _ in rho.terms()})]
+    return [(d, tuple(to_coefficients(rho, d)))
+            for d in sorted({p + q for p, q in rho.numerators()[1]})]
 
 
 # ---------------------------------------------------------------------------

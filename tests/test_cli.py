@@ -468,6 +468,21 @@ def test_transform_dagger(tmp_path, capsys):
     assert f.coeff(0, 0) == Q(1, 2)
 
 
+@pytest.mark.parametrize("op", ["dagger", "diamond"])
+@pytest.mark.parametrize("terms", [[], [{"e": [0, 0], "c": "1"}]])
+def test_transform_dividing_an_order_0_series_exits_3(tmp_path, capsys, op,
+                                                      terms):
+    # the division by a linear form loses one order, and order 0 has none
+    # to lose; a nonzero constant is not divisible either way
+    path = write(tmp_path, "o0.json",
+                 {"vars": ["x", "y"], "order": 0, "terms": terms})
+    assert cli.main(["transform", "--op", op, "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: for --op {op}, the series order 0 is "
+                            "out of range: it must be >= 1\n")
+
+
 def test_evaluate_matches_laplace_byte_identical(tmp_path, capsys):
     spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
     tpath = write(tmp_path, "T.json", T_POLY)

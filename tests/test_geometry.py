@@ -13,12 +13,22 @@ from latval.geometry import (EmptyInput, NoValidChord,
                              boundary_lattice_points, chord_of_split,
                              contains, hull_normalize, lattice_length,
                              lattice_point_count, lattice_points,
-                             on_boundary, scale_polygon,
+                             scale_polygon,
                              segment_lattice_points, split_pairs,
                              unimodular_triangulation)
 
 T = hull_normalize([(0, 0), (1, 0), (0, 1)])
 SQUARE = hull_normalize([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def on_boundary(P, p):
+    """Whether p lies on an edge of P (on P itself, for a point or a
+    segment)."""
+    if P.dim < 2:
+        return contains(P, p)
+    v = P.vertices
+    return any(contains(hull_normalize([v[i - 1], v[i]]), p)
+               for i in range(len(v)))
 
 
 def test_hull_normalize():

@@ -1,7 +1,7 @@
 """Tests for truncated series arithmetic and the special series."""
 
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,7 +298,8 @@ def test_mul_of_dense_series_matches_fraction_double_loop():
     g = Series2({(p, d - p): Q(3 - p, d + 5) for d in range(21)
                  for p in range(d + 1)}, 20)
     assert (f * g).key() == naive_product(f, g).key()
-    assert (g * Series2.zero(9)).key() == (9, ())
+    assert (g * Series2.zero(9)).key() == Series2.zero(9).key()
+    assert Series2.zero(9).key() == (9, 1, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +489,22 @@ def test_sum_of_images_on_one_translation(faces):
 
 
 # ---------------------------------------------------------------------------
-# kernel results are built unchecked; they must be what the checking
-# constructor makes of them
+# kernel results are built unchecked; they must be in the canonical state
+# that the checking constructor makes
 
 
 def assert_checked(f):
-    """f's map is the one Series2(...) makes of it: Fraction values, none
-    of them zero, every exponent within the order."""
-    assert f.order >= 0
-    assert all(type(v) is Q for v in f._c.values())
-    assert f._c == Series2(f._c, f.order)._c
+    """f's state is canonical and is the one Series2(...) makes of f's
+    coefficients: int numerators, none of them zero, over an int
+    denominator >= 1 with no factor common to all of them, every exponent
+    within the order."""
+    assert type(f.order) is int and f.order >= 0
+    assert type(f._den) is int and f._den >= 1
+    assert all(type(s) is int and s != 0 for s in f._c.values())
+    assert all(p + q <= f.order for p, q in f._c)
+    assert gcd(f._den, *f._c.values()) == 1
+    made = Series2(dict(f.terms()), f.order)
+    assert (made._den, made._c) == (f._den, f._c)
 
 
 @settings(max_examples=100)
@@ -510,8 +517,9 @@ def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
     # degrees; f - f cancels every term
     assert (f - f).is_zero() and (f - f).order == f.order
     den, (t,) = to_degree_tables([f])
-    results = [f + g, g + f, f - g, f - f, -f, f * g, f.scalar_mul(s),
-               f.scalar_mul(0), f.truncate(d), f.mul_linear(*form),
+    results = [f + g, g + f, f - g, g - f, f - f, -f, f * g,
+               f.scalar_mul(s), f.scalar_mul(0), f.scale_variables(s),
+               f.scale_variables(0), f.truncate(d), f.mul_linear(*form),
                f.subst_linear(*m), mul_exp_linear(f, alpha, beta),
                from_degree_table(t, den), from_degree_table(t, den, 3)]
     if d <= f.order:
@@ -525,15 +533,16 @@ def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
 
 def sorted_scan_difference(f, g, order=None):
     """first_difference by a scan of the sorted union of the exponents,
-    two coeff lookups per exponent (the oracle)."""
+    two Fraction lookups per exponent (the oracle)."""
     n = min(f.order, g.order)
     if order is not None:
         n = min(n, order)
-    exps = [e for e in set(f._c) | set(g._c) if e[0] + e[1] <= n]
+    a, b = dict(f.terms()), dict(g.terms())
+    exps = [e for e in set(a) | set(b) if e[0] + e[1] <= n]
     for e in sorted(exps, key=lambda e: (e[0] + e[1], e[0])):
-        a, b = f.coeff(*e), g.coeff(*e)
-        if a != b:
-            return (e, a, b)
+        x, y = a.get(e, Q(0)), b.get(e, Q(0))
+        if x != y:
+            return (e, x, y)
     return None
 
 
@@ -560,3 +569,47 @@ def test_first_difference_matches_sorted_scan(pair, order):
         assert got == sorted_scan_difference(a, b, order)
         if got is not None:
             assert type(got[1]) is Q and type(got[2]) is Q
+
+
+@st.composite
+def reducible_truncations(draw):
+    """(f, d, low): low has terms of total degree <= d over denominators of
+    at most 12; f is low plus terms of total degree in (d, n] over primes
+    above 12, both of order n > d.  So f's denominator has prime factors
+    that f.truncate(d) must reduce away."""
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(0, n - 1))
+
+    def exps(lo, hi):
+        return st.tuples(st.integers(0, hi), st.integers(0, hi)).filter(
+            lambda e: lo <= e[0] + e[1] <= hi)
+
+    low = draw(st.dictionaries(exps(0, d), rationals.filter(bool),
+                               max_size=20))
+    high = draw(st.dictionaries(exps(d + 1, n), st.builds(
+        Q, st.integers(1, 12) | st.integers(-12, -1),
+        st.sampled_from([13, 10**9 + 7, 2**61 - 1])), min_size=1,
+        max_size=10))
+    return Series2({**low, **high}, n), d, Series2(low, n)
+
+
+@settings(max_examples=150)
+@given(reducible_truncations(), st.one_of(st.none(), st.integers(0, 20)),
+       entries.filter(bool))
+def test_comparisons_across_denominators_and_orders(case, order, s):
+    f, d, low = case
+    cut = f.truncate(d)
+    assert_checked(cut)
+    assert cut._den == low._den < f._den
+    assert cut.key() == low.truncate(d).key() == Series2(
+        dict(low.terms()), d).key()
+    assert cut.key() != low.key() and cut.key() != f.key()
+    assert f.eq_up_to(low, d) and cut.eq_up_to(f) and cut == low
+    pairs = [(f, cut), (f, low), (cut, low), (f, f.scalar_mul(s)),
+             (low, low.scalar_mul(s)), (cut, cut.scalar_mul(s).truncate(0))]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        expected = sorted_scan_difference(a, b, order)
+        assert a.first_difference(b, order) == expected
+        assert a.eq_up_to(b, order) == (expected is None)
+        assert (a.key() == b.key()) == (
+            a.order == b.order and a.terms() == b.terms())

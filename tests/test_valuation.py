@@ -17,7 +17,7 @@ from latval.geometry import (NotFullDimensional, NoValidChord,
 from latval.group import (AffineUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, det)
 from latval.laws import RHO_LAWS, check_law
-from latval.series import Series1, Series2, exp_linear
+from latval.series import NotDivisible, Series1, Series2, exp_linear
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
                               LawViolation, NoCandidatePasses,
@@ -371,6 +371,75 @@ def test_spec_accepts_exactly_the_rho_that_satisfy_the_laws(rho):
         with pytest.raises(InvalidRho) as err:
             ValuationSpec(0, None, rho, rho.order)
         assert err.value.report == failed
+
+
+# the laws are necessary: the cell sums of a rho outside the classification
+# depend on the triangulation, so no valuation has those cell values
+
+NECESSITY_POLYGONS = (hull_normalize([(0, 0), (3, 0), (2, 2), (0, 3)]),
+                      hull_normalize([(0, 0), (4, 1), (1, 3)]),
+                      scale_polygon(SQUARE, 2))
+
+
+def unchecked_spec(rho, order=9):
+    """The spec (1, cosh-type g, rho), built without __post_init__, so
+    that rho is not checked against RHO_LAWS."""
+    spec = object.__new__(ValuationSpec)
+    for name, value in (("c", Q(1)), ("g", cosh_type_g(order)),
+                        ("rho", rho), ("order", order)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def _violating_one_law(law, d):
+    """A vector of the kernel of the other law of RHO_LAWS at degree d that
+    is outside the kernel of law, or None if there is none."""
+    other, = (k for k in RHO_LAWS if k != law)
+    rows = vspace.constraint_matrix(d, [law])
+    return next((v for v in LAW_KERNELS[other, d]
+                 if any(sum(a * b for a, b in zip(row, v)) for row in rows)),
+                None)
+
+
+# (law, d, vector) for each degree d <= 7 at which the kernels differ
+ONE_LAW_VIOLATIONS = [(law, d, v) for law in RHO_LAWS for d in range(8)
+                      for v in [_violating_one_law(law, d)] if v is not None]
+
+
+def test_each_law_is_violated_alone_somewhere():
+    assert {law for law, _, _ in ONE_LAW_VIOLATIONS} == set(RHO_LAWS)
+
+
+@pytest.mark.parametrize("law, d, vector", ONE_LAW_VIOLATIONS,
+                         ids=[f"{law}-{d}" for law, d, _ in ONE_LAW_VIOLATIONS])
+def test_rho_violating_one_law_breaks_the_valuation(law, d, vector):
+    # rho keeps the other law; either f2 = dagger(rho) does not exist, or
+    # the sweep of P and the sweep of its mirror image give different
+    # cell sums on every polygon
+    rho = vspace.from_coefficients(vector, d, 9)
+    assert [check_law(k, rho).holds for k in RHO_LAWS] \
+        == [k != law for k in RHO_LAWS]
+    try:
+        ev = valuation.Evaluator(unchecked_spec(rho))
+    except NotDivisible:
+        return
+    for P in NECESSITY_POLYGONS:
+        mirrored = act_on_series(
+            MIRROR, ev.z_polygon(act_on_polygon(MIRROR, P)))
+        assert ev.z_polygon(P).key() != mirrored.key(), P
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.integers(0, n), rationals, max_size=n + 1))))
+def test_any_g_gives_an_f1_that_satisfies_the_segment_laws(case):
+    # g is free, as the classification says: f1 = g(x^2) e^(x/2) satisfies
+    # the laws of the unit segment for every g
+    n, g = case
+    f1 = build_triangle_data(
+        ValuationSpec(1, Series1(g, n), None, n)).f1
+    for law in ("f1shift", "f1period", "f1neg"):
+        assert check_law(law, f1).holds, law
 
 
 def _assert_unit_cells_invariant(spec):
