@@ -6,7 +6,8 @@ holds, 2 law or dilativity violated, 3 malformed input or an unwritable
 --out path, 1 internal error.  Spec and series files carry their own order.
 The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
---order flag.
+--order flag, up to io.MAX_ORDER; vd's --degree and --max have the same
+upper limit.
 """
 
 from __future__ import annotations
@@ -54,11 +55,19 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def _in_range(name: str, value: int, minimum: int) -> int:
+    """value, if it lies in minimum..io.MAX_ORDER."""
+    if value > io.MAX_ORDER:
+        raise io.MalformedInput(f"{name} {value} is out of range: "
+                                f"it must be <= {io.MAX_ORDER}")
+    return _at_least(name, value, minimum)
+
+
 def _order(args, minimum: int) -> int:
-    """--order if given, else default_order(); at least `minimum`."""
+    """--order if given, else default_order(); in minimum..io.MAX_ORDER."""
     if args.order is not None:
-        return _at_least("--order", args.order, minimum)
-    return _at_least("LATVAL_ORDER", default_order(), minimum)
+        return _in_range("--order", args.order, minimum)
+    return _in_range("LATVAL_ORDER", default_order(), minimum)
 
 
 def _emit(obj, args) -> None:
@@ -94,7 +103,7 @@ def _report(command, status, verified_order, first_violation=None,
 
 def cmd_vd(args) -> int:
     if args.vd_command == "dims":
-        table = vspace.dims_table(_at_least("--max", args.max, 0))
+        table = vspace.dims_table(_in_range("--max", args.max, 0))
         ok = all(c == p for _, c, p in table)
         if args.format == "table":
             _write("d\tcomputed\tpredicted\n" + "".join(
@@ -105,7 +114,7 @@ def cmd_vd(args) -> int:
                    "all_match": ok}, args)
         return EXIT_OK if ok else EXIT_VIOLATED
     basis = (vspace.st_basis if args.coords == "st"
-             else vspace.vd_basis)(_at_least("--degree", args.degree, 0))
+             else vspace.vd_basis)(_in_range("--degree", args.degree, 0))
     _emit(basis.polynomials(), args)
     return EXIT_OK
 
@@ -301,6 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     polygon_help = (f"polygon JSON file, with at most "
                     f"{io.MAX_LATTICE_POINTS} lattice points")
 
+    def order_help(minimum):
+        return (f"series order, {minimum} to {io.MAX_ORDER} (default: "
+                f"LATVAL_ORDER, else {DEFAULT_ORDER})")
+
     def out(p):
         p.add_argument("--out", help="write the output to this file")
 
@@ -314,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_vd)
     vdsub = p.add_subparsers(dest="vd_command", required=True)
     basis = vdsub.add_parser("basis")
-    basis.add_argument("--degree", type=int, required=True)
+    basis.add_argument("--degree", type=int, required=True,
+                       help=f"total degree, 0 to {io.MAX_ORDER}")
     basis.add_argument("--coords", choices=("xy", "st"), default="xy")
     out(basis)
     dims = vdsub.add_parser("dims")
-    dims.add_argument("--max", type=int, required=True)
+    dims.add_argument("--max", type=int, required=True,
+                      help=f"highest total degree, 0 to {io.MAX_ORDER}")
     dims.add_argument("--format", choices=("json", "table"), default="json")
     out(dims)
 
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("laplace", cmd_laplace, help="positive Laplace transform")
     p.add_argument("--polygon", required=True, help=polygon_help)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, help=order_help(0))
 
     p = add("dilative", cmd_dilative, help="test delta-dilativity")
     p.add_argument("--spec", required=True, help=spec_help)
@@ -358,10 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("calibrate", cmd_calibrate,
             help="determine the 0-dilative generator's rho constant")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int,
+                   help=order_help(valuation.CALIBRATE_MIN_ORDER))
 
     p = add("selftest", cmd_selftest, help="run the built-in invariant suite")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, help=order_help(1))
 
     return parser
 

@@ -53,10 +53,6 @@ class ConstantTermNotZero(SeriesError):
     pass
 
 
-class DegreeExceedsOrder(SeriesError):
-    pass
-
-
 def _q(value) -> Q:
     return value if isinstance(value, Q) else Q(value)
 
@@ -563,13 +559,6 @@ def divide_linear(f: Series2, a, b) -> Series2:
     if f.order == 0:
         raise ValueError("order must be non-negative")
     return Series2._of(out, f._den * powers[top], f.order - 1)
-
-
-def homogeneous_part(f: Series2, d: int) -> Series2:
-    if d > f.order:
-        raise DegreeExceedsOrder(f"degree {d} exceeds order {f.order}")
-    return Series2._of({(p, q): s for (p, q), s in f._c.items() if p + q == d},
-                       f._den, f.order)
 
 
 def compose_univariate(g: Series2, inner: Series2) -> Series2:

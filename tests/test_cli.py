@@ -653,10 +653,12 @@ def test_dilates_above_the_lattice_point_limit_exit_3(tmp_path, capsys):
     ("construct", ("MAX_ORDER",)), ("decompose", ("MAX_ORDER",)),
     ("evaluate", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
     ("dilative", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
-    ("laplace", ("MAX_LATTICE_POINTS",))])
+    ("laplace", ("MAX_LATTICE_POINTS", "MAX_ORDER")),
+    ("calibrate", ("MAX_ORDER",)), ("selftest", ("MAX_ORDER",)),
+    ("vd basis", ("MAX_ORDER",)), ("vd dims", ("MAX_ORDER",))])
 def test_help_states_the_limits(capsys, command, limits):
     with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
+        cli.main(command.split() + ["--help"])
     text = " ".join(capsys.readouterr().out.split())
     for name in limits:
         assert str(getattr(io, name)) in text
@@ -745,6 +747,45 @@ def test_out_of_range_order_or_degree(tmp_path, capsys, monkeypatch,
     argv = [write(tmp_path, "T.json", T_POLY) if a is None else a
             for a in argv]
     assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["laplace", "--polygon", None, "--order", HUGE], None,
+     f"--order {HUGE} is out of range: it must be <= 1000"),
+    (["laplace", "--polygon", None], HUGE,
+     f"LATVAL_ORDER {HUGE} is out of range: it must be <= 1000"),
+    (["laplace", "--polygon", None, "--order", "1001"], None,
+     "--order 1001 is out of range: it must be <= 1000"),
+    (["selftest", "--order", HUGE], None,
+     f"--order {HUGE} is out of range: it must be <= 1000"),
+    (["calibrate", "--order", HUGE], None,
+     f"--order {HUGE} is out of range: it must be <= 1000"),
+    (["vd", "basis", "--degree", HUGE], None,
+     f"--degree {HUGE} is out of range: it must be <= 1000"),
+    (["vd", "dims", "--max", HUGE], None,
+     f"--max {HUGE} is out of range: it must be <= 1000"),
+], ids=["laplace-order", "laplace-env-order", "laplace-order-1001",
+        "selftest-order", "calibrate-order", "vd-basis-degree",
+        "vd-dims-max"])
+def test_order_or_degree_above_the_limit_exits_3(tmp_path, capsys,
+                                                 monkeypatch, argv, env,
+                                                 message):
+    # before any work: at 10^20 a factorial or a table would overflow or
+    # never finish
+    assert io.MAX_ORDER == 1000
+    if env is not None:
+        monkeypatch.setenv("LATVAL_ORDER", env)
+    argv = [write(tmp_path, "T.json", T_POLY) if a is None else a
+            for a in argv]
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -75,6 +75,10 @@ def _cases():
     cases.append(("evaluate_twelve_t",
                   ["evaluate", "--spec", _input("spec_general"),
                    "--polygon", _input("twelve_t")], 0))
+    # the transform summed over those 144 triangles at the default order
+    cases.append(("laplace_twelve_t",
+                  ["laplace", "--polygon", _input("twelve_t"),
+                   "--order", "12"], 0))
     # a segment of lattice length 3 and a point, off the origin
     for cell in ("segment_3", "point"):
         cases.append((f"evaluate_{cell}",

@@ -13,7 +13,7 @@ from latval.geometry import (NotFullDimensional, hull_normalize,
                              scale_polygon, split_pairs)
 from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
 from latval import laplace
-from latval.laplace import laplace_plus, polygon_moments, triangle_moment
+from latval.laplace import laplace_plus, polygon_moments
 from latval.series import Series2
 from latval.valuation import ValuationSpec, z_polygon
 
@@ -29,6 +29,13 @@ CORPUS = [
     hull_normalize([(0, 0), (4, 1), (2, 3)]),
     hull_normalize([(1, 1), (3, 2), (2, 4)]),
 ]
+
+
+def triangle_moment(a: int, b: int) -> Q:
+    """Moment of s^a t^b over the standard triangle: a! b! / (a+b+2)!."""
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be non-negative")
+    return Q(factorial(a) * factorial(b), factorial(a + b + 2))
 
 
 def test_triangle_moment():
@@ -130,6 +137,18 @@ def test_moments_match_green_formula(P, n):
     assert _mirrored_moments(P, n) == expected
 
 
+@settings(max_examples=100)
+@given(P=lattice_hulls(), n=st.integers(0, 10))
+def test_laplace_plus_matches_green_formula(P, n):
+    # laplace_plus reads the degree tables without polygon_moments
+    lp = laplace_plus(P, n)
+    assert lp.order == n
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            assert lp.coeff(a, b) == \
+                _green_moment(P, a, b) / (factorial(a) * factorial(b))
+
+
 def test_laplace_plus_T_coefficients():
     lp = laplace_plus(T, 9)
     for a in range(10):
@@ -148,6 +167,11 @@ def test_minus_two_dilativity():
             lhs = laplace_plus(scale_polygon(P, m), 10)
             rhs = laplace_plus(P, 10).scale_variables(m).scalar_mul(m * m)
             assert lhs == rhs
+    # 144 and 288 triangles, summed at the default order
+    for P in (T, SQUARE):
+        lhs = laplace_plus(scale_polygon(P, 12), 12)
+        rhs = laplace_plus(P, 12).scale_variables(12).scalar_mul(144)
+        assert lhs == rhs
 
 
 def test_additivity_on_splits():

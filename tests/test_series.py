@@ -8,11 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
-                           DegreeExceedsOrder, NotDivisible, Series1, Series2,
+                           NotDivisible, Series1, Series2, SeriesError,
                            bernoulli_numbers, compose_univariate,
                            divide_linear, exp_linear, from_degree_table,
-                           homogeneous_part, dp_cell, mul_exp_linear,
-                           special_series, sum_of_images, to_degree_tables)
+                           dp_cell, mul_exp_linear, special_series,
+                           sum_of_images, to_degree_tables)
+
+
+class DegreeExceedsOrder(SeriesError):
+    pass
+
+
+def homogeneous_part(f: Series2, d: int) -> Series2:
+    """The terms of f of total degree d, built unchecked like a kernel."""
+    if d > f.order:
+        raise DegreeExceedsOrder(f"degree {d} exceeds order {f.order}")
+    return Series2._of({(p, q): s for (p, q), s in f._c.items() if p + q == d},
+                       f._den, f.order)
 
 
 def test_default_order():
