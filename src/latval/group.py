@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import hull_normalize
-from .series import (Series2, dp_cell, from_degree_table, sum_of_images,
-                     to_degree_tables)
+from .series import Series2, packed_cells, sum_of_images
 
 
 class GroupError(Exception):
@@ -89,13 +88,12 @@ class AffineUnimodular:
 
 
 def act_on_series(xi: AffineUnimodular, f: Series2) -> Series2:
-    """exp(alpha*x + beta*y) * f(a*x + c*y, b*x + d*y): f's degree table
-    as the one face of sum_of_images with translation (alpha, beta) and
-    edge vectors (a, c), (b, d), made into a series once."""
+    """exp(alpha*x + beta*y) * f(a*x + c*y, b*x + d*y): f, packed by
+    packed_cells, as the one face of sum_of_images with translation
+    (alpha, beta) and edge vectors (a, c), (b, d)."""
     (a, b), (c, d) = xi.m
-    den, (t,) = to_degree_tables([f])
-    face = (dp_cell(t), tuple(xi.v), (a, c), (b, d))
-    return from_degree_table(sum_of_images([face], f.order), den)
+    den, (cell,) = packed_cells([f])
+    return sum_of_images([(cell, tuple(xi.v), (a, c), (b, d))], f.order, den)
 
 
 def act_on_polygon(xi: AffineUnimodular, P):

@@ -175,68 +175,50 @@ def _flat(c: dict, w: int) -> list:
 # degree tables
 #
 # A table t over the denominator D stands for the series with coefficients
-# f[p, d - p] = t[d][p] / (D * d!), for d <= n with n = len(t) - 1: row d
-# is degree d.  A linear substitution keeps each total degree, and
-# exp(v.z) carries degree d into degree s with the factor
-# C(s, d) * (v.z)^(s-d) once both are times their d! and s!, so integer
-# substitutions and twists by integer v map integer tables to integer
-# tables.  A sum of such images (a polygon's faces, or the one face of
-# mul_exp_linear) is built in integers, by sum_of_images, and brought over
-# one denominator, by from_degree_table.
+# f[p, d - p] = t[d][p] / (D * d!), for d <= n: row d is degree d.  A
+# linear substitution keeps each total degree, and exp(v.z) carries degree
+# d into degree s with the factor C(s, d) * (v.z)^(s-d) once both are
+# times their d! and s!, so integer substitutions and twists by integer v
+# map integer tables to integer tables.  The tables never leave this
+# module: series go in by packed_cells, and the sum of their images (a
+# polygon's faces, or the one face of mul_exp_linear or of
+# group.act_on_series) comes out of sum_of_images as one Series2.
+#
+# Series2.subst_linear and exp_linear stay apart.  A substitution routed
+# through the tables pays for the d! it does not need: on dense series of
+# orders 8 to 20 under integer matrices it was 1.8x slower, and faster in
+# none of 15 interleaved pairs.  exp_linear expands the exponential in
+# Fractions, so that the tests have an oracle for this kernel that shares
+# none of its code.
 
 
-def to_degree_tables(fs) -> tuple:
-    """(D, tables): the degree tables of the series fs, all of one order,
-    over the least D that makes every one of them integral.  Each f, with
-    numerators s over den, enters as t[d][p] = D * d! * s / den; the least
+def packed_cells(fs) -> tuple:
+    """(D, cells): the series fs, all of one order, as cells for
+    sum_of_images, the _packed_cell of each one's degree table over the
+    least D that makes every one of them integral.  Each f, with
+    numerators s over den, enters as t[d][p] = d! * s * D / den; the least
     D for f alone is den / gcd(den, the d! * s), and D is their lcm."""
     n = fs[0].order
     fact = [factorial(d) for d in range(n + 1)]
     scaled = [(f._den, [(p + q, p, fact[p + q] * s)
                         for (p, q), s in f._c.items()]) for f in fs]
     den = lcm(*(d // gcd(d, *(s for _, _, s in terms)) for d, terms in scaled))
-    tables = []
+    cells = []
     for d, terms in scaled:
-        t = [[0] * (k + 1) for k in range(n + 1)]
+        degrees = {}
         for k, p, s in terms:
-            t[k][p] = s * den // d
-        tables.append(t)
-    return den, tables
+            degrees.setdefault(k, []).append((p, s * den // d))
+        cells.append(_packed_cell(sorted(degrees.items())))
+    return den, cells
 
 
-def from_degree_table(t, den: int, scale: int = 1) -> "Series2":
-    """The series of the degree table t over den, read at z / scale: its
-    coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d): t[d][p] * w[d]
-    over den * w[0], for w[d] = n!/d! * scale^(n-d) and n the top row."""
-    n = len(t) - 1
-    w = [1] * (n + 1)
-    for d in range(n, 0, -1):
-        w[d - 1] = w[d] * d * scale
-    out = {}
-    for d, row in enumerate(t):
-        for p, s in enumerate(row):
-            if s:
-                out[(p, d - p)] = s * w[d]
-    return Series2._of(out, den * w[0], n)
-
-
-def dp_cell(t) -> tuple:
-    """The degree table t packed for sum_of_images: the _packed_cell of
-    its nonzero entries, t[d][p] on x^p y^(d-p)."""
-    degrees = []
-    for d, row in enumerate(t):
-        nums = [(p, s) for p, s in enumerate(row) if s]
-        if nums:
-            degrees.append((d, nums))
-    return _packed_cell(degrees)
-
-
-def sum_of_images(faces, n: int) -> list:
-    """The degree table of order n of the sum of
-    exp(v.z) * t(u1.z, u2.z) over the faces (cell, v, u1, u2), for cells
-    dp_cell(t) of degree tables t of order n and integer vectors v, u1 and
-    u2: the image of t under the affine map with translation v and edge
-    vectors u1, u2 (the images of e1 and e2), as in group.act_on_series.
+def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
+    """The series of order n that is the sum of
+    exp(v.z) * f(u1.z, u2.z) over the faces (cell, v, u1, u2), read at
+    z / scale, for cells of series f from one packed_cells call that gave
+    den, and integer vectors v, u1 and u2: the image of f under the affine
+    map with translation v and edge vectors u1, u2 (the images of e1 and
+    e2), as in group.act_on_series.
 
     The faces are summed by translation.  The substituted cells of one
     translation v add up, by _packed_sum, to one packed integer h[d] per
@@ -246,10 +228,12 @@ def sum_of_images(faces, n: int) -> list:
     h[i] += w * h[i-1], i falling.  With l = |v0| + |v1| it grows the
     coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s
     <= 2^(n * bitlen(l)), the spare bits of this translation's width, so
-    each translation is read back once."""
+    each translation is read back once, into the integer table t of the
+    sum.  Its coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d):
+    t[d][p] * w[d] over den * w[0], for w[d] = n!/d! * scale^(n-d)."""
     by_v = {}
     for cell, v, u1, u2 in faces:
-        if cell[0]:     # a zero table, such as c = 0, adds nothing
+        if cell[0]:     # a zero series, such as c = 0, adds nothing
             by_v.setdefault(v, []).append((cell, u1, u2))
     out = [[0] * (d + 1) for d in range(n + 1)]
     for (v0, v1), images in by_v.items():
@@ -264,7 +248,11 @@ def sum_of_images(faces, n: int) -> list:
             row = out[s]
             for i, c in enumerate(acc):
                 row[i] += c
-    return out
+    w = [1] * (n + 1)
+    for d in range(n, 0, -1):
+        w[d - 1] = w[d] * d * scale
+    return Series2._of({(p, d - p): s * w[d] for d, row in enumerate(out)
+                        for p, s in enumerate(row) if s}, den * w[0], n)
 
 
 class Series2:
@@ -286,8 +274,11 @@ class Series2:
                 v = v if isinstance(v, int) else _q(v)
                 if p + q <= order and v != 0:
                     c[(p, q)] = v
-        self.order, self._den = order, lcm(*(v.denominator for v in c.values()))
-        self._c = {e: v.numerator * (self._den // v.denominator)
+        # one lcm and one division per distinct denominator
+        dens = {v.denominator for v in c.values()}
+        self.order, self._den = order, lcm(*dens)
+        scale = {q: self._den // q for q in dens}
+        self._c = {e: v.numerator * scale[v.denominator]
                    for e, v in c.items()}
 
     @classmethod
@@ -503,18 +494,17 @@ def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     """f multiplied by the truncation of exp(alpha*x + beta*y).
 
     With L the lcm of the denominators of alpha and beta,
-    f(L*z) * exp(L*alpha*x + L*beta*y) is the image of f's degree table
-    under the affine map with the integer translation (L*alpha, L*beta)
-    and edge vectors (L, 0), (0, L): one face of sum_of_images, read back
-    at z / L.  Every step is integer arithmetic, so the result equals
+    f(L*z) * exp(L*alpha*x + L*beta*y) is the image of f under the affine
+    map with the integer translation (L*alpha, L*beta) and edge vectors
+    (L, 0), (0, L): one face of sum_of_images, read at z / L.  Every step is integer arithmetic, so the result equals
     f * exp_linear(alpha, beta, f.order) exactly.
     """
     alpha, beta = _q(alpha), _q(beta)
     scale = lcm(alpha.denominator, beta.denominator)
-    den, (t,) = to_degree_tables([f])
-    face = (dp_cell(t), (int(alpha * scale), int(beta * scale)),
-            (scale, 0), (0, scale))
-    return from_degree_table(sum_of_images([face], f.order), den, scale)
+    den, (cell,) = packed_cells([f])
+    face = (cell, (int(alpha * scale), int(beta * scale)), (scale, 0),
+            (0, scale))
+    return sum_of_images([face], f.order, den, scale)
 
 
 def divide_linear(f: Series2, a, b) -> Series2:

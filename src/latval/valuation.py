@@ -27,15 +27,14 @@ e^{v.z} * f(u1.z, u2.z).  A segment's u2 and a point's u1 and u2 are
 the edges that the unit cell lacks, and no edge is completed to a
 unimodular frame.
 
-The sum is taken in integers.  zT, f1 and c are kept as tables by total
-degree, f[p, d - p] = t[d][p] / (D * d!), over one denominator D per
-evaluator.  In that form the substitution of integer edge vectors and the
-twist by e^{v.z} for an integer v map integer tables to integer tables,
-so all cells are added into one table of integers, and the Fractions are
-made once, at the end.  The cells are summed by translation, and each
-translation costs one twist, so each cell is anchored at a vertex it
-shares with other cells (_anchored): the interior points first, then the
-vertices with the most incident cells.  Any vertex will do, since zT is
+The sum is taken in integers.  zT, f1 and c are packed once per evaluator
+by series.packed_cells, over one denominator D; the substitution of
+integer edge vectors and the twist by e^{v.z} for an integer v keep them
+integral, so series.sum_of_images adds all cells of a value in integers
+and makes its series once, at the end.  The cells are summed by
+translation, and each translation costs one twist, so each cell is
+anchored at a vertex it shares with other cells (_anchored): the interior
+points first, then the vertices with the most incident cells.  Any vertex will do, since zT is
 invariant under the affine symmetries of the unit triangle and f1 under
 the flip of the unit segment.
 """
@@ -54,10 +53,9 @@ from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .linalg import integer_row
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, dp_cell, exp_linear, from_degree_table,
-                     mul_exp_linear, special_series, sum_of_images,
-                     to_degree_tables)
-from .vspace import constraint_matrix, homogeneous_solution_components
+                     divide_linear, exp_linear, mul_exp_linear,
+                     packed_cells, special_series, sum_of_images)
+from .vspace import constraint_matrix
 
 Q = Fraction
 
@@ -152,10 +150,11 @@ _RHO_ROWS: OrderedDict = OrderedDict()
 
 def _rho_in_kernel(rho: Series2) -> bool:
     """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
-    does when each homogeneous part (rho[d - k, k])_k, scaled to integers,
-    is in the kernel of constraint_matrix(d, RHO_LAWS)."""
-    for d, part in homogeneous_solution_components(rho):
-        nums = integer_row(part)
+    does when each homogeneous part (rho[d - k, k])_k, read as its integer
+    numerators, is in the kernel of constraint_matrix(d, RHO_LAWS)."""
+    _, c = rho.numerators()
+    for d in sorted({p + q for p, q in c}):
+        nums = [c.get((d - k, k), 0) for k in range(d + 1)]
         rows = _lru(_RHO_ROWS, d, RHO_ROWS_MAX, lambda: [
             integer_row(r) for r in constraint_matrix(d, RHO_LAWS) if any(r)])
         if any(sum(a * b for a, b in zip(row, nums)) for row in rows):
@@ -191,21 +190,17 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 
 class Evaluator:
     """Evaluates one spec on points, segments and polygons, keeping the
-    values in one cache; the sums are taken in integer tables by total
-    degree, t[d][p] = D * d! * f[p, d - p], as the module docstring
-    says."""
+    values in one cache; each value is one series.sum_of_images of the
+    unit cells, as the module docstring says."""
 
     def __init__(self, spec: ValuationSpec):
         self.spec = spec
         self.data = build_triangle_data(spec)
         # the unit cell of each dimension at the origin (c, f1, zT), with
-        # the signs each can take, as degree tables D * d! * f[p, d - p]
-        # over the least D that makes them integral, packed once for
-        # sum_of_images
+        # the signs each can take, packed once over one denominator
         d = self.data
-        self._den, tables = to_degree_tables(
+        self._den, (c, minus_c, f1, minus_f1, zT) = packed_cells(
             [d.f0, -d.f0, d.f1, -d.f1, d.zT])
-        c, minus_c, f1, minus_f1, zT = (dp_cell(t) for t in tables)
         self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
         self._values = OrderedDict()
 
@@ -232,8 +227,7 @@ class Evaluator:
         # each open cell with the sign (-1)^(dim P - dim cell)
         faces = [(self._cells[d][(P.dim - d) % 2], v, u1, u2)
                  for d, v, u1, u2 in _open_cells(P)]
-        return from_degree_table(sum_of_images(faces, self.order),
-                                 self._den)
+        return sum_of_images(faces, self.order, self._den)
 
 
 _ZERO = (0, 0)

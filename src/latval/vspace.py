@@ -98,13 +98,6 @@ def dims_table(d_max: int):
     return out
 
 
-def homogeneous_solution_components(rho: Series2):
-    """Split a series into its nonzero homogeneous parts, each of which is
-    a solution if rho is; returns [(d, coefficient vector)] by degree."""
-    return [(d, tuple(to_coefficients(rho, d)))
-            for d in sorted({p + q for p, q in rho.numerators()[1]})]
-
-
 # ---------------------------------------------------------------------------
 # the (s, t)-coordinate picture
 

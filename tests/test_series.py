@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            NotDivisible, Series1, Series2, SeriesError,
                            bernoulli_numbers, compose_univariate,
-                           divide_linear, exp_linear, from_degree_table,
-                           dp_cell, mul_exp_linear, special_series,
-                           sum_of_images, to_degree_tables)
+                           divide_linear, exp_linear, mul_exp_linear,
+                           packed_cells, special_series, sum_of_images)
 
 
 class DegreeExceedsOrder(SeriesError):
@@ -475,10 +474,11 @@ def _check_sum_of_images(faces):
     expected = Series2.zero(n)
     for v, f in images.items():
         expected = expected + naive_product(f, exp_linear(*v, n))
-    got = sum_of_images([(dp_cell(t), v, u1, u2) for t, v, u1, u2 in faces],
-                        n)
-    assert [len(row) for row in got] == list(range(1, n + 2))
-    assert _dp_series(got).key() == expected.key()
+    den, cells = packed_cells([_dp_series(t) for t, _, _, _ in faces])
+    got = sum_of_images([(cell, v, u1, u2) for cell, (_, v, u1, u2)
+                         in zip(cells, faces)], n, den)
+    assert got.order == n
+    assert got.key() == expected.key()
 
 
 @settings(max_examples=60)
@@ -528,19 +528,21 @@ def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
     # g has its own order, so sums and products cut one operand's top
     # degrees; f - f cancels every term
     assert (f - f).is_zero() and (f - f).order == f.order
-    den, (t,) = to_degree_tables([f])
+    den, (cell,) = packed_cells([f])
+    identity = [(cell, (0, 0), (1, 0), (0, 1))]
     results = [f + g, g + f, f - g, g - f, f - f, -f, f * g,
                f.scalar_mul(s), f.scalar_mul(0), f.scale_variables(s),
                f.scale_variables(0), f.truncate(d), f.mul_linear(*form),
                f.subst_linear(*m), mul_exp_linear(f, alpha, beta),
-               from_degree_table(t, den), from_degree_table(t, den, 3)]
+               sum_of_images(identity, f.order, den),
+               sum_of_images(identity, f.order, den, 3)]
     if d <= f.order:
         results.append(homogeneous_part(f, d))
     if form != (0, 0):
         results.append(divide_linear(f.mul_linear(*form), *form))
     for r in results:
         assert_checked(r)
-    assert from_degree_table(t, den).key() == f.key()
+    assert sum_of_images(identity, f.order, den).key() == f.key()
 
 
 def sorted_scan_difference(f, g, order=None):

@@ -84,14 +84,6 @@ def test_is_solution():
     assert is_solution(combined)
 
 
-def test_homogeneous_solution_components():
-    combined = Series2.constant(2, 12) \
-        + vspace.vd_basis(4).polynomials(order=12)[0].scalar_mul(3)
-    comps = vspace.homogeneous_solution_components(combined)
-    assert [d for d, _ in comps] == [0, 4]
-    assert comps[0][1] == (Q(2),)
-
-
 def test_coefficient_round_trip():
     rho = vspace.vd_basis(6).polynomials()[0]
     coeffs = vspace.to_coefficients(rho, 6)
