@@ -18,7 +18,9 @@ the sum of the images of many cells, and so is their product with
 exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
 coefficients are read back as balanced digits of width k; the width set
 in ``_packed_sum`` keeps each within (-2^(k-1), 2^(k-1)), so they are
-read exactly.
+read exactly.  ``Series2.__mul__`` packs each degree of both factors the
+same way, so a degree of the product is one sum of int products;
+``Series2.mul_linear`` is two shifted copies of the numerators.
 
 A series holds nonzero int numerators {(p, q): s} over one int den >= 1,
 canonical: gcd(den, *s) = 1 and every p + q <= order, so equal series of
@@ -31,7 +33,6 @@ between kernels.  ``coeff``, ``terms`` and ``first_difference`` return
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -99,11 +100,13 @@ def _packed_cell(degrees) -> tuple:
     d, each nums a nonempty list of (p, s) with s != 0 standing for
     s * x^p * y^(d-p); bits is the largest bit length of an s, and top1
     and top2 are the highest powers p and d - p that any term needs."""
-    terms = [(d, p, s) for d, nums in degrees for p, s in nums]
-    return (degrees,
-            max((abs(s).bit_length() for _, _, s in terms), default=0),
-            max((p for _, p, _ in terms), default=0),
-            max((d - p for d, p, _ in terms), default=0))
+    bits = top1 = top2 = 0
+    for d, nums in degrees:
+        ps, ss = zip(*nums)
+        bits = max(bits, max(max(ss), -min(ss)).bit_length())
+        top1 = max(top1, max(ps))
+        top2 = max(top2, d - min(ps))
+    return degrees, bits, top1, top2
 
 
 def _packed_sum(images, spare: int = 0) -> tuple:
@@ -164,11 +167,20 @@ def _read_back(packed, k: int):
         yield d, acc
 
 
-def _flat(c: dict, w: int) -> list:
-    """The terms of the numerator map c of total degree < w as
-    (p + q, p*w + q, s), sorted by total degree."""
-    return sorted((p + q, p * w + q, s) for (p, q), s in c.items()
-                  if p + q < w)
+def _bits(c: dict) -> int:
+    """The largest bit length of a numerator of the map c."""
+    return max(map(abs, c.values()), default=0).bit_length()
+
+
+def _packed_degrees(c: dict, order: int, k: int) -> list:
+    """[(d, h)] sorted by d for each degree d <= order of the numerator
+    map c, h the int sum_p s * 2^(k*p) of its terms s * x^p * y^(d-p):
+    degree d packed at x = 2^k, y = 1."""
+    packed = {}
+    for (p, q), s in c.items():
+        if p + q <= order:
+            packed[p + q] = packed.get(p + q, 0) + (s << (k * p))
+    return sorted(packed.items())
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +371,31 @@ class Series2:
 
     def __mul__(self, other: "Series2") -> "Series2":
         """The truncated product of the numerators, over the product of the
-        denominators: the exponent (p, q) is the flat index p*w + q with
-        w = order + 1, so adding indices multiplies monomials."""
+        denominators: the product of packed degrees i and j of the factors
+        is degree i + j packed, so each degree is one sum, read back once.
+
+        A coefficient of the product is a sum of at most (order + 1)^2
+        products of a numerator of each factor, so it is below
+        2^(bits(a) + bits(b) + 2*bitlen(order + 1)), bits the largest bit
+        length of a factor's numerators; the width
+        k = bits(a) + bits(b) + 2*bitlen(order + 1) + 2 keeps it below the
+        2^(k-2) that _read_back reads exactly."""
         order = min(self.order, other.order)
-        w = order + 1
-        ta, tb = _flat(self._c, w), _flat(other._c, w)
-        degrees_b = [d for d, _, _ in tb]
-        acc = [0] * (w * w)
-        for d, i, a in ta:
-            for _, j, b in tb[:bisect_right(degrees_b, order - d)]:
-                acc[i + j] += a * b
-        return Series2._of({(p, q): s for p in range(w) for q, s in
-                            enumerate(acc[p * w:(p + 1) * w - p]) if s},
-                           self._den * other._den, order)
+        k = (_bits(self._c) + _bits(other._c)
+             + 2 * (order + 1).bit_length() + 2)
+        pb = _packed_degrees(other._c, order, k)
+        sums = {}
+        for i, a in _packed_degrees(self._c, order, k):
+            for j, b in pb:
+                if i + j > order:
+                    break
+                sums[i + j] = sums.get(i + j, 0) + a * b
+        out = {}
+        for d, acc in _read_back(sorted(sums.items()), k):
+            for p, s in enumerate(acc):
+                if s:
+                    out[(p, d - p)] = s
+        return Series2._of(out, self._den * other._den, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -379,10 +403,18 @@ class Series2:
 
         Lifting self to that order is exact: the form has no constant
         term, so self's unknown degree self.order + 1 meets it only in
-        degrees the product drops."""
-        n = self.order + 1
-        return Series2._of(self._c, self._den, n) \
-            * Series2({(1, 0): a, (0, 1): b}, n)
+        degrees the product drops.  With L the lcm of the denominators of
+        a and b, the product is the numerators times A*x + B*y, A = L*a and
+        B = L*b, over den * L: two shifted copies of the numerators, added
+        where they meet, and an entry that cancels there is dropped."""
+        a, b = _q(a), _q(b)
+        scale = lcm(a.denominator, b.denominator)
+        A, B = int(a * scale), int(b * scale)
+        c = {(p + 1, q): s * A for (p, q), s in self._c.items()}
+        for (p, q), s in self._c.items():
+            c[(p, q + 1)] = c.get((p, q + 1), 0) + s * B
+        return Series2._of({e: s for e, s in c.items() if s},
+                           self._den * scale, self.order + 1)
 
     def truncate(self, order: int) -> "Series2":
         order = min(self.order, order)

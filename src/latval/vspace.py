@@ -36,8 +36,11 @@ def from_coefficients(coeffs, d: int, order=None) -> Series2:
 
 
 def to_coefficients(rho: Series2, d: int):
+    """The coefficients of x^{d-k} y^k of rho, k = 0..d, read from its
+    numerators: ints when its denominator is 1, Fractions otherwise."""
     den, c = rho.numerators()
-    return [Fraction(c.get((d - k, k), 0), den) for k in range(d + 1)]
+    nums = [c.get((d - k, k), 0) for k in range(d + 1)]
+    return nums if den == 1 else [Fraction(s, den) for s in nums]
 
 
 def constraint_matrix(d: int, law_ids):
@@ -46,7 +49,10 @@ def constraint_matrix(d: int, law_ids):
 
     The laws must be homogeneous: linear substitutions, optionally times a
     linear factor.  The residual on a degree-d monomial is then homogeneous
-    of degree res.order, which is d, or d + 1 with a linear factor."""
+    of degree res.order, which is d, or d + 1 with a linear factor.  The
+    entries are ints when the residual's denominator is 1, as it is for
+    every law of ``laws.law_sides``, whose forms are all integral, and
+    Fractions otherwise."""
     cols = []
     for p, q in monomials(d):
         mono = Series2.monomial(1, p, q, d)

@@ -283,18 +283,32 @@ def test_divide_linear_inverts_mul_linear(g, a, b, p, q, c):
 def naive_product(f, g):
     """The truncated product by a plain Fraction double loop (the oracle)."""
     order = min(f.order, g.order)
+    g_terms = g.terms()
     c = {}
     for (p1, q1), a in f.terms():
-        for (p2, q2), b in g.terms():
+        for (p2, q2), b in g_terms:
             if p1 + q1 + p2 + q2 <= order:
                 e = (p1 + p2, q1 + q2)
                 c[e] = c.get(e, Q(0)) + a * b
     return Series2(c, order)
 
 
+# every numerator of degree <= 20 one 40-digit value, all of one sign or
+# of alternating signs: the largest coefficients the packed width admits
+FORTY = 10**40 - 1
+DENSE_FORTY = Series2({(p, d - p): FORTY for d in range(21)
+                       for p in range(d + 1)}, 20)
+ALTERNATING_FORTY = Series2({(p, d - p): (-1) ** p * FORTY
+                             for d in range(21) for p in range(d + 1)}, 20)
+
+
 @settings(max_examples=200)
 @given(series2s(coeffs=entries | large_rationals),
        series2s(coeffs=entries | large_rationals))
+@example(DENSE_FORTY, DENSE_FORTY)
+@example(ALTERNATING_FORTY, ALTERNATING_FORTY)
+@example(DENSE_FORTY, Series2.zero(20))
+@example(Series2.constant(FORTY, 0), DENSE_FORTY)
 def test_mul_matches_fraction_double_loop(f, g):
     # independent orders, so one operand's top terms are cut off by the
     # other's order; empty dictionaries give zero series
@@ -402,6 +416,11 @@ linear_forms = st.one_of(st.tuples(form_entries, form_entries),
 
 @settings(max_examples=150)
 @given(any_series, linear_forms)
+@example(DENSE_FORTY, (0, Q(-1, 3)))
+@example(ALTERNATING_FORTY, (Q(1, 2), 0))
+@example(DENSE_FORTY, (Q(1, 2), Q(-1, 3)))
+# (x - y) * (x + y): the two copies cancel at x*y
+@example(Series2({(1, 0): 1, (0, 1): -1}, 1), (1, 1))
 def test_mul_linear_matches_fraction_loop(f, form):
     # the product keeps self's top degree: f is lifted one order up
     g = f.mul_linear(*form)
