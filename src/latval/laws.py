@@ -210,57 +210,6 @@ def check_law(law: str, f: Series2) -> LawReport:
     return LawReport(law, diff is None, order, diff)
 
 
-@dataclass(frozen=True)
-class Implication:
-    name: str
-    applicable: bool
-    confirmed: bool
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    implications: tuple[Implication, ...]
-
-    @property
-    def all_confirmed(self) -> bool:
-        return all(i.confirmed for i in self.implications if i.applicable)
-
-
-def equivalence_suite_rho(rho: Series2) -> EquivalenceReport:
-    """Instance-level checks of the claimed implications for a parameter
-    series: (A') alone forces the three symmetry laws; (A') + (E) force
-    (B'), (C'), (D); under (B') and rho_sym2, dagger and diamond agree."""
-    holds = {law: check_law(law, rho).holds
-             for law in ("Aprime", "Bprime", "Cprime", "D", "E",
-                         "rho_sym1", "rho_sym2", "rho_sym3")}
-    imps = []
-    a = holds["Aprime"]
-    imps.append(Implication("Aprime => rho_sym1..3", a,
-                            (not a) or (holds["rho_sym1"] and holds["rho_sym2"]
-                                        and holds["rho_sym3"])))
-    ae = a and holds["E"]
-    imps.append(Implication("Aprime & E => Bprime, Cprime, D", ae,
-                            (not ae) or (holds["Bprime"] and holds["Cprime"]
-                                         and holds["D"])))
-    if holds["Bprime"] and holds["rho_sym2"] and holds["D"]:
-        same = dagger(rho).eq_up_to(diamond(rho))
-        imps.append(Implication("Bprime & rho_sym2 => dagger = diamond", True, same))
-    else:
-        imps.append(Implication("Bprime & rho_sym2 => dagger = diamond", False, True))
-    return EquivalenceReport(tuple(imps))
-
-
-def equivalence_suite_f2(f2: Series2) -> EquivalenceReport:
-    """Given the symmetry laws (B) and (C), the two forms of the third
-    simple-valuation law are equivalent on the instance."""
-    holds = {law: check_law(law, f2).holds
-             for law in ("B", "C", "f2simple2", "f23up")}
-    bc = holds["B"] and holds["C"]
-    imps = (Implication("B & C => (f2simple2 <=> f23up)", bc,
-                        (not bc) or (holds["f2simple2"] == holds["f23up"])),)
-    return EquivalenceReport(imps)
-
-
 # ---------------------------------------------------------------------------
 # invariant-ring decomposition
 

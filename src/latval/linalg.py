@@ -5,10 +5,11 @@ Fractions, or anything ``Fraction`` accepts); ragged rows raise
 ``ValueError``.  The elimination is fraction-free: each row is scaled to
 integers by the lcm of its denominators, a row is cleared in a pivot column
 by the integer combination pv*row - f*pivot_row and divided by the gcd of
-its entries, so no ``Fraction`` is built per intermediate term.  The result
-rows are made ``Fraction``s once, at the end, each divided by its pivot.
-Since the reduced row echelon form is unique, this gives the same output as
-elimination over Q.  Pivoting is deterministic (first nonzero entry in
+its entries, so no ``Fraction`` is built per intermediate term.  ``rref``
+makes its ``Fraction`` rows once, at the end, each divided by its pivot;
+``nullspace`` makes one ``Fraction`` per kernel entry.  Since the reduced
+row echelon form is unique, this gives the same output as elimination
+over Q.  Pivoting is deterministic (first nonzero entry in
 column order), so outputs are reproducible.
 """
 
@@ -43,11 +44,10 @@ def integer_row(row) -> list:
     return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_cols), with rows
-    Fractions and as many rows as the input, zero rows last."""
-    if not matrix:
-        return [], []
+def _echelon(matrix) -> tuple:
+    """(rows, pivots) for a non-empty matrix: the nonzero rows of its
+    reduced echelon form, each scaled to primitive integers; row r is
+    nonzero in column pivots[r], which is zero in every other row."""
     ncols = _width(matrix)
     m = [integer_row(row) for row in matrix]
     nrows = len(m)
@@ -68,8 +68,17 @@ def rref(matrix):
         r += 1
         if r == nrows:
             break
-    out = [[Q(a, row[c]) for a in row] for row, c in zip(m, pivots)]
-    out += [[Q(0)] * ncols for _ in range(nrows - r)]
+    return m[:r], pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (rows, pivot_cols), with rows
+    Fractions and as many rows as the input, zero rows last."""
+    if not matrix:
+        return [], []
+    rows, pivots = _echelon(matrix)
+    out = [[Q(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+    out += [[Q(0)] * len(matrix[0]) for _ in range(len(matrix) - len(rows))]
     return out, pivots
 
 
@@ -80,18 +89,18 @@ def nullspace(matrix, ncols=None):
             raise ValueError("empty matrix needs explicit ncols")
         ncols = len(matrix[0])
     if not matrix:
-        matrix = [[Q(0)] * ncols]
+        matrix = [[0] * ncols]
     if _width(matrix) != ncols:
         raise ValueError(f"rows have {len(matrix[0])} entries, "
                          f"ncols is {ncols}")
-    m, pivots = rref(matrix)
+    rows, pivots = _echelon(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = Q(-row[fc], row[pc])
         basis.append(v)
     if not basis:
         return []

@@ -16,11 +16,12 @@ u = (a << k) + b, so products of powers of two forms are plain int
 products, and the packed image of a degree is one integer sum, as is
 the sum of the images of many cells, and so is their product with
 exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
-coefficients are read back as balanced digits of width k; the width set
-in ``_packed_sum`` keeps each within (-2^(k-1), 2^(k-1)), so they are
-read exactly.  ``Series2.__mul__`` packs each degree of both factors the
-same way, so a degree of the product is one sum of int products;
-``Series2.mul_linear`` is two shifted copies of the numerators.
+coefficients are read back as balanced digits of width k; the width that
+``_width`` sets keeps each within (-2^(k-1), 2^(k-1)), so they are read
+exactly.  ``Series2.__mul__`` packs each degree of both factors the same
+way, so a degree of the product is one sum of int products;
+``Series2.mul_linear`` is two shifted copies of the numerators.  Every
+packed kernel reads its result back once, by ``_unpack``.
 
 A series holds nonzero int numerators {(p, q): s} over one int den >= 1,
 canonical: gcd(den, *s) = 1 and every p + q <= order, so equal series of
@@ -28,7 +29,9 @@ one order hold equal state.  ``Series2(...)`` checks what it is given and
 brings it over one lcm; the kernels build their results with
 ``Series2._of``, which reduces by one gcd, so no ``Fraction`` is made
 between kernels.  ``coeff``, ``terms`` and ``first_difference`` return
-``Fraction``s, and ``Series2.numerators`` gives the integers.
+``Fraction``s, and ``Series2.numerators`` gives the integers.  An int
+argument of a kernel is used as it is, with no ``Fraction`` made of it; a
+float is refused, since it is already rounded to binary.
 """
 
 from __future__ import annotations
@@ -54,8 +57,23 @@ class ConstantTermNotZero(SeriesError):
     pass
 
 
-def _q(value) -> Q:
-    return value if isinstance(value, Q) else Q(value)
+def _q(value):
+    """value as it is if an int or a Fraction (both have numerator and
+    denominator), else made a Fraction; TypeError for a float, which is
+    already rounded: 0.1 is 3602879701896397/2^55 in binary."""
+    if isinstance(value, (int, Q)):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float, which is not exact: give an "
+                        "int, a Fraction or a \"num/den\" string")
+    return Q(value)
+
+
+def _integral(*values) -> tuple:
+    """(L, [L * v for each v]) as ints, L the lcm of the denominators."""
+    values = [_q(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 # str() writes an int below this under any setting of Python's limit on
@@ -109,30 +127,31 @@ def _packed_cell(degrees) -> tuple:
     return degrees, bits, top1, top2
 
 
-def _packed_sum(images, spare: int = 0) -> tuple:
-    """(k, sums): sums[d], for each degree d that a cell of the images
-    has, packs at x = 2^k, y = 1 the sum over the images (cell, first,
-    second) of sum_p s * P1^p * P2^(d-p), for the _packed_cell cell and
-    the linear forms P1 = a1*x + b1*y, P2 = a2*x + b2*y with integer
-    first = (a1, b1) and second = (a2, b2).  It is one integer sum of the
-    terms s * U^p * V^(d-p), for U, V the _packed_powers of an image's two
-    forms.
-
-    For one image with top degree n and
-    l = bitlen(max(|a1| + |b1|, |a2| + |b2|)), each coefficient of degree d
-    is at most sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
+def _width(images, spare: int = 0) -> int:
+    """The width k for _packed_sum of the images (cell, first, second):
+    the sum over them of sum_p s * P1^p * P2^(d-p), for the _packed_cell
+    cell and P1 = a1*x + b1*y, P2 = a2*x + b2*y, with integer
+    first = (a1, b1) and second = (a2, b2).  For one image with top
+    degree n and l = bitlen(max(|a1| + |b1|, |a2| + |b2|)), each
+    coefficient of degree d is at most sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
     < 2^(bits + n*l + bitlen(n + 1)); a sum of m images stays below 2^B
     for B = max (bits + n*l + bitlen(n + 1)) + bitlen(m).  The width is
     k = B + spare + 2: the caller may multiply the coefficients by up to
-    2^spare before _read_back reads them.  One width for all degrees and
-    images lets the powers be made once per image."""
+    2^spare before _unpack reads them, which it reads exactly while each is
+    below 2^(k-2) in size."""
     k = 0
     for (degrees, bits, _, _), (a1, b1), (a2, b2) in images:
         if degrees:
             n = degrees[-1][0]
             ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
             k = max(k, bits + n * ell + (n + 1).bit_length())
-    k += len(images).bit_length() + spare + 2
+    return k + len(images).bit_length() + spare + 2
+
+
+def _packed_sum(images, k: int) -> dict:
+    """{d: h}, h the degree d of the sum that _width describes packed at
+    x = 2^k, y = 1: one integer sum of the terms s * U^p * V^(d-p), for
+    U, V the _packed_powers of an image's two forms, made once per image."""
     sums = {}
     for (degrees, _, top1, top2), (a1, b1), (a2, b2) in images:
         us = _packed_powers(a1, b1, top1, k)
@@ -142,14 +161,27 @@ def _packed_sum(images, spare: int = 0) -> tuple:
             for p, s in nums:
                 h += s * us[p] * vs[d - p]
             sums[d] = h
-    return k, sums
+    return sums
 
 
-def _read_back(packed, k: int):
-    """Yield (d, acc) for each (d, h) of packed, in increasing d, where
-    acc[i] is the coefficient of x^i y^(d-i) packed in h: the d + 1
-    balanced digits of width k of h, exact while every coefficient is
-    below 2^(k-2) in size, as _packed_sum's width keeps it."""
+# row d: the exponents (i, d - i), i = 0..d, shared as keys by the maps
+# that _unpack makes.  Grown (by a longer copy, so that no thread sees a
+# part row) to the largest degree read, never cut: one copy of the keys of
+# the largest series read; at io.MAX_ORDER, 1000, that is 501,501 tuples.
+_EXPONENTS = []
+
+
+def _unpack(packed, k: int, weights=None) -> dict:
+    """{(i, d - i): s * weights[d]} (weights None: s) for the nonzero
+    balanced digits s of width k of each h of the list of (d, h), d rising:
+    the coefficients of x^i y^(d-i), exact while below 2^(k-2) in size."""
+    global _EXPONENTS
+    if not packed:
+        return {}
+    rows, out = _EXPONENTS, {}
+    if len(rows) <= packed[-1][0]:
+        rows = _EXPONENTS = rows + [[(i, d - i) for i in range(d + 1)] for d
+                                    in range(len(rows), packed[-1][0] + 1)]
     mask = (1 << k) - 1
     half = 1 << (k - 1)
     # offset: half in each of the digits 0..d, which makes them all
@@ -160,11 +192,13 @@ def _read_back(packed, k: int):
             offset = (offset << k) | half
         done = d
         h += offset
-        acc = []
-        for _ in range(d + 1):
-            acc.append((h & mask) - half)
+        m = 1 if weights is None else weights[d]
+        for e in rows[d]:
+            s = (h & mask) - half
+            if s:
+                out[e] = s * m
             h >>= k
-        yield d, acc
+    return out
 
 
 def _bits(c: dict) -> int:
@@ -232,39 +266,41 @@ def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
     map with translation v and edge vectors u1, u2 (the images of e1 and
     e2), as in group.act_on_series.
 
-    The faces are summed by translation.  The substituted cells of one
-    translation v add up, by _packed_sum, to one packed integer h[d] per
-    degree.  The twist by exp(v.z) makes degree s, times s!, the sum
+    The faces are summed by translation, all at one width k, and read
+    back once.  The substituted cells of one translation v add up, by
+    _packed_sum, to one packed integer h[d] per degree.  The twist by
+    exp(v.z) makes degree s, times s!, the sum
     sum_d C(s, d) * (v.z)^(s-d) * h[d]: a Taylor shift of h, made in
     packed form, with w = (v0 << k) + v1 for v.z, by the n passes
     h[i] += w * h[i-1], i falling.  With l = |v0| + |v1| it grows the
     coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s
-    <= 2^(n * bitlen(l)), the spare bits of this translation's width, so
-    each translation is read back once, into the integer table t of the
-    sum.  Its coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d):
-    t[d][p] * w[d] over den * w[0], for w[d] = n!/d! * scale^(n-d)."""
+    <= 2^(n * bitlen(l)), the spare bits of this translation's _width.
+    The T twisted sums are added in packed form, so k is the largest
+    _width plus bitlen(T), and read back once into the integer table t:
+    its coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d), or
+    t[d][p] * w[d] over den * w[0] for w[d] = n!/d! * scale^(n-d)."""
     by_v = {}
     for cell, v, u1, u2 in faces:
         if cell[0]:     # a zero series, such as c = 0, adds nothing
             by_v.setdefault(v, []).append((cell, u1, u2))
-    out = [[0] * (d + 1) for d in range(n + 1)]
+    k = max((_width(images, n * (abs(v0) + abs(v1)).bit_length())
+             for (v0, v1), images in by_v.items()), default=0) \
+        + len(by_v).bit_length()
+    total = [0] * (n + 1)
     for (v0, v1), images in by_v.items():
-        k, sums = _packed_sum(images, n * (abs(v0) + abs(v1)).bit_length())
+        sums = _packed_sum(images, k)
         h = [sums.get(d, 0) for d in range(n + 1)]
         w = (v0 << k) + v1
         if w:
             for j in range(1, n + 1):
                 for i in range(n, j - 1, -1):
                     h[i] += w * h[i - 1]
-        for s, acc in _read_back(enumerate(h), k):
-            row = out[s]
-            for i, c in enumerate(acc):
-                row[i] += c
+        total = [a + b for a, b in zip(total, h)]
     w = [1] * (n + 1)
     for d in range(n, 0, -1):
         w[d - 1] = w[d] * d * scale
-    return Series2._of({(p, d - p): s * w[d] for d, row in enumerate(out)
-                        for p, s in enumerate(row) if s}, den * w[0], n)
+    return Series2._of(_unpack([(d, h) for d, h in enumerate(total) if h],
+                               k, w), den * w[0], n)
 
 
 class Series2:
@@ -283,7 +319,7 @@ class Series2:
         c = {}
         if coeffs:
             for (p, q), v in coeffs.items():
-                v = v if isinstance(v, int) else _q(v)
+                v = _q(v)
                 if p + q <= order and v != 0:
                     c[(p, q)] = v
         # one lcm and one division per distinct denominator
@@ -379,7 +415,7 @@ class Series2:
         2^(bits(a) + bits(b) + 2*bitlen(order + 1)), bits the largest bit
         length of a factor's numerators; the width
         k = bits(a) + bits(b) + 2*bitlen(order + 1) + 2 keeps it below the
-        2^(k-2) that _read_back reads exactly."""
+        2^(k-2) that _unpack reads exactly."""
         order = min(self.order, other.order)
         k = (_bits(self._c) + _bits(other._c)
              + 2 * (order + 1).bit_length() + 2)
@@ -390,12 +426,8 @@ class Series2:
                 if i + j > order:
                     break
                 sums[i + j] = sums.get(i + j, 0) + a * b
-        out = {}
-        for d, acc in _read_back(sorted(sums.items()), k):
-            for p, s in enumerate(acc):
-                if s:
-                    out[(p, d - p)] = s
-        return Series2._of(out, self._den * other._den, order)
+        return Series2._of(_unpack(sorted(sums.items()), k),
+                           self._den * other._den, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -407,9 +439,7 @@ class Series2:
         a and b, the product is the numerators times A*x + B*y, A = L*a and
         B = L*b, over den * L: two shifted copies of the numerators, added
         where they meet, and an entry that cancels there is dropped."""
-        a, b = _q(a), _q(b)
-        scale = lcm(a.denominator, b.denominator)
-        A, B = int(a * scale), int(b * scale)
+        scale, (A, B) = _integral(a, b)
         c = {(p + 1, q): s * A for (p, q), s in self._c.items()}
         for (p, q), s in self._c.items():
             c[(p, q + 1)] = c.get((p, q + 1), 0) + s * B
@@ -443,24 +473,18 @@ class Series2:
         exact integer over den * L^d, which is times L^(n-d) over
         den * L^n for n the top degree.
         """
-        a1, b1 = _q(first[0]), _q(first[1])
-        a2, b2 = _q(second[0]), _q(second[1])
-        scale = lcm(a1.denominator, b1.denominator,
-                    a2.denominator, b2.denominator)
+        scale, (a1, b1, a2, b2) = _integral(*first, *second)
         by_degree = {}
         for (p, q), s in self._c.items():
             by_degree.setdefault(p + q, []).append((p, s))
-        k, sums = _packed_sum([(_packed_cell(sorted(by_degree.items())),
-                                (int(a1 * scale), int(b1 * scale)),
-                                (int(a2 * scale), int(b2 * scale)))])
-        n = max(sums, default=0)
-        out = {}
-        for d, acc in _read_back(sorted(sums.items()), k):
-            m = scale ** (n - d)
-            for i, s in enumerate(acc):
-                if s:
-                    out[(i, d - i)] = s * m
-        return Series2._of(out, self._den * scale ** n, self.order)
+        images = [(_packed_cell(sorted(by_degree.items())), (a1, b1),
+                   (a2, b2))]
+        k = _width(images)
+        sums = sorted(_packed_sum(images, k).items())
+        n = sums[-1][0] if sums else 0
+        w = None if scale == 1 else [scale ** (n - d) for d in range(n + 1)]
+        return Series2._of(_unpack(sums, k, w), self._den * scale ** n,
+                           self.order)
 
     def first_difference(self, other: "Series2", order=None):
         """First exponent pair (by total degree, then x-degree) where the two
@@ -508,8 +532,8 @@ def Series1(coeffs=None, order: int = DEFAULT_ORDER) -> Series2:
 
 
 def exp_linear(alpha, beta, order: int) -> Series2:
-    """Truncation of exp(alpha*x + beta*y)."""
-    alpha, beta = _q(alpha), _q(beta)
+    """Truncation of exp(alpha*x + beta*y), expanded in Fractions."""
+    alpha, beta = Q(_q(alpha)), Q(_q(beta))
     c = {}
     for p in range(order + 1):
         ap = alpha ** p
@@ -528,14 +552,13 @@ def mul_exp_linear(f: Series2, alpha, beta) -> Series2:
     With L the lcm of the denominators of alpha and beta,
     f(L*z) * exp(L*alpha*x + L*beta*y) is the image of f under the affine
     map with the integer translation (L*alpha, L*beta) and edge vectors
-    (L, 0), (0, L): one face of sum_of_images, read at z / L.  Every step is integer arithmetic, so the result equals
+    (L, 0), (0, L): one face of sum_of_images, read at z / L.  Every step
+    is integer arithmetic, so the result equals
     f * exp_linear(alpha, beta, f.order) exactly.
     """
-    alpha, beta = _q(alpha), _q(beta)
-    scale = lcm(alpha.denominator, beta.denominator)
+    scale, v = _integral(alpha, beta)
     den, (cell,) = packed_cells([f])
-    face = (cell, (int(alpha * scale), int(beta * scale)), (scale, 0),
-            (0, scale))
+    face = (cell, tuple(v), (scale, 0), (0, scale))
     return sum_of_images([face], f.order, den, scale)
 
 
@@ -552,11 +575,9 @@ def divide_linear(f: Series2, a, b) -> Series2:
     constant term); otherwise NotDivisible is raised.  When B = 0, f is
     read with x and y swapped.
     """
-    a, b = _q(a), _q(b)
-    if a == 0 and b == 0:
+    scale, (A, B) = _integral(a, b)
+    if A == 0 and B == 0:
         raise ValueError("the linear form is zero")
-    scale = lcm(a.denominator, b.denominator)
-    A, B = int(a * scale), int(b * scale)
     swap = B == 0
     if swap:
         A, B = B, A
@@ -612,17 +633,25 @@ def compose_univariate(g: Series2, inner: Series2) -> Series2:
 # special series
 
 
+# B_0, B_1, ...: grown up to the largest order asked (sharp asks for
+# B_0..B_order), never cut; like _EXPONENTS it grows by a longer copy
+_BERNOULLI = [Q(1)]
+
+
 def bernoulli_numbers(n_max: int):
-    """B_0..B_n_max (convention B_1 = -1/2) via the binomial recurrence."""
+    """B_0..B_n_max (convention B_1 = -1/2) via the binomial recurrence,
+    each computed once: a new list, so a caller may change it."""
+    global _BERNOULLI
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [Q(1)]
-    for n in range(1, n_max + 1):
-        s = Q(0)
-        for k in range(n):
-            s += comb(n + 1, k) * out[k]
-        out.append(-s / (n + 1))
-    return out
+    out = _BERNOULLI
+    if len(out) <= n_max:
+        out = out[:]
+        for n in range(len(out), n_max + 1):
+            s = sum((comb(n + 1, k) * out[k] for k in range(n)), Q(0))
+            out.append(-s / (n + 1))
+        _BERNOULLI = out
+    return out[:n_max + 1]
 
 
 def special_series(kind: str, order: int):
@@ -632,16 +661,22 @@ def special_series(kind: str, order: int):
            't_over_expm1'   -> sum B_n / n! x^n            (in x alone)
            'divided_diff_exp' -> (e^y - e^x)/(y - x) built directly as
                                  sum_{i,j} x^i y^j / (i+j+1)!
+
+    The two of 1/(d+1)! are the integers w[d] = (order+1)!/(d+1)! over
+    (order+1)!, with nothing to reduce since w[order] = 1.
     """
-    if kind == "expm1_over_t":
-        return Series1({n: Q(1, factorial(n + 1)) for n in range(order + 1)}, order)
     if kind == "t_over_expm1":
         bern = bernoulli_numbers(order)
         return Series1({n: bern[n] / factorial(n) for n in range(order + 1)}, order)
-    if kind == "divided_diff_exp":
-        c = {}
-        for p in range(order + 1):
-            for q in range(order + 1 - p):
-                c[(p, q)] = Q(1, factorial(p + q + 1))
-        return Series2(c, order)
-    raise ValueError(f"unknown special series {kind!r}")
+    if kind not in ("expm1_over_t", "divided_diff_exp"):
+        raise ValueError(f"unknown special series {kind!r}")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    w = [1] * (order + 1)
+    for d in range(order, 0, -1):
+        w[d - 1] = w[d] * (d + 1)
+    if kind == "expm1_over_t":
+        return Series2._of({(d, 0): w[d] for d in range(order + 1)},
+                           w[0], order)
+    return Series2._of({(p, d - p): w[d] for d in range(order + 1)
+                        for p in range(d + 1)}, w[0], order)

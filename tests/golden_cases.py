@@ -44,7 +44,7 @@ EVALUATE_SPECS = ("simple", "odd_g")
 def _cases():
     """(name, argv without --out, expected exit code)."""
     cases = []
-    for d in (0, 2, 4, 5, 6, 12, 14, 24):
+    for d in (0, 2, 4, 5, 6, 12, 14, 24, 30, 48):
         for coords in ("xy", "st"):
             cases.append((f"vd_basis_{coords}_{d}",
                           ["vd", "basis", "--degree", str(d),

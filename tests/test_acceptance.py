@@ -20,6 +20,7 @@ from latval.valuation import (UNIT_SQUARE, UNIT_TRIANGLE,
                               cosh_type_g, dilative_decompose, evaluator_for,
                               g_m, odd_basis_g, reassemble,
                               surface_formula_check, z_mT_closed, z_polygon)
+from test_laws import equivalence_suite_f2, equivalence_suite_rho
 from test_valuation import g_m_direct
 
 T = UNIT_TRIANGLE
@@ -160,8 +161,8 @@ def test_criterion_06_law_equivalences():
             f = dagger(rho)
             for law in ("A", "B", "C"):
                 assert check_law(law, f).holds, (d, law)
-            assert laws.equivalence_suite_rho(rho).all_confirmed, d
-            assert laws.equivalence_suite_f2(f).all_confirmed, d
+            assert equivalence_suite_rho(rho).all_confirmed, d
+            assert equivalence_suite_f2(f).all_confirmed, d
 
 
 @report(7, "basis elements are (d-2)-dilative; closed forms agree")

@@ -89,6 +89,28 @@ def test_nullspace_is_annihilated(m):
         assert any(v) and not any(mat_vec(m, v))
 
 
+def reference_nullspace(matrix, ncols):
+    """The kernel basis read off reference_rref, one vector per free
+    column, brought to reduced echelon form by reference_rref."""
+    rows, pivots = reference_rref(matrix)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return [row for row in reference_rref(basis)[0] if any(row)]
+
+
+@settings(max_examples=100)
+@given(matrices())
+def test_nullspace_matches_fraction_reference(m):
+    kernel = linalg.nullspace(m, len(m[0]))
+    assert kernel == reference_nullspace(m, len(m[0]))
+    assert all(type(x) is Q for v in kernel for x in v)
+
+
 @settings(max_examples=100)
 @given(matrices(), st.data())
 def test_solve_solves_or_reports_inconsistent(m, data):

@@ -1,12 +1,13 @@
 """Tests for truncated series arithmetic and the special series."""
 
 from fractions import Fraction as Q
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latval import series
 from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            NotDivisible, Series1, Series2, SeriesError,
                            bernoulli_numbers, compose_univariate,
@@ -102,6 +103,32 @@ def test_exp_linear():
     assert exp_linear(0, 0, 4) == Series2.constant(1, 4)
 
 
+@settings(max_examples=60)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 14))
+def test_exp_linear_of_ints_is_the_factorial_table(a, b, n):
+    # int arguments are expanded in Fractions too: a / (p! q!) must not
+    # become a float division
+    table = {(p, q): Q(a ** p * b ** q, factorial(p) * factorial(q))
+             for p in range(n + 1) for q in range(n + 1 - p)}
+    assert exp_linear(a, b, n).key() == Series2(table, n).key()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Series2({(0, 0): 0.1}, 2),
+    lambda: Series2.constant(1, 3).scalar_mul(0.1),
+    lambda: Series1({1: 1}, 3).subst_linear((0.1, 0), (0, 1)),
+    lambda: Series1({1: 1}, 3).mul_linear(1, 0.1),
+    lambda: Series1({1: 1}, 3).scale_variables(0.1),
+    lambda: mul_exp_linear(Series1({1: 1}, 3), 0.1, 0),
+    lambda: divide_linear(Series1({1: 1}, 3), 0.1, 0),
+    lambda: exp_linear(0, 0.1, 3),
+])
+def test_floats_are_refused(make):
+    # 0.1 is 3602879701896397/2^55 in binary, not 1/10
+    with pytest.raises(TypeError, match=r"0\.1 is a float"):
+        make()
+
+
 def test_mul_exp_linear_inverse():
     f = Series2({(2, 1): 3, (0, 0): 1}, 8)
     g = mul_exp_linear(mul_exp_linear(f, 1, -2), -1, 2)
@@ -143,6 +170,52 @@ def test_bernoulli():
     b = bernoulli_numbers(8)
     assert b[0] == 1 and b[1] == Q(-1, 2) and b[2] == Q(1, 6)
     assert b[3] == 0 and b[4] == Q(-1, 30) and b[8] == Q(-1, 30)
+
+
+def plain_bernoulli(n_max):
+    """B_0..B_n_max by the binomial recurrence in Fractions (the oracle)."""
+    out = [Q(1)]
+    for n in range(1, n_max + 1):
+        out.append(-sum((comb(n + 1, k) * out[k] for k in range(n)), Q(0))
+                   / (n + 1))
+    return out
+
+
+def test_bernoulli_numbers_are_made_once_and_handed_out_as_copies(
+        monkeypatch):
+    # an empty table, grown to 20, read below it at 8, grown again to 25;
+    # each returned list is then changed, which no later call may see
+    monkeypatch.setattr(series, "_BERNOULLI", [Q(1)])
+    for n in (20, 8, 25):
+        got = bernoulli_numbers(n)
+        assert got == plain_bernoulli(n)
+        got[1:] = [Q(7)] * n
+        got.append(Q(5))
+    assert bernoulli_numbers(25) == plain_bernoulli(25)
+    assert bernoulli_numbers(3) == plain_bernoulli(3)
+
+
+def fraction_special_series(kind, order):
+    """The special series built coefficient by coefficient in Fractions
+    (the oracle)."""
+    if kind == "expm1_over_t":
+        return Series1({n: Q(1, factorial(n + 1)) for n in range(order + 1)},
+                       order)
+    if kind == "t_over_expm1":
+        bern = plain_bernoulli(order)
+        return Series1({n: bern[n] / factorial(n) for n in range(order + 1)},
+                       order)
+    return Series2({(p, q): Q(1, factorial(p + q + 1))
+                    for p in range(order + 1)
+                    for q in range(order + 1 - p)}, order)
+
+
+@pytest.mark.parametrize("kind", ["expm1_over_t", "t_over_expm1",
+                                  "divided_diff_exp"])
+def test_special_series_match_fraction_constructions(kind):
+    for order in range(41):
+        assert special_series(kind, order).key() \
+            == fraction_special_series(kind, order).key(), order
 
 
 def test_special_series_inverse_pair():
@@ -500,13 +573,20 @@ def _check_sum_of_images(faces):
     assert got.key() == expected.key()
 
 
+DENSE_TABLE = [[10**40 - 1] * (d + 1) for d in range(21)]
+
+
 @settings(max_examples=60)
 @given(face_lists())
-@example([([[10**40 - 1] * (d + 1) for d in range(21)], (10**6, 10**6),
-           (1, 0), (0, 1))])
+@example([(DENSE_TABLE, (10**6, 10**6), (1, 0), (0, 1))])
+@example([(DENSE_TABLE, (0, 0), (1, 0), (0, 1)),
+          (DENSE_TABLE, (10**6, -10**6), (1, 0), (0, 1))])
+@example([([[10**40 - 1]], (i, 0), (1, 0), (0, 1)) for i in range(16)])
 def test_sum_of_images_matches_fraction_expansion(faces):
     # the twist by exp(v.z) grows the coefficients with |v0| + |v1|, and
-    # each translation's width must leave room for it
+    # the one width of all translations must leave room for the largest;
+    # at order 0 nothing twists, and the sum of 16 translations needs the
+    # bits of their count
     _check_sum_of_images(faces)
 
 
@@ -517,6 +597,24 @@ def test_sum_of_images_on_one_translation(faces):
     # the images of one translation are read back from one packed sum,
     # whose width must leave room for the number of faces
     _check_sum_of_images(faces)
+
+
+@settings(max_examples=60)
+@given(any_series, st.tuples(*[st.one_of(small_ints, big)] * 4))
+def test_int_arguments_give_what_fractions_give(f, ints):
+    # ints pass through the kernels as they are, never made Fractions;
+    # each kernel must give what it gives for the same values as Fractions
+    a, b, c, d = ints
+    ops = [lambda a, b, c, d: f.subst_linear((a, b), (c, d)),
+           lambda a, b, c, d: f.mul_linear(a, b),
+           lambda a, b, c, d: mul_exp_linear(f, a, b),
+           lambda a, b, c, d: f.scalar_mul(c),
+           lambda a, b, c, d: f.scale_variables(d)]
+    if (a, b) != (0, 0):
+        g = f.mul_linear(a, b)
+        ops.append(lambda a, b, c, d: divide_linear(g, a, b))
+    for op in ops:
+        assert op(a, b, c, d).key() == op(*map(Q, ints)).key()
 
 
 # ---------------------------------------------------------------------------
