@@ -25,7 +25,6 @@ cross-check for the valuation evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -34,22 +33,6 @@ from .geometry import (LatticePolygon, NotFullDimensional, area2,
 from .series import DEFAULT_ORDER, Series2
 
 Q = Fraction
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    polygon: LatticePolygon
-    max_degree: int
-    values: dict   # (a, b) -> Fraction
-
-    def moment(self, a: int, b: int) -> Fraction:
-        """mu(a, b); only the moments with a + b <= max_degree are known."""
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be non-negative")
-        if a + b > self.max_degree:
-            raise ValueError(f"moment ({a}, {b}) has degree {a + b}, above "
-                             f"the computed maximum {self.max_degree}")
-        return self.values[(a, b)]
 
 
 def _degree_tables(P: LatticePolygon, n: int) -> list:
@@ -73,16 +56,6 @@ def _degree_tables(P: LatticePolygon, n: int) -> list:
         raise ArithmeticError(f"moment (0, 0) is {Q(H[0][0], 2)}, "
                               f"not the area {Q(area2(P), 2)}")
     return H
-
-
-def polygon_moments(P: LatticePolygon, n_max: int) -> MomentTable:
-    """All moments mu(a, b), a + b <= n_max.  Each is an integer over
-    K = (n_max+2)!, namely a! b! H[k][a] (K / (k+2)!) with k = a + b."""
-    H = _degree_tables(P, n_max)
-    f = [factorial(i) for i in range(n_max + 3)]
-    return MomentTable(P, n_max, {
-        (a, k - a): Q(f[a] * f[k - a] * H[k][a], f[k + 2])
-        for k in range(n_max + 1) for a in range(k + 1)})
 
 
 def laplace_plus(P: LatticePolygon, order: int = DEFAULT_ORDER) -> Series2:

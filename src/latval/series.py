@@ -662,13 +662,13 @@ def special_series(kind: str, order: int):
            'divided_diff_exp' -> (e^y - e^x)/(y - x) built directly as
                                  sum_{i,j} x^i y^j / (i+j+1)!
 
-    The two of 1/(d+1)! are the integers w[d] = (order+1)!/(d+1)! over
-    (order+1)!, with nothing to reduce since w[order] = 1.
+    Each is made over one denominator, with no Fraction per coefficient:
+    1/(d+1)! is the integer w[d] = (order+1)!/(d+1)! over (order+1)!, with
+    nothing to reduce since w[order] = 1, and B_n/n! is B_n (n+1) w[n]
+    over (order+1)!, read over L (order+1)! for L the lcm of the
+    denominators of the cached Bernoulli numbers.
     """
-    if kind == "t_over_expm1":
-        bern = bernoulli_numbers(order)
-        return Series1({n: bern[n] / factorial(n) for n in range(order + 1)}, order)
-    if kind not in ("expm1_over_t", "divided_diff_exp"):
+    if kind not in ("expm1_over_t", "t_over_expm1", "divided_diff_exp"):
         raise ValueError(f"unknown special series {kind!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -678,5 +678,12 @@ def special_series(kind: str, order: int):
     if kind == "expm1_over_t":
         return Series2._of({(d, 0): w[d] for d in range(order + 1)},
                            w[0], order)
+    if kind == "t_over_expm1":
+        bern = bernoulli_numbers(order)
+        den = lcm(*(b.denominator for b in bern))
+        return Series2._of({(n, 0): b.numerator * (den // b.denominator)
+                            * (n + 1) * w[n]
+                            for n, b in enumerate(bern) if b},
+                           den * w[0], order)
     return Series2._of({(p, d - p): w[d] for d in range(order + 1)
                         for p in range(d + 1)}, w[0], order)

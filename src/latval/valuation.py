@@ -46,16 +46,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .cache import lru
 from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
                        hull_normalize, scale_polygon,
                        segment_lattice_points, unimodular_triangulation)
 from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
-from .linalg import integer_row
 from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
                      divide_linear, exp_linear, mul_exp_linear,
                      packed_cells, special_series, sum_of_images)
-from .vspace import constraint_matrix
+from .vspace import satisfies_rho_laws
 
 Q = Fraction
 
@@ -67,13 +67,6 @@ class ValuationError(Exception):
 class InvalidRho(ValuationError):
     def __init__(self, report):
         super().__init__(f"parameter series violates {report.law} at "
-                         f"{violation_text(report.first_violation)}")
-        self.report = report
-
-
-class LawViolation(ValuationError):
-    def __init__(self, report):
-        super().__init__(f"law {report.law} fails at "
                          f"{violation_text(report.first_violation)}")
         self.report = report
 
@@ -134,7 +127,7 @@ class ValuationSpec:
                                  f"the term x^{p}*y^{q}")
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
-        if not _rho_in_kernel(self.rho):
+        if not satisfies_rho_laws(self.rho):
             for law in RHO_LAWS:   # the first violation, for the report
                 report = check_law(law, self.rho)
                 if not report.holds:
@@ -142,24 +135,6 @@ class ValuationSpec:
 
     def key(self):
         return (self.c, self.g.key(), self.rho.key(), self.order)
-
-
-RHO_ROWS_MAX = 64   # _rho_in_kernel keeps the rows of this many degrees
-_RHO_ROWS: OrderedDict = OrderedDict()
-
-
-def _rho_in_kernel(rho: Series2) -> bool:
-    """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
-    does when each homogeneous part (rho[d - k, k])_k, read as its integer
-    numerators, is in the kernel of constraint_matrix(d, RHO_LAWS)."""
-    _, c = rho.numerators()
-    for d in sorted({p + q for p, q in c}):
-        nums = [c.get((d - k, k), 0) for k in range(d + 1)]
-        rows = _lru(_RHO_ROWS, d, RHO_ROWS_MAX, lambda: [
-            integer_row(r) for r in constraint_matrix(d, RHO_LAWS) if any(r)])
-        if any(sum(a * b for a, b in zip(row, nums)) for row in rows):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -221,7 +196,7 @@ class Evaluator:
         return self._value(P)
 
     def _value(self, P: LatticePolygon) -> Series2:
-        return _lru(self._values, P.key(), FACES_MAX, lambda: self._sum(P))
+        return lru(self._values, P.key(), FACES_MAX, lambda: self._sum(P))
 
     def _sum(self, P: LatticePolygon) -> Series2:
         # each open cell with the sign (-1)^(dim P - dim cell)
@@ -290,18 +265,6 @@ def _anchored(cells, inner) -> list:
     return out
 
 
-def _lru(cache: OrderedDict, key, bound: int, build):
-    """cache[key], built on a miss; keeps the bound most recently used."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build()
-        if len(cache) > bound:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
-
-
 # Shared evaluators, least recently used first; at most EVALUATORS_MAX.
 EVALUATORS_MAX = 32
 _EVALUATORS: OrderedDict = OrderedDict()
@@ -311,8 +274,8 @@ FACES_MAX = 1024
 
 
 def evaluator_for(spec: ValuationSpec) -> Evaluator:
-    return _lru(_EVALUATORS, spec.key(), EVALUATORS_MAX,
-                lambda: Evaluator(spec))
+    return lru(_EVALUATORS, spec.key(), EVALUATORS_MAX,
+               lambda: Evaluator(spec))
 
 
 def z_polygon(spec: ValuationSpec, P: LatticePolygon) -> Series2:
@@ -524,19 +487,3 @@ def surface_formula_check(spec: ValuationSpec, P: LatticePolygon) -> SurfaceRepo
     diff = ev.z_polygon(P).first_difference(edge_sum.scalar_mul(Q(1, 2)))
     return SurfaceReport(diff is None, diff)
 
-
-def extract_g(f1: Series2) -> Series2:
-    """Recover g from a unit-segment series f1 = g(x^2) * exp(x/2)."""
-    for law in ("f1shift", "f1period", "f1neg"):
-        report = check_law(law, f1)
-        if not report.holds:
-            raise LawViolation(report)
-    h = mul_exp_linear(f1, Q(-1, 2), 0)
-    coeffs = {}
-    for (p, q), v in h.terms():
-        if q != 0 or p % 2 == 1:
-            # y-dependence and odd terms are excluded by the laws; anything
-            # surviving here is a genuine inconsistency
-            raise LawViolation(check_law("f1neg", f1))
-        coeffs[p // 2] = v
-    return Series1(coeffs, f1.order // 2)

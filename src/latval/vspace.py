@@ -9,17 +9,26 @@ valid parameter exactly when it satisfies the laws ``laws.RHO_LAWS``:
 V_d is the kernel of the stacked residual coefficients of these laws,
 taken over Q, with the canonical reduced-echelon basis in the monomial
 order x^d > x^{d-1} y > ... > y^d.  The basis in the coordinates
-s = 2x + y, t = y is the image of that one solve under ``laws.to_st``,
+s = 2x + y, t = y is the image of that basis under ``laws.to_st``,
 brought to reduced echelon form.  The laws themselves are written only
 in ``laws``.
+
+Each degree d has one record, kept for at most DEGREES_MAX degrees:
+the nonzero integer rows of constraint_matrix(d, RHO_LAWS), built on
+first need, and V_d's basis, solved from them when first asked for.
+``vd_basis``, ``st_basis``, ``dims_table`` and ``satisfies_rho_laws``
+(the rho check) read it, so V_d is solved once while kept (or once per
+thread racing that solve), and checking a rho never solves one.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laws, linalg
+from .cache import lru
 from .series import Series2
 
 
@@ -78,12 +87,44 @@ class VdBasis:
         return [from_coefficients(v, self.degree, order) for v in self.vectors]
 
 
+@dataclass
+class _Degree:
+    rows: list                    # of constraint_matrix(d, RHO_LAWS)
+    basis: VdBasis | None = None  # their kernel, once asked for
+
+
+DEGREES_MAX = 64   # degrees whose rows and basis are kept
+_DEGREES: OrderedDict = OrderedDict()
+
+
+def _degree(d: int) -> _Degree:
+    return lru(_DEGREES, d, DEGREES_MAX, lambda: _Degree([
+        linalg.integer_row(r) for r in constraint_matrix(d, laws.RHO_LAWS)
+        if any(r)]))
+
+
 def vd_basis(d: int) -> VdBasis:
     """Canonical basis of the degree-d solution space of (A') and (E)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    kernel = linalg.nullspace(constraint_matrix(d, laws.RHO_LAWS), d + 1)
-    return VdBasis(d, tuple(tuple(v) for v in kernel))
+    record = _degree(d)
+    if record.basis is None:
+        kernel = linalg.nullspace(record.rows, d + 1)
+        record.basis = VdBasis(d, tuple(tuple(v) for v in kernel))
+    return record.basis
+
+
+def satisfies_rho_laws(rho: Series2) -> bool:
+    """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
+    does when each homogeneous part (rho[d - k, k])_k, read as its integer
+    numerators, is in the kernel of the rows of degree d."""
+    _, c = rho.numerators()
+    for d in sorted({p + q for p, q in c}):
+        nums = [c.get((d - k, k), 0) for k in range(d + 1)]
+        if any(sum(a * b for a, b in zip(row, nums))
+               for row in _degree(d).rows):
+            return False
+    return True
 
 
 def predicted_dim(d: int) -> int:

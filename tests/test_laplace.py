@@ -2,6 +2,7 @@
 
 import ast
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latval.geometry import (NotFullDimensional, hull_normalize,
-                             scale_polygon, split_pairs)
+from latval.geometry import (LatticePolygon, NotFullDimensional,
+                             hull_normalize, scale_polygon, split_pairs)
 from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
 from latval import laplace
-from latval.laplace import laplace_plus, polygon_moments
+from latval.laplace import _degree_tables, laplace_plus
 from latval.series import Series2
 from latval.valuation import ValuationSpec, z_polygon
 
@@ -36,6 +37,32 @@ def triangle_moment(a: int, b: int) -> Q:
     if a < 0 or b < 0:
         raise ValueError("exponents must be non-negative")
     return Q(factorial(a) * factorial(b), factorial(a + b + 2))
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    polygon: LatticePolygon
+    max_degree: int
+    values: dict   # (a, b) -> Fraction
+
+    def moment(self, a: int, b: int) -> Q:
+        """mu(a, b); only the moments with a + b <= max_degree are known."""
+        if a < 0 or b < 0:
+            raise ValueError("exponents must be non-negative")
+        if a + b > self.max_degree:
+            raise ValueError(f"moment ({a}, {b}) has degree {a + b}, above "
+                             f"the computed maximum {self.max_degree}")
+        return self.values[(a, b)]
+
+
+def polygon_moments(P: LatticePolygon, n_max: int) -> MomentTable:
+    """All moments mu(a, b), a + b <= n_max.  Each is an integer over
+    K = (n_max+2)!, namely a! b! H[k][a] (K / (k+2)!) with k = a + b."""
+    H = _degree_tables(P, n_max)
+    f = [factorial(i) for i in range(n_max + 3)]
+    return MomentTable(P, n_max, {
+        (a, k - a): Q(f[a] * f[k - a] * H[k][a], f[k + 2])
+        for k in range(n_max + 1) for a in range(k + 1)})
 
 
 def test_triangle_moment():

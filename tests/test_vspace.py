@@ -1,5 +1,6 @@
 """Tests for the homogeneous solution-space solver."""
 
+from collections import OrderedDict
 from fractions import Fraction as Q
 
 import pytest
@@ -113,3 +114,79 @@ def test_negative_degree_rejected():
         vspace.vd_basis(-1)
     with pytest.raises(ValueError):
         vspace.st_basis(-2)
+
+
+# the per-degree cache: rows and basis of each degree, solved once
+
+
+NULLSPACE = linalg.nullspace   # the oracle's, never the counted one
+
+
+def oracle_basis(d):
+    kernel = NULLSPACE(vspace.constraint_matrix(d, laws.RHO_LAWS), d + 1)
+    return tuple(tuple(v) for v in kernel)
+
+
+def oracle_st_basis(d):
+    images = [vspace.to_coefficients(
+        laws.to_st(vspace.from_coefficients(v, d)), d) for v in oracle_basis(d)]
+    return tuple(tuple(r) for r in linalg.rref(images)[0])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """An empty per-degree cache; returns the list of the degrees that
+    linalg.nullspace is asked to solve (its number of columns - 1)."""
+    monkeypatch.setattr(vspace, "_DEGREES", OrderedDict())
+    calls = []
+
+    def counted(matrix, ncols=None):
+        calls.append(ncols - 1)
+        return NULLSPACE(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    return calls
+
+
+def test_degree_cache_is_bounded_and_solves_again_after_eviction(
+        monkeypatch, solves):
+    monkeypatch.setattr(vspace, "DEGREES_MAX", 3)
+    first = {}
+    for d in range(9):
+        first[d] = vspace.vd_basis(d)
+        assert len(vspace._DEGREES) <= 3
+    assert list(vspace._DEGREES) == [6, 7, 8]
+    for d in range(8, -1, -1):
+        basis = vspace.vd_basis(d)
+        assert len(vspace._DEGREES) <= 3
+        assert basis.vectors == oracle_basis(d), d
+        # 8, 7 and 6 were kept; 5..0 were evicted and are solved again
+        assert (basis is first[d]) == (d >= 6), d
+    assert solves == list(range(9)) + list(range(5, -1, -1))
+
+
+def test_st_basis_reads_the_one_solve_of_vd_basis(solves):
+    for d in range(25):
+        before = vspace.st_basis(d)
+        vspace.vd_basis(d)
+        after = vspace.st_basis(d)
+        assert before == after
+        assert after.vectors == oracle_st_basis(d), d
+    assert solves == list(range(25))
+
+
+def test_rho_check_agrees_with_check_law_after_eviction(monkeypatch, solves):
+    monkeypatch.setattr(vspace, "DEGREES_MAX", 3)
+    valid = vspace.vd_basis(6).polynomials()[0]
+    invalid = valid + Series2.monomial(1, 5, 1, 6)
+    for d in (10, 12, 14):
+        vspace.vd_basis(d)
+    assert 6 not in vspace._DEGREES
+    for rho in (valid, invalid):
+        holds = all(check_law(law, rho).holds for law in laws.RHO_LAWS)
+        assert vspace.satisfies_rho_laws(rho) == holds
+    assert not vspace.satisfies_rho_laws(invalid)
+    # the rows of degree 6 are back, and checking rho solved nothing
+    assert vspace._DEGREES[6].basis is None
+    assert solves == [6, 10, 12, 14]
+
