@@ -247,10 +247,10 @@ def _encode(obj, newline: str, parts: list) -> None:
         parts.append(int.__repr__(obj))
     elif isinstance(obj, Series2):   # as series2_to_obj, a string per term
         i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
-        den, c = obj.numerators()
-        terms = [f'{{{i3}"e": [{i4}{p},{i4}{q}{i3}],{i3}"c": '
-                 f'"{format_rational(s, den)}"{i2}}}' for (p, q), s in
-                 sorted(c.items(), key=lambda t: (sum(t[0]), t[0][0]))]
+        den, rows = obj.numerators()
+        terms = [f'{{{i3}"e": [{i4}{p},{i4}{d - p}{i3}],{i3}"c": '
+                 f'"{format_rational(s, den)}"{i2}}}'
+                 for d, row in enumerate(rows) for p, s in enumerate(row) if s]
         parts.append(f'{{{i1}"vars": [{i2}"x",{i2}"y"{i1}],{i1}"order": '
                      f'{obj.order},{i1}"terms": ')
         parts.append(f"[{i2}{(',' + i2).join(terms)}{i1}]" if terms else "[]")

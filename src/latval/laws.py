@@ -228,19 +228,18 @@ def d4_decompose(h: Series2) -> Series2:
     powers = _generator_powers(
         [(i, j) for j in range(n // 4 + 1) for i in range((n - 4 * j) // 2 + 1)],
         n)
-    den, c = h.numerators()
+    den, rows = h.numerators()
     out = {}
     for deg in range(n + 1):
-        rhs = [c.get((p, deg - p), 0) for p in range(deg + 1)]
+        rhs = rows[deg] if deg < len(rows) else [0] * (deg + 1)
         if deg % 2 == 1:
             if any(rhs):
                 raise NotInvariant("odd-degree terms present")
             continue
         monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
-        # products of the integer generators: their denominators are 1
-        polys = [powers[e].numerators()[1] for e in monos]
-        matrix = [[g.get((p, deg - p), 0) for g in polys]
-                  for p in range(deg + 1)]
+        # integer generator powers, homogeneous: row deg is their last
+        matrix = [list(r) for r in
+                  zip(*(powers[e].numerators()[1][deg] for e in monos))]
         sol = linalg.solve(matrix, rhs)
         if sol is None:
             raise NoRepresentation(f"degree {deg} part not in the invariant ring")

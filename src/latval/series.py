@@ -20,15 +20,18 @@ coefficients are read back as balanced digits of width k; the width that
 ``_width`` sets keeps each within (-2^(k-1), 2^(k-1)), so they are read
 exactly.  ``Series2.__mul__`` packs each degree of both factors the same
 way, so a degree of the product is one sum of int products;
-``Series2.mul_linear`` is two shifted copies of the numerators.  Every
-packed kernel reads its result back once, by ``_unpack``.
+``Series2.mul_linear`` is two shifted copies of each row.  Every packed
+kernel reads its result back once, by ``_unpack``.
 
-A series holds nonzero int numerators {(p, q): s} over one int den >= 1,
-canonical: gcd(den, *s) = 1 and every p + q <= order, so equal series of
-one order hold equal state.  ``Series2(...)`` checks what it is given and
-brings it over one lcm; the kernels build their results with
-``Series2._of``, which reduces by one gcd, so no ``Fraction`` is made
-between kernels.  ``coeff``, ``terms`` and ``first_difference`` return
+A series holds its int numerators by total degree, over one int den >= 1:
+rows[d] is the list of the d + 1 numerators of x^p y^(d-p), p = 0..d,
+the digit order of the packing.  The state is canonical: the last row is
+not all zero (so there are at most order + 1 rows) and
+gcd(den, every entry) = 1, so equal series of one order hold equal state.
+``Series2(...)`` checks what it is given and brings it over one lcm; the
+kernels build their results with ``Series2._of``, which drops trailing
+zero rows and reduces by one gcd, so no ``Fraction`` is made between
+kernels.  ``coeff``, ``terms`` and ``first_difference`` return
 ``Fraction``s, and ``Series2.numerators`` gives the integers.  An int
 argument of a kernel is used as it is, with no ``Fraction`` made of it; a
 float is refused, since it is already rounded to binary.
@@ -37,6 +40,7 @@ float is refused, since it is already rounded to binary.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat, zip_longest
 from math import comb, factorial, gcd, lcm
 
 Q = Fraction
@@ -112,19 +116,23 @@ def _packed_powers(a: int, b: int, n: int, k: int) -> list:
     return powers
 
 
-def _packed_cell(degrees) -> tuple:
-    """What the packed substitution needs of homogeneous integer parts:
-    (degrees, bits, top1, top2) for degrees a list of (d, nums) sorted by
-    d, each nums a nonempty list of (p, s) with s != 0 standing for
+def _packed_cell(rows) -> tuple:
+    """What the packed substitution needs of integer rows by total degree:
+    (degrees, bits, top1, top2), degrees the list of (d, nums) for each
+    row d that is not all zero, nums its (p, s) with s != 0 standing for
     s * x^p * y^(d-p); bits is the largest bit length of an s, and top1
-    and top2 are the highest powers p and d - p that any term needs."""
-    bits = top1 = top2 = 0
-    for d, nums in degrees:
-        ps, ss = zip(*nums)
-        bits = max(bits, max(max(ss), -min(ss)).bit_length())
-        top1 = max(top1, max(ps))
-        top2 = max(top2, d - min(ps))
-    return degrees, bits, top1, top2
+    and top2 are the highest powers p and d - p that any term needs, all
+    taken from the nonzero entries alone."""
+    degrees = []
+    big = top1 = top2 = 0
+    for d, row in enumerate(rows):
+        if any(row):
+            nums = [(p, s) for p, s in enumerate(row) if s]
+            degrees.append((d, nums))
+            big = max(big, max(row), -min(row))
+            top1 = max(top1, nums[-1][0])
+            top2 = max(top2, d - nums[0][0])
+    return degrees, big.bit_length(), top1, top2
 
 
 def _width(images, spare: int = 0) -> int:
@@ -148,73 +156,75 @@ def _width(images, spare: int = 0) -> int:
     return k + len(images).bit_length() + spare + 2
 
 
-def _packed_sum(images, k: int) -> dict:
-    """{d: h}, h the degree d of the sum that _width describes packed at
-    x = 2^k, y = 1: one integer sum of the terms s * U^p * V^(d-p), for
-    U, V the _packed_powers of an image's two forms, made once per image."""
-    sums = {}
+def _packed_sum(images, k: int, n: int) -> list:
+    """[h_0, ..., h_n], h_d the degree d of the sum that _width describes
+    packed at x = 2^k, y = 1: one integer sum of the terms
+    s * U^p * V^(d-p), for U, V the _packed_powers of an image's two
+    forms, made once per image; no image may reach above degree n."""
+    sums = [0] * (n + 1)
     for (degrees, _, top1, top2), (a1, b1), (a2, b2) in images:
         us = _packed_powers(a1, b1, top1, k)
         vs = _packed_powers(a2, b2, top2, k)
         for d, nums in degrees:
-            h = sums.get(d, 0)
+            h = sums[d]
             for p, s in nums:
                 h += s * us[p] * vs[d - p]
             sums[d] = h
     return sums
 
 
-# row d: the exponents (i, d - i), i = 0..d, shared as keys by the maps
-# that _unpack makes.  Grown (by a longer copy, so that no thread sees a
-# part row) to the largest degree read, never cut: one copy of the keys of
-# the largest series read; at io.MAX_ORDER, 1000, that is 501,501 tuples.
-_EXPONENTS = []
-
-
-def _unpack(packed, k: int, weights=None) -> dict:
-    """{(i, d - i): s * weights[d]} (weights None: s) for the nonzero
-    balanced digits s of width k of each h of the list of (d, h), d rising:
-    the coefficients of x^i y^(d-i), exact while below 2^(k-2) in size."""
-    global _EXPONENTS
-    if not packed:
-        return {}
-    rows, out = _EXPONENTS, {}
-    if len(rows) <= packed[-1][0]:
-        rows = _EXPONENTS = rows + [[(i, d - i) for i in range(d + 1)] for d
-                                    in range(len(rows), packed[-1][0] + 1)]
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
+def _unpack(packed, k: int, weights=None) -> list:
+    """The rows [s_0 * weights[d], ..., s_d * weights[d]] (weights None:
+    the s_i) of the balanced digits s_i of width k of each packed degree
+    packed[d]: the coefficients of x^i y^(d-i), exact while below 2^(k-2)
+    in size."""
+    mask, half = (1 << k) - 1, (1 << k) >> 1   # k = 0 for a zero sum
+    rows = []
     # offset: half in each of the digits 0..d, which makes them all
     # nonnegative, so each is read with one mask and one shift
-    offset, done = half, 0
-    for d, h in packed:
-        for _ in range(d - done):
-            offset = (offset << k) | half
-        done = d
-        h += offset
-        m = 1 if weights is None else weights[d]
-        for e in rows[d]:
-            s = (h & mask) - half
-            if s:
-                out[e] = s * m
-            h >>= k
+    offset = 0
+    for d, h in enumerate(packed):
+        offset = (offset << k) | half
+        row = [0] * (d + 1)
+        if h:
+            # the digits below the lowest set bit of h are 0
+            low = ((h & -h).bit_length() - 1) // k
+            h = (h >> (k * low)) + (offset >> (k * low))
+            m = 1 if weights is None else weights[d]
+            for i in range(low, d + 1):
+                s = (h & mask) - half
+                if s:
+                    row[i] = s * m
+                h >>= k
+        rows.append(row)
+    return rows
+
+
+def _bits(rows) -> int:
+    """The largest bit length of an entry of the rows."""
+    return max(max(map(max, rows), default=0),
+               -min(map(min, rows), default=0)).bit_length()
+
+
+def _times(rows, weights) -> list:
+    """Row d times weights[d]: a zero row, or a row times 1, is the same
+    list, so a sparse series (one in x alone, or homogeneous) costs its
+    nonzero rows alone."""
+    return [row if w == 1 or not any(row) else [s * w for s in row]
+            for row, w in zip(rows, weights)]
+
+
+def _packed_degrees(rows, k: int) -> list:
+    """[h_0, ...], h_d the int sum_p s * 2^(k*p) of the entries s of row
+    d: degree d packed at x = 2^k, y = 1."""
+    out = []
+    for row in rows:
+        h = 0
+        if any(row):
+            for s in reversed(row):
+                h = (h << k) + s
+        out.append(h)
     return out
-
-
-def _bits(c: dict) -> int:
-    """The largest bit length of a numerator of the map c."""
-    return max(map(abs, c.values()), default=0).bit_length()
-
-
-def _packed_degrees(c: dict, order: int, k: int) -> list:
-    """[(d, h)] sorted by d for each degree d <= order of the numerator
-    map c, h the int sum_p s * 2^(k*p) of its terms s * x^p * y^(d-p):
-    degree d packed at x = 2^k, y = 1."""
-    packed = {}
-    for (p, q), s in c.items():
-        if p + q <= order:
-            packed[p + q] = packed.get(p + q, 0) + (s << (k * p))
-    return sorted(packed.items())
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +256,11 @@ def packed_cells(fs) -> tuple:
     D for f alone is den / gcd(den, the d! * s), and D is their lcm."""
     n = fs[0].order
     fact = [factorial(d) for d in range(n + 1)]
-    scaled = [(f._den, [(p + q, p, fact[p + q] * s)
-                        for (p, q), s in f._c.items()]) for f in fs]
-    den = lcm(*(d // gcd(d, *(s for _, _, s in terms)) for d, terms in scaled))
-    cells = []
-    for d, terms in scaled:
-        degrees = {}
-        for k, p, s in terms:
-            degrees.setdefault(k, []).append((p, s * den // d))
-        cells.append(_packed_cell(sorted(degrees.items())))
-    return den, cells
+    scaled = [(f._den, _times(f._rows, fact)) for f in fs]
+    den = lcm(*(d // gcd(d, *chain.from_iterable(rows)) for d, rows in scaled))
+    return den, [_packed_cell([[s * den // d for s in row] if any(row)
+                               else row for row in rows])
+                 for d, rows in scaled]
 
 
 def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
@@ -288,8 +293,7 @@ def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
         + len(by_v).bit_length()
     total = [0] * (n + 1)
     for (v0, v1), images in by_v.items():
-        sums = _packed_sum(images, k)
-        h = [sums.get(d, 0) for d in range(n + 1)]
+        h = _packed_sum(images, k, n)
         w = (v0 << k) + v1
         if w:
             for j in range(1, n + 1):
@@ -299,45 +303,52 @@ def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
     w = [1] * (n + 1)
     for d in range(n, 0, -1):
         w[d - 1] = w[d] * d * scale
-    return Series2._of(_unpack([(d, h) for d, h in enumerate(total) if h],
-                               k, w), den * w[0], n)
+    return Series2._of(_unpack(total, k, w), den * w[0], n)
 
 
 class Series2:
     """Bivariate truncated series with exact rational coefficients.
 
-    The coefficients are the int numerators _c over _den, canonical as the
-    module docstring says.  The constructor converts, prunes and drops
-    what it is given; the kernels build their results with _of.
+    The coefficients are the int rows _rows over _den, canonical as the
+    module docstring says.  The constructor checks, converts, prunes and
+    drops what it is given; the kernels build their results with _of.
     """
 
-    __slots__ = ("order", "_den", "_c")
+    __slots__ = ("order", "_den", "_rows")
 
     def __init__(self, coeffs=None, order: int = DEFAULT_ORDER):
         if order < 0:
             raise ValueError("order must be non-negative")
         c = {}
-        if coeffs:
-            for (p, q), v in coeffs.items():
-                v = _q(v)
-                if p + q <= order and v != 0:
-                    c[(p, q)] = v
+        for (p, q), v in (coeffs or {}).items():
+            if not (type(p) is type(q) is int and p >= 0 and q >= 0):
+                raise ValueError(f"the term {v!s}*x^{p!r}*y^{q!r} has an "
+                                 "exponent that is not an int >= 0")
+            v = _q(v)
+            if p + q <= order and v != 0:
+                c[(p, q)] = v
         # one lcm and one division per distinct denominator
         dens = {v.denominator for v in c.values()}
         self.order, self._den = order, lcm(*dens)
         scale = {q: self._den // q for q in dens}
-        self._c = {e: v.numerator * scale[v.denominator]
-                   for e, v in c.items()}
+        self._rows = [[0] * (d + 1) for d in
+                      range(max((p + q for p, q in c), default=-1) + 1)]
+        for (p, q), v in c.items():
+            self._rows[p + q][p] = v.numerator * scale[v.denominator]
 
     @classmethod
-    def _of(cls, c: dict, den: int, order: int) -> "Series2":
-        """The series c / den, reduced by one gcd and otherwise unchecked:
-        every value of c must be a nonzero int, every exponent of total
-        degree <= order, and den >= 1."""
-        g = gcd(den, *c.values())
+    def _of(cls, rows: list, den: int, order: int) -> "Series2":
+        """The series rows / den with its trailing zero rows dropped,
+        reduced by one gcd and otherwise unchecked: row d must be a list
+        of d + 1 ints, there must be at most order + 1 rows, and den >= 1."""
+        while rows and not any(rows[-1]):
+            rows = rows[:-1]
+        # the top row alone most often leaves no common factor
+        g = gcd(den, *rows[-1]) if rows else den
+        g = g if g == 1 else gcd(g, *chain.from_iterable(rows))
         f = object.__new__(cls)
         f.order, f._den = order, den // g
-        f._c = c if g == 1 else {e: s // g for e, s in c.items()}
+        f._rows = rows if g == 1 else [[s // g for s in row] for row in rows]
         return f
 
     @classmethod
@@ -353,29 +364,30 @@ class Series2:
         return cls({(p, q): value}, order)
 
     def coeff(self, p: int, q: int = 0) -> Q:
-        s = self._c.get((p, q))
+        d = p + q
+        s = self._rows[d][p] if 0 <= p <= d < len(self._rows) else 0
         return Q(s, self._den) if s else _ZERO
 
     def terms(self):
-        return [(e, Q(s, self._den)) for e, s in
-                sorted(self._c.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]))]
+        den = self._den
+        return [((p, d - p), Q(s, den)) for d, row in enumerate(self._rows)
+                for p, s in enumerate(row) if s]
 
     def numerators(self) -> tuple:
-        """(den, c): the coefficients c[(p, q)] / den in lowest terms; c is
-        the series' own map, to be read and not changed."""
-        return self._den, self._c
+        """(den, rows): the coefficient of x^p y^(d-p) is rows[d][p] / den,
+        in lowest terms, and is 0 for d >= len(rows); rows are the series'
+        own lists, to be read and not changed."""
+        return self._den, self._rows
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._rows
 
     def constant_term(self) -> Q:
         return self.coeff(0, 0)
 
     def lowest_degree(self):
         """Smallest total degree with a nonzero coefficient, or None for zero."""
-        if not self._c:
-            return None
-        return min(p + q for p, q in self._c)
+        return next((d for d, row in enumerate(self._rows) if any(row)), None)
 
     def __add__(self, other: "Series2") -> "Series2":
         return self._plus(other, 1)
@@ -388,21 +400,20 @@ class Series2:
         order = min(self.order, other.order)
         den = lcm(self._den, other._den)
         ma, mb = den // self._den, den // other._den * sign
-        c = {e: s * ma for e, s in self._c.items() if e[0] + e[1] <= order}
-        for e, s in other._c.items():
-            if e[0] + e[1] <= order:
-                c[e] = c.get(e, 0) + s * mb
-        return Series2._of({e: s for e, s in c.items() if s}, den, order)
+        a, b = self._rows[:order + 1], other._rows[:order + 1]
+        if len(a) < len(b):
+            a, b, ma, mb = b, a, mb, ma
+        rows = [[s * ma + t * mb for s, t in zip(r, u)] if any(r) or any(u)
+                else r for r, u in zip(a, b)]
+        rows += _times(a[len(b):], repeat(ma))
+        return Series2._of(rows, den, order)
 
     def __neg__(self) -> "Series2":
-        return Series2._of({e: -s for e, s in self._c.items()}, self._den,
-                           self.order)
+        return self.scalar_mul(-1)
 
     def scalar_mul(self, s) -> "Series2":
         s = _q(s)
-        if not s:
-            return Series2._of({}, 1, self.order)
-        return Series2._of({e: v * s.numerator for e, v in self._c.items()},
+        return Series2._of(_times(self._rows, repeat(s.numerator)),
                            self._den * s.denominator, self.order)
 
     def __mul__(self, other: "Series2") -> "Series2":
@@ -417,17 +428,16 @@ class Series2:
         k = bits(a) + bits(b) + 2*bitlen(order + 1) + 2 keeps it below the
         2^(k-2) that _unpack reads exactly."""
         order = min(self.order, other.order)
-        k = (_bits(self._c) + _bits(other._c)
-             + 2 * (order + 1).bit_length() + 2)
-        pb = _packed_degrees(other._c, order, k)
-        sums = {}
-        for i, a in _packed_degrees(self._c, order, k):
-            for j, b in pb:
+        a, b = self._rows[:order + 1], other._rows[:order + 1]
+        k = _bits(a) + _bits(b) + 2 * (order + 1).bit_length() + 2
+        pb = [(j, g) for j, g in enumerate(_packed_degrees(b, k)) if g]
+        sums = [0] * min(order + 1, len(a) + len(b) - 1)
+        for i, h in enumerate(_packed_degrees(a, k)):
+            for j, g in pb:
                 if i + j > order:
                     break
-                sums[i + j] = sums.get(i + j, 0) + a * b
-        return Series2._of(_unpack(sorted(sums.items()), k),
-                           self._den * other._den, order)
+                sums[i + j] += h * g
+        return Series2._of(_unpack(sums, k), self._den * other._den, order)
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -437,29 +447,27 @@ class Series2:
         term, so self's unknown degree self.order + 1 meets it only in
         degrees the product drops.  With L the lcm of the denominators of
         a and b, the product is the numerators times A*x + B*y, A = L*a and
-        B = L*b, over den * L: two shifted copies of the numerators, added
-        where they meet, and an entry that cancels there is dropped."""
+        B = L*b, over den * L: row d + 1 of the product is row d times B
+        plus row d shifted up one place times A."""
         scale, (A, B) = _integral(a, b)
-        c = {(p + 1, q): s * A for (p, q), s in self._c.items()}
-        for (p, q), s in self._c.items():
-            c[(p, q + 1)] = c.get((p, q + 1), 0) + s * B
-        return Series2._of({e: s for e, s in c.items() if s},
-                           self._den * scale, self.order + 1)
+        rows = [[0]] + [[B * row[0]]
+                        + [A * s + B * t for s, t in zip(row, row[1:])]
+                        + [A * row[-1]] if any(row) else [0] * (len(row) + 1)
+                        for row in self._rows]
+        return Series2._of(rows, self._den * scale, self.order + 1)
 
     def truncate(self, order: int) -> "Series2":
         order = min(self.order, order)
         if order < 0:
             raise ValueError("order must be non-negative")
-        return Series2._of({e: s for e, s in self._c.items()
-                            if e[0] + e[1] <= order}, self._den, order)
+        return Series2._of(self._rows[:order + 1], self._den, order)
 
     def scale_variables(self, m) -> "Series2":
         """Substitute (x, y) -> (m*x, m*y): for m = a/b, degree d is times
         a^d * b^(n-d) over b^n, n the order."""
         m, n = _q(m), self.order
         w = [m.numerator ** d * m.denominator ** (n - d) for d in range(n + 1)]
-        return Series2._of({(p, q): s * w[p + q] for (p, q), s in self._c.items()
-                            if w[p + q]}, self._den * w[0], n)
+        return Series2._of(_times(self._rows, w), self._den * w[0], n)
 
     def subst_linear(self, first, second) -> "Series2":
         """Return f(a1*x + b1*y, a2*x + b2*y) for first=(a1,b1), second=(a2,b2).
@@ -474,34 +482,27 @@ class Series2:
         den * L^n for n the top degree.
         """
         scale, (a1, b1, a2, b2) = _integral(*first, *second)
-        by_degree = {}
-        for (p, q), s in self._c.items():
-            by_degree.setdefault(p + q, []).append((p, s))
-        images = [(_packed_cell(sorted(by_degree.items())), (a1, b1),
-                   (a2, b2))]
+        images = [(_packed_cell(self._rows), (a1, b1), (a2, b2))]
         k = _width(images)
-        sums = sorted(_packed_sum(images, k).items())
-        n = sums[-1][0] if sums else 0
+        n = max(len(self._rows) - 1, 0)
         w = None if scale == 1 else [scale ** (n - d) for d in range(n + 1)]
-        return Series2._of(_unpack(sums, k, w), self._den * scale ** n,
-                           self.order)
+        return Series2._of(_unpack(_packed_sum(images, k, n), k, w),
+                           self._den * scale ** n, self.order)
 
     def first_difference(self, other: "Series2", order=None):
         """First exponent pair (by total degree, then x-degree) where the two
         series differ up to the common valid order, or None.  The numerators
         are compared across the two denominators."""
-        n = min(self.order, other.order)
-        if order is not None:
-            n = min(n, order)
-        a, b, da, db = self._c, other._c, self._den, other._den
-        # no stored value is zero, so a key in only one map is a difference
-        diff = [e for e, s in a.items()
-                if e[0] + e[1] <= n and s * db != b.get(e, 0) * da]
-        diff += [e for e in b if e[0] + e[1] <= n and e not in a]
-        if not diff:
-            return None
-        e = min(diff, key=lambda e: (e[0] + e[1], e[0]))
-        return (e, self.coeff(*e), other.coeff(*e))
+        n = min(self.order, other.order, self.order if order is None else order)
+        a, b = self._rows[:n + 1], other._rows[:n + 1]
+        da, db = self._den, other._den
+        # a row that only one of them has is compared with zeros
+        for d, (r, u) in enumerate(zip_longest(a, b, fillvalue=[0] * (n + 1))):
+            if r != u or da != db:
+                for p, (s, t) in enumerate(zip(r, u)):
+                    if s * db != t * da:
+                        return ((p, d - p), Q(s, da), Q(t, db))
+        return None
 
     def eq_up_to(self, other: "Series2", order=None) -> bool:
         return self.first_difference(other, order) is None
@@ -514,7 +515,7 @@ class Series2:
     __hash__ = None
 
     def key(self):   # equal orders and coefficients: the state is canonical
-        return (self.order, self._den, frozenset(self._c.items()))
+        return (self.order, self._den, tuple(map(tuple, self._rows)))
 
     def __repr__(self):
         body = " + ".join(f"({v})*x^{p}*y^{q}" for (p, q), v in self.terms()) or "0"
@@ -583,25 +584,23 @@ def divide_linear(f: Series2, a, b) -> Series2:
         A, B = B, A
     if B < 0:
         A, B, scale = -A, -B, -scale
-    by_degree = {}
-    for (p, q), s in f._c.items():
-        by_degree.setdefault(p + q, {})[q if swap else p] = s
-    top = max(by_degree, default=0)
+    top = max(len(f._rows) - 1, 0)
     powers = [B ** k for k in range(top + 1)]
-    out = {}
-    for n, nums in by_degree.items():
-        prev = 0
+    out = []
+    for n, row in enumerate(f._rows):
+        if swap:
+            row = row[::-1]
+        prev, quot = 0, []
         for p in range(n):
-            prev = nums.get(p, 0) * powers[p] - A * prev
-            if prev:
-                e = (n - 1 - p, p) if swap else (p, n - 1 - p)
-                out[e] = scale * prev * powers[top - 1 - p]
-        if nums.get(n, 0) * powers[n] != A * prev:
+            prev = row[p] * powers[p] - A * prev
+            quot.append(scale * prev * powers[top - 1 - p])
+        if row[n] * powers[n] != A * prev:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
+        out.append(quot[::-1] if swap else quot)
     if f.order == 0:
         raise ValueError("order must be non-negative")
-    return Series2._of(out, f._den * powers[top], f.order - 1)
+    return Series2._of(out[1:], f._den * powers[top], f.order - 1)
 
 
 def compose_univariate(g: Series2, inner: Series2) -> Series2:
@@ -634,7 +633,8 @@ def compose_univariate(g: Series2, inner: Series2) -> Series2:
 
 
 # B_0, B_1, ...: grown up to the largest order asked (sharp asks for
-# B_0..B_order), never cut; like _EXPONENTS it grows by a longer copy
+# B_0..B_order), never cut; it grows by a longer copy, so that no thread
+# sees a part table
 _BERNOULLI = [Q(1)]
 
 
@@ -676,14 +676,13 @@ def special_series(kind: str, order: int):
     for d in range(order, 0, -1):
         w[d - 1] = w[d] * (d + 1)
     if kind == "expm1_over_t":
-        return Series2._of({(d, 0): w[d] for d in range(order + 1)},
+        return Series2._of([[0] * d + [w[d]] for d in range(order + 1)],
                            w[0], order)
     if kind == "t_over_expm1":
         bern = bernoulli_numbers(order)
         den = lcm(*(b.denominator for b in bern))
-        return Series2._of({(n, 0): b.numerator * (den // b.denominator)
-                            * (n + 1) * w[n]
-                            for n, b in enumerate(bern) if b},
-                           den * w[0], order)
-    return Series2._of({(p, d - p): w[d] for d in range(order + 1)
-                        for p in range(d + 1)}, w[0], order)
+        return Series2._of([[0] * n + [b.numerator * (den // b.denominator)
+                                       * (n + 1) * w[n]]
+                            for n, b in enumerate(bern)], den * w[0], order)
+    return Series2._of([[w[d]] * (d + 1) for d in range(order + 1)], w[0],
+                       order)

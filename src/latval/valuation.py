@@ -52,9 +52,9 @@ from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
                        segment_lattice_points, unimodular_triangulation)
 from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
-from .series import (DEFAULT_ORDER, Series1, Series2, compose_univariate,
-                     divide_linear, exp_linear, mul_exp_linear,
-                     packed_cells, special_series, sum_of_images)
+from .series import (DEFAULT_ORDER, Series1, Series2, divide_linear,
+                     exp_linear, mul_exp_linear, packed_cells,
+                     special_series, sum_of_images)
 from .vspace import satisfies_rho_laws
 
 Q = Fraction
@@ -121,10 +121,11 @@ class ValuationSpec:
         object.__setattr__(self, "c", Q(self.c))
         if self.g is None:
             object.__setattr__(self, "g", Series2.zero(self.order))
-        for p, q in self.g.numerators()[1]:
-            if q != 0:
-                raise ValueError(f"g must be a series in x alone; it has "
-                                 f"the term x^{p}*y^{q}")
+        for d, row in enumerate(self.g.numerators()[1]):
+            for p, s in enumerate(row[:d]):
+                if s:
+                    raise ValueError(f"g must be a series in x alone; it "
+                                     f"has the term x^{p}*y^{d - p}")
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
         if not satisfies_rho_laws(self.rho):
@@ -148,8 +149,9 @@ class TriangleData:
 
 def build_triangle_data(spec: ValuationSpec) -> TriangleData:
     n = spec.order
-    x_sq = Series2.monomial(1, 2, 0, n)
-    f1 = mul_exp_linear(compose_univariate(spec.g, x_sq), Q(1, 2), 0)
+    g_sq = Series1({2 * k: v for (k, _), v in spec.g.terms()},   # g(x^2)
+                   min(n, 2 * spec.g.order + 1))
+    f1 = mul_exp_linear(g_sq, Q(1, 2), 0)
     f2 = dagger(spec.rho)
     zT = f2 + (f1 + f1.subst_linear((0, 1), (-1, 0))
                + mul_exp_linear(f1.subst_linear((-1, 1), (-1, 0)), 1, 0)
@@ -441,16 +443,16 @@ def dilative_decompose(spec: ValuationSpec, delta_max=None,
         odd[delta] = beta
         g_res = g_res - odd_basis_g(delta, g_res.order).scalar_mul(beta)
     rho_res = spec.rho - Series2.constant(alpha0 * kappa, spec.rho.order)
-    even = {}
-    for (p, q), v in rho_res.terms():
-        d = p + q
-        delta = d - 2
-        if delta_max is not None and delta > delta_max:
-            raise DecompositionError(
-                f"even component at delta = {delta} exceeds delta_max")
-        part = even.setdefault(delta, {})
-        part[(p, q)] = v
-    even_simple = {delta: Series2(part, n) for delta, part in sorted(even.items())}
+    even_simple = {}
+    den, rows = rho_res.numerators()
+    for d, row in enumerate(rows):
+        if any(row):
+            delta = d - 2
+            if delta_max is not None and delta > delta_max:
+                raise DecompositionError(
+                    f"even component at delta = {delta} exceeds delta_max")
+            even_simple[delta] = Series2(
+                {(p, d - p): Q(s, den) for p, s in enumerate(row) if s}, n)
     return DilativeComponents(alpha0, odd, even_simple, kappa, n)
 
 

@@ -47,8 +47,8 @@ def from_coefficients(coeffs, d: int, order=None) -> Series2:
 def to_coefficients(rho: Series2, d: int):
     """The coefficients of x^{d-k} y^k of rho, k = 0..d, read from its
     numerators: ints when its denominator is 1, Fractions otherwise."""
-    den, c = rho.numerators()
-    nums = [c.get((d - k, k), 0) for k in range(d + 1)]
+    den, rows = rho.numerators()
+    nums = rows[d][::-1] if d < len(rows) else [0] * (d + 1)
     return nums if den == 1 else [Fraction(s, den) for s in nums]
 
 
@@ -118,11 +118,10 @@ def satisfies_rho_laws(rho: Series2) -> bool:
     """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
     does when each homogeneous part (rho[d - k, k])_k, read as its integer
     numerators, is in the kernel of the rows of degree d."""
-    _, c = rho.numerators()
-    for d in sorted({p + q for p, q in c}):
-        nums = [c.get((d - k, k), 0) for k in range(d + 1)]
-        if any(sum(a * b for a, b in zip(row, nums))
-               for row in _degree(d).rows):
+    _, parts = rho.numerators()
+    for d, part in enumerate(parts):
+        if any(part) and any(sum(a * b for a, b in zip(row, reversed(part)))
+                             for row in _degree(d).rows):
             return False
     return True
 

@@ -1,0 +1,135 @@
+"""Mutation check of the series kernels: each catalogued mutant must fail a test.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is one change of source text in ``src/latval``: a
+small fault in a kernel that stores or reads the numerators by total
+degree.  The runner copies ``src/`` into a temporary directory, applies
+the change there, and runs ``pytest -x`` on the entry's test node ids
+alone, with ``PYTHONPATH`` at the copy; ``bench/tests`` is never
+collected, since its ``conftest.py`` puts the checkout's own ``src``
+first.  A mutant is killed when a test fails, or when the run passes
+LIMIT_S seconds (reported as a timeout).  The tests are first run once on
+the unchanged copy, which must pass.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
+the catalogue is stale (a text not found exactly once, or a test run that
+neither passes nor fails) or the unchanged copy fails its tests.  Only the
+standard library is used here; the tests need pytest and hypothesis.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LIMIT_S = 60
+
+# (name, file under src/latval, text, its replacement, test node ids)
+MUTANTS = [
+    ("unpack: no offset in the higher digits", "series.py",
+     "offset = (offset << k) | half", "offset = offset << k",
+     ["test_series.py::test_mul_matches_fraction_double_loop"]),
+    ("unpack: weights dropped", "series.py",
+     "row[i] = s * m", "row[i] = s",
+     ["test_series.py::test_subst_linear_rational"]),
+    ("trailing zero rows kept", "series.py",
+     "while rows and not any(rows[-1]):", "while rows and not rows[-1]:",
+     ["test_series.py::test_kernel_results_pass_the_constructor"]),
+    ("plus: the longer operand's rows not scaled", "series.py",
+     "rows += _times(a[len(b):], repeat(ma))",
+     "rows += a[len(b):]",
+     ["test_series.py::test_sum_matches_fraction_sum"]),
+    ("plus: operands swapped without their multipliers", "series.py",
+     "a, b, ma, mb = b, a, mb, ma", "a, b = b, a",
+     ["test_series.py::test_sum_matches_fraction_sum"]),
+    ("first_difference: equal numerators over unequal denominators",
+     "series.py", "if r != u or da != db:", "if r != u:",
+     ["test_series.py::test_eq_up_to_common_order"]),
+    ("first_difference: rows beyond the shorter series unread",
+     "series.py", "zip_longest(a, b, fillvalue=[0] * (n + 1))", "zip(a, b)",
+     ["test_series.py::test_first_difference_matches_sorted_scan"]),
+    ("mul_linear: the two copies exchanged", "series.py",
+     "[A * s + B * t for s, t in zip(row, row[1:])]",
+     "[A * t + B * s for s, t in zip(row, row[1:])]",
+     ["test_series.py::test_mul_linear_matches_fraction_loop"]),
+    ("divide_linear: quotient rows of a swapped read not turned back",
+     "series.py", "out.append(quot[::-1] if swap else quot)",
+     "out.append(quot)",
+     ["test_series.py::test_divide_x_y"]),
+    ("packed_cells: the d! of each row left out", "series.py",
+     "scaled = [(f._den, _times(f._rows, fact)) for f in fs]",
+     "scaled = [(f._den, f._rows) for f in fs]",
+     ["test_series.py::test_mul_exp_linear_inverse"]),
+    ("packed cell: power tables of y too short", "series.py",
+     "top2 = max(top2, d - nums[0][0])", "top2 = max(top2, d - nums[-1][0])",
+     ["test_series.py::test_divided_diff_exp"]),
+    ("exponent check: a negative y exponent passes", "series.py",
+     "p >= 0 and q >= 0", "p >= 0",
+     ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
+]
+
+
+def run_tests(src: str, tests) -> tuple:
+    """(outcome, seconds, output) of pytest -x on the tests against the
+    copy src: outcome "passed", "failed", "timeout" or "error"."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *sorted({os.path.join("tests", t) for t in tests})]
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=LIMIT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.monotonic() - start, ""
+    outcome = {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+    return outcome, time.monotonic() - start, proc.stdout + proc.stderr
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        shutil.copytree(os.path.join(ROOT, "src"), clean,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        outcome, spent, output = run_tests(
+            clean, [t for *_, tests in MUTANTS for t in tests])
+        print(f"unchanged source: {outcome} ({spent:.1f} s)")
+        if outcome != "passed":
+            print(output[-3000:])
+            return 2
+        survivors, stale = [], []
+        for name, path, text, replacement, tests in MUTANTS:
+            src = os.path.join(tmp, "mutant")
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(clean, src)
+            target = os.path.join(src, "latval", path)
+            with open(target, encoding="utf-8") as fh:
+                source = fh.read()
+            if source.count(text) != 1:
+                print(f"STALE     {name}: {text!r} occurs "
+                      f"{source.count(text)} times in {path}")
+                stale.append(name)
+                continue
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(source.replace(text, replacement))
+            outcome, spent, output = run_tests(src, tests)
+            label = {"failed": "killed", "timeout": "killed (timeout)",
+                     "passed": "SURVIVED", "error": "ERROR"}[outcome]
+            print(f"{label:9s} {name} ({spent:.1f} s)")
+            if outcome == "passed":
+                survivors.append(name)
+            elif outcome == "error":
+                print(output[-3000:])
+                stale.append(name)
+    print(f"{len(MUTANTS) - len(survivors) - len(stale)} of {len(MUTANTS)} "
+          f"mutants killed")
+    if stale:
+        return 2
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """Tests for truncated series arithmetic and the special series."""
 
+import re
 from fractions import Fraction as Q
 from math import comb, factorial, gcd
 
@@ -23,8 +24,9 @@ def homogeneous_part(f: Series2, d: int) -> Series2:
     """The terms of f of total degree d, built unchecked like a kernel."""
     if d > f.order:
         raise DegreeExceedsOrder(f"degree {d} exceeds order {f.order}")
-    return Series2._of({(p, q): s for (p, q), s in f._c.items() if p + q == d},
-                       f._den, f.order)
+    den, rows = f.numerators()
+    part = [[0] * (e + 1) for e in range(d)] + rows[d:d + 1]
+    return Series2._of(part, den, f.order)
 
 
 def test_default_order():
@@ -36,6 +38,22 @@ def test_zero_coefficients_pruned():
     f = Series2({(1, 0): 0, (0, 1): 2})
     assert f.terms() == [((0, 1), Q(2))]
     assert not Series2({(1, 1): 0}).terms()
+
+
+@pytest.mark.parametrize("coeffs, term", [
+    ({(-1, 2): 1, (1, 0): 2}, "1*x^-1*y^2"),
+    ({(0, -3): Q(1, 2)}, "1/2*x^0*y^-3"),
+    ({(Q(1, 2), 0): 1}, "1*x^Fraction(1, 2)*y^0"),
+    ({(1.0, 0): 1}, "1*x^1.0*y^0"),
+    ({(True, 0): 1}, "1*x^True*y^0"),
+], ids=["negative", "negative-y", "fraction", "float", "bool"])
+def test_exponents_must_be_ints_at_least_0(coeffs, term):
+    # a negative exponent would index its row of numerators from the end
+    with pytest.raises(ValueError, match=re.escape(
+            f"the term {term} has an exponent that is not an int >= 0")):
+        Series2(coeffs, 3)
+    with pytest.raises(ValueError, match="not an int >= 0"):
+        Series1({-1: 1}, 3)
 
 
 def test_terms_beyond_order_dropped():
@@ -83,6 +101,9 @@ def test_subst_linear_rational():
     f = Series2({(2, 0): 4}, 5)
     g = f.subst_linear((Q(1, 2), 0), (0, 1))
     assert g.coeff(2, 0) == 1
+    # degrees 1 and 2 are read back over one denominator, 2^2
+    g = Series2({(1, 0): 1, (2, 0): 4}, 5).subst_linear((Q(1, 2), 0), (0, 1))
+    assert g.key() == Series2({(1, 0): Q(1, 2), (2, 0): 1}, 5).key()
 
 
 def test_eq_up_to_common_order():
@@ -93,6 +114,9 @@ def test_eq_up_to_common_order():
     assert f.first_difference(g) is None
     h = Series2({(1, 0): 2}, 3)
     assert f.first_difference(h) == ((1, 0), Q(1), Q(2))
+    # equal numerators over unequal denominators
+    assert f.first_difference(f.scalar_mul(Q(1, 2))) == ((1, 0), Q(1),
+                                                        Q(1, 2))
 
 
 def test_exp_linear():
@@ -140,6 +164,12 @@ def test_divide_x_y():
     assert divide_linear(f, 1, 0).coeff(1, 1) == 6
     assert divide_linear(f, 1, 0).order == 4
     assert divide_linear(f, 0, 1).coeff(2, 0) == 6
+    # quotients that are not symmetric in x and y
+    g = Series2({(3, 1): 2, (1, 0): 1}, 5)
+    assert divide_linear(g, 1, 0).key() == Series2({(2, 1): 2, (0, 0): 1},
+                                                   4).key()
+    assert divide_linear(g.subst_linear((0, 1), (1, 0)), 0, 1).key() \
+        == Series2({(1, 2): 2, (0, 0): 1}, 4).key()
     with pytest.raises(NotDivisible):
         divide_linear(Series2({(0, 1): 1}, 5), 1, 0)
     with pytest.raises(NotDivisible):
@@ -397,7 +427,7 @@ def test_mul_of_dense_series_matches_fraction_double_loop():
                  for p in range(d + 1)}, 20)
     assert (f * g).key() == naive_product(f, g).key()
     assert (g * Series2.zero(9)).key() == Series2.zero(9).key()
-    assert Series2.zero(9).key() == (9, 1, frozenset())
+    assert Series2.zero(9).key() == (9, 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +629,20 @@ def test_sum_of_images_on_one_translation(faces):
     _check_sum_of_images(faces)
 
 
+@settings(max_examples=100)
+@given(any_series, any_series, st.sampled_from([1, -1]))
+def test_sum_matches_fraction_sum(f, g, sign):
+    # operands of independent orders and denominators, so either one may
+    # have the more rows, and their top rows may cancel
+    n = min(f.order, g.order)
+    expected = {e: v for e, v in f.terms() if sum(e) <= n}
+    for e, v in g.terms():
+        if sum(e) <= n:
+            expected[e] = expected.get(e, 0) + sign * v
+    got = f + g if sign == 1 else f - g
+    assert got.key() == Series2(expected, n).key()
+
+
 @settings(max_examples=60)
 @given(any_series, st.tuples(*[st.one_of(small_ints, big)] * 4))
 def test_int_arguments_give_what_fractions_give(f, ints):
@@ -624,22 +668,39 @@ def test_int_arguments_give_what_fractions_give(f, ints):
 
 def assert_checked(f):
     """f's state is canonical and is the one Series2(...) makes of f's
-    coefficients: int numerators, none of them zero, over an int
-    denominator >= 1 with no factor common to all of them, every exponent
-    within the order."""
+    coefficients: int numerators in rows by total degree, row d a list of
+    d + 1 of them, the last row not all zero and no more rows than
+    order + 1, over an int denominator >= 1 with no factor common to all
+    of them."""
     assert type(f.order) is int and f.order >= 0
-    assert type(f._den) is int and f._den >= 1
-    assert all(type(s) is int and s != 0 for s in f._c.values())
-    assert all(p + q <= f.order for p, q in f._c)
-    assert gcd(f._den, *f._c.values()) == 1
+    den, rows = f.numerators()
+    assert type(den) is int and den >= 1
+    assert type(rows) is list and len(rows) <= f.order + 1
+    for d, row in enumerate(rows):
+        assert type(row) is list and len(row) == d + 1
+        assert all(type(s) is int for s in row)
+    assert not rows or any(rows[-1])
+    assert gcd(den, *(s for row in rows for s in row)) == 1
     made = Series2(dict(f.terms()), f.order)
-    assert (made._den, made._c) == (f._den, f._c)
+    assert made.numerators() == (den, rows)
+    assert made.key() == f.key()
+
+
+X, Y = Series2.monomial(1, 1, 0, 4), Series2.monomial(1, 0, 1, 4)
+NO_MAP = ((1, 0), (0, 1))
 
 
 @settings(max_examples=100)
 @given(any_series, series2s(max_order=20, coeffs=entries | large_rationals),
        entries, st.integers(0, 20), matrices(), linear_forms,
        exponents, exponents)
+# x*y - y*x, each made by mul_linear: f - g cancels the top row
+@example(X.mul_linear(0, 1), Y.mul_linear(1, 0), Q(1, 2), 5, NO_MAP,
+         (1, 1), 0, 0)
+# row 1 is zero, so truncate(1) leaves a zero row on top; f - f cancels
+# every row and scale_variables(0) all rows above the constant
+@example(Series2({(0, 0): 1, (2, 0): Q(1, 3), (1, 2): -2}, 4), X, 3, 1,
+         NO_MAP, (0, 1), 1, 0)
 def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
                                              alpha, beta):
     # g has its own order, so sums and products cut one operand's top
@@ -731,7 +792,7 @@ def test_comparisons_across_denominators_and_orders(case, order, s):
     f, d, low = case
     cut = f.truncate(d)
     assert_checked(cut)
-    assert cut._den == low._den < f._den
+    assert cut.numerators()[0] == low.numerators()[0] < f.numerators()[0]
     assert cut.key() == low.truncate(d).key() == Series2(
         dict(low.terms()), d).key()
     assert cut.key() != low.key() and cut.key() != f.key()
