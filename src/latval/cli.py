@@ -7,7 +7,7 @@ holds, 2 law or dilativity violated, 3 malformed input or an unwritable
 The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
 --order flag, up to io.MAX_ORDER; vd's --degree and --max have the same
-upper limit.
+upper limit, and dilative's --delta lies within -io.MAX_ORDER..io.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -179,6 +179,7 @@ def _polygon_paths(items):
 
 
 def cmd_dilative(args) -> int:
+    _in_range("--delta", args.delta, -io.MAX_ORDER)
     spec = io.spec_from_obj(io.load_json(args.spec))
     try:
         m_list = [int(m) for m in args.m.split(",")]
@@ -359,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dilative", cmd_dilative, help="test delta-dilativity")
     p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=int, required=True,
+                   help=f"the exponent delta, {-io.MAX_ORDER} to "
+                        f"{io.MAX_ORDER}")
     p.add_argument("--m", default="2,3", help="comma-separated dilation factors")
     p.add_argument("--polygons", nargs="+", required=True,
                    help=f"polygon JSON files or directories; each dilate "

@@ -6,11 +6,13 @@ starting at the lexicographically smallest vertex.  Triangulations come
 from one monotone sweep over every lattice point of the polygon in
 lexicographic order, which forces all triangles to be unimodular (an
 empty lattice triangle has twice-area one); the (y, x) sweep is the (x, y)
-sweep of the mirror image.
+sweep of the mirror image, which also walks the lattice points of a
+polygon wider than it is tall.  A triangulation holds its cells as points.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -123,15 +125,28 @@ def _between(a: Point, b: Point, p: Point) -> bool:
 def lattice_points(P: LatticePolygon) -> list[Point]:
     """All integer points of P in lexicographic order.
 
-    Each column x runs from its lower to its upper boundary.  P is
-    counterclockwise, so the edges going right bound it below and those
-    going left bound it above; vertical edges bound no column of P.
+    A polygon wider than it is tall is walked by the rows of its mirror
+    image (x, y) -> (y, x) and sorted back, so at most shorter_span(P) + 1
+    columns are walked.
     """
     v = P.vertices
     if P.dim == 0:
         return [v[0]]
     if P.dim == 1:
         return sorted(segment_lattice_points(*v))
+    xs, ys = zip(*v)
+    if max(ys) - min(ys) < max(xs) - min(xs):
+        # the mirror image, counterclockwise again once reversed
+        mirror = [(y, x) for x, y in reversed(v)]
+        return sorted((x, y) for y, x in _columns(mirror))
+    return _columns(v)
+
+
+def _columns(v) -> list[Point]:
+    """The integer points of the counterclockwise convex polygon with
+    vertices v, column by column.  Each column x runs from its lower to
+    its upper boundary: the edges going right bound it below and those
+    going left bound it above; vertical edges bound no column."""
     xs = [p[0] for p in v]
     edges = list(zip(v, v[1:] + v[:1]))
     # each edge as (a, b) with a_x < b_x
@@ -148,6 +163,11 @@ def lattice_points(P: LatticePolygon) -> list[Point]:
         hi = min(rise(a, b, x) // (b[0] - a[0]) for a, b in upper)
         out.extend((x, y) for y in range(lo, hi + 1))
     return out
+
+
+def shorter_span(P: LatticePolygon) -> int:
+    """The smaller of the widths of P along x and along y."""
+    return min(max(c) - min(c) for c in zip(*P.vertices))
 
 
 def lattice_length(a: Point, b: Point) -> int:
@@ -189,16 +209,12 @@ def boundary_lattice_points(P: LatticePolygon) -> list[Point]:
 
 @dataclass(frozen=True)
 class Triangulation:
-    points: tuple[Point, ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    interior_edges: tuple[tuple[int, int], ...]
-    interior_vertices: tuple[int, ...]
-
-    def triangle_points(self, t):
-        return tuple(self.points[i] for i in t)
-
-    def edge_points(self, e):
-        return (self.points[e[0]], self.points[e[1]])
+    """The open cells of a unimodular triangulation, as lattice points:
+    the triangles as point triples in sweep order, the interior edges as
+    sorted point pairs, and the interior vertices."""
+    triangles: tuple[tuple[Point, Point, Point], ...]
+    interior_edges: tuple[tuple[Point, Point], ...]
+    interior_vertices: tuple[Point, ...]
 
 
 def unimodular_triangulation(P: LatticePolygon) -> Triangulation:
@@ -218,26 +234,23 @@ def unimodular_triangulation(P: LatticePolygon) -> Triangulation:
     pts = lattice_points(P)            # lexicographic
 
     triangles = []
-    lower, upper = [], []              # indices into pts, left to right
-    for k, p in enumerate(pts):
-        while len(lower) >= 2 and _cross(pts[lower[-2]], pts[lower[-1]], p) < 0:
-            triangles.append((lower[-2], lower.pop(), k))
-        lower.append(k)
-        while len(upper) >= 2 and _cross(pts[upper[-2]], pts[upper[-1]], p) > 0:
-            triangles.append((upper[-2], upper.pop(), k))
-        upper.append(k)
+    lower, upper = [], []              # points, left to right
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) < 0:
+            triangles.append((lower[-2], lower.pop(), p))
+        lower.append(p)
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) > 0:
+            triangles.append((upper[-2], upper.pop(), p))
+        upper.append(p)
     if not triangles:
         raise NotFullDimensional("all lattice points collinear")
 
-    edge_count = {}
-    for a, b, c in triangles:
-        for e in ((a, b), (b, c), (a, c)):
-            edge_count[e] = edge_count.get(e, 0) + 1
+    edge_count = Counter([e for a, b, c in triangles   # a < b < c
+                          for e in ((a, b), (b, c), (a, c))])
     interior_edges = tuple(sorted(e for e, n in edge_count.items() if n == 2))
     on_chains = set(lower) | set(upper)
-    interior_vertices = tuple(i for i in range(len(pts)) if i not in on_chains)
-    return Triangulation(tuple(pts), tuple(triangles), interior_edges,
-                         interior_vertices)
+    return Triangulation(tuple(triangles), interior_edges,
+                         tuple(p for p in pts if p not in on_chains))
 
 
 def split_pairs(P: LatticePolygon, count=None):
@@ -274,8 +287,8 @@ def split_pairs(P: LatticePolygon, count=None):
 
 def chord_of_split(P1: LatticePolygon, P2: LatticePolygon) -> LatticePolygon:
     """The intersection segment of a split pair."""
-    common = sorted(set(lattice_points(P1)) & set(lattice_points(P2)))
-    seg = hull_normalize(common)
+    seg = hull_normalize(set(boundary_lattice_points(P1))
+                         & set(boundary_lattice_points(P2)))
     if seg.dim != 1:
         raise NotSegment(f"intersection has dim {seg.dim}")
     return seg

@@ -20,9 +20,11 @@ or a decimal with an optional exponent of at most 4 digits ("0.1", "1e5",
 denominator may have at most 4300 digits, the most that Python reads
 from text by default.  Loads validate shape and reject duplicate
 exponents, an order above MAX_ORDER and a polygon with more than
-MAX_LATTICE_POINTS lattice points.  Every load error raises
-MalformedInput, an unreadable file or bad UTF-8, JSON nested too deep or
-bad JSON too; its message shows the offending value as JSON text.
+MAX_LATTICE_POINTS lattice points or, if full-dimensional, spanning more
+than MAX_LATTICE_POINTS lattice lines along its shorter side.  Every load
+error raises MalformedInput, an unreadable file or bad UTF-8, JSON nested
+too deep or bad JSON too; its message shows the offending value as JSON
+text.
 Rationals are written with any number of digits.
 """
 
@@ -33,7 +35,8 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .geometry import LatticePolygon, hull_normalize, lattice_point_count
+from .geometry import (LatticePolygon, hull_normalize, lattice_point_count,
+                       shorter_span)
 from .group import AffineUnimodular, NotUnimodular
 from .series import DEFAULT_ORDER, Series1, Series2, format_rational
 from .valuation import ValuationSpec
@@ -171,11 +174,18 @@ def polygon_from_obj(obj) -> LatticePolygon:
 
 def bounded_polygon(P: LatticePolygon, name: str = "polygon"):
     """P, if it has at most MAX_LATTICE_POINTS lattice points, counted
-    without enumerating them; name is P in the message."""
+    without enumerating them, and, if full-dimensional, spans at most that
+    many lattice lines along its shorter side, the lines lattice_points
+    walks; name is P in the message."""
     n = lattice_point_count(P)
     if n > MAX_LATTICE_POINTS:
         raise MalformedInput(f"{name} has {n} lattice points, above the "
                              f"limit {MAX_LATTICE_POINTS}")
+    lines = shorter_span(P) + 1
+    if P.dim == 2 and lines > MAX_LATTICE_POINTS:
+        raise MalformedInput(f"{name} spans {lines} lattice lines along its "
+                             f"shorter side, above the limit "
+                             f"{MAX_LATTICE_POINTS}")
     return P
 
 

@@ -41,11 +41,10 @@ def _degree_tables(P: LatticePolygon, n: int) -> list:
     L(P) has that coefficient over (k+2)!."""
     if P.dim != 2:
         raise NotFullDimensional(f"dim {P.dim}")
-    tri = unimodular_triangulation(P)
     H = [[0] * (k + 1) for k in range(n + 1)]
-    for t in tri.triangles:
+    for t in unimodular_triangulation(P).triangles:
         h = [[1]] + [[0] * (k + 1) for k in range(1, n + 1)]
-        for p, q in tri.triangle_points(t):
+        for p, q in t:
             # h[k] += (p x + q y) h[k-1], with h[k-1] already updated
             for k in range(1, n + 1):
                 g = h[k - 1]

@@ -128,6 +128,9 @@ class ValuationSpec:
                                      f"has the term x^{p}*y^{d - p}")
         if self.rho is None:
             object.__setattr__(self, "rho", Series2.zero(self.order))
+        if self.rho.order < 1:   # dagger, a division, loses one order
+            raise ValueError(f"rho has order {self.rho.order}; it must "
+                             "have order >= 1")
         if not satisfies_rho_laws(self.rho):
             for law in RHO_LAWS:   # the first violation, for the report
                 report = check_law(law, self.rho)
@@ -229,9 +232,7 @@ def _open_cells(P: LatticePolygon) -> list:
     else:
         tri = unimodular_triangulation(P)
         # every lattice point is a vertex, so each edge is a unit segment
-        cells = ([tri.triangle_points(t) for t in tri.triangles]
-                 + [tri.edge_points(e) for e in tri.interior_edges])
-        inner = [tri.points[i] for i in tri.interior_vertices]
+        cells, inner = tri.triangles + tri.interior_edges, tri.interior_vertices
     out = []
     for v, *ends in _anchored(cells, inner):
         dim = len(ends)

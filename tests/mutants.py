@@ -1,10 +1,12 @@
-"""Mutation check of the series kernels: each catalogued mutant must fail a test.
+"""Mutation check: each catalogued mutant of the source must fail a test.
 
     python tests/mutants.py
 
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
-small fault in a kernel that stores or reads the numerators by total
-degree.  The runner copies ``src/`` into a temporary directory, applies
+small fault in a series kernel that stores or reads the numerators by
+total degree, in the triangulation and the lattice point walk, in the
+cells that the evaluator sums, in the Laplace oracle, in a law, or in a
+bound on input.  The runner copies ``src/`` into a temporary directory, applies
 the change there, and runs ``pytest -x`` on the entry's test node ids
 alone, with ``PYTHONPATH`` at the copy; ``bench/tests`` is never
 collected, since its ``conftest.py`` puts the checkout's own ``src``
@@ -70,6 +72,48 @@ MUTANTS = [
     ("exponent check: a negative y exponent passes", "series.py",
      "p >= 0 and q >= 0", "p >= 0",
      ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
+    ("sweep: the lower chain pops collinear points", "geometry.py",
+     "_cross(lower[-2], lower[-1], p) < 0",
+     "_cross(lower[-2], lower[-1], p) <= 0",
+     ["test_geometry.py::test_triangulation_invariants"]),
+    ("sweep: the upper chain pops collinear points", "geometry.py",
+     "_cross(upper[-2], upper[-1], p) > 0",
+     "_cross(upper[-2], upper[-1], p) >= 0",
+     ["test_geometry.py::test_triangulation_invariants"]),
+    ("interior edges: boundary edges kept", "geometry.py",
+     "for e, n in edge_count.items() if n == 2",
+     "for e, n in edge_count.items() if n >= 1",
+     ["test_geometry.py::test_triangulation_2T"]),
+    ("lattice points: the mirror's points not sorted back", "geometry.py",
+     "sorted((x, y) for y, x in _columns(mirror))",
+     "[(x, y) for y, x in _columns(mirror)]",
+     ["test_geometry.py::test_lattice_points_of_a_wide_polygon"]),
+    ("shorter span: the longer one", "geometry.py",
+     "return min(max(c) - min(c)", "return max(max(c) - min(c)",
+     ["test_cli.py::test_wide_polygon_is_walked_along_its_shorter_side"]),
+    ("chord: the union of the boundaries", "geometry.py",
+     "& set(boundary_lattice_points(P2))",
+     "| set(boundary_lattice_points(P2))",
+     ["test_geometry.py::test_split_pairs"]),
+    ("open cells: the sign by the cell's dimension alone", "valuation.py",
+     "self._cells[d][(P.dim - d) % 2]", "self._cells[d][d % 2]",
+     ["test_valuation.py::test_long_segment_is_sum_of_unit_segments"]),
+    ("open cells: only degenerate triangles rejected", "valuation.py",
+     "if dim == 2 and abs(d) != 1:", "if dim == 2 and d == 0:",
+     ["test_valuation.py::test_non_unimodular_triangle_is_rejected"]),
+    ("anchored: the vertices before the anchor dropped", "valuation.py",
+     "out.append(cell[i:] + cell[:i])", "out.append(cell[i:])",
+     ["test_valuation.py::test_z_polygon_constant_terms"]),
+    ("spec: a rho of order 0 accepted", "valuation.py",
+     "if self.rho.order < 1:", "if self.rho.order < 0:",
+     ["test_cli.py::test_rho_of_order_0_exits_3"]),
+    ("laplace: degree k over (k + 1)!", "laplace.py",
+     "den = factorial(k + 2)", "den = factorial(k + 1)",
+     ["test_laplace.py::test_laplace_plus_T_coefficients"]),
+    ("law Aprime: the factor x + y read as x + 2y", "laws.py",
+     "f.subst_linear(x, (-1, 1)).mul_linear(1, 1),",
+     "f.subst_linear(x, (-1, 1)).mul_linear(1, 2),",
+     ["test_vspace.py::test_dims_table_matches_prediction_to_30"]),
 ]
 
 

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from latval import cli, io, laws
 from latval.geometry import hull_normalize, scale_polygon
-from latval.group import AffineUnimodular
+from latval.group import AffineUnimodular, act_on_series
 from latval.laws import dagger
 from latval.series import Series1, Series2
-from latval.valuation import ValuationSpec, dilative_decompose, reassemble
+from latval.valuation import (ValuationSpec, dilative_decompose, reassemble,
+                              z_polygon)
 
 
 def run(capsys, *argv):
@@ -646,6 +647,75 @@ def test_dilates_above_the_lattice_point_limit_exit_3(tmp_path, capsys):
         f"{io.MAX_LATTICE_POINTS}\n")
     assert io.bounded_polygon(scale_polygon(io.polygon_from_obj(T_POLY),
                                             m - 1)).dim == 2
+
+
+def test_wide_polygon_is_walked_along_its_shorter_side(tmp_path, capsys):
+    # 6 lattice points in 10^20 + 1 columns but 3 rows; it is the image of
+    # 2T under the shear (x, y) -> (x + (W / 2) y, y)
+    W = 10**20
+    spec = write(tmp_path, "spec.json", LAPLACE_SPEC)
+    start = time.perf_counter()
+    code, out = run(capsys, "evaluate", "--spec", spec, "--polygon",
+                    write(tmp_path, "wide.json",
+                          {"vertices": [[0, 0], [2, 0], [W, 2]]}))
+    assert code == 0 and time.perf_counter() - start < 5
+    shear = AffineUnimodular(((1, W // 2), (0, 1)), (0, 0))
+    two_t = hull_normalize([(0, 0), (2, 0), (0, 2)])
+    assert io.series2_from_obj(json.loads(out)) == act_on_series(
+        shear, z_polygon(io.spec_from_obj(LAPLACE_SPEC), two_t))
+
+
+def test_polygon_spanning_too_many_lines_exits_3(tmp_path, capsys):
+    # a unimodular sliver: 3 lattice points, but 10^7 + 2 lattice lines
+    # along either axis, each of which lattice_points would walk
+    n = 10**7
+    path = write(tmp_path, "sliver.json",
+                 {"vertices": [[0, 0], [n, n + 1], [n + 1, n + 2]]})
+    for argv in (["evaluate", "--spec", write(tmp_path, "spec.json",
+                                              LAPLACE_SPEC)],
+                 ["laplace"]):
+        assert cli.main(argv + ["--polygon", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: polygon spans {n + 2} lattice lines along its shorter "
+            f"side, above the limit {io.MAX_LATTICE_POINTS}\n")
+
+
+RHO_ORDER_0_SPEC = {"c": "1", "order": 12,
+                    "rho": {"vars": ["x", "y"], "order": 0,
+                            "terms": [{"e": [0, 0], "c": "-1"}]}}
+
+
+@pytest.mark.parametrize("command",
+                         ["construct", "evaluate", "dilative", "decompose"])
+def test_rho_of_order_0_exits_3(tmp_path, capsys, command):
+    # dagger(rho), a division, would have order -1
+    poly = write(tmp_path, "T.json", T_POLY)
+    extra = {"construct": [], "evaluate": ["--polygon", poly],
+             "dilative": ["--delta", "0", "--polygons", poly],
+             "decompose": ["--kappa", "0"]}[command]
+    spec = write(tmp_path, "spec.json", RHO_ORDER_0_SPEC)
+    assert cli.main([command, "--spec", spec] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rho has order 0; it must have order >= 1\n"
+
+
+def test_delta_beyond_the_limit_exits_3(tmp_path, capsys):
+    argv = ["dilative", "--spec", write(tmp_path, "spec.json", LAPLACE_SPEC),
+            "--m", "2", "--polygons", write(tmp_path, "T.json", T_POLY)]
+    for delta, bound in ((io.MAX_ORDER + 1, f"<= {io.MAX_ORDER}"),
+                         (3 * 10**7, f"<= {io.MAX_ORDER}"),
+                         (-io.MAX_ORDER - 1, f">= {-io.MAX_ORDER}")):
+        assert cli.main(argv + ["--delta", str(delta)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --delta {delta} is out of range: "
+                                f"it must be {bound}\n")
+    # the Laplace spec is (-2)-dilative
+    for delta, code in ((io.MAX_ORDER, 2), (-io.MAX_ORDER, 2), (-2, 0)):
+        assert run(capsys, *argv, "--delta", str(delta))[0] == code
 
 
 @pytest.mark.parametrize("command, limits", [

@@ -1,7 +1,6 @@
 """Tests for lattice polygons, triangulations, and chord splittings."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -9,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latval.geometry import (EmptyInput, NoValidChord,
-                             NotFullDimensional, NotSegment, area2,
-                             boundary_lattice_points, chord_of_split,
+                             NotFullDimensional, NotSegment, Triangulation,
+                             area2, boundary_lattice_points, chord_of_split,
                              contains, hull_normalize, lattice_length,
                              lattice_point_count, lattice_points,
-                             scale_polygon,
-                             segment_lattice_points, split_pairs,
+                             scale_polygon, segment_lattice_points,
+                             shorter_span, split_pairs,
                              unimodular_triangulation)
 
 T = hull_normalize([(0, 0), (1, 0), (0, 1)])
@@ -81,6 +80,17 @@ def test_lattice_points():
         [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_lattice_points_of_a_wide_polygon():
+    # walked by its 3 rows, not its 10^20 + 1 columns, then sorted back
+    W = 10**20
+    P = hull_normalize([(0, 2), (2, 2), (W, 0)])
+    assert lattice_points(P) == [(0, 2), (1, 2), (2, 2), (W // 2, 1),
+                                 (W // 2 + 1, 1), (W, 0)]
+    assert shorter_span(P) == 2
+    assert lattice_points(hull_normalize([(y, x) for x, y in P.vertices])) \
+        == sorted((y, x) for x, y in lattice_points(P))
+
+
 def test_segment_lattice_points():
     assert segment_lattice_points((0, 0), (2, 2)) == [(0, 0), (1, 1), (2, 2)]
     assert lattice_length((0, 0), (4, 6)) == 2
@@ -110,7 +120,7 @@ def test_triangulation_2x2_square():
     tri = unimodular_triangulation(scale_polygon(SQUARE, 2))
     assert len(tri.triangles) == 8
     assert len(tri.interior_edges) == 8
-    assert [tri.points[i] for i in tri.interior_vertices] == [(1, 1)]
+    assert tri.interior_vertices == ((1, 1),)
 
 
 CORPUS = [
@@ -131,17 +141,27 @@ def _sweep(P, order):
         return unimodular_triangulation(P)
     tri = unimodular_triangulation(hull_normalize([(y, x) for x, y
                                                    in P.vertices]))
-    return replace(tri, points=tuple((x, y) for y, x in tri.points))
+
+    def flip(points):
+        return tuple((x, y) for y, x in points)
+    return Triangulation(tuple(map(flip, tri.triangles)),
+                         tuple(map(flip, tri.interior_edges)),
+                         flip(tri.interior_vertices))
+
+
+def _vertices(tri):
+    """The points that are a vertex of some triangle."""
+    return {p for t in tri.triangles for p in t}
 
 
 @pytest.mark.parametrize("order", ["lex", "alt"])
 @pytest.mark.parametrize("P", CORPUS, ids=lambda P: str(list(P.vertices)))
 def test_triangulation_invariants(P, order):
     tri = _sweep(P, order)
-    assert set(tri.points) == set(lattice_points(P))
+    assert _vertices(tri) == set(lattice_points(P))
     total = 0
     for t in tri.triangles:
-        assert area2(hull_normalize(tri.triangle_points(t))) == 1
+        assert area2(hull_normalize(t)) == 1
         total += 1
     assert total == area2(P)
     # Euler relation
@@ -153,15 +173,12 @@ def _faces_containing(tri, z):
     """Triangles minus interior edges plus interior vertices that hold z."""
     total = 0
     for t in tri.triangles:
-        if contains(hull_normalize(tri.triangle_points(t)), z):
+        if contains(hull_normalize(t), z):
             total += 1
     for e in tri.interior_edges:
-        if contains(hull_normalize(tri.edge_points(e)), z):
+        if contains(hull_normalize(e), z):
             total -= 1
-    for i in tri.interior_vertices:
-        if z == tri.points[i]:
-            total += 1
-    return total
+    return total + (z in tri.interior_vertices)
 
 
 @pytest.mark.parametrize("P", CORPUS[:6], ids=lambda P: str(list(P.vertices)))
@@ -208,12 +225,12 @@ def test_triangulation_invariants_on_random_polygons(P, seed):
           for _ in range(10)]
     for order in ("lex", "alt"):
         tri = _sweep(P, order)
-        assert sorted(tri.points) == lattice_points(P)
+        assert sorted(_vertices(tri)) == lattice_points(P)
         for t in tri.triangles:
-            assert area2(hull_normalize(tri.triangle_points(t))) == 1
+            assert area2(hull_normalize(t)) == 1
         assert len(tri.triangles) == area2(P)
-        assert list(tri.interior_vertices) == [
-            i for i, p in enumerate(tri.points) if not on_boundary(P, p)]
+        assert sorted(tri.interior_vertices) == [
+            p for p in lattice_points(P) if not on_boundary(P, p)]
         assert len(tri.triangles) - len(tri.interior_edges) \
             + len(tri.interior_vertices) == 1
         for z in zs:
