@@ -7,7 +7,8 @@ holds, 2 law or dilativity violated, 3 malformed input or an unwritable
 The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
 --order flag, up to io.MAX_ORDER; vd's --degree and --max have the same
-upper limit, and dilative's --delta lies within -io.MAX_ORDER..io.MAX_ORDER.
+upper limit, and dilative's --delta lies within -io.MAX_ORDER..io.MAX_ORDER
+and its --m factors must be distinct.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import io, laplace, laws, valuation, vspace
@@ -187,6 +189,10 @@ def cmd_dilative(args) -> int:
         raise io.MalformedInput(f"bad --m list {json.dumps(args.m)}")
     if any(m < 2 for m in m_list):
         raise io.MalformedInput("all m must be >= 2")
+    m, times = Counter(m_list).most_common(1)[0]
+    if times > 1:
+        raise io.MalformedInput(f"--m repeats the factor {m}; the factors "
+                                "must be distinct")
     polys = [io.polygon_from_obj(io.load_json(p))
              for p in _polygon_paths(args.polygons)]
     for P in polys:
@@ -363,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True,
                    help=f"the exponent delta, {-io.MAX_ORDER} to "
                         f"{io.MAX_ORDER}")
-    p.add_argument("--m", default="2,3", help="comma-separated dilation factors")
+    p.add_argument("--m", default="2,3",
+                   help="comma-separated dilation factors, distinct and >= 2")
     p.add_argument("--polygons", nargs="+", required=True,
                    help=f"polygon JSON files or directories; each dilate "
                         f"mP may have at most {io.MAX_LATTICE_POINTS} "

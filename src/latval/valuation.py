@@ -41,12 +41,11 @@ the flip of the unit segment.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .cache import lru
 from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
                        hull_normalize, scale_polygon,
                        segment_lattice_points, unimodular_triangulation)
@@ -140,6 +139,13 @@ class ValuationSpec:
     def key(self):
         return (self.c, self.g.key(), self.rho.key(), self.order)
 
+    # by value, so that equal specs share one evaluator_for
+    def __eq__(self, other):
+        return isinstance(other, ValuationSpec) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
 
 @dataclass(frozen=True)
 class TriangleData:
@@ -169,9 +175,9 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 
 
 class Evaluator:
-    """Evaluates one spec on points, segments and polygons, keeping the
-    values in one cache; each value is one series.sum_of_images of the
-    unit cells, as the module docstring says."""
+    """Evaluates one spec on points, segments and polygons, keeping
+    FACES_MAX values in one lru_cache, _value; each value is one
+    series.sum_of_images of the unit cells, as the module docstring says."""
 
     def __init__(self, spec: ValuationSpec):
         self.spec = spec
@@ -182,7 +188,7 @@ class Evaluator:
         self._den, (c, minus_c, f1, minus_f1, zT) = packed_cells(
             [d.f0, -d.f0, d.f1, -d.f1, d.zT])
         self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
-        self._values = OrderedDict()
+        self._value = lru_cache(maxsize=FACES_MAX)(self._sum)
 
     @property
     def order(self) -> int:
@@ -199,9 +205,6 @@ class Evaluator:
 
     def z_polygon(self, P: LatticePolygon) -> Series2:
         return self._value(P)
-
-    def _value(self, P: LatticePolygon) -> Series2:
-        return lru(self._values, P.key(), FACES_MAX, lambda: self._sum(P))
 
     def _sum(self, P: LatticePolygon) -> Series2:
         # each open cell with the sign (-1)^(dim P - dim cell)
@@ -268,17 +271,13 @@ def _anchored(cells, inner) -> list:
     return out
 
 
-# Shared evaluators, least recently used first; at most EVALUATORS_MAX.
-EVALUATORS_MAX = 32
-_EVALUATORS: OrderedDict = OrderedDict()
-# Point, segment and polygon values each evaluator keeps, least recently
-# used first; at most FACES_MAX in all.
-FACES_MAX = 1024
+EVALUATORS_MAX = 32   # shared evaluators kept
+FACES_MAX = 1024      # point, segment and polygon values each one keeps
 
 
+@lru_cache(maxsize=EVALUATORS_MAX)
 def evaluator_for(spec: ValuationSpec) -> Evaluator:
-    return lru(_EVALUATORS, spec.key(), EVALUATORS_MAX,
-               lambda: Evaluator(spec))
+    return Evaluator(spec)
 
 
 def z_polygon(spec: ValuationSpec, P: LatticePolygon) -> Series2:

@@ -13,22 +13,22 @@ s = 2x + y, t = y is the image of that basis under ``laws.to_st``,
 brought to reduced echelon form.  The laws themselves are written only
 in ``laws``.
 
-Each degree d has one record, kept for at most DEGREES_MAX degrees:
-the nonzero integer rows of constraint_matrix(d, RHO_LAWS), built on
-first need, and V_d's basis, solved from them when first asked for.
-``vd_basis``, ``st_basis``, ``dims_table`` and ``satisfies_rho_laws``
-(the rho check) read it, so V_d is solved once while kept (or once per
-thread racing that solve), and checking a rho never solves one.
+Each degree d has one record, ``_degree(d)``, an lru_cache of
+DEGREES_MAX degrees: the nonzero integer rows of
+constraint_matrix(d, RHO_LAWS), built on first need, and V_d's basis,
+solved from them when first asked for.  ``vd_basis``, ``st_basis``,
+``dims_table`` and ``satisfies_rho_laws`` (the rho check) read it, so
+V_d is solved once while kept (or once per thread racing that solve),
+and checking a rho never solves one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import laws, linalg
-from .cache import lru
 from .series import Series2
 
 
@@ -94,13 +94,12 @@ class _Degree:
 
 
 DEGREES_MAX = 64   # degrees whose rows and basis are kept
-_DEGREES: OrderedDict = OrderedDict()
 
 
+@lru_cache(maxsize=DEGREES_MAX)
 def _degree(d: int) -> _Degree:
-    return lru(_DEGREES, d, DEGREES_MAX, lambda: _Degree([
-        linalg.integer_row(r) for r in constraint_matrix(d, laws.RHO_LAWS)
-        if any(r)]))
+    return _Degree([linalg.integer_row(r)
+                    for r in constraint_matrix(d, laws.RHO_LAWS) if any(r)])
 
 
 def vd_basis(d: int) -> VdBasis:

@@ -3,19 +3,23 @@ standard library.
 
 Each case is one ``latval`` command, run with ``--out``, whose written
 bytes and exit code must equal ``tests/golden/expected/<name>.json`` and
-the code given.  ``tests/test_golden.py`` runs the same table under
-pytest.  Run as a script, this module runs every case through
-``cli.main`` in one process, writing into a temporary directory, and
-exits 1 if any output byte or exit code differs; it never writes the
-expected files.  It imports nothing outside the standard library and
-``latval``, so it also runs under ``python -S``:
+the code given; a case of malformed input (exit 3) writes no file, and
+its message to stderr must equal ``tests/golden/expected/<name>.txt``.
+``tests/test_golden.py`` runs the same table under pytest.  Run as a
+script, this module runs every case through ``cli.main`` in one process,
+writing into a temporary directory, and exits 1 if any output byte or
+exit code differs; it never writes the expected files.  It imports
+nothing outside the standard library and ``latval``, so it also runs
+under ``python -S``:
 
     PYTHONPATH=src python -S tests/golden_cases.py
 """
 
+import contextlib
 import os
 import sys
 import tempfile
+from io import StringIO
 
 from latval import cli
 
@@ -101,6 +105,10 @@ def _cases():
                   ["dilative", "--spec", _input("spec_general"),
                    "--delta", "0", "--m", "2",
                    "--polygons", _input("two_t")], 2))
+    cases.append(("dilative_two_t_m_repeated",
+                  ["dilative", "--spec", _input("spec_general"),
+                   "--delta", "0", "--m", "2,2",
+                   "--polygons", _input("two_t")], cli.EXIT_MALFORMED))
     cases.append(("calibrate_6", ["calibrate", "--order", "6"], 2))
     cases.append(("selftest_6", ["selftest", "--order", "6"], 0))
     return cases
@@ -109,8 +117,21 @@ def _cases():
 CASES = _cases()
 
 
-def expected_path(name):
-    return os.path.join(GOLDEN, "expected", name + ".json")
+def expected_path(name, code=0):
+    suffix = ".txt" if code == cli.EXIT_MALFORMED else ".json"
+    return os.path.join(GOLDEN, "expected", name + suffix)
+
+
+def run_case(argv, code, out):
+    """(exit code, bytes): the command's --out file, or for a case of
+    malformed input its stderr, with None if the file is missing or was
+    written anyway."""
+    err = StringIO()
+    with contextlib.redirect_stderr(err):
+        got = cli.main(argv + ["--out", out])
+    if code == cli.EXIT_MALFORMED:
+        return got, None if os.path.exists(out) else err.getvalue().encode()
+    return got, _read(out) if os.path.exists(out) else None
 
 
 def check() -> list:
@@ -118,10 +139,8 @@ def check() -> list:
     failed = []
     with tempfile.TemporaryDirectory(prefix="latval-golden-") as tmp:
         for i, (name, argv, code) in enumerate(CASES):
-            out = os.path.join(tmp, f"{i}.json")
-            got = cli.main(argv + ["--out", out])
-            same = (os.path.exists(out)
-                    and _read(out) == _read(expected_path(name)))
+            got, written = run_case(argv, code, os.path.join(tmp, f"{i}.json"))
+            same = written == _read(expected_path(name, code))
             if got != code or not same:
                 failed.append(name)
                 print(f"{name}: exit code {got} (expected {code}), "

@@ -4,15 +4,16 @@
 
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
-total degree, in the triangulation and the lattice point walk, in the
-cells that the evaluator sums, in the Laplace oracle, in a law, or in a
-bound on input.  The runner copies ``src/`` into a temporary directory, applies
-the change there, and runs ``pytest -x`` on the entry's test node ids
-alone, with ``PYTHONPATH`` at the copy; ``bench/tests`` is never
-collected, since its ``conftest.py`` puts the checkout's own ``src``
-first.  A mutant is killed when a test fails, or when the run passes
-LIMIT_S seconds (reported as a timeout).  The tests are first run once on
-the unchanged copy, which must pass.
+total degree, in the Bernoulli numbers, in the triangulation and the
+lattice point walk, in the cells that the evaluator sums, in the bound
+of a cache or the equality of the specs that key one, in the Laplace
+oracle, in a law, or in a bound on input.  The runner copies ``src/``
+into a temporary directory, applies the change there, and runs
+``pytest -x`` on the entry's test node ids alone, with ``PYTHONPATH`` at
+the copy; ``bench/tests`` is never collected, since its ``conftest.py``
+puts the checkout's own ``src`` first.  A mutant is killed when a test
+fails, or when the run passes LIMIT_S seconds (reported as a timeout).
+The tests are first run once on the unchanged copy, which must pass.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the catalogue is stale (a text not found exactly once, or a test run that
@@ -72,6 +73,9 @@ MUTANTS = [
     ("exponent check: a negative y exponent passes", "series.py",
      "p >= 0 and q >= 0", "p >= 0",
      ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
+    ("bernoulli: B_0 = 0", "series.py",
+     "_BERNOULLI = [Q(1)]", "_BERNOULLI = [Q(0)]",
+     ["test_series.py::test_bernoulli"]),
     ("sweep: the lower chain pops collinear points", "geometry.py",
      "_cross(lower[-2], lower[-1], p) < 0",
      "_cross(lower[-2], lower[-1], p) <= 0",
@@ -107,6 +111,19 @@ MUTANTS = [
     ("spec: a rho of order 0 accepted", "valuation.py",
      "if self.rho.order < 1:", "if self.rho.order < 0:",
      ["test_cli.py::test_rho_of_order_0_exits_3"]),
+    ("spec: equality by c alone", "valuation.py",
+     "self.key() == other.key()", "self.c == other.c",
+     ["test_valuation.py::test_equal_specs_share_one_evaluator"]),
+    ("evaluators: no bound", "valuation.py",
+     "@lru_cache(maxsize=EVALUATORS_MAX)", "@lru_cache(maxsize=None)",
+     ["test_valuation.py::test_evaluator_registry_is_bounded"]),
+    ("an evaluator's values: no bound", "valuation.py",
+     "lru_cache(maxsize=FACES_MAX)", "lru_cache(maxsize=None)",
+     ["test_valuation.py::test_evaluator_face_caches_are_bounded"]),
+    ("degree records: no bound", "vspace.py",
+     "@lru_cache(maxsize=DEGREES_MAX)", "@lru_cache(maxsize=None)",
+     ["test_vspace.py::"
+      "test_degree_cache_is_bounded_and_solves_again_after_eviction"]),
     ("laplace: degree k over (k + 1)!", "laplace.py",
      "den = factorial(k + 2)", "den = factorial(k + 1)",
      ["test_laplace.py::test_laplace_plus_T_coefficients"]),

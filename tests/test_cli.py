@@ -558,6 +558,18 @@ def test_dilative_bad_m(tmp_path, capsys):
     assert capsys.readouterr().err == 'error: bad --m list "2,\\"3\\""\n'
 
 
+def test_dilative_repeated_m_exits_3(tmp_path, capsys):
+    # a repeated factor would only repeat its cases
+    spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
+    tpath = write(tmp_path, "T.json", T_POLY)
+    assert cli.main(["dilative", "--spec", spath, "--delta", "0",
+                     "--m", "3,2,3", "--polygons", tpath]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --m repeats the factor 3; the factors "
+                            "must be distinct\n")
+
+
 def test_decompose(tmp_path, capsys):
     spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
     code, out = run(capsys, "decompose", "--spec", spath, "--kappa", "-1")

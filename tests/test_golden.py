@@ -2,7 +2,8 @@
 
 Each case of ``golden_cases.CASES`` runs one ``latval`` command with
 ``--out`` and compares the written bytes, and the exit code, with
-``tests/golden/expected/<name>.json``.  The expected files were written
+``tests/golden/expected/<name>.json`` (for malformed input, the message
+to stderr with ``<name>.txt``).  The expected files were written
 by the same cases, so a refactor that changes any output byte fails here.
 To rewrite them after an intended output change:
 
@@ -11,11 +12,11 @@ To rewrite them after an intended output change:
 
 import os
 import sys
+import tempfile
 
 import pytest
 
-from golden_cases import CASES, HOLDS_ON, expected_path
-from latval import cli
+from golden_cases import CASES, HOLDS_ON, expected_path, run_case
 
 
 def test_every_law_has_cases():
@@ -25,15 +26,18 @@ def test_every_law_has_cases():
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(tmp_path, name, argv, code):
-    out = tmp_path / "out.json"
-    assert cli.main(argv + ["--out", str(out)]) == code
-    with open(expected_path(name), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+    got, written = run_case(argv, code, str(tmp_path / "out.json"))
+    assert got == code
+    with open(expected_path(name, code), "rb") as fh:
+        assert written == fh.read()
 
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(expected_path("")), exist_ok=True)
     for name, argv, code in CASES:
-        got = cli.main(argv + ["--out", expected_path(name)])
-        if got != code:
+        with tempfile.TemporaryDirectory() as tmp:
+            got, written = run_case(argv, code, os.path.join(tmp, "out"))
+        if got != code or written is None:
             sys.exit(f"{name}: exit code {got}, expected {code}")
+        with open(expected_path(name, code), "wb") as fh:
+            fh.write(written)

@@ -1,7 +1,11 @@
 """Tests for the valuation engine."""
 
+import os
 import random
+import sys
+import threading
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
 
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latval import linalg, vspace
+from latval import io, linalg, vspace
 from latval.geometry import (NotFullDimensional, NoValidChord,
                              Triangulation, chord_of_split, hull_normalize,
                              scale_polygon, split_pairs,
@@ -872,8 +876,8 @@ def test_evaluator_face_caches_are_bounded(monkeypatch):
         assert ev.z_polygon(T) is kept[0]
         assert ev.z_segment((2, 1), (0, 0)) is kept[1]
         assert ev.z_point((1, -1)) is kept[2]
-        assert len(ev._values) <= 4
-    assert len(ev._values) == 4
+        assert ev._value.cache_info().currsize <= 4
+    assert ev._value.cache_info().currsize == 4
     # SQUARE went unused longest, so it was dropped and is built anew
     assert ev.z_polygon(SQUARE) is not first
     assert ev.z_polygon(SQUARE) == first
@@ -889,7 +893,73 @@ def test_evaluator_registry_is_bounded():
         ev = evaluator_for(spec)
         assert evaluator_for(spec) is ev
         assert evaluator_for(specs[0]) is kept      # used, so never dropped
-        assert len(valuation._EVALUATORS) <= bound
-    assert len(valuation._EVALUATORS) == bound
+        assert evaluator_for.cache_info().currsize <= bound
+    assert evaluator_for.cache_info().currsize == bound
     # specs[1] went unused longest, so it was dropped and is built anew
     assert evaluator_for(specs[1]) is not second
+
+
+SPEC_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "golden", "inputs", "spec_general.json")
+
+
+def test_equal_specs_share_one_evaluator():
+    # the CLI loads a new spec object on every call
+    a, b = (io.spec_from_obj(io.load_json(SPEC_FILE)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert evaluator_for(a) is evaluator_for(b)
+    # only c differs, or only the order to which rho is known
+    other_c = ValuationSpec(a.c + 1, a.g, a.rho, a.order)
+    other_rho = ValuationSpec(a.c, a.g, a.rho.truncate(a.order - 1), a.order)
+    for spec in (other_c, other_rho):
+        assert spec != a
+        assert evaluator_for(spec) is not evaluator_for(a)
+        assert evaluator_for(spec).spec == spec
+
+
+def test_caches_shared_by_threads(monkeypatch):
+    # small bounds, eight keys each, more threads than cores, switching
+    # often: a hit racing an eviction must neither raise nor return another
+    # value, in vspace's degree cache, the evaluators and an evaluator's
+    # values
+    monkeypatch.setattr(vspace, "_degree",
+                        lru_cache(3)(vspace._degree.__wrapped__))
+    monkeypatch.setattr(valuation, "evaluator_for",
+                        lru_cache(3)(valuation.evaluator_for.__wrapped__))
+    monkeypatch.setattr(valuation, "FACES_MAX", 3)
+    specs = [ValuationSpec(k, None, Series2.constant(1, 3), 3)
+             for k in range(8)]
+    ev = valuation.Evaluator(case3_spec(4))
+    polygons = [scale_polygon(T, k + 1) for k in range(4)] + [
+        hull_normalize([(0, 0), (k, 1)]) for k in range(4)]
+    bases = [vspace.vd_basis(d) for d in range(8)]
+    values = [valuation.Evaluator(ev.spec).z_polygon(P).key()
+              for P in polygons]
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(100):
+                k = rng.randrange(8)
+                assert vspace.vd_basis(k) == bases[k]
+                assert valuation.evaluator_for(specs[k]).spec.key() \
+                    == specs[k].key()
+                assert ev.z_polygon(polygons[k]).key() == values[k]
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for cache in (vspace._degree, valuation.evaluator_for, ev._value):
+        assert cache.cache_info().currsize == 3

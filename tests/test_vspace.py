@@ -1,7 +1,7 @@
 """Tests for the homogeneous solution-space solver."""
 
-from collections import OrderedDict
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 
@@ -137,7 +137,7 @@ def oracle_st_basis(d):
 def solves(monkeypatch):
     """An empty per-degree cache; returns the list of the degrees that
     linalg.nullspace is asked to solve (its number of columns - 1)."""
-    monkeypatch.setattr(vspace, "_DEGREES", OrderedDict())
+    vspace._degree.cache_clear()
     calls = []
 
     def counted(matrix, ncols=None):
@@ -148,17 +148,24 @@ def solves(monkeypatch):
     return calls
 
 
+def small_degree_cache(monkeypatch):
+    """vspace._degree as a new cache of 3 degrees around the same function."""
+    monkeypatch.setattr(vspace, "_degree",
+                        lru_cache(3)(vspace._degree.__wrapped__))
+
+
 def test_degree_cache_is_bounded_and_solves_again_after_eviction(
         monkeypatch, solves):
-    monkeypatch.setattr(vspace, "DEGREES_MAX", 3)
+    assert vspace._degree.cache_info().maxsize == vspace.DEGREES_MAX == 64
+    small_degree_cache(monkeypatch)
     first = {}
     for d in range(9):
         first[d] = vspace.vd_basis(d)
-        assert len(vspace._DEGREES) <= 3
-    assert list(vspace._DEGREES) == [6, 7, 8]
+        assert vspace._degree.cache_info().currsize <= 3
+    assert vspace._degree.cache_info().currsize == 3
     for d in range(8, -1, -1):
         basis = vspace.vd_basis(d)
-        assert len(vspace._DEGREES) <= 3
+        assert vspace._degree.cache_info().currsize <= 3
         assert basis.vectors == oracle_basis(d), d
         # 8, 7 and 6 were kept; 5..0 were evicted and are solved again
         assert (basis is first[d]) == (d >= 6), d
@@ -176,17 +183,20 @@ def test_st_basis_reads_the_one_solve_of_vd_basis(solves):
 
 
 def test_rho_check_agrees_with_check_law_after_eviction(monkeypatch, solves):
-    monkeypatch.setattr(vspace, "DEGREES_MAX", 3)
+    small_degree_cache(monkeypatch)
     valid = vspace.vd_basis(6).polynomials()[0]
     invalid = valid + Series2.monomial(1, 5, 1, 6)
     for d in (10, 12, 14):
         vspace.vd_basis(d)
-    assert 6 not in vspace._DEGREES
+    before = vspace._degree.cache_info()
     for rho in (valid, invalid):
         holds = all(check_law(law, rho).holds for law in laws.RHO_LAWS)
         assert vspace.satisfies_rho_laws(rho) == holds
+    # degree 6 was evicted, so its rows were built again once, then kept
+    after = vspace._degree.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert not vspace.satisfies_rho_laws(invalid)
     # the rows of degree 6 are back, and checking rho solved nothing
-    assert vspace._DEGREES[6].basis is None
+    assert vspace._degree(6).basis is None
     assert solves == [6, 10, 12, 14]
 
