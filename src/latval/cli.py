@@ -8,7 +8,7 @@ The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
 --order flag, up to io.MAX_ORDER; vd's --degree and --max have the same
 upper limit, and dilative's --delta lies within -io.MAX_ORDER..io.MAX_ORDER
-and its --m factors must be distinct.
+and its --m factors must be distinct and at most io.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -189,6 +189,7 @@ def cmd_dilative(args) -> int:
         raise io.MalformedInput(f"bad --m list {json.dumps(args.m)}")
     if any(m < 2 for m in m_list):
         raise io.MalformedInput("all m must be >= 2")
+    _in_range("the --m factor", max(m_list), 2)
     m, times = Counter(m_list).most_common(1)[0]
     if times > 1:
         raise io.MalformedInput(f"--m repeats the factor {m}; the factors "
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"the exponent delta, {-io.MAX_ORDER} to "
                         f"{io.MAX_ORDER}")
     p.add_argument("--m", default="2,3",
-                   help="comma-separated dilation factors, distinct and >= 2")
+                   help=f"comma-separated dilation factors, distinct, 2 to "
+                        f"{io.MAX_ORDER}")
     p.add_argument("--polygons", nargs="+", required=True,
                    help=f"polygon JSON files or directories; each dilate "
                         f"mP may have at most {io.MAX_LATTICE_POINTS} "

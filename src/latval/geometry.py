@@ -12,7 +12,6 @@ polygon wider than it is tall.  A triangulation holds its cells as points.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -45,7 +44,7 @@ def _cross(o: Point, a: Point, b: Point) -> int:
 
 
 def _strict_hull(points):
-    """Counterclockwise strict convex hull (collinear points dropped)."""
+    """The strict convex hull, counterclockwise (collinear points dropped)."""
     pts = sorted(set(points))
     if len(pts) == 1:
         return pts
@@ -209,11 +208,9 @@ def boundary_lattice_points(P: LatticePolygon) -> list[Point]:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """The open cells of a unimodular triangulation, as lattice points:
-    the triangles as point triples in sweep order, the interior edges as
-    sorted point pairs, and the interior vertices."""
+    """A unimodular triangulation, as lattice points: the triangles as
+    point triples in sweep order, and the interior vertices."""
     triangles: tuple[tuple[Point, Point, Point], ...]
-    interior_edges: tuple[tuple[Point, Point], ...]
     interior_vertices: tuple[Point, ...]
 
 
@@ -245,11 +242,8 @@ def unimodular_triangulation(P: LatticePolygon) -> Triangulation:
     if not triangles:
         raise NotFullDimensional("all lattice points collinear")
 
-    edge_count = Counter([e for a, b, c in triangles   # a < b < c
-                          for e in ((a, b), (b, c), (a, c))])
-    interior_edges = tuple(sorted(e for e, n in edge_count.items() if n == 2))
     on_chains = set(lower) | set(upper)
-    return Triangulation(tuple(triangles), interior_edges,
+    return Triangulation(tuple(triangles),
                          tuple(p for p in pts if p not in on_chains))
 
 

@@ -5,50 +5,51 @@ A spec (c, g, rho) determines the values on the basic faces:
 
     point:          f0 = c
     unit segment:   f1(x, y) = g(x^2) * exp(x/2)
-    unit triangle:  zT = f2 + (f1(x,y) + f1(y,-x) + e^x f1(-x+y,-x)) / 2
-                    with f2 = dagger(rho)
+    unit triangle:  zT = f2 + h(x) + h(y) + e^x h(y - x)
+                    with f2 = dagger(rho) and h = f1 / 2
 
-and every other value follows by equivariance and the valuation axiom,
-realized here through one inclusion-exclusion for points, segments and
-polygons: the sum over the unit cells of P that are not in P's relative
-boundary, each value moved onto the cell, with the sign
-(-1)^(dim P - dim cell).  For a polygon these are the triangles (+zT),
-interior edges (-f1) and interior points (+c) of its unimodular
-triangulation on all lattice points; for a segment its unit segments (+f1)
-and inner lattice points (-c); for a point the point itself (+c).  Since
-dagger loses one order, all engine outputs carry order N - 1 for a spec
-of order N (less when g or rho is known to a lower order).
+and every other value follows by equivariance and the valuation axiom.
+The h terms of zT sit on the sides 0, 1, 2 of the unit triangle T:
+[0, e1], [0, e2] and [e1, e2].  In a unimodular triangulation of a polygon
+P an interior edge takes h from both of its triangles, the f1 that
+inclusion-exclusion would take off again, so Z(P) sums, moved onto each
+triangle, f2 plus the h of its sides on P's boundary, and c at each
+interior point.  A segment sums f1 on its unit segments and -c at its
+inner points; a point is c.  Since dagger loses one order, all engine
+outputs carry order N - 1 for a spec of order N (less when g or rho is
+known to a lower order).
 
-A cell is its anchor v, a vertex, and its edge vectors u1 and u2 from v:
+A face is a value, an anchor v (a vertex) and edge vectors u1, u2 from v:
 the affine map with translation v that sends e1 to u1 and e2 to u2 takes
 the unit cell onto it, and moves the unit cell's value f to
 e^{v.z} * f(u1.z, u2.z).  A segment's u2 and a point's u1 and u2 are
-(0, 0): f1 and c are series in x alone, so their values do not depend on
-the edges that the unit cell lacks, and no edge is completed to a
-unimodular frame.
+(0, 0): f1 and c are series in x alone, so no edge is completed to a
+unimodular frame.  A triangle's sides 0, 1, 2 are [v, v + u1],
+[v, v + u2] and [v + u1, v + u2].
 
-The sum is taken in integers.  zT, f1 and c are packed once per evaluator
-by series.packed_cells, over one denominator D; the substitution of
-integer edge vectors and the twist by e^{v.z} for an integer v keep them
-integral, so series.sum_of_images adds all cells of a value in integers
-and makes its series once, at the end.  The cells are summed by
-translation, and each translation costs one twist, so each cell is
-anchored at a vertex it shares with other cells (_anchored): the interior
-points first, then the vertices with the most incident cells.  Any vertex will do, since zT is
-invariant under the affine symmetries of the unit triangle and f1 under
-the flip of the unit segment.
+The sum is taken in integers.  The eight triangle values (one for each
+set of sides), f1, c and -c are packed once per evaluator by
+series.packed_cells, over one denominator; integer edge vectors and the
+twist by e^{v.z} for an integer v keep them integral, so
+series.sum_of_images adds all faces in integers and makes one series at
+the end.  Each translation costs one twist, so each face is anchored at a
+vertex it shares with other faces (_anchored): the interior points first,
+then the vertices with the most incident faces.  Any vertex will do: f2
+is invariant under the affine symmetries of T, which permute its sides
+and their h, and f1 under the flip of the unit segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
-                       hull_normalize, scale_polygon,
-                       segment_lattice_points, unimodular_triangulation)
+                       boundary_lattice_points, hull_normalize,
+                       scale_polygon, segment_lattice_points,
+                       unimodular_triangulation)
 from .group import NotUnimodularTriangle
 from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, divide_linear,
@@ -154,6 +155,7 @@ class TriangleData:
     f2: Series2
     zT: Series2
     effective_order: int
+    sides: tuple   # h on T's sides [0, e1], [0, e2], [e1, e2]
 
 
 def build_triangle_data(spec: ValuationSpec) -> TriangleData:
@@ -162,12 +164,14 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
                    min(n, 2 * spec.g.order + 1))
     f1 = mul_exp_linear(g_sq, Q(1, 2), 0)
     f2 = dagger(spec.rho)
-    zT = f2 + (f1 + f1.subst_linear((0, 1), (-1, 0))
-               + mul_exp_linear(f1.subst_linear((-1, 1), (-1, 0)), 1, 0)
-               ).scalar_mul(Q(1, 2))
+    h = f1.scalar_mul(Q(1, 2))
+    sides = (h, h.subst_linear((0, 1), (-1, 0)),
+             mul_exp_linear(h.subst_linear((-1, 1), (-1, 0)), 1, 0))
+    zT = sum(sides, f2)
     eff = zT.order
     return TriangleData(Series2.constant(spec.c, eff), f1.truncate(eff),
-                        f2.truncate(eff), zT, eff)
+                        f2.truncate(eff), zT, eff,
+                        tuple(side.truncate(eff) for side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +181,19 @@ def build_triangle_data(spec: ValuationSpec) -> TriangleData:
 class Evaluator:
     """Evaluates one spec on points, segments and polygons, keeping
     FACES_MAX values in one lru_cache, _value; each value is one
-    series.sum_of_images of the unit cells, as the module docstring says."""
+    series.sum_of_images of its faces, as the module docstring says."""
 
     def __init__(self, spec: ValuationSpec):
         self.spec = spec
         self.data = build_triangle_data(spec)
-        # the unit cell of each dimension at the origin (c, f1, zT), with
-        # the signs each can take, packed once over one denominator
+        # the values _faces indexes: a triangle's eight by mask, f1, c, -c;
+        # _sum is a module function, so no cycle holds the evaluator
         d = self.data
-        self._den, (c, minus_c, f1, minus_f1, zT) = packed_cells(
-            [d.f0, -d.f0, d.f1, -d.f1, d.zT])
-        self._cells = ((c, minus_c), (f1, minus_f1), (zT,))
-        self._value = lru_cache(maxsize=FACES_MAX)(self._sum)
+        den, cells = packed_cells([sum((h for j, h in enumerate(d.sides)
+                                        if mask >> j & 1), d.f2)
+                                   for mask in range(8)] + [d.f1, d.f0, -d.f0])
+        self._value = lru_cache(maxsize=FACES_MAX)(
+            partial(_sum, cells, den, self.order))
 
     @property
     def order(self) -> int:
@@ -206,57 +211,55 @@ class Evaluator:
     def z_polygon(self, P: LatticePolygon) -> Series2:
         return self._value(P)
 
-    def _sum(self, P: LatticePolygon) -> Series2:
-        # each open cell with the sign (-1)^(dim P - dim cell)
-        faces = [(self._cells[d][(P.dim - d) % 2], v, u1, u2)
-                 for d, v, u1, u2 in _open_cells(P)]
-        return sum_of_images(faces, self.order, self._den)
+
+def _sum(cells, den: int, n: int, P: LatticePolygon) -> Series2:
+    return sum_of_images([(cells[i], v, u1, u2) for i, v, u1, u2 in _faces(P)],
+                         n, den)
 
 
+_F1, _C, _MINUS_C = 8, 9, 10   # the indices of f1, c and -c
 _ZERO = (0, 0)
 
 
-def _open_cells(P: LatticePolygon) -> list:
-    """(dim, v, u1, u2) for each unit cell of P that is not in P's relative
-    boundary: the affine map with translation v and edge vectors u1, u2
-    (the images of e1 and e2) takes the origin, [0, e1] or the unit
-    triangle onto the cell, with the origin onto the cell's anchor v (see
-    _anchored).  A segment's u2 and a point's u1 and u2 are (0, 0), as the
-    module docstring says.  For a polygon the cells are the triangles,
-    interior edges and interior vertices of its unimodular triangulation;
-    for a segment its unit segments and inner lattice points; for a point
-    the point."""
+def _faces(P: LatticePolygon) -> list:
+    """(i, v, u1, u2) for each face of P, as the module docstring says:
+    the value i of those the Evaluator packs, moved by the affine map with
+    translation v (the anchor, see _anchored) and edge vectors u1, u2.  A
+    triangle's i has bit j set when its side j lies on P's boundary."""
     if P.dim == 0:
-        return [(0, P.vertices[0], _ZERO, _ZERO)]
+        return [(_C, P.vertices[0], _ZERO, _ZERO)]
     if P.dim == 1:
         pts = segment_lattice_points(*P.vertices)
-        cells = list(zip(pts, pts[1:]))
-        inner = pts[1:-1]
+        cells, inner, sign = list(zip(pts, pts[1:])), pts[1:-1], _MINUS_C
     else:
         tri = unimodular_triangulation(P)
-        # every lattice point is a vertex, so each edge is a unit segment
-        cells, inner = tri.triangles + tri.interior_edges, tri.interior_vertices
+        cells, inner, sign = tri.triangles, tri.interior_vertices, _C
+        b = boundary_lattice_points(P)
+        # a side on P's boundary joins consecutive boundary points, either way
+        boundary = set(zip(b, b[1:] + b[:1])) | set(zip(b[1:] + b[:1], b))
     out = []
     for v, *ends in _anchored(cells, inner):
-        dim = len(ends)
         u1, u2 = ([(p[0] - v[0], p[1] - v[1]) for p in ends]
-                  + [_ZERO] * (2 - dim))
-        d = u1[0] * u2[1] - u1[1] * u2[0]
-        if dim == 2 and abs(d) != 1:
-            raise NotUnimodularTriangle(f"twice-area {abs(d)}")
-        out.append((dim, v, u1, u2))
-    return out + [(0, p, _ZERO, _ZERO) for p in inner]
+                  + [_ZERO] * (2 - len(ends)))
+        i = _F1
+        if len(ends) == 2:
+            d = u1[0] * u2[1] - u1[1] * u2[0]
+            if abs(d) != 1:
+                raise NotUnimodularTriangle(f"twice-area {abs(d)}")
+            p1, p2 = ends
+            sides = ((v, p1), (v, p2), (p1, p2))
+            i = sum(1 << j for j, side in enumerate(sides) if side in boundary)
+        out.append((i, v, u1, u2))
+    return out + [(sign, p, _ZERO, _ZERO) for p in inner]
 
 
 def _anchored(cells, inner) -> list:
-    """The cells (tuples of lattice points), each rotated so that its
-    anchor, the vertex from which its edge vectors are taken, comes
-    first.  Each anchor is a translation, which costs sum_of_images one
-    exponential twist, so the anchors are shared vertices: the inner
-    points, which are translations anyway, then, in one greedy pass, for
-    a cell with no anchored vertex, the vertex with the most incident
-    cells, ties broken by the larger point.  A cell with several anchored
-    vertices takes the first in that same order."""
+    """The cells (tuples of lattice points), each rotated to start at its
+    anchor, the vertex its edge vectors leave from.  Each anchor costs
+    sum_of_images one twist, so anchors are shared: the inner points,
+    twisted anyway, then in one greedy pass, for a cell with no anchored
+    vertex, the vertex with the most incident cells, ties broken by the
+    larger point; a cell with several takes the first in that order."""
     incident = {}
     for cell in cells:
         for p in cell:

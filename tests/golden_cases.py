@@ -109,6 +109,11 @@ def _cases():
                   ["dilative", "--spec", _input("spec_general"),
                    "--delta", "0", "--m", "2,2",
                    "--polygons", _input("two_t")], cli.EXIT_MALFORMED))
+    # each dilate of a point is one point: only the factor's bound holds
+    cases.append(("dilative_point_m_above_limit",
+                  ["dilative", "--spec", _input("spec_general"),
+                   "--delta", "0", "--m", "2,1001",
+                   "--polygons", _input("point")], cli.EXIT_MALFORMED))
     cases.append(("calibrate_6", ["calibrate", "--order", "6"], 2))
     cases.append(("selftest_6", ["selftest", "--order", "6"], 0))
     return cases

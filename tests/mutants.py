@@ -5,13 +5,14 @@
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
 total degree, in the Bernoulli numbers, in the triangulation and the
-lattice point walk, in the cells that the evaluator sums, in the bound
-of a cache or the equality of the specs that key one, in the Laplace
-oracle, in a law, or in a bound on input.  The runner copies ``src/``
-into a temporary directory, applies the change there, and runs
-``pytest -x`` on the entry's test node ids alone, with ``PYTHONPATH`` at
-the copy; ``bench/tests`` is never collected, since its ``conftest.py``
-puts the checkout's own ``src`` first.  A mutant is killed when a test
+lattice point walk, in the faces that the evaluator sums (a triangle's
+sides on the boundary, the sign of an interior point, the unimodularity
+check), in the bound of a cache or the equality of the specs that key
+one, in the Laplace oracle, in a law, or in a bound on input.  The
+runner copies ``src/`` into a temporary directory, applies the change
+there, and runs ``pytest -x`` on the entry's test node ids alone, with
+``PYTHONPATH`` at the copy; ``bench/tests`` is never collected, since its
+``conftest.py`` puts the checkout's own ``src`` first.  A mutant is killed when a test
 fails, or when the run passes LIMIT_S seconds (reported as a timeout).
 The tests are first run once on the unchanged copy, which must pass.
 
@@ -84,10 +85,6 @@ MUTANTS = [
      "_cross(upper[-2], upper[-1], p) > 0",
      "_cross(upper[-2], upper[-1], p) >= 0",
      ["test_geometry.py::test_triangulation_invariants"]),
-    ("interior edges: boundary edges kept", "geometry.py",
-     "for e, n in edge_count.items() if n == 2",
-     "for e, n in edge_count.items() if n >= 1",
-     ["test_geometry.py::test_triangulation_2T"]),
     ("lattice points: the mirror's points not sorted back", "geometry.py",
      "sorted((x, y) for y, x in _columns(mirror))",
      "[(x, y) for y, x in _columns(mirror)]",
@@ -99,15 +96,31 @@ MUTANTS = [
      "& set(boundary_lattice_points(P2))",
      "| set(boundary_lattice_points(P2))",
      ["test_geometry.py::test_split_pairs"]),
-    ("open cells: the sign by the cell's dimension alone", "valuation.py",
-     "self._cells[d][(P.dim - d) % 2]", "self._cells[d][d % 2]",
-     ["test_valuation.py::test_long_segment_is_sum_of_unit_segments"]),
-    ("open cells: only degenerate triangles rejected", "valuation.py",
-     "if dim == 2 and abs(d) != 1:", "if dim == 2 and d == 0:",
+    ("faces: a boundary side matched in one orientation only",
+     "valuation.py",
+     "set(zip(b, b[1:] + b[:1])) | set(zip(b[1:] + b[:1], b))",
+     "set(zip(b, b[1:] + b[:1]))",
+     ["test_valuation.py::test_z_mT_closed_matches_polygon_evaluation"]),
+    ("faces: the mask bits negated", "valuation.py",
+     "if side in boundary", "if side not in boundary",
+     ["test_valuation.py::"
+      "test_faces_are_one_per_triangle_and_interior_point"]),
+    ("faces: the two sides at the anchor swapped", "valuation.py",
+     "sides = ((v, p1), (v, p2), (p1, p2))",
+     "sides = ((v, p2), (v, p1), (p1, p2))",
+     ["test_valuation.py::test_z_mT_closed_matches_polygon_evaluation"]),
+    ("faces: a polygon's interior points given -c", "valuation.py",
+     "tri.interior_vertices, _C", "tri.interior_vertices, _MINUS_C",
+     ["test_valuation.py::test_z_mT_closed_matches_polygon_evaluation"]),
+    ("faces: only degenerate triangles rejected", "valuation.py",
+     "if abs(d) != 1:", "if d == 0:",
      ["test_valuation.py::test_non_unimodular_triangle_is_rejected"]),
     ("anchored: the vertices before the anchor dropped", "valuation.py",
      "out.append(cell[i:] + cell[:i])", "out.append(cell[i:])",
      ["test_valuation.py::test_z_polygon_constant_terms"]),
+    ("dilative: the --m factors unbounded", "cli.py",
+     '_in_range("the --m factor", max(m_list), 2)', "None",
+     ["test_cli.py::test_dilative_m_beyond_the_limit_exits_3"]),
     ("spec: a rho of order 0 accepted", "valuation.py",
      "if self.rho.order < 1:", "if self.rho.order < 0:",
      ["test_cli.py::test_rho_of_order_0_exits_3"]),

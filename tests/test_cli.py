@@ -570,6 +570,21 @@ def test_dilative_repeated_m_exits_3(tmp_path, capsys):
                             "must be distinct\n")
 
 
+def test_dilative_m_beyond_the_limit_exits_3(tmp_path, capsys):
+    # every dilate of a point is one point, so no lattice point limit
+    # bounds m there
+    argv = ["dilative", "--spec", write(tmp_path, "spec.json", LAPLACE_SPEC),
+            "--delta", "0",
+            "--polygons", write(tmp_path, "p.json", {"vertices": [[3, -2]]})]
+    for m in (io.MAX_ORDER + 1, 10**30):
+        assert cli.main(argv + ["--m", f"{m},2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the --m factor {m} is out of range: "
+                                f"it must be <= {io.MAX_ORDER}\n")
+    assert run(capsys, *argv, "--m", f"2,{io.MAX_ORDER}")[0] == 0
+
+
 def test_decompose(tmp_path, capsys):
     spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
     code, out = run(capsys, "decompose", "--spec", spath, "--kappa", "-1")

@@ -40,6 +40,7 @@ def _load(path):
 TREES = {name: [_load(a) if a.endswith(".json") else a for a in argv]
          for name, argv, _ in CASES if name in BASES}
 WIDE_T = {"vertices": [[0, 0], [2, 0], [10**20, 2]]}
+POINT = {"vertices": [[3, -2]]}
 RHO_ORDER_0 = {"c": "1", "order": 12,
                "rho": {"vars": ["x", "y"], "order": 0,
                        "terms": [{"e": [0, 0], "c": "-1"}]}}
@@ -121,6 +122,10 @@ def _run(tree, tmp) -> tuple:
 # m^(-delta) with 14 million digits
 @example(tree=[str(3 * 10**7) if a == "0" else a
                for a in TREES["dilative_two_t_delta_0"]])
+# each dilate of a point is one point, so no lattice point limit bounds
+# this 3001-digit factor
+@example(tree=["dilative", "--spec", TREES["dilative_two_t_delta_0"][2],
+               "--delta", "1000", "--m", str(10**3000), "--polygons", POINT])
 def test_mutated_golden_inputs_exit_0_2_or_3(tree):
     with tempfile.TemporaryDirectory(prefix="latval-fuzz-") as tmp:
         code, err = _run(tree, tmp)

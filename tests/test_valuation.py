@@ -1,9 +1,11 @@
 """Tests for the valuation engine."""
 
+import gc
 import os
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 from latval import io, linalg, vspace
 from latval.geometry import (NotFullDimensional, NoValidChord,
-                             Triangulation, chord_of_split, hull_normalize,
-                             scale_polygon, split_pairs,
-                             unimodular_triangulation)
+                             Triangulation, boundary_lattice_points,
+                             chord_of_split, hull_normalize, scale_polygon,
+                             split_pairs, unimodular_triangulation)
 from latval.group import (AffineUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, det)
 from latval.laws import RHO_LAWS, check_law, violation_text
@@ -32,6 +34,7 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
                               z_polygon)
+from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
 T = UNIT_TRIANGLE
@@ -539,31 +542,65 @@ def polygons_without_interior_points(draw):
     return act_on_polygon(draw(affine_unimodulars()), P)
 
 
-@pytest.mark.parametrize("name", FACE_SUM_SPECS)
-@settings(max_examples=30)
-@given(P=st.one_of(polygons_with_interior_points(),
-                   polygons_without_interior_points()))
-def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
-    # the inclusion-exclusion over the triangulation, from Series2 pieces,
-    # each cell in the frame taken at its first vertex, whatever anchor
-    # the evaluator takes
-    ev = evaluator_for(FACE_SUM_SPECS[name])
+def _assert_face_sum(spec, P):
+    # the inclusion-exclusion over the triangulation, from Series2 pieces:
+    # +zT on each triangle, in the frame taken at its first vertex, -f1 on
+    # each interior edge and +c at each interior point, whatever faces and
+    # anchors the evaluator takes
+    ev = evaluator_for(spec)
     tri = unimodular_triangulation(P)
     total = Series2.zero(ev.order)
     for t in tri.triangles:
         total = total + act_on_series(_frame(*t), ev.data.zT)
-    for a, b in tri.interior_edges:
+    for a, b in interior_edges(tri):
         total = total - _unit_segment(ev.data, a, (b[0] - a[0], b[1] - a[1]))
     for p in tri.interior_vertices:
         total = total + _point(ev, p)
     assert ev.z_polygon(P).key() == total.key()
 
 
+face_sum_polygons = st.one_of(polygons_with_interior_points(),
+                              polygons_without_interior_points())
+
+
+@pytest.mark.parametrize("name", FACE_SUM_SPECS)
+@settings(max_examples=30)
+@given(P=face_sum_polygons)
+@example(P=T)   # one triangle, all three sides on the boundary
+@example(P=scale_polygon(T, 3))   # one interior point
+@example(P=hull_normalize([(10**6 + x, -10**6 + y)
+                           for x, y in ((0, 0), (3, 1), (1, 3))]))
+def test_z_polygon_equals_face_sum_on_random_polygons(name, P):
+    _assert_face_sum(FACE_SUM_SPECS[name], P)
+
+
+@settings(max_examples=25)
+@given(spec=random_specs(), P=face_sum_polygons)
+def test_z_polygon_equals_face_sum_on_random_specs(spec, P):
+    _assert_face_sum(spec, P)
+
+
+@pytest.mark.parametrize("P", [T, SQUARE, scale_polygon(T, 3),
+                               scale_polygon(SQUARE, 2),
+                               hull_normalize([(0, 0), (4, 1), (2, 3)])],
+                         ids=repr)
+def test_faces_are_one_per_triangle_and_interior_point(P):
+    # each boundary unit segment is the side of one triangle, and sets
+    # one bit of that triangle's value index
+    tri = unimodular_triangulation(P)
+    faces = valuation._faces(P)
+    assert len(faces) == len(tri.triangles) + len(tri.interior_vertices)
+    masks = [i for i, *_ in faces[:len(tri.triangles)]]
+    assert all(0 <= i < 8 for i in masks)
+    assert sum(bin(i).count("1") for i in masks) \
+        == len(boundary_lattice_points(P))
+
+
 def test_non_unimodular_triangle_is_rejected(monkeypatch):
     # the evaluator checks each triangle's twice-area itself, whatever
     # triangulation it is handed
     P = hull_normalize([(0, 0), (2, 0), (0, 1)])
-    fake = Triangulation((P.vertices,), (), ())
+    fake = Triangulation((P.vertices,), ())
     monkeypatch.setattr(valuation, "unimodular_triangulation",
                         lambda _: fake)
     ev = valuation.Evaluator(PROPERTY_SPECS["laplace"])
@@ -881,6 +918,20 @@ def test_evaluator_face_caches_are_bounded(monkeypatch):
     # SQUARE went unused longest, so it was dropped and is built anew
     assert ev.z_polygon(SQUARE) is not first
     assert ev.z_polygon(SQUARE) == first
+
+
+def test_a_dropped_evaluator_is_freed_without_the_collector():
+    # its cache of values holds no reference back to it, so reference
+    # counting alone frees it
+    ev = valuation.Evaluator(laplace_spec(4))
+    ev.z_polygon(SQUARE)
+    ref = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_evaluator_registry_is_bounded():
