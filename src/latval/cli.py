@@ -6,9 +6,10 @@ holds, 2 law or dilativity violated, 3 malformed input or an unwritable
 --out path, 1 internal error.  Spec and series files carry their own order.
 The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
---order flag, up to io.MAX_ORDER; vd's --degree and --max have the same
-upper limit, and dilative's --delta lies within -io.MAX_ORDER..io.MAX_ORDER
-and its --m factors must be distinct and at most io.MAX_ORDER.
+--order flag, up to io.MAX_ORDER; vd's --degree stops at io.MAX_BASIS_DEGREE
+and its --max at io.MAX_DIMS_DEGREE, dilative's --delta lies within
+-io.MAX_ORDER..io.MAX_ORDER and its --m factors must be distinct and at
+most io.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .geometry import (GeometryError, chord_of_split, scale_polygon,
                        split_pairs)
 from .group import GroupError, act_on_polygon, act_on_series, d4_elements
 from .series import DEFAULT_ORDER, Series2, SeriesError
-from .valuation import (BothPass, NoCandidatePasses, ValuationError,
-                        ValuationSpec, cosh_type_g)
+from .valuation import (NoCandidatePasses, ValuationError, ValuationSpec,
+                        cosh_type_g)
 
 Q = Fraction
 
@@ -57,11 +58,12 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-def _in_range(name: str, value: int, minimum: int) -> int:
-    """value, if it lies in minimum..io.MAX_ORDER."""
-    if value > io.MAX_ORDER:
+def _in_range(name: str, value: int, minimum: int,
+              maximum: int = io.MAX_ORDER) -> int:
+    """value, if it lies in minimum..maximum."""
+    if value > maximum:
         raise io.MalformedInput(f"{name} {value} is out of range: "
-                                f"it must be <= {io.MAX_ORDER}")
+                                f"it must be <= {maximum}")
     return _at_least(name, value, minimum)
 
 
@@ -105,7 +107,8 @@ def _report(command, status, verified_order, first_violation=None,
 
 def cmd_vd(args) -> int:
     if args.vd_command == "dims":
-        table = vspace.dims_table(_in_range("--max", args.max, 0))
+        table = vspace.dims_table(
+            _in_range("--max", args.max, 0, io.MAX_DIMS_DEGREE))
         ok = all(c == p for _, c, p in table)
         if args.format == "table":
             _write("d\tcomputed\tpredicted\n" + "".join(
@@ -115,8 +118,9 @@ def cmd_vd(args) -> int:
                             for d, c, p in table],
                    "all_match": ok}, args)
         return EXIT_OK if ok else EXIT_VIOLATED
+    degree = _in_range("--degree", args.degree, 0, io.MAX_BASIS_DEGREE)
     basis = (vspace.st_basis if args.coords == "st"
-             else vspace.vd_basis)(_in_range("--degree", args.degree, 0))
+             else vspace.vd_basis)(degree)
     _emit(basis.polynomials(), args)
     return EXIT_OK
 
@@ -234,10 +238,10 @@ def cmd_calibrate(args) -> int:
     order = _order(args, valuation.CALIBRATE_MIN_ORDER)
     try:
         kappa = valuation.calibrate_val0(order)
-    except (NoCandidatePasses, BothPass) as exc:
-        first = getattr(exc, "first_violation", None)   # None on BothPass
+    except NoCandidatePasses as exc:
         _emit(_report("calibrate", "violated", order - 1,
-                      laws.violation_obj(first), finding=str(exc)), args)
+                      laws.violation_obj(exc.first_violation),
+                      finding=str(exc)), args)
         return EXIT_VIOLATED
     _emit({"kappa": io.format_rational(kappa), "order": order}, args)
     return EXIT_OK
@@ -336,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     vdsub = p.add_subparsers(dest="vd_command", required=True)
     basis = vdsub.add_parser("basis")
     basis.add_argument("--degree", type=int, required=True,
-                       help=f"total degree, 0 to {io.MAX_ORDER}")
+                       help=f"total degree, 0 to {io.MAX_BASIS_DEGREE}")
     basis.add_argument("--coords", choices=("xy", "st"), default="xy")
     out(basis)
     dims = vdsub.add_parser("dims")
     dims.add_argument("--max", type=int, required=True,
-                      help=f"highest total degree, 0 to {io.MAX_ORDER}")
+                      help=f"highest total degree, 0 to "
+                           f"{io.MAX_DIMS_DEGREE}")
     dims.add_argument("--format", choices=("json", "table"), default="json")
     out(dims)
 

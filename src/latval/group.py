@@ -33,7 +33,8 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY_MATRIX: Matrix = ((1, 0), (0, 1))
 
-# generators of the dihedral subgroup D4 of GL(2, Z)
+# generators of the dihedral subgroup D4 of GL(2, Z); on series, the maps
+# f(x + y, -y) and f(x, -2x - y) of the laws in laws.D4_LAWS
 D4_GENERATORS: tuple[Matrix, Matrix] = (((1, 0), (1, -1)), ((1, -2), (0, -1)))
 
 # a generating set of all of GL(2, Z)
@@ -115,15 +116,3 @@ def d4_elements() -> tuple[Matrix, ...]:
                         nxt.append(prod)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-def is_d4_invariant(f: Series2):
-    """Check invariance under both D4 generators.
-
-    Returns (True, None) or (False, witness_matrix); generator invariance
-    suffices for the whole group.
-    """
-    for g in D4_GENERATORS:
-        if not act_on_series(AffineUnimodular.linear(g), f).eq_up_to(f):
-            return False, g
-    return True, None

@@ -54,6 +54,11 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
 _MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
 MAX_ORDER = 1000     # the highest order a series or spec file may carry
+# the highest degrees of `vd basis --degree` and `vd dims --max`: solving
+# V_d grows about as d^4.4, and at its limit each call took at most 4 s
+# on a 2-core x86_64 machine
+MAX_BASIS_DEGREE = 128
+MAX_DIMS_DEGREE = 64
 # the most lattice points of a polygon that one evaluation triangulates
 MAX_LATTICE_POINTS = 100000
 

@@ -7,9 +7,10 @@ A valuation's triangle value f2 and its parameter series rho are linked by
 
 and every displayed functional equation is available as a machine check
 returning a structured report (a violated law is a report, not an error).
-``law_sides`` is the one place where a law is written out (``f0gl2z`` is
-checked against the generators of GL(2, Z) instead); the solution spaces
-of ``vspace`` are built from it.
+``law_sides`` is the one place where a law is written out (``f0gl2z``,
+invariance under GL(2, Z), substitutes each of its generators); the
+solution spaces of ``vspace`` and the D4 invariance of ``d4_decompose``
+are built from it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .group import (GL2Z_GENERATORS, AffineUnimodular, act_on_series,
-                    is_d4_invariant)
+from .group import GL2Z_GENERATORS
 from .series import (Series2, divide_linear, format_rational,
                      mul_exp_linear, special_series)
 
@@ -192,15 +192,16 @@ LAW_IDS = ("A", "B", "C", "f2simple2", "f23up", "Aprime",
 
 # the laws that make a series a valid parameter rho
 RHO_LAWS = ("Aprime", "E")
+# invariance under D4: the maps of group.D4_GENERATORS, in that order
+D4_LAWS = ("rho_sym3", "E")
 
 
 def check_law(law: str, f: Series2) -> LawReport:
     """Assemble both sides of the named functional equation exactly and
     compare up to the common valid order."""
     if law == "f0gl2z":
-        for g in GL2Z_GENERATORS:
-            sub = act_on_series(AffineUnimodular.linear(g), f)
-            diff = sub.first_difference(f)
+        for (a, b), (c, d) in GL2Z_GENERATORS:
+            diff = f.subst_linear((a, c), (b, d)).first_difference(f)
             if diff is not None:
                 return LawReport(law, False, f.order, diff)
         return LawReport(law, True, f.order, None)
@@ -221,21 +222,19 @@ def d4_decompose(h: Series2) -> Series2:
     The returned series lives in the generator variables (a, b); its
     coefficients are determined for weighted degree 2i + 4j <= h.order.
     """
-    ok, witness = is_d4_invariant(h)
-    if not ok:
-        raise NotInvariant(f"not invariant under generator {witness}")
+    for law in D4_LAWS:
+        report = check_law(law, h)
+        if not report.holds:
+            raise NotInvariant(f"violates {law} at "
+                               f"{violation_text(report.first_violation)}")
     n = h.order
     powers = _generator_powers(
         [(i, j) for j in range(n // 4 + 1) for i in range((n - 4 * j) // 2 + 1)],
         n)
     den, rows = h.numerators()
     out = {}
-    for deg in range(n + 1):
+    for deg in range(0, n + 1, 2):   # -1 is in D4: no odd degree is left
         rhs = rows[deg] if deg < len(rows) else [0] * (deg + 1)
-        if deg % 2 == 1:
-            if any(rhs):
-                raise NotInvariant("odd-degree terms present")
-            continue
         monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
         # integer generator powers, homogeneous: row deg is their last
         matrix = [list(r) for r in

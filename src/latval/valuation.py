@@ -77,10 +77,6 @@ class NoCandidatePasses(ValuationError):
         self.first_violation = first_violation   # that of kappa = 0
 
 
-class BothPass(ValuationError):
-    pass
-
-
 class DecompositionError(ValuationError):
     pass
 
@@ -385,10 +381,10 @@ CALIBRATE_MIN_ORDER = 4   # the lowest order at which calibrate_val0 decides
 def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
     """Decide the constant rho-part kappa of the 0-dilative generator
     empirically: kappa in {0, -1} is accepted when the spec
-    (c, g, rho) = (1, cosh-type, kappa) is 0-dilative on reference polygons."""
+    (c, g, rho) = (1, cosh-type, kappa) is 0-dilative on reference polygons.
+    kappa = 0 fails at the constant coefficient, so at most one passes."""
     if order < CALIBRATE_MIN_ORDER:
         raise ValueError(f"order must be >= {CALIBRATE_MIN_ORDER}")
-    passing = []
     violations = {}
     for kappa in (Q(0), Q(-1)):
         spec = ValuationSpec(1, cosh_type_g(order),
@@ -396,17 +392,12 @@ def calibrate_val0(order: int = DEFAULT_ORDER) -> Fraction:
         rep_t = check_dilative(spec, 0, (2, 3), (UNIT_TRIANGLE,))
         rep_s = check_dilative(spec, 0, (2,), (UNIT_SQUARE,))
         if rep_t.holds and rep_s.holds:
-            passing.append(kappa)
-        else:
-            violations[kappa] = next(c.first_violation for c in
-                                     rep_t.cases + rep_s.cases if not c.holds)
-    if not passing:
-        raise NoCandidatePasses("; ".join(
-            f"kappa = {k!s} violates dilativity at {violation_text(v)}"
-            for k, v in violations.items()), violations[Q(0)])
-    if len(passing) > 1:
-        raise BothPass("both kappa candidates are 0-dilative")
-    return passing[0]
+            return kappa
+        violations[kappa] = next(c.first_violation for c in
+                                 rep_t.cases + rep_s.cases if not c.holds)
+    raise NoCandidatePasses("; ".join(
+        f"kappa = {k!s} violates dilativity at {violation_text(v)}"
+        for k, v in violations.items()), violations[Q(0)])
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,11 @@ def _cases():
                           ["vd", "basis", "--degree", str(d),
                            "--coords", coords], 0))
     cases.append(("vd_dims_30", ["vd", "dims", "--max", "30"], 0))
+    # one above each vd limit, which ends a call within seconds
+    cases.append(("vd_basis_degree_above_limit",
+                  ["vd", "basis", "--degree", "129"], cli.EXIT_MALFORMED))
+    cases.append(("vd_dims_max_above_limit",
+                  ["vd", "dims", "--max", "65"], cli.EXIT_MALFORMED))
     for law, holds_on in HOLDS_ON.items():
         violated_on = VIOLATED_ON.get(law, "x")
         cases.append((f"check_law_{law}_holds",

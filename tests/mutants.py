@@ -8,9 +8,10 @@ total degree, in the Bernoulli numbers, in the triangulation and the
 lattice point walk, in the faces that the evaluator sums (a triangle's
 sides on the boundary, the sign of an interior point, the unimodularity
 check), in the bound of a cache or the equality of the specs that key
-one, in the Laplace oracle, in a law, or in a bound on input.  The
-runner copies ``src/`` into a temporary directory, applies the change
-there, and runs ``pytest -x`` on the entry's test node ids alone, with
+one, in the Laplace oracle, in the sides of a law, in the laws that check
+D4 invariance or the substitution that checks f0gl2z, in the sharp
+transform, or in a bound on input.  The runner copies ``src/`` into a
+temporary directory, applies the change there, and runs ``pytest -x`` on the entry's test node ids alone, with
 ``PYTHONPATH`` at the copy; ``bench/tests`` is never collected, since its
 ``conftest.py`` puts the checkout's own ``src`` first.  A mutant is killed when a test
 fails, or when the run passes LIMIT_S seconds (reported as a timeout).
@@ -144,6 +145,21 @@ MUTANTS = [
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 1),",
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 2),",
      ["test_vspace.py::test_dims_table_matches_prediction_to_30"]),
+    ("law E: the substitution x -> -2x - y read as 2x - y", "laws.py",
+     "return f.subst_linear(x, (-2, -1)), f",
+     "return f.subst_linear(x, (2, -1)), f",
+     ["test_laws.py::"
+      "test_d4_generators_act_as_the_substitutions_of_their_laws"]),
+    ("D4 laws: rho_sym3 left out", "laws.py",
+     'D4_LAWS = ("rho_sym3", "E")', 'D4_LAWS = ("E",)',
+     ["test_laws.py::test_d4_decompose_rejects_non_invariant"]),
+    ("f0gl2z: each generator substituted transposed", "laws.py",
+     "f.subst_linear((a, c), (b, d))", "f.subst_linear((a, b), (c, d))",
+     ["test_laws.py::test_f0gl2z_equals_the_report_through_the_action"]),
+    ("sharp: B(x + y) read as B(x)", "laws.py",
+     "bxy = bern.subst_linear((1, 1), (0, 0))",
+     "bxy = bern.subst_linear((1, 0), (0, 0))",
+     ["test_laws.py::test_round_trip_dagger_sharp"]),
 ]
 
 

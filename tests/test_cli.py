@@ -752,7 +752,8 @@ def test_delta_beyond_the_limit_exits_3(tmp_path, capsys):
     ("dilative", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
     ("laplace", ("MAX_LATTICE_POINTS", "MAX_ORDER")),
     ("calibrate", ("MAX_ORDER",)), ("selftest", ("MAX_ORDER",)),
-    ("vd basis", ("MAX_ORDER",)), ("vd dims", ("MAX_ORDER",))])
+    ("vd basis", ("MAX_BASIS_DEGREE",)),
+    ("vd dims", ("MAX_DIMS_DEGREE",))])
 def test_help_states_the_limits(capsys, command, limits):
     with pytest.raises(SystemExit):
         cli.main(command.split() + ["--help"])
@@ -864,9 +865,9 @@ HUGE = str(10**20)
     (["calibrate", "--order", HUGE], None,
      f"--order {HUGE} is out of range: it must be <= 1000"),
     (["vd", "basis", "--degree", HUGE], None,
-     f"--degree {HUGE} is out of range: it must be <= 1000"),
+     f"--degree {HUGE} is out of range: it must be <= 128"),
     (["vd", "dims", "--max", HUGE], None,
-     f"--max {HUGE} is out of range: it must be <= 1000"),
+     f"--max {HUGE} is out of range: it must be <= 64"),
 ], ids=["laplace-order", "laplace-env-order", "laplace-order-1001",
         "selftest-order", "calibrate-order", "vd-basis-degree",
         "vd-dims-max"])
@@ -875,7 +876,8 @@ def test_order_or_degree_above_the_limit_exits_3(tmp_path, capsys,
                                                  message):
     # before any work: at 10^20 a factorial or a table would overflow or
     # never finish
-    assert io.MAX_ORDER == 1000
+    assert (io.MAX_ORDER, io.MAX_BASIS_DEGREE, io.MAX_DIMS_DEGREE) \
+        == (1000, 128, 64)
     if env is not None:
         monkeypatch.setenv("LATVAL_ORDER", env)
     argv = [write(tmp_path, "T.json", T_POLY) if a is None else a

@@ -126,6 +126,9 @@ def _run(tree, tmp) -> tuple:
 # this 3001-digit factor
 @example(tree=["dilative", "--spec", TREES["dilative_two_t_delta_0"][2],
                "--delta", "1000", "--m", str(10**3000), "--polygons", POINT])
+# solving V_d for every d up to 1000 runs for hours
+@example(tree=["vd", "basis", "--degree", "1000"])
+@example(tree=["vd", "dims", "--max", "1000"])
 def test_mutated_golden_inputs_exit_0_2_or_3(tree):
     with tempfile.TemporaryDirectory(prefix="latval-fuzz-") as tmp:
         code, err = _run(tree, tmp)

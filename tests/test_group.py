@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from latval.geometry import area2, hull_normalize
 from latval.group import (AffineUnimodular, D4_GENERATORS, GL2Z_GENERATORS,
                           IDENTITY_MATRIX, NotUnimodular, act_on_polygon,
-                          act_on_series, d4_elements, det, is_d4_invariant,
-                          mat_apply, mat_mul)
+                          act_on_series, d4_elements, det, mat_apply, mat_mul)
+from latval.laws import D4_LAWS, check_law
 from latval.series import Series2, exp_linear, mul_exp_linear
 from test_series import assert_checked
 
@@ -177,9 +177,11 @@ def test_d4_invariant_generators():
         xi = AffineUnimodular.linear(m)
         assert act_on_series(xi, p1) == p1
         assert act_on_series(xi, p2) == p2
-    assert is_d4_invariant(p1) == (True, None)
-    ok, witness = is_d4_invariant(Series2.monomial(1, 1, 0, 8))
-    assert not ok and witness in D4_GENERATORS
+    assert all(check_law(law, p).holds for law in D4_LAWS for p in (p1, p2))
+    # x is fixed by E's substitution alone, y^2 by rho_sym3's alone
+    x, y2 = Series2.monomial(1, 1, 0, 8), Series2.monomial(1, 0, 2, 8)
+    assert [check_law(law, x).holds for law in D4_LAWS] == [False, True]
+    assert [check_law(law, y2).holds for law in D4_LAWS] == [True, False]
 
 
 def test_act_on_polygon():

@@ -7,12 +7,18 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latval import vspace
-from latval.laws import (LAW_IDS, NotInvariant, check_law,
-                         d4_compose, d4_decompose, dagger, diamond, from_st,
-                         invariant_generators, sharp, to_st)
+from latval.group import (D4_GENERATORS, GL2Z_GENERATORS, AffineUnimodular,
+                          act_on_series, d4_elements)
+from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
+                         check_law, d4_compose, d4_decompose, dagger, diamond,
+                         from_st, invariant_generators, law_sides, sharp,
+                         to_st)
 from latval.series import NotDivisible, Series2, exp_linear
+from test_group import dense_series2s, series2s
 
 
 def random_series(rng, order=8, even=False):
@@ -244,10 +250,40 @@ def test_equivalence_suite_f2():
 
 
 def test_invariant_generators_are_d4_invariant():
-    from latval.group import is_d4_invariant
-    a, b = invariant_generators(10)
-    assert is_d4_invariant(a)[0]
-    assert is_d4_invariant(b)[0]
+    for gen in invariant_generators(10):
+        assert all(check_law(law, gen).holds for law in D4_LAWS)
+
+
+@settings(max_examples=25)
+@given(st.one_of(series2s(), dense_series2s()))
+@example(Series2.monomial(1, 0, 1, 4))
+def test_d4_generators_act_as_the_substitutions_of_their_laws(f):
+    # D4_LAWS checks D4 invariance: the generator acting on f is the
+    # substituted side of its law, rho_sym3's right side and E's left side
+    assert D4_LAWS == ("rho_sym3", "E")
+    sym3, e = (act_on_series(AffineUnimodular.linear(g), f)
+               for g in D4_GENERATORS)
+    assert sym3.key() == law_sides("rho_sym3", f)[1].key()
+    assert e.key() == law_sides("E", f)[0].key()
+
+
+def f0gl2z_by_the_action(f):
+    """The f0gl2z report with each generator of GL(2, Z) acting on f by
+    act_on_series: the first that moves f gives the violation."""
+    for g in GL2Z_GENERATORS:
+        diff = act_on_series(AffineUnimodular.linear(g), f).first_difference(f)
+        if diff is not None:
+            return LawReport("f0gl2z", False, f.order, diff)
+    return LawReport("f0gl2z", True, f.order, None)
+
+
+@settings(max_examples=60)
+@given(st.one_of(series2s(), dense_series2s()))
+# on x, the generators transposed give the same report; on y they do not
+@example(Series2.monomial(1, 1, 0, 6))
+@example(Series2.monomial(1, 0, 1, 6))
+def test_f0gl2z_equals_the_report_through_the_action(f):
+    assert check_law("f0gl2z", f) == f0gl2z_by_the_action(f)
 
 
 def test_d4_decompose_round_trip():
@@ -267,15 +303,22 @@ def test_d4_decompose_on_solver_output():
 
 
 def test_d4_decompose_rejects_non_invariant():
-    with pytest.raises(NotInvariant):
-        d4_decompose(Series2.monomial(1, 1, 0, 8))
+    # the message names the first law of D4_LAWS that fails, and its first
+    # violation in exact rationals
+    for h, message in (
+            (Series2.monomial(1, 1, 0, 8),
+             "violates rho_sym3 at exponent [0, 1]: lhs 0, rhs 1"),
+            (Series2.monomial(1, 0, 2, 8),
+             "violates E at exponent [1, 1]: lhs 4, rhs 0")):
+        with pytest.raises(NotInvariant) as exc:
+            d4_decompose(h)
+        assert str(exc.value) == message
 
 
 def test_d4_decompose_on_averaged_invariants():
     # averaging any polynomial over the group gives an invariant, and the
     # invariant ring is generated by the two basic polynomials, so the
     # decomposition must succeed on every average
-    from latval.group import AffineUnimodular, act_on_series, d4_elements
     rng = random.Random(9)
     for _ in range(5):
         f = random_series(rng, order=8)

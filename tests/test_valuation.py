@@ -34,6 +34,7 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
                               z_polygon)
+from oracles import betke_kneser_constant, lattice_point_sum
 from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
@@ -1014,3 +1015,42 @@ def test_caches_shared_by_threads(monkeypatch):
     assert errors == []
     for cache in (vspace._degree, valuation.evaluator_for, ev._value):
         assert cache.cache_info().currsize == 3
+
+
+# ---------------------------------------------------------------------------
+# oracles that triangulate nothing
+
+
+@st.composite
+def far_hulls(draw):
+    """The hull of 3 to 6 points of [-5, 5]^2, each coordinate moved by 0,
+    10^6 or 10^12 with either sign."""
+    point = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    shift = [draw(st.sampled_from((0, 10**6, 10**12)))
+             * draw(st.sampled_from((1, -1))) for _ in range(2)]
+    return hull_normalize([(x + shift[0], y + shift[1]) for x, y in
+                           draw(st.lists(point, min_size=3, max_size=6))])
+
+
+# f2 = 0 and zT = 1 + e^x + e^y: the value is the lattice point sum
+LATTICE_POINT_SPEC = ValuationSpec(1, cosh_type_g(11).scalar_mul(2),
+                                   Series2.zero(11), 11)
+
+
+@settings(max_examples=60)
+@given(P=far_hulls())
+@example(P=hull_normalize([(10**12, -10**12), (10**12 + 5, -10**12 + 2),
+                           (10**12 - 3, -10**12 + 4)]))
+def test_z_polygon_is_the_lattice_point_sum(P):
+    value = z_polygon(LATTICE_POINT_SPEC, P)
+    assert dict(value.terms()) == lattice_point_sum(P, value.order)
+
+
+@settings(max_examples=60)
+@given(spec=random_specs(), P=far_hulls())
+def test_constant_term_is_betke_kneser(spec, P):
+    ev = evaluator_for(spec)
+    a = ev.z_point((0, 0)).coeff(0, 0)
+    s = ev.z_segment((0, 0), (1, 0)).coeff(0, 0) - a
+    t = ev.z_polygon(T).coeff(0, 0) - a - Q(3, 2) * s
+    assert ev.z_polygon(P).coeff(0, 0) == betke_kneser_constant(P, a, s, t)
