@@ -6,7 +6,8 @@ holds, 2 law or dilativity violated, 3 malformed input or an unwritable
 --out path, 1 internal error.  Spec and series files carry their own order.
 The commands that take no such file (laplace, calibrate, selftest) work at
 order 12, overridable by the LATVAL_ORDER environment variable or their
---order flag, up to io.MAX_ORDER; vd's --degree stops at io.MAX_BASIS_DEGREE
+--order flag, up to io.MAX_LAPLACE_ORDER, io.MAX_CALIBRATE_ORDER and
+io.MAX_SELFTEST_ORDER; vd's --degree stops at io.MAX_BASIS_DEGREE
 and its --max at io.MAX_DIMS_DEGREE, dilative's --delta lies within
 -io.MAX_ORDER..io.MAX_ORDER and its --m factors must be distinct and at
 most io.MAX_ORDER.
@@ -67,11 +68,11 @@ def _in_range(name: str, value: int, minimum: int,
     return _at_least(name, value, minimum)
 
 
-def _order(args, minimum: int) -> int:
-    """--order if given, else default_order(); in minimum..io.MAX_ORDER."""
+def _order(args, minimum: int, maximum: int) -> int:
+    """--order if given, else default_order(); in minimum..maximum."""
     if args.order is not None:
-        return _in_range("--order", args.order, minimum)
-    return _in_range("LATVAL_ORDER", default_order(), minimum)
+        return _in_range("--order", args.order, minimum, maximum)
+    return _in_range("LATVAL_ORDER", default_order(), minimum, maximum)
 
 
 def _emit(obj, args) -> None:
@@ -166,7 +167,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_laplace(args) -> int:
     P = io.polygon_from_obj(io.load_json(args.polygon))
-    _emit(laplace.laplace_plus(P, _order(args, 0)), args)
+    _emit(laplace.laplace_plus(P, _order(args, 0, io.MAX_LAPLACE_ORDER)), args)
     return EXIT_OK
 
 
@@ -235,7 +236,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    order = _order(args, valuation.CALIBRATE_MIN_ORDER)
+    order = _order(args, valuation.CALIBRATE_MIN_ORDER,
+                   io.MAX_CALIBRATE_ORDER)
     try:
         kappa = valuation.calibrate_val0(order)
     except NoCandidatePasses as exc:
@@ -248,7 +250,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    order = _order(args, 1)
+    order = _order(args, 1, io.MAX_SELFTEST_ORDER)
     checks = []
 
     def record(name, ok):
@@ -322,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     polygon_help = (f"polygon JSON file, with at most "
                     f"{io.MAX_LATTICE_POINTS} lattice points")
 
-    def order_help(minimum):
-        return (f"series order, {minimum} to {io.MAX_ORDER} (default: "
+    def order_help(minimum, maximum):
+        return (f"series order, {minimum} to {maximum} (default: "
                 f"LATVAL_ORDER, else {DEFAULT_ORDER})")
 
     def out(p):
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("laplace", cmd_laplace, help="positive Laplace transform")
     p.add_argument("--polygon", required=True, help=polygon_help)
-    p.add_argument("--order", type=int, help=order_help(0))
+    p.add_argument("--order", type=int,
+                   help=order_help(0, io.MAX_LAPLACE_ORDER))
 
     p = add("dilative", cmd_dilative, help="test delta-dilativity")
     p.add_argument("--spec", required=True, help=spec_help)
@@ -391,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("calibrate", cmd_calibrate,
             help="determine the 0-dilative generator's rho constant")
     p.add_argument("--order", type=int,
-                   help=order_help(valuation.CALIBRATE_MIN_ORDER))
+                   help=order_help(valuation.CALIBRATE_MIN_ORDER,
+                                   io.MAX_CALIBRATE_ORDER))
 
     p = add("selftest", cmd_selftest, help="run the built-in invariant suite")
-    p.add_argument("--order", type=int, help=order_help(1))
+    p.add_argument("--order", type=int,
+                   help=order_help(1, io.MAX_SELFTEST_ORDER))
 
     return parser
 

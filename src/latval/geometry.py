@@ -269,8 +269,6 @@ def split_pairs(P: LatticePolygon, count=None):
             P2 = hull_normalize(arc2)
             if P1.dim != 2 or P2.dim != 2:
                 continue
-            if area2(P1) + area2(P2) != area2(P):
-                continue
             out.append((P1, P2))
             if count is not None and len(out) >= count:
                 return out

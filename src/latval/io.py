@@ -54,6 +54,12 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?"
 _MAX_DIGITS = 4300   # Python's default limit for reading an int from text
 _TOO_LONG = 10 ** _MAX_DIGITS
 MAX_ORDER = 1000     # the highest order a series or spec file may carry
+# the highest --order (or LATVAL_ORDER) of `laplace`, `selftest` and
+# `calibrate`: at its limit each call took at most 4 s on a 2-core x86_64
+# machine, and `laplace` on [(0, 0), (400, 1), (1, 400)] wrote 13 MB
+MAX_LAPLACE_ORDER = 200
+MAX_SELFTEST_ORDER = 60
+MAX_CALIBRATE_ORDER = 80
 # the highest degrees of `vd basis --degree` and `vd dims --max`: solving
 # V_d grows about as d^4.4, and at its limit each call took at most 4 s
 # on a 2-core x86_64 machine

@@ -121,6 +121,14 @@ def _cases():
                    "--polygons", _input("point")], cli.EXIT_MALFORMED))
     cases.append(("calibrate_6", ["calibrate", "--order", "6"], 2))
     cases.append(("selftest_6", ["selftest", "--order", "6"], 0))
+    # one above each --order limit of the commands that take no file
+    cases.append(("laplace_order_above_limit",
+                  ["laplace", "--polygon", _input("two_t"),
+                   "--order", "201"], cli.EXIT_MALFORMED))
+    cases.append(("calibrate_order_above_limit",
+                  ["calibrate", "--order", "81"], cli.EXIT_MALFORMED))
+    cases.append(("selftest_order_above_limit",
+                  ["selftest", "--order", "61"], cli.EXIT_MALFORMED))
     return cases
 
 

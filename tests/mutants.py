@@ -8,27 +8,36 @@ total degree, in the Bernoulli numbers, in the triangulation and the
 lattice point walk, in the faces that the evaluator sums (a triangle's
 sides on the boundary, the sign of an interior point, the unimodularity
 check), in the bound of a cache or the equality of the specs that key
-one, in the Laplace oracle, in the sides of a law, in the laws that check
-D4 invariance or the substitution that checks f0gl2z, in the sharp
-transform, or in a bound on input.  The runner copies ``src/`` into a
-temporary directory, applies the change there, and runs ``pytest -x`` on the entry's test node ids alone, with
-``PYTHONPATH`` at the copy; ``bench/tests`` is never collected, since its
-``conftest.py`` puts the checkout's own ``src`` first.  A mutant is killed when a test
-fails, or when the run passes LIMIT_S seconds (reported as a timeout).
-The tests are first run once on the unchanged copy, which must pass.
+one, in the Laplace oracle (the degree scale or the weight of a fan
+triangle), in the sides of a law, in the laws that check D4 invariance
+or the substitution that checks f0gl2z, in the sharp and dagger
+transforms or the change to (s, t), or in a bound on input.
+
+The runner imports pytest and hypothesis once, and never latval.  It
+copies ``src/`` into a temporary directory, applies the change there,
+and forks a child, which puts the copy first on ``sys.path`` and runs
+``pytest.main`` with ``-x`` on the entry's test node ids alone, writing
+its output to a file; ``bench/tests`` is never collected, since its
+``conftest.py`` puts the checkout's own ``src`` first.  A mutant is
+killed when a test fails, or when the child runs past LIMIT_S seconds
+and is killed (reported as a timeout).  The tests are first run once on
+the unchanged copy, which must pass.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the catalogue is stale (a text not found exactly once, or a test run that
-neither passes nor fails) or the unchanged copy fails its tests.  Only the
-standard library is used here; the tests need pytest and hypothesis.
+neither passes nor fails) or the unchanged copy fails its tests.  The
+runner needs ``os.fork``, pytest and hypothesis.
 """
 
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
+
+import hypothesis  # noqa: F401  imported once, before the children fork
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIMIT_S = 60
@@ -141,6 +150,10 @@ MUTANTS = [
     ("laplace: degree k over (k + 1)!", "laplace.py",
      "den = factorial(k + 2)", "den = factorial(k + 1)",
      ["test_laplace.py::test_laplace_plus_T_coefficients"]),
+    ("laplace: each fan triangle weighted 1, not its twice-area",
+     "laplace.py", "h = [[a]]", "h = [[1]]",
+     ["test_laplace.py::test_laplace_plus_matches_green_formula",
+      "test_laplace.py::test_moments_match_green_formula"]),
     ("law Aprime: the factor x + y read as x + 2y", "laws.py",
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 1),",
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 2),",
@@ -160,23 +173,65 @@ MUTANTS = [
      "bxy = bern.subst_linear((1, 1), (0, 0))",
      "bxy = bern.subst_linear((1, 0), (0, 0))",
      ["test_laws.py::test_round_trip_dagger_sharp"]),
+    ("law Bprime: the difference on the right read as a sum", "laws.py",
+     "x, (-1, 1)).mul_linear(1, -1),\n"
+     "                f.subst_linear(y, (-1, 0)).mul_linear(1, 0)\n"
+     "                - f.subst_linear(x, (0, -1))",
+     "x, (-1, 1)).mul_linear(1, -1),\n"
+     "                f.subst_linear(y, (-1, 0)).mul_linear(1, 0)\n"
+     "                + f.subst_linear(x, (0, -1))",
+     ["test_laws.py::test_rho_laws_on_basis_elements"]),
+    ("to_st: x = (s - t)/2 read as s - t/2", "laws.py",
+     "rho.subst_linear((Q(1, 2), Q(-1, 2)), (0, 1))",
+     "rho.subst_linear((1, Q(-1, 2)), (0, 1))",
+     ["test_laws.py::test_to_st_sends_solutions_to_Adoubleprime"]),
+    ("dagger: the bracket divided by x, not y", "laws.py",
+     "return divide_linear(bracket, 0, 1)",
+     "return divide_linear(bracket, 1, 0)",
+     ["test_laws.py::test_dagger_of_constant_one"]),
 ]
 
 
-def run_tests(src: str, tests) -> tuple:
+def run_tests(src: str, tests, log: str) -> tuple:
     """(outcome, seconds, output) of pytest -x on the tests against the
-    copy src: outcome "passed", "failed", "timeout" or "error"."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           *sorted({os.path.join("tests", t) for t in tests})]
+    copy src, in a forked child: outcome "passed", "failed", "timeout" or
+    "error".  The child writes pytest's output to the file log."""
     start = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=LIMIT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout", time.monotonic() - start, ""
-    outcome = {0: "passed", 1: "failed"}.get(proc.returncode, "error")
-    return outcome, time.monotonic() - start, proc.stdout + proc.stderr
+    sys.stdout.flush()   # else the child would write the parent's buffer
+    with open(log, "w", encoding="utf-8") as fh:
+        pid = os.fork()
+        if pid == 0:
+            code = 3
+            try:
+                os.setpgid(0, 0)
+                os.chdir(ROOT)
+                os.dup2(fh.fileno(), 1)
+                os.dup2(fh.fileno(), 2)
+                sys.path.insert(0, src)
+                sys.dont_write_bytecode = True
+                # hypothesis, imported already, cannot be rewritten
+                code = pytest.main(
+                    ["-x", "-q", "-p", "no:cacheprovider",
+                     "-W", "ignore::pytest.PytestAssertRewriteWarning",
+                     *sorted({os.path.join("tests", t) for t in tests})])
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(int(code))
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() - start > LIMIT_S:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return "timeout", time.monotonic() - start, ""
+        time.sleep(0.02)
+    with open(log, encoding="utf-8") as fh:
+        output = fh.read()
+    outcome = {0: "passed", 1: "failed"}.get(os.waitstatus_to_exitcode(status),
+                                            "error")
+    return outcome, time.monotonic() - start, output
 
 
 def main() -> int:
@@ -184,8 +239,9 @@ def main() -> int:
         clean = os.path.join(tmp, "clean")
         shutil.copytree(os.path.join(ROOT, "src"), clean,
                         ignore=shutil.ignore_patterns("__pycache__"))
+        log = os.path.join(tmp, "pytest.log")
         outcome, spent, output = run_tests(
-            clean, [t for *_, tests in MUTANTS for t in tests])
+            clean, [t for *_, tests in MUTANTS for t in tests], log)
         print(f"unchanged source: {outcome} ({spent:.1f} s)")
         if outcome != "passed":
             print(output[-3000:])
@@ -205,7 +261,7 @@ def main() -> int:
                 continue
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(source.replace(text, replacement))
-            outcome, spent, output = run_tests(src, tests)
+            outcome, spent, output = run_tests(src, tests, log)
             label = {"failed": "killed", "timeout": "killed (timeout)",
                      "passed": "SURVIVED", "error": "ERROR"}[outcome]
             print(f"{label:9s} {name} ({spent:.1f} s)")

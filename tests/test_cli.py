@@ -750,8 +750,9 @@ def test_delta_beyond_the_limit_exits_3(tmp_path, capsys):
     ("construct", ("MAX_ORDER",)), ("decompose", ("MAX_ORDER",)),
     ("evaluate", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
     ("dilative", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
-    ("laplace", ("MAX_LATTICE_POINTS", "MAX_ORDER")),
-    ("calibrate", ("MAX_ORDER",)), ("selftest", ("MAX_ORDER",)),
+    ("laplace", ("MAX_LATTICE_POINTS", "MAX_LAPLACE_ORDER")),
+    ("calibrate", ("MAX_CALIBRATE_ORDER",)),
+    ("selftest", ("MAX_SELFTEST_ORDER",)),
     ("vd basis", ("MAX_BASIS_DEGREE",)),
     ("vd dims", ("MAX_DIMS_DEGREE",))])
 def test_help_states_the_limits(capsys, command, limits):
@@ -855,29 +856,36 @@ HUGE = str(10**20)
 
 @pytest.mark.parametrize("argv, env, message", [
     (["laplace", "--polygon", None, "--order", HUGE], None,
-     f"--order {HUGE} is out of range: it must be <= 1000"),
+     f"--order {HUGE} is out of range: it must be <= 200"),
     (["laplace", "--polygon", None], HUGE,
-     f"LATVAL_ORDER {HUGE} is out of range: it must be <= 1000"),
+     f"LATVAL_ORDER {HUGE} is out of range: it must be <= 200"),
     (["laplace", "--polygon", None, "--order", "1001"], None,
-     "--order 1001 is out of range: it must be <= 1000"),
+     "--order 1001 is out of range: it must be <= 200"),
+    (["laplace", "--polygon", None, "--order", "201"], None,
+     "--order 201 is out of range: it must be <= 200"),
     (["selftest", "--order", HUGE], None,
-     f"--order {HUGE} is out of range: it must be <= 1000"),
+     f"--order {HUGE} is out of range: it must be <= 60"),
+    (["selftest"], "61", "LATVAL_ORDER 61 is out of range: it must be <= 60"),
     (["calibrate", "--order", HUGE], None,
-     f"--order {HUGE} is out of range: it must be <= 1000"),
+     f"--order {HUGE} is out of range: it must be <= 80"),
+    (["calibrate", "--order", "81"], None,
+     "--order 81 is out of range: it must be <= 80"),
     (["vd", "basis", "--degree", HUGE], None,
      f"--degree {HUGE} is out of range: it must be <= 128"),
     (["vd", "dims", "--max", HUGE], None,
      f"--max {HUGE} is out of range: it must be <= 64"),
 ], ids=["laplace-order", "laplace-env-order", "laplace-order-1001",
-        "selftest-order", "calibrate-order", "vd-basis-degree",
+        "laplace-order-201", "selftest-order", "selftest-env-order-61",
+        "calibrate-order", "calibrate-order-81", "vd-basis-degree",
         "vd-dims-max"])
 def test_order_or_degree_above_the_limit_exits_3(tmp_path, capsys,
                                                  monkeypatch, argv, env,
                                                  message):
     # before any work: at 10^20 a factorial or a table would overflow or
     # never finish
-    assert (io.MAX_ORDER, io.MAX_BASIS_DEGREE, io.MAX_DIMS_DEGREE) \
-        == (1000, 128, 64)
+    assert (io.MAX_ORDER, io.MAX_BASIS_DEGREE, io.MAX_DIMS_DEGREE,
+            io.MAX_LAPLACE_ORDER, io.MAX_SELFTEST_ORDER,
+            io.MAX_CALIBRATE_ORDER) == (1000, 128, 64, 200, 60, 80)
     if env is not None:
         monkeypatch.setenv("LATVAL_ORDER", env)
     argv = [write(tmp_path, "T.json", T_POLY) if a is None else a

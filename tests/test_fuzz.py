@@ -129,6 +129,12 @@ def _run(tree, tmp) -> tuple:
 # solving V_d for every d up to 1000 runs for hours
 @example(tree=["vd", "basis", "--degree", "1000"])
 @example(tree=["vd", "dims", "--max", "1000"])
+# laplace on T at order 1000 ran 96 s and wrote 851 MB; selftest and
+# calibrate at order 1000 run for hours
+@example(tree=["laplace", "--polygon", TREES["laplace_two_t"][2],
+               "--order", "1000"])
+@example(tree=["selftest", "--order", "1000"])
+@example(tree=["calibrate", "--order", "1000"])
 def test_mutated_golden_inputs_exit_0_2_or_3(tree):
     with tempfile.TemporaryDirectory(prefix="latval-fuzz-") as tmp:
         code, err = _run(tree, tmp)

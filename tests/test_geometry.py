@@ -296,13 +296,27 @@ def test_split_pairs():
         split_pairs(T)
 
 
-def test_split_pairs_2T():
-    P = scale_polygon(T, 2)
+def _check_split_pairs(P):
+    """Each pair's areas add up to P's, its parts meet in a segment, and
+    their union is P."""
     for P1, P2 in split_pairs(P):
         assert area2(P1) + area2(P2) == area2(P)
         assert chord_of_split(P1, P2).dim == 1
         union = hull_normalize(list(P1.vertices) + list(P2.vertices))
-        assert area2(union) == area2(P)
+        assert union == P
+
+
+def test_split_pairs_2T():
+    _check_split_pairs(scale_polygon(T, 2))
+
+
+@settings(max_examples=60)
+@given(P=hulls())
+def test_split_pairs_of_random_hulls(P):
+    try:
+        _check_split_pairs(P)
+    except NoValidChord:
+        assert len(boundary_lattice_points(P)) == 3
 
 
 def test_chord_of_split_requires_segment():

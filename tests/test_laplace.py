@@ -2,6 +2,7 @@
 
 import ast
 import random
+import signal
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import comb, factorial
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from latval.geometry import (LatticePolygon, NotFullDimensional,
                              hull_normalize, scale_polygon, split_pairs)
 from latval.group import AffineUnimodular, act_on_polygon, act_on_series, det
-from latval import laplace
+from latval import geometry, laplace
 from latval.laplace import _degree_tables, laplace_plus
 from latval.series import Series2
 from latval.valuation import ValuationSpec, z_polygon
@@ -109,7 +110,8 @@ def test_moment_zero_is_area():
 
 def _mirrored_moments(P, n):
     """The moments of P from those of its mirror image (x, y) -> (y, x),
-    whose triangulation sweeps P's points in (y, x) order."""
+    whose fan starts at the lexicographically first vertex in (y, x)
+    order, in general another apex than P's own."""
     mirror = hull_normalize([(y, x) for x, y in P.vertices])
     return {(a, b): v
             for (b, a), v in polygon_moments(mirror, n).values.items()}
@@ -199,6 +201,31 @@ def test_minus_two_dilativity():
         lhs = laplace_plus(scale_polygon(P, 12), 12)
         rhs = laplace_plus(P, 12).scale_variables(12).scalar_mul(144)
         assert lhs == rhs
+
+
+def test_minus_two_dilativity_beyond_any_triangulation():
+    # 10^12 unimodular triangles and about 5 * 10^11 lattice points
+    def hang(signum, frame):
+        raise TimeoutError("no result within 10 s")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        lhs = laplace_plus(scale_polygon(T, 10**6), 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert lhs == laplace_plus(T, 6).scale_variables(10**6).scalar_mul(10**12)
+
+
+def test_oracle_enumerates_no_lattice_point(monkeypatch):
+    expected = [laplace_plus(P, 8) for P in CORPUS]
+
+    def refuse(*args):
+        raise AssertionError("the oracle triangulated or walked the points")
+    monkeypatch.setattr(laplace, "unimodular_triangulation", refuse)
+    monkeypatch.setattr(geometry, "unimodular_triangulation", refuse)
+    monkeypatch.setattr(geometry, "lattice_points", refuse)
+    assert [laplace_plus(P, 8) for P in CORPUS] == expected
 
 
 def test_additivity_on_splits():

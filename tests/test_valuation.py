@@ -34,7 +34,8 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
                               z_polygon)
-from oracles import betke_kneser_constant, lattice_point_sum
+from oracles import (betke_kneser_constant, half_boundary_transform,
+                     interpolate, lattice_point_sum)
 from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
@@ -1054,3 +1055,43 @@ def test_constant_term_is_betke_kneser(spec, P):
     s = ev.z_segment((0, 0), (1, 0)).coeff(0, 0) - a
     t = ev.z_polygon(T).coeff(0, 0) - a - Q(3, 2) * s
     assert ev.z_polygon(P).coeff(0, 0) == betke_kneser_constant(P, a, s, t)
+
+
+# f1 = E(x): the value is half the boundary Laplace transform
+HALF_BOUNDARY_SPEC = ValuationSpec(0, odd_basis_g(-1, 9).scalar_mul(2),
+                                   None, 9)
+
+
+@settings(max_examples=40)
+@given(P=far_hulls())
+@example(P=hull_normalize([(1, 1)]))
+@example(P=hull_normalize([(0, 0), (3, 6)]))
+def test_z_polygon_is_half_the_boundary_transform(P):
+    value = z_polygon(HALF_BOUNDARY_SPEC, P)
+    assert dict(value.terms()) == half_boundary_transform(P, value.order)
+
+
+QUAD = hull_normalize([(0, 0), (3, 1), (1, 2)])
+
+
+@settings(max_examples=10)
+@given(spec=random_specs(max_order=4),
+       P=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                  min_size=1, max_size=4).map(hull_normalize))
+@example(spec=ValuationSpec(0, None, Series2.constant(-1, 9), 9), P=QUAD)
+@example(spec=ValuationSpec(1, cosh_type_g(9), Series2.constant(-1, 9)
+                            + vd_spec(4, order=9).rho, 9), P=QUAD)
+@example(spec=ValuationSpec(Q(2, 3), odd_basis_g(1, 9) + odd_basis_g(3, 9),
+                            vd_spec(4, order=9).rho.scalar_mul(5), 9),
+         P=QUAD)
+def test_dilates_are_polynomial_in_m(spec, P):
+    # each degree k is interpolated from m = 0..k + 2 and checked up to
+    # m = spec.order + 4; Z(0P) is the value of a point at the origin
+    ev = evaluator_for(spec)
+    values = [ev.z_point((0, 0))] + [z_polygon(spec, scale_polygon(P, m))
+                                     for m in range(1, spec.order + 5)]
+    for k in range(values[0].order + 1):
+        for p in range(k + 1):
+            samples = [v.coeff(p, k - p) for v in values[:k + 3]]
+            for m in range(k + 3, len(values)):
+                assert values[m].coeff(p, k - p) == interpolate(samples, m)
