@@ -29,8 +29,9 @@ unimodular frame.  A triangle's sides 0, 1, 2 are [v, v + u1],
 
 The sum is taken in integers.  The eight triangle values (one for each
 set of sides), f1, c and -c are packed once per evaluator by
-series.packed_cells, over one denominator; integer edge vectors and the
-twist by e^{v.z} for an integer v keep them integral, so
+series.packed_cells, over one denominator, and values that are equal
+(under g = 0 the eight are all f2) share one cell; integer edge vectors
+and the twist by e^{v.z} for an integer v keep them integral, so
 series.sum_of_images adds all faces in integers and makes one series at
 the end.  Each translation costs one twist, so each face is anchored at a
 vertex it shares with other faces (_anchored): the interior points first,
@@ -182,14 +183,15 @@ class Evaluator:
     def __init__(self, spec: ValuationSpec):
         self.spec = spec
         self.data = build_triangle_data(spec)
-        # the values _faces indexes: a triangle's eight by mask, f1, c, -c;
-        # _sum is a module function, so no cycle holds the evaluator
-        d = self.data
-        den, cells = packed_cells([sum((h for j, h in enumerate(d.sides)
-                                        if mask >> j & 1), d.f2)
-                                   for mask in range(8)] + [d.f1, d.f0, -d.f0])
+        # each distinct value is packed once, and the faces of equal values
+        # share its cell; _sum is a module function, so no cycle holds the
+        # evaluator
+        values = _face_values(self.data)
+        distinct = {f.key(): f for f in values}
+        den, cells = packed_cells(list(distinct.values()))
+        cell = dict(zip(distinct, cells))
         self._value = lru_cache(maxsize=FACES_MAX)(
-            partial(_sum, cells, den, self.order))
+            partial(_sum, [cell[f.key()] for f in values], den, self.order))
 
     @property
     def order(self) -> int:
@@ -206,6 +208,13 @@ class Evaluator:
 
     def z_polygon(self, P: LatticePolygon) -> Series2:
         return self._value(P)
+
+
+def _face_values(data: TriangleData) -> list:
+    """The values that _faces indexes: a triangle's eight, f2 plus the h
+    of the sides in the mask's bits, then f1, c and -c."""
+    return [sum((h for j, h in enumerate(data.sides) if mask >> j & 1),
+                data.f2) for mask in range(8)] + [data.f1, data.f0, -data.f0]
 
 
 def _sum(cells, den: int, n: int, P: LatticePolygon) -> Series2:

@@ -13,13 +13,26 @@ s = 2x + y, t = y is the image of that basis under ``laws.to_st``,
 brought to reduced echelon form.  The laws themselves are written only
 in ``laws``.
 
+The residuals are taken in integers: ``laws.law_sides`` gets, in place of
+a series, ``_Forms``, a basis of degree-d forms, each a product of powers
+of integer linear forms packed as one int at x = 2^k, y = 1 (Kronecker
+substitution, as in ``series``).  A linear substitution packs the
+substituted linear forms again; a linear factor, a sum and a difference
+are int products and sums.  A running bound on each form's coefficients
+sets the width k at which the residuals are read back exactly.
+``constraint_matrix`` applies the laws to the monomials x^(d-k) y^k.
+``vd_basis`` applies them to the d // 2 + 1 forms x^(d-2j) (x + y)^(2j),
+which span ker(E), since (E) fixes x and sends x + y to -(x + y): the
+rows of (E) come out zero, those of (A') have about half the columns,
+and the kernel goes back to monomials by the binomials C(2j, k).
+
 Each degree d has one record, ``_degree(d)``, an lru_cache of
 DEGREES_MAX degrees: the nonzero integer rows of
-constraint_matrix(d, RHO_LAWS), built on first need, and V_d's basis,
-solved from them when first asked for.  ``vd_basis``, ``st_basis``,
-``dims_table`` and ``satisfies_rho_laws`` (the rho check) read it, so
-V_d is solved once while kept (or once per thread racing that solve),
-and checking a rho never solves one.
+constraint_matrix(d, RHO_LAWS), built when ``satisfies_rho_laws`` first
+needs them, and V_d's basis, solved when first asked for.
+``vd_basis``, ``st_basis``, ``dims_table`` and ``satisfies_rho_laws``
+(the rho check) read it, so V_d is solved once while kept (or once per
+thread racing that solve), and checking a rho never solves one.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from . import laws, linalg
 from .series import Series2
@@ -54,24 +68,127 @@ def to_coefficients(rho: Series2, d: int):
 
 def constraint_matrix(d: int, law_ids):
     """Rows: the residual lhs - rhs of each named law, one row per residual
-    coefficient; columns: the d + 1 monomial coefficients.
+    coefficient, that of x^(e-i) y^i as row i for a residual of degree e;
+    columns: the d + 1 monomial coefficients.  The entries are ints.
 
-    The laws must be homogeneous: linear substitutions, optionally times a
-    linear factor.  The residual on a degree-d monomial is then homogeneous
-    of degree res.order, which is d, or d + 1 with a linear factor.  The
-    entries are ints when the residual's denominator is 1, as it is for
-    every law of ``laws.law_sides``, whose forms are all integral, and
-    Fractions otherwise."""
-    cols = []
-    for p, q in monomials(d):
-        mono = Series2.monomial(1, p, q, d)
-        col = []
-        for law in law_ids:
-            lhs, rhs = laws.law_sides(law, mono)
-            res = lhs - rhs
-            col += to_coefficients(res, res.order)
-        cols.append(col)
-    return [list(r) for r in zip(*cols)]
+    The laws must be homogeneous: integer linear substitutions, optionally
+    times a linear factor, so that the residual on a degree-d monomial is
+    homogeneous of degree d, or d + 1 with a linear factor.  Any other law
+    of ``laws.law_sides``, such as one with a factor exp(x), raises
+    ValueError."""
+    return _residual_rows([[((1, 0), p), ((0, 1), q)]
+                           for p, q in monomials(d)], d, law_ids)
+
+
+def _residual_rows(forms, d: int, law_ids) -> list:
+    """The rows of the named laws' residuals on the degree-d forms, given
+    by their factors as in _Forms, one column per form.  The width k
+    starts two bits above the largest bound of the forms; a residual whose
+    bound needs more is computed again at the width that it needs."""
+    k = max(map(_bound, forms)).bit_length() + 2
+    rows = []
+    for law in law_ids:
+        res = _residual(law, forms, d, k)
+        need = max(res.bounds).bit_length() + 1
+        if need > k:   # a wider read-back, at which every digit is exact
+            k = need
+            res = _residual(law, forms, d, k)
+        rows += res.rows()
+    return rows
+
+
+def _residual(law: str, forms, d: int, k: int) -> "_Forms":
+    """lhs - rhs of the named law on the forms, packed at width k."""
+    try:
+        lhs, rhs = laws.law_sides(law, _Forms.of(forms, d, k))
+        return lhs - rhs
+    except (AttributeError, TypeError):   # an operation forms do not have
+        raise ValueError(f"law {law!r} is not homogeneous: its sides are "
+                         "not integer linear substitutions times linear "
+                         "forms") from None
+
+
+def _bound(form) -> int:
+    """A bound on the sum of the sizes of the coefficients of the product
+    of the powers (a*x + b*y)^e of the form: the product of the
+    (|a| + |b|)^e."""
+    out = 1
+    for (a, b), e in form:
+        out *= (abs(a) + abs(b)) ** e
+    return out
+
+
+class _Forms:
+    """Homogeneous forms of one degree, as the columns of a constraint
+    matrix: cols[j] is form j packed at x = 2^k, y = 1, the sizes of whose
+    coefficients sum to at most bounds[j].  A basis (``_Forms.of``) also
+    keeps each form as its factors, the pairs ((a, b), e) of the powers
+    (a*x + b*y)^e whose product it is, for ``subst_linear``.  These are
+    the operations of the homogeneous laws of ``laws.law_sides``; a series
+    kernel such as ``mul_exp_linear`` finds no series here."""
+
+    __slots__ = ("degree", "k", "cols", "bounds", "factors")
+
+    def __init__(self, degree, k, cols, bounds, factors=None):
+        self.degree, self.k, self.cols, self.bounds = degree, k, cols, bounds
+        self.factors = factors
+
+    @classmethod
+    def of(cls, forms, degree: int, k: int) -> "_Forms":
+        """The forms of the given degree, by their factors, packed."""
+        cols = []
+        for form in forms:
+            col = 1
+            for (a, b), e in form:
+                col *= ((a << k) + b) ** e
+            cols.append(col)
+        return cls(degree, k, cols, [_bound(f) for f in forms], forms)
+
+    def subst_linear(self, first, second) -> "_Forms":
+        """Each form f as f(a1*x + b1*y, a2*x + b2*y), for first = (a1, b1)
+        and second = (a2, b2): a factor a*x + b*y becomes
+        (a*a1 + b*a2)*x + (a*b1 + b*b2)*y, and is packed again."""
+        (a1, b1), (a2, b2) = first, second
+        return _Forms.of([[((a * a1 + b * a2, a * b1 + b * b2), e)
+                           for (a, b), e in form] for form in self.factors],
+                         self.degree, self.k)
+
+    def mul_linear(self, a, b) -> "_Forms":
+        u, size = (a << self.k) + b, abs(a) + abs(b)
+        return _Forms(self.degree + 1, self.k, [c * u for c in self.cols],
+                      [s * size for s in self.bounds])
+
+    def __add__(self, other: "_Forms") -> "_Forms":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "_Forms") -> "_Forms":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "_Forms", sign: int) -> "_Forms":
+        if other.degree != self.degree:
+            raise TypeError(f"forms of degrees {self.degree} and "
+                            f"{other.degree} added")
+        return _Forms(self.degree, self.k,
+                      [a + sign * b for a, b in zip(self.cols, other.cols)],
+                      [s + t for s, t in zip(self.bounds, other.bounds)])
+
+    def rows(self) -> list:
+        """Row i: the coefficients of x^(degree-i) y^i of the forms, read
+        as balanced digits of width k, exact while each bound is below
+        2^(k-1)."""
+        k, n = self.k, self.degree + 1
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        # half in each of the n digits, which makes them all nonnegative
+        offset = half * ((1 << (k * n)) - 1) // mask
+        cols = []
+        for h in self.cols:
+            h += offset
+            col = [0] * n
+            for i in range(n - 1, -1, -1):   # the lowest digit is y^(n-1)
+                col[i] = (h & mask) - half
+                h >>= k
+            cols.append(col)
+        return [list(r) for r in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -89,8 +206,8 @@ class VdBasis:
 
 @dataclass
 class _Degree:
-    rows: list                    # of constraint_matrix(d, RHO_LAWS)
-    basis: VdBasis | None = None  # their kernel, once asked for
+    rows: list | None = None      # of constraint_matrix(d, RHO_LAWS)
+    basis: VdBasis | None = None  # V_d's basis
 
 
 DEGREES_MAX = 64   # degrees whose rows and basis are kept
@@ -98,8 +215,7 @@ DEGREES_MAX = 64   # degrees whose rows and basis are kept
 
 @lru_cache(maxsize=DEGREES_MAX)
 def _degree(d: int) -> _Degree:
-    return _Degree([linalg.integer_row(r)
-                    for r in constraint_matrix(d, laws.RHO_LAWS) if any(r)])
+    return _Degree()
 
 
 def vd_basis(d: int) -> VdBasis:
@@ -108,9 +224,26 @@ def vd_basis(d: int) -> VdBasis:
         raise ValueError("degree must be non-negative")
     record = _degree(d)
     if record.basis is None:
-        kernel = linalg.nullspace(record.rows, d + 1)
-        record.basis = VdBasis(d, tuple(tuple(v) for v in kernel))
+        record.basis = _solve(d)
     return record.basis
+
+
+def _solve(d: int) -> VdBasis:
+    """V_d's basis, solved on the forms x^(d-2j) (x + y)^(2j), j = 0..d//2,
+    which span ker(E): the kernel of the nonzero rows of RHO_LAWS on them
+    (those of (E) are zero), each kernel vector c made integral and taken
+    to the coefficients sum_j c_j C(2j, k) of x^(d-k) y^k, in reduced
+    echelon form."""
+    forms = [[((1, 0), d - 2 * j), ((1, 1), 2 * j)]
+             for j in range(d // 2 + 1)]
+    rows = [r for r in _residual_rows(forms, d, laws.RHO_LAWS) if any(r)]
+    vectors = []
+    for v in linalg.nullspace(rows, len(forms)):
+        c = linalg.integer_row(v)
+        vectors.append([sum(c[j] * comb(2 * j, k)
+                            for j in range((k + 1) // 2, len(c)))
+                        for k in range(d + 1)])
+    return VdBasis(d, tuple(tuple(r) for r in linalg.rref(vectors)[0]))
 
 
 def satisfies_rho_laws(rho: Series2) -> bool:
@@ -119,9 +252,14 @@ def satisfies_rho_laws(rho: Series2) -> bool:
     numerators, is in the kernel of the rows of degree d."""
     _, parts = rho.numerators()
     for d, part in enumerate(parts):
-        if any(part) and any(sum(a * b for a, b in zip(row, reversed(part)))
-                             for row in _degree(d).rows):
-            return False
+        if any(part):
+            record = _degree(d)
+            if record.rows is None:
+                record.rows = [linalg.integer_row(r) for r in
+                               constraint_matrix(d, laws.RHO_LAWS) if any(r)]
+            if any(sum(a * b for a, b in zip(row, reversed(part)))
+                   for row in record.rows):
+                return False
     return True
 
 

@@ -7,11 +7,13 @@ small fault in a series kernel that stores or reads the numerators by
 total degree, in the Bernoulli numbers, in the triangulation and the
 lattice point walk, in the faces that the evaluator sums (a triangle's
 sides on the boundary, the sign of an interior point, the unimodularity
-check), in the bound of a cache or the equality of the specs that key
-one, in the Laplace oracle (the degree scale or the weight of a fan
-triangle), in the sides of a law, in the laws that check D4 invariance
-or the substitution that checks f0gl2z, in the sharp and dagger
-transforms or the change to (s, t), or in a bound on input.
+check) or the cells that its equal values share, in the bound of a cache
+or the equality of the specs that key one, in the Laplace oracle (the
+degree scale or the weight of a fan triangle), in the packed forms that
+the solution spaces are solved on, in the sides of a law, in the laws
+that check D4 invariance or the substitution that checks f0gl2z, in the
+sharp and dagger transforms or the change to (s, t), or in a bound on
+input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -154,6 +156,20 @@ MUTANTS = [
      "laplace.py", "h = [[a]]", "h = [[1]]",
      ["test_laplace.py::test_laplace_plus_matches_green_formula",
       "test_laplace.py::test_moments_match_green_formula"]),
+    ("forms: (x + y)^(2j) read as (x + y)^j", "vspace.py",
+     "((1, 1), 2 * j)", "((1, 1), j)",
+     ["test_vspace.py::test_vd_basis_equals_the_monomial_solve"]),
+    ("forms: the read-back offset half dropped", "vspace.py",
+     "offset = half * ((1 << (k * n)) - 1) // mask", "offset = 0",
+     ["test_vspace.py::test_constraint_rows_equal_the_series_rows"]),
+    ("forms: no wider read-back, so k stays small", "vspace.py",
+     "if need > k:", "if False:",
+     ["test_vspace.py::test_constraint_rows_equal_the_series_rows"]),
+    ("evaluator: the shared cells matched to the wrong values",
+     "valuation.py", "cell = dict(zip(distinct, cells))",
+     "cell = dict(zip(distinct, cells[::-1]))",
+     ["test_valuation.py::"
+      "test_equal_values_are_packed_once_and_keep_their_keys"]),
     ("law Aprime: the factor x + y read as x + 2y", "laws.py",
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 1),",
      "f.subst_linear(x, (-1, 1)).mul_linear(1, 2),",

@@ -1,9 +1,11 @@
-"""Oracles for the value of a valuation that triangulate nothing.
+"""Oracles for the value of a valuation that triangulate nothing, and for
+the constraint rows of the solution spaces V_d.
 
-Each gives exact coefficients from a polygon's vertices or lattice points
-alone: the last two share the column walk of ``latval.geometry`` with the
-evaluator's triangulation, the others nothing, and none uses a series
-kernel.  Only the standard library is used here.
+Each value oracle gives exact coefficients from a polygon's vertices or
+lattice points alone: the last two share the column walk of
+``latval.geometry`` with the evaluator's triangulation, the others
+nothing, and none uses a series kernel.  Only the standard library is
+used here.
 
 - ``half_boundary_transform``: under the spec (c, g, rho) = (0,
   2 * odd_basis_g(-1), 0) the value of the unit segment is
@@ -25,12 +27,19 @@ kernel.  Only the standard library is used here.
   Gitterpolytopen", 1985) it is a + s * b(P)/2 + t * area2(P), a
   combination of the Ehrhart coefficients.  For a segment, b(P)/2 is its
   lattice length; for a point, 0.
+- ``constraint_matrix``: the rows of ``vspace.constraint_matrix`` made
+  through the ``Series2`` kernels, as the library made them before it
+  packed its forms: each monomial goes through ``laws.law_sides`` as a
+  series, so these rows share no code with the packed forms of
+  ``vspace``.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
 
 from latval.geometry import area2, boundary_lattice_points, lattice_points
+from latval.laws import law_sides
+from latval.series import Series2
 
 
 def half_boundary_transform(P, order: int) -> dict:
@@ -100,3 +109,23 @@ def betke_kneser_constant(P, a, s, t) -> Fraction:
         return a + s * Fraction(len(boundary_lattice_points(P)), 2) \
             + t * area2(P)
     return a + s * (len(lattice_points(P)) - 1)
+
+
+def constraint_matrix(d: int, law_ids) -> list:
+    """Rows: the coefficients of the residual lhs - rhs of each named law,
+    that of x^(e-i) y^i as row i for a residual of order e; columns: the
+    degree-d monomials x^(d-k) y^k, k = 0..d, each taken through
+    law_sides as a Series2 of order d."""
+    cols = []
+    for k in range(d + 1):
+        mono = Series2.monomial(1, d - k, k, d)
+        col = []
+        for law in law_ids:
+            lhs, rhs = law_sides(law, mono)
+            res = lhs - rhs
+            den, rows = res.numerators()
+            e = res.order
+            col += [Fraction(s, den) for s in
+                    (rows[e][::-1] if e < len(rows) else [0] * (e + 1))]
+        cols.append(col)
+    return [list(r) for r in zip(*cols)]

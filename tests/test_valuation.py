@@ -24,7 +24,7 @@ from latval.group import (AffineUnimodular, NotUnimodularTriangle,
                           act_on_polygon, act_on_series, det)
 from latval.laws import RHO_LAWS, check_law, violation_text
 from latval.series import (NotDivisible, Series1, Series2, exp_linear,
-                           mul_exp_linear)
+                           mul_exp_linear, packed_cells)
 from latval import valuation
 from latval.valuation import (DecompositionError, InvalidRho,
                               NoCandidatePasses, ValuationError,
@@ -596,6 +596,31 @@ def test_faces_are_one_per_triangle_and_interior_point(P):
     assert all(0 <= i < 8 for i in masks)
     assert sum(bin(i).count("1") for i in masks) \
         == len(boundary_lattice_points(P))
+
+
+@pytest.mark.parametrize("spec, distinct", [
+    (laplace_spec(), 2),   # g = 0 and c = 0: f2 eight times, then 0
+    (ValuationSpec(2, None, Series2.constant(1, 12), 12), 4),   # f2, 0, c, -c
+    (case3_spec(), 11)], ids=["laplace", "c=2", "case3"])
+def test_equal_values_are_packed_once_and_keep_their_keys(monkeypatch, spec,
+                                                          distinct):
+    packed = []
+
+    def recording(fs):
+        packed.append(len(fs))
+        return packed_cells(fs)
+
+    monkeypatch.setattr(valuation, "packed_cells", recording)
+    ev = valuation.Evaluator(spec)
+    assert packed == [distinct]
+    # the same sums over the eleven values packed apart: every face reads
+    # the value of its index
+    den, cells = packed_cells(valuation._face_values(ev.data))
+    for P in (hull_normalize([(2, -1)]), hull_normalize([(0, 0), (3, 3)]),
+              T, SQUARE, scale_polygon(T, 3),
+              hull_normalize([(0, 0), (4, 1), (2, 3)])):
+        assert ev.z_polygon(P).key() \
+            == valuation._sum(cells, den, ev.order, P).key(), P
 
 
 def test_non_unimodular_triangle_is_rejected(monkeypatch):

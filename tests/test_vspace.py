@@ -2,9 +2,11 @@
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import comb
 
 import pytest
 
+import oracles
 from latval import laws, linalg, vspace
 from latval.laws import check_law, dagger
 from latval.series import NotDivisible, Series2
@@ -115,14 +117,65 @@ def test_negative_degree_rejected():
         vspace.st_basis(-2)
 
 
+# the packed rows and the solve on ker(E), against the Series2 rows
+
+# the laws of law_sides with a factor exp(x): their residual on a form is
+# not a form of one degree
+NOT_HOMOGENEOUS = ("A", "C", "f2simple2", "f23up", "f1shift")
+HOMOGENEOUS = [law for law in laws.LAW_IDS
+               if law not in NOT_HOMOGENEOUS + ("f0gl2z",)]
+
+
+@pytest.mark.parametrize("law", HOMOGENEOUS)
+def test_constraint_rows_equal_the_series_rows(law):
+    for d in range(31):
+        assert vspace.constraint_matrix(d, [law]) \
+            == oracles.constraint_matrix(d, [law]), d
+
+
+def test_constraint_rows_of_stacked_laws_equal_the_series_rows():
+    for laws_ in (laws.RHO_LAWS, ("Adoubleprime", "f1neg", "B"),
+                  ("E", "Aprime", "rhoformula")):
+        for d in (0, 1, 7, 24):
+            assert vspace.constraint_matrix(d, laws_) \
+                == oracles.constraint_matrix(d, laws_), (laws_, d)
+
+
+@pytest.mark.parametrize("law", NOT_HOMOGENEOUS)
+def test_constraint_matrix_refuses_a_law_that_is_not_homogeneous(law):
+    for law_ids in ([law], ["Aprime", law]):
+        with pytest.raises(ValueError,
+                           match=f"^law '{law}' is not homogeneous"):
+            vspace.constraint_matrix(4, law_ids)
+
+
+@pytest.mark.parametrize("d", list(range(41)) + [48, 64])
+def test_vd_basis_equals_the_monomial_solve(d):
+    assert vspace.vd_basis(d).vectors == oracle_basis(d)
+
+
+def test_the_forms_that_vd_basis_solves_on_span_the_kernel_of_E():
+    # x^(d-2j) (x + y)^(2j), j = 0..d//2, has the coefficient C(2j, k) on
+    # x^(d-k) y^k; the forms satisfy E, are independent, and are as many
+    # as the kernel of E's rows on the monomials has dimensions, so a law
+    # E that changed would not narrow V_d unseen
+    for d in range(41):
+        forms = [[comb(2 * j, k) for k in range(d + 1)]
+                 for j in range(d // 2 + 1)]
+        for coeffs in forms:
+            assert check_law("E", vspace.from_coefficients(coeffs, d)).holds
+        assert all(any(r) for r in linalg.rref(forms)[0]), d
+        nullity = len(linalg.nullspace(oracles.constraint_matrix(d, ["E"]),
+                                       d + 1))
+        assert len(forms) == nullity, d
+
+
 # the per-degree cache: rows and basis of each degree, solved once
 
 
-NULLSPACE = linalg.nullspace   # the oracle's, never the counted one
-
-
 def oracle_basis(d):
-    kernel = NULLSPACE(vspace.constraint_matrix(d, laws.RHO_LAWS), d + 1)
+    kernel = linalg.nullspace(oracles.constraint_matrix(d, laws.RHO_LAWS),
+                              d + 1)
     return tuple(tuple(v) for v in kernel)
 
 
@@ -135,15 +188,16 @@ def oracle_st_basis(d):
 @pytest.fixture
 def solves(monkeypatch):
     """An empty per-degree cache; returns the list of the degrees that
-    linalg.nullspace is asked to solve (its number of columns - 1)."""
+    vspace solves, the argument of each call of vspace._solve."""
     vspace._degree.cache_clear()
     calls = []
+    solve = vspace._solve
 
-    def counted(matrix, ncols=None):
-        calls.append(ncols - 1)
-        return NULLSPACE(matrix, ncols)
+    def counted(d):
+        calls.append(d)
+        return solve(d)
 
-    monkeypatch.setattr(linalg, "nullspace", counted)
+    monkeypatch.setattr(vspace, "_solve", counted)
     return calls
 
 
