@@ -54,6 +54,10 @@ def _cases():
                           ["vd", "basis", "--degree", str(d),
                            "--coords", coords], 0))
     cases.append(("vd_dims_30", ["vd", "dims", "--max", "30"], 0))
+    # every degree that the degree cache keeps, in both formats
+    cases.append(("vd_dims_64", ["vd", "dims", "--max", "64"], 0))
+    cases.append(("vd_dims_64_table",
+                  ["vd", "dims", "--max", "64", "--format", "table"], 0))
     # one above each vd limit, which ends a call within seconds
     cases.append(("vd_basis_degree_above_limit",
                   ["vd", "basis", "--degree", "129"], cli.EXIT_MALFORMED))
@@ -83,6 +87,12 @@ def _cases():
             cases.append((f"evaluate_{poly}_{spec}",
                           ["evaluate", "--spec", _input("spec_" + spec),
                            "--polygon", _input(poly)], 0))
+    # a rho outside V: a degree-2 part that violates Aprime, one that
+    # satisfies Aprime and violates E, and an odd degree-5 part
+    for rho in ("not_aprime", "not_e", "odd"):
+        cases.append((f"evaluate_rho_{rho}",
+                      ["evaluate", "--spec", _input("spec_rho_" + rho),
+                       "--polygon", _input("two_t")], cli.EXIT_MALFORMED))
     # 12T: 144 triangles sharing vertices, so many cells per translation
     cases.append(("evaluate_twelve_t",
                   ["evaluate", "--spec", _input("spec_general"),
