@@ -7,10 +7,10 @@ A valuation's triangle value f2 and its parameter series rho are linked by
 
 and every displayed functional equation is available as a machine check
 returning a structured report (a violated law is a report, not an error).
-``law_sides`` is the one place where a law is written out (``f0gl2z``,
-invariance under GL(2, Z), substitutes each of its generators); the
-solution spaces of ``vspace`` and the D4 invariance of ``d4_decompose``
-are built from it.
+``law_sides`` is the one place where a law is written out, as a list of
+equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
+generators); ``check_law``, the solution spaces of ``vspace`` and the D4
+invariance of ``d4_decompose`` are built from it.
 """
 
 from __future__ import annotations
@@ -134,8 +134,18 @@ def violation_text(diff) -> str:
             f"rhs {format_rational(rhs)}")
 
 
-def law_sides(law: str, f: Series2):
-    """Both sides (lhs, rhs) of the named functional equation on f."""
+def law_sides(law: str, f: Series2) -> list:
+    """The equations [(lhs, rhs), ...] of the named functional equation on
+    f: one for each law but f0gl2z, invariance under GL(2, Z), which has
+    one for each generator of GL2Z_GENERATORS, in that order."""
+    if law == "f0gl2z":
+        return [(f.subst_linear((a, c), (b, d)), f)
+                for (a, b), (c, d) in GL2Z_GENERATORS]
+    return [_sides(law, f)]
+
+
+def _sides(law: str, f: Series2):
+    """Both sides (lhs, rhs) of the named law of one equation on f."""
     x, y = (1, 0), (0, 1)
     if law in ("A", "f23up"):
         return (f + mul_exp_linear(f.subst_linear((-1, 1), y), 1, 0),
@@ -197,18 +207,18 @@ D4_LAWS = ("rho_sym3", "E")
 
 
 def check_law(law: str, f: Series2) -> LawReport:
-    """Assemble both sides of the named functional equation exactly and
-    compare up to the common valid order."""
-    if law == "f0gl2z":
-        for (a, b), (c, d) in GL2Z_GENERATORS:
-            diff = f.subst_linear((a, c), (b, d)).first_difference(f)
-            if diff is not None:
-                return LawReport(law, False, f.order, diff)
-        return LawReport(law, True, f.order, None)
-    lhs, rhs = law_sides(law, f)
-    order = min(lhs.order, rhs.order)
-    diff = lhs.first_difference(rhs, order)
-    return LawReport(law, diff is None, order, diff)
+    """Assemble both sides of each equation of the named law exactly and
+    compare them up to their common valid order: the report gives the
+    first difference of the first equation that has one, or the lowest
+    order verified."""
+    verified = []
+    for lhs, rhs in law_sides(law, f):
+        order = min(lhs.order, rhs.order)
+        diff = lhs.first_difference(rhs, order)
+        if diff is not None:
+            return LawReport(law, False, order, diff)
+        verified.append(order)
+    return LawReport(law, True, min(verified), None)
 
 
 # ---------------------------------------------------------------------------

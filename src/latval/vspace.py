@@ -20,19 +20,15 @@ substitution, as in ``series``).  A linear substitution packs the
 substituted linear forms again; a linear factor, a sum and a difference
 are int products and sums.  A running bound on each form's coefficients
 sets the width k at which the residuals are read back exactly.
-``constraint_matrix`` applies the laws to the monomials x^(d-k) y^k.
-``vd_basis`` applies them to the d // 2 + 1 forms x^(d-2j) (x + y)^(2j),
+``vd_basis`` applies the laws to the d // 2 + 1 forms x^(d-2j) (x + y)^(2j),
 which span ker(E), since (E) fixes x and sends x + y to -(x + y): the
 rows of (E) come out zero, those of (A') have about half the columns,
 and the kernel goes back to monomials by the binomials C(2j, k).
 
-Each degree d has one record, ``_degree(d)``, an lru_cache of
-DEGREES_MAX degrees: the nonzero integer rows of
-constraint_matrix(d, RHO_LAWS), built when ``satisfies_rho_laws`` first
-needs them, and V_d's basis, solved when first asked for.
-``vd_basis``, ``st_basis``, ``dims_table`` and ``satisfies_rho_laws``
-(the rho check) read it, so V_d is solved once while kept (or once per
-thread racing that solve), and checking a rho never solves one.
+V_d has one representation, its basis, kept by ``_degree(d)``, an
+lru_cache of DEGREES_MAX degrees.  ``vd_basis``, ``st_basis``,
+``dims_table`` and ``satisfies_rho_laws`` (the rho check) read it, so V_d
+is solved once while kept (or once per thread racing that solve).
 """
 
 from __future__ import annotations
@@ -40,15 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import laws, linalg
 from .series import Series2
-
-
-def monomials(d: int):
-    """Degree-d monomial exponents, leading in x first."""
-    return [(d - k, k) for k in range(d + 1)]
 
 
 def from_coefficients(coeffs, d: int, order=None) -> Series2:
@@ -66,46 +57,31 @@ def to_coefficients(rho: Series2, d: int):
     return nums if den == 1 else [Fraction(s, den) for s in nums]
 
 
-def constraint_matrix(d: int, law_ids):
-    """Rows: the residual lhs - rhs of each named law, one row per residual
-    coefficient, that of x^(e-i) y^i as row i for a residual of degree e;
-    columns: the d + 1 monomial coefficients.  The entries are ints.
-
-    The laws must be homogeneous: integer linear substitutions, optionally
-    times a linear factor, so that the residual on a degree-d monomial is
-    homogeneous of degree d, or d + 1 with a linear factor.  Any other law
-    of ``laws.law_sides``, such as one with a factor exp(x), raises
-    ValueError."""
-    return _residual_rows([[((1, 0), p), ((0, 1), q)]
-                           for p, q in monomials(d)], d, law_ids)
-
-
 def _residual_rows(forms, d: int, law_ids) -> list:
     """The rows of the named laws' residuals on the degree-d forms, given
-    by their factors as in _Forms, one column per form.  The width k
-    starts two bits above the largest bound of the forms; a residual whose
-    bound needs more is computed again at the width that it needs."""
+    by their factors as in _Forms, one column per form: row i of a
+    residual of degree e holds its coefficients of x^(e-i) y^i.  The
+    laws must be homogeneous, as those of RHO_LAWS are.  The width k
+    starts two bits above the largest bound of the forms; a law whose
+    residuals' bounds need more is computed again at the width they need."""
     k = max(map(_bound, forms)).bit_length() + 2
     rows = []
     for law in law_ids:
-        res = _residual(law, forms, d, k)
-        need = max(res.bounds).bit_length() + 1
+        res = _residuals(law, forms, d, k)
+        need = max(max(r.bounds) for r in res).bit_length() + 1
         if need > k:   # a wider read-back, at which every digit is exact
             k = need
-            res = _residual(law, forms, d, k)
-        rows += res.rows()
+            res = _residuals(law, forms, d, k)
+        for r in res:
+            rows += r.rows()
     return rows
 
 
-def _residual(law: str, forms, d: int, k: int) -> "_Forms":
-    """lhs - rhs of the named law on the forms, packed at width k."""
-    try:
-        lhs, rhs = laws.law_sides(law, _Forms.of(forms, d, k))
-        return lhs - rhs
-    except (AttributeError, TypeError):   # an operation forms do not have
-        raise ValueError(f"law {law!r} is not homogeneous: its sides are "
-                         "not integer linear substitutions times linear "
-                         "forms") from None
+def _residuals(law: str, forms, d: int, k: int) -> list:
+    """lhs - rhs of each equation of the named law on the forms, packed at
+    width k."""
+    return [lhs - rhs
+            for lhs, rhs in laws.law_sides(law, _Forms.of(forms, d, k))]
 
 
 def _bound(form) -> int:
@@ -119,8 +95,8 @@ def _bound(form) -> int:
 
 
 class _Forms:
-    """Homogeneous forms of one degree, as the columns of a constraint
-    matrix: cols[j] is form j packed at x = 2^k, y = 1, the sizes of whose
+    """Homogeneous forms of one degree, as the columns of the residual
+    rows: cols[j] is form j packed at x = 2^k, y = 1, the sizes of whose
     coefficients sum to at most bounds[j].  A basis (``_Forms.of``) also
     keeps each form as its factors, the pairs ((a, b), e) of the powers
     (a*x + b*y)^e whose product it is, for ``subst_linear``.  These are
@@ -204,28 +180,19 @@ class VdBasis:
         return [from_coefficients(v, self.degree, order) for v in self.vectors]
 
 
-@dataclass
-class _Degree:
-    rows: list | None = None      # of constraint_matrix(d, RHO_LAWS)
-    basis: VdBasis | None = None  # V_d's basis
-
-
-DEGREES_MAX = 64   # degrees whose rows and basis are kept
+DEGREES_MAX = 64   # degrees whose basis is kept
 
 
 @lru_cache(maxsize=DEGREES_MAX)
-def _degree(d: int) -> _Degree:
-    return _Degree()
+def _degree(d: int) -> VdBasis:
+    return _solve(d)
 
 
 def vd_basis(d: int) -> VdBasis:
     """Canonical basis of the degree-d solution space of (A') and (E)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    record = _degree(d)
-    if record.basis is None:
-        record.basis = _solve(d)
-    return record.basis
+    return _degree(d)
 
 
 def _solve(d: int) -> VdBasis:
@@ -249,16 +216,22 @@ def _solve(d: int) -> VdBasis:
 def satisfies_rho_laws(rho: Series2) -> bool:
     """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
     does when each homogeneous part (rho[d - k, k])_k, read as its integer
-    numerators, is in the kernel of the rows of degree d."""
+    numerators, is in V_d: when subtracting part[pivot] * v for each
+    vector v of V_d's reduced echelon basis, whose first nonzero entry
+    v[pivot] is 1, leaves zero.  It is done in integers: with v scaled by
+    the lcm m of its denominators, the part becomes
+    m * part - part[pivot] * (m * v)."""
     _, parts = rho.numerators()
     for d, part in enumerate(parts):
         if any(part):
-            record = _degree(d)
-            if record.rows is None:
-                record.rows = [linalg.integer_row(r) for r in
-                               constraint_matrix(d, laws.RHO_LAWS) if any(r)]
-            if any(sum(a * b for a, b in zip(row, reversed(part)))
-                   for row in record.rows):
+            part = part[::-1]
+            for v in _degree(d).vectors:
+                f = part[v.index(1)]
+                if f:
+                    m = lcm(*(x.denominator for x in v))
+                    part = [m * a - f * x.numerator * (m // x.denominator)
+                            for a, x in zip(part, v)]
+            if any(part):
                 return False
     return True
 

@@ -10,10 +10,11 @@ sides on the boundary, the sign of an interior point, the unimodularity
 check) or the cells that its equal values share, in the bound of a cache
 or the equality of the specs that key one, in the Laplace oracle (the
 degree scale or the weight of a fan triangle), in the packed forms that
-the solution spaces are solved on, in the sides of a law, in the laws
-that check D4 invariance or the substitution that checks f0gl2z, in the
-sharp and dagger transforms or the change to (s, t), or in a bound on
-input.
+the solution spaces are solved on, in the membership check of a rho in
+V_d, in the sides of a law, in the laws that check D4 invariance, the
+substitution that checks f0gl2z or the generator powers that
+``d4_decompose`` solves with, in the sharp and dagger transforms or the
+change to (s, t), or in a bound on input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -161,10 +162,18 @@ MUTANTS = [
      ["test_vspace.py::test_vd_basis_equals_the_monomial_solve"]),
     ("forms: the read-back offset half dropped", "vspace.py",
      "offset = half * ((1 << (k * n)) - 1) // mask", "offset = 0",
-     ["test_vspace.py::test_constraint_rows_equal_the_series_rows"]),
+     ["test_vspace.py::"
+      "test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30"]),
     ("forms: no wider read-back, so k stays small", "vspace.py",
      "if need > k:", "if False:",
-     ["test_vspace.py::test_constraint_rows_equal_the_series_rows"]),
+     ["test_vspace.py::"
+      "test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30"]),
+    ("rho check: each part read from y^d to x^d", "vspace.py",
+     "part = part[::-1]", "part = list(part)",
+     ["test_vspace.py::test_rho_check_agrees_with_check_law_on_wide_degrees"]),
+    ("rho check: the last basis vector of V_d skipped", "vspace.py",
+     "for v in _degree(d).vectors:", "for v in _degree(d).vectors[:-1]:",
+     ["test_vspace.py::test_rho_check_agrees_with_check_law_on_wide_degrees"]),
     ("evaluator: the shared cells matched to the wrong values",
      "valuation.py", "cell = dict(zip(distinct, cells))",
      "cell = dict(zip(distinct, cells[::-1]))",
@@ -185,6 +194,9 @@ MUTANTS = [
     ("f0gl2z: each generator substituted transposed", "laws.py",
      "f.subst_linear((a, c), (b, d))", "f.subst_linear((a, b), (c, d))",
      ["test_laws.py::test_f0gl2z_equals_the_report_through_the_action"]),
+    ("d4_decompose: the powers of b made with the generator a", "laws.py",
+     "power(i, j - 1) * gen_b if j", "power(i, j - 1) * gen_a if j",
+     ["test_laws.py::test_d4_decompose_round_trip"]),
     ("sharp: B(x + y) read as B(x)", "laws.py",
      "bxy = bern.subst_linear((1, 1), (0, 0))",
      "bxy = bern.subst_linear((1, 0), (0, 0))",

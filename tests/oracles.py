@@ -1,5 +1,5 @@
 """Oracles for the value of a valuation that triangulate nothing, and for
-the constraint rows of the solution spaces V_d.
+the rows of the laws whose kernels are the solution spaces V_d.
 
 Each value oracle gives exact coefficients from a polygon's vertices or
 lattice points alone: the last two share the column walk of
@@ -27,11 +27,11 @@ used here.
   Gitterpolytopen", 1985) it is a + s * b(P)/2 + t * area2(P), a
   combination of the Ehrhart coefficients.  For a segment, b(P)/2 is its
   lattice length; for a point, 0.
-- ``constraint_matrix``: the rows of ``vspace.constraint_matrix`` made
-  through the ``Series2`` kernels, as the library made them before it
-  packed its forms: each monomial goes through ``laws.law_sides`` as a
-  series, so these rows share no code with the packed forms of
-  ``vspace``.
+- ``constraint_matrix``: the residual rows of homogeneous laws on the
+  degree-d monomials, made through the ``Series2`` kernels: each monomial
+  goes through ``laws.law_sides`` as a series, so these rows share no
+  code with the packed forms of ``vspace``, whose rows on the monomials
+  they must equal.  Their kernel for ``laws.RHO_LAWS`` is V_d.
 """
 
 from fractions import Fraction
@@ -112,20 +112,20 @@ def betke_kneser_constant(P, a, s, t) -> Fraction:
 
 
 def constraint_matrix(d: int, law_ids) -> list:
-    """Rows: the coefficients of the residual lhs - rhs of each named law,
-    that of x^(e-i) y^i as row i for a residual of order e; columns: the
-    degree-d monomials x^(d-k) y^k, k = 0..d, each taken through
-    law_sides as a Series2 of order d."""
+    """Rows: the coefficients of the residual lhs - rhs of each equation of
+    each named law, that of x^(e-i) y^i as row i for a residual of order e;
+    columns: the degree-d monomials x^(d-k) y^k, k = 0..d, each taken
+    through law_sides as a Series2 of order d."""
     cols = []
     for k in range(d + 1):
         mono = Series2.monomial(1, d - k, k, d)
         col = []
         for law in law_ids:
-            lhs, rhs = law_sides(law, mono)
-            res = lhs - rhs
-            den, rows = res.numerators()
-            e = res.order
-            col += [Fraction(s, den) for s in
-                    (rows[e][::-1] if e < len(rows) else [0] * (e + 1))]
+            for lhs, rhs in law_sides(law, mono):
+                res = lhs - rhs
+                den, rows = res.numerators()
+                e = res.order
+                col += [Fraction(s, den) for s in
+                        (rows[e][::-1] if e < len(rows) else [0] * (e + 1))]
         cols.append(col)
     return [list(r) for r in zip(*cols)]

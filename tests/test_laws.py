@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latval import vspace
+from golden_cases import HOLDS_ON, VIOLATED_ON
+from golden_cases import _input as golden_input
+from latval import io, vspace
 from latval.group import (D4_GENERATORS, GL2Z_GENERATORS, AffineUnimodular,
                           act_on_series, d4_elements)
 from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
@@ -263,8 +265,10 @@ def test_d4_generators_act_as_the_substitutions_of_their_laws(f):
     assert D4_LAWS == ("rho_sym3", "E")
     sym3, e = (act_on_series(AffineUnimodular.linear(g), f)
                for g in D4_GENERATORS)
-    assert sym3.key() == law_sides("rho_sym3", f)[1].key()
-    assert e.key() == law_sides("E", f)[0].key()
+    [(_, sym3_side)], [(e_side, _)] = law_sides("rho_sym3", f), \
+        law_sides("E", f)
+    assert sym3.key() == sym3_side.key()
+    assert e.key() == e_side.key()
 
 
 def f0gl2z_by_the_action(f):
@@ -284,6 +288,36 @@ def f0gl2z_by_the_action(f):
 @example(Series2.monomial(1, 0, 1, 6))
 def test_f0gl2z_equals_the_report_through_the_action(f):
     assert check_law("f0gl2z", f) == f0gl2z_by_the_action(f)
+
+
+def report_of_the_equations(law, f):
+    """The report of law on f built from the equations of law_sides: the
+    first difference of the first equation that has one, at that
+    equation's common order, else the lowest common order of them all."""
+    equations = law_sides(law, f)
+    orders = [min(lhs.order, rhs.order) for lhs, rhs in equations]
+    for (lhs, rhs), order in zip(equations, orders):
+        diff = lhs.first_difference(rhs, order)
+        if diff is not None:
+            return LawReport(law, False, order, diff)
+    return LawReport(law, True, min(orders), None)
+
+
+@pytest.mark.parametrize("law", LAW_IDS)
+def test_every_law_is_written_out_by_law_sides(law):
+    # one equation per law, and one per generator of GL(2, Z) for f0gl2z;
+    # check_law gives the report of those equations on the golden input
+    # on which the law holds, on the one on which it fails, and on a
+    # random series
+    holds_on, violated_on = HOLDS_ON[law], VIOLATED_ON.get(law, "x")
+    inputs = [io.series2_from_obj(io.load_json(golden_input(name)))
+              for name in (holds_on, violated_on)]
+    inputs.append(random_series(random.Random(law)))
+    for f in inputs:
+        assert len(law_sides(law, f)) \
+            == (len(GL2Z_GENERATORS) if law == "f0gl2z" else 1)
+        assert check_law(law, f) == report_of_the_equations(law, f)
+    assert [check_law(law, f).holds for f in inputs[:2]] == [True, False]
 
 
 def test_d4_decompose_round_trip():

@@ -34,8 +34,8 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, g_m, odd_basis_g,
                               reassemble, surface_formula_check, z_mT_closed,
                               z_polygon)
-from oracles import (betke_kneser_constant, half_boundary_transform,
-                     interpolate, lattice_point_sum)
+from oracles import (betke_kneser_constant, constraint_matrix,
+                     half_boundary_transform, interpolate, lattice_point_sum)
 from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
@@ -334,8 +334,7 @@ def random_specs(draw, max_order=6):
 
 BASES = {d: vspace.vd_basis(d) for d in range(15)}
 # the kernel of each law of RHO_LAWS alone, degree by degree
-LAW_KERNELS = {(law, d): linalg.nullspace(vspace.constraint_matrix(d, [law]),
-                                          d + 1)
+LAW_KERNELS = {(law, d): linalg.nullspace(constraint_matrix(d, [law]), d + 1)
                for law in RHO_LAWS for d in range(15)}
 
 
@@ -408,7 +407,7 @@ def _violating_one_law(law, d):
     """A vector of the kernel of the other law of RHO_LAWS at degree d that
     is outside the kernel of law, or None if there is none."""
     other, = (k for k in RHO_LAWS if k != law)
-    rows = vspace.constraint_matrix(d, [law])
+    rows = constraint_matrix(d, [law])
     return next((v for v in LAW_KERNELS[other, d]
                  if any(sum(a * b for a, b in zip(row, v)) for row in rows)),
                 None)
