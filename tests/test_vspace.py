@@ -149,9 +149,9 @@ def test_constraint_rows_of_stacked_laws_equal_the_series_rows():
 
 
 def test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30():
-    # on the monomials the residuals of Aprime need more bits than the
-    # forms, so the rows are exact only after the wider read-back; on the
-    # forms that vd_basis solves on, that read-back happens at d <= 1 alone
+    # on the monomials, Aprime's residuals need a wider read-back than the
+    # forms' width at every degree, so these rows depend on it; on the
+    # forms that vd_basis solves on, it happens at d <= 1 alone
     for d in range(31):
         assert packed_rows(d, laws.RHO_LAWS) \
             == oracles.constraint_matrix(d, laws.RHO_LAWS), d
@@ -263,6 +263,7 @@ def test_rho_check_agrees_with_check_law_after_eviction(monkeypatch, solves):
 
 # the degrees in 12..40 at which V_d has at least two dimensions
 WIDE_DEGREES = [d for d in range(12, 41) if vspace.predicted_dim(d) >= 2]
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @st.composite
@@ -291,14 +292,11 @@ def rhos_of_wide_degrees(draw):
     return rho
 
 
-RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-
-
 def test_rho_check_agrees_with_check_law_on_wide_degrees(monkeypatch):
     # one cache of 3 degrees for every example, so that degrees are
-    # evicted and solved again between and within examples
+    # evicted and solved again from one example to the next
     small_degree_cache(monkeypatch)
-    # every basis vector of two degrees, each of which has two
+    # the sum of the basis vectors of 12 and 16, where V_d has two each
     every_vector = sum((p for d in (12, 16)
                         for p in vspace.vd_basis(d).polynomials(order=16)),
                        Series2.zero(16))
