@@ -265,8 +265,8 @@ def test_d4_generators_act_as_the_substitutions_of_their_laws(f):
     assert D4_LAWS == ("rho_sym3", "E")
     sym3, e = (act_on_series(AffineUnimodular.linear(g), f)
                for g in D4_GENERATORS)
-    [(_, sym3_side)], [(e_side, _)] = law_sides("rho_sym3", f), \
-        law_sides("E", f)
+    [(_, sym3_side)] = law_sides("rho_sym3", f)
+    [(e_side, _)] = law_sides("E", f)
     assert sym3.key() == sym3_side.key()
     assert e.key() == e_side.key()
 
