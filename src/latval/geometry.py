@@ -105,22 +105,6 @@ def area2(P: LatticePolygon) -> int:
     return abs(s)
 
 
-def contains(P: LatticePolygon, point) -> bool:
-    """Membership test, exact on integer and rational coordinates."""
-    x, y = point
-    v = P.vertices
-    if P.dim == 0:
-        return (x, y) == v[0]
-    if P.dim == 1:
-        return _cross(v[0], v[1], point) == 0 and _between(v[0], v[1], point)
-    return all(_cross(v[i - 1], v[i], point) >= 0 for i in range(len(v)))
-
-
-def _between(a: Point, b: Point, p: Point) -> bool:
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
 def lattice_points(P: LatticePolygon) -> list[Point]:
     """All integer points of P in lexicographic order.
 

@@ -9,19 +9,21 @@ and every displayed functional equation is available as a machine check
 returning a structured report (a violated law is a report, not an error).
 ``law_sides`` is the one place where a law is written out, as a list of
 equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
-generators); ``check_law``, the solution spaces of ``vspace`` and the D4
-invariance of ``d4_decompose`` are built from it.
+generators); ``check_law``, the solution spaces of ``vspace`` and the
+refusal of a series that is not D4-invariant by ``d4_decompose`` are
+built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from . import linalg
 from .group import GL2Z_GENERATORS
 from .series import (Series2, divide_linear, format_rational,
-                     mul_exp_linear, special_series)
+                     mul_exp_linear, packed_cells, separable, special_series,
+                     sum_of_images, sum_of_products)
 
 Q = Fraction
 
@@ -31,10 +33,6 @@ class LawsError(Exception):
 
 
 class NotInvariant(LawsError):
-    pass
-
-
-class NoRepresentation(LawsError):
     pass
 
 
@@ -54,13 +52,17 @@ def invariant_generators(order: int):
 def sharp(f: Series2) -> Series2:
     """f-sharp; order preserved.  The unit factors x/(e^x - 1) and
     (x+y)/(e^{x+y} - 1) are the Bernoulli series B(t) = t/(e^t - 1) at
-    t = x and t = x + y, so f-sharp is a product and divides by nothing."""
+    t = x and t = x + y: the separable B(x) * B(y) at (x, x + y), so
+    f-sharp is a product and divides by nothing.  The bracket
+    f(x, x + y) + e^x f(y, x + y) is two faces of one cell, added by one
+    sum_of_images."""
     n = f.order
-    bern = special_series("t_over_expm1", n)
-    bxy = bern.subst_linear((1, 1), (0, 0))
-    bracket = f.subst_linear((1, 0), (1, 1)) \
-        + mul_exp_linear(f.subst_linear((0, 1), (1, 1)), 1, 0)
-    return bern * bxy * bracket
+    unit = separable(special_series("t_over_expm1", n)) \
+        .subst_linear((1, 0), (1, 1))
+    den, (cell,) = packed_cells([f])
+    bracket = sum_of_images([(cell, (0, 0), (1, 0), (1, 1)),
+                             (cell, (1, 0), (0, 1), (1, 1))], n, den)
+    return unit * bracket
 
 
 def dagger(rho: Series2) -> Series2:
@@ -72,8 +74,8 @@ def dagger(rho: Series2) -> Series2:
     n = rho.order
     dde = special_series("divided_diff_exp", n)
     e1x = special_series("expm1_over_t", n)
-    bracket = dde * rho.subst_linear((-1, 1), (1, 0)) \
-        - e1x * rho.subst_linear((1, 0), (-1, 1))
+    bracket = sum_of_products([(dde, rho.subst_linear((-1, 1), (1, 0))),
+                               (-e1x, rho.subst_linear((1, 0), (-1, 1)))])
     return divide_linear(bracket, 0, 1)
 
 
@@ -83,8 +85,8 @@ def diamond(rho: Series2) -> Series2:
     n = rho.order
     e1x = special_series("expm1_over_t", n)
     e1y = e1x.subst_linear((0, 1), (1, 0))
-    bracket = e1x * rho.subst_linear((1, 0), (0, -1)) \
-        - e1y * rho.subst_linear((0, 1), (-1, 0))
+    bracket = sum_of_products([(e1x, rho.subst_linear((1, 0), (0, -1))),
+                               (-e1y, rho.subst_linear((0, 1), (-1, 0)))])
     return divide_linear(bracket, 1, -1)
 
 
@@ -227,33 +229,50 @@ def check_law(law: str, f: Series2) -> LawReport:
 
 def d4_decompose(h: Series2) -> Series2:
     """Express a D4-invariant series as g(a, b) in the two generator
-    polynomials, solving degree by degree.
+    polynomials, by the leading-term reduction of symmetric polynomials.
+
+    In s = 2x + y, t = y (to_st) the generators are a = (S + T)/2 and
+    b = S*T for S = s^2, T = t^2, and D4 acts by the signed permutations
+    of s and t.  So h is invariant exactly when sigma = to_st(h) is a
+    symmetric polynomial in S and T, and its degree 2m is then the sum
+    over j = 0..m/2 of g's coefficient of a^(m-2j) b^j times
+    (S + T)^(m-2j) (S*T)^j / 2^(m-2j), whose leading term in S is
+    S^(m-j) T^j.  So for j rising, the coefficient c of S^(m-j) T^j left
+    over gives g's coefficient c * 2^(m-2j), and c (S + T)^(m-2j) (S*T)^j
+    is taken away.  Any odd power of s or t, or anything left over, means
+    h is not invariant: NotInvariant then names the first law of D4_LAWS
+    that fails, as check_law reports it.
 
     The returned series lives in the generator variables (a, b); its
     coefficients are determined for weighted degree 2i + 4j <= h.order.
     """
+    den, rows = to_st(h).numerators()
+    out = {}
+    for d, row in enumerate(rows):
+        if any(row if d % 2 else row[1::2]):   # an odd power of s or t
+            _refuse(h)
+        m = d // 2
+        rest = row[::2]   # rest[i]: the numerator of S^i T^(m-i)
+        for j in range(m // 2 + 1):
+            c = rest[m - j]
+            if c:
+                i = m - 2 * j
+                out[(i, j)] = c << i
+                for l in range(i + 1):
+                    rest[m - j - l] -= c * comb(i, l)
+        if any(rest):
+            _refuse(h)
+    return Series2(out, h.order).scalar_mul(Q(1, den))
+
+
+def _refuse(h: Series2):
+    """Raise NotInvariant for the first law of D4_LAWS that h violates."""
     for law in D4_LAWS:
         report = check_law(law, h)
         if not report.holds:
             raise NotInvariant(f"violates {law} at "
                                f"{violation_text(report.first_violation)}")
-    n = h.order
-    powers = _generator_powers(
-        [(i, j) for j in range(n // 4 + 1) for i in range((n - 4 * j) // 2 + 1)],
-        n)
-    den, rows = h.numerators()
-    out = {}
-    for deg in range(0, n + 1, 2):   # -1 is in D4: no odd degree is left
-        rhs = rows[deg] if deg < len(rows) else [0] * (deg + 1)
-        monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
-        # integer generator powers, homogeneous: row deg is their last
-        matrix = [list(r) for r in
-                  zip(*(powers[e].numerators()[1][deg] for e in monos))]
-        sol = linalg.solve(matrix, rhs)
-        if sol is None:
-            raise NoRepresentation(f"degree {deg} part not in the invariant ring")
-        out.update((e, x / den) for e, x in zip(monos, sol))
-    return Series2(out, n)
+    raise AssertionError("the reduction and D4_LAWS disagree")
 
 
 def d4_compose(g: Series2, order: int) -> Series2:

@@ -1,4 +1,4 @@
-"""Exact rational Gaussian elimination: RREF, kernels, and linear solves.
+"""Exact rational Gaussian elimination: RREF and kernels.
 
 Matrices come in as lists of equal-length rows of rationals (ints,
 Fractions, or anything ``Fraction`` accepts); ragged rows raise
@@ -106,20 +106,3 @@ def nullspace(matrix, ncols=None):
         return []
     b, _ = rref(basis)
     return [row for row in b if any(x != 0 for x in row)]
-
-
-def solve(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None if inconsistent."""
-    if len(rhs) != len(matrix):
-        raise ValueError(f"rhs has {len(rhs)} entries, matrix has "
-                         f"{len(matrix)} rows")
-    if not matrix:
-        return []
-    ncols = _width(matrix)
-    m, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x

@@ -17,11 +17,11 @@ products, and the packed image of a degree is one integer sum, as is
 the sum of the images of many cells, and so is their product with
 exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
 coefficients are read back as balanced digits of width k; the width that
-``_width`` sets keeps each within (-2^(k-1), 2^(k-1)), so they are read
-exactly.  ``Series2.__mul__`` packs each degree of both factors the same
-way, so a degree of the product is one sum of int products;
-``Series2.mul_linear`` is two shifted copies of each row.  Every packed
-kernel reads its result back once, by ``_unpack``.
+``_image_bits`` bounds keeps each within (-2^(k-1), 2^(k-1)), so they are
+read exactly.  The one product kernel, ``sum_of_products``, packs the
+degrees of its factors the same way; ``Series2.__mul__`` is its case of
+one pair.  ``Series2.mul_linear`` is two shifted copies of each row.
+Every packed kernel reads its result back once, by ``_unpack``.
 
 A series holds its int numerators by total degree, over one int den >= 1:
 rows[d] is the list of the d + 1 numerators of x^p y^(d-p), p = 0..d,
@@ -135,24 +135,26 @@ def _packed_cell(rows) -> tuple:
     return degrees, big.bit_length(), top1, top2
 
 
+def _image_bits(bits: int, n: int, first, second) -> int:
+    """B with each coefficient of f(P1, P2) below 2^B, for f of top degree
+    n with numerators below 2^bits and the forms P1, P2 of the integer
+    pairs first, second: with l1, l2 their sums of absolute values and
+    l = bitlen(max(l1, l2)), degree d is at most
+    sum_p |s| l1^p l2^(d-p) < 2^(bits + n*l + bitlen(n + 1))."""
+    (a1, b1), (a2, b2) = first, second
+    ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
+    return bits + n * ell + (n + 1).bit_length()
+
+
 def _width(images, spare: int = 0) -> int:
     """The width k for _packed_sum of the images (cell, first, second):
-    the sum over them of sum_p s * P1^p * P2^(d-p), for the _packed_cell
-    cell and P1 = a1*x + b1*y, P2 = a2*x + b2*y, with integer
-    first = (a1, b1) and second = (a2, b2).  For one image with top
-    degree n and l = bitlen(max(|a1| + |b1|, |a2| + |b2|)), each
-    coefficient of degree d is at most sum_p |s| (|a1| + |b1|)^p (|a2| + |b2|)^(d-p)
-    < 2^(bits + n*l + bitlen(n + 1)); a sum of m images stays below 2^B
-    for B = max (bits + n*l + bitlen(n + 1)) + bitlen(m).  The width is
-    k = B + spare + 2: the caller may multiply the coefficients by up to
-    2^spare before _unpack reads them, which it reads exactly while each is
-    below 2^(k-2) in size."""
+    a sum of m images is below 2^B for B the largest _image_bits plus
+    bitlen(m), and k = B + spare + 2, so the caller may multiply it by up
+    to 2^spare before _unpack reads it, exactly below 2^(k-2)."""
     k = 0
-    for (degrees, bits, _, _), (a1, b1), (a2, b2) in images:
+    for (degrees, bits, _, _), first, second in images:
         if degrees:
-            n = degrees[-1][0]
-            ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
-            k = max(k, bits + n * ell + (n + 1).bit_length())
+            k = max(k, _image_bits(bits, degrees[-1][0], first, second))
     return k + len(images).bit_length() + spare + 2
 
 
@@ -225,6 +227,39 @@ def _packed_degrees(rows, k: int) -> list:
                 h = (h << k) + s
         out.append(h)
     return out
+
+
+def sum_of_products(pairs) -> "Series2":
+    """The sum of a * b over the pairs (a, b), to their least order, over
+    L, the lcm of the den(a) * den(b); a pair's products are times its
+    factor m = L / (den(a) * den(b)).  Packed degrees i and j multiply
+    into degree i + j, so each degree is one sum of int products, read
+    back once.  A coefficient of a * b sums at most (order + 1)^2
+    products, so each one of P pairs is below 2^(k-2) for k the largest
+    bits(a) + bits(b) + bitlen(m - 1), plus 2*bitlen(order + 1) +
+    bitlen(P - 1) + 2, bits the largest bit length of a numerator."""
+    order = min([min(a.order, b.order) for a, b in pairs])
+    den = lcm(*[a._den * b._den for a, b in pairs])
+    cut = []
+    k = top = 0
+    for a, b in pairs:
+        ra, rb = a._rows[:order + 1], b._rows[:order + 1]
+        m = den // (a._den * b._den)
+        k = max(k, _bits(ra) + _bits(rb) + (m - 1).bit_length())
+        top = max(top, len(ra) + len(rb) - 1)
+        cut.append((ra, rb, m))
+    k += 2 * (order + 1).bit_length() + (len(cut) - 1).bit_length() + 2
+    sums = [0] * min(order + 1, top)
+    for ra, rb, m in cut:
+        pb = [(j, g) for j, g in enumerate(_packed_degrees(rb, k)) if g]
+        for i, h in enumerate(_packed_degrees(ra, k)):
+            if m != 1:
+                h *= m
+            for j, g in pb:
+                if i + j > order:
+                    break
+                sums[i + j] += h * g
+    return Series2._of(_unpack(sums, k), den, order)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +414,6 @@ class Series2:
         own lists, to be read and not changed."""
         return self._den, self._rows
 
-    def is_zero(self) -> bool:
-        return not self._rows
-
     def constant_term(self) -> Q:
         return self.coeff(0, 0)
 
@@ -417,27 +449,8 @@ class Series2:
                            self._den * s.denominator, self.order)
 
     def __mul__(self, other: "Series2") -> "Series2":
-        """The truncated product of the numerators, over the product of the
-        denominators: the product of packed degrees i and j of the factors
-        is degree i + j packed, so each degree is one sum, read back once.
-
-        A coefficient of the product is a sum of at most (order + 1)^2
-        products of a numerator of each factor, so it is below
-        2^(bits(a) + bits(b) + 2*bitlen(order + 1)), bits the largest bit
-        length of a factor's numerators; the width
-        k = bits(a) + bits(b) + 2*bitlen(order + 1) + 2 keeps it below the
-        2^(k-2) that _unpack reads exactly."""
-        order = min(self.order, other.order)
-        a, b = self._rows[:order + 1], other._rows[:order + 1]
-        k = _bits(a) + _bits(b) + 2 * (order + 1).bit_length() + 2
-        pb = [(j, g) for j, g in enumerate(_packed_degrees(b, k)) if g]
-        sums = [0] * min(order + 1, len(a) + len(b) - 1)
-        for i, h in enumerate(_packed_degrees(a, k)):
-            for j, g in pb:
-                if i + j > order:
-                    break
-                sums[i + j] += h * g
-        return Series2._of(_unpack(sums, k), self._den * other._den, order)
+        """The truncated product: sum_of_products of the one pair."""
+        return sum_of_products([(self, other)])
 
     def mul_linear(self, a, b) -> "Series2":
         """Multiply by the exact linear form a*x + b*y: the product with
@@ -475,19 +488,29 @@ class Series2:
         Coefficients may be rational; order is preserved since degree-n terms
         map to degree-n terms.  The work is done in integers: with L the lcm
         of the four entries' denominators, (a1 x + b1 y)^p is (L a1 x +
-        L b1 y)^p divided by L^p.  _packed_sum turns the numerators of each
-        total degree d into those of the image as one packed integer
-        (Kronecker substitution, with the digit width bound given there), an
-        exact integer over den * L^d, which is times L^(n-d) over
-        den * L^n for n the top degree.
+        L b1 y)^p divided by L^p.  One pass over the rows makes each
+        degree d of the image one packed integer sum_p s * U^p * V^(d-p),
+        U and V the _packed_powers of the forms (a Kronecker substitution
+        at the width of _image_bits), exact over den * L^d, which is times
+        L^(n-d) over den * L^n for n the top degree.
         """
         scale, (a1, b1, a2, b2) = _integral(*first, *second)
-        images = [(_packed_cell(self._rows), (a1, b1), (a2, b2))]
-        k = _width(images)
-        n = max(len(self._rows) - 1, 0)
+        rows = self._rows
+        n = max(len(rows) - 1, 0)
+        k = _image_bits(_bits(rows), n, (a1, b1), (a2, b2)) + 2
+        us = _packed_powers(a1, b1, n, k)
+        vs = _packed_powers(a2, b2, n, k)
+        sums = []
+        for d, row in enumerate(rows):
+            h = 0
+            if any(row):
+                for s, u, v in zip(row, us, vs[d::-1]):
+                    if s:
+                        h += s * u * v
+            sums.append(h)
         w = None if scale == 1 else [scale ** (n - d) for d in range(n + 1)]
-        return Series2._of(_unpack(_packed_sum(images, k, n), k, w),
-                           self._den * scale ** n, self.order)
+        return Series2._of(_unpack(sums, k, w), self._den * scale ** n,
+                           self.order)
 
     def first_difference(self, other: "Series2", order=None):
         """First exponent pair (by total degree, then x-degree) where the two
@@ -652,6 +675,15 @@ def bernoulli_numbers(n_max: int):
             out.append(-s / (n + 1))
         _BERNOULLI = out
     return out[:n_max + 1]
+
+
+def separable(f: Series2) -> Series2:
+    """f(x) * f(y) for a series f in x alone: the numerators f_p * f_q of
+    x^p y^q over den^2, with no product."""
+    den, rows = f.numerators()
+    c = [row[-1] for row in rows] + [0] * (f.order + 1 - len(rows))
+    return Series2._of([[c[p] * c[d - p] for p in range(d + 1)]
+                        for d in range(f.order + 1)], den * den, f.order)
 
 
 def special_series(kind: str, order: int):

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 
-from .geometry import (LatticePolygon, NotFullDimensional, NotSegment,
+from .geometry import (LatticePolygon, NotSegment,
                        boundary_lattice_points, hull_normalize,
                        scale_polygon, segment_lattice_points,
                        unimodular_triangulation)
@@ -457,38 +457,3 @@ def dilative_decompose(spec: ValuationSpec, delta_max=None,
             even_simple[delta] = Series2(
                 {(p, d - p): Q(s, den) for p, s in enumerate(row) if s}, n)
     return DilativeComponents(alpha0, odd, even_simple, kappa, n)
-
-
-def reassemble(components: DilativeComponents) -> ValuationSpec:
-    n = components.order
-    g = cosh_type_g(n).scalar_mul(components.alpha0)
-    for delta, beta in sorted(components.odd.items()):
-        g = g + odd_basis_g(delta, n).scalar_mul(beta)
-    rho = Series2.constant(components.alpha0 * components.kappa, n)
-    for part in components.even_simple.values():
-        rho = rho + part
-    return ValuationSpec(components.alpha0, g, rho, n)
-
-
-# ---------------------------------------------------------------------------
-# surface formula and parameter recovery
-
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    holds: bool
-    first_violation: tuple | None
-
-
-def surface_formula_check(spec: ValuationSpec, P: LatticePolygon) -> SurfaceReport:
-    """Compare Z(P) with half the sum of Z over the edges of P."""
-    if P.dim != 2:
-        raise NotFullDimensional(f"dim {P.dim}")
-    ev = evaluator_for(spec)
-    v = P.vertices
-    edge_sum = Series2.zero(ev.order)
-    for i in range(len(v)):
-        edge_sum = edge_sum + ev.z_segment(v[i], v[(i + 1) % len(v)])
-    diff = ev.z_polygon(P).first_difference(edge_sum.scalar_mul(Q(1, 2)))
-    return SurfaceReport(diff is None, diff)
-

@@ -12,9 +12,9 @@ or the equality of the specs that key one, in the Laplace oracle (the
 degree scale or the weight of a fan triangle), in the packed forms that
 the solution spaces are solved on, in the membership check of a rho in
 V_d, in the sides of a law, in the laws that check D4 invariance, the
-substitution that checks f0gl2z or the generator powers that
-``d4_decompose`` solves with, in the sharp and dagger transforms or the
-change to (s, t), or in a bound on input.
+substitution that checks f0gl2z, the leading-term reduction of
+``d4_decompose`` or the generator powers of ``d4_compose``, in the sharp
+and dagger transforms or the change to (s, t), or in a bound on input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -83,7 +83,10 @@ MUTANTS = [
      ["test_series.py::test_mul_exp_linear_inverse"]),
     ("packed cell: power tables of y too short", "series.py",
      "top2 = max(top2, d - nums[0][0])", "top2 = max(top2, d - nums[-1][0])",
-     ["test_series.py::test_divided_diff_exp"]),
+     ["test_series.py::test_sum_of_images_matches_fraction_expansion"]),
+    ("sum_of_products: a pair's factor left out", "series.py",
+     "h *= m", "h *= 1",
+     ["test_series.py::test_sum_of_products_matches_fraction_double_loops"]),
     ("exponent check: a negative y exponent passes", "series.py",
      "p >= 0 and q >= 0", "p >= 0",
      ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
@@ -194,12 +197,20 @@ MUTANTS = [
     ("f0gl2z: each generator substituted transposed", "laws.py",
      "f.subst_linear((a, c), (b, d))", "f.subst_linear((a, b), (c, d))",
      ["test_laws.py::test_f0gl2z_equals_the_report_through_the_action"]),
-    ("d4_decompose: the powers of b made with the generator a", "laws.py",
+    ("d4_compose: the powers of b made with the generator a", "laws.py",
      "power(i, j - 1) * gen_b if j", "power(i, j - 1) * gen_a if j",
      ["test_laws.py::test_d4_decompose_round_trip"]),
+    ("d4_decompose: comb(i, l) off by one", "laws.py",
+     "c * comb(i, l)", "c * comb(i, l + 1)",
+     ["test_laws.py::test_d4_decompose_round_trip"]),
+    ("d4_decompose: the factor 2^(m - 2j) dropped", "laws.py",
+     "out[(i, j)] = c << i", "out[(i, j)] = c",
+     ["test_laws.py::test_d4_decompose_round_trip"]),
     ("sharp: B(x + y) read as B(x)", "laws.py",
-     "bxy = bern.subst_linear((1, 1), (0, 0))",
-     "bxy = bern.subst_linear((1, 0), (0, 0))",
+     ".subst_linear((1, 0), (1, 1))\n", ".subst_linear((1, 0), (1, 0))\n",
+     ["test_laws.py::test_round_trip_dagger_sharp"]),
+    ("sharp: the twisted face moved by (0, 1), not (1, 0)", "laws.py",
+     "(cell, (1, 0), (0, 1), (1, 1))", "(cell, (0, 1), (0, 1), (1, 1))",
      ["test_laws.py::test_round_trip_dagger_sharp"]),
     ("law Bprime: the difference on the right read as a sum", "laws.py",
      "x, (-1, 1)).mul_linear(1, -1),\n"

@@ -32,14 +32,28 @@ used here.
   goes through ``laws.law_sides`` as a series, so these rows share no
   code with the packed forms of ``vspace``, whose rows on the monomials
   they must equal.  Their kernel for ``laws.RHO_LAWS`` is V_d.
+- ``solve`` and ``d4_decompose_by_solve``: one exact solution of a
+  linear system, read off ``linalg.rref``, and by it the decomposition
+  of a D4-invariant series in the generators a and b, degree by degree
+  from the products of a and b: it shares no code with the leading-term
+  reduction of ``laws.d4_decompose``, whose output it must equal.
+- ``reassemble`` and ``surface_formula_check``: the spec that dilative
+  components add up to, and the comparison of Z(P) with half the sum of
+  Z over the edges of P, which holds for odd specs.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from latval.geometry import area2, boundary_lattice_points, lattice_points
-from latval.laws import law_sides
+from latval import linalg
+from latval.geometry import (NotFullDimensional, area2,
+                             boundary_lattice_points, lattice_points)
+from latval.laws import (D4_LAWS, NotInvariant, check_law,
+                         invariant_generators, law_sides, violation_text)
 from latval.series import Series2
+from latval.valuation import (DilativeComponents, ValuationSpec, cosh_type_g,
+                              evaluator_for, odd_basis_g)
 
 
 def half_boundary_transform(P, order: int) -> dict:
@@ -129,3 +143,85 @@ def constraint_matrix(d: int, law_ids) -> list:
                         (rows[e][::-1] if e < len(rows) else [0] * (e + 1))]
         cols.append(col)
     return [list(r) for r in zip(*cols)]
+
+
+def solve(matrix, rhs):
+    """One exact solution of matrix * x = rhs, or None if inconsistent."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"rhs has {len(rhs)} entries, matrix has "
+                         f"{len(matrix)} rows")
+    if not matrix:
+        return []
+    ncols = linalg._width(matrix)
+    m, pivots = linalg.rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
+def d4_decompose_by_solve(h: Series2) -> Series2:
+    """g with h = g(a, b), a and b the invariant generators: NotInvariant,
+    worded as by laws.d4_decompose, unless h satisfies D4_LAWS; else for
+    each even degree, the solve of the degree's numerators of h in those
+    of the products a^i * b^j of that degree."""
+    for law in D4_LAWS:
+        report = check_law(law, h)
+        if not report.holds:
+            raise NotInvariant(f"violates {law} at "
+                               f"{violation_text(report.first_violation)}")
+    n = h.order
+    gen_a, gen_b = invariant_generators(n)
+    a_powers = [Series2.constant(1, n)]
+    b_powers = [Series2.constant(1, n)]
+    while len(a_powers) <= n // 2:
+        a_powers.append(a_powers[-1] * gen_a)
+    while len(b_powers) <= n // 4:
+        b_powers.append(b_powers[-1] * gen_b)
+    den, rows = h.numerators()
+    out = {}
+    for deg in range(0, n + 1, 2):
+        monos = [((deg - 4 * j) // 2, j) for j in range(deg // 4 + 1)]
+        columns = []
+        for i, j in monos:
+            p_den, p_rows = (a_powers[i] * b_powers[j]).numerators()
+            columns.append([Fraction(s, p_den) for s in p_rows[deg]])
+        rhs = rows[deg] if deg < len(rows) else [0] * (deg + 1)
+        sol = solve([list(r) for r in zip(*columns)], rhs)
+        assert sol is not None, f"degree {deg} is not in the invariant ring"
+        out.update((e, x / den) for e, x in zip(monos, sol))
+    return Series2(out, n)
+
+
+def reassemble(components: DilativeComponents) -> ValuationSpec:
+    """The spec whose dilative components are the given ones."""
+    n = components.order
+    g = cosh_type_g(n).scalar_mul(components.alpha0)
+    for delta, beta in sorted(components.odd.items()):
+        g = g + odd_basis_g(delta, n).scalar_mul(beta)
+    rho = Series2.constant(components.alpha0 * components.kappa, n)
+    for part in components.even_simple.values():
+        rho = rho + part
+    return ValuationSpec(components.alpha0, g, rho, n)
+
+
+@dataclass(frozen=True)
+class SurfaceReport:
+    holds: bool
+    first_violation: tuple | None
+
+
+def surface_formula_check(spec: ValuationSpec, P) -> SurfaceReport:
+    """Compare Z(P) with half the sum of Z over the edges of P."""
+    if P.dim != 2:
+        raise NotFullDimensional(f"dim {P.dim}")
+    ev = evaluator_for(spec)
+    v = P.vertices
+    edge_sum = Series2.zero(ev.order)
+    for i in range(len(v)):
+        edge_sum = edge_sum + ev.z_segment(v[i], v[(i + 1) % len(v)])
+    half = edge_sum.scalar_mul(Fraction(1, 2))
+    diff = ev.z_polygon(P).first_difference(half)
+    return SurfaceReport(diff is None, diff)

@@ -14,8 +14,8 @@ from latval.geometry import hull_normalize, scale_polygon
 from latval.group import AffineUnimodular, act_on_series
 from latval.laws import dagger
 from latval.series import Series1, Series2
-from latval.valuation import (ValuationSpec, dilative_decompose, reassemble,
-                              z_polygon)
+from latval.valuation import ValuationSpec, dilative_decompose, z_polygon
+from oracles import reassemble
 
 
 def run(capsys, *argv):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from latval.geometry import (EmptyInput, NoValidChord,
                              NotFullDimensional, NotSegment, Triangulation,
                              area2, boundary_lattice_points, chord_of_split,
-                             contains, hull_normalize, lattice_length,
+                             hull_normalize, lattice_length,
                              lattice_point_count, lattice_points,
                              scale_polygon, segment_lattice_points,
                              shorter_span, split_pairs,
@@ -20,6 +20,25 @@ from latval.geometry import (EmptyInput, NoValidChord,
 
 T = hull_normalize([(0, 0), (1, 0), (0, 1)])
 SQUARE = hull_normalize([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def contains(P, point) -> bool:
+    """Membership of a point in P, exact on integer and rational
+    coordinates: on the left of or on every edge of the counterclockwise
+    vertices of a polygon, between the ends of a segment."""
+    v = P.vertices
+    if P.dim == 0:
+        return tuple(point) == v[0]
+    if P.dim == 1:
+        (a0, a1), (b0, b1) = v
+        return (_cross(v[0], v[1], point) == 0
+                and min(a0, b0) <= point[0] <= max(a0, b0)
+                and min(a1, b1) <= point[1] <= max(a1, b1))
+    return all(_cross(v[i - 1], v[i], point) >= 0 for i in range(len(v)))
 
 
 def on_boundary(P, p):

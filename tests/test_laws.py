@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 from golden_cases import HOLDS_ON, VIOLATED_ON
 from golden_cases import _input as golden_input
-from latval import io, vspace
+from latval import io, laws, linalg, series, vspace
 from latval.group import (D4_GENERATORS, GL2Z_GENERATORS, AffineUnimodular,
                           act_on_series, d4_elements)
 from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
                          check_law, d4_compose, d4_decompose, dagger, diamond,
                          from_st, invariant_generators, law_sides, sharp,
                          to_st)
-from latval.series import NotDivisible, Series2, exp_linear
+from latval.series import (NotDivisible, Series2, divide_linear, exp_linear,
+                           mul_exp_linear, special_series)
+from oracles import d4_decompose_by_solve
 from test_group import dense_series2s, series2s
 
 
@@ -95,6 +97,79 @@ def test_st_change_of_variables_round_trip():
         assert from_st(to_st(rho)).eq_up_to(rho)
         sigma = random_series(rng)
         assert to_st(from_st(sigma)).eq_up_to(sigma)
+
+
+def sharp_by_formula(f):
+    """f-sharp as the module docstring writes it: B(x) * B(x + y) times
+    f(x, x + y) + e^x f(y, x + y), in products and substitutions."""
+    bern = special_series("t_over_expm1", f.order)
+    bracket = f.subst_linear((1, 0), (1, 1)) \
+        + mul_exp_linear(f.subst_linear((0, 1), (1, 1)), 1, 0)
+    return bern * bern.subst_linear((1, 1), (0, 0)) * bracket
+
+
+def dagger_by_formula(rho):
+    dde = special_series("divided_diff_exp", rho.order)
+    e1x = special_series("expm1_over_t", rho.order)
+    return divide_linear(dde * rho.subst_linear((-1, 1), (1, 0))
+                         - e1x * rho.subst_linear((1, 0), (-1, 1)), 0, 1)
+
+
+def diamond_by_formula(rho):
+    e1x = special_series("expm1_over_t", rho.order)
+    e1y = e1x.subst_linear((0, 1), (1, 0))
+    return divide_linear(e1x * rho.subst_linear((1, 0), (0, -1))
+                         - e1y * rho.subst_linear((0, 1), (-1, 0)), 1, -1)
+
+
+def outcome(transform, f):
+    """The key of transform(f), or the type and text of what it raises."""
+    try:
+        return transform(f).key()
+    except (NotDivisible, NotInvariant, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40)
+@given(st.one_of(series2s(max_order=20), dense_series2s(max_order=20)))
+@example(Series2.constant(1, 0))
+@example(Series2.monomial(1, 1, 0, 20))
+def test_transforms_equal_their_product_and_substitution_formulas(f):
+    # f itself mostly has odd parts, on which dagger and diamond refuse;
+    # f + f(-x, -y) is even
+    assert sharp(f).key() == sharp_by_formula(f).key()
+    for rho in (f, f + f.subst_linear((-1, 0), (0, -1))):
+        assert outcome(dagger, rho) == outcome(dagger_by_formula, rho)
+        assert outcome(diamond, rho) == outcome(diamond_by_formula, rho)
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of module.name from here on: calls[0]."""
+    calls = [0]
+    kernel = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_transforms_take_one_pass_of_each_kernel(monkeypatch):
+    # sharp: one substitution, one image pass and one product; dagger and
+    # diamond: one sum of products for the bracket
+    f = random_series(random.Random(10), order=12, even=True)
+    products = counting(monkeypatch, series, "sum_of_products")
+    laws_products = counting(monkeypatch, laws, "sum_of_products")
+    images = counting(monkeypatch, laws, "sum_of_images")
+    substs = counting(monkeypatch, Series2, "subst_linear")
+    sharp(f)
+    assert (substs[0], images[0], products[0] + laws_products[0]) == (1, 1, 1)
+    for transform in (dagger, diamond):
+        products[0] = laws_products[0] = 0
+        transform(f)
+        assert (products[0], laws_products[0]) == (0, 1)
 
 
 def test_to_st_sends_solutions_to_Adoubleprime():
@@ -349,15 +424,49 @@ def test_d4_decompose_rejects_non_invariant():
         assert str(exc.value) == message
 
 
+def d4_average(f):
+    """The sum of f's images under the eight elements of D4: invariant."""
+    avg = Series2.zero(f.order)
+    for m in d4_elements():
+        avg = avg + act_on_series(AffineUnimodular.linear(m), f)
+    return avg
+
+
+@settings(max_examples=30)
+@given(st.one_of(series2s(max_order=20), dense_series2s(max_order=20)))
+def test_d4_decompose_equals_the_solve_on_d4_averages(f):
+    h = d4_average(f)
+    assert d4_decompose(h).key() == d4_decompose_by_solve(h).key()
+
+
+@settings(max_examples=30)
+@given(dense_series2s(max_order=20))
+@example(Series2.monomial(1, 1, 0, 8))    # x
+@example(Series2.monomial(1, 0, 2, 8))    # y^2
+@example(Series2.monomial(1, 0, 3, 20))   # y^3: an odd degree alone
+def test_d4_decompose_refuses_as_the_solve(h):
+    assert outcome(d4_decompose, h) == outcome(d4_decompose_by_solve, h)
+
+
+def test_d4_decompose_checks_no_law_and_solves_nothing_on_invariants(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on a D4-invariant series")
+
+    h = d4_average(random_series(random.Random(11), order=20))
+    g = d4_decompose_by_solve(h)
+    monkeypatch.setattr(laws, "check_law", refuse)
+    for name in ("rref", "nullspace"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert d4_decompose(h).key() == g.key()
+
+
 def test_d4_decompose_on_averaged_invariants():
     # averaging any polynomial over the group gives an invariant, and the
     # invariant ring is generated by the two basic polynomials, so the
     # decomposition must succeed on every average
     rng = random.Random(9)
     for _ in range(5):
-        f = random_series(rng, order=8)
-        avg = Series2.zero(8)
-        for m in d4_elements():
-            avg = avg + act_on_series(AffineUnimodular.linear(m), f)
+        avg = d4_average(random_series(rng, order=8))
         # odd-degree parts cancel in the average; decomposition round-trips
         assert d4_compose(d4_decompose(avg), 8).eq_up_to(avg)

@@ -1,5 +1,6 @@
-"""Tests for the exact linear algebra: rref, nullspace and solve, against a
-plain Fraction Gauss-Jordan elimination kept here as the oracle."""
+"""Tests for the exact linear algebra: rref and nullspace, and the solve
+that tests/oracles.py reads off rref, against a plain Fraction
+Gauss-Jordan elimination kept here as the oracle."""
 
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latval import linalg
+from oracles import solve
 
 
 def reference_rref(matrix):
@@ -121,7 +123,7 @@ def test_solve_solves_or_reports_inconsistent(m, data):
                                           max_size=ncols)))
     else:
         b = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
-    x = linalg.solve(m, b)
+    x = solve(m, b)
     augmented = [list(row) + [v] for row, v in zip(m, b)]
     inconsistent = ncols in reference_rref(augmented)[1]
     assert (x is None) == inconsistent
@@ -143,8 +145,8 @@ def test_nullspace_rejects_ragged_rows():
 
 def test_solve_rejects_ragged_rows_and_short_rhs():
     with pytest.raises(ValueError, match="row 1 has 1 entries, row 0 has 2"):
-        linalg.solve([[1, 0], [1]], [1, 2])
+        solve([[1, 0], [1]], [1, 2])
     with pytest.raises(ValueError, match="rhs has 1 entries, matrix has 2 rows"):
-        linalg.solve([[1, 0], [0, 1]], [1])
+        solve([[1, 0], [0, 1]], [1])
     with pytest.raises(ValueError, match="rhs has 1 entries, matrix has 0 rows"):
-        linalg.solve([], [1])
+        solve([], [1])

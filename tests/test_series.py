@@ -13,7 +13,8 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            NotDivisible, Series1, Series2, SeriesError,
                            bernoulli_numbers, compose_univariate,
                            divide_linear, exp_linear, mul_exp_linear,
-                           packed_cells, special_series, sum_of_images)
+                           packed_cells, separable, special_series,
+                           sum_of_images, sum_of_products)
 
 
 class DegreeExceedsOrder(SeriesError):
@@ -266,6 +267,13 @@ def test_special_series_inverse_pair():
         == one.key()
 
 
+@pytest.mark.parametrize("kind", ["expm1_over_t", "t_over_expm1"])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 12])
+def test_separable_is_the_product_of_the_two_series(kind, order):
+    f = special_series(kind, order)
+    assert separable(f).key() == (f * f.subst_linear((0, 1), (1, 0))).key()
+
+
 def test_divided_diff_exp():
     dde = special_series("divided_diff_exp", 6)
     assert dde.coeff(0, 0) == 1
@@ -418,6 +426,24 @@ def test_mul_matches_fraction_double_loop(f, g):
     expected = naive_product(f, g).key()
     assert (f * g).key() == expected
     assert (g * f).key() == expected
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(series2s(coeffs=entries | large_rationals),
+                          series2s(coeffs=entries | large_rationals)),
+                min_size=1, max_size=4))
+@example([(DENSE_FORTY, DENSE_FORTY), (ALTERNATING_FORTY, DENSE_FORTY)])
+@example([(Series2.constant(Q(1, 3), 4), Series2.constant(1, 4)),
+          (Series2.constant(Q(1, 2), 4), Series2.constant(1, 4))])
+def test_sum_of_products_matches_fraction_double_loops(pairs):
+    # pairs of unlike denominators, so each product has its own factor
+    order = min(min(a.order, b.order) for a, b in pairs)
+    expected = Series2.zero(order)
+    for a, b in pairs:
+        expected = expected + naive_product(a, b)
+    got = sum_of_products(pairs)
+    assert got.key() == expected.key()
+    assert_checked(got)
 
 
 def test_mul_of_dense_series_matches_fraction_double_loop():
@@ -705,7 +731,7 @@ def test_kernel_results_pass_the_constructor(f, g, s, d, m, form,
                                              alpha, beta):
     # g has its own order, so sums and products cut one operand's top
     # degrees; f - f cancels every term
-    assert (f - f).is_zero() and (f - f).order == f.order
+    assert (f - f).terms() == [] and (f - f).order == f.order
     den, (cell,) = packed_cells([f])
     identity = [(cell, (0, 0), (1, 0), (0, 1))]
     results = [f + g, g + f, f - g, g - f, f - f, -f, f * g,

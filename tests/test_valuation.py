@@ -32,10 +32,10 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               build_triangle_data, calibrate_val0,
                               check_dilative, cosh_type_g, dilative_decompose,
                               evaluator_for, g_m, odd_basis_g,
-                              reassemble, surface_formula_check, z_mT_closed,
-                              z_polygon)
+                              z_mT_closed, z_polygon)
 from oracles import (betke_kneser_constant, constraint_matrix,
-                     half_boundary_transform, interpolate, lattice_point_sum)
+                     half_boundary_transform, interpolate, lattice_point_sum,
+                     reassemble, solve, surface_formula_check)
 from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
@@ -82,10 +82,10 @@ def test_g_with_a_y_term_rejected():
 
 def test_spec_defaults_and_simplicity():
     spec = laplace_spec()
-    assert spec.c == 0 and spec.g.is_zero()
+    assert spec.c == 0 and spec.g.terms() == []
     assert evaluator_for(spec).order == 11
     case3 = case3_spec()
-    assert case3.c != 0 and not case3.g.is_zero()
+    assert case3.c != 0 and case3.g.terms() != []
 
 
 def test_triangle_data_case3():
@@ -105,7 +105,7 @@ def test_triangle_data_laplace():
 
 def test_triangle_data_zero_spec():
     data = build_triangle_data(ValuationSpec(0, None, None, 12))
-    assert data.zT.is_zero()
+    assert data.zT.terms() == []
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_z_point():
     ev = evaluator_for(case3_spec())
     assert ev.z_point((0, 0)).coeff(0, 0) == 1
     assert ev.z_point((1, 0)) == exp_linear(1, 0, 11)
-    assert evaluator_for(laplace_spec()).z_point((2, 5)).is_zero()
+    assert evaluator_for(laplace_spec()).z_point((2, 5)).terms() == []
 
 
 def test_z_segment_unit():
@@ -659,8 +659,8 @@ def test_long_segment_is_sum_of_unit_segments(spec, a, w, ell):
 
 def test_simple_specs_vanish_on_lower_faces():
     for spec in (laplace_spec(), vd_spec(4), vd_spec(6)):
-        assert z_polygon(spec, hull_normalize([(3, -1)])).is_zero()
-        assert z_polygon(spec, hull_normalize([(0, 0), (2, 3)])).is_zero()
+        assert z_polygon(spec, hull_normalize([(3, -1)])).terms() == []
+        assert z_polygon(spec, hull_normalize([(0, 0), (2, 3)])).terms() == []
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +758,6 @@ def test_zero_dilative_spec_exists_with_corrected_rho():
     # the 0-dilative valuation with c = 1 carries higher even corrections
     # in rho; its truncation to order 12 is found by exact linear algebra
     # and then passes every dilativity instance tried
-    from latval import linalg
-
     def defect(spec, m, P):
         ev = evaluator_for(spec)
         return ev.z_polygon(scale_polygon(P, m)) \
@@ -774,7 +772,7 @@ def test_zero_dilative_spec_exists_with_corrected_rho():
             basis.append(rho)
     exps = sorted({e for c in [d0] + cols for e, _ in c.terms()})
     matrix = [[c.coeff(*e) for c in cols] for e in exps]
-    sol = linalg.solve(matrix, [-d0.coeff(*e) for e in exps])
+    sol = solve(matrix, [-d0.coeff(*e) for e in exps])
     assert sol is not None
     rho_star = Series2.constant(-1, 12)
     for a, rho in zip(sol, basis):
