@@ -36,15 +36,6 @@ class NotInvariant(LawsError):
     pass
 
 
-# the two generators of the D4 invariant ring, as exact polynomials
-INVARIANT_GEN_A = {(2, 0): Q(2), (1, 1): Q(2), (0, 2): Q(1)}   # 2x^2+2xy+y^2
-INVARIANT_GEN_B = {(2, 2): Q(4), (1, 3): Q(4), (0, 4): Q(1)}   # 4x^2y^2+4xy^3+y^4
-
-
-def invariant_generators(order: int):
-    return (Series2(INVARIANT_GEN_A, order), Series2(INVARIANT_GEN_B, order))
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -276,26 +267,15 @@ def _refuse(h: Series2):
 
 
 def d4_compose(g: Series2, order: int) -> Series2:
-    """Evaluate g(a, b) back at the generator polynomials."""
-    terms = g.terms()
-    powers = _generator_powers([e for e, _ in terms], order)
-    out = Series2.zero(order)
-    for e, c in terms:
-        out = out + powers[e].scalar_mul(c)
-    return out
-
-
-def _generator_powers(exponents, order: int) -> dict:
-    """{(i, j): a^i * b^j} for the generator polynomials a, b at the given
-    exponents.  Each power is one product with a neighbour made before it:
-    a^i * b^j = (a^i * b^(j-1)) * b and a^i = a^(i-1) * a."""
-    gen_a, gen_b = invariant_generators(order)
-    powers = {(0, 0): Series2.constant(1, order)}
-
-    def power(i, j):
-        if (i, j) not in powers:
-            powers[(i, j)] = (power(i, j - 1) * gen_b if j
-                              else power(i - 1, 0) * gen_a)
-        return powers[(i, j)]
-
-    return {e: power(*e) for e in exponents}
+    """Evaluate g(a, b) back at the generators, up to the given order: the
+    inverse of d4_decompose's reduction.  A term v a^i b^j of g is
+    v (S + T)^i (S*T)^j / 2^i, so it adds v C(i, l) / 2^i to S^(l+j)
+    T^(i-l+j), that is to s^(2(l+j)) t^(2(i-l+j)), for l = 0..i; one
+    from_st takes the sum back to x, y."""
+    sigma = {}
+    for (i, j), v in g.terms():
+        if 2 * i + 4 * j <= order:
+            for l in range(i + 1):
+                e = (2 * (l + j), 2 * (i - l + j))
+                sigma[e] = sigma.get(e, 0) + v * comb(i, l) / 2 ** i
+    return from_st(Series2(sigma, order))

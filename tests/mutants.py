@@ -13,7 +13,7 @@ degree scale or the weight of a fan triangle), in the packed forms that
 the solution spaces are solved on, in the membership check of a rho in
 V_d, in the sides of a law, in the laws that check D4 invariance, the
 substitution that checks f0gl2z, the leading-term reduction of
-``d4_decompose`` or the generator powers of ``d4_compose``, in the sharp
+``d4_decompose`` or its inverse ``d4_compose``, in the sharp
 and dagger transforms or the change to (s, t), or in a bound on input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
@@ -197,9 +197,12 @@ MUTANTS = [
     ("f0gl2z: each generator substituted transposed", "laws.py",
      "f.subst_linear((a, c), (b, d))", "f.subst_linear((a, b), (c, d))",
      ["test_laws.py::test_f0gl2z_equals_the_report_through_the_action"]),
-    ("d4_compose: the powers of b made with the generator a", "laws.py",
-     "power(i, j - 1) * gen_b if j", "power(i, j - 1) * gen_a if j",
-     ["test_laws.py::test_d4_decompose_round_trip"]),
+    ("d4_compose: the factor 1/2^i dropped", "laws.py",
+     "v * comb(i, l) / 2 ** i", "v * comb(i, l)",
+     ["test_laws.py::test_d4_compose_equals_the_generator_powers"]),
+    ("d4_compose: T's exponent i - l + j read as i - l", "laws.py",
+     "2 * (i - l + j))", "2 * (i - l))",
+     ["test_laws.py::test_d4_compose_equals_the_generator_powers"]),
     ("d4_decompose: comb(i, l) off by one", "laws.py",
      "c * comb(i, l)", "c * comb(i, l + 1)",
      ["test_laws.py::test_d4_decompose_round_trip"]),

@@ -32,11 +32,23 @@ used here.
   goes through ``laws.law_sides`` as a series, so these rows share no
   code with the packed forms of ``vspace``, whose rows on the monomials
   they must equal.  Their kernel for ``laws.RHO_LAWS`` is V_d.
+- ``invariant_generators``: the generators a = 2x^2 + 2xy + y^2 and
+  b = 4x^2y^2 + 4xy^3 + y^4 of the D4 invariant ring as polynomials in
+  x and y, which ``laws`` writes only in s = 2x + y, t = y.
 - ``solve`` and ``d4_decompose_by_solve``: one exact solution of a
   linear system, read off ``linalg.rref``, and by it the decomposition
   of a D4-invariant series in the generators a and b, degree by degree
   from the products of a and b: it shares no code with the leading-term
   reduction of ``laws.d4_decompose``, whose output it must equal.
+- ``d4_compose_by_powers``: g(a, b) multiplied out from the powers of a
+  and b in x and y, which ``laws.d4_compose``, the inverse of the
+  reduction in (s, t), must equal.
+- ``interior_value``: the value of the relative interior of a polygon or
+  a segment, by inclusion and exclusion of its faces.  By Ehrhart-
+  Macdonald reciprocity (Macdonald, "Polynomials associated with finite
+  cell-complexes", 1971) its coefficient of x^p y^q at mP is
+  (-1)^(e + p + q) times that of Z(mP), as a polynomial in m, read at -m,
+  for e the dimension of P.
 - ``reassemble`` and ``surface_formula_check``: the spec that dilative
   components add up to, and the comparison of Z(P) with half the sum of
   Z over the edges of P, which holds for odd specs.
@@ -49,8 +61,8 @@ from math import factorial, gcd
 from latval import linalg
 from latval.geometry import (NotFullDimensional, area2,
                              boundary_lattice_points, lattice_points)
-from latval.laws import (D4_LAWS, NotInvariant, check_law,
-                         invariant_generators, law_sides, violation_text)
+from latval.laws import (D4_LAWS, NotInvariant, check_law, law_sides,
+                         violation_text)
 from latval.series import Series2
 from latval.valuation import (DilativeComponents, ValuationSpec, cosh_type_g,
                               evaluator_for, odd_basis_g)
@@ -162,6 +174,31 @@ def solve(matrix, rhs):
     return x
 
 
+def invariant_generators(order: int) -> tuple:
+    """(a, b): the two generators of the D4 invariant ring in x and y."""
+    return (Series2({(2, 0): 2, (1, 1): 2, (0, 2): 1}, order),
+            Series2({(2, 2): 4, (1, 3): 4, (0, 4): 1}, order))
+
+
+def d4_compose_by_powers(g: Series2, order: int) -> Series2:
+    """g(a, b) up to the given order, summed over the terms of g from the
+    powers a^i * b^j, each one product with a power made before it:
+    a^i * b^j = (a^i * b^(j-1)) * b and a^i = a^(i-1) * a."""
+    gen_a, gen_b = invariant_generators(order)
+    powers = {(0, 0): Series2.constant(1, order)}
+
+    def power(i, j):
+        if (i, j) not in powers:
+            powers[(i, j)] = (power(i, j - 1) * gen_b if j
+                              else power(i - 1, 0) * gen_a)
+        return powers[(i, j)]
+
+    out = Series2.zero(order)
+    for (i, j), c in g.terms():
+        out = out + power(i, j).scalar_mul(c)
+    return out
+
+
 def d4_decompose_by_solve(h: Series2) -> Series2:
     """g with h = g(a, b), a and b the invariant generators: NotInvariant,
     worded as by laws.d4_decompose, unless h satisfies D4_LAWS; else for
@@ -193,6 +230,19 @@ def d4_decompose_by_solve(h: Series2) -> Series2:
         assert sol is not None, f"degree {deg} is not in the invariant ring"
         out.update((e, x / den) for e, x in zip(monos, sol))
     return Series2(out, n)
+
+
+def interior_value(ev, P) -> Series2:
+    """Z of the relative interior of P under the evaluator ev: for a
+    polygon, Z(P) minus the value of each edge plus that of each vertex;
+    for a segment [a, b], Z(P) - Z(a) - Z(b)."""
+    v = P.vertices
+    if P.dim == 1:
+        return ev.z_polygon(P) - ev.z_point(v[0]) - ev.z_point(v[1])
+    out = ev.z_polygon(P)
+    for a, b in zip(v, v[1:] + v[:1]):
+        out = out - ev.z_segment(a, b) + ev.z_point(a)
+    return out
 
 
 def reassemble(components: DilativeComponents) -> ValuationSpec:

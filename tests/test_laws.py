@@ -17,11 +17,11 @@ from latval.group import (D4_GENERATORS, GL2Z_GENERATORS, AffineUnimodular,
                           act_on_series, d4_elements)
 from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
                          check_law, d4_compose, d4_decompose, dagger, diamond,
-                         from_st, invariant_generators, law_sides, sharp,
-                         to_st)
+                         from_st, law_sides, sharp, to_st)
 from latval.series import (NotDivisible, Series2, divide_linear, exp_linear,
                            mul_exp_linear, special_series)
-from oracles import d4_decompose_by_solve
+from oracles import (d4_compose_by_powers, d4_decompose_by_solve,
+                     invariant_generators)
 from test_group import dense_series2s, series2s
 
 
@@ -402,6 +402,17 @@ def test_d4_decompose_round_trip():
     assert d4_compose(g, 12).eq_up_to(h)
     assert g.coeff(2, 0) == 1 and g.coeff(0, 1) == Q(3, 7)
     assert g.coeff(1, 1) == -1 and g.coeff(0, 0) == 2
+
+
+@settings(max_examples=60)
+@given(st.one_of(series2s(max_order=20), dense_series2s(max_order=20)),
+       st.integers(0, 20))
+# a^2 b^3 lies above the order 12 (weighted degree 16), a^4 b at it; and
+# an order above g's own
+@example(Series2({(0, 0): 2, (4, 1): Q(-7, 2), (2, 3): Q(5, 3)}, 20), 12)
+@example(Series2({(1, 0): 1, (0, 1): Q(3, 7)}, 2), 20)
+def test_d4_compose_equals_the_generator_powers(g, n):
+    assert d4_compose(g, n).key() == d4_compose_by_powers(g, n).key()
 
 
 def test_d4_decompose_on_solver_output():

@@ -34,8 +34,9 @@ from latval.valuation import (DecompositionError, InvalidRho,
                               evaluator_for, g_m, odd_basis_g,
                               z_mT_closed, z_polygon)
 from oracles import (betke_kneser_constant, constraint_matrix,
-                     half_boundary_transform, interpolate, lattice_point_sum,
-                     reassemble, solve, surface_formula_check)
+                     half_boundary_transform, interior_value, interpolate,
+                     lattice_point_sum, reassemble, solve,
+                     surface_formula_check)
 from test_geometry import interior_edges
 from test_group import affine_unimodulars
 
@@ -1094,12 +1095,25 @@ def test_z_polygon_is_half_the_boundary_transform(P):
 
 
 QUAD = hull_normalize([(0, 0), (3, 1), (1, 2)])
+small_hulls = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       min_size=1, max_size=4).map(hull_normalize)
+
+
+def dilate_samples(spec, P):
+    """(ev, values, samples): the evaluator of spec, Z(mP) for
+    m = 0..spec.order + 4, Z(0P) being the value of a point at the origin,
+    and for each (p, q) the coefficients of x^p y^q at m = 0..p + q + 2,
+    from which interpolate reads that coefficient as a polynomial in m."""
+    ev = evaluator_for(spec)
+    values = [ev.z_point((0, 0))] + [z_polygon(spec, scale_polygon(P, m))
+                                     for m in range(1, spec.order + 5)]
+    samples = {(p, k - p): [v.coeff(p, k - p) for v in values[:k + 3]]
+               for k in range(ev.order + 1) for p in range(k + 1)}
+    return ev, values, samples
 
 
 @settings(max_examples=10)
-@given(spec=random_specs(max_order=4),
-       P=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                  min_size=1, max_size=4).map(hull_normalize))
+@given(spec=random_specs(max_order=4), P=small_hulls)
 @example(spec=ValuationSpec(0, None, Series2.constant(-1, 9), 9), P=QUAD)
 @example(spec=ValuationSpec(1, cosh_type_g(9), Series2.constant(-1, 9)
                             + vd_spec(4, order=9).rho, 9), P=QUAD)
@@ -1108,12 +1122,30 @@ QUAD = hull_normalize([(0, 0), (3, 1), (1, 2)])
          P=QUAD)
 def test_dilates_are_polynomial_in_m(spec, P):
     # each degree k is interpolated from m = 0..k + 2 and checked up to
-    # m = spec.order + 4; Z(0P) is the value of a point at the origin
-    ev = evaluator_for(spec)
-    values = [ev.z_point((0, 0))] + [z_polygon(spec, scale_polygon(P, m))
-                                     for m in range(1, spec.order + 5)]
-    for k in range(values[0].order + 1):
-        for p in range(k + 1):
-            samples = [v.coeff(p, k - p) for v in values[:k + 3]]
-            for m in range(k + 3, len(values)):
-                assert values[m].coeff(p, k - p) == interpolate(samples, m)
+    # m = spec.order + 4
+    _, values, samples = dilate_samples(spec, P)
+    for (p, q), ys in samples.items():
+        for m in range(p + q + 3, len(values)):
+            assert values[m].coeff(p, q) == interpolate(ys, m)
+
+
+@settings(max_examples=10)
+@given(spec=random_specs(max_order=4),
+       P=small_hulls.filter(lambda P: P.dim > 0))
+@example(spec=ValuationSpec(1, cosh_type_g(9), Series2.constant(-1, 9)
+                            + vd_spec(4, order=9).rho, 9), P=QUAD)
+@example(spec=ValuationSpec(Q(2, 3), odd_basis_g(1, 9) + odd_basis_g(3, 9),
+                            vd_spec(4, order=9).rho.scalar_mul(5), 9),
+         P=hull_normalize([(1, 2), (4, 3)]))
+@example(spec=ValuationSpec(Q(-1, 2), odd_basis_g(-1, 8), None, 8),
+         P=hull_normalize([(0, 0), (2, 4)]))
+def test_interior_of_a_dilate_is_the_dilate_at_minus_m(spec, P):
+    # Ehrhart-Macdonald reciprocity: the interior of mP, e = dim P, has
+    # the coefficient (-1)^(e + p + q) F(-m) of x^p y^q, where F(m) is
+    # that coefficient of Z(mP) as a polynomial in m
+    ev, _, samples = dilate_samples(spec, P)
+    for m in (1, 2):
+        interior = interior_value(ev, scale_polygon(P, m))
+        for (p, q), ys in samples.items():
+            assert interior.coeff(p, q) \
+                == (-1) ** (P.dim + p + q) * interpolate(ys, -m)
