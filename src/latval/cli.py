@@ -131,6 +131,8 @@ def cmd_check_law(args) -> int:
     if args.law not in laws.LAW_IDS:
         raise io.MalformedInput(f"unknown law {json.dumps(args.law)}; "
                                 f"known: {', '.join(laws.LAW_IDS)}")
+    _in_range(f"for --law {args.law}, the series order", f.order, 0,
+              io.MAX_LAW_ORDER[args.law])
     report = laws.check_law(args.law, f)
     _emit(_report(f"check-law {args.law}",
                   "holds" if report.holds else "violated",
@@ -151,7 +153,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    spec = io.spec_from_obj(io.load_json(args.spec))
+    spec = io.load_spec(args.spec)
     data = valuation.build_triangle_data(spec)
     _emit({"effective_order": data.effective_order, "f0": data.f0,
            "f1": data.f1, "f2": data.f2, "zT": data.zT}, args)
@@ -159,7 +161,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = io.spec_from_obj(io.load_json(args.spec))
+    spec = io.load_spec(args.spec)
     P = io.polygon_from_obj(io.load_json(args.polygon))
     _emit(valuation.z_polygon(spec, P), args)
     return EXIT_OK
@@ -167,7 +169,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_laplace(args) -> int:
     P = io.polygon_from_obj(io.load_json(args.polygon))
-    _emit(laplace.laplace_plus(P, _order(args, 0, io.MAX_LAPLACE_ORDER)), args)
+    order = _order(args, 0, io.MAX_LAPLACE_ORDER)
+    far = max(abs(a) for v in P.vertices for a in v)
+    if order * far.bit_length() > io.MAX_LAPLACE_BITS:
+        raise io.MalformedInput(
+            f"the polygon's coordinate {far} has {far.bit_length()} bits, "
+            f"above the limit {io.MAX_LAPLACE_BITS // order} at order "
+            f"{order}: the order times the bits may be at most "
+            f"{io.MAX_LAPLACE_BITS}")
+    _emit(laplace.laplace_plus(P, order), args)
     return EXIT_OK
 
 
@@ -187,7 +197,7 @@ def _polygon_paths(items):
 
 def cmd_dilative(args) -> int:
     _in_range("--delta", args.delta, -io.MAX_ORDER)
-    spec = io.spec_from_obj(io.load_json(args.spec))
+    spec = io.load_spec(args.spec)
     try:
         m_list = [int(m) for m in args.m.split(",")]
     except ValueError:
@@ -220,7 +230,7 @@ def cmd_dilative(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = io.spec_from_obj(io.load_json(args.spec))
+    spec = io.load_spec(args.spec)
     kappa = None if args.kappa == "auto" else Q(args.kappa)
     if kappa is None and spec.c != 0:   # then kappa is calibrated
         _at_least("with --kappa auto, the spec order", spec.order,
@@ -353,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     out(dims)
 
     p = add("check-law", cmd_check_law, help="verify a functional equation")
-    p.add_argument("--law", required=True)
+    p.add_argument("--law", required=True,
+                   help="law id; the series order may be at most, by law: "
+                        + ", ".join(f"{law} {n}" for law, n
+                                    in io.MAX_LAW_ORDER.items()))
     p.add_argument("--input", required=True, help=series_help)
 
     p = add("transform", cmd_transform, help="apply a series transform")
@@ -369,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polygon", required=True, help=polygon_help)
 
     p = add("laplace", cmd_laplace, help="positive Laplace transform")
-    p.add_argument("--polygon", required=True, help=polygon_help)
+    p.add_argument("--polygon", required=True,
+                   help=f"{polygon_help}; the order times the bits of its "
+                        f"largest |coordinate| may be at most "
+                        f"{io.MAX_LAPLACE_BITS}")
     p.add_argument("--order", type=int,
                    help=order_help(0, io.MAX_LAPLACE_ORDER))
 

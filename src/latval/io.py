@@ -25,7 +25,15 @@ than MAX_LATTICE_POINTS lattice lines along its shorter side.  Every load
 error raises MalformedInput, an unreadable file or bad UTF-8, JSON nested
 too deep or bad JSON too; its message shows the offending value as JSON
 text.
-Rationals are written with any number of digits.
+Rationals are written with any number of digits; a series' coefficient
+texts come from series.coefficient_texts, made from its int numerators.
+
+``load_spec`` reads a spec file on every call and makes the checked spec of
+its text once: ``_spec_of_text`` is a functools.lru_cache of the last
+valuation.EVALUATORS_MAX texts, whose ``cache_info()`` gives its hits and
+misses.  An edited file is a new text and is parsed again, and a text that
+fails raises its error, with the same message, on every call, since the
+cache keeps no exception.
 """
 
 from __future__ import annotations
@@ -33,13 +41,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .geometry import (LatticePolygon, hull_normalize, lattice_point_count,
                        shorter_span)
 from .group import AffineUnimodular, NotUnimodular
-from .series import DEFAULT_ORDER, Series1, Series2, format_rational
-from .valuation import ValuationSpec
+from .series import (DEFAULT_ORDER, Series1, Series2, coefficient_texts,
+                     format_rational)
+from .valuation import EVALUATORS_MAX, ValuationSpec
 
 Q = Fraction
 
@@ -60,6 +70,22 @@ MAX_ORDER = 1000     # the highest order a series or spec file may carry
 MAX_LAPLACE_ORDER = 200
 MAX_SELFTEST_ORDER = 60
 MAX_CALIBRATE_ORDER = 80
+# the most of --order times the bits of a polygon's largest |coordinate|
+# that `laplace` takes: the digits of its degree-k coefficients grow as k
+# times those bits, and at order 200 with 10 bits a call took at most
+# 1.0 s and wrote 15 MB in a fresh process on a 2-core x86_64 machine (T
+# moved by (10^12, 10^12), 40 bits, wrote 39 MB in 2.7 s)
+MAX_LAPLACE_BITS = 2000
+# the highest series order of `check-law` for each law: at its limit
+# check_law took at most 2 s on a dense series of one-digit numerators and
+# denominators on a 2-core x86_64 machine, and the time grows about as the
+# fifth power of the order (f1shift took 4.4 s at order 160)
+MAX_LAW_ORDER = {
+    "A": 130, "B": 450, "C": 140, "f2simple2": 130, "f23up": 130,
+    "Aprime": 200, "Bprime": 200, "Cprime": 180, "D": 450, "E": 180,
+    "rhoformula": 160, "rho_sym1": 180, "rho_sym2": 200, "rho_sym3": 360,
+    "Adoubleprime": 150, "f1shift": 150, "f1period": 200, "f1neg": 500,
+    "f0gl2z": 200}
 # the highest degrees of `vd basis --degree` and `vd dims --max`: solving
 # V_d grows about as d^3, and at its limit each call took at most 0.5 s
 # in a fresh process on a 2-core x86_64 machine
@@ -109,15 +135,14 @@ def parse_rational(s) -> Fraction:
 
 def series2_to_obj(f: Series2) -> dict:
     return {"vars": ["x", "y"], "order": f.order,
-            "terms": [{"e": [p, q], "c": format_rational(v)}
-                      for (p, q), v in f.terms()]}
+            "terms": [{"e": [p, d - p], "c": c}
+                      for d, p, c in coefficient_texts(f)]}
 
 
 def series1_to_obj(f: Series2) -> dict:
     """The univariate form of a series in x alone."""
     return {"vars": ["x"], "order": f.order,
-            "terms": [{"e": [p], "c": format_rational(v)}
-                      for (p, _), v in f.terms()]}
+            "terms": [{"e": [p], "c": c} for _, p, c in coefficient_texts(f)]}
 
 
 def _order(obj, minimum: int) -> int:
@@ -268,10 +293,8 @@ def _encode(obj, newline: str, parts: list) -> None:
         parts.append(int.__repr__(obj))
     elif isinstance(obj, Series2):   # as series2_to_obj, a string per term
         i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
-        den, rows = obj.numerators()
-        terms = [f'{{{i3}"e": [{i4}{p},{i4}{d - p}{i3}],{i3}"c": '
-                 f'"{format_rational(s, den)}"{i2}}}'
-                 for d, row in enumerate(rows) for p, s in enumerate(row) if s]
+        terms = [f'{{{i3}"e": [{i4}{p},{i4}{d - p}{i3}],{i3}"c": "{c}"{i2}}}'
+                 for d, p, c in coefficient_texts(obj)]
         parts.append(f'{{{i1}"vars": [{i2}"x",{i2}"y"{i1}],{i1}"order": '
                      f'{obj.order},{i1}"terms": ')
         parts.append(f"[{i2}{(',' + i2).join(terms)}{i1}]" if terms else "[]")
@@ -307,11 +330,47 @@ def _encode(obj, newline: str, parts: list) -> None:
                         "serializable")
 
 
-def load_json(path):
+def _read(path) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    # ValueError: bad JSON or UTF-8; RecursionError: arrays or objects
-    # nested too deep for the decoder
-    except (OSError, ValueError, RecursionError) as exc:
+            return fh.read()
+    except (OSError, ValueError) as exc:   # ValueError: bad UTF-8
         raise MalformedInput(f"{path}: {exc}") from None
+
+
+class _NotJSON(Exception):
+    pass
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    # ValueError: bad JSON or an integer too long to read; RecursionError:
+    # arrays or objects nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
+        raise _NotJSON(str(exc)) from None
+
+
+def _load(path, parse):
+    """parse of the text of the file at path; bad JSON is named by path."""
+    try:
+        return parse(_read(path))
+    except _NotJSON as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
+
+
+def load_json(path):
+    return _load(path, _json)
+
+
+@lru_cache(maxsize=EVALUATORS_MAX)
+def _spec_of_text(text: str) -> ValuationSpec:
+    return spec_from_obj(_json(text))
+
+
+def load_spec(path) -> ValuationSpec:
+    """The checked spec of the file at path, read on every call; the spec
+    of each text is made once while it is among the last EVALUATORS_MAX
+    texts, so an edited file is parsed again, and a text that fails raises
+    its error on every call."""
+    return _load(path, _spec_of_text)

@@ -106,6 +106,26 @@ def _int_text(n: int) -> str:
     return _int_text(high) + _int_text(low).zfill(low_digits)
 
 
+def coefficient_texts(f: "Series2") -> list:
+    """[(d, p, text)] for each nonzero coefficient of f, that of
+    x^p y^(d-p), in the order of terms(): text is its format_rational,
+    made from the int numerator and den with no Fraction."""
+    den, rows = f.numerators()
+    short = den < _SHORT
+    texts = []
+    for d, row in enumerate(rows):
+        for p, s in enumerate(row):
+            if not s:
+                continue
+            if short and -_SHORT < s < _SHORT:
+                g = gcd(s, den)
+                text = str(s // g) if g == den else f"{s // g}/{den // g}"
+            else:
+                text = format_rational(s, den)
+            texts.append((d, p, text))
+    return texts
+
+
 def _packed_powers(a: int, b: int, n: int, k: int) -> list:
     """[u^0, ..., u^n] for u = (a << k) + b: the linear form a*x + b*y
     packed at x = 2^k, y = 1, so that u^p packs (a*x + b*y)^p."""

@@ -133,16 +133,20 @@ class ValuationSpec:
                 report = check_law(law, self.rho)
                 if not report.holds:
                     raise InvalidRho(report)
+        # made once: the spec is frozen and its series are not changed
+        key = (self.c, self.g.key(), self.rho.key(), self.order)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def key(self):
-        return (self.c, self.g.key(), self.rho.key(), self.order)
+        return self._key
 
     # by value, so that equal specs share one evaluator_for
     def __eq__(self, other):
-        return isinstance(other, ValuationSpec) and self.key() == other.key()
+        return isinstance(other, ValuationSpec) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
 
 @dataclass(frozen=True)

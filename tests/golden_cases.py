@@ -139,6 +139,15 @@ def _cases():
                   ["calibrate", "--order", "81"], cli.EXIT_MALFORMED))
     cases.append(("selftest_order_above_limit",
                   ["selftest", "--order", "61"], cli.EXIT_MALFORMED))
+    # a series order above the law's own limit, which f1shift needs
+    # seconds to pass
+    cases.append(("check_law_f1shift_order_above_limit",
+                  ["check-law", "--law", "f1shift",
+                   "--input", _input("f1_order_1000")], cli.EXIT_MALFORMED))
+    # T moved by (10^12, 10^12): 40-bit coordinates at order 200
+    cases.append(("laplace_far_t_above_limit",
+                  ["laplace", "--polygon", _input("t_far"),
+                   "--order", "200"], cli.EXIT_MALFORMED))
     return cases
 
 

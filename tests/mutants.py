@@ -8,7 +8,8 @@ total degree, in the Bernoulli numbers, in the triangulation and the
 lattice point walk, in the faces that the evaluator sums (a triangle's
 sides on the boundary, the sign of an interior point, the unimodularity
 check) or the cells that its equal values share, in the bound of a cache
-or the equality of the specs that key one, in the Laplace oracle (the
+or the equality of the specs that key one, in the cache of spec files or
+the coefficient and exponent texts of the writer, in the Laplace oracle (the
 degree scale or the weight of a fan triangle), in the packed forms that
 the solution spaces are solved on, in the membership check of a rho in
 V_d, in the sides of a law, in the laws that check D4 invariance, the
@@ -141,8 +142,19 @@ MUTANTS = [
      "if self.rho.order < 1:", "if self.rho.order < 0:",
      ["test_cli.py::test_rho_of_order_0_exits_3"]),
     ("spec: equality by c alone", "valuation.py",
-     "self.key() == other.key()", "self.c == other.c",
+     "self._key == other._key", "self.c == other.c",
      ["test_valuation.py::test_equal_specs_share_one_evaluator"]),
+    ("spec files: the cache keyed by the path alone", "io.py",
+     "return _load(path, _spec_of_text)",
+     "return vars(_spec_of_text).setdefault(path, "
+     "_load(path, _spec_of_text))",
+     ["test_cli.py::test_an_edited_spec_file_is_read_again"]),
+    ("coefficient texts: the gcd dropped", "series.py",
+     "g = gcd(s, den)", "g = 1",
+     ["test_cli.py::test_coefficient_texts_are_format_rational_of_terms"]),
+    ("term texts: p and q swapped", "io.py",
+     "{i4}{p},{i4}{d - p}{i3}", "{i4}{d - p},{i4}{p}{i3}",
+     ["test_cli.py::test_dumps_equals_json_dumps_indent_2"]),
     ("evaluators: no bound", "valuation.py",
      "@lru_cache(maxsize=EVALUATORS_MAX)", "@lru_cache(maxsize=None)",
      ["test_valuation.py::test_evaluator_registry_is_bounded"]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from latval import cli, io, laws
+from latval import cli, io, laws, series, valuation
 from latval.geometry import hull_normalize, scale_polygon
 from latval.group import AffineUnimodular, act_on_series
 from latval.laws import dagger
@@ -94,6 +94,17 @@ def test_spec_round_trip():
     assert back.c == spec.c and back.rho == spec.rho
 
 
+def test_spec_key_and_hash_are_the_fresh_tuple_and_its_hash():
+    for spec in (io.spec_from_obj(LAPLACE_SPEC),
+                 io.load_spec(str(INPUTS / "spec_general.json")),
+                 ValuationSpec(Q(1, 2), Series1({0: 1, 3: Q(-1, 6)}, 9),
+                               Series2.constant(-1, 9), 9)):
+        fresh = (spec.c, spec.g.key(), spec.rho.key(), spec.order)
+        assert spec.key() == fresh and hash(spec) == hash(fresh)
+        twin = ValuationSpec(spec.c, spec.g, spec.rho, spec.order)
+        assert twin == spec and hash(twin) == hash(spec)
+
+
 def test_affine_round_trip():
     xi = AffineUnimodular(((2, 1), (1, 1)), (3, -4))
     assert io.affine_from_obj(io.affine_to_obj(xi)) == xi
@@ -124,6 +135,27 @@ def _long_int(text):
         chunk = digits[i:i + 1000]
         n = n * 10 ** len(chunk) + int(chunk)
     return -n if text.startswith("-") else n
+
+
+# numerators and denominators on both sides of 10^600, where the texts
+# leave str() for format_rational, over one common denominator
+big_rationals = st.builds(
+    Q, st.integers(-9, 9) | st.integers(-10**700, 10**700)
+    | st.sampled_from([10**600 - 1, 10**600, -10**600, 7**720]),
+    st.integers(1, 9) | st.integers(10**599, 10**700))
+
+
+@given(st.integers(0, 6).flatmap(lambda order: st.builds(
+    Series2, st.dictionaries(st.tuples(st.integers(0, order),
+                                       st.integers(0, order)).filter(
+        lambda e: sum(e) <= order), big_rationals, max_size=8),
+    st.just(order))))
+@example(Series2({(0, 0): Q(10**600, 10**600 + 1), (1, 0): Q(1, 10**600)}, 1))
+@example(Series2({(0, 0): Q(1, 2), (0, 1): Q(-1, 3), (1, 0): 4}, 1))
+def test_coefficient_texts_are_format_rational_of_terms(f):
+    texts = series.coefficient_texts(f)
+    assert [((p, d - p), text) for d, p, text in texts] \
+        == [(e, io.format_rational(v)) for e, v in f.terms()]
 
 
 @pytest.mark.parametrize("n", [
@@ -202,11 +234,6 @@ json_values = st.recursive(
     max_leaves=30)
 
 
-@given(json_values)
-def test_dumps_equals_json_dumps_indent_2(obj):
-    assert io.dumps(obj) == json.dumps(obj, indent=2) + "\n"
-
-
 # coefficients with numerators of more than 600 digits, which _int_text
 # writes in parts, and negative ones
 numerators = (st.integers(-9, 9) | st.integers(10**600, 10**700)
@@ -234,6 +261,19 @@ def _series_as_objs(tree):
 
 
 BIG = Q(-10**650 - 1, 7)
+# order 40, above any order that series_values draws
+HIGH = Series2({(0, 0): 3, (40, 0): Q(-1, 2), (17, 23): BIG, (0, 40): 1}, 40)
+
+
+# series among the other values, nested at several indents
+@given(st.recursive(json_values | series_values(),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(json_text, inner, max_size=4),
+                    max_leaves=30))
+@example([[[Series2({(1, 2): Q(3, 7)}, 5)]], Series2({(1, 2): Q(3, 7)}, 5)])
+@example({"a": [HIGH, {"b": [HIGH]}], "c": Series2({(2, 1): 5}, 3)})
+def test_dumps_equals_json_dumps_indent_2(obj):
+    assert io.dumps(obj) == json.dumps(_series_as_objs(obj), indent=2) + "\n"
 
 
 # a series alone (evaluate), in an object (construct) and in a list (vd
@@ -337,6 +377,69 @@ def test_invalid_rho_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_evaluate_parses_a_spec_file_once(tmp_path, capsys):
+    spath = write(tmp_path, "spec.json", LAPLACE_SPEC)
+    tpath = write(tmp_path, "T.json", T_POLY)
+    io._spec_of_text.cache_clear()
+    outs = {run(capsys, "evaluate", "--spec", spath, "--polygon", tpath)
+            for _ in range(4)}
+    info = io._spec_of_text.cache_info()
+    assert (info.misses, info.hits, info.maxsize) \
+        == (1, 3, valuation.EVALUATORS_MAX)
+    assert outs == {(0, json.dumps(io.series2_to_obj(z_polygon(
+        io.spec_from_obj(LAPLACE_SPEC), hull_normalize(
+            [(0, 0), (1, 0), (0, 1)]))), indent=2) + "\n")}
+
+
+def test_an_edited_spec_file_is_read_again(tmp_path, capsys):
+    tpath = write(tmp_path, "T.json", T_POLY)
+    general = json.loads((INPUTS / "spec_general.json").read_text())
+    outs = []
+    for obj in (LAPLACE_SPEC, general, LAPLACE_SPEC):
+        spath = write(tmp_path, "spec.json", obj)   # the same path each time
+        code, out = run(capsys, "evaluate", "--spec", spath,
+                        "--polygon", tpath)
+        assert code == 0
+        outs.append(out)
+        assert io.series2_from_obj(json.loads(out)) == z_polygon(
+            io.spec_from_obj(obj), hull_normalize([(0, 0), (1, 0), (0, 1)]))
+    assert outs[0] != outs[1] and outs[0] == outs[2]
+
+
+NOT_APRIME = {"c": "0", "rho": {"vars": ["x", "y"], "order": 8,
+                                "terms": [{"e": [2, 0], "c": "1"}]},
+              "order": 8}
+
+
+# the cache keeps no error: each call reads, fails and reports alike
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "spec.json: Expecting property name enclosed in double "
+                  "quotes: line 1 column 2 (char 1)"),
+    (json.dumps(dict(LAPLACE_SPEC, c="pi")),
+     'bad rational "pi": give an integer, "num/den" or a decimal with an '
+     "exponent of at most 4 digits"),
+    (json.dumps(NOT_APRIME),
+     "parameter series violates Aprime at exponent [1, 2]: lhs 0, rhs 1"),
+], ids=["bad-json", "bad-rational", "invalid-rho"])
+def test_a_bad_spec_file_fails_alike_on_every_call(tmp_path, capsys, text,
+                                                   message):
+    spath = tmp_path / "spec.json"
+    spath.write_text(text, encoding="utf-8")
+    tpath = write(tmp_path, "T.json", T_POLY)
+    errors = set()
+    for command in ("evaluate", "evaluate", "construct", "evaluate"):
+        argv = [command, "--spec", str(spath)]
+        if command == "evaluate":
+            argv += ["--polygon", tpath]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    (err,) = errors
+    assert err.startswith("error: ") and message in err
+
+
+SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 SERIES_B = {"vars": ["x", "y"], "order": 3, "terms": []}
 
 
@@ -750,7 +853,8 @@ def test_delta_beyond_the_limit_exits_3(tmp_path, capsys):
     ("construct", ("MAX_ORDER",)), ("decompose", ("MAX_ORDER",)),
     ("evaluate", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
     ("dilative", ("MAX_ORDER", "MAX_LATTICE_POINTS")),
-    ("laplace", ("MAX_LATTICE_POINTS", "MAX_LAPLACE_ORDER")),
+    ("laplace", ("MAX_LATTICE_POINTS", "MAX_LAPLACE_ORDER",
+                 "MAX_LAPLACE_BITS")),
     ("calibrate", ("MAX_CALIBRATE_ORDER",)),
     ("selftest", ("MAX_SELFTEST_ORDER",)),
     ("vd basis", ("MAX_BASIS_DEGREE",)),
@@ -761,6 +865,58 @@ def test_help_states_the_limits(capsys, command, limits):
     text = " ".join(capsys.readouterr().out.split())
     for name in limits:
         assert str(getattr(io, name)) in text
+
+
+def test_check_law_order_above_the_law_limit_exits_3(tmp_path, capsys):
+    assert tuple(io.MAX_LAW_ORDER) == laws.LAW_IDS
+    with pytest.raises(SystemExit):
+        cli.main(["check-law", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    f1 = json.loads((INPUTS / "f1.json").read_text())
+    for law, limit in io.MAX_LAW_ORDER.items():
+        assert f"{law} {limit}" in text
+        # before any work: f1shift took 6 s at order 1000
+        path = write(tmp_path, "f1.json", dict(f1, order=limit + 1))
+        start = time.perf_counter()
+        assert cli.main(["check-law", "--law", law, "--input", path]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: for --law {law}, the series order "
+                                f"{limit + 1} is out of range: it must be "
+                                f"<= {limit}\n")
+    path = write(tmp_path, "f1.json", dict(f1, order=150))
+    code, out = run(capsys, "check-law", "--law", "f1shift", "--input", path)
+    assert code == 2 and json.loads(out)["status"] == "violated"
+
+
+def _moved_t(shift):
+    return {"vertices": [[shift, shift], [shift + 1, shift],
+                         [shift, shift + 1]]}
+
+
+def test_laplace_far_coordinates_exit_3(tmp_path, capsys, monkeypatch):
+    # 10^12 has 40 bits: at order 200 this wrote 39 MB in 2.7 s
+    path = write(tmp_path, "far.json", _moved_t(10**12))
+    start = time.perf_counter()
+    assert cli.main(["laplace", "--polygon", path, "--order", "200"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the polygon's coordinate {10**12 + 1} has 40 bits, above "
+        "the limit 10 at order 200: the order times the bits may be at most "
+        "2000\n")
+    # at order 12 the limit is 2000 // 12 = 166 bits
+    assert io.MAX_LAPLACE_BITS == 2000
+    monkeypatch.setenv("LATVAL_ORDER", "12")
+    near = write(tmp_path, "near.json", _moved_t(-2**166 + 1))
+    code, out = run(capsys, "laplace", "--polygon", near)
+    assert code == 0 and json.loads(out)["order"] == 12
+    far = write(tmp_path, "far.json", _moved_t(-2**166))
+    assert cli.main(["laplace", "--polygon", far]) == 3
+    assert "has 167 bits, above the limit 166 at order 12" \
+        in capsys.readouterr().err
 
 
 def test_violations_render_exact_rationals(tmp_path, capsys):

@@ -41,6 +41,10 @@ TREES = {name: [_load(a) if a.endswith(".json") else a for a in argv]
          for name, argv, _ in CASES if name in BASES}
 WIDE_T = {"vertices": [[0, 0], [2, 0], [10**20, 2]]}
 POINT = {"vertices": [[3, -2]]}
+# a dense series of order 200 with one-digit numerators and denominators
+DENSE_200 = {"vars": ["x", "y"], "order": 200,
+             "terms": [{"e": [p, d - p], "c": f"{p % 9 + 1}/{d % 8 + 2}"}
+                       for d in range(201) for p in range(d + 1)]}
 RHO_ORDER_0 = {"c": "1", "order": 12,
                "rho": {"vars": ["x", "y"], "order": 0,
                        "terms": [{"e": [0, 0], "c": "-1"}]}}
@@ -133,6 +137,8 @@ def _run(tree, tmp) -> tuple:
 # calibrate at order 1000 run for hours
 @example(tree=["laplace", "--polygon", TREES["laplace_two_t"][2],
                "--order", "1000"])
+# law A on it took 19 s; its limit is order 130
+@example(tree=["check-law", "--law", "A", "--input", DENSE_200])
 @example(tree=["selftest", "--order", "1000"])
 @example(tree=["calibrate", "--order", "1000"])
 def test_mutated_golden_inputs_exit_0_2_or_3(tree):
