@@ -249,9 +249,9 @@ def split_pairs(P: LatticePolygon, count=None):
             arc2 = bpts[j:] + bpts[:i + 1]
             if len(arc1) < 3 or len(arc2) < 3:
                 continue
-            P1 = hull_normalize(arc1)
-            P2 = hull_normalize(arc2)
-            if P1.dim != 2 or P2.dim != 2:
+            P1 = _arc_polygon(arc1)
+            P2 = _arc_polygon(arc2)
+            if P1 is None or P2 is None:
                 continue
             out.append((P1, P2))
             if count is not None and len(out) >= count:
@@ -259,6 +259,21 @@ def split_pairs(P: LatticePolygon, count=None):
     if not out:
         raise NoValidChord("all boundary lattice points pairwise adjacent")
     return out
+
+
+def _arc_polygon(arc):
+    """The polygon that a counterclockwise arc of a convex polygon's
+    boundary points bounds with the chord from its last point back to its
+    first, as hull_normalize gives it, or None when it is not
+    full-dimensional: the arc is already convex and counterclockwise, so
+    its vertices are its points that are not collinear with their two
+    neighbours, rotated to start at the smallest."""
+    v = [p for a, p, b in zip(arc[-1:] + arc[:-1], arc, arc[1:] + arc[:1])
+         if _cross(a, p, b)]
+    if len(v) < 3:
+        return None
+    i = v.index(min(v))
+    return LatticePolygon(tuple(v[i:] + v[:i]), 2)
 
 
 def chord_of_split(P1: LatticePolygon, P2: LatticePolygon) -> LatticePolygon:

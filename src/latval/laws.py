@@ -11,17 +11,23 @@ returning a structured report (a violated law is a report, not an error).
 equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
 generators); ``check_law``, the solution spaces of ``vspace`` and the
 refusal of a series that is not D4-invariant by ``d4_decompose`` are
-built from it.
+built from it.  It takes a ``Series2`` or anything with the operations it
+uses: ``check_law`` hands it ``_Table``, the series packed degree by
+degree (Kronecker substitution, as in ``series``), as ``vspace`` hands it
+packed forms.  Each degree of a side is one int at one width, set by
+bounds carried through the operations, so the two sides are compared as
+ints, and only the first unequal degree is read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .group import GL2Z_GENERATORS
-from .series import (Series2, divide_linear, format_rational,
+from .series import (Series2, _packed_degrees, _substitute,
+                     _taylor_shift, _unpack, divide_linear, format_rational,
                      mul_exp_linear, packed_cells, separable, special_series,
                      sum_of_images, sum_of_products)
 
@@ -141,14 +147,14 @@ def _sides(law: str, f: Series2):
     """Both sides (lhs, rhs) of the named law of one equation on f."""
     x, y = (1, 0), (0, 1)
     if law in ("A", "f23up"):
-        return (f + mul_exp_linear(f.subst_linear((-1, 1), y), 1, 0),
+        return (f + _mul_exp(f.subst_linear((-1, 1), y), 1, 0),
                 f.subst_linear(x, (1, 1)) + f.subst_linear(y, (1, 1)))
     if law == "B":
         return f, f.subst_linear(y, x)
     if law == "C":
-        return f.subst_linear((-1, 1), (-1, 0)), mul_exp_linear(f, -1, 0)
+        return f.subst_linear((-1, 1), (-1, 0)), _mul_exp(f, -1, 0)
     if law == "f2simple2":
-        return (f + mul_exp_linear(f.subst_linear((-1, 0), (0, -1)), 1, 1),
+        return (f + _mul_exp(f.subst_linear((-1, 0), (0, -1)), 1, 1),
                 f.subst_linear(x, (1, 1)) + f.subst_linear((1, 1), y))
     if law == "Aprime":
         return (f.subst_linear(x, (-1, 1)).mul_linear(1, 1),
@@ -180,7 +186,7 @@ def _sides(law: str, f: Series2):
                 f.subst_linear((1, 2), (1, 0)).mul_linear(1, 0)
                 + f.subst_linear((2, 1), (0, 1)).mul_linear(0, 1))
     if law == "f1shift":
-        return f.subst_linear((-1, 0), (0, -1)), mul_exp_linear(f, -1, 0)
+        return f.subst_linear((-1, 0), (0, -1)), _mul_exp(f, -1, 0)
     if law == "f1period":
         return f, f.subst_linear(x, (1, 1))
     if law == "f1neg":
@@ -199,19 +205,150 @@ RHO_LAWS = ("Aprime", "E")
 D4_LAWS = ("rho_sym3", "E")
 
 
+def _mul_exp(f, a, b):
+    """f times exp(a*x + b*y): mul_exp_linear of a Series2, and the twist
+    of a _Table by its own method."""
+    if isinstance(f, _Table):
+        return f.mul_exp_linear(a, b)
+    return mul_exp_linear(f, a, b)
+
+
 def check_law(law: str, f: Series2) -> LawReport:
     """Assemble both sides of each equation of the named law exactly and
     compare them up to their common valid order: the report gives the
     first difference of the first equation that has one, or the lowest
-    order verified."""
+    order verified.
+
+    law_sides runs on the _Table of f, so each side is a _Table: bounds
+    on its coefficients, carried through the operations, and a recipe
+    that packs it at any width.  Each equation is packed at the width its
+    bounds need, so that both sides and their difference read back
+    exactly; each degree is one int, compared with the same degree of the
+    other side, and only the first unequal degree is read back."""
+    den, _ = f.numerators()
     verified = []
-    for lhs, rhs in law_sides(law, f):
+    for lhs, rhs in law_sides(law, _Table.of(f)):
+        lhs, rhs = _aligned(lhs, rhs)
         order = min(lhs.order, rhs.order)
-        diff = lhs.first_difference(rhs, order)
+        diff = _first_difference(lhs, rhs, den)
         if diff is not None:
             return LawReport(law, False, order, diff)
         verified.append(order)
     return LawReport(law, True, min(verified), None)
+
+
+def _aligned(lhs: "_Table", rhs: "_Table") -> tuple:
+    """Two tables, both times d! if one of them is."""
+    if lhs.weighted != rhs.weighted:
+        return lhs.weighted_table(), rhs.weighted_table()
+    return lhs, rhs
+
+
+def _first_difference(lhs: "_Table", rhs: "_Table", den: int):
+    """((p, q), lhs, rhs) at the first exponent, up to their common order,
+    at which the aligned tables of series over den differ, or None.  They
+    are packed at one bit above the largest sum of their bounds, at which
+    both, and their difference, read back exactly; the packed degrees are
+    compared as ints, and only the first unequal one is read back."""
+    k = max(map(int.__add__, lhs.bounds, rhs.bounds)).bit_length() + 1
+    for d, (g, h) in enumerate(zip(lhs.pack(k), rhs.pack(k))):
+        if g != h:
+            a, b = (_unpack([0] * d + [x], k)[d] for x in (g, h))
+            p = next(p for p, (s, t) in enumerate(zip(a, b)) if s != t)
+            w = den * (factorial(d) if lhs.weighted else 1)
+            return ((p, d - p), Q(a[p], w), Q(b[p], w))
+    return None
+
+
+class _Table:
+    """A series as check_law hands it to law_sides, over the denominator
+    of the series f it was made from: bounds[d] bounds the size of each
+    numerator of degree d, times d! when weighted, and pack(k) gives those
+    degrees packed at x = 2^k, y = 1, one int each, in a new list.  Each
+    operation of law_sides carries the bounds at once and packs when
+    asked, so a side is packed once, at the width its equation needs, as
+    vspace's _Forms carry bounds to the width of their read-back.  The
+    table of f (_Table.of) keeps f's rows, which subst_linear substitutes
+    by series._substitute; law_sides substitutes only its input, so no
+    other table needs rows.  d! enters a table only when mul_exp_linear
+    twists it, and then the tables that meet it."""
+
+    __slots__ = ("order", "bounds", "weighted", "pack", "rows")
+
+    def __init__(self, order, bounds, weighted, pack, rows=None):
+        self.order, self.bounds, self.weighted = order, bounds, weighted
+        self.pack, self.rows = pack, rows
+
+    @classmethod
+    def of(cls, f: Series2) -> "_Table":
+        _, rows = f.numerators()
+        pad = [0] * (f.order + 1 - len(rows))
+        return cls(f.order, [max(max(row), -min(row)) for row in rows] + pad,
+                   False, lambda k: _packed_degrees(rows, k) + pad, rows)
+
+    def subst_linear(self, first, second) -> "_Table":
+        """The table of f(a1*x + b1*y, a2*x + b2*y), for the integer pairs
+        first = (a1, b1) and second = (a2, b2): its degree d is at most
+        bounds[d] * (d + 1) * l^d for l the larger of the forms' sums of
+        absolute values."""
+        (a1, b1), (a2, b2) = first, second
+        ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2))
+        rows, pad = self.rows, [0] * (self.order + 1 - len(self.rows))
+        return _Table(self.order, [s * (d + 1) * ell ** d
+                                   for d, s in enumerate(self.bounds)], False,
+                      lambda k: _substitute(rows, first, second, k) + pad)
+
+    def mul_linear(self, a, b) -> "_Table":
+        """The product with a*x + b*y, one order up: one multiply per
+        degree, and times d + 1 more when weighted."""
+        size, weighted, inner = abs(a) + abs(b), self.weighted, self.pack
+
+        def pack(k):
+            u = (a << k) + b
+            out = [0] + [h * u for h in inner(k)]
+            return [h * d for d, h in enumerate(out)] if weighted else out
+        bounds = [0] + [s * size for s in self.bounds]
+        if weighted:
+            bounds = [s * d for d, s in enumerate(bounds)]
+        return _Table(self.order + 1, bounds, weighted, pack)
+
+    def mul_exp_linear(self, a, b) -> "_Table":
+        """The product with exp(a*x + b*y), for ints a and b: the
+        series._taylor_shift of the weighted degrees by a*x + b*y packed.
+        With l = |a| + |b|, degree s is at most (1 + l)^s times the
+        largest bound of the degrees up to s."""
+        t = self.weighted_table()
+        bounds, top, grow = [], 0, 1
+        for s in t.bounds:
+            top = max(top, s)
+            bounds.append(top * grow)
+            grow *= 1 + abs(a) + abs(b)
+        return _Table(self.order, bounds, True,
+                      lambda k: _taylor_shift(t.pack(k), (a << k) + b))
+
+    def weighted_table(self) -> "_Table":
+        """This table with degree d times d!."""
+        if self.weighted:
+            return self
+        fact = [1]
+        for d in range(1, self.order + 1):
+            fact.append(fact[-1] * d)
+        inner = self.pack
+        return _Table(self.order, list(map(int.__mul__, self.bounds, fact)),
+                      True, lambda k: list(map(int.__mul__, inner(k), fact)))
+
+    def __add__(self, other: "_Table") -> "_Table":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "_Table") -> "_Table":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "_Table", sign: int) -> "_Table":
+        a, b = _aligned(self, other)
+        return _Table(min(a.order, b.order),
+                      list(map(int.__add__, a.bounds, b.bounds)), a.weighted,
+                      lambda k: [g + sign * h
+                                 for g, h in zip(a.pack(k), b.pack(k))])
 
 
 # ---------------------------------------------------------------------------

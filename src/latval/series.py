@@ -12,16 +12,21 @@ Linear substitution, the largest cost of evaluation, is a Kronecker
 substitution on Python ints.  A homogeneous polynomial of degree d,
 sum_i c_i x^i y^(d-i), is packed into the integer sum_i c_i 2^(k*i), its
 value at x = 2^k, y = 1.  The linear form a*x + b*y packs to
-u = (a << k) + b, so products of powers of two forms are plain int
-products, and the packed image of a degree is one integer sum, as is
-the sum of the images of many cells, and so is their product with
-exp(v.z), whose degree s is a sum of products with powers of v.z.  Its
-coefficients are read back as balanced digits of width k; the width that
-``_image_bits`` bounds keeps each within (-2^(k-1), 2^(k-1)), so they are
-read exactly.  The one product kernel, ``sum_of_products``, packs the
-degrees of its factors the same way; ``Series2.__mul__`` is its case of
-one pair.  ``Series2.mul_linear`` is two shifted copies of each row.
-Every packed kernel reads its result back once, by ``_unpack``.
+u = (a << k) + b, and one kernel, ``_horner``, makes the packed image of
+a row of numerators under two packed forms U, V by the homogeneous Horner
+step h <- h * U^g + s * V^(d-p): it steps in the narrower form and takes
+the powers of the other from a table, so each product has one short
+factor, and a run of g zero entries costs one multiply by a tabled
+power.  The packed image of a degree is one integer, as is the sum of
+the images of many cells, and so is their product with exp(v.z), whose
+degree s is a sum of products with powers of v.z (``_taylor_shift``).
+Its coefficients are read back as balanced digits of width k; the width
+that ``_image_bits`` bounds keeps each within (-2^(k-1), 2^(k-1)), so
+they are read exactly.  The one product kernel, ``sum_of_products``,
+packs the degrees of its factors the same way; ``Series2.__mul__`` is
+its case of one pair.  ``Series2.mul_linear`` is two shifted copies of
+each row.  Every packed kernel reads its result back once, by
+``_unpack``.
 
 A series holds its int numerators by total degree, over one int den >= 1:
 rows[d] is the list of the d + 1 numerators of x^p y^(d-p), p = 0..d,
@@ -40,8 +45,8 @@ float is refused, since it is already rounded to binary.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat, zip_longest
-from math import comb, factorial, gcd, lcm
+from itertools import chain, compress, repeat, zip_longest
+from math import factorial, gcd, lcm
 
 Q = Fraction
 _ZERO = Q(0)
@@ -126,53 +131,108 @@ def coefficient_texts(f: "Series2") -> list:
     return texts
 
 
-def _packed_powers(a: int, b: int, n: int, k: int) -> list:
-    """[u^0, ..., u^n] for u = (a << k) + b: the linear form a*x + b*y
-    packed at x = 2^k, y = 1, so that u^p packs (a*x + b*y)^p."""
-    u = (a << k) + b
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * u)
-    return powers
+def _grow(powers: list, e: int):
+    """Extend the table powers = [1, u, u^2, ...] up to u^e."""
+    while len(powers) <= e:
+        powers.append(powers[-1] * powers[1])
 
 
-def _packed_cell(rows) -> tuple:
-    """What the packed substitution needs of integer rows by total degree:
-    (degrees, bits, top1, top2), degrees the list of (d, nums) for each
-    row d that is not all zero, nums its (p, s) with s != 0 standing for
-    s * x^p * y^(d-p); bits is the largest bit length of an s, and top1
-    and top2 are the highest powers p and d - p that any term needs, all
-    taken from the nonzero entries alone."""
-    degrees = []
-    big = top1 = top2 = 0
-    for d, row in enumerate(rows):
-        if any(row):
-            nums = [(p, s) for p, s in enumerate(row) if s]
-            degrees.append((d, nums))
-            big = max(big, max(row), -min(row))
-            top1 = max(top1, nums[-1][0])
-            top2 = max(top2, d - nums[0][0])
-    return degrees, big.bit_length(), top1, top2
+def _horner(row, steps: list, others: list, backwards=False) -> int:
+    """sum_p row[p] * S^p * O^(d-p) for d = len(row) - 1 (backwards:
+    sum_p row[p] * O^p * S^(d-p), the row read from its end), from the
+    power tables steps[j] = S^j and others[j] = O^j, grown here as far as
+    the row, not all zero, needs: h <- h * S^g + s * O^(d-p) over the
+    nonzero entries s = row[p], p falling, g the distance from the one
+    before, and one multiply by S^p after the last, at the lowest p.  A
+    row with no zero entry steps by S alone; one with a single entry is
+    one product."""
+    d = len(row) - 1
+    if 0 not in row:
+        if len(others) <= d:
+            _grow(others, d)
+        step, h = steps[1], 0
+        for s, v in zip(row if backwards else reversed(row), others):
+            h = h * step + s * v
+        return h
+    ps = list(compress(range(d + 1), row))   # the nonzero entries' places
+    if len(ps) == 1:
+        p = ps[0]
+        e, f = (d - p, p) if backwards else (p, d - p)
+        h = row[p]
+        if f:
+            if len(others) <= f:
+                _grow(others, f)
+            h *= others[f]
+        if e:
+            if len(steps) <= e:
+                _grow(steps, e)
+            h *= steps[e]
+        return h
+    if backwards:
+        row = row[::-1]
+        ps = [d - p for p in reversed(ps)]
+    low = ps[0]
+    if len(others) <= d - low:
+        _grow(others, d - low)
+    h, last = 0, ps[-1]
+    for p in reversed(ps):
+        g = last - p
+        if len(steps) <= g:
+            _grow(steps, g)
+        h = h * steps[g] + row[p] * others[d - p]
+        last = p
+    if low:
+        if len(steps) <= low:
+            _grow(steps, low)
+        h *= steps[low]
+    return h
+
+
+def _power_tables(first, second, k: int) -> tuple:
+    """(steps, others, backwards) for _horner to substitute
+    x -> a1*x + b1*y and y -> a2*x + b2*y, for the integer pairs
+    first = (a1, b1) and second = (a2, b2), at width k: it steps in the
+    narrower of the packed forms U and V, reading each row backwards when
+    that is V, and takes the powers of the other from a table."""
+    (a1, b1), (a2, b2) = first, second
+    u, v = (a1 << k) + b1, (a2 << k) + b2
+    if abs(v) < abs(u):
+        return [1, v], [1, u], True
+    return [1, u], [1, v], False
+
+
+def _substitute(rows, first, second, k: int) -> list:
+    """[h_0, h_1, ...], h_d the packed image at width k of rows[d], the
+    numerators of x^p y^(d-p), under the forms of _power_tables:
+    sum_p rows[d][p] * U^p * V^(d-p).  The rows are taken from the top
+    degree down, so that the power tables grow at once."""
+    steps, others, backwards = _power_tables(first, second, k)
+    out = [_horner(row, steps, others, backwards) if any(row) else 0
+           for row in reversed(rows)]
+    out.reverse()
+    return out
 
 
 def _image_bits(bits: int, n: int, first, second) -> int:
     """B with each coefficient of f(P1, P2) below 2^B, for f of top degree
     n with numerators below 2^bits and the forms P1, P2 of the integer
-    pairs first, second: with l1, l2 their sums of absolute values and
-    l = bitlen(max(l1, l2)), degree d is at most
-    sum_p |s| l1^p l2^(d-p) < 2^(bits + n*l + bitlen(n + 1))."""
+    pairs first, second: with l the larger of their sums of absolute
+    values, degree d is at most sum_p |s| l^p l^(d-p) < 2^bits (d + 1) l^d,
+    so B = bits + bitlen((n + 1) l^n)."""
     (a1, b1), (a2, b2) = first, second
-    ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2)).bit_length()
-    return bits + n * ell + (n + 1).bit_length()
+    ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2))
+    return bits + ((n + 1) * ell ** n).bit_length()
 
 
 def _width(images, spare: int = 0) -> int:
     """The width k for _packed_sum of the images (cell, first, second):
-    a sum of m images is below 2^B for B the largest _image_bits plus
-    bitlen(m), and k = B + spare + 2, so the caller may multiply it by up
-    to 2^spare before _unpack reads it, exactly below 2^(k-2)."""
+    a sum of m images is below 2^B for B the largest _image_bits,
+    bits + bitlen((n + 1) l^n), plus bitlen(m), and k = B + spare + 2, so
+    the caller may multiply it by up to 2^spare before _unpack reads it,
+    exactly below 2^(k-2): a twist by exp(v.z) takes
+    spare = bitlen((1 + l)^n), for l = |v0| + |v1|."""
     k = 0
-    for (degrees, bits, _, _), first, second in images:
+    for (degrees, bits), first, second in images:
         if degrees:
             k = max(k, _image_bits(bits, degrees[-1][0], first, second))
     return k + len(images).bit_length() + spare + 2
@@ -180,19 +240,29 @@ def _width(images, spare: int = 0) -> int:
 
 def _packed_sum(images, k: int, n: int) -> list:
     """[h_0, ..., h_n], h_d the degree d of the sum that _width describes
-    packed at x = 2^k, y = 1: one integer sum of the terms
-    s * U^p * V^(d-p), for U, V the _packed_powers of an image's two
-    forms, made once per image; no image may reach above degree n."""
+    packed at x = 2^k, y = 1: one integer sum of the _horner images of the
+    degrees of its cells, from the top degree down, as in _substitute; no
+    image may reach above degree n."""
     sums = [0] * (n + 1)
-    for (degrees, _, top1, top2), (a1, b1), (a2, b2) in images:
-        us = _packed_powers(a1, b1, top1, k)
-        vs = _packed_powers(a2, b2, top2, k)
-        for d, nums in degrees:
-            h = sums[d]
-            for p, s in nums:
-                h += s * us[p] * vs[d - p]
-            sums[d] = h
+    for (degrees, _), first, second in images:
+        steps, others, backwards = _power_tables(first, second, k)
+        for d, row in reversed(degrees):
+            sums[d] += _horner(row, steps, others, backwards)
     return sums
+
+
+def _taylor_shift(h: list, w: int) -> list:
+    """h with h[s] made sum_d C(s, d) * w^(s-d) * h[d], in place: the n
+    passes h[i] += w * h[i-1], i falling, for n = len(h) - 1.  For h the
+    packed degrees of a series times d! and w = (v0 << k) + v1, it is the
+    series times exp(v.z), degree s times s!; with l = |v0| + |v1| it
+    grows the coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s."""
+    if w:
+        n = len(h) - 1
+        for j in range(1, n + 1):
+            for i in range(n, j - 1, -1):
+                h[i] += w * h[i - 1]
+    return h
 
 
 def _unpack(packed, k: int, weights=None) -> list:
@@ -239,14 +309,19 @@ def _times(rows, weights) -> list:
 def _packed_degrees(rows, k: int) -> list:
     """[h_0, ...], h_d the int sum_p s * 2^(k*p) of the entries s of row
     d: degree d packed at x = 2^k, y = 1."""
-    out = []
-    for row in rows:
-        h = 0
-        if any(row):
-            for s in reversed(row):
-                h = (h << k) + s
-        out.append(h)
-    return out
+    return [_pack(row, k) if any(row) else 0 for row in rows]
+
+
+def _pack(row, k: int) -> int:
+    """sum_p row[p] * 2^(k*p): a short row by shifts, a long one as its
+    two halves, so that no shift runs over the whole row at every entry."""
+    if len(row) > 32:
+        m = len(row) // 2
+        return (_pack(row[m:], k) << (k * m)) + _pack(row[:m], k)
+    h = 0
+    for s in reversed(row):
+        h = (h << k) + s
+    return h
 
 
 def sum_of_products(pairs) -> "Series2":
@@ -294,6 +369,8 @@ def sum_of_products(pairs) -> "Series2":
 # module: series go in by packed_cells, and the sum of their images (a
 # polygon's faces, or the one face of mul_exp_linear or of
 # group.act_on_series) comes out of sum_of_images as one Series2.
+# laws.check_law packs a series into tables of its own, by the same
+# _substitute and _taylor_shift, and weighs them by d! only to twist.
 #
 # Series2.subst_linear and exp_linear stay apart.  A substitution routed
 # through the tables pays for the d! it does not need: on dense series of
@@ -305,17 +382,22 @@ def sum_of_products(pairs) -> "Series2":
 
 def packed_cells(fs) -> tuple:
     """(D, cells): the series fs, all of one order, as cells for
-    sum_of_images, the _packed_cell of each one's degree table over the
-    least D that makes every one of them integral.  Each f, with
-    numerators s over den, enters as t[d][p] = d! * s * D / den; the least
-    D for f alone is den / gcd(den, the d! * s), and D is their lcm."""
+    sum_of_images, each one's degree table t over the least D that makes
+    every one of them integral: (degrees, bits), degrees the (d, t[d])
+    for each row d that is not all zero, kept whole, and bits the largest
+    bit length of an entry.  Each f, with numerators s over den, enters
+    as t[d][p] = d! * s * D / den; the least D for f alone is
+    den / gcd(den, the d! * s), and D is their lcm."""
     n = fs[0].order
     fact = [factorial(d) for d in range(n + 1)]
     scaled = [(f._den, _times(f._rows, fact)) for f in fs]
     den = lcm(*(d // gcd(d, *chain.from_iterable(rows)) for d, rows in scaled))
-    return den, [_packed_cell([[s * den // d for s in row] if any(row)
-                               else row for row in rows])
-                 for d, rows in scaled]
+    cells = []
+    for d, rows in scaled:
+        degrees = [(e, [s * den // d for s in row])
+                   for e, row in enumerate(rows) if any(row)]
+        cells.append((degrees, _bits([row for _, row in degrees])))
+    return den, cells
 
 
 def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
@@ -330,30 +412,24 @@ def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
     back once.  The substituted cells of one translation v add up, by
     _packed_sum, to one packed integer h[d] per degree.  The twist by
     exp(v.z) makes degree s, times s!, the sum
-    sum_d C(s, d) * (v.z)^(s-d) * h[d]: a Taylor shift of h, made in
-    packed form, with w = (v0 << k) + v1 for v.z, by the n passes
-    h[i] += w * h[i-1], i falling.  With l = |v0| + |v1| it grows the
-    coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s
-    <= 2^(n * bitlen(l)), the spare bits of this translation's _width.
-    The T twisted sums are added in packed form, so k is the largest
-    _width plus bitlen(T), and read back once into the integer table t:
-    its coefficient of x^p y^(d-p) is t[d][p] / (den * d! * scale^d), or
-    t[d][p] * w[d] over den * w[0] for w[d] = n!/d! * scale^(n-d)."""
+    sum_d C(s, d) * (v.z)^(s-d) * h[d]: the _taylor_shift of h by
+    w = (v0 << k) + v1, packed v.z.  With l = |v0| + |v1| it grows the
+    coefficients at most by (1 + l)^n, the bitlen((1 + l)^n) spare bits of
+    this translation's _width.  The T twisted sums are added in packed
+    form, so k is the largest _width plus bitlen(T), and read back once
+    into the integer table t: its coefficient of x^p y^(d-p) is
+    t[d][p] / (den * d! * scale^d), or t[d][p] * w[d] over den * w[0] for
+    w[d] = n!/d! * scale^(n-d)."""
     by_v = {}
     for cell, v, u1, u2 in faces:
         if cell[0]:     # a zero series, such as c = 0, adds nothing
             by_v.setdefault(v, []).append((cell, u1, u2))
-    k = max((_width(images, n * (abs(v0) + abs(v1)).bit_length())
+    k = max((_width(images, ((1 + abs(v0) + abs(v1)) ** n).bit_length())
              for (v0, v1), images in by_v.items()), default=0) \
         + len(by_v).bit_length()
     total = [0] * (n + 1)
     for (v0, v1), images in by_v.items():
-        h = _packed_sum(images, k, n)
-        w = (v0 << k) + v1
-        if w:
-            for j in range(1, n + 1):
-                for i in range(n, j - 1, -1):
-                    h[i] += w * h[i - 1]
+        h = _taylor_shift(_packed_sum(images, k, n), (v0 << k) + v1)
         total = [a + b for a, b in zip(total, h)]
     w = [1] * (n + 1)
     for d in range(n, 0, -1):
@@ -508,26 +584,16 @@ class Series2:
         Coefficients may be rational; order is preserved since degree-n terms
         map to degree-n terms.  The work is done in integers: with L the lcm
         of the four entries' denominators, (a1 x + b1 y)^p is (L a1 x +
-        L b1 y)^p divided by L^p.  One pass over the rows makes each
-        degree d of the image one packed integer sum_p s * U^p * V^(d-p),
-        U and V the _packed_powers of the forms (a Kronecker substitution
-        at the width of _image_bits), exact over den * L^d, which is times
+        L b1 y)^p divided by L^p.  Each nonzero row d becomes one packed
+        integer, its _substitute image (a Kronecker substitution at the
+        width of _image_bits), exact over den * L^d, which is times
         L^(n-d) over den * L^n for n the top degree.
         """
         scale, (a1, b1, a2, b2) = _integral(*first, *second)
         rows = self._rows
         n = max(len(rows) - 1, 0)
         k = _image_bits(_bits(rows), n, (a1, b1), (a2, b2)) + 2
-        us = _packed_powers(a1, b1, n, k)
-        vs = _packed_powers(a2, b2, n, k)
-        sums = []
-        for d, row in enumerate(rows):
-            h = 0
-            if any(row):
-                for s, u, v in zip(row, us, vs[d::-1]):
-                    if s:
-                        h += s * u * v
-            sums.append(h)
+        sums = _substitute(rows, (a1, b1), (a2, b2), k)
         w = None if scale == 1 else [scale ** (n - d) for d in range(n + 1)]
         return Series2._of(_unpack(sums, k, w), self._den * scale ** n,
                            self.order)
@@ -675,26 +741,43 @@ def compose_univariate(g: Series2, inner: Series2) -> Series2:
 # special series
 
 
-# B_0, B_1, ...: grown up to the largest order asked (sharp asks for
-# B_0..B_order), never cut; it grows by a longer copy, so that no thread
-# sees a part table
-_BERNOULLI = [Q(1)]
+# B_0, B_1, ...: made up to the largest order asked (sharp asks for
+# B_0..B_order), never cut; a longer table replaces it whole, so that no
+# thread sees a part table
+_BERNOULLI = []
 
 
 def bernoulli_numbers(n_max: int):
-    """B_0..B_n_max (convention B_1 = -1/2) via the binomial recurrence,
-    each computed once: a new list, so a caller may change it."""
+    """B_0..B_n_max (convention B_1 = -1/2), kept up to the largest n_max
+    asked: a new list, so a caller may change it.  They come from the
+    tangent numbers T_m, in ints: B_2m = (-1)^(m+1) 2m T_m / (4^m (4^m - 1)),
+    and B_n = 0 for odd n > 1."""
     global _BERNOULLI
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     out = _BERNOULLI
     if len(out) <= n_max:
-        out = out[:]
-        for n in range(len(out), n_max + 1):
-            s = sum((comb(n + 1, k) * out[k] for k in range(n)), Q(0))
-            out.append(-s / (n + 1))
+        out = [Q(1), Q(-1, 2)] + [_ZERO] * (n_max - 1)
+        for m, t in enumerate(_tangent_numbers(n_max // 2), 1):
+            out[2 * m] = Q(2 * m * t if m % 2 else -2 * m * t,
+                           4 ** m * (4 ** m - 1))
         _BERNOULLI = out
     return out[:n_max + 1]
+
+
+def _tangent_numbers(m: int) -> list:
+    """[T_1, ..., T_m], the tangent numbers 1, 2, 16, 272, ... (the
+    coefficients of tan(x) = sum T_j x^(2j-1) / (2j-1)!), by the integer
+    recurrence of Brent and Harvey, "Fast computation of Bernoulli,
+    tangent and secant numbers" (2013): T_j starts as (j-1)!, and pass i
+    sets T_j = (j-i) T_(j-1) + (j-i+2) T_j for j = i..m."""
+    t = [0, 1] + [0] * (m - 1)
+    for j in range(2, m + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, m + 1):
+        for j in range(i, m + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:m + 1]
 
 
 def separable(f: Series2) -> Series2:

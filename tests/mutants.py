@@ -4,18 +4,20 @@
 
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
-total degree, in the Bernoulli numbers, in the triangulation and the
-lattice point walk, in the faces that the evaluator sums (a triangle's
-sides on the boundary, the sign of an interior point, the unimodularity
-check) or the cells that its equal values share, in the bound of a cache
-or the equality of the specs that key one, in the cache of spec files or
-the coefficient and exponent texts of the writer, in the Laplace oracle (the
+total degree, in the Horner substitution or the bound on its width, in
+the Bernoulli numbers, in the triangulation and the lattice point walk,
+in the faces that the evaluator sums (a triangle's sides on the
+boundary, the sign of an interior point, the unimodularity check) or the
+cells that its equal values share, in the bound of a cache or the
+equality of the specs that key one, in the cache of spec files or the
+coefficient and exponent texts of the writer, in the Laplace oracle (the
 degree scale or the weight of a fan triangle), in the packed forms that
 the solution spaces are solved on, in the membership check of a rho in
-V_d, in the sides of a law, in the laws that check D4 invariance, the
-substitution that checks f0gl2z, the leading-term reduction of
-``d4_decompose`` or its inverse ``d4_compose``, in the sharp
-and dagger transforms or the change to (s, t), or in a bound on input.
+V_d, in the sides of a law or the packed tables that check_law compares,
+in the laws that check D4 invariance, the substitution that checks
+f0gl2z, the leading-term reduction of ``d4_decompose`` or its inverse
+``d4_compose``, in the sharp and dagger transforms or the change to
+(s, t), or in a bound on input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -82,9 +84,14 @@ MUTANTS = [
      "scaled = [(f._den, _times(f._rows, fact)) for f in fs]",
      "scaled = [(f._den, f._rows) for f in fs]",
      ["test_series.py::test_mul_exp_linear_inverse"]),
-    ("packed cell: power tables of y too short", "series.py",
-     "top2 = max(top2, d - nums[0][0])", "top2 = max(top2, d - nums[-1][0])",
-     ["test_series.py::test_sum_of_images_matches_fraction_expansion"]),
+    ("horner: the jump over a zero run dropped", "series.py",
+     "h = h * steps[g] + row[p] * others[d - p]",
+     "h = h * steps[min(g, 1)] + row[p] * others[d - p]",
+     ["test_series.py::test_subst_linear_matches_fraction_expansion"]),
+    ("image bits: the bound one factor l short", "series.py",
+     "bits + ((n + 1) * ell ** n).bit_length()",
+     "bits + ((n + 1) * ell ** max(n - 1, 0)).bit_length()",
+     ["test_series.py::test_kernels_at_the_width_edge"]),
     ("sum_of_products: a pair's factor left out", "series.py",
      "h *= m", "h *= 1",
      ["test_series.py::test_sum_of_products_matches_fraction_double_loops"]),
@@ -92,7 +99,7 @@ MUTANTS = [
      "p >= 0 and q >= 0", "p >= 0",
      ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
     ("bernoulli: B_0 = 0", "series.py",
-     "_BERNOULLI = [Q(1)]", "_BERNOULLI = [Q(0)]",
+     "out = [Q(1), Q(-1, 2)]", "out = [Q(0), Q(-1, 2)]",
      ["test_series.py::test_bernoulli"]),
     ("sweep: the lower chain pops collinear points", "geometry.py",
      "_cross(lower[-2], lower[-1], p) < 0",
@@ -239,6 +246,16 @@ MUTANTS = [
      "rho.subst_linear((Q(1, 2), Q(-1, 2)), (0, 1))",
      "rho.subst_linear((1, Q(-1, 2)), (0, 1))",
      ["test_laws.py::test_to_st_sends_solutions_to_Adoubleprime"]),
+    ("check_law: the packed sides compared one degree short", "laws.py",
+     "enumerate(zip(lhs.pack(k), rhs.pack(k)))",
+     "enumerate(zip(lhs.pack(k)[:-1], rhs.pack(k)[:-1]))",
+     ["test_laws.py::test_check_law_equals_the_series_route[B]"]),
+    ("check_law: a twisted table without its d!", "laws.py",
+     "t = self.weighted_table()", "t = self",
+     ["test_laws.py::test_check_law_equals_the_series_route[C]"]),
+    ("check_law: the sides read back from each other", "laws.py",
+     "for x in (g, h))", "for x in (h, g))",
+     ["test_laws.py::test_check_law_equals_the_series_route[B]"]),
     ("dagger: the bracket divided by x, not y", "laws.py",
      "return divide_linear(bracket, 0, 1)",
      "return divide_linear(bracket, 1, 0)",

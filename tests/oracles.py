@@ -27,6 +27,10 @@ used here.
   Gitterpolytopen", 1985) it is a + s * b(P)/2 + t * area2(P), a
   combination of the Ehrhart coefficients.  For a segment, b(P)/2 is its
   lattice length; for a point, 0.
+- ``law_report_by_series``: the report of a law from its equations in
+  ``laws.law_sides`` taken on the series itself, each side assembled by
+  the ``Series2`` kernels and compared by ``Series2.first_difference``,
+  which ``laws.check_law``, on packed tables, must equal.
 - ``constraint_matrix``: the residual rows of homogeneous laws on the
   degree-d monomials, made through the ``Series2`` kernels: each monomial
   goes through ``laws.law_sides`` as a series, so these rows share no
@@ -49,6 +53,9 @@ used here.
   cell-complexes", 1971) its coefficient of x^p y^q at mP is
   (-1)^(e + p + q) times that of Z(mP), as a polynomial in m, read at -m,
   for e the dimension of P.
+- ``bernoulli_by_recurrence``: B_0..B_n by the binomial recurrence in
+  Fractions, which ``series.bernoulli_numbers`` computes from the tangent
+  numbers in ints.
 - ``reassemble`` and ``surface_formula_check``: the spec that dilative
   components add up to, and the comparison of Z(P) with half the sum of
   Z over the edges of P, which holds for odd specs.
@@ -56,13 +63,13 @@ used here.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from latval import linalg
 from latval.geometry import (NotFullDimensional, area2,
                              boundary_lattice_points, lattice_points)
-from latval.laws import (D4_LAWS, NotInvariant, check_law, law_sides,
-                         violation_text)
+from latval.laws import (D4_LAWS, LawReport, NotInvariant, check_law,
+                         law_sides, violation_text)
 from latval.series import Series2
 from latval.valuation import (DilativeComponents, ValuationSpec, cosh_type_g,
                               evaluator_for, odd_basis_g)
@@ -135,6 +142,30 @@ def betke_kneser_constant(P, a, s, t) -> Fraction:
         return a + s * Fraction(len(boundary_lattice_points(P)), 2) \
             + t * area2(P)
     return a + s * (len(lattice_points(P)) - 1)
+
+
+def law_report_by_series(law: str, f: Series2) -> LawReport:
+    """The report of law on f built from the equations of law_sides on
+    the Series2 f: the first difference of the first equation that has
+    one, at that equation's common order, else the lowest common order of
+    them all."""
+    equations = law_sides(law, f)
+    orders = [min(lhs.order, rhs.order) for lhs, rhs in equations]
+    for (lhs, rhs), order in zip(equations, orders):
+        diff = lhs.first_difference(rhs, order)
+        if diff is not None:
+            return LawReport(law, False, order, diff)
+    return LawReport(law, True, min(orders), None)
+
+
+def bernoulli_by_recurrence(n_max: int) -> list:
+    """B_0..B_n_max (B_1 = -1/2) by the binomial recurrence
+    B_n = -1/(n + 1) sum_(k<n) C(n + 1, k) B_k, in Fractions."""
+    out = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        out.append(-sum((comb(n + 1, k) * out[k] for k in range(n)),
+                        Fraction(0)) / (n + 1))
+    return out
 
 
 def constraint_matrix(d: int, law_ids) -> list:

@@ -315,9 +315,22 @@ def test_split_pairs():
         split_pairs(T)
 
 
+def split_pairs_by_hulls(P):
+    """The chord splittings of P, each part the hull_normalize of its arc
+    of boundary points (the oracle): for each pair i < j of boundary
+    points, in order, the arcs from i to j and from j back to i, kept when
+    both hulls are full-dimensional."""
+    b = boundary_lattice_points(P)
+    pairs = [(hull_normalize(b[i:j + 1]), hull_normalize(b[j:] + b[:i + 1]))
+             for i in range(len(b)) for j in range(i + 1, len(b))]
+    return [(P1, P2) for P1, P2 in pairs if P1.dim == P2.dim == 2]
+
+
 def _check_split_pairs(P):
-    """Each pair's areas add up to P's, its parts meet in a segment, and
+    """The pairs are those of the hulls of the arcs, in the same order;
+    each pair's areas add up to P's, its parts meet in a segment, and
     their union is P."""
+    assert split_pairs(P) == split_pairs_by_hulls(P)
     for P1, P2 in split_pairs(P):
         assert area2(P1) + area2(P2) == area2(P)
         assert chord_of_split(P1, P2).dim == 1

@@ -21,7 +21,7 @@ from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
 from latval.series import (NotDivisible, Series2, divide_linear, exp_linear,
                            mul_exp_linear, special_series)
 from oracles import (d4_compose_by_powers, d4_decompose_by_solve,
-                     invariant_generators)
+                     invariant_generators, law_report_by_series)
 from test_group import dense_series2s, series2s
 
 
@@ -365,19 +365,6 @@ def test_f0gl2z_equals_the_report_through_the_action(f):
     assert check_law("f0gl2z", f) == f0gl2z_by_the_action(f)
 
 
-def report_of_the_equations(law, f):
-    """The report of law on f built from the equations of law_sides: the
-    first difference of the first equation that has one, at that
-    equation's common order, else the lowest common order of them all."""
-    equations = law_sides(law, f)
-    orders = [min(lhs.order, rhs.order) for lhs, rhs in equations]
-    for (lhs, rhs), order in zip(equations, orders):
-        diff = lhs.first_difference(rhs, order)
-        if diff is not None:
-            return LawReport(law, False, order, diff)
-    return LawReport(law, True, min(orders), None)
-
-
 @pytest.mark.parametrize("law", LAW_IDS)
 def test_every_law_is_written_out_by_law_sides(law):
     # one equation per law, and one per generator of GL(2, Z) for f0gl2z;
@@ -391,8 +378,105 @@ def test_every_law_is_written_out_by_law_sides(law):
     for f in inputs:
         assert len(law_sides(law, f)) \
             == (len(GL2Z_GENERATORS) if law == "f0gl2z" else 1)
-        assert check_law(law, f) == report_of_the_equations(law, f)
+        assert check_law(law, f) == law_report_by_series(law, f)
     assert [check_law(law, f).holds for f in inputs[:2]] == [True, False]
+
+
+def _rational(rng):
+    """A rational of up to three digits above and below."""
+    return Q(rng.randint(-999, 999), rng.randint(1, 999))
+
+
+def law_family(kind, n, rng):
+    """A series of order n of the family on which HOLDS_ON says a law
+    holds: a solution rho (a combination of the bases of V_d), its dagger
+    f2, its (s, t) image sigma, an f1 = g(x^2) e^(x/2), or a constant."""
+    if kind == "const":
+        return Series2.constant(_rational(rng), n)
+    if kind == "f1":
+        g = series.Series1({2 * i: _rational(rng) for i in range(n // 2 + 1)},
+                           n)
+        return g * exp_linear(Q(1, 2), 0, n)
+    top = n + 1 if kind == "f2" else n
+    rho = Series2.zero(top)
+    for d in range(0, top + 1, 2):
+        for v in vspace.vd_basis(d).vectors:
+            rho = rho + vspace.from_coefficients(v, d, top).scalar_mul(
+                _rational(rng))
+    return {"rho": rho, "f2": dagger(rho) if top else rho,
+            "sigma": to_st(rho)}[kind]
+
+
+@st.composite
+def law_inputs(draw, law):
+    """A series of order 0-40 with numerators and denominators of up to
+    three digits: dense, in x alone, in y alone, sparse, of the family on
+    which the law holds, or of that family with one term changed, half of
+    the time one of the top degree."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["dense", "x", "y", "sparse", "holds",
+                                 "changed"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind in ("holds", "changed"):
+        f = law_family(HOLDS_ON.get(law, "rho"), n, rng)
+        if kind == "changed":   # often at the top degree
+            d = rng.choice([n, rng.randint(0, n)])
+            p = rng.randint(0, d)
+            f = f + Series2.monomial(_rational(rng) or 1, p, d - p, n)
+        return f
+    keep = {"dense": lambda p, d: True, "x": lambda p, d: p == d,
+            "y": lambda p, d: p == 0,
+            "sparse": lambda p, d: rng.random() < 0.2}[kind]
+    return Series2({(p, d - p): _rational(rng) for d in range(n + 1)
+                    for p in range(d + 1) if keep(p, d)}, n)
+
+
+def law_outcome(report, law, f):
+    """The report of law on f, or the type and text of what it raises."""
+    try:
+        return report(law, f)
+    except Exception as exc:   # whatever the route raises must match
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("law", LAW_IDS + ("no such law",))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_check_law_equals_the_series_route(law, data):
+    # check_law on packed tables against law_sides on the Series2 and
+    # first_difference: the same report, or the same error
+    f = data.draw(law_inputs(law))
+    assert law_outcome(check_law, law, f) \
+        == law_outcome(law_report_by_series, law, f)
+
+
+def table_series(t, den):
+    """The series that the _Table t of a series over den stands for, read
+    back whole at the width of its bounds."""
+    k = max(t.bounds).bit_length() + 2
+    rows = series._unpack(t.pack(k), k)
+    return Series2({(p, d - p): Q(s, den * (factorial(d) if t.weighted
+                                            else 1))
+                    for d, row in enumerate(rows) for p, s in enumerate(row)
+                    if s}, t.order)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: laws._mul_exp(f.subst_linear((1, 2), (0, -1)), 1, -1)
+    .mul_linear(2, -1),
+    lambda f: laws._mul_exp(laws._mul_exp(f, 1, 0), 0, -2)
+    - f.subst_linear((3, 1), (-1, 1)).mul_linear(1, 1),
+    lambda f: f.mul_linear(0, 1) + laws._mul_exp(f, -2, 1)],
+    ids=["twist then factor", "two twists", "factor and twist"])
+def test_tables_follow_the_series_kernels_beyond_law_sides(build):
+    # combinations that no law makes: a twisted table times a linear form,
+    # and a table twisted twice, read back whole at their bounds
+    for f in (random_series(random.Random(4), order=9),
+              Series2({(p, d - p): Q(10**30 + p, 7 + d) for d in range(13)
+                       for p in range(d + 1)}, 12)):
+        den, _ = f.numerators()
+        assert table_series(build(laws._Table.of(f)), den).key() \
+            == build(f).key()
 
 
 def test_d4_decompose_round_trip():

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction as Q
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +15,7 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            divide_linear, exp_linear, mul_exp_linear,
                            packed_cells, separable, special_series,
                            sum_of_images, sum_of_products)
+from oracles import bernoulli_by_recurrence
 
 
 class DegreeExceedsOrder(SeriesError):
@@ -203,27 +204,30 @@ def test_bernoulli():
     assert b[3] == 0 and b[4] == Q(-1, 30) and b[8] == Q(-1, 30)
 
 
-def plain_bernoulli(n_max):
-    """B_0..B_n_max by the binomial recurrence in Fractions (the oracle)."""
-    out = [Q(1)]
-    for n in range(1, n_max + 1):
-        out.append(-sum((comb(n + 1, k) * out[k] for k in range(n)), Q(0))
-                   / (n + 1))
-    return out
+def test_bernoulli_numbers_equal_the_recurrence_to_200(monkeypatch):
+    # the tangent numbers in ints against the binomial recurrence in
+    # Fractions: the same Fractions, in lowest terms, from an empty table
+    monkeypatch.setattr(series, "_BERNOULLI", [])
+    got = bernoulli_numbers(200)
+    assert all(type(b) is Q for b in got)
+    assert got == bernoulli_by_recurrence(200)
+    for n in (0, 1, 2, 3):
+        monkeypatch.setattr(series, "_BERNOULLI", [])
+        assert bernoulli_numbers(n) == bernoulli_by_recurrence(n)
 
 
 def test_bernoulli_numbers_are_made_once_and_handed_out_as_copies(
         monkeypatch):
     # an empty table, grown to 20, read below it at 8, grown again to 25;
     # each returned list is then changed, which no later call may see
-    monkeypatch.setattr(series, "_BERNOULLI", [Q(1)])
+    monkeypatch.setattr(series, "_BERNOULLI", [])
     for n in (20, 8, 25):
         got = bernoulli_numbers(n)
-        assert got == plain_bernoulli(n)
+        assert got == bernoulli_by_recurrence(n)
         got[1:] = [Q(7)] * n
         got.append(Q(5))
-    assert bernoulli_numbers(25) == plain_bernoulli(25)
-    assert bernoulli_numbers(3) == plain_bernoulli(3)
+    assert bernoulli_numbers(25) == bernoulli_by_recurrence(25)
+    assert bernoulli_numbers(3) == bernoulli_by_recurrence(3)
 
 
 def fraction_special_series(kind, order):
@@ -233,7 +237,7 @@ def fraction_special_series(kind, order):
         return Series1({n: Q(1, factorial(n + 1)) for n in range(order + 1)},
                        order)
     if kind == "t_over_expm1":
-        bern = plain_bernoulli(order)
+        bern = bernoulli_by_recurrence(order)
         return Series1({n: bern[n] / factorial(n) for n in range(order + 1)},
                        order)
     return Series2({(p, q): Q(1, factorial(p + q + 1))
@@ -463,13 +467,15 @@ def test_mul_of_dense_series_matches_fraction_double_loop():
 def naive_subst(f, first, second):
     """f(a1*x + b1*y, a2*x + b2*y), the powers of each form expanded by
     plain Fraction loops (the oracle)."""
-    def powers(a, b):   # row k: {i: coefficient of x^i y^(k-i)}
+    def powers(a, b):   # row k: {i: nonzero coefficient of x^i y^(k-i)}
         rows = [{0: 1}]
         for _ in range(f.order):
             nxt = {}
             for i, c in rows[-1].items():
-                nxt[i + 1] = nxt.get(i + 1, 0) + c * a
-                nxt[i] = nxt.get(i, 0) + c * b
+                if a:
+                    nxt[i + 1] = nxt.get(i + 1, 0) + c * a
+                if b:
+                    nxt[i] = nxt.get(i, 0) + c * b
             rows.append(nxt)
         return rows
 
@@ -518,10 +524,46 @@ any_series = st.one_of(
 
 @settings(max_examples=100)
 @given(any_series, st.one_of(matrices(), integer_frames()))
+# rows with runs of zeros inside and below their entries, each run one jump
+@example(Series2({(0, 3): -2, (1, 2): 5, (3, 0): 1, (4, 1): 7, (2, 3): 3}, 5),
+         ((2, 1), (1, 3)))
 def test_subst_linear_matches_fraction_expansion(f, m):
     # rational, singular and large integer matrices on sparse and dense
     # series of orders 0-20
     assert f.subst_linear(*m).key() == naive_subst(f, *m).key()
+
+
+@pytest.mark.parametrize("order", [30, 47, 60])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_kernels_at_the_width_edge(ell, order):
+    # numerators 2^b - 1, all of one sign or of alternating signs, under
+    # forms that send x and y to +-ell times one variable: each
+    # coefficient of the image is +-(d + 1) * ell^d * (2^b - 1), the bound
+    # of _image_bits, so a width short of it reads a wrong digit (at
+    # ell = 3, one factor ell short is two bits short at these orders);
+    # and the same numerators over d!, in x alone or dense, twisted by
+    # exp(x / ell) or exp(x)
+    n = order
+    for b in (1, 7, 64):
+        top = 2 ** b - 1
+        same = Series2({(p, d - p): top for d in range(n + 1)
+                        for p in range(d + 1)}, n)
+        alternating = Series2({(p, d - p): (-1) ** p * top
+                               for d in range(n + 1) for p in range(d + 1)},
+                              n)
+        for f, m in ((same, ((ell, 0), (ell, 0))),
+                     (alternating, ((ell, 0), (-ell, 0))),
+                     (alternating, ((0, -ell), (0, ell)))):
+            assert f.subst_linear(*m).key() == naive_subst(f, *m).key()
+        exp_x = Series2({(d, 0): Q(top, factorial(d)) for d in range(n + 1)},
+                        n)
+        for alpha in (Q(1, ell), 1):
+            assert mul_exp_linear(exp_x, alpha, 0).key() \
+                == naive_product(exp_x, exp_linear(alpha, 0, n)).key()
+    dense = Series2({(p, d - p): Q(2 ** 64 - 1, factorial(d))
+                     for d in range(31) for p in range(d + 1)}, 30)
+    assert mul_exp_linear(dense, Q(1, ell), 0).key() \
+        == naive_product(dense, exp_linear(Q(1, ell), 0, 30)).key()
 
 
 def naive_mul_linear(f, a, b):
