@@ -9,9 +9,9 @@ and every displayed functional equation is available as a machine check
 returning a structured report (a violated law is a report, not an error).
 ``law_sides`` is the one place where a law is written out, as a list of
 equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
-generators); ``check_law``, the solution spaces of ``vspace`` and the
-refusal of a series that is not D4-invariant by ``d4_decompose`` are
-built from it.  It takes a ``Series2`` or anything with the operations it
+generators); ``check_law`` (and through it the check of a spec's rho),
+the solution spaces of ``vspace`` and the refusal of a series that is
+not D4-invariant by ``d4_decompose`` are built from it.  It takes a ``Series2`` or anything with the operations it
 uses: ``check_law`` hands it ``_Table``, the series packed degree by
 degree (Kronecker substitution, as in ``series``), as ``vspace`` hands it
 packed forms.  Each degree of a side is one int at one width, set by

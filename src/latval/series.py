@@ -228,8 +228,8 @@ def _width(images, spare: int = 0) -> int:
     """The width k for _packed_sum of the images (cell, first, second):
     a sum of m images is below 2^B for B the largest _image_bits,
     bits + bitlen((n + 1) l^n), plus bitlen(m), and k = B + spare + 2, so
-    the caller may multiply it by up to 2^spare before _unpack reads it,
-    exactly below 2^(k-2): a twist by exp(v.z) takes
+    the caller may multiply it by up to 2^spare and it stays below
+    2^(k-2), within what _unpack reads exactly: a twist by exp(v.z) takes
     spare = bitlen((1 + l)^n), for l = |v0| + |v1|."""
     k = 0
     for (degrees, bits), first, second in images:
@@ -268,8 +268,8 @@ def _taylor_shift(h: list, w: int) -> list:
 def _unpack(packed, k: int, weights=None) -> list:
     """The rows [s_0 * weights[d], ..., s_d * weights[d]] (weights None:
     the s_i) of the balanced digits s_i of width k of each packed degree
-    packed[d]: the coefficients of x^i y^(d-i), exact while below 2^(k-2)
-    in size."""
+    packed[d]: the coefficients of x^i y^(d-i), exact while each lies in
+    [-2^(k-1), 2^(k-1))."""
     mask, half = (1 << k) - 1, (1 << k) >> 1   # k = 0 for a zero sum
     rows = []
     # offset: half in each of the digits 0..d, which makes them all

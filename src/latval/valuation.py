@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, gcd
 
 from .geometry import (LatticePolygon, NotSegment,
                        boundary_lattice_points, hull_normalize,
@@ -56,7 +56,6 @@ from .laws import RHO_LAWS, check_law, dagger, violation_text
 from .series import (DEFAULT_ORDER, Series1, Series2, divide_linear,
                      exp_linear, mul_exp_linear, packed_cells,
                      special_series, sum_of_images)
-from .vspace import satisfies_rho_laws
 
 Q = Fraction
 
@@ -128,9 +127,9 @@ class ValuationSpec:
         if self.rho.order < 1:   # dagger, a division, loses one order
             raise ValueError(f"rho has order {self.rho.order}; it must "
                              "have order >= 1")
-        if not satisfies_rho_laws(self.rho):
-            for law in RHO_LAWS:   # the first violation, for the report
-                report = check_law(law, self.rho)
+        for law in RHO_LAWS:
+            for part in _homogeneous_parts(self.rho):
+                report = check_law(law, part)
                 if not report.holds:
                     raise InvalidRho(report)
         # made once: the spec is frozen and its series are not changed
@@ -147,6 +146,22 @@ class ValuationSpec:
 
     def __hash__(self):
         return self._hash
+
+
+def _homogeneous_parts(rho: Series2):
+    """The nonzero homogeneous parts of rho, lowest degree first, each a
+    series of rho's order over its own denominator, so that no part's
+    numerators grow to the common denominator of the others; one at a
+    time, since each holds its zero rows.  The laws RHO_LAWS are linear
+    and graded: (A') raises each degree by one and (E) keeps it, so each
+    coefficient of a residual comes from one part, and the lowest part
+    that fails a law gives the report of check_law on the whole of rho."""
+    den, rows = rho.numerators()
+    for d, row in enumerate(rows):
+        if any(row):
+            g = gcd(den, *row)   # reduced here, so _of reads no zero row
+            yield Series2._of([[0] * (e + 1) for e in range(d)]
+                              + [[s // g for s in row]], den // g, rho.order)
 
 
 @dataclass(frozen=True)

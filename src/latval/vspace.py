@@ -26,9 +26,10 @@ rows of (E) come out zero, those of (A') have about half the columns,
 and the kernel goes back to monomials by the binomials C(2j, k).
 
 V_d has one representation, its basis, kept by ``_degree(d)``, an
-lru_cache of DEGREES_MAX degrees.  ``vd_basis``, ``st_basis``,
-``dims_table`` and ``satisfies_rho_laws`` (the rho check) read it, so V_d
-is solved once while kept (or once per thread racing that solve).
+lru_cache of DEGREES_MAX degrees.  ``vd_basis``, ``st_basis`` and
+``dims_table`` read it, so V_d is solved once while kept (or once per
+thread racing that solve).  A spec's rho is checked without it, by
+``check_law`` on each homogeneous part (``valuation``).
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from . import laws, linalg
-from .series import Series2
+from .series import Series2, _unpack
 
 
 def from_coefficients(coeffs, d: int, order=None) -> Series2:
@@ -149,22 +150,12 @@ class _Forms:
                       [s + t for s, t in zip(self.bounds, other.bounds)])
 
     def rows(self) -> list:
-        """Row i: the coefficients of x^(degree-i) y^i of the forms, read
-        as balanced digits of width k, exact while each bound is below
-        2^(k-1)."""
-        k, n = self.k, self.degree + 1
-        mask, half = (1 << k) - 1, 1 << (k - 1)
-        # half in each of the n digits, which makes them all nonnegative
-        offset = half * ((1 << (k * n)) - 1) // mask
-        cols = []
-        for h in self.cols:
-            h += offset
-            col = [0] * n
-            for i in range(n - 1, -1, -1):   # the lowest digit is y^(n-1)
-                col[i] = (h & mask) - half
-                h >>= k
-            cols.append(col)
-        return [list(r) for r in zip(*cols)]
+        """Row i: the coefficients of x^(degree-i) y^i of the forms, exact
+        while each bound is below 2^(k-1).  One series._unpack reads them
+        all, form j as packed degree degree + j, whose top j digits are 0."""
+        n = self.degree + 1
+        cols = _unpack([0] * self.degree + self.cols, self.k)[n - 1:]
+        return [list(r) for r in zip(*(col[n - 1::-1] for col in cols))]
 
 
 @dataclass(frozen=True)
@@ -211,29 +202,6 @@ def _solve(d: int) -> VdBasis:
                             for j in range((k + 1) // 2, len(c)))
                         for k in range(d + 1)])
     return VdBasis(d, tuple(tuple(r) for r in linalg.rref(vectors)[0]))
-
-
-def satisfies_rho_laws(rho: Series2) -> bool:
-    """Whether rho satisfies RHO_LAWS.  They are linear and graded, so it
-    does when each homogeneous part (rho[d - k, k])_k, read as its integer
-    numerators, is in V_d: when subtracting part[pivot] * v for each
-    vector v of V_d's reduced echelon basis, whose first nonzero entry
-    v[pivot] is 1, leaves zero.  It is done in integers: with v scaled by
-    the lcm m of its denominators, the part becomes
-    m * part - part[pivot] * (m * v)."""
-    _, parts = rho.numerators()
-    for d, part in enumerate(parts):
-        if any(part):
-            part = part[::-1]
-            for v in _degree(d).vectors:
-                f = part[v.index(1)]
-                if f:
-                    m = lcm(*(x.denominator for x in v))
-                    part = [m * a - f * x.numerator * (m // x.denominator)
-                            for a, x in zip(part, v)]
-            if any(part):
-                return False
-    return True
 
 
 def predicted_dim(d: int) -> int:

@@ -45,6 +45,10 @@ POINT = {"vertices": [[3, -2]]}
 DENSE_200 = {"vars": ["x", "y"], "order": 200,
              "terms": [{"e": [p, d - p], "c": f"{p % 9 + 1}/{d % 8 + 2}"}
                        for d in range(201) for p in range(d + 1)]}
+RHO_X400 = {"c": "1", "order": 400,
+            "rho": {"vars": ["x", "y"], "order": 400,
+                    "terms": [{"e": [0, 0], "c": "1"},
+                              {"e": [400, 0], "c": "1"}]}}
 RHO_ORDER_0 = {"c": "1", "order": 12,
                "rho": {"vars": ["x", "y"], "order": 0,
                        "terms": [{"e": [0, 0], "c": "-1"}]}}
@@ -121,6 +125,9 @@ def _run(tree, tmp) -> tuple:
 # 6 lattice points in 10^20 + 1 columns: each column was walked
 @example(tree=["evaluate", "--spec", TREES["evaluate_two_t_simple"][2],
                "--polygon", WIDE_T])
+# rho = 1 + x^400: solving V_400 to refuse it took about 27 s
+@example(tree=["evaluate", "--spec", RHO_X400,
+               "--polygon", TREES["evaluate_two_t_simple"][4]])
 # dagger(rho) would have order -1
 @example(tree=["construct", "--spec", RHO_ORDER_0])
 # m^(-delta) with 14 million digits

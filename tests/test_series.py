@@ -566,6 +566,17 @@ def test_kernels_at_the_width_edge(ell, order):
         == naive_product(dense, exp_linear(Q(1, ell), 0, 30)).key()
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 17, 64])
+def test_unpack_is_exact_on_the_balanced_digits_of_width_k(k):
+    # digits -2^(k-1) and 2^(k-1) - 1 in every place of a degree, alone and
+    # mixed, read back exactly; 2^(k-1) does not fit in a digit
+    half = 1 << (k - 1)
+    for row in ([-half] * 4, [half - 1] * 4, [-half, half - 1, 0, -half],
+                [half - 1, -half, -half, half - 1]):
+        assert series._unpack([0] * 3 + [series._pack(row, k)], k)[3] == row
+    assert series._unpack([0, series._pack([half, 0], k)], k)[1] != [half, 0]
+
+
 def naive_mul_linear(f, a, b):
     """f * (a*x + b*y) by a plain Fraction loop over f's terms (the
     oracle), one order beyond f's."""

@@ -367,14 +367,28 @@ def candidate_rhos(draw):
     return rho
 
 
+# every vd_basis vector of each degree up to 14, with rational weights
+DENSE_RHO = sum((vspace.from_coefficients(v, d, 14).scalar_mul(Q(d + 1, j + 2))
+                 for d in range(15) for j, v in enumerate(BASES[d].vectors)),
+                Series2.zero(14))
+
+
 @given(candidate_rhos())
+# x^2 + xy - y^2 satisfies Aprime and violates E, and x^3 violates Aprime:
+# Aprime at degree 3 is reported, not E at degree 2
+@example(Series2({(0, 0): 1, (2, 0): 1, (1, 1): 1, (0, 2): -1, (3, 0): 1},
+                 4))
+# two parts that violate Aprime: the lower one is reported
+@example(Series2({(1, 0): 1, (0, 3): Q(1, 2)}, 4))
+@example(DENSE_RHO)
+@example(DENSE_RHO + Series2.monomial(Q(1, 7), 9, 3, 14))
 def test_spec_accepts_exactly_the_rho_that_satisfy_the_laws(rho):
-    # the kernel check agrees with check_law, and a rejection reports the
-    # first law that check_law finds violated, at the same exponent
+    # the spec checks each homogeneous part, and a rejection reports what
+    # check_law reports on the whole of rho for the first law it finds
+    # violated
     failed = next((report for report in (check_law(law, rho)
                                          for law in RHO_LAWS)
                    if not report.holds), None)
-    assert vspace.satisfies_rho_laws(rho) == (failed is None)
     if rho.order == 0:   # dagger(rho) would have order -1
         with pytest.raises(ValueError, match="^rho has order 0; it must"):
             ValuationSpec(0, None, rho, 1)

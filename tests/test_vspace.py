@@ -12,6 +12,7 @@ import oracles
 from latval import laws, linalg, vspace
 from latval.laws import check_law, dagger
 from latval.series import NotDivisible, Series2
+from latval.valuation import InvalidRho, ValuationSpec
 
 EXPECTED_EVEN_DIMS = [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2, 3, 3]
 
@@ -243,22 +244,18 @@ def test_st_basis_reads_the_one_solve_of_vd_basis(solves):
     assert solves == list(range(25))
 
 
-def test_rho_check_agrees_with_check_law_after_eviction(monkeypatch, solves):
-    small_degree_cache(monkeypatch)
-    valid = vspace.vd_basis(6).polynomials()[0]
-    invalid = valid + Series2.monomial(1, 5, 1, 6)
-    for d in (10, 12, 14):
-        vspace.vd_basis(d)
-    before = vspace._degree.cache_info()
-    for rho in (valid, invalid):
-        holds = all(check_law(law, rho).holds for law in laws.RHO_LAWS)
-        assert vspace.satisfies_rho_laws(rho) == holds
-    # degree 6 was evicted, so the check solved it again once, then kept it
-    after = vspace._degree.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert not vspace.satisfies_rho_laws(invalid)
-    assert vspace.vd_basis(6).vectors == oracle_basis(6)
-    assert solves == [6, 10, 12, 14, 6]
+def test_rho_check_solves_no_vd(solves):
+    # the spec checks rho's parts by check_law alone, so neither a valid
+    # rho nor an invalid one, with parts at degrees 6, 10, 12 and 14,
+    # solves V_d
+    valid = sum((vspace.from_coefficients(v, d, 14) for d in (6, 10, 12, 14)
+                 for v in oracle_basis(d)), Series2.zero(14))
+    invalid = valid + Series2.monomial(1, 5, 7, 14)
+    ValuationSpec(0, None, valid, 14)
+    with pytest.raises(InvalidRho) as err:
+        ValuationSpec(0, None, invalid, 14)
+    assert err.value.report == check_law("Aprime", invalid)
+    assert solves == []
 
 
 # the degrees in 12..40 at which V_d has at least two dimensions
@@ -292,10 +289,7 @@ def rhos_of_wide_degrees(draw):
     return rho
 
 
-def test_rho_check_agrees_with_check_law_on_wide_degrees(monkeypatch):
-    # one cache of 3 degrees for every example, so that degrees are
-    # evicted and solved again from one example to the next
-    small_degree_cache(monkeypatch)
+def test_rho_check_agrees_with_check_law_on_wide_degrees():
     # the sum of the basis vectors of 12 and 16, where V_d has two each
     every_vector = sum((p for d in (12, 16)
                         for p in vspace.vd_basis(d).polynomials(order=16)),
@@ -305,9 +299,16 @@ def test_rho_check_agrees_with_check_law_on_wide_degrees(monkeypatch):
     @given(rhos_of_wide_degrees())
     @example(every_vector)
     def check(rho):
-        holds = all(check_law(law, rho).holds for law in laws.RHO_LAWS)
-        assert vspace.satisfies_rho_laws(rho) == holds
+        # a rejection reports what check_law reports on the whole of rho
+        # for the first law it finds violated
+        failed = next((report for report in (check_law(law, rho)
+                                             for law in laws.RHO_LAWS)
+                       if not report.holds), None)
+        if failed is None:
+            ValuationSpec(0, None, rho, rho.order)
+        else:
+            with pytest.raises(InvalidRho) as err:
+                ValuationSpec(0, None, rho, rho.order)
+            assert err.value.report == failed
 
     check()
-    assert vspace._degree.cache_info().currsize <= 3
-
