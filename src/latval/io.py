@@ -76,10 +76,15 @@ MAX_CALIBRATE_ORDER = 80
 # 1.0 s and wrote 15 MB in a fresh process on a 2-core x86_64 machine (T
 # moved by (10^12, 10^12), 40 bits, wrote 39 MB in 2.7 s)
 MAX_LAPLACE_BITS = 2000
-# the highest series order of `check-law` for each law: at its limit
-# check_law took at most 2 s on a dense series of one-digit numerators and
+# the highest series order of `check-law` for each law.  The limits bound
+# a check that holds, which computes every degree: at its limit check_law
+# took at most 2 s on a dense series of one-digit numerators and
 # denominators on a 2-core x86_64 machine, and the time grows about as the
-# fifth power of the order (f1shift took 4.4 s at order 160)
+# fifth power of the order (f1shift took 4.4 s at order 160).  A violated
+# law returns at its first unequal degree: on dense series of three-digit
+# numerators and denominators violated at degree 1, each twisted law at
+# its limit and E and Aprime at 180 took 0.14-0.54 s in a fresh process
+# there (6.6-11.3 s when every degree was computed)
 MAX_LAW_ORDER = {
     "A": 130, "B": 450, "C": 140, "f2simple2": 130, "f23up": 130,
     "Aprime": 200, "Bprime": 200, "Cprime": 180, "D": 450, "E": 180,

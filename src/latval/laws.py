@@ -11,18 +11,22 @@ returning a structured report (a violated law is a report, not an error).
 equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
 generators); ``check_law`` (and through it the check of a spec's rho),
 the solution spaces of ``vspace`` and the refusal of a series that is
-not D4-invariant by ``d4_decompose`` are built from it.  It takes a ``Series2`` or anything with the operations it
-uses: ``check_law`` hands it ``_Table``, the series packed degree by
-degree (Kronecker substitution, as in ``series``), as ``vspace`` hands it
-packed forms.  Each degree of a side is one int at one width, set by
-bounds carried through the operations, so the two sides are compared as
-ints, and only the first unequal degree is read back.
+not D4-invariant by ``d4_decompose`` are built from it.  It takes a
+``Series2`` or anything with the operations it uses: ``check_law`` hands
+it ``_Table``, the series packed degree by degree (Kronecker
+substitution, as in ``series``), as ``vspace`` hands it packed forms.
+Each degree of a side is one int at one width, set by bounds carried
+through the operations, so the two sides are compared as ints.  A side
+is a stream of its packed degrees, lowest first, and the two are pulled
+one degree at a time: no degree above the first unequal one is
+substituted, twisted or packed, and only that degree is read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from math import comb, factorial
 
 from .group import GL2Z_GENERATORS
@@ -220,11 +224,15 @@ def check_law(law: str, f: Series2) -> LawReport:
     order verified.
 
     law_sides runs on the _Table of f, so each side is a _Table: bounds
-    on its coefficients, carried through the operations, and a recipe
-    that packs it at any width.  Each equation is packed at the width its
-    bounds need, so that both sides and their difference read back
-    exactly; each degree is one int, compared with the same degree of the
-    other side, and only the first unequal degree is read back."""
+    on its coefficients, carried through the operations, and a stream of
+    its degrees packed at any width.  Each equation is packed at the
+    width its bounds need, so that both sides and their difference read
+    back exactly; each degree is one int, compared with the same degree
+    of the other side as the two streams give it.  So a violated law
+    costs the degrees up to its first unequal one (and the table of
+    powers of one packed form that series._substitute grows ahead), and
+    no degree above it is substituted, twisted or packed; a law that
+    holds costs every degree."""
     den, _ = f.numerators()
     verified = []
     for lhs, rhs in law_sides(law, _Table.of(f)):
@@ -248,8 +256,9 @@ def _first_difference(lhs: "_Table", rhs: "_Table", den: int):
     """((p, q), lhs, rhs) at the first exponent, up to their common order,
     at which the aligned tables of series over den differ, or None.  They
     are packed at one bit above the largest sum of their bounds, at which
-    both, and their difference, read back exactly; the packed degrees are
-    compared as ints, and only the first unequal one is read back."""
+    both, and their difference, read back exactly.  The two streams are
+    pulled one degree at a time from degree 0 and compared as ints; the
+    first unequal degree ends the pull, and only it is read back."""
     k = max(map(int.__add__, lhs.bounds, rhs.bounds)).bit_length() + 1
     for d, (g, h) in enumerate(zip(lhs.pack(k), rhs.pack(k))):
         if g != h:
@@ -263,15 +272,18 @@ def _first_difference(lhs: "_Table", rhs: "_Table", den: int):
 class _Table:
     """A series as check_law hands it to law_sides, over the denominator
     of the series f it was made from: bounds[d] bounds the size of each
-    numerator of degree d, times d! when weighted, and pack(k) gives those
-    degrees packed at x = 2^k, y = 1, one int each, in a new list.  Each
-    operation of law_sides carries the bounds at once and packs when
-    asked, so a side is packed once, at the width its equation needs, as
-    vspace's _Forms carry bounds to the width of their read-back.  The
-    table of f (_Table.of) keeps f's rows, which subst_linear substitutes
-    by series._substitute; law_sides substitutes only its input, so no
-    other table needs rows.  d! enters a table only when mul_exp_linear
-    twists it, and then the tables that meet it."""
+    numerator of degree d, times d! when weighted, and pack(k) is a
+    stream of those degrees packed at x = 2^k, y = 1, one int each,
+    lowest first, each computed when it is pulled.  Each operation of
+    law_sides carries the bounds at once and packs when asked, so a side
+    is packed at the width its equation needs, as vspace's _Forms carry
+    bounds to the width of their read-back; its stream pulls degree d of
+    the streams it is made from, and of f's rows, only when its own
+    degree d is pulled.  The table of f (_Table.of) keeps f's rows, which
+    subst_linear substitutes by series._substitute; law_sides
+    substitutes only its input, so no other table needs rows.  d! enters
+    a table only when mul_exp_linear twists it, and then the tables that
+    meet it."""
 
     __slots__ = ("order", "bounds", "weighted", "pack", "rows")
 
@@ -284,7 +296,7 @@ class _Table:
         _, rows = f.numerators()
         pad = [0] * (f.order + 1 - len(rows))
         return cls(f.order, [max(max(row), -min(row)) for row in rows] + pad,
-                   False, lambda k: _packed_degrees(rows, k) + pad, rows)
+                   False, lambda k: chain(_packed_degrees(rows, k), pad), rows)
 
     def subst_linear(self, first, second) -> "_Table":
         """The table of f(a1*x + b1*y, a2*x + b2*y), for the integer pairs
@@ -296,7 +308,8 @@ class _Table:
         rows, pad = self.rows, [0] * (self.order + 1 - len(self.rows))
         return _Table(self.order, [s * (d + 1) * ell ** d
                                    for d, s in enumerate(self.bounds)], False,
-                      lambda k: _substitute(rows, first, second, k) + pad)
+                      lambda k: chain(_substitute(rows, first, second, k),
+                                      pad))
 
     def mul_linear(self, a, b) -> "_Table":
         """The product with a*x + b*y, one order up: one multiply per
@@ -304,9 +317,8 @@ class _Table:
         size, weighted, inner = abs(a) + abs(b), self.weighted, self.pack
 
         def pack(k):
-            u = (a << k) + b
-            out = [0] + [h * u for h in inner(k)]
-            return [h * d for d, h in enumerate(out)] if weighted else out
+            out = chain([0], map(((a << k) + b).__mul__, inner(k)))
+            return map(int.__mul__, out, count()) if weighted else out
         bounds = [0] + [s * size for s in self.bounds]
         if weighted:
             bounds = [s * d for d, s in enumerate(bounds)]
@@ -335,20 +347,19 @@ class _Table:
             fact.append(fact[-1] * d)
         inner = self.pack
         return _Table(self.order, list(map(int.__mul__, self.bounds, fact)),
-                      True, lambda k: list(map(int.__mul__, inner(k), fact)))
+                      True, lambda k: map(int.__mul__, inner(k), fact))
 
     def __add__(self, other: "_Table") -> "_Table":
-        return self._plus(other, 1)
+        return self._plus(other, int.__add__)
 
     def __sub__(self, other: "_Table") -> "_Table":
-        return self._plus(other, -1)
+        return self._plus(other, int.__sub__)
 
-    def _plus(self, other: "_Table", sign: int) -> "_Table":
+    def _plus(self, other: "_Table", op) -> "_Table":
         a, b = _aligned(self, other)
         return _Table(min(a.order, b.order),
                       list(map(int.__add__, a.bounds, b.bounds)), a.weighted,
-                      lambda k: [g + sign * h
-                                 for g, h in zip(a.pack(k), b.pack(k))])
+                      lambda k: map(op, a.pack(k), b.pack(k)))
 
 
 # ---------------------------------------------------------------------------

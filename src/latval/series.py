@@ -19,7 +19,11 @@ the powers of the other from a table, so each product has one short
 factor, and a run of g zero entries costs one multiply by a tabled
 power.  The packed image of a degree is one integer, as is the sum of
 the images of many cells, and so is their product with exp(v.z), whose
-degree s is a sum of products with powers of v.z (``_taylor_shift``).
+degree s is a sum of products with powers of v.z.  One kernel,
+``_taylor_shift``, makes it as a stream: one column of Pascal's rule per
+degree, each degree given as soon as the degrees below it are known,
+so that ``laws.check_law`` computes no degree above its first unequal
+one.
 Its coefficients are read back as balanced digits of width k; the width
 that ``_image_bits`` bounds keeps each within (-2^(k-1), 2^(k-1)), so
 they are read exactly.  The one product kernel, ``sum_of_products``,
@@ -201,16 +205,19 @@ def _power_tables(first, second, k: int) -> tuple:
     return [1, u], [1, v], False
 
 
-def _substitute(rows, first, second, k: int) -> list:
-    """[h_0, h_1, ...], h_d the packed image at width k of rows[d], the
-    numerators of x^p y^(d-p), under the forms of _power_tables:
-    sum_p rows[d][p] * U^p * V^(d-p).  The rows are taken from the top
-    degree down, so that the power tables grow at once."""
+def _substitute(rows, first, second, k: int):
+    """h_0, h_1, ... on demand, h_d the packed image at width k of
+    rows[d], the numerators of x^p y^(d-p), under the forms of
+    _power_tables: sum_p rows[d][p] * U^p * V^(d-p).  The rows are taken
+    lowest first, so a reader that stops at degree d substitutes no row
+    above it.  The other form's power table is grown to the top degree
+    at once, one multiply per power, which timed faster on law checks
+    that hold than growing it a row at a time inside _horner; the
+    stepping form's table grows as the rows need it."""
     steps, others, backwards = _power_tables(first, second, k)
-    out = [_horner(row, steps, others, backwards) if any(row) else 0
-           for row in reversed(rows)]
-    out.reverse()
-    return out
+    _grow(others, len(rows) - 1)
+    return (_horner(row, steps, others, backwards) if any(row) else 0
+            for row in rows)
 
 
 def _image_bits(bits: int, n: int, first, second) -> int:
@@ -241,8 +248,8 @@ def _width(images, spare: int = 0) -> int:
 def _packed_sum(images, k: int, n: int) -> list:
     """[h_0, ..., h_n], h_d the degree d of the sum that _width describes
     packed at x = 2^k, y = 1: one integer sum of the _horner images of the
-    degrees of its cells, from the top degree down, as in _substitute; no
-    image may reach above degree n."""
+    degrees of its cells, from the top degree down, so that the power
+    tables grow at once; no image may reach above degree n."""
     sums = [0] * (n + 1)
     for (degrees, _), first, second in images:
         steps, others, backwards = _power_tables(first, second, k)
@@ -251,18 +258,28 @@ def _packed_sum(images, k: int, n: int) -> list:
     return sums
 
 
-def _taylor_shift(h: list, w: int) -> list:
-    """h with h[s] made sum_d C(s, d) * w^(s-d) * h[d], in place: the n
-    passes h[i] += w * h[i-1], i falling, for n = len(h) - 1.  For h the
-    packed degrees of a series times d! and w = (v0 << k) + v1, it is the
-    series times exp(v.z), degree s times s!; with l = |v0| + |v1| it
-    grows the coefficients at most by sum_d C(s, d) l^(s-d) = (1 + l)^s."""
-    if w:
-        n = len(h) - 1
-        for j in range(1, n + 1):
-            for i in range(n, j - 1, -1):
-                h[i] += w * h[i - 1]
-    return h
+def _taylor_shift(h, w: int):
+    """Yield degree s of sum_d C(s, d) * w^(s-d) * h[d] for each degree s of
+    the iterable h, lowest first, as soon as h has given its degrees
+    0..s.  It keeps one column of Pascal's rule in one list: column s has
+    new[0] = h[s] and new[j] = new[j-1] + w * prev[j-1], prev column
+    s - 1, and ends in degree s; each entry of prev is read before its
+    place takes the new one.  So n + 1 degrees take the n(n+1)/2
+    products of n in-place passes.  For h the packed degrees of a series
+    times d! and w = (v0 << k) + v1, it is the series times exp(v.z),
+    degree s times s!; with l = |v0| + |v1| it grows the coefficients at
+    most by sum_d C(s, d) l^(s-d) = (1 + l)^s.  w = 0 yields h as it
+    is."""
+    if not w:
+        yield from h
+        return
+    col = []
+    for acc in h:
+        for j, old in enumerate(col):
+            col[j] = acc
+            acc += w * old
+        col.append(acc)
+        yield acc
 
 
 def _unpack(packed, k: int, weights=None) -> list:
@@ -306,10 +323,10 @@ def _times(rows, weights) -> list:
             for row, w in zip(rows, weights)]
 
 
-def _packed_degrees(rows, k: int) -> list:
-    """[h_0, ...], h_d the int sum_p s * 2^(k*p) of the entries s of row
-    d: degree d packed at x = 2^k, y = 1."""
-    return [_pack(row, k) if any(row) else 0 for row in rows]
+def _packed_degrees(rows, k: int):
+    """h_0, h_1, ... on demand, h_d the int sum_p s * 2^(k*p) of the
+    entries s of row d: degree d packed at x = 2^k, y = 1."""
+    return (_pack(row, k) if any(row) else 0 for row in rows)
 
 
 def _pack(row, k: int) -> int:
@@ -370,7 +387,8 @@ def sum_of_products(pairs) -> "Series2":
 # polygon's faces, or the one face of mul_exp_linear or of
 # group.act_on_series) comes out of sum_of_images as one Series2.
 # laws.check_law packs a series into tables of its own, by the same
-# _substitute and _taylor_shift, and weighs them by d! only to twist.
+# _packed_degrees, _substitute and _taylor_shift, as streams lowest degree
+# first, and weighs them by d! only to twist.
 #
 # Series2.subst_linear and exp_linear stay apart.  A substitution routed
 # through the tables pays for the d! it does not need: on dense series of
@@ -413,7 +431,9 @@ def sum_of_images(faces, n: int, den: int, scale: int = 1) -> "Series2":
     _packed_sum, to one packed integer h[d] per degree.  The twist by
     exp(v.z) makes degree s, times s!, the sum
     sum_d C(s, d) * (v.z)^(s-d) * h[d]: the _taylor_shift of h by
-    w = (v0 << k) + v1, packed v.z.  With l = |v0| + |v1| it grows the
+    w = (v0 << k) + v1, packed v.z, the one streaming Pascal-column
+    kernel that check_law also pulls, here added into the total degree
+    by degree as it yields them.  With l = |v0| + |v1| it grows the
     coefficients at most by (1 + l)^n, the bitlen((1 + l)^n) spare bits of
     this translation's _width.  The T twisted sums are added in packed
     form, so k is the largest _width plus bitlen(T), and read back once

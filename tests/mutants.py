@@ -5,17 +5,18 @@
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
 total degree, in the Horner substitution or the bound on its width, in
-the Bernoulli numbers, in the triangulation and the lattice point walk,
-in the faces that the evaluator sums (a triangle's sides on the
-boundary, the sign of an interior point, the unimodularity check) or the
-cells that its equal values share, in the bound of a cache or the
-equality of the specs that key one, in the cache of spec files or the
-coefficient and exponent texts of the writer, in the Laplace oracle (the
-degree scale or the weight of a fan triangle), in the packed forms that
-the solution spaces are solved on, in the order in which a spec's rho is
-checked part by part, in the sides of a law or the packed tables that
-check_law compares, in the laws that check D4 invariance, the
-substitution that checks f0gl2z, the leading-term reduction of
+the streaming Taylor shift, in the Bernoulli numbers, in the
+triangulation and the lattice point walk, in the faces that the
+evaluator sums (a triangle's sides on the boundary, the sign of an
+interior point, the unimodularity check) or the cells that its equal
+values share, in the bound of a cache or the equality of the specs that
+key one, in the cache of spec files or the coefficient and exponent
+texts of the writer, in the Laplace oracle (the degree scale or the
+weight of a fan triangle), in the packed forms that the solution spaces
+are solved on, in the order in which a spec's rho is checked part by
+part, in the sides of a law or the packed tables that check_law compares
+or the degree at which it stops, in the laws that check D4 invariance,
+the substitution that checks f0gl2z, the leading-term reduction of
 ``d4_decompose`` or its inverse ``d4_compose``, in the sharp and dagger
 transforms or the change to (s, t), or in a bound on input.
 
@@ -98,6 +99,10 @@ MUTANTS = [
     ("exponent check: a negative y exponent passes", "series.py",
      "p >= 0 and q >= 0", "p >= 0",
      ["test_series.py::test_exponents_must_be_ints_at_least_0"]),
+    ("twist: the Pascal column written after the product", "series.py",
+     "            col[j] = acc\n            acc += w * old",
+     "            acc += w * old\n            col[j] = acc",
+     ["test_series.py::test_taylor_shift_streams_the_passes"]),
     ("bernoulli: B_0 = 0", "series.py",
      "out = [Q(1), Q(-1, 2)]", "out = [Q(0), Q(-1, 2)]",
      ["test_series.py::test_bernoulli"]),
@@ -250,9 +255,20 @@ MUTANTS = [
      "rho.subst_linear((1, Q(-1, 2)), (0, 1))",
      ["test_laws.py::test_to_st_sends_solutions_to_Adoubleprime"]),
     ("check_law: the packed sides compared one degree short", "laws.py",
-     "enumerate(zip(lhs.pack(k), rhs.pack(k)))",
-     "enumerate(zip(lhs.pack(k)[:-1], rhs.pack(k)[:-1]))",
+     "for d, (g, h) in enumerate(zip(lhs.pack(k), rhs.pack(k))):",
+     "for d, (g, h, _) in enumerate(zip(lhs.pack(k), rhs.pack(k),\n"
+     "            range(min(lhs.order, rhs.order)))):",
      ["test_laws.py::test_check_law_equals_the_series_route[B]"]),
+    ("check_law: the first difference counted from degree 1", "laws.py",
+     "enumerate(zip(lhs.pack(k), rhs.pack(k)))",
+     "enumerate(zip(lhs.pack(k), rhs.pack(k)), 1)",
+     ["test_laws.py::"
+      "test_a_violated_law_computes_nothing_above_its_first_difference[E]"]),
+    ("check_law: a twisted side packed whole before its first degree",
+     "laws.py", "_taylor_shift(t.pack(k), (a << k) + b)",
+     "_taylor_shift(list(t.pack(k)), (a << k) + b)",
+     ["test_laws.py::"
+      "test_a_violated_law_computes_nothing_above_its_first_difference[A]"]),
     ("check_law: a twisted table without its d!", "laws.py",
      "t = self.weighted_table()", "t = self",
      ["test_laws.py::test_check_law_equals_the_series_route[C]"]),

@@ -56,6 +56,9 @@ used here.
 - ``bernoulli_by_recurrence``: B_0..B_n by the binomial recurrence in
   Fractions, which ``series.bernoulli_numbers`` computes from the tangent
   numbers in ints.
+- ``taylor_shift_by_passes``: the Taylor shift of a list of ints by n
+  passes in place, which ``series._taylor_shift`` streams one column of
+  Pascal's rule at a time.
 - ``reassemble`` and ``surface_formula_check``: the spec that dilative
   components add up to, and the comparison of Z(P) with half the sum of
   Z over the edges of P, which holds for odd specs.
@@ -166,6 +169,16 @@ def bernoulli_by_recurrence(n_max: int) -> list:
         out.append(-sum((comb(n + 1, k) * out[k] for k in range(n)),
                         Fraction(0)) / (n + 1))
     return out
+
+
+def taylor_shift_by_passes(h: list, w: int) -> list:
+    """h with h[s] made sum_d C(s, d) * w^(s-d) * h[d], in place: the n
+    passes h[i] += w * h[i-1], i falling, for n = len(h) - 1."""
+    n = len(h) - 1
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            h[i] += w * h[i - 1]
+    return h
 
 
 def constraint_matrix(d: int, law_ids) -> list:

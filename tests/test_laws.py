@@ -172,6 +172,29 @@ def test_the_transforms_take_one_pass_of_each_kernel(monkeypatch):
         assert (products[0], laws_products[0]) == (0, 1)
 
 
+@pytest.mark.parametrize("law", ["E", "A"])
+def test_a_violated_law_computes_nothing_above_its_first_difference(
+        monkeypatch, law):
+    # a dense order-40 series of three-digit coefficients violates E (a
+    # graded law) and A (a twisted one) at degree 1: the check packs and
+    # substitutes no row above it, and reports what the series route does
+    rng = random.Random(40)
+    f = Series2({(p, d - p): _rational(rng) or 1 for d in range(41)
+                 for p in range(d + 1)}, 40)
+    degrees = []
+    for name in ("_horner", "_pack"):
+        kernel = getattr(series, name)
+
+        def recorded(row, *args, kernel=kernel):
+            degrees.append(len(row) - 1)
+            return kernel(row, *args)
+        monkeypatch.setattr(series, name, recorded)
+    report = check_law(law, f)
+    (p, q), _, _ = report.first_violation
+    assert p + q <= 2 and degrees and max(degrees) <= p + q
+    assert report == law_report_by_series(law, f)
+
+
 def test_to_st_sends_solutions_to_Adoubleprime():
     for d in (0, 4, 6, 8, 12):
         for i in range(vspace.vd_basis(d).dim):

@@ -15,7 +15,7 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            divide_linear, exp_linear, mul_exp_linear,
                            packed_cells, separable, special_series,
                            sum_of_images, sum_of_products)
-from oracles import bernoulli_by_recurrence
+from oracles import bernoulli_by_recurrence, taylor_shift_by_passes
 
 
 class DegreeExceedsOrder(SeriesError):
@@ -697,6 +697,29 @@ def test_sum_of_images_matches_fraction_expansion(faces):
     # at order 0 nothing twists, and the sum of 16 translations needs the
     # bits of their count
     _check_sum_of_images(faces)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=30),
+       st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-3, 3)))
+@example([], 5)
+@example([7], 0)
+@example(list(range(-15, 15)), 0)
+@example(list(range(-15, 15)), -(2 ** 64) + 3)
+def test_taylor_shift_streams_the_passes(h, w):
+    # 0 to 30 degrees, w = 0 and w < 0: each degree is yielded after its
+    # own input and before the next, and equals n in-place passes
+    pulled = []
+
+    def degrees():
+        for value in h:
+            pulled.append(value)
+            yield value
+    got = []
+    for value in series._taylor_shift(degrees(), w):
+        assert len(pulled) == len(got) + 1
+        got.append(value)
+    assert got == taylor_shift_by_passes(list(h), w)
 
 
 @settings(max_examples=40)
