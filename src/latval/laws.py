@@ -16,10 +16,12 @@ not D4-invariant by ``d4_decompose`` are built from it.  It takes a
 it ``_Table``, the series packed degree by degree (Kronecker
 substitution, as in ``series``), as ``vspace`` hands it packed forms.
 Each degree of a side is one int at one width, set by bounds carried
-through the operations, so the two sides are compared as ints.  A side
-is a stream of its packed degrees, lowest first, and the two are pulled
-one degree at a time: no degree above the first unequal one is
-substituted, twisted or packed, and only that degree is read back.
+through the operations, over the denominator of the degree of the
+series it came from unless a twist mixes them, so the two sides are
+compared as ints.  A side is a stream of its packed degrees, lowest
+first, and the two are pulled one degree at a time: no degree above the
+first unequal one is substituted, twisted or packed, and only that
+degree is read back.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import add, mul, sub
 
 from .group import GL2Z_GENERATORS
 from .series import (Series2, _packed_degrees, _substitute,
@@ -203,6 +206,8 @@ LAW_IDS = ("A", "B", "C", "f2simple2", "f23up", "Aprime",
            "rho_sym2", "rho_sym3", "Adoubleprime", "f1shift", "f1period",
            "f1neg", "f0gl2z")
 
+# the bits of den above which check_law meets each degree over its own
+WIDE_DEN_BITS = 128
 # the laws that make a series a valid parameter rho
 RHO_LAWS = ("Aprime", "E")
 # invariance under D4: the maps of group.D4_GENERATORS, in that order
@@ -224,21 +229,25 @@ def check_law(law: str, f: Series2) -> LawReport:
     order verified.
 
     law_sides runs on the _Table of f, so each side is a _Table: bounds
-    on its coefficients, carried through the operations, and a stream of
-    its degrees packed at any width.  Each equation is packed at the
-    width its bounds need, so that both sides and their difference read
-    back exactly; each degree is one int, compared with the same degree
-    of the other side as the two streams give it.  So a violated law
-    costs the degrees up to its first unequal one (and the table of
-    powers of one packed form that series._substitute grows ahead), and
-    no degree above it is substituted, twisted or packed; a law that
-    holds costs every degree."""
-    den, _ = f.numerators()
+    on its coefficients, its degree map and a stream of its degrees
+    packed at any width, carried through the operations; when no side is
+    twisted and f's denominator is wider than WIDE_DEN_BITS, it runs
+    again on the table that keeps each degree of f over its own.  Each
+    equation is packed at the width its bounds need, so that both sides
+    and their difference read back exactly, and the two streams are
+    compared one degree, one int, at a time.  So a violated law costs
+    the degrees up to its first unequal one (and the power table that
+    series._substitute grows ahead), and no degree above it is
+    substituted, twisted or packed; a law that holds costs every degree."""
+    equations = law_sides(law, _Table.of(f))
+    if f.numerators()[0] >> WIDE_DEN_BITS and all(   # and no side twisted
+            None is not lhs.gcds == rhs.gcds for lhs, rhs in equations):
+        equations = law_sides(law, _Table.of(f, own=True))
     verified = []
-    for lhs, rhs in law_sides(law, _Table.of(f)):
+    for lhs, rhs in equations:
         lhs, rhs = _aligned(lhs, rhs)
         order = min(lhs.order, rhs.order)
-        diff = _first_difference(lhs, rhs, den)
+        diff = _first_difference(lhs, rhs)
         if diff is not None:
             return LawReport(law, False, order, diff)
         verified.append(order)
@@ -246,57 +255,61 @@ def check_law(law: str, f: Series2) -> LawReport:
 
 
 def _aligned(lhs: "_Table", rhs: "_Table") -> tuple:
-    """Two tables, both times d! if one of them is."""
-    if lhs.weighted != rhs.weighted:
+    """Both tables weighted if their degree maps differ, else as they are."""
+    if lhs.gcds != rhs.gcds:
         return lhs.weighted_table(), rhs.weighted_table()
     return lhs, rhs
 
 
-def _first_difference(lhs: "_Table", rhs: "_Table", den: int):
+def _first_difference(lhs: "_Table", rhs: "_Table"):
     """((p, q), lhs, rhs) at the first exponent, up to their common order,
-    at which the aligned tables of series over den differ, or None.  They
-    are packed at one bit above the largest sum of their bounds, at which
-    both, and their difference, read back exactly.  The two streams are
-    pulled one degree at a time from degree 0 and compared as ints; the
-    first unequal degree ends the pull, and only it is read back."""
-    k = max(map(int.__add__, lhs.bounds, rhs.bounds)).bit_length() + 1
+    at which two aligned tables differ, or None.  They are packed at one
+    bit above the largest sum of their bounds, at which both, and their
+    difference, read back exactly.  The two streams are pulled one degree
+    at a time from degree 0 and compared as ints; the first unequal
+    degree ends the pull, and only it is read back, over its denominator."""
+    k = max(map(add, lhs.bounds, rhs.bounds)).bit_length() + 1
     for d, (g, h) in enumerate(zip(lhs.pack(k), rhs.pack(k))):
         if g != h:
             a, b = (_unpack([0] * d + [x], k)[d] for x in (g, h))
             p = next(p for p, (s, t) in enumerate(zip(a, b)) if s != t)
-            w = den * (factorial(d) if lhs.weighted else 1)
+            w = lhs.den // lhs.gcds[d] if lhs.gcds else lhs.den * factorial(d)
             return ((p, d - p), Q(a[p], w), Q(b[p], w))
     return None
 
 
 class _Table:
-    """A series as check_law hands it to law_sides, over the denominator
-    of the series f it was made from: bounds[d] bounds the size of each
-    numerator of degree d, times d! when weighted, and pack(k) is a
-    stream of those degrees packed at x = 2^k, y = 1, one int each,
-    lowest first, each computed when it is pulled.  Each operation of
-    law_sides carries the bounds at once and packs when asked, so a side
-    is packed at the width its equation needs, as vspace's _Forms carry
-    bounds to the width of their read-back; its stream pulls degree d of
-    the streams it is made from, and of f's rows, only when its own
-    degree d is pulled.  The table of f (_Table.of) keeps f's rows, which
-    subst_linear substitutes by series._substitute; law_sides
-    substitutes only its input, so no other table needs rows.  d! enters
-    a table only when mul_exp_linear twists it, and then the tables that
-    meet it."""
+    """A series as check_law hands it to law_sides, over den, the
+    denominator of the series f it was made from: bounds[d] bounds each
+    numerator of degree d, over den / gcds[d], and pack(k) is a stream of
+    those degrees packed at x = 2^k, y = 1, one int each, lowest first,
+    each computed when pulled.  The degree map gcds follows each degree
+    to the one of f it came from (a linear factor raises it by one);
+    _Table.of(f, own=True) divides each row of f by its gcd with den.
+    A twist mixes the degrees: a weighted table (gcds None), made by
+    mul_exp_linear and by the tables that meet it, is over den with
+    degree d times d!.  Bounds are carried at once and packs made when
+    asked, as vspace's _Forms are, so a side is packed at the width its
+    equation needs; its stream pulls degree d of the streams it is made
+    from, and of f's rows (kept for subst_linear), only when its own
+    degree d is pulled."""
 
-    __slots__ = ("order", "bounds", "weighted", "pack", "rows")
+    __slots__ = ("order", "bounds", "den", "gcds", "pack", "rows")
 
-    def __init__(self, order, bounds, weighted, pack, rows=None):
-        self.order, self.bounds, self.weighted = order, bounds, weighted
+    def __init__(self, order, bounds, den, gcds, pack, rows=None):
+        self.order, self.bounds, self.den, self.gcds = order, bounds, den, gcds
         self.pack, self.rows = pack, rows
 
     @classmethod
-    def of(cls, f: Series2) -> "_Table":
-        _, rows = f.numerators()
+    def of(cls, f: Series2, own=False) -> "_Table":
+        den, rows = f.numerators()
+        gcds = [1] * (f.order + 1)
+        if own:
+            gcds[:len(rows)] = [gcd(den, *row) for row in rows]
+            rows = [[s // g for s in row] for row, g in zip(rows, gcds)]
         pad = [0] * (f.order + 1 - len(rows))
-        return cls(f.order, [max(max(row), -min(row)) for row in rows] + pad,
-                   False, lambda k: chain(_packed_degrees(rows, k), pad), rows)
+        return cls(f.order, [max(map(abs, row)) for row in rows] + pad, den,
+                   gcds, lambda k: chain(_packed_degrees(rows, k), pad), rows)
 
     def subst_linear(self, first, second) -> "_Table":
         """The table of f(a1*x + b1*y, a2*x + b2*y), for the integer pairs
@@ -306,23 +319,24 @@ class _Table:
         (a1, b1), (a2, b2) = first, second
         ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2))
         rows, pad = self.rows, [0] * (self.order + 1 - len(self.rows))
-        return _Table(self.order, [s * (d + 1) * ell ** d
-                                   for d, s in enumerate(self.bounds)], False,
+        bounds = [s * (d + 1) * ell ** d for d, s in enumerate(self.bounds)]
+        return _Table(self.order, bounds, self.den, self.gcds,
                       lambda k: chain(_substitute(rows, first, second, k),
                                       pad))
 
     def mul_linear(self, a, b) -> "_Table":
         """The product with a*x + b*y, one order up: one multiply per
-        degree, and times d + 1 more when weighted."""
-        size, weighted, inner = abs(a) + abs(b), self.weighted, self.pack
+        degree, times d + 1 more when weighted, else the map moved up."""
+        size, gcds, inner = abs(a) + abs(b), self.gcds, self.pack
 
         def pack(k):
             out = chain([0], map(((a << k) + b).__mul__, inner(k)))
-            return map(int.__mul__, out, count()) if weighted else out
+            return map(mul, out, count()) if gcds is None else out
         bounds = [0] + [s * size for s in self.bounds]
-        if weighted:
+        if gcds is None:
             bounds = [s * d for d, s in enumerate(bounds)]
-        return _Table(self.order + 1, bounds, weighted, pack)
+        return _Table(self.order + 1, bounds, self.den,
+                      None if gcds is None else [1] + gcds, pack)
 
     def mul_exp_linear(self, a, b) -> "_Table":
         """The product with exp(a*x + b*y), for ints a and b: the
@@ -335,31 +349,29 @@ class _Table:
             top = max(top, s)
             bounds.append(top * grow)
             grow *= 1 + abs(a) + abs(b)
-        return _Table(self.order, bounds, True,
+        return _Table(self.order, bounds, t.den, None,
                       lambda k: _taylor_shift(t.pack(k), (a << k) + b))
 
     def weighted_table(self) -> "_Table":
-        """This table with degree d times d!."""
-        if self.weighted:
+        """This table over den, with degree d times d! * gcds[d]."""
+        if self.gcds is None:
             return self
-        fact = [1]
-        for d in range(1, self.order + 1):
-            fact.append(fact[-1] * d)
+        lift = [factorial(d) * g for d, g in enumerate(self.gcds)]
         inner = self.pack
-        return _Table(self.order, list(map(int.__mul__, self.bounds, fact)),
-                      True, lambda k: map(int.__mul__, inner(k), fact))
+        return _Table(self.order, list(map(mul, self.bounds, lift)),
+                      self.den, None, lambda k: map(mul, inner(k), lift))
 
     def __add__(self, other: "_Table") -> "_Table":
-        return self._plus(other, int.__add__)
+        return self._plus(other, add)
 
     def __sub__(self, other: "_Table") -> "_Table":
-        return self._plus(other, int.__sub__)
+        return self._plus(other, sub)
 
     def _plus(self, other: "_Table", op) -> "_Table":
         a, b = _aligned(self, other)
         return _Table(min(a.order, b.order),
-                      list(map(int.__add__, a.bounds, b.bounds)), a.weighted,
-                      lambda k: map(op, a.pack(k), b.pack(k)))
+                      list(map(add, a.bounds, b.bounds)), a.den,
+                      a.gcds, lambda k: map(op, a.pack(k), b.pack(k)))
 
 
 # ---------------------------------------------------------------------------

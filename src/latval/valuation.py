@@ -9,6 +9,8 @@ A spec (c, g, rho) determines the values on the basic faces:
                     with f2 = dagger(rho) and h = f1 / 2
 
 and every other value follows by equivariance and the valuation axiom.
+ValuationSpec refuses a rho that violates a law of laws.RHO_LAWS with the
+report of check_law on rho, which compares each degree of rho on its own.
 The h terms of zT sit on the sides 0, 1, 2 of the unit triangle T:
 [0, e1], [0, e2] and [e1, e2].  In a unimodular triangulation of a polygon
 P an interior edge takes h from both of its triangles, the f1 that
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, gcd
+from math import factorial
 
 from .geometry import (LatticePolygon, NotSegment,
                        boundary_lattice_points, hull_normalize,
@@ -127,11 +129,10 @@ class ValuationSpec:
         if self.rho.order < 1:   # dagger, a division, loses one order
             raise ValueError(f"rho has order {self.rho.order}; it must "
                              "have order >= 1")
-        for law in RHO_LAWS:
-            for part in _homogeneous_parts(self.rho):
-                report = check_law(law, part)
-                if not report.holds:
-                    raise InvalidRho(report)
+        for law in RHO_LAWS:   # as `latval check-law` reports it
+            report = check_law(law, self.rho)
+            if not report.holds:
+                raise InvalidRho(report)
         # made once: the spec is frozen and its series are not changed
         key = (self.c, self.g.key(), self.rho.key(), self.order)
         object.__setattr__(self, "_key", key)
@@ -146,22 +147,6 @@ class ValuationSpec:
 
     def __hash__(self):
         return self._hash
-
-
-def _homogeneous_parts(rho: Series2):
-    """The nonzero homogeneous parts of rho, lowest degree first, each a
-    series of rho's order over its own denominator, so that no part's
-    numerators grow to the common denominator of the others; one at a
-    time, since each holds its zero rows.  The laws RHO_LAWS are linear
-    and graded: (A') raises each degree by one and (E) keeps it, so each
-    coefficient of a residual comes from one part, and the lowest part
-    that fails a law gives the report of check_law on the whole of rho."""
-    den, rows = rho.numerators()
-    for d, row in enumerate(rows):
-        if any(row):
-            g = gcd(den, *row)   # reduced here, so _of reads no zero row
-            yield Series2._of([[0] * (e + 1) for e in range(d)]
-                              + [[s // g for s in row]], den // g, rho.order)
 
 
 @dataclass(frozen=True)
@@ -444,8 +429,9 @@ def dilative_decompose(spec: ValuationSpec, delta_max=None,
     alpha0 picks off the 0-dilative generator (1, cosh-type, kappa); the
     remaining g expands uniquely in the triangular odd family b_delta; the
     remaining rho splits into homogeneous parts, degree d sitting at
-    delta = d - 2.  kappa defaults to calibrate_val0(order), or to 0 when
-    alpha0 = 0, since kappa only enters as alpha0 * kappa.
+    delta = d - 2, each a series of rho's order over its own denominator.
+    kappa defaults to calibrate_val0(order), or to 0 when alpha0 = 0,
+    since kappa only enters as alpha0 * kappa.
     """
     n = spec.order
     alpha0 = spec.c
@@ -473,6 +459,6 @@ def dilative_decompose(spec: ValuationSpec, delta_max=None,
             if delta_max is not None and delta > delta_max:
                 raise DecompositionError(
                     f"even component at delta = {delta} exceeds delta_max")
-            even_simple[delta] = Series2(
-                {(p, d - p): Q(s, den) for p, s in enumerate(row) if s}, n)
+            even_simple[delta] = Series2._of(
+                [[0] * (e + 1) for e in range(d)] + [row], den, rho_res.order)
     return DilativeComponents(alpha0, odd, even_simple, kappa, n)

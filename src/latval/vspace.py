@@ -29,7 +29,7 @@ V_d has one representation, its basis, kept by ``_degree(d)``, an
 lru_cache of DEGREES_MAX degrees.  ``vd_basis``, ``st_basis`` and
 ``dims_table`` read it, so V_d is solved once while kept (or once per
 thread racing that solve).  A spec's rho is checked without it, by
-``check_law`` on each homogeneous part (``valuation``).
+``check_law`` on the whole of rho (``valuation``).
 """
 
 from __future__ import annotations

@@ -13,12 +13,14 @@ values share, in the bound of a cache or the equality of the specs that
 key one, in the cache of spec files or the coefficient and exponent
 texts of the writer, in the Laplace oracle (the degree scale or the
 weight of a fan triangle), in the packed forms that the solution spaces
-are solved on, in the order in which a spec's rho is checked part by
-part, in the sides of a law or the packed tables that check_law compares
-or the degree at which it stops, in the laws that check D4 invariance,
+are solved on, in the sides of a law, the packed tables that check_law
+compares, the denominator each of their degrees is over, or the degree
+at which it stops, in the laws that check D4 invariance,
 the substitution that checks f0gl2z, the leading-term reduction of
 ``d4_decompose`` or its inverse ``d4_compose``, in the sharp and dagger
-transforms or the change to (s, t), or in a bound on input.
+transforms or the change to (s, t), in the affine unimodular group (its
+determinant check, the order of compose, the edge vectors of its action
+on series), or in a bound on input.
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -191,19 +193,6 @@ MUTANTS = [
      "if need > k:", "if False:",
      ["test_vspace.py::"
       "test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30"]),
-    ("rho check: the parts walked from the top degree down",
-     "valuation.py", "rho.numerators()\n    for d, row in enumerate(rows):",
-     "rho.numerators()\n    for d, row in reversed(list(enumerate(rows))):",
-     ["test_valuation.py::"
-      "test_spec_accepts_exactly_the_rho_that_satisfy_the_laws"]),
-    ("rho check: each part checked under every law before the next part",
-     "valuation.py",
-     "for law in RHO_LAWS:\n"
-     "            for part in _homogeneous_parts(self.rho):",
-     "for part in _homogeneous_parts(self.rho):\n"
-     "            for law in RHO_LAWS:",
-     ["test_valuation.py::"
-      "test_spec_accepts_exactly_the_rho_that_satisfy_the_laws"]),
     ("evaluator: the shared cells matched to the wrong values",
      "valuation.py", "cell = dict(zip(distinct, cells))",
      "cell = dict(zip(distinct, cells[::-1]))",
@@ -275,6 +264,38 @@ MUTANTS = [
     ("check_law: the sides read back from each other", "laws.py",
      "for x in (g, h))", "for x in (h, g))",
      ["test_laws.py::test_check_law_equals_the_series_route[B]"]),
+    ("check_law: a weighted table not lifted by its degrees' gcds",
+     "laws.py", "factorial(d) * g for", "factorial(d) for",
+     ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
+      "[factor and twist]"]),
+    ("check_law: a linear factor keeps the degree map unshifted",
+     "laws.py", "None if gcds is None else [1] + gcds", "gcds",
+     ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
+      "[factor and substitution]"]),
+    ("check_law: tables with different degree maps met unweighted",
+     "laws.py", "if lhs.gcds != rhs.gcds:",
+     "if (lhs.gcds is None) != (rhs.gcds is None):",
+     ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
+      "[factor and substitution]"]),
+    ("check_law: an unweighted report read over the common denominator",
+     "laws.py", "w = lhs.den // lhs.gcds[d] if", "w = lhs.den if",
+     ["test_laws.py::"
+      "test_a_violated_law_computes_nothing_above_its_first_difference[E]"]),
+    ("check_law: no degree kept over its own denominator", "laws.py",
+     "law_sides(law, _Table.of(f, own=True))",
+     "law_sides(law, _Table.of(f))",
+     ["test_laws.py::"
+      "test_graded_law_width_follows_the_degrees_own_denominators"]),
+    ("group: a determinant of -1 refused", "group.py",
+     "if abs(det(self.m)) != 1:", "if det(self.m) != 1:",
+     ["test_group.py::test_compose_and_inverse"]),
+    ("group: compose multiplies the matrices the other way round",
+     "group.py", "AffineUnimodular(mat_mul(self.m, other.m),",
+     "AffineUnimodular(mat_mul(other.m, self.m),",
+     ["test_group.py::test_compose_and_inverse"]),
+    ("group: act_on_series with its edge vectors transposed", "group.py",
+     "(a, c), (b, d))], f.order, den)", "(a, b), (c, d))], f.order, den)",
+     ["test_group.py::test_action_substitution_convention"]),
     ("dagger: the bracket divided by x, not y", "laws.py",
      "return divide_linear(bracket, 0, 1)",
      "return divide_linear(bracket, 1, 0)",

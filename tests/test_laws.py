@@ -4,7 +4,7 @@ decomposition."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -172,15 +172,19 @@ def test_the_transforms_take_one_pass_of_each_kernel(monkeypatch):
         assert (products[0], laws_products[0]) == (0, 1)
 
 
+def dense_three_digit(rng, n):
+    """A dense series of order n whose coefficients are _rational."""
+    return Series2({(p, d - p): _rational(rng) or 1 for d in range(n + 1)
+                    for p in range(d + 1)}, n)
+
+
 @pytest.mark.parametrize("law", ["E", "A"])
 def test_a_violated_law_computes_nothing_above_its_first_difference(
         monkeypatch, law):
     # a dense order-40 series of three-digit coefficients violates E (a
     # graded law) and A (a twisted one) at degree 1: the check packs and
     # substitutes no row above it, and reports what the series route does
-    rng = random.Random(40)
-    f = Series2({(p, d - p): _rational(rng) or 1 for d in range(41)
-                 for p in range(d + 1)}, 40)
+    f = dense_three_digit(random.Random(40), 40)
     degrees = []
     for name in ("_horner", "_pack"):
         kernel = getattr(series, name)
@@ -193,6 +197,38 @@ def test_a_violated_law_computes_nothing_above_its_first_difference(
     (p, q), _, _ = report.first_violation
     assert p + q <= 2 and degrees and max(degrees) <= p + q
     assert report == law_report_by_series(law, f)
+
+
+def test_graded_law_width_follows_the_degrees_own_denominators(
+        monkeypatch):
+    # a valid rho of order 40 whose degree d is over a prime of its own:
+    # their lcm, rho's denominator, has 239 bits, each degree's own
+    # denominator at most 60; E keeps every degree, so both sides are
+    # packed at the width that the widest degree's numerators over their
+    # own denominator set (over the lcm they took 344 bits)
+    primes = iter([101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+                   157, 163, 167, 173, 179, 181, 191, 193, 197, 199])
+    rho = Series2.zero(40)
+    for d in range(0, 41, 2):
+        p = next(primes)
+        for v in vspace.vd_basis(d).vectors:
+            rho = rho + vspace.from_coefficients(v, d, 40).scalar_mul(Q(1, p))
+    den, rows = rho.numerators()
+    own = [max(map(abs, row)) // gcd(den, *row) for row in rows]
+    widths = []
+    for name in ("_packed_degrees", "_substitute"):
+        kernel = getattr(laws, name)
+
+        def recorded(rows, *args, kernel=kernel):
+            widths.append(args[-1])
+            return kernel(rows, *args)
+        monkeypatch.setattr(laws, name, recorded)
+    assert check_law("E", rho).holds
+    # a numerator of degree d over its own denominator is below
+    # 2^bits(num), and E's substitution by x, -2x - y grows it by at most
+    # (d + 1) 3^d
+    need = max(own).bit_length() + (41 * 3 ** 40).bit_length() + 2
+    assert len(set(widths)) == 1 and widths[0] <= need < den.bit_length()
 
 
 def test_to_st_sends_solutions_to_Adoubleprime():
@@ -412,8 +448,10 @@ def _rational(rng):
 
 def law_family(kind, n, rng):
     """A series of order n of the family on which HOLDS_ON says a law
-    holds: a solution rho (a combination of the bases of V_d), its dagger
-    f2, its (s, t) image sigma, an f1 = g(x^2) e^(x/2), or a constant."""
+    holds: a solution rho (a combination of the bases of V_d, each degree
+    times its own rational, so that the degrees' denominators are
+    unrelated), its dagger f2, its (s, t) image sigma, an
+    f1 = g(x^2) e^(x/2), or a constant."""
     if kind == "const":
         return Series2.constant(_rational(rng), n)
     if kind == "f1":
@@ -426,8 +464,16 @@ def law_family(kind, n, rng):
         for v in vspace.vd_basis(d).vectors:
             rho = rho + vspace.from_coefficients(v, d, top).scalar_mul(
                 _rational(rng))
+    rho = scaled_degrees(rho, rng)
     return {"rho": rho, "f2": dagger(rho) if top else rho,
             "sigma": to_st(rho)}[kind]
+
+
+def scaled_degrees(f, rng):
+    """f with each degree times its own nonzero three-digit rational."""
+    scale = [_rational(rng) or 1 for _ in range(f.order + 1)]
+    return Series2({(p, q): v * scale[p + q] for (p, q), v in f.terms()},
+                   f.order)
 
 
 @st.composite
@@ -435,7 +481,9 @@ def law_inputs(draw, law):
     """A series of order 0-40 with numerators and denominators of up to
     three digits: dense, in x alone, in y alone, sparse, of the family on
     which the law holds, or of that family with one term changed, half of
-    the time one of the top degree."""
+    the time one of the top degree.  Half of those that are not of the
+    family have each degree times its own three-digit rational, so that
+    the degrees carry unrelated denominators, as the family's rho does."""
     n = draw(st.integers(0, 40))
     kind = draw(st.sampled_from(["dense", "x", "y", "sparse", "holds",
                                  "changed"]))
@@ -450,8 +498,9 @@ def law_inputs(draw, law):
     keep = {"dense": lambda p, d: True, "x": lambda p, d: p == d,
             "y": lambda p, d: p == 0,
             "sparse": lambda p, d: rng.random() < 0.2}[kind]
-    return Series2({(p, d - p): _rational(rng) for d in range(n + 1)
-                    for p in range(d + 1) if keep(p, d)}, n)
+    f = Series2({(p, d - p): _rational(rng) for d in range(n + 1)
+                 for p in range(d + 1) if keep(p, d)}, n)
+    return scaled_degrees(f, rng) if draw(st.booleans()) else f
 
 
 def law_outcome(report, law, f):
@@ -473,13 +522,13 @@ def test_check_law_equals_the_series_route(law, data):
         == law_outcome(law_report_by_series, law, f)
 
 
-def table_series(t, den):
-    """The series that the _Table t of a series over den stands for, read
-    back whole at the width of its bounds."""
+def table_series(t):
+    """The series that the _Table t stands for, read back whole at the
+    width of its bounds, degree d over its own denominator."""
     k = max(t.bounds).bit_length() + 2
     rows = series._unpack(t.pack(k), k)
-    return Series2({(p, d - p): Q(s, den * (factorial(d) if t.weighted
-                                            else 1))
+    return Series2({(p, d - p): Q(s, t.den * factorial(d) if t.gcds is None
+                                  else t.den // t.gcds[d])
                     for d, row in enumerate(rows) for p, s in enumerate(row)
                     if s}, t.order)
 
@@ -489,17 +538,22 @@ def table_series(t, den):
     .mul_linear(2, -1),
     lambda f: laws._mul_exp(laws._mul_exp(f, 1, 0), 0, -2)
     - f.subst_linear((3, 1), (-1, 1)).mul_linear(1, 1),
-    lambda f: f.mul_linear(0, 1) + laws._mul_exp(f, -2, 1)],
-    ids=["twist then factor", "two twists", "factor and twist"])
+    lambda f: f.mul_linear(0, 1) + laws._mul_exp(f, -2, 1),
+    lambda f: f.mul_linear(1, -1) + f.subst_linear((1, 1), (0, 1))],
+    ids=["twist then factor", "two twists", "factor and twist",
+         "factor and substitution"])
 def test_tables_follow_the_series_kernels_beyond_law_sides(build):
     # combinations that no law makes: a twisted table times a linear form,
-    # and a table twisted twice, read back whole at their bounds
+    # a table twisted twice, and a sum of two tables that no twist weighs
+    # but whose degrees come from different degrees of f, read back whole
+    # at their bounds, over f's denominator and over each degree's own
     for f in (random_series(random.Random(4), order=9),
               Series2({(p, d - p): Q(10**30 + p, 7 + d) for d in range(13)
-                       for p in range(d + 1)}, 12)):
-        den, _ = f.numerators()
-        assert table_series(build(laws._Table.of(f)), den).key() \
-            == build(f).key()
+                       for p in range(d + 1)}, 12),
+              dense_three_digit(random.Random(5), 12)):
+        for own in (False, True):
+            assert table_series(build(laws._Table.of(f, own))).key() \
+                == build(f).key()
 
 
 def test_d4_decompose_round_trip():

@@ -383,9 +383,8 @@ DENSE_RHO = sum((vspace.from_coefficients(v, d, 14).scalar_mul(Q(d + 1, j + 2))
 @example(DENSE_RHO)
 @example(DENSE_RHO + Series2.monomial(Q(1, 7), 9, 3, 14))
 def test_spec_accepts_exactly_the_rho_that_satisfy_the_laws(rho):
-    # the spec checks each homogeneous part, and a rejection reports what
-    # check_law reports on the whole of rho for the first law it finds
-    # violated
+    # a rejection reports what check_law reports on rho for the first law
+    # of RHO_LAWS that rho violates
     failed = next((report for report in (check_law(law, rho)
                                          for law in RHO_LAWS)
                    if not report.holds), None)
@@ -398,6 +397,17 @@ def test_spec_accepts_exactly_the_rho_that_satisfy_the_laws(rho):
         with pytest.raises(InvalidRho) as err:
             ValuationSpec(0, None, rho, rho.order)
         assert err.value.report == failed
+
+
+def test_spec_checks_rho_by_one_check_law_per_law(monkeypatch):
+    calls = []
+
+    def counted(law, f):
+        calls.append((law, f))
+        return check_law(law, f)
+    monkeypatch.setattr(valuation, "check_law", counted)
+    ValuationSpec(0, None, DENSE_RHO, 14)
+    assert calls == [(law, DENSE_RHO) for law in RHO_LAWS]
 
 
 # the laws are necessary: the cell sums of a rho outside the classification
@@ -807,6 +817,20 @@ def test_decompose_homogeneous_rho():
     assert comps.alpha0 == 0 and not comps.odd
     assert list(comps.even_simple) == [2]
     assert reassemble(comps).rho.eq_up_to(vd_spec(4).rho)
+
+
+def test_decompose_splits_rho_into_its_degrees_at_its_own_order():
+    # rho of order 14 under a spec of order 10: each even part is one
+    # degree of rho, at rho's order, over its own denominator
+    rho = vspace.vd_basis(4).polynomials(order=14)[0].scalar_mul(Q(1, 7)) \
+        + vspace.vd_basis(6).polynomials(order=14)[0].scalar_mul(Q(2, 11))
+    comps = dilative_decompose(ValuationSpec(0, None, rho, 10))
+    assert list(comps.even_simple) == [2, 4]
+    for delta, part in comps.even_simple.items():
+        den, rows = part.numerators()
+        assert part.order == 14 and len(rows) == delta + 3
+        assert not any(map(any, rows[:-1])) and gcd(den, *rows[-1]) == 1
+    assert sum(comps.even_simple.values(), Series2.zero(14)) == rho
 
 
 def deltas(comps):
