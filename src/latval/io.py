@@ -248,10 +248,6 @@ def spec_from_obj(obj) -> ValuationSpec:
         raise MalformedInput(str(exc)) from None
 
 
-def affine_to_obj(xi: AffineUnimodular) -> dict:
-    return {"m": [list(row) for row in xi.m], "v": list(xi.v)}
-
-
 def affine_from_obj(obj) -> AffineUnimodular:
     if not isinstance(obj, dict) or "m" not in obj:
         raise MalformedInput('affine element must be '

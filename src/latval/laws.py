@@ -14,23 +14,24 @@ the solution spaces of ``vspace`` and the refusal of a series that is
 not D4-invariant by ``d4_decompose`` are built from it.  It takes a
 ``Series2`` or anything with the operations it uses: ``check_law`` hands
 it ``_Table``, the series packed degree by degree (Kronecker
-substitution, as in ``series``), as ``vspace`` hands it packed forms.
-Each degree of a side is one int at one width, set by bounds carried
-through the operations, over the denominator of the degree of the
-series it came from unless a twist mixes them, so the two sides are
-compared as ints.  A side is a stream of its packed degrees, lowest
-first, and the two are pulled one degree at a time: no degree above the
-first unequal one is substituted, twisted or packed, and only that
-degree is read back.
+substitution, as in ``series``), as ``vspace`` hands it ``_Forms``.  The
+two stand-ins keep one protocol: bounds first, carried through the
+operations, and one pack at the width the bounds give, made when asked.
+Each degree of a side is one int at that width over its own
+denominator, carried with it, and two sides meet over the lcm of their
+denominators, degree by degree, so they are compared as ints.  A side
+is a stream of its packed degrees, lowest first, and the two are pulled
+one degree at a time: no degree above the first unequal one is
+substituted, twisted or packed, and only that degree is read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
-from math import comb, factorial, gcd
-from operator import add, mul, sub
+from itertools import accumulate, chain
+from math import comb, gcd, lcm
+from operator import add, floordiv, mul, sub
 
 from .group import GL2Z_GENERATORS
 from .series import (Series2, _packed_degrees, _substitute,
@@ -228,25 +229,24 @@ def check_law(law: str, f: Series2) -> LawReport:
     first difference of the first equation that has one, or the lowest
     order verified.
 
-    law_sides runs on the _Table of f, so each side is a _Table: bounds
-    on its coefficients, its degree map and a stream of its degrees
-    packed at any width, carried through the operations; when no side is
-    twisted and f's denominator is wider than WIDE_DEN_BITS, it runs
-    again on the table that keeps each degree of f over its own.  Each
-    equation is packed at the width its bounds need, so that both sides
-    and their difference read back exactly, and the two streams are
-    compared one degree, one int, at a time.  So a violated law costs
-    the degrees up to its first unequal one (and the power table that
+    law_sides runs on the _Table of f, so each side is a _Table; when
+    f's denominator is wider than WIDE_DEN_BITS and the sides of each
+    equation have equal dens (no side alone twisted), it runs again on
+    the table that keeps each degree of f over its own.  Each equation is
+    packed once, at the width its bounds need, so that both sides and
+    their difference read back exactly, and the two streams are compared
+    one degree, one int, at a time.  So a violated law costs the degrees
+    up to its first unequal one (and the power table that
     series._substitute grows ahead), and no degree above it is
     substituted, twisted or packed; a law that holds costs every degree."""
     equations = law_sides(law, _Table.of(f))
-    if f.numerators()[0] >> WIDE_DEN_BITS and all(   # and no side twisted
-            None is not lhs.gcds == rhs.gcds for lhs, rhs in equations):
+    if f.numerators()[0] >> WIDE_DEN_BITS and all(
+            lhs.dens == rhs.dens for lhs, rhs in equations):
         equations = law_sides(law, _Table.of(f, own=True))
     verified = []
     for lhs, rhs in equations:
         lhs, rhs = _aligned(lhs, rhs)
-        order = min(lhs.order, rhs.order)
+        order = len(lhs.dens) - 1
         diff = _first_difference(lhs, rhs)
         if diff is not None:
             return LawReport(law, False, order, diff)
@@ -255,61 +255,65 @@ def check_law(law: str, f: Series2) -> LawReport:
 
 
 def _aligned(lhs: "_Table", rhs: "_Table") -> tuple:
-    """Both tables weighted if their degree maps differ, else as they are."""
-    if lhs.gcds != rhs.gcds:
-        return lhs.weighted_table(), rhs.weighted_table()
-    return lhs, rhs
+    """Both tables up to their common order, each degree over the lcm of
+    its two denominators: the larger one where it is a multiple of the
+    other, as where a twisted side meets one that is not."""
+    if lhs.dens == rhs.dens:
+        return lhs, rhs
+    dens = [a if not a % b else b if not b % a else lcm(a, b)
+            for a, b in zip(lhs.dens, rhs.dens)]
+    return lhs.over(dens), rhs.over(dens)
 
 
 def _first_difference(lhs: "_Table", rhs: "_Table"):
-    """((p, q), lhs, rhs) at the first exponent, up to their common order,
-    at which two aligned tables differ, or None.  They are packed at one
-    bit above the largest sum of their bounds, at which both, and their
-    difference, read back exactly.  The two streams are pulled one degree
-    at a time from degree 0 and compared as ints; the first unequal
-    degree ends the pull, and only it is read back, over its denominator."""
+    """((p, q), lhs, rhs) at the first exponent at which two aligned
+    tables differ, or None.  They are packed at one bit above the largest
+    sum of their bounds, at which both, and their difference, read back
+    exactly.  The two streams are pulled one degree at a time from
+    degree 0 and compared as ints; the first unequal degree ends the
+    pull, and only it is read back, over its denominator."""
     k = max(map(add, lhs.bounds, rhs.bounds)).bit_length() + 1
     for d, (g, h) in enumerate(zip(lhs.pack(k), rhs.pack(k))):
         if g != h:
             a, b = (_unpack([0] * d + [x], k)[d] for x in (g, h))
             p = next(p for p, (s, t) in enumerate(zip(a, b)) if s != t)
-            w = lhs.den // lhs.gcds[d] if lhs.gcds else lhs.den * factorial(d)
+            w = lhs.dens[d]
             return ((p, d - p), Q(a[p], w), Q(b[p], w))
     return None
 
 
 class _Table:
-    """A series as check_law hands it to law_sides, over den, the
-    denominator of the series f it was made from: bounds[d] bounds each
-    numerator of degree d, over den / gcds[d], and pack(k) is a stream of
-    those degrees packed at x = 2^k, y = 1, one int each, lowest first,
-    each computed when pulled.  The degree map gcds follows each degree
-    to the one of f it came from (a linear factor raises it by one);
-    _Table.of(f, own=True) divides each row of f by its gcd with den.
-    A twist mixes the degrees: a weighted table (gcds None), made by
-    mul_exp_linear and by the tables that meet it, is over den with
-    degree d times d!.  Bounds are carried at once and packs made when
-    asked, as vspace's _Forms are, so a side is packed at the width its
-    equation needs; its stream pulls degree d of the streams it is made
-    from, and of f's rows (kept for subst_linear), only when its own
+    """A series as check_law hands it to law_sides: bounds[d] bounds each
+    numerator of degree d, which is over dens[d], and pack(k) is a stream
+    of those degrees packed at x = 2^k, y = 1, one int each, lowest
+    first, each computed when pulled.  _Table.of(f) puts every degree
+    over f's denominator den, and _Table.of(f, own=True) degree d over
+    den / gcd(den, row d of f).  A substitution keeps each degree over
+    its denominator, a linear factor moves a degree up together with its
+    denominator, a twist puts degree d over lcm(dens) * d!, and a sum
+    lifts its two tables over the lcms of their dens, degree by degree.
+    Bounds and denominators are carried at once and packs made when
+    asked, as vspace's _Forms are, so a side is packed once, at the width
+    its equation needs; its stream pulls degree d of the streams it is
+    made from, and of f's rows (kept for subst_linear), only when its own
     degree d is pulled."""
 
-    __slots__ = ("order", "bounds", "den", "gcds", "pack", "rows")
+    __slots__ = ("bounds", "dens", "pack", "rows")
 
-    def __init__(self, order, bounds, den, gcds, pack, rows=None):
-        self.order, self.bounds, self.den, self.gcds = order, bounds, den, gcds
-        self.pack, self.rows = pack, rows
+    def __init__(self, bounds, dens, pack, rows=None):
+        self.bounds, self.dens, self.pack, self.rows = bounds, dens, pack, rows
 
     @classmethod
     def of(cls, f: Series2, own=False) -> "_Table":
         den, rows = f.numerators()
-        gcds = [1] * (f.order + 1)
-        if own:
-            gcds[:len(rows)] = [gcd(den, *row) for row in rows]
-            rows = [[s // g for s in row] for row, g in zip(rows, gcds)]
         pad = [0] * (f.order + 1 - len(rows))
-        return cls(f.order, [max(map(abs, row)) for row in rows] + pad, den,
-                   gcds, lambda k: chain(_packed_degrees(rows, k), pad), rows)
+        dens = [den] * (f.order + 1)
+        if own:
+            gcds = [gcd(den, *row) for row in rows]
+            rows = [[s // g for s in row] for row, g in zip(rows, gcds)]
+            dens = [den // g for g in gcds] + [1] * len(pad)
+        return cls([max(map(abs, row)) for row in rows] + pad, dens,
+                   lambda k: chain(_packed_degrees(rows, k), pad), rows)
 
     def subst_linear(self, first, second) -> "_Table":
         """The table of f(a1*x + b1*y, a2*x + b2*y), for the integer pairs
@@ -318,48 +322,47 @@ class _Table:
         absolute values."""
         (a1, b1), (a2, b2) = first, second
         ell = max(abs(a1) + abs(b1), abs(a2) + abs(b2))
-        rows, pad = self.rows, [0] * (self.order + 1 - len(self.rows))
+        rows, pad = self.rows, [0] * (len(self.dens) - len(self.rows))
         bounds = [s * (d + 1) * ell ** d for d, s in enumerate(self.bounds)]
-        return _Table(self.order, bounds, self.den, self.gcds,
+        return _Table(bounds, self.dens,
                       lambda k: chain(_substitute(rows, first, second, k),
                                       pad))
 
     def mul_linear(self, a, b) -> "_Table":
         """The product with a*x + b*y, one order up: one multiply per
-        degree, times d + 1 more when weighted, else the map moved up."""
-        size, gcds, inner = abs(a) + abs(b), self.gcds, self.pack
-
-        def pack(k):
-            out = chain([0], map(((a << k) + b).__mul__, inner(k)))
-            return map(mul, out, count()) if gcds is None else out
-        bounds = [0] + [s * size for s in self.bounds]
-        if gcds is None:
-            bounds = [s * d for d, s in enumerate(bounds)]
-        return _Table(self.order + 1, bounds, self.den,
-                      None if gcds is None else [1] + gcds, pack)
+        degree, each moved up with its denominator over a zero degree 0."""
+        size, inner = abs(a) + abs(b), self.pack
+        return _Table([0] + [s * size for s in self.bounds], [1] + self.dens,
+                      lambda k: chain([0], map(((a << k) + b).__mul__,
+                                               inner(k))))
 
     def mul_exp_linear(self, a, b) -> "_Table":
         """The product with exp(a*x + b*y), for ints a and b: the
-        series._taylor_shift of the weighted degrees by a*x + b*y packed.
-        With l = |a| + |b|, degree s is at most (1 + l)^s times the
-        largest bound of the degrees up to s."""
-        t = self.weighted_table()
+        series._taylor_shift by a*x + b*y packed of the degrees lifted
+        over L, the lcm of the denominators, and times d!, which leaves
+        degree s over L * s!.  With l = |a| + |b|, degree s is at most
+        (1 + l)^s times the largest lifted bound of the degrees up to s."""
+        den = lcm(*set(self.dens))
+        t = self.over([den] * len(self.dens))
+        fact = list(accumulate(range(1, len(self.dens)), mul, initial=1))
         bounds, top, grow = [], 0, 1
-        for s in t.bounds:
-            top = max(top, s)
+        for s, f in zip(t.bounds, fact):
+            top = max(top, s * f)
             bounds.append(top * grow)
             grow *= 1 + abs(a) + abs(b)
-        return _Table(self.order, bounds, t.den, None,
-                      lambda k: _taylor_shift(t.pack(k), (a << k) + b))
+        return _Table(bounds, [den * f for f in fact],
+                      lambda k: _taylor_shift(map(mul, t.pack(k), fact),
+                                              (a << k) + b))
 
-    def weighted_table(self) -> "_Table":
-        """This table over den, with degree d times d! * gcds[d]."""
-        if self.gcds is None:
+    def over(self, dens) -> "_Table":
+        """This table up to order len(dens) - 1, degree d over dens[d], a
+        multiple of its own denominator: itself if they are equal, else
+        each degree times the quotient."""
+        if dens == self.dens:
             return self
-        lift = [factorial(d) * g for d, g in enumerate(self.gcds)]
-        inner = self.pack
-        return _Table(self.order, list(map(mul, self.bounds, lift)),
-                      self.den, None, lambda k: map(mul, inner(k), lift))
+        lift, inner = list(map(floordiv, dens, self.dens)), self.pack
+        return _Table(list(map(mul, self.bounds, lift)), dens,
+                      lambda k: map(mul, inner(k), lift))
 
     def __add__(self, other: "_Table") -> "_Table":
         return self._plus(other, add)
@@ -369,9 +372,8 @@ class _Table:
 
     def _plus(self, other: "_Table", op) -> "_Table":
         a, b = _aligned(self, other)
-        return _Table(min(a.order, b.order),
-                      list(map(add, a.bounds, b.bounds)), a.den,
-                      a.gcds, lambda k: map(op, a.pack(k), b.pack(k)))
+        return _Table(list(map(add, a.bounds, b.bounds)), a.dens,
+                      lambda k: map(op, a.pack(k), b.pack(k)))
 
 
 # ---------------------------------------------------------------------------

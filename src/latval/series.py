@@ -386,9 +386,9 @@ def sum_of_products(pairs) -> "Series2":
 # module: series go in by packed_cells, and the sum of their images (a
 # polygon's faces, or the one face of mul_exp_linear or of
 # group.act_on_series) comes out of sum_of_images as one Series2.
-# laws.check_law packs a series into tables of its own, by the same
-# _packed_degrees, _substitute and _taylor_shift, as streams lowest degree
-# first, and weighs them by d! only to twist.
+# laws.check_law streams tables of its own, with a denominator per degree,
+# through the same _packed_degrees, _substitute and _taylor_shift; a twist
+# there puts degree d over the lcm of the denominators times d!.
 #
 # Series2.subst_linear and exp_linear stay apart.  A substitution routed
 # through the tables pays for the d! it does not need: on dense series of

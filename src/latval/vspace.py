@@ -15,11 +15,12 @@ in ``laws``.
 
 The residuals are taken in integers: ``laws.law_sides`` gets, in place of
 a series, ``_Forms``, a basis of degree-d forms, each a product of powers
-of integer linear forms packed as one int at x = 2^k, y = 1 (Kronecker
-substitution, as in ``series``).  A linear substitution packs the
-substituted linear forms again; a linear factor, a sum and a difference
-are int products and sums.  A running bound on each form's coefficients
-sets the width k at which the residuals are read back exactly.
+of integer linear forms, packed as one int at x = 2^k, y = 1 (Kronecker
+substitution, as in ``series``) when asked, as ``laws._Table`` packs.  A
+linear substitution substitutes the factors; a linear factor, a sum and
+a difference are int products and sums.  A bound on each form's
+coefficients is carried through them, and each residual is packed once,
+at the width its bounds give, at which it reads back exactly.
 ``vd_basis`` applies the laws to the d // 2 + 1 forms x^(d-2j) (x + y)^(2j),
 which span ker(E), since (E) fixes x and sends x + y to -(x + y): the
 rows of (E) come out zero, those of (A') have about half the columns,
@@ -59,30 +60,18 @@ def to_coefficients(rho: Series2, d: int):
 
 
 def _residual_rows(forms, d: int, law_ids) -> list:
-    """The rows of the named laws' residuals on the degree-d forms, given
-    by their factors as in _Forms, one column per form: row i of a
-    residual of degree e holds its coefficients of x^(e-i) y^i.  The
-    laws must be homogeneous, as those of RHO_LAWS are.  The width k
-    starts two bits above the largest bound of the forms; a law whose
-    residuals' bounds need more is computed again at the width they need."""
-    k = max(map(_bound, forms)).bit_length() + 2
+    """The rows of the residuals lhs - rhs of the named laws on the
+    degree-d forms, given by their factors as in _Forms, one column per
+    form: row i of a residual of degree e holds its coefficients of
+    x^(e-i) y^i.  The laws must be homogeneous, as those of RHO_LAWS are.
+    Each residual is packed once, at one bit above the bit length of its
+    largest bound, at which every digit reads back exactly."""
     rows = []
     for law in law_ids:
-        res = _residuals(law, forms, d, k)
-        need = max(max(r.bounds) for r in res).bit_length() + 1
-        if need > k:   # a wider read-back, at which every digit is exact
-            k = need
-            res = _residuals(law, forms, d, k)
-        for r in res:
-            rows += r.rows()
+        for lhs, rhs in laws.law_sides(law, _Forms.of(forms, d)):
+            res = lhs - rhs
+            rows += res.rows(max(res.bounds).bit_length() + 1)
     return rows
-
-
-def _residuals(law: str, forms, d: int, k: int) -> list:
-    """lhs - rhs of each equation of the named law on the forms, packed at
-    width k."""
-    return [lhs - rhs
-            for lhs, rhs in laws.law_sides(law, _Forms.of(forms, d, k))]
 
 
 def _bound(form) -> int:
@@ -97,43 +86,46 @@ def _bound(form) -> int:
 
 class _Forms:
     """Homogeneous forms of one degree, as the columns of the residual
-    rows: cols[j] is form j packed at x = 2^k, y = 1, the sizes of whose
-    coefficients sum to at most bounds[j].  A basis (``_Forms.of``) also
-    keeps each form as its factors, the pairs ((a, b), e) of the powers
-    (a*x + b*y)^e whose product it is, for ``subst_linear``.  These are
-    the operations of the homogeneous laws of ``laws.law_sides``; a series
-    kernel such as ``mul_exp_linear`` finds no series here."""
+    rows: the sizes of the coefficients of form j sum to at most
+    bounds[j], and pack(k) lists the forms packed at x = 2^k, y = 1, made
+    when asked, as laws' _Table makes its packs.  A basis (``_Forms.of``)
+    also keeps each form as its factors, the pairs ((a, b), e) of the
+    powers (a*x + b*y)^e whose product it is, for ``subst_linear``.  These
+    are the operations of the homogeneous laws of ``laws.law_sides``; a
+    series kernel such as ``mul_exp_linear`` finds no series here."""
 
-    __slots__ = ("degree", "k", "cols", "bounds", "factors")
+    __slots__ = ("degree", "bounds", "pack", "factors")
 
-    def __init__(self, degree, k, cols, bounds, factors=None):
-        self.degree, self.k, self.cols, self.bounds = degree, k, cols, bounds
+    def __init__(self, degree, bounds, pack, factors=None):
+        self.degree, self.bounds, self.pack = degree, bounds, pack
         self.factors = factors
 
     @classmethod
-    def of(cls, forms, degree: int, k: int) -> "_Forms":
-        """The forms of the given degree, by their factors, packed."""
-        cols = []
-        for form in forms:
-            col = 1
-            for (a, b), e in form:
-                col *= ((a << k) + b) ** e
-            cols.append(col)
-        return cls(degree, k, cols, [_bound(f) for f in forms], forms)
+    def of(cls, forms, degree: int) -> "_Forms":
+        """The forms of the given degree, by their factors."""
+        def pack(k):
+            cols = []
+            for form in forms:
+                col = 1
+                for (a, b), e in form:
+                    col *= ((a << k) + b) ** e
+                cols.append(col)
+            return cols
+        return cls(degree, [_bound(f) for f in forms], pack, forms)
 
     def subst_linear(self, first, second) -> "_Forms":
         """Each form f as f(a1*x + b1*y, a2*x + b2*y), for first = (a1, b1)
         and second = (a2, b2): a factor a*x + b*y becomes
-        (a*a1 + b*a2)*x + (a*b1 + b*b2)*y, and is packed again."""
+        (a*a1 + b*a2)*x + (a*b1 + b*b2)*y."""
         (a1, b1), (a2, b2) = first, second
         return _Forms.of([[((a * a1 + b * a2, a * b1 + b * b2), e)
                            for (a, b), e in form] for form in self.factors],
-                         self.degree, self.k)
+                         self.degree)
 
     def mul_linear(self, a, b) -> "_Forms":
-        u, size = (a << self.k) + b, abs(a) + abs(b)
-        return _Forms(self.degree + 1, self.k, [c * u for c in self.cols],
-                      [s * size for s in self.bounds])
+        size, inner = abs(a) + abs(b), self.pack
+        return _Forms(self.degree + 1, [s * size for s in self.bounds],
+                      lambda k: list(map(((a << k) + b).__mul__, inner(k))))
 
     def __add__(self, other: "_Forms") -> "_Forms":
         return self._plus(other, 1)
@@ -145,16 +137,18 @@ class _Forms:
         if other.degree != self.degree:
             raise TypeError(f"forms of degrees {self.degree} and "
                             f"{other.degree} added")
-        return _Forms(self.degree, self.k,
-                      [a + sign * b for a, b in zip(self.cols, other.cols)],
-                      [s + t for s, t in zip(self.bounds, other.bounds)])
+        return _Forms(self.degree,
+                      [s + t for s, t in zip(self.bounds, other.bounds)],
+                      lambda k: [a + sign * b for a, b
+                                 in zip(self.pack(k), other.pack(k))])
 
-    def rows(self) -> list:
-        """Row i: the coefficients of x^(degree-i) y^i of the forms, exact
-        while each bound is below 2^(k-1).  One series._unpack reads them
-        all, form j as packed degree degree + j, whose top j digits are 0."""
+    def rows(self, k: int) -> list:
+        """Row i: the coefficients of x^(degree-i) y^i of the forms packed
+        at width k, exact while each bound is below 2^(k-1).  One
+        series._unpack reads them all, form j as packed degree
+        degree + j, whose top j digits are 0."""
         n = self.degree + 1
-        cols = _unpack([0] * self.degree + self.cols, self.k)[n - 1:]
+        cols = _unpack([0] * self.degree + self.pack(k), k)[n - 1:]
         return [list(r) for r in zip(*(col[n - 1::-1] for col in cols))]
 
 

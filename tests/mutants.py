@@ -4,8 +4,8 @@
 
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
-total degree, in the Horner substitution or the bound on its width, in
-the streaming Taylor shift, in the Bernoulli numbers, in the
+total degree, in the Horner substitution, the degree its images are
+summed into or the bound on its width, in the streaming Taylor shift, in the Bernoulli numbers, in the
 triangulation and the lattice point walk, in the faces that the
 evaluator sums (a triangle's sides on the boundary, the sign of an
 interior point, the unimodularity check) or the cells that its equal
@@ -13,9 +13,12 @@ values share, in the bound of a cache or the equality of the specs that
 key one, in the cache of spec files or the coefficient and exponent
 texts of the writer, in the Laplace oracle (the degree scale or the
 weight of a fan triangle), in the packed forms that the solution spaces
-are solved on, in the sides of a law, the packed tables that check_law
-compares, the denominator each of their degrees is over, or the degree
-at which it stops, in the laws that check D4 invariance,
+are solved on (the width each residual is read back at) or in the
+elimination that solves them (the pivot row), in the sides of a law,
+the packed tables that check_law compares, the denominator each of
+their degrees is over (moved up by a linear factor, times d! by a twist,
+met over the lcm of two sides, read back in a report), or the degree at
+which it stops, in the laws that check D4 invariance,
 the substitution that checks f0gl2z, the leading-term reduction of
 ``d4_decompose`` or its inverse ``d4_compose``, in the sharp and dagger
 transforms or the change to (s, t), in the affine unimodular group (its
@@ -86,6 +89,10 @@ MUTANTS = [
     ("packed_cells: the d! of each row left out", "series.py",
      "scaled = [(f._den, _times(f._rows, fact)) for f in fs]",
      "scaled = [(f._den, f._rows) for f in fs]",
+     ["test_series.py::test_mul_exp_linear_inverse"]),
+    ("image sum: a translation's images added one degree up", "series.py",
+     "sums[d] += _horner(row, steps, others, backwards)",
+     "sums[min(d + 1, n)] += _horner(row, steps, others, backwards)",
      ["test_series.py::test_mul_exp_linear_inverse"]),
     ("horner: the jump over a zero run dropped", "series.py",
      "h = h * steps[g] + row[p] * others[d - p]",
@@ -189,10 +196,17 @@ MUTANTS = [
     ("forms: (x + y)^(2j) read as (x + y)^j", "vspace.py",
      "((1, 1), 2 * j)", "((1, 1), j)",
      ["test_vspace.py::test_vd_basis_equals_the_monomial_solve"]),
-    ("forms: no wider read-back, so k stays small", "vspace.py",
-     "if need > k:", "if False:",
+    ("forms: each residual read back one bit short", "vspace.py",
+     "res.rows(max(res.bounds).bit_length() + 1)",
+     "res.rows(max(res.bounds).bit_length())",
      ["test_vspace.py::"
-      "test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30"]),
+      "test_constraint_rows_of_stacked_laws_equal_the_series_rows"]),
+    ("echelon: the pivot row not swapped into place", "linalg.py",
+     "m[r], m[pr] = m[pr], m[r]", "m[r], m[pr] = m[r], m[pr]",
+     ["test_golden.py::test_golden_output[vd_dims_64]"]),
+    ("echelon: the pivot read from the row it was found in", "linalg.py",
+     "prow = m[r]", "prow = m[pr]",
+     ["test_golden.py::test_golden_output[vd_dims_64]"]),
     ("evaluator: the shared cells matched to the wrong values",
      "valuation.py", "cell = dict(zip(distinct, cells))",
      "cell = dict(zip(distinct, cells[::-1]))",
@@ -254,31 +268,29 @@ MUTANTS = [
      ["test_laws.py::"
       "test_a_violated_law_computes_nothing_above_its_first_difference[E]"]),
     ("check_law: a twisted side packed whole before its first degree",
-     "laws.py", "_taylor_shift(t.pack(k), (a << k) + b)",
-     "_taylor_shift(list(t.pack(k)), (a << k) + b)",
+     "laws.py", "_taylor_shift(map(mul, t.pack(k), fact),",
+     "_taylor_shift(list(map(mul, t.pack(k), fact)),",
      ["test_laws.py::"
       "test_a_violated_law_computes_nothing_above_its_first_difference[A]"]),
-    ("check_law: a twisted table without its d!", "laws.py",
-     "t = self.weighted_table()", "t = self",
-     ["test_laws.py::test_check_law_equals_the_series_route[C]"]),
+    ("check_law: a twist over dens[0] * d!, not over the lcm", "laws.py",
+     "den = lcm(*set(self.dens))", "den = self.dens[0]",
+     ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
+      "[factor and twist]"]),
     ("check_law: the sides read back from each other", "laws.py",
      "for x in (g, h))", "for x in (h, g))",
      ["test_laws.py::test_check_law_equals_the_series_route[B]"]),
-    ("check_law: a weighted table not lifted by its degrees' gcds",
-     "laws.py", "factorial(d) * g for", "factorial(d) for",
-     ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
-      "[factor and twist]"]),
-    ("check_law: a linear factor keeps the degree map unshifted",
-     "laws.py", "None if gcds is None else [1] + gcds", "gcds",
+    ("check_law: a linear factor leaves the denominators unshifted",
+     "laws.py", "[1] + self.dens", "self.dens + [1]",
      ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
       "[factor and substitution]"]),
-    ("check_law: tables with different degree maps met unweighted",
-     "laws.py", "if lhs.gcds != rhs.gcds:",
-     "if (lhs.gcds is None) != (rhs.gcds is None):",
+    ("check_law: two tables met over one side's denominators", "laws.py",
+     "return lhs.over(dens), rhs.over(dens)",
+     "return lhs.over(lhs.dens[:len(dens)]), "
+     "rhs.over(lhs.dens[:len(dens)])",
      ["test_laws.py::test_tables_follow_the_series_kernels_beyond_law_sides"
       "[factor and substitution]"]),
-    ("check_law: an unweighted report read over the common denominator",
-     "laws.py", "w = lhs.den // lhs.gcds[d] if", "w = lhs.den if",
+    ("check_law: a report read over the denominator of degree 0",
+     "laws.py", "w = lhs.dens[d]", "w = lhs.dens[0]",
      ["test_laws.py::"
       "test_a_violated_law_computes_nothing_above_its_first_difference[E]"]),
     ("check_law: no degree kept over its own denominator", "laws.py",

@@ -527,10 +527,9 @@ def table_series(t):
     width of its bounds, degree d over its own denominator."""
     k = max(t.bounds).bit_length() + 2
     rows = series._unpack(t.pack(k), k)
-    return Series2({(p, d - p): Q(s, t.den * factorial(d) if t.gcds is None
-                                  else t.den // t.gcds[d])
+    return Series2({(p, d - p): Q(s, t.dens[d])
                     for d, row in enumerate(rows) for p, s in enumerate(row)
-                    if s}, t.order)
+                    if s}, len(t.dens) - 1)
 
 
 @pytest.mark.parametrize("build", [

@@ -13,7 +13,6 @@ SRC = Path(latval.__file__).parent
 # names that src/ does not use and that stay for now, with the reason
 ALLOWED = {
     "io.spec_to_obj": "bench writes the evaluate workload's specs with it",
-    "io.affine_to_obj": "bench's io.dump span group names it",
     "laws.d4_decompose": "bench's algebra workload times it",
     "laws.d4_compose": "bench's algebra workload builds its D4 inputs",
     "series.compose_univariate": "bench's algebra workload builds f1",

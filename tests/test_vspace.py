@@ -150,9 +150,8 @@ def test_constraint_rows_of_stacked_laws_equal_the_series_rows():
 
 
 def test_residual_rows_of_the_rho_laws_equal_the_series_rows_to_30():
-    # on the monomials, Aprime's residuals need a wider read-back than the
-    # forms' width at every degree, so these rows depend on it; on the
-    # forms that vd_basis solves on, it happens at d <= 1 alone
+    # each residual is read back at the width its own bounds give, which
+    # on the monomials is wider than the forms' for Aprime at every degree
     for d in range(31):
         assert packed_rows(d, laws.RHO_LAWS) \
             == oracles.constraint_matrix(d, laws.RHO_LAWS), d
