@@ -13,13 +13,14 @@ substitution on Python ints.  A homogeneous polynomial of degree d,
 sum_i c_i x^i y^(d-i), is packed into the integer sum_i c_i 2^(k*i), its
 value at x = 2^k, y = 1.  The linear form a*x + b*y packs to
 u = (a << k) + b, and one kernel, ``_horner``, makes the packed image of
-a row of numerators under two packed forms U, V by the homogeneous Horner
-step h <- h * U^g + s * V^(d-p): it steps in the narrower form and takes
-the powers of the other from a table, so each product has one short
-factor, and a run of g zero entries costs one multiply by a tabled
-power.  The packed image of a degree is one integer, as is the sum of
-the images of many cells, and so is their product with exp(v.z), whose
-degree s is a sum of products with powers of v.z.  One kernel,
+a row of numerators under the packed images U of x and V of y by the
+homogeneous Horner step h <- h * U^g + s * V^(d-p): it always steps in
+U and reads the powers of V from a table grown to the top degree, so
+each product has one short factor, and a run of g zero entries costs
+one multiply by a tabled power of U.  The packed image of a degree is
+one integer, as is the sum of the images of many cells, and so is their
+product with exp(v.z), whose degree s is a sum of products with powers
+of v.z.  One kernel,
 ``_taylor_shift``, makes it as a stream: one column of Pascal's rule per
 degree, each degree given as soon as the degrees below it are known,
 so that ``laws.check_law`` computes no degree above its first unequal
@@ -141,43 +142,21 @@ def _grow(powers: list, e: int):
         powers.append(powers[-1] * powers[1])
 
 
-def _horner(row, steps: list, others: list, backwards=False) -> int:
-    """sum_p row[p] * S^p * O^(d-p) for d = len(row) - 1 (backwards:
-    sum_p row[p] * O^p * S^(d-p), the row read from its end), from the
-    power tables steps[j] = S^j and others[j] = O^j, grown here as far as
-    the row, not all zero, needs: h <- h * S^g + s * O^(d-p) over the
-    nonzero entries s = row[p], p falling, g the distance from the one
-    before, and one multiply by S^p after the last, at the lowest p.  A
-    row with no zero entry steps by S alone; one with a single entry is
-    one product."""
+def _horner(row, steps: list, others: list) -> int:
+    """sum_p row[p] * U^p * V^(d-p) for d = len(row) - 1, a row not all
+    zero, from the power tables steps[j] = U^j and others[j] = V^j, the
+    latter at least up to V^d: h <- h * U^g + s * V^(d-p) over the nonzero
+    entries s = row[p], p falling, g the distance from the one before,
+    and one multiply by U^p after the last, at the lowest p; steps is
+    grown here as far as that needs.  A row with no zero entry steps by U
+    alone."""
     d = len(row) - 1
     if 0 not in row:
-        if len(others) <= d:
-            _grow(others, d)
         step, h = steps[1], 0
-        for s, v in zip(row if backwards else reversed(row), others):
+        for s, v in zip(reversed(row), others):
             h = h * step + s * v
         return h
     ps = list(compress(range(d + 1), row))   # the nonzero entries' places
-    if len(ps) == 1:
-        p = ps[0]
-        e, f = (d - p, p) if backwards else (p, d - p)
-        h = row[p]
-        if f:
-            if len(others) <= f:
-                _grow(others, f)
-            h *= others[f]
-        if e:
-            if len(steps) <= e:
-                _grow(steps, e)
-            h *= steps[e]
-        return h
-    if backwards:
-        row = row[::-1]
-        ps = [d - p for p in reversed(ps)]
-    low = ps[0]
-    if len(others) <= d - low:
-        _grow(others, d - low)
     h, last = 0, ps[-1]
     for p in reversed(ps):
         g = last - p
@@ -185,39 +164,24 @@ def _horner(row, steps: list, others: list, backwards=False) -> int:
             _grow(steps, g)
         h = h * steps[g] + row[p] * others[d - p]
         last = p
-    if low:
-        if len(steps) <= low:
-            _grow(steps, low)
-        h *= steps[low]
-    return h
-
-
-def _power_tables(first, second, k: int) -> tuple:
-    """(steps, others, backwards) for _horner to substitute
-    x -> a1*x + b1*y and y -> a2*x + b2*y, for the integer pairs
-    first = (a1, b1) and second = (a2, b2), at width k: it steps in the
-    narrower of the packed forms U and V, reading each row backwards when
-    that is V, and takes the powers of the other from a table."""
-    (a1, b1), (a2, b2) = first, second
-    u, v = (a1 << k) + b1, (a2 << k) + b2
-    if abs(v) < abs(u):
-        return [1, v], [1, u], True
-    return [1, u], [1, v], False
+    _grow(steps, ps[0])
+    return h * steps[ps[0]]
 
 
 def _substitute(rows, first, second, k: int):
     """h_0, h_1, ... on demand, h_d the packed image at width k of
-    rows[d], the numerators of x^p y^(d-p), under the forms of
-    _power_tables: sum_p rows[d][p] * U^p * V^(d-p).  The rows are taken
-    lowest first, so a reader that stops at degree d substitutes no row
-    above it.  The other form's power table is grown to the top degree
-    at once, one multiply per power, which timed faster on law checks
-    that hold than growing it a row at a time inside _horner; the
-    stepping form's table grows as the rows need it."""
-    steps, others, backwards = _power_tables(first, second, k)
+    rows[d], the numerators of x^p y^(d-p), under x -> a1*x + b1*y and
+    y -> a2*x + b2*y for the integer pairs first = (a1, b1) and
+    second = (a2, b2): the _horner sum_p rows[d][p] * U^p * V^(d-p) of
+    the packed forms U = (a1 << k) + b1 and V = (a2 << k) + b2.  The rows
+    are taken lowest first, so a reader that stops at degree d
+    substitutes no row above it.  V's power table is grown to the top
+    degree at once, one multiply per power, which timed faster on law
+    checks that hold than growing it a row at a time."""
+    (a1, b1), (a2, b2) = first, second
+    steps, others = [1, (a1 << k) + b1], [1, (a2 << k) + b2]
     _grow(others, len(rows) - 1)
-    return (_horner(row, steps, others, backwards) if any(row) else 0
-            for row in rows)
+    return (_horner(row, steps, others) if any(row) else 0 for row in rows)
 
 
 def _image_bits(bits: int, n: int, first, second) -> int:
@@ -248,13 +212,14 @@ def _width(images, spare: int = 0) -> int:
 def _packed_sum(images, k: int, n: int) -> list:
     """[h_0, ..., h_n], h_d the degree d of the sum that _width describes
     packed at x = 2^k, y = 1: one integer sum of the _horner images of the
-    degrees of its cells, from the top degree down, so that the power
-    tables grow at once; no image may reach above degree n."""
+    degrees of its cells, each cell's table of V grown at once to its top
+    degree, as _substitute grows it; no image may reach above degree n."""
     sums = [0] * (n + 1)
-    for (degrees, _), first, second in images:
-        steps, others, backwards = _power_tables(first, second, k)
-        for d, row in reversed(degrees):
-            sums[d] += _horner(row, steps, others, backwards)
+    for (degrees, _), (a1, b1), (a2, b2) in images:
+        steps, others = [1, (a1 << k) + b1], [1, (a2 << k) + b2]
+        _grow(others, degrees[-1][0])
+        for d, row in degrees:
+            sums[d] += _horner(row, steps, others)
     return sums
 
 
@@ -703,8 +668,11 @@ def divide_linear(f: Series2, a, b) -> Series2:
     where N[p] = F[p]*B^p - A*N[p-1] and N[-1] = 0.  f is a multiple
     exactly when F[n]*B^n = A*N[n-1] on every degree (for n = 0: a zero
     constant term); otherwise NotDivisible is raised.  When B = 0, f is
-    read with x and y swapped.
+    read with x and y swapped.  A series of order 0 has no quotient.
     """
+    if f.order == 0:
+        raise ValueError("a series of order 0 has no quotient: a division "
+                         "by a linear form loses one order")
     scale, (A, B) = _integral(a, b)
     if A == 0 and B == 0:
         raise ValueError("the linear form is zero")
@@ -727,8 +695,6 @@ def divide_linear(f: Series2, a, b) -> Series2:
             raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
                                f"degree {n} fails the consistency check")
         out.append(quot[::-1] if swap else quot)
-    if f.order == 0:
-        raise ValueError("order must be non-negative")
     return Series2._of(out[1:], f._den * powers[top], f.order - 1)
 
 

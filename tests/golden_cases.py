@@ -93,11 +93,12 @@ def _cases():
         cases.append((f"evaluate_rho_{rho}",
                       ["evaluate", "--spec", _input("spec_rho_" + rho),
                        "--polygon", _input("two_t")], cli.EXIT_MALFORMED))
-    # rho = 1 + x^400: each degree of rho is checked, not solved, so the
-    # refusal takes well under a second
-    cases.append(("evaluate_rho_x400",
-                  ["evaluate", "--spec", _input("spec_rho_x400"),
-                   "--polygon", _input("two_t")], cli.EXIT_MALFORMED))
+    # rho = 1 + x^400 and its mirror 1 + y^400: each degree of rho is
+    # checked, not solved, so the refusal takes well under a second
+    for rho in ("x400", "y400"):
+        cases.append((f"evaluate_rho_{rho}",
+                      ["evaluate", "--spec", _input("spec_rho_" + rho),
+                       "--polygon", _input("two_t")], cli.EXIT_MALFORMED))
     # 12T: 144 triangles sharing vertices, so many cells per translation
     cases.append(("evaluate_twelve_t",
                   ["evaluate", "--spec", _input("spec_general"),

@@ -4,9 +4,10 @@
 
 Each entry of MUTANTS is one change of source text in ``src/latval``: a
 small fault in a series kernel that stores or reads the numerators by
-total degree, in the Horner substitution, the degree its images are
-summed into or the bound on its width, in the streaming Taylor shift, in the Bernoulli numbers, in the
-triangulation and the lattice point walk, in the faces that the
+total degree, in the Horner substitution (its jump over a run of zeros
+and its last step), the degree its images are summed into or the bound
+on its width, in the streaming Taylor shift, in the Bernoulli numbers,
+in the triangulation and the lattice point walk, in the faces that the
 evaluator sums (a triangle's sides on the boundary, the sign of an
 interior point, the unimodularity check) or the cells that its equal
 values share, in the bound of a cache or the equality of the specs that
@@ -23,7 +24,8 @@ the substitution that checks f0gl2z, the leading-term reduction of
 ``d4_decompose`` or its inverse ``d4_compose``, in the sharp and dagger
 transforms or the change to (s, t), in the affine unimodular group (its
 determinant check, the order of compose, the edge vectors of its action
-on series), or in a bound on input.
+on series), or in a bound on input (each limit of ``io`` and ``cli``
+moved by one).
 
 The runner imports pytest and hypothesis once, and never latval.  It
 copies ``src/`` into a temporary directory, applies the change there,
@@ -91,12 +93,15 @@ MUTANTS = [
      "scaled = [(f._den, f._rows) for f in fs]",
      ["test_series.py::test_mul_exp_linear_inverse"]),
     ("image sum: a translation's images added one degree up", "series.py",
-     "sums[d] += _horner(row, steps, others, backwards)",
-     "sums[min(d + 1, n)] += _horner(row, steps, others, backwards)",
+     "sums[d] += _horner(row, steps, others)",
+     "sums[min(d + 1, n)] += _horner(row, steps, others)",
      ["test_series.py::test_mul_exp_linear_inverse"]),
     ("horner: the jump over a zero run dropped", "series.py",
      "h = h * steps[g] + row[p] * others[d - p]",
      "h = h * steps[min(g, 1)] + row[p] * others[d - p]",
+     ["test_series.py::test_subst_linear_matches_fraction_expansion"]),
+    ("horner: the last step one power of U short", "series.py",
+     "return h * steps[ps[0]]", "return h * steps[max(ps[0] - 1, 0)]",
      ["test_series.py::test_subst_linear_matches_fraction_expansion"]),
     ("image bits: the bound one factor l short", "series.py",
      "bits + ((n + 1) * ell ** n).bit_length()",
@@ -156,6 +161,29 @@ MUTANTS = [
     ("anchored: the vertices before the anchor dropped", "valuation.py",
      "out.append(cell[i:] + cell[:i])", "out.append(cell[i:])",
      ["test_valuation.py::test_z_polygon_constant_terms"]),
+    ("limits: a number of exactly 4300 digits taken", "io.py",
+     ">= _TOO_LONG", "> _TOO_LONG",
+     ["test_cli.py::test_malformed_json_values_exit_3"
+      "[term-denominator-too-long]"]),
+    ("limits: a series order at MAX_ORDER refused", "io.py",
+     "if order > MAX_ORDER:", "if order >= MAX_ORDER:",
+     ["test_cli.py::test_order_above_the_limit_exits_3"]),
+    ("limits: a polygon of MAX_LATTICE_POINTS points refused", "io.py",
+     "if n > MAX_LATTICE_POINTS:", "if n >= MAX_LATTICE_POINTS:",
+     ["test_cli.py::test_polygons_at_the_lattice_point_limits_are_accepted"]),
+    ("limits: a polygon spanning MAX_LATTICE_POINTS lines refused", "io.py",
+     "lines > MAX_LATTICE_POINTS", "lines >= MAX_LATTICE_POINTS",
+     ["test_cli.py::test_polygons_at_the_lattice_point_limits_are_accepted"]),
+    ("limits: a value at its maximum refused", "cli.py",
+     "if value > maximum:", "if value >= maximum:",
+     ["test_cli.py::test_dilative_m_beyond_the_limit_exits_3"]),
+    ("limits: a value at its minimum refused", "cli.py",
+     "if value < minimum:", "if value <= minimum:",
+     ["test_golden.py::test_golden_output[vd_basis_xy_0]"]),
+    ("limits: laplace's order times bits at MAX_LAPLACE_BITS refused",
+     "cli.py", "order * far.bit_length() > io.MAX_LAPLACE_BITS",
+     "order * far.bit_length() >= io.MAX_LAPLACE_BITS",
+     ["test_cli.py::test_laplace_far_coordinates_exit_3"]),
     ("dilative: the --m factors unbounded", "cli.py",
      '_in_range("the --m factor", max(m_list), 2)', "None",
      ["test_cli.py::test_dilative_m_beyond_the_limit_exits_3"]),

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latval import cli, io, laws, series, valuation
-from latval.geometry import hull_normalize, scale_polygon
+from latval.geometry import (hull_normalize, lattice_point_count,
+                             scale_polygon, shorter_span)
 from latval.group import AffineUnimodular, act_on_series
 from latval.laws import dagger
 from latval.series import Series1, Series2
@@ -813,6 +814,25 @@ def test_polygon_spanning_too_many_lines_exits_3(tmp_path, capsys):
             f"side, above the limit {io.MAX_LATTICE_POINTS}\n")
 
 
+def test_polygons_at_the_lattice_point_limits_are_accepted():
+    # a block of 10^4 x 10 lattice points, and a sliver of 3 points that
+    # spans 10^5 lattice lines along its shorter side: each sits at its
+    # limit and is taken, and one point or one line more is refused
+    limit = io.MAX_LATTICE_POINTS
+    block = hull_normalize([(0, 0), (9999, 0), (9999, 9), (0, 9)])
+    assert lattice_point_count(block) == limit == 10**5
+    assert io.bounded_polygon(block) is block
+    with pytest.raises(io.MalformedInput, match=f"has {limit + 1} lattice"):
+        io.bounded_polygon(hull_normalize([(0, 0), (limit, 0)]))
+    n = limit - 2
+    sliver = hull_normalize([(0, 0), (n, n + 1), (n + 1, n + 2)])
+    assert shorter_span(sliver) + 1 == limit
+    assert io.bounded_polygon(sliver) is sliver
+    with pytest.raises(io.MalformedInput, match=f"spans {limit + 1} lattice"):
+        io.bounded_polygon(hull_normalize([(0, 0), (n + 1, n + 2),
+                                           (n + 2, n + 3)]))
+
+
 RHO_ORDER_0_SPEC = {"c": "1", "order": 12,
                     "rho": {"vars": ["x", "y"], "order": 0,
                             "terms": [{"e": [0, 0], "c": "-1"}]}}
@@ -918,6 +938,10 @@ def test_laplace_far_coordinates_exit_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["laplace", "--polygon", far]) == 3
     assert "has 167 bits, above the limit 166 at order 12" \
         in capsys.readouterr().err
+    # at order 8 the limit is 2000 // 8 = 250 bits, met exactly
+    edge = write(tmp_path, "edge.json", _moved_t(2**249))
+    code, out = run(capsys, "laplace", "--polygon", edge, "--order", "8")
+    assert code == 0 and json.loads(out)["order"] == 8
 
 
 def test_violations_render_exact_rationals(tmp_path, capsys):

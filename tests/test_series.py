@@ -191,6 +191,14 @@ def test_divide_x_minus_y():
         divide_linear(Series2.constant(1, 6), 1, -1)
 
 
+@pytest.mark.parametrize("f", [Series2.constant(1, 0), Series2.zero(0)])
+def test_a_series_of_order_0_has_no_quotient(f):
+    # a division loses one order, and order 0 has none to lose: refused
+    # before any row is divided, whether or not the constant term is 0
+    with pytest.raises(ValueError, match="order 0 has no quotient"):
+        divide_linear(f, 0, 1)
+
+
 def test_homogeneous_part():
     f = Series2({(1, 0): 1, (2, 0): 2, (1, 1): 3}, 4)
     assert homogeneous_part(f, 2).terms() == [((1, 1), Q(3)), ((2, 0), Q(2))]
@@ -527,6 +535,15 @@ any_series = st.one_of(
 # rows with runs of zeros inside and below their entries, each run one jump
 @example(Series2({(0, 3): -2, (1, 2): 5, (3, 0): 1, (4, 1): 7, (2, 3): 3}, 5),
          ((2, 1), (1, 3)))
+# rows with one entry, at the end of the row (x^60), at its start (y^60)
+# or in its middle (x^20 y^20), under a frame whose packed image of y is
+# narrower than that of x, and under one whose image of x is narrower
+@example(Series2.monomial(3, 60, 0, 60), ((1, 0), (-1, 1)))
+@example(Series2.monomial(3, 60, 0, 60), ((0, 1), (1, 1)))
+@example(Series2.monomial(-5, 0, 60, 60), ((1, 0), (-1, 1)))
+@example(Series2.monomial(-5, 0, 60, 60), ((0, 1), (1, 1)))
+@example(Series2.monomial(7, 20, 20, 40), ((1, 0), (-1, 1)))
+@example(Series2.monomial(7, 20, 20, 40), ((0, 1), (1, 1)))
 def test_subst_linear_matches_fraction_expansion(f, m):
     # rational, singular and large integer matrices on sparse and dense
     # series of orders 0-20
