@@ -2,11 +2,14 @@
 
 A valuation's triangle value f2 and its parameter series rho are linked by
 
-    sharp:   rho = x/(e^x-1) * (x+y)/(e^{x+y}-1) * [f(x,x+y) + e^x f(y,x+y)]
-    dagger:  f = (1/y) [ (e^y-e^x)/(y-x) rho(y-x,x) - (e^x-1)/x rho(x,y-x) ]
+    sharp:   rho = B(x) B(x+y) [f(x,x+y) + e^x f(y,x+y)]
+    dagger:  f = (1/y) [D(x,y) rho(y-x,x) - E(x) rho(x,y-x)]
+    diamond: f = (1/(x-y)) [E(x) rho(x,-y) - E(y) rho(y,-x)]
 
-and every displayed functional equation is available as a machine check
-returning a structured report (a violated law is a report, not an error).
+for B(t) = t/(e^t-1), E(t) = 1/B(t) and D(x,y) = (e^y-e^x)/(y-x), each
+made on packed degrees and read back once; and every displayed functional
+equation is a machine check returning a structured report (a violated
+law is a report, not an error).
 ``law_sides`` is the one place where a law is written out, as a list of
 equations (``f0gl2z``, invariance under GL(2, Z), has one for each of its
 generators); ``check_law`` (and through it the check of a spec's rho),
@@ -30,14 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, floordiv, mul, sub
 
 from .group import GL2Z_GENERATORS
-from .series import (Series2, _packed_degrees, _substitute,
-                     _taylor_shift, _unpack, divide_linear, format_rational,
-                     mul_exp_linear, packed_cells, separable, special_series,
-                     sum_of_images, sum_of_products)
+from .series import (NotDivisible, Series2, _bits, _exp_images, _integral,
+                     _packed_degrees, _packed_sum, _substitute,
+                     _taylor_shift, _unpack, bernoulli_numbers,
+                     format_rational, mul_exp_linear, packed_cells)
 
 Q = Fraction
 
@@ -55,44 +58,100 @@ class NotInvariant(LawsError):
 
 
 def sharp(f: Series2) -> Series2:
-    """f-sharp; order preserved.  The unit factors x/(e^x - 1) and
-    (x+y)/(e^{x+y} - 1) are the Bernoulli series B(t) = t/(e^t - 1) at
-    t = x and t = x + y: the separable B(x) * B(y) at (x, x + y), so
-    f-sharp is a product and divides by nothing.  The bracket
-    f(x, x + y) + e^x f(y, x + y) is two faces of one cell, added by one
-    sum_of_images."""
+    """f-sharp; order preserved.  The bracket f(x, x + y) + e^x f(y, x + y)
+    is packed at width k as sum_of_images packs two faces of one cell,
+    degree s as h_s over D * s!, and not read back.  With B(t) =
+    sum_j B_j t^j / j! and beta_j = L * B_j, L the lcm of the denominators
+    of B_0..B_n, degree s of B(x + y) times it is P_s = sum_j C(s, j)
+    beta_j (x + y)^j h_(s-j), by Horner steps in x + y, packed 2^k + 1,
+    and of f-sharp Q_s = sum_i C(s, i) beta_i x^i P_(s-i), x^i a shift,
+    over L^2 * D * s!: the binomials keep degree s over s!.
+
+    Width: a polynomial's size is the sum of the absolute values of its
+    coefficients.  f's numerators are below 2^b over den, so degree d of
+    f(x, x + y) and of f(y, x + y) has size below (d + 1) 2^d 2^b / den;
+    e^x sums degree d over (s - d)!, so the bracket's degree s is below
+    (1 + e) times the bound at d = s.  B(x + y) multiplies the largest
+    size up to degree s by at most sum_j |B_j| 2^j / j! = 3 - cot 1 <
+    2.36, and B(x) by sum_j |B_j| / j! = (5 - cot(1/2))/2 < 1.59.  As
+    D <= den, each coefficient of Q_s is below 14 L^2 n! (n + 1) 2^n 2^b
+    < 2^(k - 1) for k = b + bitlen(L^2 n! (n + 1) 2^n) + 5."""
     n = f.order
-    unit = separable(special_series("t_over_expm1", n)) \
-        .subst_linear((1, 0), (1, 1))
     den, (cell,) = packed_cells([f])
-    bracket = sum_of_images([(cell, (0, 0), (1, 0), (1, 1)),
-                             (cell, (1, 0), (0, 1), (1, 1))], n, den)
-    return unit * bracket
+    if not cell[0]:
+        return Series2.zero(n)
+    scale, beta = _integral(*bernoulli_numbers(n))
+    w = [factorial(n) // factorial(s) for s in range(n + 1)]
+    k = _bits(f.numerators()[1]) + 5 \
+        + ((scale * scale * w[0] * (n + 1)) << n).bit_length()
+    h = list(map(add, _packed_sum([(cell, (1, 0), (1, 1))], k, n),
+                 _taylor_shift(_packed_sum([(cell, (0, 1), (1, 1))], k, n),
+                               1 << k)))
+    p, q = [], []
+    for s in range(n + 1):
+        acc = 0
+        for j in range(s, -1, -1):
+            acc = (acc << k) + acc + comb(s, j) * beta[j] * h[s - j]
+        p.append(acc)
+        q.append(sum(comb(s, i) * b * (p[s - i] << k * i)
+                     for i, b in enumerate(beta[:s + 1]) if b))
+    return Series2._of(_unpack(q, k, w), scale * scale * den * w[0], n)
 
 
 def dagger(rho: Series2) -> Series2:
-    """rho-dagger; loses one order to the division by y.
+    """rho-dagger; loses one order to the division by y.  Raises
+    NotDivisible exactly when rho violates the even-degree condition
+    rho(-x,-y) = rho(x,y), at the first degree that y does not divide.
 
-    Raises NotDivisible exactly when rho violates the even-degree
-    condition rho(-x,-y) = rho(x,y).
-    """
-    n = rho.order
-    dde = special_series("divided_diff_exp", n)
-    e1x = special_series("expm1_over_t", n)
-    bracket = sum_of_products([(dde, rho.subst_linear((-1, 1), (1, 0))),
-                               (-e1x, rho.subst_linear((1, 0), (-1, 1)))])
-    return divide_linear(bracket, 0, 1)
+    Degree m of D(x, y) is w[m] sum_p x^p y^(m-p) over (n+1)!
+    (series._exp_images), packed w[m] (2^(k(m+1)) - 1)/(2^k - 1): times
+    g = rho(y - x, x) it is one exact division per degree.  E(x)'s,
+    w[m] x^m, shifts h = rho(x, y - x).  Divided by y, degree s of the
+    bracket is read as degree s - 1 once its top digit, read with
+    _unpack's offset, is 0; no degree above a refused one is substituted.
+    Width: _exp_images's, as a coefficient of a product with degree m of
+    D or E is at most w[m] times the size of g_(s-m) or h_(s-m)."""
+    k, w, den, images = _exp_images(rho, ((-1, 1), (1, 0)),
+                                    ((1, 0), (-1, 1)))
+    one, half = (1 << k) - 1, 1 << (k - 1)
+    seen, out, offset = [], [], 0
+    for s, (g, h) in enumerate(images):
+        if g or h:
+            seen.append((s, g, h))
+        quo, rem = divmod(sum(w[s - d] * ((g << k * (s - d + 1)) - g)
+                              for d, g, _ in seen), one)
+        if rem:
+            raise AssertionError(f"2^k - 1 leaves a remainder at degree {s}")
+        quo -= sum(w[s - d] * (h << k * (s - d)) for d, _, h in seen)
+        offset = (offset << k) | half
+        if (quo + offset) >> k * s != half:
+            raise NotDivisible.at(0, 1, s)
+        out.append(quo)
+    return Series2._of(_unpack(out[1:], k), w[0] * den, rho.order - 1)
 
 
 def diamond(rho: Series2) -> Series2:
     """The antisymmetric variant: equals dagger(rho) whenever rho satisfies
-    the (B')-type laws; loses one order to the division by x - y."""
-    n = rho.order
-    e1x = special_series("expm1_over_t", n)
-    e1y = e1x.subst_linear((0, 1), (1, 0))
-    bracket = sum_of_products([(e1x, rho.subst_linear((1, 0), (0, -1))),
-                               (-e1y, rho.subst_linear((0, 1), (-1, 0)))])
-    return divide_linear(bracket, 1, -1)
+    the (B')-type laws; loses one order to the division by x - y, which
+    divides the bracket G for every rho, as G is 0 at y = x.  Degree m of
+    E(x) packs to w[m] 2^(k m) and of E(y) to w[m] (series._exp_images),
+    times g = rho(x, -y) and h = rho(y, -x), and x - y to 2^k - 1.  Width:
+    _exp_images's for the size of G's degree s, so the digit sum G(1, 1)
+    is below 2^(k - 1): 2^k - 1 divides G(2^k, 1) = G(1, 1) mod 2^k - 1
+    just when x - y divides G, and the quotient's digits, partial sums of
+    G's, are read exactly."""
+    k, w, den, images = _exp_images(rho, ((1, 0), (0, -1)),
+                                    ((0, 1), (-1, 0)))
+    seen, out = [], []
+    for s, (g, h) in enumerate(images):
+        if g or h:
+            seen.append((s, g, h))
+        quo, rem = divmod(sum(w[s - d] * ((g << k * (s - d)) - h)
+                              for d, g, h in seen), (1 << k) - 1)
+        if rem:
+            raise AssertionError(f"x - y does not divide degree {s}")
+        out.append(quo)
+    return Series2._of(_unpack(out[1:], k), w[0] * den, rho.order - 1)
 
 
 def to_st(rho: Series2) -> Series2:

@@ -31,7 +31,8 @@ they are read exactly.  The one product kernel, ``sum_of_products``,
 packs the degrees of its factors the same way; ``Series2.__mul__`` is
 its case of one pair.  ``Series2.mul_linear`` is two shifted copies of
 each row.  Every packed kernel reads its result back once, by
-``_unpack``.
+``_unpack``, as do the transforms of ``laws``, on the packed degrees of
+``_exp_images`` and ``_packed_sum``.
 
 A series holds its int numerators by total degree, over one int den >= 1:
 rows[d] is the list of the d + 1 numerators of x^p y^(d-p), p = 0..d,
@@ -57,6 +58,8 @@ Q = Fraction
 _ZERO = Q(0)
 
 DEFAULT_ORDER = 12
+_ORDER_0 = ("a series of order 0 has no quotient: a division by a linear "
+            "form loses one order")
 
 
 class SeriesError(Exception):
@@ -64,7 +67,10 @@ class SeriesError(Exception):
 
 
 class NotDivisible(SeriesError):
-    pass
+    @classmethod
+    def at(cls, a, b, n: int) -> "NotDivisible":
+        return cls(f"not a multiple of {a}*x + {b}*y: "
+                   f"degree {n} fails the consistency check")
 
 
 class ConstantTermNotZero(SeriesError):
@@ -245,6 +251,29 @@ def _taylor_shift(h, w: int):
             acc += w * old
         col.append(acc)
         yield acc
+
+
+def _exp_images(f: "Series2", one, two) -> tuple:
+    """(k, w, den, images) for laws.dagger and laws.diamond on f, of order
+    n >= 1 over den: images yields (g_d, h_d), degree d of f under the form
+    pairs one and two packed at width k by _substitute, d = 0..n, and
+    w[m] = (n+1)!/(m+1)!, so that degree m of E(t) = (e^t - 1)/t is
+    w[m] t^m over (n+1)!.  By _image_bits's proof the absolute values of
+    an image's coefficients sum to below 2^B, and sum_m w[m] < 2 w[0], so
+    a degree s below sum_m w[m] times the sums of g_(s-m) and h_(s-m) is
+    below 2^(B + 2) w[0] <= 2^(k - 1) for k = B + bitlen(w[0]) + 3.  A
+    series of order 0 has no quotient: ValueError."""
+    n = f.order
+    if n == 0:
+        raise ValueError(_ORDER_0)
+    den, rows = f.numerators()
+    w = [factorial(n + 1) // factorial(m + 1) for m in range(n + 1)]
+    bits = _bits(rows)
+    k = max(_image_bits(bits, n, *one), _image_bits(bits, n, *two)) \
+        + w[0].bit_length() + 3
+    pad = [0] * (n + 1 - len(rows))
+    return k, w, den, zip(chain(_substitute(rows, *one, k), pad),
+                          chain(_substitute(rows, *two, k), pad))
 
 
 def _unpack(packed, k: int, weights=None) -> list:
@@ -671,8 +700,7 @@ def divide_linear(f: Series2, a, b) -> Series2:
     read with x and y swapped.  A series of order 0 has no quotient.
     """
     if f.order == 0:
-        raise ValueError("a series of order 0 has no quotient: a division "
-                         "by a linear form loses one order")
+        raise ValueError(_ORDER_0)
     scale, (A, B) = _integral(a, b)
     if A == 0 and B == 0:
         raise ValueError("the linear form is zero")
@@ -692,8 +720,7 @@ def divide_linear(f: Series2, a, b) -> Series2:
             prev = row[p] * powers[p] - A * prev
             quot.append(scale * prev * powers[top - 1 - p])
         if row[n] * powers[n] != A * prev:
-            raise NotDivisible(f"not a multiple of {a}*x + {b}*y: "
-                               f"degree {n} fails the consistency check")
+            raise NotDivisible.at(a, b, n)
         out.append(quot[::-1] if swap else quot)
     return Series2._of(out[1:], f._den * powers[top], f.order - 1)
 
@@ -766,44 +793,15 @@ def _tangent_numbers(m: int) -> list:
     return t[1:m + 1]
 
 
-def separable(f: Series2) -> Series2:
-    """f(x) * f(y) for a series f in x alone: the numerators f_p * f_q of
-    x^p y^q over den^2, with no product."""
-    den, rows = f.numerators()
-    c = [row[-1] for row in rows] + [0] * (f.order + 1 - len(rows))
-    return Series2._of([[c[p] * c[d - p] for p in range(d + 1)]
-                        for d in range(f.order + 1)], den * den, f.order)
-
-
 def special_series(kind: str, order: int):
-    """The named series the formulas rely on.
-
-    kinds: 'expm1_over_t'   -> sum x^n / (n+1)!            (in x alone)
-           't_over_expm1'   -> sum B_n / n! x^n            (in x alone)
-           'divided_diff_exp' -> (e^y - e^x)/(y - x) built directly as
-                                 sum_{i,j} x^i y^j / (i+j+1)!
-
-    Each is made over one denominator, with no Fraction per coefficient:
-    1/(d+1)! is the integer w[d] = (order+1)!/(d+1)! over (order+1)!, with
-    nothing to reduce since w[order] = 1, and B_n/n! is B_n (n+1) w[n]
-    over (order+1)!, read over L (order+1)! for L the lcm of the
-    denominators of the cached Bernoulli numbers.
-    """
-    if kind not in ("expm1_over_t", "t_over_expm1", "divided_diff_exp"):
+    """The named series the formulas rely on: 't_over_expm1', the
+    Bernoulli series sum B_n x^n / n! in x alone, made over L * order!
+    with no Fraction, for L the lcm of the denominators of B_0..B_order."""
+    if kind != "t_over_expm1":
         raise ValueError(f"unknown special series {kind!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    w = [1] * (order + 1)
-    for d in range(order, 0, -1):
-        w[d - 1] = w[d] * (d + 1)
-    if kind == "expm1_over_t":
-        return Series2._of([[0] * d + [w[d]] for d in range(order + 1)],
-                           w[0], order)
-    if kind == "t_over_expm1":
-        bern = bernoulli_numbers(order)
-        den = lcm(*(b.denominator for b in bern))
-        return Series2._of([[0] * n + [b.numerator * (den // b.denominator)
-                                       * (n + 1) * w[n]]
-                            for n, b in enumerate(bern)], den * w[0], order)
-    return Series2._of([[w[d]] * (d + 1) for d in range(order + 1)], w[0],
-                       order)
+    den, beta = _integral(*bernoulli_numbers(order))
+    w = factorial(order)
+    return Series2._of([[0] * n + [b * (w // factorial(n))]
+                        for n, b in enumerate(beta)], den * w, order)

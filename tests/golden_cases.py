@@ -3,8 +3,9 @@ standard library.
 
 Each case is one ``latval`` command, run with ``--out``, whose written
 bytes and exit code must equal ``tests/golden/expected/<name>.json`` and
-the code given; a case of malformed input (exit 3) writes no file, and
-its message to stderr must equal ``tests/golden/expected/<name>.txt``.
+the code given; a case of malformed input (exit 3), or of a transform
+that is refused (exit 2), writes no file, and its message to stderr must
+equal ``tests/golden/expected/<name>.txt``.
 ``tests/test_golden.py`` runs the same table under pytest.  Run as a
 script, this module runs every case through ``cli.main`` in one process,
 writing into a temporary directory, and exits 1 if any output byte or
@@ -74,6 +75,12 @@ def _cases():
     for op, name in TRANSFORM_INPUT.items():
         cases.append((f"transform_{op}",
                       ["transform", "--op", op, "--input", _input(name)], 0))
+    # an odd rho whose degree 1 y divides: dagger refuses it at degree 3;
+    # diamond refuses no rho, since its bracket is 0 at y = x
+    for op, code in (("dagger", 2), ("diamond", 0)):
+        cases.append((f"transform_{op}_odd_at_3",
+                      ["transform", "--op", op, "--input", _input("odd_at_3")],
+                      code))
     cases.append(("construct", ["construct", "--spec",
                                 _input("spec_general")], 0))
     for poly in POLYGONS:
@@ -160,19 +167,26 @@ def _cases():
 CASES = _cases()
 
 
-def expected_path(name, code=0):
-    suffix = ".txt" if code == cli.EXIT_MALFORMED else ".json"
+def _message(argv, code) -> bool:
+    """Whether the case writes no file but a message to stderr: malformed
+    input, or a transform that is refused, which has no series to write."""
+    return code == cli.EXIT_MALFORMED \
+        or (code == cli.EXIT_VIOLATED and argv[0] == "transform")
+
+
+def expected_path(name, argv, code):
+    suffix = ".txt" if _message(argv, code) else ".json"
     return os.path.join(GOLDEN, "expected", name + suffix)
 
 
 def run_case(argv, code, out):
-    """(exit code, bytes): the command's --out file, or for a case of
-    malformed input its stderr, with None if the file is missing or was
+    """(exit code, bytes): the command's --out file, or for a case that
+    writes a message its stderr, with None if the file is missing or was
     written anyway."""
     err = StringIO()
     with contextlib.redirect_stderr(err):
         got = cli.main(argv + ["--out", out])
-    if code == cli.EXIT_MALFORMED:
+    if _message(argv, code):
         return got, None if os.path.exists(out) else err.getvalue().encode()
     return got, _read(out) if os.path.exists(out) else None
 
@@ -183,7 +197,7 @@ def check() -> list:
     with tempfile.TemporaryDirectory(prefix="latval-golden-") as tmp:
         for i, (name, argv, code) in enumerate(CASES):
             got, written = run_case(argv, code, os.path.join(tmp, f"{i}.json"))
-            same = written == _read(expected_path(name, code))
+            same = written == _read(expected_path(name, argv, code))
             if got != code or not same:
                 failed.append(name)
                 print(f"{name}: exit code {got} (expected {code}), "

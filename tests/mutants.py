@@ -21,8 +21,11 @@ their degrees is over (moved up by a linear factor, times d! by a twist,
 met over the lcm of two sides, read back in a report), or the degree at
 which it stops, in the laws that check D4 invariance,
 the substitution that checks f0gl2z, the leading-term reduction of
-``d4_decompose`` or its inverse ``d4_compose``, in the sharp and dagger
-transforms or the change to (s, t), in the affine unimodular group (its
+``d4_decompose`` or its inverse ``d4_compose``, in the packed sharp,
+dagger and diamond transforms (a Horner step in x + y, a binomial, the
+shift of the divided difference, the digit that the division by y reads,
+the check of diamond's division) or the change to (s, t), in the affine
+unimodular group (its
 determinant check, the order of compose, the edge vectors of its action
 on series), or in a bound on input (each limit of ``io`` and ``cli``
 moved by one).
@@ -267,12 +270,23 @@ MUTANTS = [
     ("d4_decompose: the factor 2^(m - 2j) dropped", "laws.py",
      "out[(i, j)] = c << i", "out[(i, j)] = c",
      ["test_laws.py::test_d4_decompose_round_trip"]),
-    ("sharp: B(x + y) read as B(x)", "laws.py",
-     ".subst_linear((1, 0), (1, 1))\n", ".subst_linear((1, 0), (1, 0))\n",
-     ["test_laws.py::test_round_trip_dagger_sharp"]),
-    ("sharp: the twisted face moved by (0, 1), not (1, 0)", "laws.py",
-     "(cell, (1, 0), (0, 1), (1, 1))", "(cell, (0, 1), (0, 1), (1, 1))",
-     ["test_laws.py::test_round_trip_dagger_sharp"]),
+    ("sharp: the B(x + y) step without its + acc (read as B(x))",
+     "laws.py", "(acc << k) + acc +", "(acc << k) +",
+     ["test_laws.py::test_sharp_inverts_dagger_on_constant"]),
+    ("sharp: C(s, j) read as C(s, j - 1)", "laws.py",
+     "comb(s, j) * beta[j]", "comb(s, max(j - 1, 0)) * beta[j]",
+     ["test_laws.py::test_sharp_inverts_dagger_on_constant"]),
+    ("dagger: the divided difference shifted by k*m, not k*(m + 1)",
+     "laws.py", "(g << k * (s - d + 1))", "(g << k * (s - d))",
+     ["test_laws.py::test_dagger_of_constant_one"]),
+    ("dagger: the top digit read at degree s - 1", "laws.py",
+     "(quo + offset) >> k * s", "(quo + offset) >> k * max(s - 1, 0)",
+     ["test_laws.py::"
+      "test_dagger_refuses_at_the_first_degree_that_y_does_not_divide"]),
+    ("diamond: the remainder check dropped", "laws.py",
+     "        if rem:\n            raise AssertionError(f\"x - y",
+     "        if False:\n            raise AssertionError(f\"x - y",
+     ["test_laws.py::test_an_undivided_diamond_bracket_is_an_internal_error"]),
     ("law Bprime: the difference on the right read as a sum", "laws.py",
      "x, (-1, 1)).mul_linear(1, -1),\n"
      "                f.subst_linear(y, (-1, 0)).mul_linear(1, 0)\n"
@@ -336,10 +350,6 @@ MUTANTS = [
     ("group: act_on_series with its edge vectors transposed", "group.py",
      "(a, c), (b, d))], f.order, den)", "(a, b), (c, d))], f.order, den)",
      ["test_group.py::test_action_substitution_convention"]),
-    ("dagger: the bracket divided by x, not y", "laws.py",
-     "return divide_linear(bracket, 0, 1)",
-     "return divide_linear(bracket, 1, 0)",
-     ["test_laws.py::test_dagger_of_constant_one"]),
 ]
 
 

@@ -56,6 +56,11 @@ used here.
 - ``bernoulli_by_recurrence``: B_0..B_n by the binomial recurrence in
   Fractions, which ``series.bernoulli_numbers`` computes from the tangent
   numbers in ints.
+- ``expm1_over_t``, ``divided_diff_exp`` and ``bernoulli_series``: the
+  series E(x) = (e^x - 1)/x, D(x, y) = (e^y - e^x)/(y - x) and
+  B(x) = x/(e^x - 1), coefficient by coefficient in Fractions, from which
+  the formula oracles of the transforms are built: ``laws`` applies them
+  in packed form and never makes them.
 - ``taylor_shift_by_passes``: the Taylor shift of a list of ints by n
   passes in place, which ``series._taylor_shift`` streams one column of
   Pascal's rule at a time.
@@ -169,6 +174,26 @@ def bernoulli_by_recurrence(n_max: int) -> list:
         out.append(-sum((comb(n + 1, k) * out[k] for k in range(n)),
                         Fraction(0)) / (n + 1))
     return out
+
+
+def expm1_over_t(order: int) -> Series2:
+    """E(x) = (e^x - 1)/x = sum x^n / (n + 1)!, in x alone."""
+    return Series2({(n, 0): Fraction(1, factorial(n + 1))
+                    for n in range(order + 1)}, order)
+
+
+def divided_diff_exp(order: int) -> Series2:
+    """D(x, y) = (e^y - e^x)/(y - x) = sum x^p y^q / (p + q + 1)!."""
+    return Series2({(p, q): Fraction(1, factorial(p + q + 1))
+                    for p in range(order + 1) for q in range(order + 1 - p)},
+                   order)
+
+
+def bernoulli_series(order: int) -> Series2:
+    """B(x) = x/(e^x - 1) = sum B_n x^n / n!, in x alone, from
+    bernoulli_by_recurrence."""
+    return Series2({(n, 0): b / factorial(n) for n, b in
+                    enumerate(bernoulli_by_recurrence(order))}, order)
 
 
 def taylor_shift_by_passes(h: list, w: int) -> list:

